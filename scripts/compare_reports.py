@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Compare two directories of JSON-lines reports written by run_all_validations.py.
+
+Names the report files that are byte-identical, prints the largest
+|delta max_residual| of each file that differs, and exits 1 if any check id,
+`samples` or `passed` differs between the two directories.
+
+Usage:
+    python scripts/compare_reports.py DIR_A DIR_B
+"""
+
+import json
+import pathlib
+import sys
+
+
+def _records(path):
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+             if line.strip()]
+    return {d["check"]: d for d in lines if "check" in d}
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    dir_a, dir_b = (pathlib.Path(p) for p in argv)
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.jsonl")})
+    mismatch = False
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        if not (path_a.exists() and path_b.exists()):
+            print(f"{name}: only in {dir_a if path_a.exists() else dir_b}")
+            mismatch = True
+            continue
+        if path_a.read_bytes() == path_b.read_bytes():
+            print(f"{name}: byte-identical")
+            continue
+        rec_a, rec_b = _records(path_a), _records(path_b)
+        if rec_a.keys() != rec_b.keys():
+            print(f"{name}: check ids differ: {sorted(rec_a.keys() ^ rec_b.keys())}")
+            mismatch = True
+        worst, worst_check = 0.0, None
+        for check in sorted(rec_a.keys() & rec_b.keys()):
+            a, b = rec_a[check], rec_b[check]
+            for key in ("samples", "passed"):
+                if a[key] != b[key]:
+                    print(f"{name}: {check} {key} differs: {a[key]} vs {b[key]}")
+                    mismatch = True
+            delta = abs(a["max_residual"] - b["max_residual"])
+            if worst_check is None or delta > worst:
+                worst, worst_check = delta, check
+        print(f"{name}: differs; largest |delta max_residual| {worst:.3e} ({worst_check})")
+    return 1 if mismatch else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

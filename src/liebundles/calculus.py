@@ -193,41 +193,60 @@ class Polynomial:
     """Multivariate polynomial from a coefficient table keyed by exponent strings.
 
     Table keys look like ``"2,0"`` (x1^2) or ``"1,1"`` (x1 x2); values are the
-    real coefficients.  Kept deliberately simple: this is the exchange format
-    for connection coefficients in scenario configs.
+    real coefficients: the exchange format for connection coefficients in
+    scenario configs.  Tables are compiled once into (output slot,
+    coefficient, nonzero (axis, power) pairs) terms, summed per slot in sorted
+    exponent order, so an entry of ``Polynomial.array`` is bit-identical to
+    the scalar polynomial of its table.
     """
 
     def __init__(self, table, dim):
+        self._compile({(): table}, dim, ())
+
+    @classmethod
+    def array(cls, entries, dim, shape):
+        """Array-valued polynomial from {index tuple: table}; other entries are zero."""
+        poly = cls.__new__(cls)
+        poly._compile(entries, dim, tuple(shape))
+        return poly
+
+    def _compile(self, entries, dim, shape):
         self.dim = int(dim)
-        self.terms = []
-        for key, coeff in table.items():
-            exps = tuple(int(p) for p in str(key).split(","))
-            if len(exps) != self.dim:
-                raise UsageError(f"exponent key {key!r} does not match dimension {dim}")
-            self.terms.append((exps, float(coeff)))
-        self.terms.sort()
+        self.shape = shape
+        terms = []
+        for index, table in entries.items():
+            if len(index) != len(shape) or not all(0 <= i < s for i, s in zip(index, shape)):
+                raise UsageError(f"entry index {index} does not fit shape {shape}")
+            slot = int(np.ravel_multi_index(index, shape)) if shape else 0
+            for key, coeff in table.items():
+                exps = tuple(int(p) for p in str(key).split(","))
+                if len(exps) != self.dim:
+                    raise UsageError(f"exponent key {key!r} does not match dimension {dim}")
+                terms.append((slot, exps, float(coeff)))
+        self.terms = [(slot, coeff, [(ax, e) for ax, e in enumerate(exps) if e])
+                      for slot, exps, coeff in sorted(terms)]
+        self._size = int(np.prod(shape, dtype=int))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for exps, coeff in self.terms:
+        x = np.asarray(x, dtype=float).tolist()
+        out = [0.0] * self._size
+        for slot, coeff, powers in self.terms:
             term = coeff
-            for xi, e in zip(x, exps):
-                if e:
-                    term *= xi**e
-            total += term
-        return total
+            for axis, e in powers:
+                term *= x[axis] ** e
+            out[slot] += term
+        return np.array(out).reshape(self.shape) if self.shape else out[0]
 
     def partial(self, mu):
-        """Analytic partial derivative as a new Polynomial."""
+        """Analytic partial derivative of a scalar polynomial as a new Polynomial."""
         table = {}
-        for exps, coeff in self.terms:
-            e = exps[mu]
+        for _, coeff, powers in self.terms:
+            exps = dict(powers)
+            e = exps.get(mu, 0)
             if e == 0:
                 continue
-            new = list(exps)
-            new[mu] = e - 1
-            key = ",".join(str(v) for v in new)
+            exps[mu] = e - 1
+            key = ",".join(str(exps.get(ax, 0)) for ax in range(self.dim))
             table[key] = table.get(key, 0.0) + coeff * e
         return Polynomial(table, self.dim)
 
@@ -264,25 +283,10 @@ class AlgebraOneForm:
     @staticmethod
     def from_polynomials(descriptor, tables, dim):
         """tables[mu][k] is a Polynomial coefficient table for dx^mu x E_k."""
-        n = len(tables)
-        terms = []  # flat (mu, k, exponents, coefficient) list for fast eval
-        for mu in range(n):
-            for k in range(descriptor.dim):
-                for exps, coeff in Polynomial(tables[mu].get(str(k), {}), dim).terms:
-                    terms.append((mu, k, exps, coeff))
-        shape = (n, descriptor.dim)
-
-        def coeff(x):
-            out = np.zeros(shape)
-            for mu, k, exps, c in terms:
-                val = c
-                for xi, e in zip(x, exps):
-                    if e:
-                        val *= xi**e
-                out[mu, k] += val
-            return out
-
-        return AlgebraOneForm(descriptor, coeff)
+        entries = {(mu, k): table[str(k)] for mu, table in enumerate(tables)
+                   for k in range(descriptor.dim) if str(k) in table}
+        return AlgebraOneForm(descriptor,
+                              Polynomial.array(entries, dim, (len(tables), descriptor.dim)))
 
     def validate_linearity(self, rng, chart, samples=20, tol=1e-10):
         worst = 0.0

@@ -16,10 +16,10 @@ import numpy as np
 from .bundles import TotalPoint
 from .connections import transport_group, transport_multiplicativity_check
 from .errors import LieBundleError, UsageError
-from .gauge import ConnectionJet, GaugeSecondJet, apply_gauge_second_jet, curvature_map
+from .gauge import ConnectionJet, curvature_map
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
-from .reporting import records_to_csv, render_jsonl, summary_dict, write_report
+from .reporting import make_record, records_to_csv, render_jsonl, summary_dict, write_report
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
 from .suites import run_suite
 
@@ -67,8 +67,13 @@ def build_parser():
 def _load_config(args):
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError("config must be a JSON object")
     name = args.scenario or config.get("scenario")
     if name:
         base = preset_config(name)
@@ -98,6 +103,17 @@ def _validate_config(config):
             raise UsageError(f"tolerance for {name} must be positive")
     if "samples" in config and int(config["samples"]) <= 0:
         raise UsageError("samples must be positive")
+
+
+def _json_vector(text, size, flag):
+    """Parse a command-line JSON array of ``size`` finite numbers."""
+    try:
+        vec = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (size,) or not np.all(np.isfinite(vec)):
+        raise UsageError(f"{flag} must be a JSON array of {size} finite numbers, got {text!r}")
+    return vec
 
 
 def _meta(args):
@@ -142,8 +158,6 @@ def _cmd_validate(args):
 
 
 def _cmd_transport(args):
-    from .reporting import make_record
-
     config = _load_config(args)
     scenario = build_scenario(config)
     if scenario.kind == "gauge":
@@ -157,7 +171,7 @@ def _cmd_transport(args):
     rng = np.random.default_rng([seed, 1000])
     group = scenario.group
     if args.fiber:
-        coords = np.asarray(json.loads(args.fiber), dtype=float)
+        coords = _json_vector(args.fiber, group.dim, "--fiber")
     else:
         coords = rng.uniform(-1.0, 1.0, group.dim)
     g0 = group.exp(group.algebra(coords))
@@ -196,45 +210,32 @@ def _cmd_transport(args):
 
 
 def _cmd_curvature(args):
-    from .reporting import make_record
-
     config = _load_config(args)
     scenario = build_scenario(config)
     seed = int(config.get("seed", 0))
     rng = np.random.default_rng([seed, 2000])
-    records = []
     extra = {}
     if scenario.kind == "gauge":
-        worst = 0.0
-        jets = int(config.get("samples", 1000))
-        for _ in range(jets):
-            jet = ConnectionJet.random(scenario.group, scenario.n, rng)
-            gauge = GaugeSecondJet.random(scenario.group, scenario.n, rng)
-            before = curvature_map(jet)
-            after = curvature_map(apply_gauge_second_jet(jet, gauge))
-            worst = max(worst, float(np.max(np.abs(after - before))))
-        records.append(make_record(
-            "curvature-map-invariance",
-            "curvature map is invariant under identity-value second jets",
-            scenario.name, [worst], 1e-12, samples=jets))
+        records = run_suite(scenario, seed=seed, samples=config.get("samples"),
+                            only=["curvature-map-invariance"])
         sample_jet = ConnectionJet.random(scenario.group, scenario.n, rng)
         extra["curvature_sample"] = curvature_map(sample_jet).tolist()
     else:
-        point = (np.asarray(json.loads(args.point), float) if args.point
-                 else scenario.chart.center())
-        u1 = np.asarray(json.loads(args.u1), float) if args.u1 else np.eye(scenario.chart.dim)[0]
-        u2 = np.asarray(json.loads(args.u2), float) if args.u2 else np.eye(scenario.chart.dim)[-1]
+        n = scenario.chart.dim
+        point = _json_vector(args.point, n, "--point") if args.point else scenario.chart.center()
+        u1 = _json_vector(args.u1, n, "--u1") if args.u1 else np.eye(n)[0]
+        u2 = _json_vector(args.u2, n, "--u2") if args.u2 else np.eye(n)[-1]
         scenario.chart.require(point)
         y = TotalPoint(point, scenario.group.random_element(rng))
         omega = scenario.omega
         out = curvature_eval(omega, y, u1, u2, raise_on_gap=False)
         same = curvature_eval(omega, y, u1, u1, raise_on_gap=False)
-        records.append(make_record(
-            "curvature-two-path", "bracket and covariant-exterior paths agree",
-            scenario.name, [out.gap], 1e-4))
-        records.append(make_record(
-            "curvature-antisymmetry", "curvature vanishes on a repeated argument",
-            scenario.name, [float(np.linalg.norm(same.value.coords))], 1e-10))
+        records = [
+            make_record("curvature-two-path", "bracket and covariant-exterior paths agree",
+                        scenario.name, [out.gap], 1e-4),
+            make_record("curvature-antisymmetry", "curvature vanishes on a repeated argument",
+                        scenario.name, [float(np.linalg.norm(same.value.coords))], 1e-10),
+        ]
         extra.update({
             "point": point.tolist(),
             "bracket_value": out.value.coords.tolist(),

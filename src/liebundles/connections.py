@@ -217,9 +217,6 @@ class AlgebraConnection:
             cols.append(diff)
         return np.column_stack(cols)
 
-    def covariant_coefficient(self, x, u) -> np.ndarray:
-        return -self.generator(x, u)
-
 
 def algebra_transport(
     nu, curve, xi: AlgebraElement, step=1e-2, cross_check=True, fd_eps=1e-4, cross_tol=1e-5

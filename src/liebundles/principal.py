@@ -96,16 +96,16 @@ def constant_weight(value=1.0):
 def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None):
     """Fiber left-Maurer-Cartan form of the reference presentation.
 
-    Value on a tangent (u, delta) at fiber point h is Ad_{h^{-1}}(A(u) + delta)
-    where A is the optional adjoint-twisted base 1-form (zero by default).
+    Its value on a tangent (u, delta) at fiber point h is
+    Ad_{h^{-1}}(A(u) + delta), where A is the optional adjoint-twisted base
+    1-form (zero by default); as a matrix, Ad_{h^{-1}} [A(x)^T | I].
     """
 
-    def form(y: TotalPoint, u, delta: AlgebraElement) -> np.ndarray:
-        hinv = y.fiber.inverse().matrix
-        val = descriptor.algebra_matrix(delta.coords)
-        if base_form is not None:
-            val = val + descriptor.algebra_matrix(base_form(y.q, u).coords)
-        return descriptor.matrix_coords(hinv @ val @ y.fiber.matrix)
+    def form(y: TotalPoint) -> np.ndarray:
+        ad = descriptor.Ad_matrix(y.fiber.inverse())
+        if base_form is None:
+            return np.hstack([np.zeros((descriptor.dim, y.q.size)), ad])
+        return np.hstack([ad @ base_form.coefficient_array(y.q).T, ad])
 
     return form
 
@@ -118,13 +118,9 @@ class _Twist:
         self.descriptor = descriptor
         self.sigma_gen = sigma_gen
         self.tau_gen = tau_gen
-        self.p = p
         self.r = r
         self._dp = [p.partial(mu) for mu in range(p.dim)]
         self._dr = [r.partial(mu) for mu in range(r.dim)]
-
-    def sigma(self, x):
-        return self.descriptor.exp(self.descriptor.algebra(self.p(x) * self.sigma_gen.coords))
 
     def tau(self, x):
         return self.descriptor.exp(self.descriptor.algebra(self.r(x) * self.tau_gen.coords))
@@ -134,39 +130,29 @@ class _Twist:
         rate = sum(d(x) * ui for d, ui in zip(self._dp, np.asarray(u, float)))
         return rate * self.sigma_gen.coords
 
-    def tau_rate(self, x, u):
-        rate = sum(d(x) * ui for d, ui in zip(self._dr, np.asarray(u, float)))
-        return rate * self.tau_gen.coords
+    def rates(self, x):
+        """Right-trivialized rates of sigma and tau as (dim, n) matrices."""
+        return (np.outer(self.sigma_gen.coords, [d(x) for d in self._dp]),
+                np.outer(self.tau_gen.coords, [d(x) for d in self._dr]))
 
 
 def twisted_local_form(descriptor, twist: _Twist):
     """Canonical form of the twisted presentation, expressed in reference data.
 
-    The twisted fiber coordinate of y = (x, h) is h_b = s^{-1} t^{-1} h s with
-    s = sigma(x), t = tau(x); the form is the left-Maurer-Cartan value of the
-    twisted coordinate, mapped back to reference algebra coordinates by Ad_s.
+    The twisted fiber coordinate of y = (x, h) is m = s^{-1} t^{-1} h s with
+    s = sigma(x), t = tau(x); its left-Maurer-Cartan value mapped back to
+    reference algebra coordinates by Ad_s is Ad_{h^{-1}}(delta - T - Ad_t S) + S,
+    with S, T the right-trivialized rates of sigma and tau.  As a matrix:
+    Ad_{h^{-1}} [-T - Ad_t S | I] + [S | 0].
     """
 
-    def form(y: TotalPoint, u, delta: AlgebraElement) -> np.ndarray:
-        x = y.q
-        h = y.fiber.matrix
-        s = twist.sigma(x).matrix
-        t = twist.tau(x).matrix
-        s_inv = np.linalg.inv(s)
-        t_inv = np.linalg.inv(t)
-        s_dot = descriptor.algebra_matrix(twist.sigma_rate(x, u)) @ s
-        t_dot = descriptor.algebra_matrix(twist.tau_rate(x, u)) @ t
-        h_dot = descriptor.algebra_matrix(delta.coords) @ h
-        m = s_inv @ t_inv @ h @ s
-        m_dot = (
-            -s_inv @ s_dot @ s_inv @ t_inv @ h @ s
-            - s_inv @ t_inv @ t_dot @ t_inv @ h @ s
-            + s_inv @ t_inv @ h_dot @ s
-            + s_inv @ t_inv @ h @ s_dot
-        )
-        m_inv = np.linalg.inv(m)
-        mc = m_inv @ m_dot  # left-trivialized velocity of the twisted coordinate
-        return descriptor.matrix_coords(s @ mc @ s_inv)
+    def form(y: TotalPoint) -> np.ndarray:
+        s_rate, t_rate = twist.rates(y.q)
+        ad_t = descriptor.Ad_matrix(twist.tau(y.q))
+        out = descriptor.Ad_matrix(y.fiber.inverse()) @ np.hstack(
+            [-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)])
+        out[:, : y.q.size] += s_rate
+        return out
 
     return form
 
@@ -191,7 +177,9 @@ class GeneralizedPrincipalConnection:
     """Algebra-valued 1-form glued from weighted local pieces.
 
     ``pieces`` is a sequence of (weight, form) with weight a function of the
-    base point and form(y, u, delta) returning algebra coordinates.
+    base point and form(y) the (dim, n + dim) matrix of the piece at y: its
+    first n columns act on the base velocity u, its last dim columns on the
+    fiber velocity delta.
     """
 
     def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces, label="omega"):
@@ -200,43 +188,43 @@ class GeneralizedPrincipalConnection:
         self.pieces = list(pieces)
         self.label = label
         self.descriptor = action.space.fiber
+        self.n = action.space.quotient.dim
 
-    def value(self, y: TotalPoint, tangent: Tangent) -> AlgebraElement:
-        total = np.zeros(self.descriptor.dim)
+    def matrix(self, y: TotalPoint) -> np.ndarray:
+        """Weighted sum of the pieces' matrices at y, shape (dim, n + dim)."""
+        total = np.zeros((self.descriptor.dim, self.n + self.descriptor.dim))
         for weight, form in self.pieces:
             w = weight(y.q)
             if w != 0.0:
-                total = total + w * form(y, tangent.u, tangent.delta)
-        return self.descriptor.algebra(total)
+                total = total + w * form(y)
+        return total
+
+    def value(self, y: TotalPoint, tangent: Tangent) -> AlgebraElement:
+        return self.descriptor.algebra(
+            self.matrix(y) @ np.concatenate([tangent.u, tangent.delta.coords]))
 
     def weight_sum(self, x) -> float:
         return float(sum(w(x) for w, _ in self.pieces))
 
     def vertical_operator(self, y: TotalPoint) -> np.ndarray:
         """Matrix of delta -> omega(y, (0, delta)) on algebra coordinates."""
-        n = self.action.space.quotient.dim
-        zero_u = np.zeros(n)
-        cols = [
-            self.value(y, Tangent(zero_u, self.descriptor.algebra(e))).coords
-            for e in np.eye(self.descriptor.dim)
-        ]
-        return np.column_stack(cols)
+        return self.matrix(y)[:, self.n :]
+
+    def _horizontal_deltas(self, y: TotalPoint, u_columns) -> np.ndarray:
+        """Fiber velocities annihilated by the form over each column of u_columns."""
+        mat = self.matrix(y)
+        try:
+            return np.linalg.solve(mat[:, self.n :], -mat[:, : self.n] @ u_columns)
+        except np.linalg.LinAlgError as exc:
+            raise ConstructionError("degenerate connection: vertical operator singular") from exc
 
     def horizontal_lift(self, y: TotalPoint, u) -> Tangent:
         """Unique tangent over u annihilated by the form."""
         u = np.asarray(u, dtype=float)
-        rhs = -self.value(y, Tangent(u, self.descriptor.zero())).coords
-        op = self.vertical_operator(y)
-        try:
-            delta = np.linalg.solve(op, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConstructionError("degenerate connection: vertical operator singular") from exc
-        return Tangent(u, self.descriptor.algebra(delta))
+        return Tangent(u, self.descriptor.algebra(self._horizontal_deltas(y, u)))
 
     def horizontal_jet(self, y: TotalPoint) -> SectionJet:
-        n = self.action.space.quotient.dim
-        rows = [self.horizontal_lift(y, e).delta.coords for e in np.eye(n)]
-        return SectionJet(y.q, y.fiber, np.vstack(rows))
+        return SectionJet(y.q, y.fiber, self._horizontal_deltas(y, np.eye(self.n)).T)
 
 
 def build_canonical_connection(action: FiberedAction, base_form: Optional[AlgebraOneForm] = None):
@@ -420,16 +408,17 @@ def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement, eps=1e-5
 
 
 class TensorialAdjointForm:
-    """Horizontal, adjoint-equivariant algebra-valued 1-form on the total space."""
+    """Horizontal, adjoint-equivariant algebra-valued 1-form on the total space,
+    given by its (dim, n + dim) matrix function like a connection piece."""
 
-    def __init__(self, action: FiberedAction, eval_fn, label="difference"):
+    def __init__(self, action: FiberedAction, matrix, label="difference"):
         self.action = action
         self.descriptor = action.space.fiber
-        self.eval_fn = eval_fn
+        self.matrix = matrix
         self.label = label
 
     def value(self, y: TotalPoint, t: Tangent) -> AlgebraElement:
-        return self.eval_fn(y, t)
+        return self.descriptor.algebra(self.matrix(y) @ np.concatenate([t.u, t.delta.coords]))
 
     def validate(self, rng, samples=100, horiz_tol=1e-9, equi_tol=1e-7, raise_on_failure=True):
         action = self.action
@@ -469,20 +458,13 @@ def connection_difference(omega1, omega2, rng=None, validate=True) -> TensorialA
     when a generator is supplied)."""
     if omega1.action is not omega2.action:
         raise UsageError("connection difference requires a common total space action")
-
-    def eval_fn(y, t):
-        return omega1.descriptor.algebra(
-            omega1.value(y, t).coords - omega2.value(y, t).coords
-        )
-
-    form = TensorialAdjointForm(omega1.action, eval_fn)
+    form = TensorialAdjointForm(omega1.action, lambda y: omega1.matrix(y) - omega2.matrix(y))
     if validate and rng is not None:
         form.validate(rng)
         rebuilt = GeneralizedPrincipalConnection(
             omega2.action,
             omega2.nu,
-            [(constant_weight(1.0), lambda y, u, d: omega2.value(y, Tangent(np.asarray(u, float), d)).coords
-              + form.value(y, Tangent(np.asarray(u, float), d)).coords)],
+            [(constant_weight(1.0), lambda y: omega2.matrix(y) + form.matrix(y))],
             label="omega2+difference",
         )
         validate_principal_connection(rebuilt, rng, samples=50)

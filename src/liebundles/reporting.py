@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -47,15 +48,18 @@ class CheckRecord:
 
 def make_record(check, label, scenario, residuals, tolerance, samples=None, order=None,
                 mode="max<=tol"):
-    residuals = [float(r) for r in residuals] or [0.0]
-    mx = max(residuals)
-    mean = sum(residuals) / len(residuals)
-    if mode == "max<=tol":
-        passed = mx <= tolerance
-    elif mode == "min>tol":
-        passed = min(residuals) > tolerance
-    else:
+    """Record of a check; an empty or non-finite residual set fails in either
+    mode and reports NaN as its max and mean."""
+    if mode not in ("max<=tol", "min>tol"):
         raise ValueError(f"unknown mode {mode}")
+    residuals = [float(r) for r in residuals]
+    finite = bool(residuals) and all(math.isfinite(r) for r in residuals)
+    mx = max(residuals) if finite else math.nan
+    mean = sum(residuals) / len(residuals) if finite else math.nan
+    if mode == "max<=tol":
+        passed = finite and mx <= tolerance
+    else:
+        passed = finite and min(residuals) > tolerance
     return CheckRecord(
         check=check, label=label, scenario=scenario,
         samples=samples if samples is not None else len(residuals),

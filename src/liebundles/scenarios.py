@@ -117,10 +117,6 @@ class PrincipalScenario:
     curves: Dict[str, BaseCurve]
     kind: str = "principal"
 
-    @property
-    def default_step(self):
-        return float(self.config.get("step", 5e-3))
-
 
 def _build_principal(config) -> PrincipalScenario:
     group = _group_from_config(config["group"])
@@ -193,8 +189,8 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
             scenario.action,
             scenario.nu0,
             [(constant_weight(1.0),
-              lambda y, u, d: scenario.base_form(y.q, u).coords
-              + desc.Ad_matrix(y.fiber.inverse()) @ d.coords)],
+              lambda y: np.hstack([scenario.base_form.coefficient_array(y.q).T,
+                                   desc.Ad_matrix(y.fiber.inverse())]))],
             label="broken",
         )
         induced = validate_principal_connection(broken, rng, samples=samples, raise_on_failure=False)
@@ -230,10 +226,6 @@ class AffineScenario:
     curves: Dict[str, BaseCurve]
     kind: str = "affine"
 
-    @property
-    def default_step(self):
-        return float(self.config.get("step", 5e-3))
-
     def fiber_point(self, x, v):
         return TotalPoint(np.asarray(x, float), self.group.exp(self.group.algebra(v)))
 
@@ -241,23 +233,18 @@ class AffineScenario:
         return self.group.log(y.fiber).coords
 
 
-def _affine_tables_to_fn(spec, n, m, two_index):
+def _table_fn(spec, n, shape):
+    """Coefficient function x -> array of ``shape`` from a config spec: absent
+    (zero), ``constant`` (a fixed array) or ``polynomials`` (one table per
+    comma-separated index)."""
+    if spec is None:
+        return lambda x: np.zeros(shape)
     if "constant" in spec:
         arr = np.asarray(spec["constant"], dtype=float)
         return lambda x: arr
-    polys = {}
-    for key, table in spec["polynomials"].items():
-        idx = tuple(int(s) for s in key.split(","))
-        polys[idx] = Polynomial(table, n)
-    shape = (n, m, m) if two_index else (n, m)
-
-    def fn(x):
-        out = np.zeros(shape)
-        for idx, p in polys.items():
-            out[idx] = p(x)
-        return out
-
-    return fn
+    entries = {tuple(int(i) for i in key.split(",")): table
+               for key, table in spec["polynomials"].items()}
+    return Polynomial.array(entries, n, shape)
 
 
 def _build_affine(config) -> AffineScenario:
@@ -266,8 +253,8 @@ def _build_affine(config) -> AffineScenario:
     chart = _chart_from_config(config["chart"])
     n = chart.dim
     action = FiberedAction(TotalSpace(chart, chart, group), LieGroupBundle(chart, group))
-    nu_coeff = _affine_tables_to_fn(config["nu_coeff"], n, m, two_index=True)
-    gamma = _affine_tables_to_fn(config["gamma"], n, m, two_index=False)
+    nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m))
+    gamma = _table_fn(config["gamma"], n, (n, m))
 
     def cocycle(x, g, u):
         v = group.log(g).coords
@@ -282,12 +269,9 @@ def _build_affine(config) -> AffineScenario:
         nu, np.random.default_rng(int(config.get("seed", 0))), samples=25, tol=1e-9
     )
 
-    def local_form(y, u, delta):
-        x = y.q
+    def local_form(y):
         v = group.log(y.fiber).coords
-        k = np.tensordot(np.asarray(u, float), nu_coeff(x), axes=(0, 0))
-        g_val = np.asarray(u, float) @ gamma(x)
-        return k @ v + g_val + delta.coords
+        return np.hstack([(nu_coeff(y.q) @ v + gamma(y.q)).T, np.eye(m)])
 
     omega = GeneralizedPrincipalConnection(
         action, nu, [(constant_weight(1.0), local_form)], label="affine"
@@ -378,34 +362,13 @@ def _build_gauge(config) -> GaugeJetScenario:
     group = _group_from_config(config["group"])
     n = int(config["n"])
     jet_desc = semidirect_jet_descriptor(group, n)
-    f_fn = _affine_tables_to_fn(config["f_section"], n, group.dim, two_index=False) \
-        if "f_section" in config else (lambda x: np.zeros((n, group.dim)))
-    g_fn = _affine_gtable(config.get("g_section"), n, group.dim)
+    f_fn = _table_fn(config.get("f_section"), n, (n, group.dim))
+    g_fn = _table_fn(config.get("g_section"), n, (n, n, group.dim))
     omega_hat = EquivariantJetConnection(group, n, f=f_fn, g2=g_fn)
     return GaugeJetScenario(
         name=config["name"], config=config, group=group, n=n, jet_descriptor=jet_desc,
         f_section=f_fn, g_section=g_fn, omega_hat=omega_hat,
     )
-
-
-def _affine_gtable(spec, n, d):
-    if spec is None:
-        return lambda x: np.zeros((n, n, d))
-    if "constant" in spec:
-        arr = np.asarray(spec["constant"], dtype=float)
-        return lambda x: arr
-    polys = {}
-    for key, table in spec["polynomials"].items():
-        idx = tuple(int(s) for s in key.split(","))
-        polys[idx] = Polynomial(table, n)
-
-    def fn(x):
-        out = np.zeros((n, n, d))
-        for idx, p in polys.items():
-            out[idx] = p(x)
-        return out
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

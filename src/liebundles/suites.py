@@ -304,11 +304,10 @@ def _chk_connection_difference(s, rng, samples, step):
         omega1, omega2 = s.omega, s.omega_canonical
     else:
         omega1 = s.omega
+        shift = np.hstack([np.full((s.group.dim, s.chart.dim), 0.35),
+                           np.zeros((s.group.dim, s.group.dim))])
         omega2 = GeneralizedPrincipalConnection(
-            s.action, s.nu,
-            [(constant_weight(1.0),
-              lambda y, u, d: s.omega.value(y, Tangent(np.asarray(u, float), d)).coords
-              + np.asarray(u, float) @ np.full((s.chart.dim, s.group.dim), 0.35))],
+            s.action, s.nu, [(constant_weight(1.0), lambda y: s.omega.matrix(y) + shift)],
             label="shifted")
     form = connection_difference(omega1, omega2, validate=False)
     rep = form.validate(rng, samples=min(samples, 100), raise_on_failure=False)

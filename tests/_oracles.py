@@ -93,3 +93,59 @@ def observed_order(errors, ratios=2.0):
     errors = [max(e, 1e-300) for e in errors]
     orders = [np.log(errors[i] / errors[i + 1]) / np.log(ratios) for i in range(len(errors) - 1)]
     return float(np.median(orders))
+
+
+# ---------------------------------------------------------------------------
+# per-tangent connection forms: the form evaluated one tangent (u, delta) at a
+# time, by the direct matrix formulas, with no form matrix
+# ---------------------------------------------------------------------------
+
+
+def canonical_form_oracle(desc, y, u, delta, base_form=None):
+    """Ad_{h^-1}(A(u) + delta) computed as h^-1 (A(u) + delta) h."""
+    val = desc.algebra_matrix(delta)
+    if base_form is not None:
+        val = val + desc.algebra_matrix(base_form(y.q, u).coords)
+    h = y.fiber.matrix
+    return desc.matrix_coords(np.linalg.inv(h) @ val @ h)
+
+
+def twisted_form_oracle(desc, sigma_gen, p, tau_gen, r, y, u, delta):
+    """Left Maurer-Cartan value of m = s^-1 t^-1 h s mapped back by Ad_s, with
+    m' from the product rule; s = exp(p(x) Z_sigma), t = exp(r(x) Z_tau)."""
+    x, u = y.q, np.asarray(u, float)
+    h = y.fiber.matrix
+    s = taylor_expm(p(x) * desc.algebra_matrix(sigma_gen))
+    t = taylor_expm(r(x) * desc.algebra_matrix(tau_gen))
+    s_rate = sum(p.partial(mu)(x) * u[mu] for mu in range(u.size))
+    t_rate = sum(r.partial(mu)(x) * u[mu] for mu in range(u.size))
+    s_dot = s_rate * desc.algebra_matrix(sigma_gen) @ s
+    t_dot = t_rate * desc.algebra_matrix(tau_gen) @ t
+    h_dot = desc.algebra_matrix(delta) @ h
+    s_inv, t_inv = np.linalg.inv(s), np.linalg.inv(t)
+    m = s_inv @ t_inv @ h @ s
+    m_dot = (
+        -s_inv @ s_dot @ s_inv @ t_inv @ h @ s
+        - s_inv @ t_inv @ t_dot @ t_inv @ h @ s
+        + s_inv @ t_inv @ h_dot @ s
+        + s_inv @ t_inv @ h @ s_dot
+    )
+    return desc.matrix_coords(s @ np.linalg.inv(m) @ m_dot @ s_inv)
+
+
+def affine_form_oracle(nu_coeff, gamma, y, u, delta):
+    """(sum_mu u_mu N_mu(x)) v + u . Gamma(x) + delta, with v the translation
+    part of the fiber matrix."""
+    m = len(delta)
+    v = y.fiber.matrix[:m, m]
+    k = np.tensordot(np.asarray(u, float), nu_coeff(y.q), axes=(0, 0))
+    return k @ v + np.asarray(u, float) @ gamma(y.q) + np.asarray(delta, float)
+
+
+def horizontal_lift_oracle(value, d, u):
+    """Fiber velocity annihilated by a per-tangent form value(u, delta): one
+    evaluation for the right-hand side and one per algebra basis vector."""
+    u = np.asarray(u, float)
+    rhs = -value(u, np.zeros(d))
+    op = np.column_stack([value(np.zeros(u.size), e) for e in np.eye(d)])
+    return np.linalg.solve(op, rhs)

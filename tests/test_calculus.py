@@ -46,6 +46,22 @@ def test_polynomial_evaluation_and_partial():
     assert dp(x) == pytest.approx(2 * 0.7 - 2 * (-0.4))
 
 
+def test_polynomial_array_matches_scalar_entries_bitwise():
+    entries = {(0, 1): {"2,0": 0.8, "0,1": -0.3, "0,0": 0.1},
+               (1, 0): {"1,3": 1.7, "0,0": 0.2},
+               (1, 2): {"0,0": -0.4, "5,1": 0.25, "1,1": 3.1}}
+    arr = Polynomial.array(entries, 2, (2, 3))
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x = rng.uniform(-1.5, 1.5, 2)
+        want = np.zeros((2, 3))
+        for idx, table in entries.items():
+            want[idx] = Polynomial(table, 2)(x)
+        assert np.array_equal(arr(x), want)
+    with pytest.raises(UsageError):
+        Polynomial.array({(2, 0): {"0,0": 1.0}}, 2, (2, 3))
+
+
 def test_one_form_linearity_and_polynomial_table():
     rng = np.random.default_rng(0)
     form = AlgebraOneForm.from_polynomials(

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from liebundles.cli import main
 
@@ -129,6 +130,26 @@ def test_curvature_gauge_reports_invariance(capsys):
     records = [d for d in parse_jsonl(out) if "check" in d]
     assert records[0]["check"] == "curvature-map-invariance"
     assert records[0]["max_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--config", "{tmp}/missing.json"],
+    ["validate", "--config", "{tmp}/malformed.json"],
+    ["curvature", "--scenario", "principal-so3", "--point", "[0.1,"],
+    ["curvature", "--scenario", "principal-so3", "--u1", "one"],
+    ["curvature", "--scenario", "principal-so3", "--u2", "{\"a\": 1}"],
+    ["transport", "--scenario", "affine-constant", "--fiber", "[0.0, oops]"],
+    ["curvature", "--scenario", "principal-so3", "--point", "[0.1]"],
+    ["curvature", "--scenario", "principal-so3", "--u1", "[1.0, 0.0, 0.0]"],
+    ["curvature", "--scenario", "principal-so3", "--u2", "[]"],
+    ["transport", "--scenario", "principal-so3", "--fiber", "[0.1, 0.2]"],
+])
+def test_malformed_input_is_usage_error(args, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text("{\"scenario\": ", encoding="utf-8")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args] + ["--no-meta"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error")
 
 
 def test_curvature_point_outside_chart_is_error(capsys):

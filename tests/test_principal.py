@@ -1,16 +1,20 @@
 """Generalized connection tests: gluing, lifts, transports, curvature."""
 
 import numpy as np
+import pytest
 
 from liebundles.bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
 from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, Polynomial
 from liebundles.connections import LieGroupBundleConnection, validate_group_connection
+from liebundles.errors import ConstructionError
 from liebundles.groups import so3_descriptor, translation_descriptor
 from liebundles.principal import (
+    GeneralizedPrincipalConnection,
     WeightRamp,
     build_canonical_connection,
     build_two_chart_connection,
     connection_difference,
+    constant_weight,
     curvature,
     equivariant_product_connection_check,
     horizontal_transform_check,
@@ -21,8 +25,15 @@ from liebundles.principal import (
     transport_total,
     validate_principal_connection,
 )
+from liebundles.scenarios import build_scenario
 
-from _oracles import observed_order
+from _oracles import (
+    affine_form_oracle,
+    canonical_form_oracle,
+    horizontal_lift_oracle,
+    observed_order,
+    twisted_form_oracle,
+)
 
 SO3 = so3_descriptor()
 T1 = translation_descriptor(1)
@@ -270,8 +281,6 @@ def test_necessity_check_passes_and_flags_bad_nu():
     report = necessity_check(OMEGA_GLUED, rng)
     assert report["omega_ok"] and report["nu_ok"]
 
-    from liebundles.principal import GeneralizedPrincipalConnection
-
     # pairing a non-multiplicative cocycle with a forced form: the report must
     # flag nu (and the form fails equivariance against that nu, consistently)
     bad_nu = LieGroupBundleConnection(
@@ -281,3 +290,63 @@ def test_necessity_check_passes_and_flags_bad_nu():
     bad_report = necessity_check(forced, np.random.default_rng(18))
     assert not bad_report["nu_ok"]
     assert not bad_report["omega_ok"]
+
+
+PRINCIPAL = build_scenario("principal-so3")
+AFFINE = build_scenario("affine-varying")
+
+
+def _per_tangent_oracles():
+    """(scenario, connection, per-tangent oracle value(y, u, delta)) by name."""
+    s, glue = PRINCIPAL, PRINCIPAL.config["two_chart"]
+    ramp = WeightRamp(*glue["ramp"], axis=glue["ramp_axis"])
+    twist = (np.array(glue["sigma_gen"]), Polynomial(glue["sigma_poly"], 2),
+             np.array(glue["tau_gen"]), Polynomial(glue["tau_poly"], 2))
+
+    def glued(y, u, d):
+        w = ramp(y.q)
+        return (w * canonical_form_oracle(SO3, y, u, d)
+                + (1.0 - w) * twisted_form_oracle(SO3, *twist, y, u, d))
+
+    return {
+        "single": (s, s.omega, lambda y, u, d: canonical_form_oracle(SO3, y, u, d, s.base_form)),
+        "canonical": (s, s.omega_canonical, lambda y, u, d: canonical_form_oracle(SO3, y, u, d)),
+        "glued": (s, s.omega_glued, glued),
+        "affine": (AFFINE, AFFINE.omega,
+                   lambda y, u, d: affine_form_oracle(AFFINE.nu_coeff, AFFINE.gamma, y, u, d)),
+    }
+
+
+@pytest.mark.parametrize("name", ["single", "canonical", "glued", "affine"])
+def test_form_matrix_matches_per_tangent_oracle(name):
+    # x0 in (-0.3, 0.3) covers the glued ramp (-0.2, 0.2), where both pieces are live
+    scenario, omega, oracle = _per_tangent_oracles()[name]
+    group = scenario.group
+    rng = np.random.default_rng(19)
+    worst_value = worst_lift = worst_jet = 0.0
+    for _ in range(200):
+        y = TotalPoint(np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.9, 0.9)]),
+                       group.random_element(rng))
+        u, delta = rng.standard_normal(2), group.random_algebra(rng)
+        got = omega.value(y, Tangent(u, delta)).coords
+        worst_value = max(worst_value, np.max(np.abs(got - oracle(y, u, delta.coords))))
+        lift = omega.horizontal_lift(y, u).delta.coords
+        want = horizontal_lift_oracle(lambda uu, dd: oracle(y, uu, dd), group.dim, u)
+        worst_lift = max(worst_lift, np.max(np.abs(lift - want)))
+        jet = omega.horizontal_jet(y).deriv
+        for mu, e in enumerate(np.eye(2)):
+            worst_jet = max(worst_jet, np.max(np.abs(
+                jet[mu] - omega.horizontal_lift(y, e).delta.coords)))
+    assert worst_value <= 1e-12
+    assert worst_lift <= 1e-12
+    assert worst_jet <= 1e-14
+
+
+def test_zero_fiber_block_makes_lift_and_jet_raise():
+    piece = lambda y: np.hstack([np.ones((3, 2)), np.zeros((3, 3))])
+    omega = GeneralizedPrincipalConnection(ACTION, NU_CANON, [(constant_weight(1.0), piece)])
+    y = ACTION.space.random_point(np.random.default_rng(20))
+    with pytest.raises(ConstructionError):
+        omega.horizontal_lift(y, [1.0, 0.0])
+    with pytest.raises(ConstructionError):
+        omega.horizontal_jet(y)
