@@ -39,7 +39,7 @@ from .groups import (
     so3_descriptor,
     translation_descriptor,
 )
-from .integrators import TransportResult, integrate_on_group
+from .integrators import TransportResult, integrate_on_group, integrate_stack
 from .principal import (
     GeneralizedPrincipalConnection,
     TensorialAdjointForm,

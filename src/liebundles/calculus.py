@@ -7,6 +7,7 @@ truncation and roundoff for second-order central stencils.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -127,13 +128,14 @@ class BaseCurve:
         end = np.asarray(end, dtype=float)
         a, b = interval
         span = b - a
+        rate = (end - start) / span
 
         def pos(t):
             s = (t - a) / span
             return (1.0 - s) * start + s * end
 
         def vel(t):
-            return (end - start) / span
+            return rate.copy()
 
         return BaseCurve(a, b, pos, vel, label=label)
 
@@ -169,20 +171,22 @@ class BaseCurve:
         amp = np.asarray(amplitudes, dtype=float)
         a, b = interval
         span = b - a
+        base = (end - start) / span
+        w = np.arange(start.size)
 
+        # scalar trigonometry through math: a numpy call per scalar costs more
         def pos(t):
             s = (t - a) / span
-            return (1.0 - s) * start + s * end + amp * np.sin(np.pi * s) * np.sin(
-                2.0 * np.pi * s + np.arange(start.size)
+            return (1.0 - s) * start + s * end + amp * math.sin(np.pi * s) * np.sin(
+                2.0 * np.pi * s + w
             )
 
         def vel(t):
             s = (t - a) / span
-            base = (end - start) / span
-            w = np.arange(start.size)
+            phase = 2 * np.pi * s + w
             d = (
-                np.pi * np.cos(np.pi * s) * np.sin(2 * np.pi * s + w)
-                + 2 * np.pi * np.sin(np.pi * s) * np.cos(2 * np.pi * s + w)
+                np.pi * math.cos(np.pi * s) * np.sin(phase)
+                + 2 * np.pi * math.sin(np.pi * s) * np.cos(phase)
             )
             return base + amp * d / span
 

@@ -92,17 +92,31 @@ def _load_config(args):
     return config
 
 
+def _number(value, what, cast=float, positive=True):
+    """``cast(value)``, as a usage error when it fails or, if asked, is not positive."""
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} must be a number, got {value!r}") from None
+    if positive and not number > 0:
+        raise UsageError(f"{what} must be positive, got {value!r}")
+    return number
+
+
 def _validate_config(config):
     if config.get("kind") not in ("principal", "affine", "gauge"):
         raise UsageError("config must declare kind principal|affine|gauge")
-    for key in ("step",):
-        if key in config and not float(config[key]) > 0:
-            raise UsageError(f"config field {key} must be positive")
-    for name, tol in config.get("tolerances", {}).items():
-        if not float(tol) > 0:
-            raise UsageError(f"tolerance for {name} must be positive")
-    if "samples" in config and int(config["samples"]) <= 0:
-        raise UsageError("samples must be positive")
+    if "step" in config:
+        _number(config["step"], "config field step")
+    tolerances = config.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise UsageError("config field tolerances must be an object of check id -> tolerance")
+    for name, tol in tolerances.items():
+        _number(tol, f"tolerance for {name}")
+    if "samples" in config:
+        _number(config["samples"], "config field samples", int)
+    if "seed" in config and _number(config["seed"], "config field seed", int, positive=False) < 0:
+        raise UsageError(f"config field seed must be non-negative, got {config['seed']!r}")
 
 
 def _json_vector(text, size, flag):
@@ -246,8 +260,11 @@ def _cmd_curvature(args):
 
 
 def _cmd_report(args):
-    with open(args.in_path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+    try:
+        with open(args.in_path, "r", encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read report {args.in_path}: {exc}") from exc
     records = [d for d in lines if "check" in d]
     summaries = [d["summary"] for d in lines if "summary" in d]
     if args.csv:

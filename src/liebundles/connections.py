@@ -24,7 +24,7 @@ from .bundles import LieGroupBundle, SectionJet
 from .calculus import AlgebraOneForm, BaseCurve
 from .errors import InconsistencyError, ValidationError
 from .groups import AlgebraElement, GroupElement
-from .integrators import TransportResult, integrate_linear, integrate_on_group
+from .integrators import integrate_linear, integrate_stack
 
 __all__ = [
     "LieGroupBundleConnection",
@@ -42,37 +42,73 @@ __all__ = [
 
 
 class LieGroupBundleConnection:
-    """Connection on chart x G given by a horizontal-lift cocycle."""
+    """Connection on chart x G given by a horizontal-lift cocycle.
+
+    ``cocycle(x, g, u)`` returns h(x, g, u) as an AlgebraElement for one
+    GroupElement g.  Connections built with `from_lift_map` (all those built
+    by this package) also evaluate whole stacks of fibers: their lift map
+    computes the x-dependent part once per (x, u) and returns the map from a
+    (..., m, m) array of fiber matrices to the (..., dim) coordinates of h.
+    """
 
     def __init__(self, bundle: LieGroupBundle, cocycle, tag="custom", base_form=None):
         self.bundle = bundle
         self.cocycle = cocycle
         self.tag = tag
         self.base_form = base_form
+        self._lift_map = None
+
+    @classmethod
+    def from_lift_map(cls, bundle: LieGroupBundle, lift_map, tag, base_form=None):
+        """Connection whose ``lift_map(x, u)`` returns the map from fiber
+        matrices (..., m, m) to the coordinates (..., dim) of h(x, g, u)."""
+        desc = bundle.fiber
+
+        def cocycle(x, g, u):
+            return desc.algebra(lift_map(x, u)(g.matrix))
+
+        nu = cls(bundle, cocycle, tag=tag, base_form=base_form)
+        nu._lift_map = lift_map
+        return nu
 
     @classmethod
     def from_base_form(cls, bundle: LieGroupBundle, form: AlgebraOneForm):
         desc = bundle.fiber
 
-        def cocycle(x, g, u):
-            a = form(x, u)
-            return desc.algebra(desc.Ad_matrix(g) @ a.coords - a.coords)
+        def lift_map(x, u):
+            a = u @ form.coefficient_array(x)
+            return lambda fibers: desc.Ad_matrix(fibers) @ a - a
 
-        return cls(bundle, cocycle, tag="base-form", base_form=form)
+        return cls.from_lift_map(bundle, lift_map, "base-form", base_form=form)
 
     @classmethod
     def trivial(cls, bundle: LieGroupBundle):
-        desc = bundle.fiber
+        dim = bundle.fiber.dim
 
-        def cocycle(x, g, u):
-            return desc.zero()
+        def lift_map(x, u):
+            return lambda fibers: np.zeros(fibers.shape[:-2] + (dim,))
 
-        return cls(bundle, cocycle, tag="trivial")
+        return cls.from_lift_map(bundle, lift_map, "trivial")
 
     # -- pointwise maps ----------------------------------------------------
 
     def horizontal_delta(self, x, g: GroupElement, u) -> AlgebraElement:
         return self.cocycle(np.asarray(x, float), g, np.asarray(u, float))
+
+    def lift_map(self, x, u):
+        """The map from fiber matrices (..., m, m) to the coordinates
+        (..., dim) of h(x, g, u) at fixed (x, u)."""
+        x, u = np.asarray(x, float), np.asarray(u, float)
+        if self._lift_map is not None:
+            return self._lift_map(x, u)
+        desc = self.bundle.fiber
+
+        def per_fiber(fibers):  # a custom cocycle sees one GroupElement at a time
+            rows = [self.cocycle(x, GroupElement(g, desc, check=False), u).coords
+                    for g in fibers.reshape((-1,) + fibers.shape[-2:])]
+            return np.reshape(rows, fibers.shape[:-2] + (desc.dim,))
+
+        return per_fiber
 
     def connection_form(self, x, g: GroupElement, u, delta: AlgebraElement) -> AlgebraElement:
         """Algebra-valued connection form: delta minus the horizontal part."""
@@ -136,52 +172,41 @@ def validate_group_connection(nu, rng, samples=100, tol=1e-6, raise_on_failure=T
 def transport_group(
     nu: LieGroupBundleConnection,
     curve: BaseCurve,
-    g0: GroupElement,
+    g0,
     step=1e-2,
     with_error_estimate=False,
-) -> TransportResult:
-    """Parallel transport of g0 along the curve: integrate the horizontal lift."""
-    desc = nu.bundle.fiber
-    if nu.tag == "base-form" and desc.ad_matrix_hook is not None:
-        form = nu.base_form
-        hook = desc.ad_matrix_hook
-        cache = {}  # the half-step stage time repeats within each step
+):
+    """Parallel transport along the curve: integrate the horizontal lift.
 
-        def rhs_fast(t, gm):
-            a = cache.get(t)
-            if a is None:
-                a = np.asarray(curve.velocity(t), float) @ form.coefficient_array(
-                    curve.position(t)
-                )
-                cache.clear()
-                cache[t] = a
-            return hook(gm) @ a - a
+    ``g0`` is one GroupElement, giving one TransportResult, or a sequence of
+    them, integrated as the rows of one stack and giving a list of
+    TransportResult in the same order.
+    """
+    if isinstance(g0, GroupElement):
+        fibers = g0.matrix
+    else:
+        fibers = np.stack([g.matrix for g in g0])
 
-        return integrate_on_group(
-            rhs_fast, g0, (curve.a, curve.b), step, with_error_estimate, rhs_takes_matrix=True
-        )
+    def field(t):
+        return nu.lift_map(curve.position(t), curve.velocity(t))
 
-    def rhs(t, g):
-        return nu.horizontal_delta(curve.position(t), g, curve.velocity(t))
-
-    return integrate_on_group(rhs, g0, (curve.a, curve.b), step, with_error_estimate)
+    return integrate_stack(field, nu.bundle.fiber, fibers, (curve.a, curve.b), step,
+                           with_error_estimate)
 
 
 def transport_multiplicativity_check(nu, curve, g, h, step=1e-2) -> float:
-    """|| transport(gh) - transport(g) transport(h) || via independent runs."""
-    tg = transport_group(nu, curve, g, step).element
-    th = transport_group(nu, curve, h, step).element
-    tgh = transport_group(nu, curve, g @ h, step).element
+    """|| transport(gh) - transport(g) transport(h) ||, with g, h and gh
+    transported as independent rows of one stack."""
+    tg, th, tgh = (r.element for r in transport_group(nu, curve, [g, h, g @ h], step))
     return float(np.linalg.norm(tgh.matrix - (tg @ th).matrix))
 
 
 def transport_unit_inverse_check(nu, curve, g, step=1e-2):
     """Residuals of transporting the unit and of the inverse law."""
     desc = nu.bundle.fiber
-    t1 = transport_group(nu, curve, desc.identity(), step).element
+    t1, tg, tginv = (r.element for r in transport_group(
+        nu, curve, [desc.identity(), g, g.inverse()], step))
     unit_res = float(np.linalg.norm(t1.matrix - np.eye(desc.matrix_dim)))
-    tg = transport_group(nu, curve, g, step).element
-    tginv = transport_group(nu, curve, g.inverse(), step).element
     inv_res = float(np.linalg.norm(tginv.matrix - tg.inverse().matrix))
     return unit_res, inv_res
 
@@ -218,6 +243,17 @@ class AlgebraConnection:
         return np.column_stack(cols)
 
 
+def _algebra_flow(nu, curve, columns, step):
+    """Linear transport of coordinate columns (a (d,) vector or a (d, B) array)
+    by the transport ODE with generator K(x(t), x'(t))."""
+    conn = AlgebraConnection(nu)
+
+    def k_matrix(t):
+        return conn.generator(curve.position(t), curve.velocity(t))
+
+    return integrate_linear(k_matrix, columns, (curve.a, curve.b), step)
+
+
 def algebra_transport(
     nu, curve, xi: AlgebraElement, step=1e-2, cross_check=True, fd_eps=1e-4, cross_tol=1e-5
 ) -> AlgebraElement:
@@ -228,17 +264,12 @@ def algebra_transport(
     by central differences and must agree within ``cross_tol``.
     """
     desc = nu.bundle.fiber
-    conn = AlgebraConnection(nu)
-
-    def k_matrix(t):
-        return conn.generator(curve.position(t), curve.velocity(t))
-
-    out = integrate_linear(k_matrix, xi.coords, (curve.a, curve.b), step)
+    out = _algebra_flow(nu, curve, xi.coords, step)
     if cross_check:
         scale = max(1.0, np.linalg.norm(xi.coords))
         eps = fd_eps / scale
-        gp = transport_group(nu, curve, desc.exp(desc.algebra(eps * xi.coords)), step).element
-        gm = transport_group(nu, curve, desc.exp(desc.algebra(-eps * xi.coords)), step).element
+        gp, gm = (r.element for r in transport_group(
+            nu, curve, [desc.exp(desc.algebra(s * xi.coords)) for s in (eps, -eps)], step))
         fd = (desc.log(gp).coords - desc.log(gm).coords) / (2 * eps)
         gap = float(np.linalg.norm(fd - out))
         if gap > cross_tol * scale:
@@ -249,23 +280,19 @@ def algebra_transport(
 
 
 def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2) -> float:
-    combo = nu.bundle.fiber.algebra(a * xi.coords + b * eta.coords)
-    t_combo = algebra_transport(nu, curve, combo, step, cross_check=False)
-    t_xi = algebra_transport(nu, curve, xi, step, cross_check=False)
-    t_eta = algebra_transport(nu, curve, eta, step, cross_check=False)
-    return float(
-        np.linalg.norm(t_combo.coords - a * t_xi.coords - b * t_eta.coords)
-    )
+    combo = a * xi.coords + b * eta.coords
+    t_combo, t_xi, t_eta = _algebra_flow(
+        nu, curve, np.column_stack([combo, xi.coords, eta.coords]), step).T
+    return float(np.linalg.norm(t_combo - a * t_xi - b * t_eta))
 
 
 def ad_compatibility_check(nu, curve, g, xi, step=1e-2) -> float:
     """|| transport(Ad_g xi) - Ad_{transport(g)}(transport(xi)) ||."""
     desc = nu.bundle.fiber
-    lhs = algebra_transport(nu, curve, desc.Ad(g, xi), step, cross_check=False)
+    lhs, txi = _algebra_flow(
+        nu, curve, np.column_stack([desc.Ad(g, xi).coords, xi.coords]), step).T
     tg = transport_group(nu, curve, g, step).element
-    txi = algebra_transport(nu, curve, xi, step, cross_check=False)
-    rhs = desc.Ad(tg, txi)
-    return float(np.linalg.norm(lhs.coords - rhs.coords))
+    return float(np.linalg.norm(lhs - desc.Ad(tg, desc.algebra(txi)).coords))
 
 
 def _restricted_curve(curve, t_lo, t_hi):

@@ -5,6 +5,11 @@ algebra basis, structure constants, a membership residual, and a retraction
 that projects near-group matrices back onto the group.  Elements are thin
 immutable wrappers around numpy arrays; every operation is a pure function, so
 values are safe to share across threads.
+
+The array kernels (algebra and coordinate maps, exp, log, Ad_matrix,
+membership residual, retraction, bracket) broadcast over leading axes: a
+(B, m, m) stack of group matrices or a (B, dim) stack of coordinates is
+handled row by row in one call, and a GroupElement may hold such a stack.
 """
 
 from __future__ import annotations
@@ -90,6 +95,10 @@ class GroupDescriptor:
         flat = basis.reshape(basis.shape[0], -1).T
         object.__setattr__(self, "_basis_flat", flat)
         object.__setattr__(self, "_basis_pinv", np.linalg.pinv(flat))
+        # row i holds c[:, i, :]: coordinates times it give the ad matrix
+        c = self.structure_constants
+        object.__setattr__(self, "_ad_rows", np.ascontiguousarray(
+            np.swapaxes(c, 0, 1).reshape(c.shape[1], -1)))
 
     # -- basic queries -------------------------------------------------
 
@@ -112,26 +121,33 @@ class GroupDescriptor:
     # -- coordinates <-> matrices ---------------------------------------
 
     def algebra_matrix(self, coords):
+        coords = np.asarray(coords, dtype=float)
         m = self.matrix_dim
-        return (np.asarray(coords, dtype=float) @ self._basis_flat.T).reshape(m, m)
+        # a row vector per point keeps each row bit-identical to a lone point
+        flat = coords[..., None, :] @ self._basis_flat.T
+        return flat.reshape(coords.shape[:-1] + (m, m))
 
     def matrix_coords(self, matrix, tol=1e-9):
         """Coordinates of a matrix in the algebra basis; error if off-span."""
-        coords = self._basis_pinv @ _vec(matrix)
-        residual = np.linalg.norm(self._basis_flat @ coords - _vec(matrix))
-        if residual > tol * max(1.0, np.linalg.norm(matrix)):
+        matrix = np.asarray(matrix, dtype=float)
+        flat = matrix.reshape(matrix.shape[:-2] + (-1,))[..., None]
+        coords = (self._basis_pinv @ flat)[..., 0]
+        residual = _norm((self._basis_flat @ coords[..., None] - flat)[..., 0])
+        if _any(residual > tol * np.maximum(1.0, _norm(flat[..., 0]))):
             raise DescriptorError(
                 f"matrix is not in the span of the {self.name} algebra basis "
-                f"(residual {residual:.3e})"
+                f"(residual {np.max(residual):.3e})"
             )
         return coords
 
     # -- membership ------------------------------------------------------
 
     def membership_residual(self, matrix):
-        if self.membership_residual_fn is not None:
-            return float(self.membership_residual_fn(matrix))
-        return 0.0
+        """Distance from the group: a float, or an array with one per stacked matrix."""
+        if self.membership_residual_fn is None:
+            return 0.0 if np.ndim(matrix) == 2 else np.zeros(np.shape(matrix)[:-2])
+        res = self.membership_residual_fn(matrix)
+        return float(res) if np.ndim(res) == 0 else res
 
     def retract(self, matrix):
         if self.retraction is not None:
@@ -140,40 +156,48 @@ class GroupDescriptor:
 
     # -- core operations --------------------------------------------------
 
+    def exp_coords(self, coords):
+        """Group exponential of raw algebra coordinates, not retracted."""
+        m = self.algebra_matrix(coords)
+        if self.exp_hook is not None:
+            return self.exp_hook(m)
+        return scipy.linalg.expm(m)
+
     def exp(self, xi: "AlgebraElement") -> "GroupElement":
         """Group exponential of an algebra element, retracted onto the group."""
         coords = np.asarray(xi.coords, dtype=float)
         if not np.all(np.isfinite(coords)):
             raise DomainError("exp: algebra coordinates must be finite")
-        m = self.algebra_matrix(coords)
-        if self.exp_hook is not None:
-            g = self.exp_hook(m)
-        else:
-            g = scipy.linalg.expm(m)
-        return GroupElement(self.retract(g), self, check=False)
+        return GroupElement(self.retract(self.exp_coords(coords)), self, check=False)
 
-    def log(self, g: "GroupElement") -> "AlgebraElement":
-        """Principal logarithm; valid within the configured injectivity radius."""
-        mat = g.matrix
+    def log_coords(self, matrix):
+        """Principal logarithm of group matrices as algebra coordinates.
+
+        Every row must lie within the configured injectivity radius and
+        reproduce its matrix through exp to 1e-10 (relative).
+        """
+        mat = np.asarray(matrix, dtype=float)
         if self.log_hook is not None:
             m = self.log_hook(mat)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m = scipy.linalg.logm(mat)
-            if np.max(np.abs(np.imag(m))) > 1e-9:
-                raise RangeError("log: matrix is outside the principal branch")
-            m = np.real(m)
+            rows = mat.reshape((-1,) + mat.shape[-2:])
+            m = np.stack([_principal_logm(r) for r in rows]).reshape(mat.shape)
         coords = self.matrix_coords(m)
-        if np.linalg.norm(coords) > self.injectivity_radius:
+        if not np.all(np.isfinite(coords)):
+            raise DomainError("log: non-finite algebra coordinates")
+        if np.any(np.linalg.norm(coords, axis=-1) > self.injectivity_radius):
             raise RangeError(
                 f"log: element lies outside the injectivity radius "
                 f"{self.injectivity_radius:.3f} of {self.name}"
             )
-        back = self.exp(self.algebra(coords))
-        if np.linalg.norm(back.matrix - mat) > 1e-10 * max(1.0, np.linalg.norm(mat)):
+        gap = np.linalg.norm(self.retract(self.exp_coords(coords)) - mat, axis=(-2, -1))
+        if np.any(gap > 1e-10 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))):
             raise RangeError("log: exp(log(g)) does not reproduce g")
-        return self.algebra(coords)
+        return coords
+
+    def log(self, g: "GroupElement") -> "AlgebraElement":
+        """Principal logarithm; valid within the configured injectivity radius."""
+        return self.algebra(self.log_coords(g.matrix))
 
     def Ad(self, g: "GroupElement", xi: "AlgebraElement") -> "AlgebraElement":
         """Adjoint action g xi g^{-1}, expressed in algebra coordinates."""
@@ -184,15 +208,17 @@ class GroupDescriptor:
         conj = g.matrix @ self.algebra_matrix(xi.coords) @ g.inverse().matrix
         return self.algebra(self.matrix_coords(conj))
 
-    def Ad_matrix(self, g: "GroupElement") -> np.ndarray:
-        """Matrix of Ad_g on algebra coordinates, shape (dim, dim)."""
+    def Ad_matrix(self, g) -> np.ndarray:
+        """Matrix of Ad_g on algebra coordinates, shape (..., dim, dim).
+
+        ``g`` is a GroupElement or a raw (..., m, m) array of group matrices.
+        """
+        mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
         if self.ad_matrix_hook is not None:
-            return self.ad_matrix_hook(g.matrix)
-        ginv = g.inverse().matrix
-        cols = [
-            self.matrix_coords(g.matrix @ self.basis[j] @ ginv) for j in range(self.dim)
-        ]
-        return np.column_stack(cols)
+            return self.ad_matrix_hook(mat)
+        ginv = np.linalg.inv(mat)
+        cols = [self.matrix_coords(mat @ self.basis[j] @ ginv) for j in range(self.dim)]
+        return np.stack(cols, axis=-1)
 
     def bracket(self, xi: "AlgebraElement", eta: "AlgebraElement") -> "AlgebraElement":
         if xi.descriptor is not eta.descriptor:
@@ -201,8 +227,10 @@ class GroupDescriptor:
         return self.algebra(out)
 
     def ad_matrix(self, coords) -> np.ndarray:
-        """Matrix of ad_xi = [xi, .] on coordinates."""
-        return np.einsum("kij,i->kj", self.structure_constants, np.asarray(coords, float))
+        """Matrix of ad_xi = [xi, .] on coordinates, shape (..., dim, dim)."""
+        coords = np.asarray(coords, dtype=float)
+        d = self.dim
+        return (coords[..., None, :] @ self._ad_rows).reshape(coords.shape[:-1] + (d, d))
 
     def bracket_coords(self, a, b):
         """Coordinate bracket on raw arrays; broadcasts over leading axes."""
@@ -283,7 +311,8 @@ class AlgebraElement:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Group element stored as its embedding matrix."""
+    """Group element stored as its embedding matrix, or a (B, m, m) stack of
+    them that the array kernels treat row by row."""
 
     matrix: np.ndarray
     descriptor: GroupDescriptor
@@ -294,10 +323,10 @@ class GroupElement:
         object.__setattr__(self, "matrix", mat)
         if self.check:
             res = self.descriptor.membership_residual(mat)
-            if res > self.descriptor.membership_tol:
+            if _any(res > self.descriptor.membership_tol):
                 raise DescriptorError(
                     f"matrix violates {self.descriptor.name} membership "
-                    f"(residual {res:.3e} > {self.descriptor.membership_tol:.1e})"
+                    f"(residual {np.max(res):.3e} > {self.descriptor.membership_tol:.1e})"
                 )
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -320,55 +349,110 @@ class GroupElement:
 # ---------------------------------------------------------------------------
 
 
+def _norm(v):
+    """Euclidean norm over the last axis; a 1xk by kx1 product per row gives
+    the same bits as np.linalg.norm of one vector, so the thresholds below
+    decide each row of a stack exactly as they decide a lone matrix."""
+    if v.ndim == 1:
+        return np.sqrt(v.dot(v))
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _frobenius(m):
+    return _norm(m.ravel() if m.ndim == 2 else m.reshape(m.shape[:-2] + (-1,)))
+
+
+def _any(mask):
+    """Whether a boolean mask (an array, or a lone numpy or Python bool) has a
+    set entry; cheaper than ``mask.any()`` on both."""
+    return np.count_nonzero(mask) > 0 if getattr(mask, "ndim", 0) else bool(mask)
+
+
+_EYES = {}
+
+
+def _eye(k):
+    """Shared read-only identity matrix of size k."""
+    eye = _EYES.get(k)
+    if eye is None:
+        eye = _EYES[k] = np.eye(k)
+        eye.flags.writeable = False
+    return eye
+
+
+def _eye_stack(k, lead):
+    """A fresh identity matrix of size k for each index of the leading shape."""
+    out = np.empty(tuple(lead) + (k, k))
+    out[...] = _eye(k)
+    return out
+
+
+def _principal_logm(mat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m = scipy.linalg.logm(mat)
+    if np.max(np.abs(np.imag(m))) > 1e-9:
+        raise RangeError("log: matrix is outside the principal branch")
+    return np.real(m)
+
+
 def _orthogonal_residual(m):
-    return float(
-        np.linalg.norm(m.T @ m - np.eye(m.shape[0])) + abs(np.linalg.det(m) - 1.0)
-    )
+    gram = m.swapaxes(-1, -2) @ m - _eye(m.shape[-1])
+    return _frobenius(gram) + abs(np.linalg.det(m) - 1.0)
 
 
 def _orthogonal_retract(m):
-    """Closest special-orthogonal matrix.
+    """Closest special-orthogonal matrix, per matrix of a stack.
 
     Near the group a couple of Newton polar iterations suffice and are much
     cheaper than the SVD, which remains the fallback for large drift."""
-    eye = np.eye(m.shape[0])
-    gram_defect = m.T @ m - eye
-    if np.linalg.norm(gram_defect) < 1e-4:
-        r = m @ (eye - 0.5 * gram_defect)
-        defect = r.T @ r - eye
-        if np.linalg.norm(defect) > 1e-14:
-            r = r @ (eye - 0.5 * defect)
-        return r
-    u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] *= -1.0
-        r = u @ vt
+    eye = _eye(m.shape[-1])
+    gram_defect = m.swapaxes(-1, -2) @ m - eye
+    r = m @ (eye - 0.5 * gram_defect)
+    defect = r.swapaxes(-1, -2) @ r - eye
+    again = _frobenius(defect) > 1e-14
+    if _any(again):
+        r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
+    far = _frobenius(gram_defect) >= 1e-4
+    if _any(far):
+        u, _, vt = np.linalg.svd(m[far])
+        u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+        r[far] = u @ vt
     return r
 
 
+# entries (2,1), (0,2), (1,0) of a hat matrix hold w1, w2, w3
+_HAT_ROWS, _HAT_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
 def _so3_exp(m):
-    w = np.array([m[2, 1], m[0, 2], m[1, 0]])
-    theta = np.linalg.norm(w)
-    if theta < 1e-8:
-        return np.eye(3) + m + 0.5 * (m @ m)
+    """Rodrigues formula per matrix, with the series below an angle of 1e-8."""
+    theta = _norm(m[..., _HAT_ROWS, _HAT_COLS])  # a numpy scalar for one matrix
+    small = theta < 1e-8
+    series = _any(small)
+    if series:
+        theta = np.where(small, 1.0, theta)
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * m + b * (m @ m)
+    if series:
+        a, b = np.where(small, 1.0, a), np.where(small, 0.5, b)
+    return _eye(3) + a[..., None, None] * m + b[..., None, None] * (m @ m)
 
 
 def _so3_log(r):
-    s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    c = 0.5 * (np.trace(r) - 1.0)
-    sn = np.linalg.norm(s)
+    s = 0.5 * (r[..., _HAT_ROWS, _HAT_COLS] - r[..., _HAT_COLS, _HAT_ROWS])
+    c = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+    sn = _norm(s)
     theta = np.arctan2(sn, c)
-    if theta > np.pi - 0.05:
+    if np.any(theta > np.pi - 0.05):
         raise RangeError("log: rotation angle too close to pi for the principal branch")
-    if theta < 1e-7:
-        w = s * (1.0 + theta**2 / 6.0)
-    else:
-        w = s * theta / sn
-    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    small = (theta < 1e-7)[..., None]
+    sn = np.where(small, 1.0, sn[..., None])
+    w = np.where(small, s * (1.0 + theta**2 / 6.0)[..., None], s * theta[..., None] / sn)
+    out = np.zeros(r.shape)
+    out[..., _HAT_ROWS, _HAT_COLS] = w
+    out[..., _HAT_COLS, _HAT_ROWS] = -w
+    return out
 
 
 def so3_descriptor(membership_tol=1e-8):
@@ -395,16 +479,15 @@ def so3_descriptor(membership_tol=1e-8):
 
 
 def _translation_residual(m):
-    k = m.shape[0] - 1
-    res = np.linalg.norm(m[:k, :k] - np.eye(k))
-    res += np.linalg.norm(m[k, :k]) + abs(m[k, k] - 1.0)
-    return float(res)
+    k = m.shape[-1] - 1
+    res = _frobenius(m[..., :k, :k] - _eye(k))
+    return res + _norm(m[..., k, :k]) + abs(m[..., k, k] - 1.0)
 
 
 def _translation_retract(m):
-    k = m.shape[0] - 1
-    out = np.eye(k + 1)
-    out[:k, k] = m[:k, k]
+    k = m.shape[-1] - 1
+    out = _eye_stack(k + 1, m.shape[:-2])
+    out[..., :k, k] = m[..., :k, k]
     return out
 
 
@@ -423,9 +506,9 @@ def translation_descriptor(m, membership_tol=1e-8):
         injectivity_radius=np.inf,
         retraction=_translation_retract,
         membership_residual_fn=_translation_residual,
-        exp_hook=lambda x: np.eye(m + 1) + x,
-        log_hook=lambda g: g - np.eye(m + 1),
-        ad_matrix_hook=lambda mat: np.eye(m),
+        exp_hook=lambda x: _eye(m + 1) + x,
+        log_hook=lambda g: g - _eye(m + 1),
+        ad_matrix_hook=lambda mat: _eye_stack(m, mat.shape[:-2]),
         extra={"vector_dim": m},
     )
 

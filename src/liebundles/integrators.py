@@ -1,9 +1,12 @@
 """Group-aware initial value problems.
 
-`integrate_on_group` solves right-trivialized equations g' = sigma(t, g) g by
-a 4th-order Runge--Kutta--Munthe-Kaas scheme: each step works in the algebra,
-maps back through the group exponential, and retracts onto the group so drift
-stays at roundoff over long horizons.
+`integrate_stack` solves right-trivialized equations g' = v_t(g) g for a
+(B, m, m) stack of fibers by a 4th-order Runge--Kutta--Munthe-Kaas scheme:
+each step works in the algebra, maps back through the group exponential, and
+retracts onto the group so drift stays at roundoff over long horizons.  Every
+row is its own trajectory and keeps its own guards, while the time-dependent
+part of the right-hand side is computed once per stage time for the whole
+stack.  `integrate_on_group` is the one-element form.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .errors import InstabilityError, StiffnessError, UsageError
 from .groups import AlgebraElement, GroupDescriptor, GroupElement
 
-__all__ = ["TransportResult", "integrate_on_group", "integrate_linear"]
+__all__ = ["TransportResult", "integrate_stack", "integrate_on_group", "integrate_linear"]
 
 _BLOWUP_FACTOR = 1e6
 _MIN_RELATIVE_STEP = 1e-13
@@ -35,56 +38,90 @@ class TransportResult:
 def _dexpinv(desc: GroupDescriptor, u, v):
     """Truncated inverse right-trivialized differential of exp at u, applied to v.
 
-    v - [u,v]/2 + [u,[u,v]]/12 suffices for a 4th-order scheme since u = O(h).
+    v - [u,v]/2 + [u,[u,v]]/12 suffices for a 4th-order scheme since u = O(h);
+    both brackets come from one ad_u matrix.
     """
-    uv = desc.bracket_coords(u, v)
-    uuv = desc.bracket_coords(u, uv)
-    return v - 0.5 * uv + uuv / 12.0
+    ad = desc.ad_matrix(u)
+    uv = ad @ v[..., None]
+    return v - 0.5 * uv[..., 0] + (ad @ uv)[..., 0] / 12.0
 
 
-def _exp_matrix(desc: GroupDescriptor, coords):
-    m = desc.algebra_matrix(coords)
-    if desc.exp_hook is not None:
-        return desc.exp_hook(m)
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
-
-
-def _run(rhs, g0_matrix, desc, t0, t1, n_steps, rhs_takes_matrix=False):
+def _run(field, g, desc, t0, t1, n_steps):
     h = (t1 - t0) / n_steps
-    g = g0_matrix
-    tol = max(desc.membership_tol, 1e-12)
-    if rhs_takes_matrix:
-        f = rhs
-    else:
-
-        def f(ti, gm):
-            val = rhs(ti, GroupElement(gm, desc, check=False))
-            if isinstance(val, AlgebraElement):
-                return val.coords
-            return np.asarray(val, dtype=float)
-
+    limit = _BLOWUP_FACTOR * max(desc.membership_tol, 1e-12)
+    exp = desc.exp_coords
+    f_start = field(t0)
     for k in range(n_steps):
         t = t0 + k * h
-        k1 = f(t, g)
+        # the stage-4 time is the next step's stage-1 time, so its field is reused
+        f_mid, f_end = field(t + 0.5 * h), field(t0 + (k + 1) * h)
+        k1 = f_start(g)
         u2 = 0.5 * h * k1
-        k2 = _dexpinv(desc, u2, f(t + 0.5 * h, _exp_matrix(desc, u2) @ g))
+        k2 = _dexpinv(desc, u2, f_mid(exp(u2) @ g))
         u3 = 0.5 * h * k2
-        k3 = _dexpinv(desc, u3, f(t + 0.5 * h, _exp_matrix(desc, u3) @ g))
+        k3 = _dexpinv(desc, u3, f_mid(exp(u3) @ g))
         u4 = h * k3
-        k4 = _dexpinv(desc, u4, f(t + h, _exp_matrix(desc, u4) @ g))
+        k4 = _dexpinv(desc, u4, f_end(exp(u4) @ g))
         omega = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(omega)):
-            raise InstabilityError("integration produced non-finite algebra increments")
-        g = _exp_matrix(desc, omega) @ g
-        res = desc.membership_residual(g)
-        if res > _BLOWUP_FACTOR * tol:
+        if not np.isfinite(omega).all():
+            rows = np.flatnonzero(~np.isfinite(omega).all(axis=-1))
             raise InstabilityError(
-                f"membership residual blew up to {res:.3e} at t={t + h:.4f}"
+                f"integration produced non-finite algebra increments in rows "
+                f"{rows.tolist()} at t={t + h:.4f}"
+            )
+        g = exp(omega) @ g
+        res = desc.membership_residual(g)
+        if np.count_nonzero(res > limit):
+            raise InstabilityError(
+                f"membership residual blew up to {np.max(res):.3e} in row "
+                f"{int(np.argmax(res))} at t={t + h:.4f}"
             )
         g = desc.retract(g)
+        f_start = f_end
     return g
+
+
+def integrate_stack(
+    field: Callable[[float], Callable[[np.ndarray], np.ndarray]],
+    descriptor: GroupDescriptor,
+    g0,
+    interval,
+    step=1e-2,
+    with_error_estimate=False,
+):
+    """Solve g' = v_t(g) g for each row of a (B, m, m) stack of fibers.
+
+    ``field(t)`` returns v_t: a function from a stack of fiber matrices to
+    their right-trivialized velocities, (B, m, m) -> (B, dim).  It is called
+    once per stage time (three per step, one shared with the next step).
+    Returns a list with one TransportResult per row: the endpoint retracted
+    onto the group, with its step-halving error estimate (difference against
+    the half-step solution) when requested.  A single (m, m) matrix is a
+    stack without the leading axis and gives one TransportResult.
+    """
+    t0, t1 = float(interval[0]), float(interval[1])
+    if not t1 > t0:
+        raise UsageError("integration interval must satisfy t0 < t1")
+    span = t1 - t0
+    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
+        raise StiffnessError(f"step {step} underflows for interval of length {span}")
+    g0 = np.asarray(g0, dtype=float)
+    m = descriptor.matrix_dim
+    if g0.ndim not in (2, 3) or g0.shape[-2:] != (m, m):
+        raise UsageError(f"fibers have shape {g0.shape}, expected (B, {m}, {m}) or ({m}, {m})")
+    n = max(1, int(np.ceil(span / step)))
+    end = _run(field, g0, descriptor, t0, t1, n)
+    fine = _run(field, g0, descriptor, t0, t1, 2 * n) if with_error_estimate else None
+    results = [
+        TransportResult(
+            element=GroupElement(end[b], descriptor, check=False),
+            error_estimate=None if fine is None else float(np.linalg.norm(end[b] - fine[b])),
+            steps=n,
+            membership_residual=descriptor.membership_residual(end[b]),
+        )
+        for b in np.ndindex(end.shape[:-2])
+    ]
+    return results if g0.ndim == 3 else results[0]
 
 
 def integrate_on_group(
@@ -93,39 +130,27 @@ def integrate_on_group(
     interval,
     step=1e-2,
     with_error_estimate=True,
-    rhs_takes_matrix=False,
 ) -> TransportResult:
-    """Solve g' = rhs(t, g) g (right-trivialized velocity in the algebra).
-
-    Returns the endpoint retracted onto the group together with a step-halving
-    error estimate (difference against the half-step solution) when requested.
-    With ``rhs_takes_matrix`` the callback receives the raw fiber matrix and
-    must return raw coordinates (fast path for inner loops).
-    """
-    t0, t1 = float(interval[0]), float(interval[1])
-    if not t1 > t0:
-        raise UsageError("integration interval must satisfy t0 < t1")
-    span = t1 - t0
-    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
-        raise StiffnessError(f"step {step} underflows for interval of length {span}")
+    """Solve g' = rhs(t, g) g (right-trivialized velocity in the algebra) for
+    one element by `integrate_stack`."""
     desc = g0.descriptor
-    n = max(1, int(np.ceil(span / step)))
-    end = _run(rhs, g0.matrix, desc, t0, t1, n, rhs_takes_matrix)
-    estimate = None
-    if with_error_estimate:
-        fine = _run(rhs, g0.matrix, desc, t0, t1, 2 * n, rhs_takes_matrix)
-        estimate = float(np.linalg.norm(end - fine))
-    element = GroupElement(end, desc, check=False)
-    return TransportResult(
-        element=element,
-        error_estimate=estimate,
-        steps=n,
-        membership_residual=desc.membership_residual(end),
-    )
+
+    def field(t):
+        def velocity(g):
+            val = rhs(t, GroupElement(g, desc, check=False))
+            return val.coords if isinstance(val, AlgebraElement) else np.asarray(val, float)
+
+        return velocity
+
+    return integrate_stack(field, desc, g0.matrix, interval, step, with_error_estimate)
 
 
 def integrate_linear(matrix_fn, v0, interval, step=1e-2):
-    """Classical RK4 for linear systems v' = K(t) v on coordinate vectors."""
+    """Classical RK4 for linear systems v' = K(t) v on coordinate vectors.
+
+    ``v0`` may be a (d, B) array: K @ V acts column by column, so B columns
+    share each K.  K is evaluated once per stage time, as in `integrate_stack`.
+    """
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
         raise UsageError("integration interval must satisfy t0 < t1")
@@ -135,13 +160,16 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     n = max(1, int(np.ceil(span / step)))
     h = span / n
     v = np.asarray(v0, dtype=float).copy()
+    k_start = matrix_fn(t0)
     for k in range(n):
         t = t0 + k * h
-        k1 = matrix_fn(t) @ v
-        k2 = matrix_fn(t + 0.5 * h) @ (v + 0.5 * h * k1)
-        k3 = matrix_fn(t + 0.5 * h) @ (v + 0.5 * h * k2)
-        k4 = matrix_fn(t + h) @ (v + h * k3)
+        k_mid, k_end = matrix_fn(t + 0.5 * h), matrix_fn(t0 + (k + 1) * h)
+        k1 = k_start @ v
+        k2 = k_mid @ (v + 0.5 * h * k1)
+        k3 = k_mid @ (v + 0.5 * h * k2)
+        k4 = k_end @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k_start = k_end
         if not np.all(np.isfinite(v)):
             raise InstabilityError("linear integration produced non-finite values")
     return v

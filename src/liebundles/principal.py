@@ -38,11 +38,12 @@ from .calculus import (
 from .connections import AlgebraConnection, LieGroupBundleConnection, transport_group, validate_group_connection
 from .errors import ConstructionError, InconsistencyError, UsageError, ValidationError
 from .groups import AlgebraElement, GroupElement
-from .integrators import integrate_on_group
+from .integrators import integrate_stack
 
 __all__ = [
     "WeightRamp",
     "constant_weight",
+    "form_matrix",
     "canonical_local_form",
     "twisted_local_form",
     "twisted_cocycle",
@@ -93,6 +94,18 @@ def constant_weight(value=1.0):
 # ---------------------------------------------------------------------------
 
 
+def form_matrix(u_block, fiber_block):
+    """[u_block | fiber_block] along the last axis: a piece's (..., dim, n + dim)
+    matrix from its two blocks, the one with more leading (stack) axes setting
+    the stack shape and the other repeated along it."""
+    lead = max(u_block.shape[:-2], fiber_block.shape[:-2], key=len)
+    n = u_block.shape[-1]
+    out = np.empty(lead + (u_block.shape[-2], n + fiber_block.shape[-1]))
+    out[..., :n] = u_block
+    out[..., n:] = fiber_block
+    return out
+
+
 def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None):
     """Fiber left-Maurer-Cartan form of the reference presentation.
 
@@ -104,8 +117,8 @@ def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None)
     def form(y: TotalPoint) -> np.ndarray:
         ad = descriptor.Ad_matrix(y.fiber.inverse())
         if base_form is None:
-            return np.hstack([np.zeros((descriptor.dim, y.q.size)), ad])
-        return np.hstack([ad @ base_form.coefficient_array(y.q).T, ad])
+            return form_matrix(np.zeros((descriptor.dim, y.q.size)), ad)
+        return form_matrix(ad @ base_form.coefficient_array(y.q).T, ad)
 
     return form
 
@@ -151,21 +164,22 @@ def twisted_local_form(descriptor, twist: _Twist):
         ad_t = descriptor.Ad_matrix(twist.tau(y.q))
         out = descriptor.Ad_matrix(y.fiber.inverse()) @ np.hstack(
             [-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)])
-        out[:, : y.q.size] += s_rate
+        out[..., : y.q.size] += s_rate
         return out
 
     return form
 
 
 def twisted_cocycle(descriptor, twist: _Twist):
-    """Horizontal-lift cocycle of the connection that is trivial in the twisted
-    group-bundle chart: h(x, g, u) = s - Ad_g s with s the automorphism rate."""
+    """Lift map (see `LieGroupBundleConnection.from_lift_map`) of the connection
+    that is trivial in the twisted group-bundle chart: h(x, g, u) = s - Ad_g s
+    with s the automorphism rate."""
 
-    def cocycle(x, g: GroupElement, u):
+    def lift_map(x, u):
         s = twist.sigma_rate(x, u)
-        return descriptor.algebra(s - descriptor.Ad_matrix(g) @ s)
+        return lambda fibers: s - descriptor.Ad_matrix(fibers) @ s
 
-    return cocycle
+    return lift_map
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +205,10 @@ class GeneralizedPrincipalConnection:
         self.n = action.space.quotient.dim
 
     def matrix(self, y: TotalPoint) -> np.ndarray:
-        """Weighted sum of the pieces' matrices at y, shape (dim, n + dim)."""
-        total = np.zeros((self.descriptor.dim, self.n + self.descriptor.dim))
+        """Weighted sum of the pieces' matrices at y, shape (dim, n + dim), or
+        (B, dim, n + dim) when y.fiber holds a (B, m, m) stack."""
+        d = self.descriptor.dim
+        total = np.zeros(y.fiber.matrix.shape[:-2] + (d, self.n + d))
         for weight, form in self.pieces:
             w = weight(y.q)
             if w != 0.0:
@@ -208,23 +224,30 @@ class GeneralizedPrincipalConnection:
 
     def vertical_operator(self, y: TotalPoint) -> np.ndarray:
         """Matrix of delta -> omega(y, (0, delta)) on algebra coordinates."""
-        return self.matrix(y)[:, self.n :]
+        return self.matrix(y)[..., self.n :]
 
-    def _horizontal_deltas(self, y: TotalPoint, u_columns) -> np.ndarray:
-        """Fiber velocities annihilated by the form over each column of u_columns."""
+    def horizontal_deltas(self, y: TotalPoint, u_columns) -> np.ndarray:
+        """Fiber velocities annihilated by the form, from one solve.
+
+        A base vector u gives shape (dim,), or (B, dim) when y.fiber holds a
+        stack; an (n, k) array of base vectors gives (dim, k) for one fiber.
+        """
         mat = self.matrix(y)
+        rhs = -mat[..., : self.n] @ u_columns
+        column = np.ndim(u_columns) == 1
         try:
-            return np.linalg.solve(mat[:, self.n :], -mat[:, : self.n] @ u_columns)
+            out = np.linalg.solve(mat[..., self.n :], rhs[..., None] if column else rhs)
         except np.linalg.LinAlgError as exc:
             raise ConstructionError("degenerate connection: vertical operator singular") from exc
+        return out[..., 0] if column else out
 
     def horizontal_lift(self, y: TotalPoint, u) -> Tangent:
         """Unique tangent over u annihilated by the form."""
         u = np.asarray(u, dtype=float)
-        return Tangent(u, self.descriptor.algebra(self._horizontal_deltas(y, u)))
+        return Tangent(u, self.descriptor.algebra(self.horizontal_deltas(y, u)))
 
     def horizontal_jet(self, y: TotalPoint) -> SectionJet:
-        return SectionJet(y.q, y.fiber, self._horizontal_deltas(y, np.eye(self.n)).T)
+        return SectionJet(y.q, y.fiber, self.horizontal_deltas(y, np.eye(self.n)).T)
 
 
 def build_canonical_connection(action: FiberedAction, base_form: Optional[AlgebraOneForm] = None):
@@ -262,15 +285,16 @@ def build_two_chart_connection(
         (w_a, canonical_local_form(desc)),
         (w_b, twisted_local_form(desc, twist)),
     ]
-    cocycle_b = twisted_cocycle(desc, twist)
+    lift_b = twisted_cocycle(desc, twist)
 
-    def glued_cocycle(x, g, u):
+    def glued_lift(x, u):
         wb = w_b(x)
         if wb == 0.0:
-            return desc.zero()
-        return desc.algebra(wb * cocycle_b(x, g, u).coords)
+            return lambda fibers: np.zeros(fibers.shape[:-2] + (desc.dim,))
+        inner = lift_b(x, u)
+        return lambda fibers: wb * inner(fibers)
 
-    nu = LieGroupBundleConnection(action.bundle, glued_cocycle, tag="glued")
+    nu = LieGroupBundleConnection.from_lift_map(action.bundle, glued_lift, "glued")
     omega = GeneralizedPrincipalConnection(action, nu, pieces, label="omega-glued")
     check_rng = rng if rng is not None else np.random.default_rng(0)
     for _ in range(25):
@@ -335,23 +359,33 @@ def validate_principal_connection(omega, rng, samples=200, tol=1e-8, raise_on_fa
 # ---------------------------------------------------------------------------
 
 
-def transport_total(omega, curve: BaseCurve, y0: TotalPoint, step=1e-2, with_error_estimate=False):
-    """Transport y0 along a quotient curve by integrating the horizontal lift."""
+def transport_total(omega, curve: BaseCurve, y0, step=1e-2, with_error_estimate=False):
+    """Transport over a quotient curve by integrating the horizontal lift.
 
-    def rhs(t, h):
-        y = TotalPoint(curve.position(t), h)
-        return omega.horizontal_lift(y, curve.velocity(t)).delta
+    ``y0`` is one TotalPoint, giving (end point, TransportResult), or a
+    sequence of them, integrated as the rows of one fiber stack and giving a
+    list of such pairs in the same order.
+    """
+    desc = omega.descriptor
+    single = isinstance(y0, TotalPoint)
+    fibers = y0.fiber.matrix if single else np.stack([y.fiber.matrix for y in y0])
 
-    result = integrate_on_group(rhs, y0.fiber, (curve.a, curve.b), step, with_error_estimate)
-    end = TotalPoint(curve.position(curve.b), result.element)
-    return end, result
+    def field(t):
+        q, u = curve.position(t), curve.velocity(t)
+        return lambda h: omega.horizontal_deltas(TotalPoint(q, GroupElement(h, desc, check=False)), u)
+
+    results = integrate_stack(field, desc, fibers, (curve.a, curve.b), step, with_error_estimate)
+    q_end = curve.position(curve.b)
+    if single:
+        return TotalPoint(q_end, results.element), results
+    return [(TotalPoint(q_end, r.element), r) for r in results]
 
 
 def transport_compatibility_check(omega, curve, y, g, step=1e-2) -> float:
-    """Transport of y.g against (transport of y).(nu-transport of g)."""
+    """Transport of y.g against (transport of y).(nu-transport of g); y.g and
+    y are independent rows of one stack."""
     action = omega.action
-    end_yg, _ = transport_total(omega, curve, action.act(y, g), step)
-    end_y, _ = transport_total(omega, curve, y, step)
+    (end_yg, _), (end_y, _) = transport_total(omega, curve, [action.act(y, g), y], step)
     end_g = transport_group(omega.nu, curve, g, step).element
     recombined = action.act(end_y, end_g)
     return float(np.linalg.norm(end_yg.fiber.matrix - recombined.fiber.matrix))

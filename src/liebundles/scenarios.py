@@ -30,6 +30,7 @@ from .principal import (
     build_canonical_connection,
     build_two_chart_connection,
     constant_weight,
+    form_matrix,
     validate_principal_connection,
 )
 
@@ -189,8 +190,8 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
             scenario.action,
             scenario.nu0,
             [(constant_weight(1.0),
-              lambda y: np.hstack([scenario.base_form.coefficient_array(y.q).T,
-                                   desc.Ad_matrix(y.fiber.inverse())]))],
+              lambda y: form_matrix(scenario.base_form.coefficient_array(y.q).T,
+                                    desc.Ad_matrix(y.fiber.inverse())))],
             label="broken",
         )
         induced = validate_principal_connection(broken, rng, samples=samples, raise_on_failure=False)
@@ -256,12 +257,11 @@ def _build_affine(config) -> AffineScenario:
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m))
     gamma = _table_fn(config["gamma"], n, (n, m))
 
-    def cocycle(x, g, u):
-        v = group.log(g).coords
-        k = np.tensordot(np.asarray(u, float), nu_coeff(x), axes=(0, 0))
-        return group.algebra(-(k @ v))
+    def lift_map(x, u):
+        k = np.tensordot(u, nu_coeff(x), axes=(0, 0))
+        return lambda fibers: -(k @ group.log_coords(fibers)[..., None])[..., 0]
 
-    nu = LieGroupBundleConnection(action.bundle, cocycle, tag="linear")
+    nu = LieGroupBundleConnection.from_lift_map(action.bundle, lift_map, "linear")
     # custom cocycles are validated at load
     from .connections import validate_group_connection
 
@@ -270,8 +270,9 @@ def _build_affine(config) -> AffineScenario:
     )
 
     def local_form(y):
-        v = group.log(y.fiber).coords
-        return np.hstack([(nu_coeff(y.q) @ v + gamma(y.q)).T, np.eye(m)])
+        v = group.log_coords(y.fiber.matrix)
+        linear = (nu_coeff(y.q) @ v[..., None, :, None])[..., 0] + gamma(y.q)
+        return form_matrix(np.swapaxes(linear, -1, -2), np.eye(m))
 
     omega = GeneralizedPrincipalConnection(
         action, nu, [(constant_weight(1.0), local_form)], label="affine"

@@ -188,3 +188,33 @@ def test_meta_line_present_without_flag(capsys):
     assert code == 0
     lines = parse_jsonl(out)
     assert any("meta" in d for d in lines)
+
+
+@pytest.mark.parametrize("fields", [
+    {"step": "abc"},
+    {"step": None},
+    {"samples": "many"},
+    {"seed": "zero"},
+    {"seed": -1},
+    {"tolerances": {"jet-group-axioms": "tight"}},
+    {"tolerances": [1e-9]},
+])
+def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "gauge-jet-abelian", **fields}), encoding="utf-8")
+    code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
+    assert code == 2
+    assert err.startswith("usage error") and len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("content", [None, "{\"check\": \n"])
+def test_report_missing_or_malformed_file_is_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("usage error: cannot read report")
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from liebundles.errors import StiffnessError
+from liebundles.errors import InstabilityError, StiffnessError, UsageError
 from liebundles.groups import so3_descriptor, translation_descriptor
-from liebundles.integrators import integrate_linear, integrate_on_group
+from liebundles.integrators import integrate_linear, integrate_on_group, integrate_stack
 
 from _oracles import observed_order, taylor_expm
 
@@ -82,3 +82,88 @@ def test_linear_integrator_matches_matrix_exponential():
     expected = taylor_expm((np.pi / 2) * k) @ np.array([1.0, 0.0])
     assert np.allclose(v, expected, atol=1e-9)
     assert np.allclose(v, [0.0, -1.0], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stacked integration: one (B, m, m) run against B separate runs
+# ---------------------------------------------------------------------------
+
+
+def so3_field(t):
+    """Velocity Ad_g a(t) - a(t): it vanishes at the identity, so an identity
+    row stays put with angle 0 at every stage."""
+    a = np.array([0.9 * np.sin(3 * t), 0.4, -0.7 * np.cos(t)])
+    return lambda g: g @ a - a
+
+
+def translation_field(t):
+    """Linear velocity -K(t) v in the translation part v of each fiber."""
+    k = np.array([[0.5 * np.cos(t), 0.2], [-0.3, 0.4 * t]])
+    return lambda g: -(k @ T2.log_coords(g)[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("desc, field", [(SO3, so3_field), (T2, translation_field)])
+def test_stack_matches_separate_runs(desc, field):
+    rng = np.random.default_rng(40)
+    fibers = [desc.identity()] + [desc.random_element(rng) for _ in range(3)]
+    stack = np.stack([g.matrix for g in fibers])
+    together = integrate_stack(field, desc, stack, (0.0, 1.0), step=0.01, with_error_estimate=True)
+    assert len(together) == len(fibers)
+    for g, row in zip(fibers, together):
+        alone = integrate_stack(field, desc, g.matrix, (0.0, 1.0), step=0.01,
+                                with_error_estimate=True)
+        assert np.max(np.abs(row.element.matrix - alone.element.matrix)) <= 1e-14
+        assert abs(row.error_estimate - alone.error_estimate) <= 1e-14
+        assert row.steps == alone.steps == 100
+    assert np.array_equal(together[0].element.matrix, np.eye(desc.matrix_dim))
+
+
+def test_stack_drift_after_1000_steps():
+    rng = np.random.default_rng(41)
+    stack = np.stack([SO3.random_element(rng).matrix for _ in range(4)])
+
+    def field(t):
+        a = np.array([np.sin(t), np.cos(2 * t), 0.3])
+        return lambda g: g @ a - a + np.array([0.2, -0.1, 0.4])
+
+    rows = integrate_stack(field, SO3, stack, (0.0, 10.0), step=0.01)
+    assert [r.steps for r in rows] == [1000] * 4
+    assert max(r.membership_residual for r in rows) <= 1e-9
+
+
+def test_stack_retraction_takes_svd_fallback_per_row():
+    rng = np.random.default_rng(42)
+    near = SO3.random_element(rng).matrix + 1e-7 * rng.standard_normal((3, 3))
+    drifted = 1.3 * SO3.random_element(rng).matrix
+    # large drift and a negative determinant: the polar factor must be flipped
+    reflected = 1.2 * SO3.random_element(rng).matrix @ np.diag([1.0, 1.0, -1.0])
+    stack = np.stack([near, drifted, reflected])
+    out = SO3.retract(stack)
+    for row, original in zip(out, stack):
+        assert np.max(np.abs(row - SO3.retract(original))) <= 1e-15
+        assert np.linalg.norm(row.T @ row - np.eye(3)) <= 1e-14
+        assert abs(np.linalg.det(row) - 1.0) <= 1e-14
+    u, _, vt = np.linalg.svd(drifted)
+    assert np.max(np.abs(out[1] - u @ vt)) <= 1e-14
+    # the near row takes the Newton path and moves by about its drift
+    assert np.max(np.abs(out[0] - near)) <= 1e-6
+
+
+def test_stack_non_finite_row_raises_instability():
+    stack = np.stack([SO3.identity().matrix] * 3)
+
+    def field(t):
+        def velocity(g):
+            v = np.full((3, 3), 0.1)
+            v[1] = np.nan
+            return v
+
+        return velocity
+
+    with pytest.raises(InstabilityError, match=r"rows \[1\]"):
+        integrate_stack(field, SO3, stack, (0.0, 1.0), step=0.1)
+
+
+def test_stack_shape_is_checked():
+    with pytest.raises(UsageError):
+        integrate_stack(so3_field, SO3, np.zeros((2, 4, 4)), (0.0, 1.0), step=0.1)

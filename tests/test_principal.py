@@ -5,9 +5,13 @@ import pytest
 
 from liebundles.bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
 from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, Polynomial
-from liebundles.connections import LieGroupBundleConnection, validate_group_connection
+from liebundles.connections import (
+    LieGroupBundleConnection,
+    transport_group,
+    validate_group_connection,
+)
 from liebundles.errors import ConstructionError
-from liebundles.groups import so3_descriptor, translation_descriptor
+from liebundles.groups import GroupElement, so3_descriptor, translation_descriptor
 from liebundles.principal import (
     GeneralizedPrincipalConnection,
     WeightRamp,
@@ -350,3 +354,69 @@ def test_zero_fiber_block_makes_lift_and_jet_raise():
         omega.horizontal_lift(y, [1.0, 0.0])
     with pytest.raises(ConstructionError):
         omega.horizontal_jet(y)
+
+
+@pytest.mark.parametrize("name", ["single", "canonical", "glued", "affine"])
+def test_stacked_form_matches_per_point_oracle(name):
+    # one base point, five fibers as one (5, m, m) stack: each row of the
+    # stacked matrix and lift must match the per-tangent oracle at that fiber
+    scenario, omega, oracle = _per_tangent_oracles()[name]
+    group = scenario.group
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        q = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.9, 0.9)])
+        fibers = [group.random_element(rng) for _ in range(5)]
+        stacked = TotalPoint(q, GroupElement(np.stack([g.matrix for g in fibers]), group))
+        u = rng.standard_normal(2)
+        mats = omega.matrix(stacked)
+        lifts = omega.horizontal_deltas(stacked, u)
+        assert mats.shape == (5, group.dim, 2 + group.dim)
+        assert lifts.shape == (5, group.dim)
+        for g, mat, lift in zip(fibers, mats, lifts):
+            y = TotalPoint(q, g)
+            delta = group.random_algebra(rng).coords
+            want = oracle(y, u, delta)
+            assert np.max(np.abs(mat @ np.concatenate([u, delta]) - want)) <= 1e-12
+            want_lift = horizontal_lift_oracle(lambda uu, dd: oracle(y, uu, dd), group.dim, u)
+            assert np.max(np.abs(lift - want_lift)) <= 1e-12
+            assert np.max(np.abs(lift - omega.horizontal_lift(y, u).delta.coords)) <= 1e-15
+
+
+@pytest.mark.parametrize("scenario, nu_name", [
+    (PRINCIPAL, "nu"), (PRINCIPAL, "nu_glued"), (PRINCIPAL, "nu0"), (AFFINE, "nu")])
+def test_stacked_lift_map_matches_per_fiber_cocycle(scenario, nu_name):
+    nu = getattr(scenario, nu_name)
+    group = scenario.group
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        x = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.9, 0.9)])
+        u = rng.standard_normal(2)
+        fibers = [group.random_element(rng) for _ in range(4)]
+        rows = nu.lift_map(x, u)(np.stack([g.matrix for g in fibers]))
+        for g, row in zip(fibers, rows):
+            assert np.max(np.abs(row - nu.horizontal_delta(x, g, u).coords)) <= 1e-15
+
+
+def test_stacked_transports_match_separate_runs():
+    rng = np.random.default_rng(23)
+    s = PRINCIPAL
+    curve = s.curves["main"]
+    fibers = [s.group.identity()] + [s.group.random_element(rng) for _ in range(3)]
+    # a custom connection calls its cocycle with one GroupElement at a time
+    custom = LieGroupBundleConnection(s.action.bundle, s.nu_glued.cocycle, tag="custom")
+    for nu in (s.nu, s.nu_glued, custom):
+        rows = transport_group(nu, curve, fibers, step=0.01)
+        for g, row in zip(fibers, rows):
+            alone = transport_group(nu, curve, g, step=0.01).element.matrix
+            assert np.max(np.abs(row.element.matrix - alone)) <= 1e-14
+    for g in fibers:
+        assert np.max(np.abs(transport_group(custom, curve, g, step=0.01).element.matrix
+                             - transport_group(s.nu_glued, curve, g, step=0.01).element.matrix)
+                      ) <= 1e-15
+    points = [TotalPoint(curve.position(curve.a), g) for g in fibers]
+    ends = transport_total(s.omega_glued, curve, points, step=0.01)
+    for y, (end, result) in zip(points, ends):
+        alone, _ = transport_total(s.omega_glued, curve, y, step=0.01)
+        assert np.max(np.abs(end.fiber.matrix - alone.fiber.matrix)) <= 1e-14
+        assert np.array_equal(end.q, alone.q)
+        assert result.membership_residual <= 1e-12
