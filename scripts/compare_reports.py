@@ -3,7 +3,9 @@
 
 Names the report files that are byte-identical, prints the largest
 |delta max_residual| of each file that differs, and exits 1 if any check id,
-`samples` or `passed` differs between the two directories.
+`samples` or `passed` differs between the two directories, or if any
+|delta max_residual| exceeds ROUNDOFF (1e-3) times that check's tolerance:
+the two runs must agree beyond roundoff.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
@@ -12,6 +14,8 @@ Usage:
 import json
 import pathlib
 import sys
+
+ROUNDOFF = 1e-3
 
 
 def _records(path):
@@ -48,6 +52,10 @@ def main(argv):
                     print(f"{name}: {check} {key} differs: {a[key]} vs {b[key]}")
                     mismatch = True
             delta = abs(a["max_residual"] - b["max_residual"])
+            if delta > ROUNDOFF * a["tolerance"]:
+                print(f"{name}: {check} max_residual moved by {delta:.3e}, more than "
+                      f"{ROUNDOFF:g} x tolerance {a['tolerance']:.1e}")
+                mismatch = True
             if worst_check is None or delta > worst:
                 worst, worst_check = delta, check
         print(f"{name}: differs; largest |delta max_residual| {worst:.3e} ({worst_check})")

@@ -81,7 +81,9 @@ class BaseCurve:
     """Curve t -> x(t) in the chart with an (analytic or fallback) velocity.
 
     When no velocity is supplied a central-difference fallback is installed
-    and flagged via ``velocity_is_fd`` so reports can mention it.
+    and flagged via ``velocity_is_fd`` so reports can mention it.  A family
+    of C curves on a common interval is one BaseCurve whose position and
+    velocity return (C, n); a lone curve is a family without the leading axis.
     """
 
     a: float
@@ -165,14 +167,19 @@ class BaseCurve:
 
     @staticmethod
     def wiggle(start, end, amplitudes, interval=(0.0, 1.0), label="wiggle"):
-        """Line plus sine perturbations vanishing at both endpoints."""
+        """Line plus sine perturbations vanishing at both endpoints.
+
+        ``start``, ``end`` and ``amplitudes`` of shape (n,) give one curve;
+        of shape (C, n) they give a family of C curves whose position and
+        velocity have shape (C, n), row c bit-identical to curve c alone.
+        """
         start = np.asarray(start, dtype=float)
         end = np.asarray(end, dtype=float)
         amp = np.asarray(amplitudes, dtype=float)
         a, b = interval
         span = b - a
         base = (end - start) / span
-        w = np.arange(start.size)
+        w = np.arange(start.shape[-1])
 
         # scalar trigonometry through math: a numpy call per scalar costs more
         def pos(t):
@@ -192,6 +199,16 @@ class BaseCurve:
 
         return BaseCurve(a, b, pos, vel, label=label)
 
+    def repeat(self, k):
+        """The family that rides every curve of this one k times: for a
+        family of C curves, row j C + c follows curve c.  A lone curve is
+        returned as it is, since every row of a stack rides it already."""
+        if np.ndim(self.position(self.a)) == 1:
+            return self
+        pos, vel = self.position, self.velocity
+        return BaseCurve(self.a, self.b, lambda t: np.concatenate((pos(t),) * k),
+                         lambda t: np.concatenate((vel(t),) * k), label=self.label)
+
 
 class Polynomial:
     """Multivariate polynomial from a coefficient table keyed by exponent strings.
@@ -199,9 +216,11 @@ class Polynomial:
     Table keys look like ``"2,0"`` (x1^2) or ``"1,1"`` (x1 x2); values are the
     real coefficients: the exchange format for connection coefficients in
     scenario configs.  Tables are compiled once into (output slot,
-    coefficient, nonzero (axis, power) pairs) terms, summed per slot in sorted
-    exponent order, so an entry of ``Polynomial.array`` is bit-identical to
-    the scalar polynomial of its table.
+    coefficient, factor axes) terms, a power x^e being e factors of x, summed
+    per slot in sorted exponent order, so an entry of ``Polynomial.array`` is
+    bit-identical to the scalar polynomial of its table.  A point of shape
+    (n,) gives one value; a batch of points (R, n) gives R values along a
+    leading axis, each row bit-identical to that point alone.
     """
 
     def __init__(self, table, dim):
@@ -227,30 +246,37 @@ class Polynomial:
                 if len(exps) != self.dim:
                     raise UsageError(f"exponent key {key!r} does not match dimension {dim}")
                 terms.append((slot, exps, float(coeff)))
-        self.terms = [(slot, coeff, [(ax, e) for ax, e in enumerate(exps) if e])
+        self.terms = [(slot, coeff, [ax for ax, e in enumerate(exps) for _ in range(e)])
                       for slot, exps, coeff in sorted(terms)]
         self._size = int(np.prod(shape, dtype=int))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float).tolist()
+        x = np.asarray(x, dtype=float)
+        # per-axis values: floats for one point, columns for a batch of points
+        values = x.tolist() if x.ndim == 1 else list(np.ascontiguousarray(x.T))
         out = [0.0] * self._size
-        for slot, coeff, powers in self.terms:
+        for slot, coeff, factors in self.terms:
             term = coeff
-            for axis, e in powers:
-                term *= x[axis] ** e
-            out[slot] += term
-        return np.array(out).reshape(self.shape) if self.shape else out[0]
+            for axis in factors:
+                term = term * values[axis]
+            out[slot] = out[slot] + term
+        if x.ndim == 1:
+            return np.array(out).reshape(self.shape) if self.shape else out[0]
+        batch = np.empty((len(x), self._size))
+        for slot, value in enumerate(out):
+            batch[:, slot] = value
+        return batch.reshape(x.shape[:1] + self.shape)
 
     def partial(self, mu):
         """Analytic partial derivative of a scalar polynomial as a new Polynomial."""
         table = {}
-        for _, coeff, powers in self.terms:
-            exps = dict(powers)
-            e = exps.get(mu, 0)
+        for _, coeff, factors in self.terms:
+            e = factors.count(mu)
             if e == 0:
                 continue
+            exps = [factors.count(ax) for ax in range(self.dim)]
             exps[mu] = e - 1
-            key = ",".join(str(exps.get(ax, 0)) for ax in range(self.dim))
+            key = ",".join(str(p) for p in exps)
             table[key] = table.get(key, 0.0) + coeff * e
         return Polynomial(table, self.dim)
 
@@ -272,8 +298,11 @@ class AlgebraOneForm:
         return np.asarray(self.coefficients(np.asarray(x, dtype=float)), dtype=float)
 
     def __call__(self, x, u) -> AlgebraElement:
+        """Value on u at x; points x and vectors u of shape (R, n) give an
+        (R, dim) stack."""
         arr = self.coefficient_array(x)
-        return self.descriptor.algebra(np.asarray(u, dtype=float) @ arr)
+        u = np.asarray(u, dtype=float)
+        return self.descriptor.algebra((u[..., None, :] @ arr)[..., 0, :])
 
     @staticmethod
     def zero(descriptor, n):

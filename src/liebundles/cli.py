@@ -275,11 +275,15 @@ def _cmd_report(args):
     for r in records:
         status = "PASS" if r.get("passed") else "FAIL"
         order = r.get("order_estimate")
-        order_txt = f" order={order:.2f}" if order else ""
+        order_txt = f" order={order:.2f}" if order is not None else ""
         print(f"  {status} {r['check']}: max={r['max_residual']:.3e} "
               f"tol={r['tolerance']:.0e}{order_txt}")
     if summaries:
         print(f"summary: {json.dumps(summaries[0], sort_keys=True)}")
+    if not records:
+        # an empty report shows nothing, so it must not pass
+        print("error: no check records", file=sys.stderr)
+        return 1
     return 1 if failed else 0
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "transport_multiplicativity_check",
     "transport_unit_inverse_check",
     "algebra_transport",
+    "algebra_transport_fd",
     "algebra_transport_linearity_check",
     "ad_compatibility_check",
     "covariant_derivative_bracket_check",
@@ -49,6 +50,8 @@ class LieGroupBundleConnection:
     by this package) also evaluate whole stacks of fibers: their lift map
     computes the x-dependent part once per (x, u) and returns the map from a
     (..., m, m) array of fiber matrices to the (..., dim) coordinates of h.
+    Their lift maps also take a batch of points: x and u of shape (R, n)
+    give the map from an (R, m, m) stack, row r at (x[r], u[r]), to (R, dim).
     """
 
     def __init__(self, bundle: LieGroupBundle, cocycle, tag="custom", base_form=None):
@@ -76,8 +79,8 @@ class LieGroupBundleConnection:
         desc = bundle.fiber
 
         def lift_map(x, u):
-            a = u @ form.coefficient_array(x)
-            return lambda fibers: desc.Ad_matrix(fibers) @ a - a
+            a = (u[..., None, :] @ form.coefficient_array(x))[..., 0, :]
+            return lambda fibers: (desc.Ad_matrix(fibers) @ a[..., None])[..., 0] - a
 
         return cls.from_lift_map(bundle, lift_map, "base-form", base_form=form)
 
@@ -86,7 +89,8 @@ class LieGroupBundleConnection:
         dim = bundle.fiber.dim
 
         def lift_map(x, u):
-            return lambda fibers: np.zeros(fibers.shape[:-2] + (dim,))
+            lead = np.shape(x)[:-1]
+            return lambda fibers: np.zeros(np.broadcast_shapes(fibers.shape[:-2], lead) + (dim,))
 
         return cls.from_lift_map(bundle, lift_map, "trivial")
 
@@ -180,7 +184,9 @@ def transport_group(
 
     ``g0`` is one GroupElement, giving one TransportResult, or a sequence of
     them, integrated as the rows of one stack and giving a list of
-    TransportResult in the same order.
+    TransportResult in the same order.  A GroupElement holding an (R, m, m)
+    stack gives one TransportResult per row; on a family of R curves
+    (position of shape (R, n)) row r rides curve r.
     """
     if isinstance(g0, GroupElement):
         fibers = g0.matrix
@@ -194,29 +200,57 @@ def transport_group(
                            with_error_estimate)
 
 
-def transport_multiplicativity_check(nu, curve, g, h, step=1e-2) -> float:
+def _rows(mats):
+    """k fibers, each one (m, m) matrix or a (C, m, m) stack with one fiber per
+    curve of a family, as the rows of one (k C, m, m) stack: row j C + c is
+    fiber j on curve c, the layout of ``curve.repeat(k)``."""
+    return np.concatenate([np.reshape(m, (-1,) + np.shape(m)[-2:]) for m in mats])
+
+
+def _transport_rows(nu, curve, mats, step):
+    """Endpoint matrices of k fibers transported along a curve or a family of
+    curves as the rows of one stack, each shaped like its fiber (see `_rows`)."""
+    results = transport_group(nu, curve.repeat(len(mats)),
+                              GroupElement(_rows(mats), nu.bundle.fiber, check=False), step)
+    ends = np.stack([r.element.matrix for r in results])
+    return list(ends.reshape((len(mats),) + np.shape(mats[0])))
+
+
+def _residual_norm(diff, point_ndim):
+    """Norm of a residual: a float for a lone curve, or one per curve when
+    ``diff`` has a leading family axis on top of ``point_ndim`` axes."""
+    if diff.ndim == point_ndim:
+        return float(np.linalg.norm(diff))
+    return np.linalg.norm(diff.reshape(len(diff), -1), axis=1)
+
+
+def transport_multiplicativity_check(nu, curve, g, h, step=1e-2):
     """|| transport(gh) - transport(g) transport(h) ||, with g, h and gh
-    transported as independent rows of one stack."""
-    tg, th, tgh = (r.element for r in transport_group(nu, curve, [g, h, g @ h], step))
-    return float(np.linalg.norm(tgh.matrix - (tg @ th).matrix))
+    transported as independent rows of one stack.
+
+    On a family of C curves g and h hold one (C, m, m) fiber per curve and
+    the result is one residual per curve; a lone curve gives a float.
+    """
+    tg, th, tgh = _transport_rows(nu, curve, [g.matrix, h.matrix, (g @ h).matrix], step)
+    return _residual_norm(tgh - tg @ th, 2)
 
 
 def transport_unit_inverse_check(nu, curve, g, step=1e-2):
-    """Residuals of transporting the unit and of the inverse law."""
-    desc = nu.bundle.fiber
-    t1, tg, tginv = (r.element for r in transport_group(
-        nu, curve, [desc.identity(), g, g.inverse()], step))
-    unit_res = float(np.linalg.norm(t1.matrix - np.eye(desc.matrix_dim)))
-    inv_res = float(np.linalg.norm(tginv.matrix - tg.inverse().matrix))
-    return unit_res, inv_res
+    """Residuals of transporting the unit and of the inverse law, one pair of
+    floats for a lone curve or of per-curve arrays for a family (g then holds
+    one fiber per curve)."""
+    eye = np.eye(nu.bundle.fiber.matrix_dim)
+    t1, tg, tginv = _transport_rows(
+        nu, curve, [np.broadcast_to(eye, g.matrix.shape), g.matrix, g.inverse().matrix], step)
+    return _residual_norm(t1 - eye, 2), _residual_norm(tginv - np.linalg.inv(tg), 2)
 
 
 class AlgebraConnection:
     """Linear connection on the algebra bundle induced by a group connection.
 
     ``generator(x, u)`` is the matrix of the transport ODE xi' = K xi on
-    coordinates; the covariant derivative of a section is then
-    nabla_u xi = D xi(u) - K(x, u) xi.
+    coordinates, or an (R, dim, dim) stack for x and u of shape (R, n); the
+    covariant derivative of a section is then nabla_u xi = D xi(u) - K(x, u) xi.
     """
 
     def __init__(self, nu: LieGroupBundleConnection, fd_eps=1e-6):
@@ -231,21 +265,19 @@ class AlgebraConnection:
             return -desc.ad_matrix(a.coords)
         # linearize the cocycle in the fiber around the identity
         eps = self._fd_eps
+        lift = self.nu.lift_map(x, u)
         cols = []
         for e in np.eye(desc.dim):
             gp = desc.exp(desc.algebra(eps * e))
             gm = desc.exp(desc.algebra(-eps * e))
-            diff = (
-                self.nu.horizontal_delta(x, gp, u).coords
-                - self.nu.horizontal_delta(x, gm, u).coords
-            ) / (2 * eps)
-            cols.append(diff)
-        return np.column_stack(cols)
+            cols.append((lift(gp.matrix) - lift(gm.matrix)) / (2 * eps))
+        return np.stack(cols, axis=-1)
 
 
 def _algebra_flow(nu, curve, columns, step):
-    """Linear transport of coordinate columns (a (d,) vector or a (d, B) array)
-    by the transport ODE with generator K(x(t), x'(t))."""
+    """Linear transport of coordinate columns (a (d, k) array, or (C, d, k)
+    with k columns per curve of a family) by the transport ODE with generator
+    K(x(t), x'(t))."""
     conn = AlgebraConnection(nu)
 
     def k_matrix(t):
@@ -260,39 +292,59 @@ def algebra_transport(
     """Induced linear transport of xi along the curve.
 
     Primary path integrates the linear ODE with generator K(x(t), x'(t));
-    the cross-check differentiates eps -> transport_group(exp(eps xi)) at 0
-    by central differences and must agree within ``cross_tol``.
+    the cross-check (`algebra_transport_fd` at eps = fd_eps / max(1, |xi|))
+    must agree within ``cross_tol``.  On a family of C curves xi and the
+    result hold one (C, dim) row per curve.
     """
     desc = nu.bundle.fiber
-    out = _algebra_flow(nu, curve, xi.coords, step)
+    out = _algebra_flow(nu, curve, xi.coords[..., None], step)[..., 0]
     if cross_check:
-        scale = max(1.0, np.linalg.norm(xi.coords))
-        eps = fd_eps / scale
-        gp, gm = (r.element for r in transport_group(
-            nu, curve, [desc.exp(desc.algebra(s * xi.coords)) for s in (eps, -eps)], step))
-        fd = (desc.log(gp).coords - desc.log(gm).coords) / (2 * eps)
-        gap = float(np.linalg.norm(fd - out))
-        if gap > cross_tol * scale:
+        scale = np.maximum(1.0, np.linalg.norm(xi.coords, axis=-1))
+        fd = algebra_transport_fd(nu, curve, xi, fd_eps / scale, step)
+        gap = np.linalg.norm(fd - out, axis=-1)
+        if np.any(gap > cross_tol * scale):
             raise InconsistencyError(
-                f"algebra transport paths disagree by {gap:.3e} (tolerance {cross_tol:.1e})"
+                f"algebra transport paths disagree by {np.max(gap):.3e} (tolerance {cross_tol:.1e})"
             )
     return desc.algebra(out)
 
 
-def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2) -> float:
-    combo = a * xi.coords + b * eta.coords
-    t_combo, t_xi, t_eta = _algebra_flow(
-        nu, curve, np.column_stack([combo, xi.coords, eta.coords]), step).T
-    return float(np.linalg.norm(t_combo - a * t_xi - b * t_eta))
+def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.ndarray:
+    """Central difference at 0 of eps -> log transport_group(exp(eps xi)), with
+    exp(eps xi) and exp(-eps xi) transported as rows of one stack.
 
-
-def ad_compatibility_check(nu, curve, g, xi, step=1e-2) -> float:
-    """|| transport(Ad_g xi) - Ad_{transport(g)}(transport(xi)) ||."""
+    On a family of C curves xi holds one (C, dim) row per curve and ``eps``
+    may hold one step per curve; the result has the shape of ``xi.coords``.
+    """
     desc = nu.bundle.fiber
-    lhs, txi = _algebra_flow(
-        nu, curve, np.column_stack([desc.Ad(g, xi).coords, xi.coords]), step).T
-    tg = transport_group(nu, curve, g, step).element
-    return float(np.linalg.norm(lhs - desc.Ad(tg, desc.algebra(txi)).coords))
+    eps = np.asarray(eps, dtype=float)[..., None]
+    gp, gm = _transport_rows(
+        nu, curve, [desc.exp(desc.algebra(s * xi.coords)).matrix for s in (eps, -eps)], step)
+    return (desc.log_coords(gp) - desc.log_coords(gm)) / (2 * eps)
+
+
+def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2):
+    """|| T(a xi + b eta) - a T(xi) - b T(eta) || for the algebra transport T.
+
+    On a family of C curves xi and eta hold (C, dim) stacks and a, b one
+    coefficient per curve; the result is one residual per curve.
+    """
+    a, b = np.asarray(a, float)[..., None], np.asarray(b, float)[..., None]
+    combo = a * xi.coords + b * eta.coords
+    t_combo, t_xi, t_eta = np.moveaxis(_algebra_flow(
+        nu, curve, np.stack([combo, xi.coords, eta.coords], axis=-1), step), -1, 0)
+    return _residual_norm(t_combo - a * t_xi - b * t_eta, 1)
+
+
+def ad_compatibility_check(nu, curve, g, xi, step=1e-2):
+    """|| transport(Ad_g xi) - Ad_{transport(g)}(transport(xi)) ||, one
+    residual per curve on a family (g and xi then hold one row per curve)."""
+    desc = nu.bundle.fiber
+    lhs, txi = np.moveaxis(_algebra_flow(
+        nu, curve, np.stack([desc.Ad(g, xi).coords, xi.coords], axis=-1), step), -1, 0)
+    (tg,) = _transport_rows(nu, curve, [g.matrix], step)
+    return _residual_norm(lhs - desc.Ad(GroupElement(tg, desc, check=False),
+                                        desc.algebra(txi)).coords, 1)
 
 
 def _restricted_curve(curve, t_lo, t_hi):

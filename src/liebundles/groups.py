@@ -9,7 +9,8 @@ values are safe to share across threads.
 The array kernels (algebra and coordinate maps, exp, log, Ad_matrix,
 membership residual, retraction, bracket) broadcast over leading axes: a
 (B, m, m) stack of group matrices or a (B, dim) stack of coordinates is
-handled row by row in one call, and a GroupElement may hold such a stack.
+handled row by row in one call, and a GroupElement or an AlgebraElement may
+hold such a stack.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class GroupDescriptor:
         if xi.descriptor is not self:
             raise UsageError("Ad: element and algebra value use different descriptors")
         if self.ad_matrix_hook is not None:
-            return self.algebra(self.ad_matrix_hook(g.matrix) @ xi.coords)
+            return self.algebra((self.ad_matrix_hook(g.matrix) @ xi.coords[..., None])[..., 0])
         conj = g.matrix @ self.algebra_matrix(xi.coords) @ g.inverse().matrix
         return self.algebra(self.matrix_coords(conj))
 
@@ -270,16 +271,18 @@ class GroupDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Element of the Lie algebra in basis coordinates."""
+    """Element of the Lie algebra in basis coordinates, or a (B, dim) stack of
+    them that the array kernels treat row by row."""
 
     coords: np.ndarray
     descriptor: GroupDescriptor
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.descriptor.dim,):
+        if coords.ndim not in (1, 2) or coords.shape[-1] != self.descriptor.dim:
             raise UsageError(
-                f"algebra coordinates have shape {coords.shape}, expected ({self.descriptor.dim},)"
+                f"algebra coordinates have shape {coords.shape}, expected "
+                f"({self.descriptor.dim},) or (B, {self.descriptor.dim})"
             )
         if not np.all(np.isfinite(coords)):
             raise DomainError("algebra coordinates must be finite")
@@ -388,9 +391,16 @@ def _eye_stack(k, lead):
 
 
 def _principal_logm(mat):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m = scipy.linalg.logm(mat)
+    """scipy's logm, made deterministic: its norm estimate draws from numpy's
+    global RNG, so it runs under a fixed state and the caller's is restored."""
+    state = np.random.get_state()
+    try:
+        np.random.seed(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = scipy.linalg.logm(mat)
+    finally:
+        np.random.set_state(state)
     if np.max(np.abs(np.imag(m))) > 1e-9:
         raise RangeError("log: matrix is outside the principal branch")
     return np.real(m)

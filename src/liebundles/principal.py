@@ -35,7 +35,14 @@ from .calculus import (
     directional_derivative,
     numerical_bracket,
 )
-from .connections import AlgebraConnection, LieGroupBundleConnection, transport_group, validate_group_connection
+from .connections import (
+    AlgebraConnection,
+    LieGroupBundleConnection,
+    _residual_norm,
+    _rows,
+    _transport_rows,
+    validate_group_connection,
+)
 from .errors import ConstructionError, InconsistencyError, UsageError, ValidationError
 from .groups import AlgebraElement, GroupElement
 from .integrators import integrate_stack
@@ -71,7 +78,8 @@ __all__ = [
 
 
 class WeightRamp:
-    """Cosine ramp in one base coordinate: 1 below lo, 0 above hi."""
+    """Cosine ramp in one base coordinate: 1 below lo, 0 above hi.  A batch
+    of points (R, n) gives one weight per point."""
 
     def __init__(self, lo, hi, axis=0, invert=False):
         if not hi > lo:
@@ -79,8 +87,12 @@ class WeightRamp:
         self.lo, self.hi, self.axis, self.invert = float(lo), float(hi), int(axis), invert
 
     def __call__(self, x):
-        s = (float(np.asarray(x)[self.axis]) - self.lo) / (self.hi - self.lo)
-        s = min(max(s, 0.0), 1.0)
+        x = np.asarray(x, dtype=float)
+        # a float for one point, as numpy calls on a lone scalar cost more
+        if x.ndim == 1:
+            s = min(max((float(x[self.axis]) - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+        else:
+            s = np.clip((x[:, self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         w = 0.5 * (1.0 + np.cos(np.pi * s))
         return 1.0 - w if self.invert else w
 
@@ -117,8 +129,8 @@ def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None)
     def form(y: TotalPoint) -> np.ndarray:
         ad = descriptor.Ad_matrix(y.fiber.inverse())
         if base_form is None:
-            return form_matrix(np.zeros((descriptor.dim, y.q.size)), ad)
-        return form_matrix(ad @ base_form.coefficient_array(y.q).T, ad)
+            return form_matrix(np.zeros((descriptor.dim, y.q.shape[-1])), ad)
+        return form_matrix(ad @ np.swapaxes(base_form.coefficient_array(y.q), -1, -2), ad)
 
     return form
 
@@ -136,17 +148,23 @@ class _Twist:
         self._dr = [r.partial(mu) for mu in range(r.dim)]
 
     def tau(self, x):
-        return self.descriptor.exp(self.descriptor.algebra(self.r(x) * self.tau_gen.coords))
+        """Matrix of tau at x, or an (R, m, m) stack at a batch of points."""
+        desc = self.descriptor
+        return desc.retract(desc.exp_coords(np.multiply.outer(self.r(x), self.tau_gen.coords)))
 
     def sigma_rate(self, x, u):
         """Right-trivialized derivative of sigma along u (exact: Z commutes)."""
-        rate = sum(d(x) * ui for d, ui in zip(self._dp, np.asarray(u, float)))
-        return rate * self.sigma_gen.coords
+        u = np.asarray(u, float)
+        rate = sum(d(x) * u[..., mu] for mu, d in enumerate(self._dp))
+        return np.multiply.outer(rate, self.sigma_gen.coords)
 
     def rates(self, x):
-        """Right-trivialized rates of sigma and tau as (dim, n) matrices."""
-        return (np.outer(self.sigma_gen.coords, [d(x) for d in self._dp]),
-                np.outer(self.tau_gen.coords, [d(x) for d in self._dr]))
+        """Right-trivialized rates of sigma and tau as (dim, n) matrices, or
+        (R, dim, n) at a batch of points."""
+        def rate(gen, partials):
+            return gen.coords[:, None] * np.array([d(x) for d in partials]).T[..., None, :]
+
+        return rate(self.sigma_gen, self._dp), rate(self.tau_gen, self._dr)
 
 
 def twisted_local_form(descriptor, twist: _Twist):
@@ -162,9 +180,9 @@ def twisted_local_form(descriptor, twist: _Twist):
     def form(y: TotalPoint) -> np.ndarray:
         s_rate, t_rate = twist.rates(y.q)
         ad_t = descriptor.Ad_matrix(twist.tau(y.q))
-        out = descriptor.Ad_matrix(y.fiber.inverse()) @ np.hstack(
-            [-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)])
-        out[..., : y.q.size] += s_rate
+        out = descriptor.Ad_matrix(y.fiber.inverse()) @ form_matrix(
+            -t_rate - ad_t @ s_rate, np.eye(descriptor.dim))
+        out[..., : y.q.shape[-1]] += s_rate
         return out
 
     return form
@@ -177,7 +195,7 @@ def twisted_cocycle(descriptor, twist: _Twist):
 
     def lift_map(x, u):
         s = twist.sigma_rate(x, u)
-        return lambda fibers: s - descriptor.Ad_matrix(fibers) @ s
+        return lambda fibers: s - (descriptor.Ad_matrix(fibers) @ s[..., None])[..., 0]
 
     return lift_map
 
@@ -193,7 +211,9 @@ class GeneralizedPrincipalConnection:
     ``pieces`` is a sequence of (weight, form) with weight a function of the
     base point and form(y) the (dim, n + dim) matrix of the piece at y: its
     first n columns act on the base velocity u, its last dim columns on the
-    fiber velocity delta.
+    fiber velocity delta.  At a batch of points (y.q of shape (R, n), y.fiber
+    an (R, m, m) stack) a weight returns one value per point and a form an
+    (R, dim, n + dim) stack.
     """
 
     def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces, label="omega"):
@@ -206,13 +226,15 @@ class GeneralizedPrincipalConnection:
 
     def matrix(self, y: TotalPoint) -> np.ndarray:
         """Weighted sum of the pieces' matrices at y, shape (dim, n + dim), or
-        (B, dim, n + dim) when y.fiber holds a (B, m, m) stack."""
+        (B, dim, n + dim) when y.fiber holds a (B, m, m) stack.  A piece is
+        summed when any of its weights is nonzero."""
         d = self.descriptor.dim
-        total = np.zeros(y.fiber.matrix.shape[:-2] + (d, self.n + d))
+        lead = max(y.fiber.matrix.shape[:-2], np.shape(y.q)[:-1], key=len)
+        total = np.zeros(lead + (d, self.n + d))
         for weight, form in self.pieces:
-            w = weight(y.q)
-            if w != 0.0:
-                total = total + w * form(y)
+            w = np.asarray(weight(y.q))
+            if np.count_nonzero(w):
+                total = total + w[..., None, None] * form(y)
         return total
 
     def value(self, y: TotalPoint, tangent: Tangent) -> AlgebraElement:
@@ -230,13 +252,16 @@ class GeneralizedPrincipalConnection:
         """Fiber velocities annihilated by the form, from one solve.
 
         A base vector u gives shape (dim,), or (B, dim) when y.fiber holds a
-        stack; an (n, k) array of base vectors gives (dim, k) for one fiber.
+        stack; at a batch of points (y.q of shape (R, n)) ``u_columns`` holds
+        one base vector per point, (R, n), and gives (R, dim); an (n, k) array
+        of base vectors gives (dim, k) for one fiber.
         """
         mat = self.matrix(y)
-        rhs = -mat[..., : self.n] @ u_columns
-        column = np.ndim(u_columns) == 1
+        u_columns = np.asarray(u_columns, dtype=float)
+        column = u_columns.ndim == 1 or np.ndim(y.q) == 2
+        rhs = -mat[..., : self.n] @ (u_columns[..., None] if column else u_columns)
         try:
-            out = np.linalg.solve(mat[..., self.n :], rhs[..., None] if column else rhs)
+            out = np.linalg.solve(mat[..., self.n :], rhs)
         except np.linalg.LinAlgError as exc:
             raise ConstructionError("degenerate connection: vertical operator singular") from exc
         return out[..., 0] if column else out
@@ -289,10 +314,11 @@ def build_two_chart_connection(
 
     def glued_lift(x, u):
         wb = w_b(x)
-        if wb == 0.0:
-            return lambda fibers: np.zeros(fibers.shape[:-2] + (desc.dim,))
+        if not np.count_nonzero(wb):
+            return lambda fibers: np.zeros(np.broadcast_shapes(fibers.shape[:-2], wb.shape)
+                                           + (desc.dim,))
         inner = lift_b(x, u)
-        return lambda fibers: wb * inner(fibers)
+        return lambda fibers: wb[..., None] * inner(fibers)
 
     nu = LieGroupBundleConnection.from_lift_map(action.bundle, glued_lift, "glued")
     omega = GeneralizedPrincipalConnection(action, nu, pieces, label="omega-glued")
@@ -364,7 +390,9 @@ def transport_total(omega, curve: BaseCurve, y0, step=1e-2, with_error_estimate=
 
     ``y0`` is one TotalPoint, giving (end point, TransportResult), or a
     sequence of them, integrated as the rows of one fiber stack and giving a
-    list of such pairs in the same order.
+    list of such pairs in the same order.  A TotalPoint whose fiber holds an
+    (R, m, m) stack gives (end point holding the R endpoints, list of R
+    TransportResult); on a family of R curves row r rides curve r.
     """
     desc = omega.descriptor
     single = isinstance(y0, TotalPoint)
@@ -376,19 +404,33 @@ def transport_total(omega, curve: BaseCurve, y0, step=1e-2, with_error_estimate=
 
     results = integrate_stack(field, desc, fibers, (curve.a, curve.b), step, with_error_estimate)
     q_end = curve.position(curve.b)
-    if single:
+    if not single:
+        return [(TotalPoint(q_end, r.element), r) for r in results]
+    if fibers.ndim == 2:
         return TotalPoint(q_end, results.element), results
-    return [(TotalPoint(q_end, r.element), r) for r in results]
+    ends = np.stack([r.element.matrix for r in results])
+    return TotalPoint(q_end, GroupElement(ends, desc, check=False)), results
 
 
-def transport_compatibility_check(omega, curve, y, g, step=1e-2) -> float:
+def transport_compatibility_check(omega, curve, y, g, step=1e-2):
     """Transport of y.g against (transport of y).(nu-transport of g); y.g and
-    y are independent rows of one stack."""
+    y are independent rows of one stack.
+
+    On a family of C curves y.q is (C, n), y.fiber and g hold one (C, m, m)
+    fiber per curve, and the result is one residual per curve; a lone curve
+    gives a float.
+    """
     action = omega.action
-    (end_yg, _), (end_y, _) = transport_total(omega, curve, [action.act(y, g), y], step)
-    end_g = transport_group(omega.nu, curve, g, step).element
-    recombined = action.act(end_y, end_g)
-    return float(np.linalg.norm(end_yg.fiber.matrix - recombined.fiber.matrix))
+    desc = omega.descriptor
+    shape = y.fiber.matrix.shape
+    rows = _rows([action.act(y, g).fiber.matrix, y.fiber.matrix])
+    end, _ = transport_total(omega, curve.repeat(2),
+                             TotalPoint(y.q, GroupElement(rows, desc, check=False)), step)
+    end_yg, end_y = end.fiber.matrix.reshape((2,) + shape)
+    (end_g,) = _transport_rows(omega.nu, curve, [g.matrix], step)
+    recombined = action.act(TotalPoint(curve.position(curve.b), GroupElement(end_y, desc, check=False)),
+                            GroupElement(end_g, desc, check=False))
+    return _residual_norm(end_yg - recombined.fiber.matrix, 2)
 
 
 def jet_equivariance_check(omega, y, g) -> float:

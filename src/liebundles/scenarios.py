@@ -85,14 +85,22 @@ def _curve_from_config(spec, label):
     raise UsageError(f"unknown curve kind {kind!r}")
 
 
-def random_curve(chart: ChartDomain, rng, interval=(0.0, 0.4)):
-    """Smooth random curve staying inside the chart."""
+RANDOM_CURVE_INTERVAL = (0.0, 0.4)
+
+
+def random_wiggle(chart: ChartDomain, rng):
+    """Start, end and amplitudes of a random wiggle in the chart's inner half."""
     lo = chart.lower + 0.25 * (chart.upper - chart.lower)
     hi = chart.upper - 0.25 * (chart.upper - chart.lower)
     start = lo + (hi - lo) * rng.uniform(0.0, 1.0, chart.dim)
     end = lo + (hi - lo) * rng.uniform(0.0, 1.0, chart.dim)
     amps = 0.08 * rng.uniform(-1.0, 1.0, chart.dim)
-    return BaseCurve.wiggle(start, end, amps, interval, label="random")
+    return start, end, amps
+
+
+def random_curve(chart: ChartDomain, rng, interval=RANDOM_CURVE_INTERVAL):
+    """Smooth random curve staying inside the chart."""
+    return BaseCurve.wiggle(*random_wiggle(chart, rng), interval, label="random")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +266,7 @@ def _build_affine(config) -> AffineScenario:
     gamma = _table_fn(config["gamma"], n, (n, m))
 
     def lift_map(x, u):
-        k = np.tensordot(u, nu_coeff(x), axes=(0, 0))
+        k = np.einsum("...n,...nij->...ij", u, nu_coeff(x))
         return lambda fibers: -(k @ group.log_coords(fibers)[..., None])[..., 0]
 
     nu = LieGroupBundleConnection.from_lift_map(action.bundle, lift_map, "linear")

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import Tangent, paired_generator_residual, equivariance_of_generators, vertical_isomorphism_check
+from .bundles import Tangent, TotalPoint, paired_generator_residual, equivariance_of_generators, vertical_isomorphism_check
+from .calculus import BaseCurve
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
+    algebra_transport_fd,
     algebra_transport_linearity_check,
     covariant_derivative_bracket_check,
     horizontal_product_rule_check,
-    transport_group,
     transport_multiplicativity_check,
     transport_unit_inverse_check,
     validate_group_connection,
@@ -53,8 +54,10 @@ from .reporting import make_record
 from .scenarios import (
     affine_equivalence_report,
     affine_reconstruction_residual,
+    RANDOM_CURVE_INTERVAL,
     principal_equivalence_report,
     random_curve,
+    random_wiggle,
 )
 
 __all__ = ["suite_checks", "run_suite", "available_checks"]
@@ -70,6 +73,29 @@ def _order(errors):
 
 def _rng_for(seed, index):
     return np.random.default_rng([int(seed), int(index)])
+
+
+def _family_residuals(s, rng, count, draw, check):
+    """Per-curve residuals of one check run on a family of random curves.
+
+    Draws ``count`` random curves, each followed by ``draw()`` (a tuple of
+    arrays that ride it), in the RNG order of one curve at a time; then calls
+    ``check(family, *draws stacked along a leading curve axis)`` once, so every
+    curve's transports are rows of the same integrations.
+    """
+    params, draws = [], []
+    for _ in range(count):
+        params.append(random_wiggle(s.chart, rng))
+        draws.append(draw())
+    if not params:
+        return []
+    family = BaseCurve.wiggle(*(np.array(p) for p in zip(*params)), RANDOM_CURVE_INTERVAL,
+                              label="random")
+    return list(check(family, *(np.array(d) for d in zip(*draws))))
+
+
+def _element(s, matrices):
+    return s.group.element(matrices, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +162,11 @@ def _chk_group_connection_laws(s, rng, samples, step):
 
 
 def _chk_transport_multiplicative(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 8)):
-        curve = random_curve(s.chart, rng)
-        g, h = s.group.random_element(rng), s.group.random_element(rng)
-        vals.append(transport_multiplicativity_check(s.nu, curve, g, h, step=step))
+    vals = _family_residuals(
+        s, rng, min(samples, 8),
+        lambda: (s.group.random_element(rng).matrix, s.group.random_element(rng).matrix),
+        lambda curve, g, h: transport_multiplicativity_check(
+            s.nu, curve, _element(s, g), _element(s, h), step=step))
     curve = random_curve(s.chart, rng)
     g, h = s.group.random_element(rng), s.group.random_element(rng)
     errs = [transport_multiplicativity_check(s.nu, curve, g, h, step=hh)
@@ -149,45 +175,40 @@ def _chk_transport_multiplicative(s, rng, samples, step):
 
 
 def _chk_transport_unit_inverse(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 8)):
-        curve = random_curve(s.chart, rng)
-        unit_res, inv_res = transport_unit_inverse_check(
-            s.nu, curve, s.group.random_element(rng), step=step)
-        vals.extend([unit_res, inv_res])
+    vals = _family_residuals(
+        s, rng, min(samples, 8), lambda: (s.group.random_element(rng).matrix,),
+        lambda curve, g: np.column_stack(transport_unit_inverse_check(
+            s.nu, curve, _element(s, g), step=step)).ravel())
     return vals, 1e-8, "transport fixes the unit and commutes with inversion", None
 
 
 def _chk_algebra_transport_consistency(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 5)):
-        curve = random_curve(s.chart, rng)
-        xi = s.group.random_algebra(rng)
+    def check(curve, xi):
+        xi = s.group.algebra(xi)
         linear = algebra_transport(s.nu, curve, xi, step=step, cross_check=False).coords
-        eps = 1e-4
-        gp, gm = (r.element for r in transport_group(
-            s.nu, curve, [s.group.exp(s.group.algebra(e * xi.coords)) for e in (eps, -eps)], step))
-        fd = (s.group.log(gp).coords - s.group.log(gm).coords) / (2 * eps)
-        vals.append(float(np.linalg.norm(fd - linear)))
+        return np.linalg.norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear, axis=-1)
+
+    vals = _family_residuals(s, rng, min(samples, 5),
+                             lambda: (s.group.random_algebra(rng).coords,), check)
     return vals, 1e-5, "linearized transport agrees with the direct linear flow", None
 
 
 def _chk_algebra_transport_linearity(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 5)):
-        curve = random_curve(s.chart, rng)
-        vals.append(algebra_transport_linearity_check(
-            s.nu, curve, s.group.random_algebra(rng), s.group.random_algebra(rng),
-            float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), step=step))
+    vals = _family_residuals(
+        s, rng, min(samples, 5),
+        lambda: (s.group.random_algebra(rng).coords, s.group.random_algebra(rng).coords,
+                 float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
+        lambda curve, xi, eta, a, b: algebra_transport_linearity_check(
+            s.nu, curve, s.group.algebra(xi), s.group.algebra(eta), a, b, step=step))
     return vals, 1e-7, "induced algebra transport is linear", None
 
 
 def _chk_algebra_transport_adjoint(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 5)):
-        curve = random_curve(s.chart, rng)
-        vals.append(ad_compatibility_check(
-            s.nu, curve, s.group.random_element(rng), s.group.random_algebra(rng), step=step))
+    vals = _family_residuals(
+        s, rng, min(samples, 5),
+        lambda: (s.group.random_element(rng).matrix, s.group.random_algebra(rng).coords),
+        lambda curve, g, xi: ad_compatibility_check(
+            s.nu, curve, _element(s, g), s.group.algebra(xi), step=step))
     return vals, 1e-7, "algebra transport intertwines the adjoint action", None
 
 
@@ -251,12 +272,15 @@ def _default_transport_omega(s):
 
 def _chk_transport_compatibility(s, rng, samples, step):
     omega = _default_transport_omega(s)
-    vals = []
-    for _ in range(min(samples, 6)):
-        curve = random_curve(s.chart, rng)
+
+    def draw():
         y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        vals.append(transport_compatibility_check(omega, curve, y, g, step=step))
+        return y.q, y.fiber.matrix, s.group.random_element(rng).matrix
+
+    vals = _family_residuals(
+        s, rng, min(samples, 6), draw,
+        lambda curve, q, fibers, g: transport_compatibility_check(
+            omega, curve, TotalPoint(q, _element(s, fibers)), _element(s, g), step=step))
     curve = random_curve(s.chart, rng)
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)

@@ -126,3 +126,16 @@ def test_numerical_bracket_against_analytic_oracle():
     z = np.array([0.25, -0.6])
     got = numerical_bracket(v1, v2, z)
     assert np.allclose(got, [-1.0, 0.0], atol=1e-9)
+
+
+def test_polynomial_batch_matches_points_bitwise():
+    rng = np.random.default_rng(36)
+    scalar = Polynomial({"0,0": 0.3, "2,0": 0.5, "1,1": -0.7, "0,3": 1.1, "2,1": 0.25}, 2)
+    array = Polynomial.array({(0, 1): {"1,0": 0.4, "0,2": -0.2}, (1, 0): {"0,0": 0.5}}, 2, (2, 2))
+    points = rng.uniform(-1.0, 1.0, (2000, 2))
+    batch = scalar(points)
+    assert batch.shape == (2000,)
+    assert np.array_equal(batch, np.array([scalar(p) for p in points]))
+    assert np.array_equal(array(points), np.stack([array(p) for p in points]))
+    # a polynomial of constant terms only still gets its batch axis
+    assert np.array_equal(Polynomial.constant(2.5, 2)(points), np.full(2000, 2.5))

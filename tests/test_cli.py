@@ -218,3 +218,23 @@ def test_report_missing_or_malformed_file_is_usage_error(content, tmp_path, caps
     assert err.startswith("usage error: cannot read report")
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+def test_report_without_check_records_fails(tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps({"summary": {"checks": 0, "all_passed": True}}) + "\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 1
+    assert "records: 0" in out
+    assert "no check records" in err
+
+
+def test_report_shows_zero_order_estimate(tmp_path, capsys):
+    record = {"check": "transport-multiplicative", "max_residual": 1e-12, "tolerance": 1e-7,
+              "order_estimate": 0.0, "passed": True}
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 0
+    assert "order=0.00" in out

@@ -190,3 +190,21 @@ def test_descriptor_rejects_non_closed_basis():
     }
     with pytest.raises(DescriptorError):
         descriptor_from_json(bad)
+
+
+def test_log_without_hook_is_deterministic_and_keeps_global_rng():
+    # scipy's logm estimates norms from numpy's global RNG; the jet descriptor
+    # has no log hook, so its log goes through logm
+    from liebundles.gauge import semidirect_jet_descriptor
+
+    desc = semidirect_jet_descriptor(so3_descriptor(), 2)
+    rng = np.random.default_rng(37)
+    elements = [desc.random_element(rng) for _ in range(200)]
+    np.random.seed(11)
+    before = np.random.get_state()
+    first = [desc.log(g).coords for g in elements]
+    second = [desc.log(g).coords for g in elements]
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])

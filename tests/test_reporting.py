@@ -18,3 +18,27 @@ def test_empty_or_non_finite_residuals_fail(residuals, tolerance, mode):
     record = make_record("check", "label", "scenario", residuals, tolerance, mode=mode)
     assert not record.passed
     assert record.samples == len(residuals)
+
+
+def _compare_reports():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("moved, code", [(0.0, 0), (5e-11, 0), (2e-10, 1)])
+def test_compare_reports_fails_beyond_roundoff(moved, code, tmp_path, capsys):
+    import json
+
+    for name, residual in (("a", 1e-9), ("b", 1e-9 + moved)):
+        (tmp_path / name).mkdir()
+        record = {"check": "c", "samples": 3, "passed": True, "max_residual": residual,
+                  "tolerance": 1e-7}
+        (tmp_path / name / "p.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert _compare_reports().main([str(tmp_path / "a"), str(tmp_path / "b")]) == code
+    capsys.readouterr()
