@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import ChartDomain
+from .calculus import ChartDomain, central_difference
 from .errors import UsageError, ValidationError
 from .groups import AlgebraElement, GroupDescriptor, GroupElement
 
@@ -90,6 +90,10 @@ class TotalPoint:
             np.linalg.norm(self.q - other.q) + np.linalg.norm(self.fiber.matrix - other.fiber.matrix)
         )
 
+    def arrays(self):
+        """(base point, fiber matrix): the pair `central_difference` differences."""
+        return self.q, self.fiber.matrix
+
 
 @dataclass(frozen=True, eq=False)
 class Tangent:
@@ -111,13 +115,12 @@ class FiberedAction:
     differential/generator hooks (finite differences otherwise).
     """
 
-    def __init__(self, space: TotalSpace, bundle: LieGroupBundle, act=None, fd_eps=1e-6):
+    def __init__(self, space: TotalSpace, bundle: LieGroupBundle, act=None):
         if space.fiber is not bundle.fiber and act is None:
             raise UsageError("torsor action requires matching fiber descriptors")
         self.space = space
         self.bundle = bundle
         self._act = act
-        self._fd_eps = fd_eps
 
     # -- the action ------------------------------------------------------
 
@@ -144,18 +147,15 @@ class FiberedAction:
 
     def _fd_differential(self, y, g, ty, tg):
         desc = self.space.fiber
-        eps = self._fd_eps
 
         def at(s):
             ys = TotalPoint(
                 y.q + s * ty.u, desc.exp(desc.algebra(s * ty.delta.coords)) @ y.fiber
             )
             gs = desc.exp(desc.algebra(s * tg.delta.coords)) @ g
-            return self.act(ys, gs)
+            return self.act(ys, gs).arrays()
 
-        plus, minus = at(eps), at(-eps)
-        du = (plus.q - minus.q) / (2 * eps)
-        dmat = (plus.fiber.matrix - minus.fiber.matrix) / (2 * eps)
+        du, dmat = central_difference(at, 1e-6)
         base = self.act(y, g)
         delta = desc.matrix_coords(dmat @ np.linalg.inv(base.fiber.matrix), tol=1e-5)
         return Tangent(du, desc.algebra(delta))
@@ -169,12 +169,10 @@ class FiberedAction:
         desc = self.space.fiber
         if self._act is None:
             return Tangent(np.zeros(self.space.quotient.dim), desc.Ad(y.fiber, xi))
-        eps = self._fd_eps
-        plus = self.act(y, desc.exp(desc.algebra(eps * xi.coords)))
-        minus = self.act(y, desc.exp(desc.algebra(-eps * xi.coords)))
-        dmat = (plus.fiber.matrix - minus.fiber.matrix) / (2 * eps)
+        du, dmat = central_difference(
+            lambda s: self.act(y, desc.exp(desc.algebra(s * xi.coords))).arrays(), 1e-6)
         delta = desc.matrix_coords(dmat @ np.linalg.inv(y.fiber.matrix), tol=1e-5)
-        return Tangent((plus.q - minus.q) / (2 * eps), desc.algebra(delta))
+        return Tangent(du, desc.algebra(delta))
 
     def generator_matrix(self, y: TotalPoint) -> np.ndarray:
         """Columns are the fiber components of the basis generators at y."""
@@ -226,27 +224,10 @@ def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint, tol=1e-10):
 
 def equivariance_of_generators(action, y, g, xi, eps=1e-5):
     """Residual of pushing a generator through the action versus the adjoint-
-    twisted generator at the translated point, both by central differences."""
-    desc = action.space.fiber
-
-    def lhs(s):
-        ys = action.act(y, desc.exp(desc.algebra(s * xi.coords)))
-        return action.act(ys, g)
-
-    p, m = lhs(eps), lhs(-eps)
-    lhs_fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps)
-    lhs_base = (p.q - m.q) / (2 * eps)
-
-    ad_xi = desc.Ad(g.inverse(), xi)
-    yg = action.act(y, g)
-
-    def rhs(s):
-        return action.act(yg, desc.exp(desc.algebra(s * ad_xi.coords)))
-
-    p, m = rhs(eps), rhs(-eps)
-    rhs_fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps)
-    rhs_base = (p.q - m.q) / (2 * eps)
-    return float(np.linalg.norm(lhs_fiber - rhs_fiber) + np.linalg.norm(lhs_base - rhs_base))
+    twisted generator at the translated point, both by central differences:
+    the paired residual with a zero group velocity."""
+    zero = action.space.fiber.algebra(np.zeros_like(xi.coords))
+    return paired_generator_residual(action, y, g, xi, zero, eps)
 
 
 def paired_generator_residual(action, y, g, xi, eta, eps=1e-5):
@@ -257,21 +238,17 @@ def paired_generator_residual(action, y, g, xi, eta, eps=1e-5):
     def curve(s):
         ys = action.act(y, desc.exp(desc.algebra(s * xi.coords)))
         gs = desc.exp(desc.algebra(s * eta.coords)) @ g
-        return action.act(ys, gs)
+        return action.act(ys, gs).arrays()
 
-    p, m = curve(eps), curve(-eps)
-    lhs_fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps)
-    lhs_base = (p.q - m.q) / (2 * eps)
+    lhs_base, lhs_fiber = central_difference(curve, eps)
 
     target = desc.Ad(g.inverse(), desc.algebra(xi.coords + eta.coords))
     yg = action.act(y, g)
 
     def gen(s):
-        return action.act(yg, desc.exp(desc.algebra(s * target.coords)))
+        return action.act(yg, desc.exp(desc.algebra(s * target.coords))).arrays()
 
-    p, m = gen(eps), gen(-eps)
-    rhs_fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps)
-    rhs_base = (p.q - m.q) / (2 * eps)
+    rhs_base, rhs_fiber = central_difference(gen, eps)
     return float(np.linalg.norm(lhs_fiber - rhs_fiber) + np.linalg.norm(lhs_base - rhs_base))
 
 
@@ -324,30 +301,20 @@ def jet_lift_action(
     desc = action.space.fiber
     y0 = TotalPoint(y_jet.x, y_jet.value)
     value = action.act(y0, g_jet.value)
-    n = y_jet.deriv.shape[0]
-    if not fd:
-        rows = []
-        for mu in range(n):
-            u = np.zeros(n)
-            u[mu] = 1.0
-            t = action.differential(
-                y0,
-                g_jet.value,
-                Tangent(u, desc.algebra(y_jet.deriv[mu])),
-                Tangent(u, desc.algebra(g_jet.deriv[mu])),
-            )
-            rows.append(t.delta.coords)
-        return SectionJet(y_jet.x, value.fiber, np.vstack(rows))
-    y_rep = y_jet.section(desc)
-    g_rep = g_jet.section(desc)
+    y_rep, g_rep = y_jet.section(desc), g_jet.section(desc)
+
+    def composite(x):
+        return action.act(TotalPoint(y_jet.x, y_rep(x)), g_rep(x)).fiber.matrix
+
     rows = []
-    for mu in range(n):
-        shift = np.zeros(n)
-        shift[mu] = eps
-        plus = action.act(TotalPoint(y_jet.x, y_rep(y_jet.x + shift)), g_rep(y_jet.x + shift))
-        minus = action.act(TotalPoint(y_jet.x, y_rep(y_jet.x - shift)), g_rep(y_jet.x - shift))
-        dmat = (plus.fiber.matrix - minus.fiber.matrix) / (2 * eps)
-        rows.append(desc.matrix_coords(dmat @ np.linalg.inv(value.fiber.matrix), tol=1e-4))
+    for u, dy, dg in zip(np.eye(len(y_jet.deriv)), y_jet.deriv, g_jet.deriv):
+        if fd:
+            dmat = central_difference(lambda s: composite(y_jet.x + s * u), eps)
+            rows.append(desc.matrix_coords(dmat @ np.linalg.inv(value.fiber.matrix), tol=1e-4))
+        else:
+            t = action.differential(y0, g_jet.value, Tangent(u, desc.algebra(dy)),
+                                    Tangent(u, desc.algebra(dg)))
+            rows.append(t.delta.coords)
     return SectionJet(y_jet.x, value.fiber, np.vstack(rows))
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "AlgebraOneForm",
     "TwoIndexAlgebraForm",
     "fd_step",
+    "central_difference",
     "finite_diff_jacobian",
     "directional_derivative",
     "numerical_bracket",
@@ -36,6 +37,19 @@ def fd_step(x, h=None):
     if h is not None:
         return float(h)
     return _EPS_CBRT * max(1.0, float(np.linalg.norm(x)))
+
+
+def central_difference(f, eps):
+    """(f(eps) - f(-eps)) / (2 eps), evaluating f(eps) first: the one
+    finite-difference stencil of the package; each caller owns its step.
+    ``f`` maps a step to an array or to a tuple of arrays (such as the base
+    point and fiber matrix of a total-space curve), differenced entry by entry.
+    """
+    plus = f(eps)
+    minus = f(-eps)
+    if isinstance(plus, tuple):
+        return tuple((p - m) / (2 * eps) for p, m in zip(plus, minus))
+    return (plus - minus) / (2 * eps)
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class BaseCurve:
             pos = self.position
 
             def fd_velocity(t, _h=h, _pos=pos):
-                return (np.asarray(_pos(t + _h)) - np.asarray(_pos(t - _h))) / (2 * _h)
+                return central_difference(lambda s: np.asarray(_pos(t + s)), _h)
 
             self.velocity = fd_velocity
             self.velocity_is_fd = True
@@ -116,7 +130,7 @@ class BaseCurve:
             if chart is not None:
                 chart.require(x)
             tt = min(max(t, self.a + h), self.b - h)
-            fd = (np.asarray(self.position(tt + h)) - np.asarray(self.position(tt - h))) / (2 * h)
+            fd = central_difference(lambda s: np.asarray(self.position(tt + s)), h)
             worst = max(worst, float(np.linalg.norm(fd - np.asarray(self.velocity(tt)))))
         if worst > tol:
             raise UsageError(
@@ -374,20 +388,18 @@ def finite_diff_jacobian(f, x, h=None, chart: Optional[ChartDomain] = None):
     """Central-difference Jacobian of f: R^n -> R^m, error O(h^2)."""
     x = np.asarray(x, dtype=float)
     step = fd_step(x, h)
+
+    def shifted(i, s):
+        probe = x.copy()
+        probe[i] += s
+        return probe
+
     if chart is not None:
         for i in range(x.size):
             for s in (+step, -step):
-                probe = x.copy()
-                probe[i] += s
-                chart.require(probe)
-    cols = []
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        cols.append((np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2 * step))
-    return np.column_stack(cols)
+                chart.require(shifted(i, s))
+    return np.column_stack([central_difference(lambda s: np.asarray(f(shifted(i, s)), float), step)
+                            for i in range(x.size)])
 
 
 def directional_derivative(f, x, v, h=None):
@@ -399,9 +411,7 @@ def directional_derivative(f, x, v, h=None):
         probe = np.asarray(f(x), float)
         return np.zeros_like(probe)
     step = fd_step(x, h) / max(1.0, vn)
-    fp = np.asarray(f(x + step * v), float)
-    fm = np.asarray(f(x - step * v), float)
-    return (fp - fm) / (2 * step)
+    return central_difference(lambda s: np.asarray(f(x + s * v), float), step)
 
 
 def numerical_bracket(v1, v2, z, h=None):

@@ -93,8 +93,11 @@ def _load_config(args):
 
 
 def _number(value, what, cast=float, positive=True):
-    """``cast(value)``, as a usage error when it fails or, if asked, is not positive."""
+    """``cast(value)``, as a usage error when it fails, when value is a bool
+    (JSON true/false) or, if asked, when it is not positive."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{what} must be a number, got {value!r}") from None
@@ -266,6 +269,9 @@ def _cmd_report(args):
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.in_path}: {exc}") from exc
     records = [d for d in lines if "check" in d]
+    for r in records:
+        for key in ("max_residual", "tolerance"):
+            r[key] = _number(r.get(key), f"record {r['check']!r} field {key}", positive=False)
     summaries = [d["summary"] for d in lines if "summary" in d]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import LieGroupBundle, SectionJet
-from .calculus import AlgebraOneForm, BaseCurve
+from .calculus import AlgebraOneForm, BaseCurve, central_difference
 from .errors import InconsistencyError, ValidationError
 from .groups import AlgebraElement, GroupElement
 from .integrators import integrate_linear, integrate_stack
@@ -253,10 +253,9 @@ class AlgebraConnection:
     covariant derivative of a section is then nabla_u xi = D xi(u) - K(x, u) xi.
     """
 
-    def __init__(self, nu: LieGroupBundleConnection, fd_eps=1e-6):
+    def __init__(self, nu: LieGroupBundleConnection):
         self.nu = nu
         self.descriptor = nu.bundle.fiber
-        self._fd_eps = fd_eps
 
     def generator(self, x, u) -> np.ndarray:
         desc = self.descriptor
@@ -264,13 +263,9 @@ class AlgebraConnection:
             a = self.nu.base_form(x, u)
             return -desc.ad_matrix(a.coords)
         # linearize the cocycle in the fiber around the identity
-        eps = self._fd_eps
         lift = self.nu.lift_map(x, u)
-        cols = []
-        for e in np.eye(desc.dim):
-            gp = desc.exp(desc.algebra(eps * e))
-            gm = desc.exp(desc.algebra(-eps * e))
-            cols.append((lift(gp.matrix) - lift(gm.matrix)) / (2 * eps))
+        cols = [central_difference(lambda s: lift(desc.exp(desc.algebra(s * e)).matrix), 1e-6)
+                for e in np.eye(desc.dim)]
         return np.stack(cols, axis=-1)
 
 
@@ -287,12 +282,12 @@ def _algebra_flow(nu, curve, columns, step):
 
 
 def algebra_transport(
-    nu, curve, xi: AlgebraElement, step=1e-2, cross_check=True, fd_eps=1e-4, cross_tol=1e-5
+    nu, curve, xi: AlgebraElement, step=1e-2, cross_check=True, cross_tol=1e-5
 ) -> AlgebraElement:
     """Induced linear transport of xi along the curve.
 
     Primary path integrates the linear ODE with generator K(x(t), x'(t));
-    the cross-check (`algebra_transport_fd` at eps = fd_eps / max(1, |xi|))
+    the cross-check (`algebra_transport_fd` at eps = 1e-4 / max(1, |xi|))
     must agree within ``cross_tol``.  On a family of C curves xi and the
     result hold one (C, dim) row per curve.
     """
@@ -300,7 +295,7 @@ def algebra_transport(
     out = _algebra_flow(nu, curve, xi.coords[..., None], step)[..., 0]
     if cross_check:
         scale = np.maximum(1.0, np.linalg.norm(xi.coords, axis=-1))
-        fd = algebra_transport_fd(nu, curve, xi, fd_eps / scale, step)
+        fd = algebra_transport_fd(nu, curve, xi, 1e-4 / scale, step)
         gap = np.linalg.norm(fd - out, axis=-1)
         if np.any(gap > cross_tol * scale):
             raise InconsistencyError(
@@ -318,9 +313,10 @@ def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.nd
     """
     desc = nu.bundle.fiber
     eps = np.asarray(eps, dtype=float)[..., None]
-    gp, gm = _transport_rows(
-        nu, curve, [desc.exp(desc.algebra(s * xi.coords)).matrix for s in (eps, -eps)], step)
-    return (desc.log_coords(gp) - desc.log_coords(gm)) / (2 * eps)
+    ends = iter(_transport_rows(
+        nu, curve, [desc.exp(desc.algebra(s * xi.coords)).matrix for s in (eps, -eps)], step))
+    # both ends come from the one stack above; central_difference asks for +eps first
+    return central_difference(lambda s: desc.log_coords(next(ends)), eps)
 
 
 def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2):
@@ -356,17 +352,13 @@ def _covariant_group_derivative(nu, curve, g_path, t, ds, step):
     desc = nu.bundle.fiber
 
     def pulled(s):
-        if s == 0.0:
-            return g_path(t).matrix
         if s > 0:
             seg = _restricted_curve(curve, t, t + s)
             return _reverse_transport(nu, seg, g_path(t + s), step).matrix
         seg = _restricted_curve(curve, t + s, t)
         return transport_group(nu, seg, g_path(t + s), step).element.matrix
 
-    plus = pulled(ds)
-    minus = pulled(-ds)
-    return (plus - minus) / (2 * ds)
+    return central_difference(pulled, ds)
 
 
 def _reverse_transport(nu, seg, g_end, step):
@@ -402,7 +394,7 @@ def covariant_derivative_bracket_check(
     k_t = conn.generator(x_t, u_t)
 
     def covariant_of(section):
-        dsec = (np.asarray(section(t + ds)) - np.asarray(section(t - ds))) / (2 * ds)
+        dsec = central_difference(lambda s: np.asarray(section(t + s)), ds)
         return dsec - k_t @ np.asarray(section(t))
 
     lhs = covariant_of(algebra_section)
@@ -424,15 +416,12 @@ def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement, eps=1
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
 
-    def g_curve(s):
-        return desc.exp(desc.algebra(s * nu.horizontal_delta(x, g, u).coords)) @ g
+    def product_curve(s):
+        g_s = desc.exp(desc.algebra(s * nu.horizontal_delta(x, g, u).coords)) @ g
+        h_s = desc.exp(desc.algebra(s * delta_h.coords)) @ h
+        return (g_s @ h_s).matrix
 
-    def h_curve(s):
-        return desc.exp(desc.algebra(s * delta_h.coords)) @ h
-
-    prod_plus = g_curve(eps) @ h_curve(eps)
-    prod_minus = g_curve(-eps) @ h_curve(-eps)
-    lhs = (prod_plus.matrix - prod_minus.matrix) / (2 * eps)
+    lhs = central_difference(product_curve, eps)
 
     gh = g @ h
     hor_gh = nu.horizontal_delta(x, gh, u).coords

@@ -328,6 +328,17 @@ def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:
 # ---------------------------------------------------------------------------
 
 
+def _embed_jet(n, g_matrix, ad_matrix, xi_flat):
+    """The block matrix blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]) of (g, xi)."""
+    m, vdim = len(g_matrix), n * len(ad_matrix)
+    out = np.zeros((m + vdim + 1, m + vdim + 1))
+    out[:m, :m] = g_matrix
+    out[m : m + vdim, m : m + vdim] = np.kron(np.eye(n), ad_matrix)
+    out[m : m + vdim, -1] = xi_flat
+    out[-1, -1] = 1.0
+    return out
+
+
 def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     """GroupDescriptor for G x| (n copies of the algebra), as block matrices.
 
@@ -339,23 +350,10 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     vdim = n * d
     total = m + vdim + 1
 
-    def rho(ad_matrix):
-        return np.kron(np.eye(n), ad_matrix)
-
-    def embed(g_matrix, ad_matrix, xi_flat):
-        out = np.zeros((total, total))
-        out[:m, :m] = g_matrix
-        out[m : m + vdim, m : m + vdim] = rho(ad_matrix)
-        out[m : m + vdim, -1] = xi_flat
-        out[-1, -1] = 1.0
-        return out
-
     basis = []
     for i in range(d):
-        ad_i = base.ad_matrix(np.eye(d)[i])
-        blk = np.zeros((total, total))
-        blk[:m, :m] = base.basis[i]
-        blk[m : m + vdim, m : m + vdim] = rho(ad_i)
+        blk = _embed_jet(n, base.basis[i], base.ad_matrix(np.eye(d)[i]), 0.0)
+        blk[-1, -1] = 0.0  # an algebra element has no unit corner
         basis.append(blk)
     for mu in range(n):
         for j in range(d):
@@ -367,7 +365,8 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     def residual(mat):
         g_blk = mat[:m, :m]
         res = base.membership_residual(g_blk)
-        res += float(np.linalg.norm(mat[m : m + vdim, m : m + vdim] - rho(_ad_of(g_blk))))
+        res += float(np.linalg.norm(mat[m : m + vdim, m : m + vdim]
+                                    - np.kron(np.eye(n), _ad_of(g_blk))))
         res += float(np.linalg.norm(mat[:m, m:]) + np.linalg.norm(mat[m:, :m]))
         res += abs(mat[-1, -1] - 1.0) + float(np.linalg.norm(mat[-1, :-1]))
         return res
@@ -377,7 +376,7 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
 
     def retract(mat):
         g_blk = base.retract(mat[:m, :m])
-        return embed(g_blk, _ad_of(g_blk), mat[m : m + vdim, -1].copy())
+        return _embed_jet(n, g_blk, _ad_of(g_blk), mat[m : m + vdim, -1].copy())
 
     desc = GroupDescriptor(
         name=f"jet({base.name},n={n})",
@@ -396,14 +395,7 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
 
 def element_from_gauge_jet(desc_jet: GroupDescriptor, k: GaugeJet) -> GroupElement:
     base = desc_jet.extra["base"]
-    m = desc_jet.extra["m"]
-    vdim = desc_jet.extra["vdim"]
-    total = desc_jet.matrix_dim
-    out = np.zeros((total, total))
-    out[:m, :m] = k.g.matrix
-    out[m : m + vdim, m : m + vdim] = np.kron(np.eye(desc_jet.extra["n"]), base.Ad_matrix(k.g))
-    out[m : m + vdim, -1] = k.xi.reshape(-1)
-    out[-1, -1] = 1.0
+    out = _embed_jet(desc_jet.extra["n"], k.g.matrix, base.Ad_matrix(k.g), k.xi.reshape(-1))
     return GroupElement(out, desc_jet, check=False)
 
 

@@ -32,6 +32,7 @@ from .calculus import (
     AlgebraOneForm,
     BaseCurve,
     Polynomial,
+    central_difference,
     directional_derivative,
     numerical_bracket,
 )
@@ -461,14 +462,11 @@ def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement, eps=1e-5
     def composite(s):
         ys = TotalPoint(y.q + s * u, desc.exp(desc.algebra(s * hor.delta.coords)) @ y.fiber)
         gs = desc.exp(desc.algebra(s * delta_g.coords)) @ g
-        return action.act(ys, gs)
+        return action.act(ys, gs).fiber.matrix
 
-    plus, minus = composite(eps), composite(-eps)
+    dmat = central_difference(composite, eps)
     yg = action.act(y, g)
-    lhs_delta = desc.matrix_coords(
-        ((plus.fiber.matrix - minus.fiber.matrix) / (2 * eps)) @ np.linalg.inv(yg.fiber.matrix),
-        tol=1e-4,
-    )
+    lhs_delta = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
 
     hor_yg = omega.horizontal_lift(yg, u)
     nu_val = omega.nu.connection_form(y.q, g, u, delta_g)
@@ -672,14 +670,11 @@ def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent
     def vertical_curve(s):
         ys = TotalPoint(y.q, desc.exp(desc.algebra(s * gen_y.delta.coords)) @ y.fiber)
         gs = desc.exp(desc.algebra(s * nu_val.coords)) @ g
-        return action.act(ys, gs)
+        return action.act(ys, gs).fiber.matrix
 
-    plus, minus = vertical_curve(eps), vertical_curve(-eps)
+    dmat = central_difference(vertical_curve, eps)
     yg = action.act(y, g)
-    lhs_first = desc.matrix_coords(
-        ((plus.fiber.matrix - minus.fiber.matrix) / (2 * eps)) @ np.linalg.inv(yg.fiber.matrix),
-        tol=1e-4,
-    )
+    lhs_first = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
     lhs_second = nu_val.coords
 
     # rhs: apply the projector at (y.g, g) to the pushed pair (dPhi(t_y,t_g), t_g)

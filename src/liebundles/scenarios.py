@@ -504,10 +504,10 @@ def build_scenario(config):
         config = preset_config(config)
     config = copy.deepcopy(config)
     kind = config.get("kind")
-    if kind == "principal":
-        return _build_principal(config)
-    if kind == "affine":
-        return _build_affine(config)
-    if kind == "gauge":
-        return _build_gauge(config)
-    raise UsageError(f"config must declare kind principal|affine|gauge, got {kind!r}")
+    builders = {"principal": _build_principal, "affine": _build_affine, "gauge": _build_gauge}
+    if kind not in builders:
+        raise UsageError(f"config must declare kind principal|affine|gauge, got {kind!r}")
+    try:
+        return builders[kind](config)
+    except KeyError as exc:
+        raise UsageError(f"config is missing field {exc.args[0]!r}") from None

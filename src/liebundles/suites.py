@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import Tangent, TotalPoint, paired_generator_residual, equivariance_of_generators, vertical_isomorphism_check
-from .calculus import BaseCurve
+from .calculus import BaseCurve, central_difference
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
@@ -29,6 +29,7 @@ from .gauge import (
     apply_gauge_second_jet,
     classification_equivariance_residual,
     curvature_map,
+    element_from_gauge_jet,
     extract_classifying_sections,
     fixed_point_is_trivial,
     jet_connection_multiplicativity_residual,
@@ -500,7 +501,6 @@ def _chk_jet_group_axioms(s, rng, samples, step):
 
 
 def _chk_jet_adjoint_closed_form(s, rng, samples, step):
-    from .gauge import element_from_gauge_jet
     vals = []
     for _ in range(min(samples, 50)):
         k = GaugeJet.random(s.group, s.n, rng)
@@ -516,19 +516,18 @@ def _chk_jet_adjoint_closed_form(s, rng, samples, step):
 
 
 def _chk_jet_adjoint_fd(s, rng, samples, step):
-    from .gauge import element_from_gauge_jet
+    desc = s.jet_descriptor
     vals = []
     for _ in range(min(samples, 10)):
         k = GaugeJet.random(s.group, s.n, rng)
         eta = rng.uniform(-1, 1, s.group.dim)
         phi = rng.uniform(-1, 1, (s.n, s.group.dim))
         ad_eta, ad_phi = k.adjoint(eta, phi)
-        big = element_from_gauge_jet(s.jet_descriptor, k)
+        big = element_from_gauge_jet(desc, k)
         coords = np.concatenate([eta, phi.reshape(-1)])
-        eps = 1e-6
-        plus = big @ s.jet_descriptor.exp(s.jet_descriptor.algebra(eps * coords)) @ big.inverse()
-        minus = big @ s.jet_descriptor.exp(s.jet_descriptor.algebra(-eps * coords)) @ big.inverse()
-        fd = s.jet_descriptor.matrix_coords((plus.matrix - minus.matrix) / (2 * eps), tol=1e-4)
+        dmat = central_difference(
+            lambda e: (big @ desc.exp(desc.algebra(e * coords)) @ big.inverse()).matrix, 1e-6)
+        fd = desc.matrix_coords(dmat, tol=1e-4)
         vals.append(float(np.max(np.abs(fd - np.concatenate([ad_eta, ad_phi.reshape(-1)])))))
     return vals, 1e-6, "jet adjoint matches the conjugation derivative", None
 

@@ -131,6 +131,31 @@ def test_generator_equivariance_so3_random():
     assert worst <= 1e-7
 
 
+@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation"])
+def test_generator_equivariance_is_paired_residual_with_zero_eta(desc):
+    """exp(0) is the identity exactly, so a zero group velocity leaves every
+    bit of the paired residual equal to the two-curve form of the identity."""
+    action = make_action(desc)
+    zero = desc.algebra(np.zeros(desc.dim))
+    rng = np.random.default_rng(13)
+    eps = 1e-5
+    for _ in range(10):
+        y = action.space.random_point(rng)
+        g = desc.random_element(rng)
+        xi = desc.random_algebra(rng)
+        got = equivariance_of_generators(action, y, g, xi)
+        assert got == paired_generator_residual(action, y, g, xi, zero)
+        # the two curves written out: y.exp(s xi).g against y.g.exp(s Ad_{g^-1} xi)
+        yg, ad_xi = action.act(y, g), desc.Ad(g.inverse(), xi)
+        p, m = (action.act(action.act(y, desc.exp(desc.algebra(s * xi.coords))), g)
+                for s in (eps, -eps))
+        pr, mr = (action.act(yg, desc.exp(desc.algebra(s * ad_xi.coords))) for s in (eps, -eps))
+        fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps) - (
+            pr.fiber.matrix - mr.fiber.matrix) / (2 * eps)
+        base = (p.q - m.q) / (2 * eps) - (pr.q - mr.q) / (2 * eps)
+        assert got == float(np.linalg.norm(fiber) + np.linalg.norm(base))
+
+
 def test_paired_generator_residual_small():
     rng = np.random.default_rng(11)
     worst = 0.0

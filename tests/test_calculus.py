@@ -1,14 +1,20 @@
 """Chart calculus tests: curves, forms, finite differences, vector brackets."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import liebundles
 from liebundles.calculus import (
     AlgebraOneForm,
     BaseCurve,
     ChartDomain,
     Polynomial,
     TwoIndexAlgebraForm,
+    central_difference,
     finite_diff_jacobian,
     numerical_bracket,
 )
@@ -139,3 +145,47 @@ def test_polynomial_batch_matches_points_bitwise():
     assert np.array_equal(array(points), np.stack([array(p) for p in points]))
     # a polynomial of constant terms only still gets its batch axis
     assert np.array_equal(Polynomial.constant(2.5, 2)(points), np.full(2000, 2.5))
+
+
+def test_central_difference_matches_hand_stencil_bitwise():
+    x0 = np.array([0.3, -0.7, 1.1])
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return np.sin(x0 + s) * np.exp(s * x0)
+
+    for eps in (1e-6, 1e-5, 1e-4, 3.7e-6):
+        calls.clear()
+        got = central_difference(f, eps)
+        assert calls == [eps, -eps]  # the plus side first
+        assert np.array_equal(got, (f(eps) - f(-eps)) / (2 * eps))
+
+    def pair(s):
+        return x0 + s * x0**2, np.outer(f(s), x0) @ np.outer(x0, f(s))
+
+    eps = 1e-5
+    dq, dm = central_difference(pair, eps)
+    (qp, mp), (qm, mm) = pair(eps), pair(-eps)
+    assert np.array_equal(dq, (qp - qm) / (2 * eps))
+    assert np.array_equal(dm, (mp - mm) / (2 * eps))
+
+
+_STENCIL = re.compile(r"/\s*\(\s*2(\.0*)?\s*\*")
+
+
+def test_central_difference_is_the_only_stencil():
+    """No module of the package writes its own (a - b) / (2 * eps) quotient:
+    every finite difference goes through calculus.central_difference."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    tree = ast.parse((pkg / "calculus.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "central_difference")
+    allowed = range(helper.lineno, helper.end_lineno + 1)
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if _STENCIL.search(line) and not (path.name == "calculus.py" and lineno in allowed):
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not found, "hand-written stencils outside central_difference:\n" + "\n".join(found)
+    assert _STENCIL.search("(a - b) / (2 * eps)") and _STENCIL.search("(a - b)/(2.0*h)")

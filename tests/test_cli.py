@@ -198,6 +198,9 @@ def test_meta_line_present_without_flag(capsys):
     {"seed": -1},
     {"tolerances": {"jet-group-axioms": "tight"}},
     {"tolerances": [1e-9]},
+    {"step": True},
+    {"samples": True},
+    {"tolerances": {"jet-group-axioms": True}},
 ])
 def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -205,6 +208,20 @@ def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
     code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
     assert code == 2
     assert err.startswith("usage error") and len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("validate", {"kind": "principal", "group": "so3"}, "chart"),
+    ("transport", {"scenario": "principal-so3",
+                   "curves": {"main": {"kind": "line", "start": [0.0, 0.0]}}}, "end"),
+])
+def test_config_missing_field_is_usage_error(command, config, field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli([command, "--config", str(path), "--no-meta"], capsys)
+    assert code == 2
+    assert err == f"usage error: config is missing field {field!r}\n"
     assert out == ""
 
 
@@ -238,3 +255,18 @@ def test_report_shows_zero_order_estimate(tmp_path, capsys):
     code, out, _ = run_cli(["report", "--in", str(path)], capsys)
     assert code == 0
     assert "order=0.00" in out
+
+
+@pytest.mark.parametrize("record", [
+    {"check": "x", "passed": True},
+    {"check": "x", "max_residual": 1e-12, "passed": True},
+    {"check": "x", "max_residual": "small", "tolerance": 1e-7, "passed": True},
+])
+def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("usage error: record 'x' field ")
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
