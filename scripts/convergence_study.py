@@ -50,8 +50,7 @@ def main():
 
     print("# curvature two-path gap vs finite-difference step")
     fd_steps = [2e-2 / 2**k for k in range(args.levels)]
-    gaps = [curvature(s.omega, y, [1.0, 0.0], [0.0, 1.0], h=h_fd, raise_on_gap=False).gap
-            for h_fd in fd_steps]
+    gaps = [curvature(s.omega, y, [1.0, 0.0], [0.0, 1.0], h=h_fd).gap for h_fd in fd_steps]
     for h_fd, gap in zip(fd_steps, gaps):
         print(f"{h_fd:.6e} {gap:.6e}")
     print(f"# observed orders: {['%.2f' % o for o in observed_orders(gaps)]}")

@@ -182,8 +182,9 @@ class FiberedAction:
 
     # -- axioms -----------------------------------------------------------
 
-    def validate(self, rng, samples=200, tol=1e-10, freeness_samples=None):
-        """Verticality, compatibility, unit, and sampled freeness."""
+    def validate(self, rng, samples=200, tol=1e-10):
+        """Verticality, compatibility and unit, then freeness, each on
+        ``samples`` random draws; raises when any fails."""
         desc = self.space.fiber
         worst = 0.0
         for _ in range(samples):
@@ -198,8 +199,7 @@ class FiberedAction:
             worst = max(worst, self.act(y, desc.identity()).distance(y))
         if worst > tol:
             raise ValidationError(f"fibered action axioms fail (residual {worst:.2e})")
-        n_free = freeness_samples if freeness_samples is not None else samples
-        for _ in range(n_free):
+        for _ in range(samples):
             y = self.space.random_point(rng)
             g = desc.random_element(rng)
             if np.linalg.norm(g.matrix - np.eye(desc.matrix_dim)) > 1e-8:
@@ -222,15 +222,15 @@ def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint, tol=1e-10):
     return report
 
 
-def equivariance_of_generators(action, y, g, xi, eps=1e-5):
+def equivariance_of_generators(action, y, g, xi):
     """Residual of pushing a generator through the action versus the adjoint-
     twisted generator at the translated point, both by central differences:
     the paired residual with a zero group velocity."""
     zero = action.space.fiber.algebra(np.zeros_like(xi.coords))
-    return paired_generator_residual(action, y, g, xi, zero, eps)
+    return paired_generator_residual(action, y, g, xi, zero)
 
 
-def paired_generator_residual(action, y, g, xi, eta, eps=1e-5):
+def paired_generator_residual(action, y, g, xi, eta):
     """Residual of d(action) on the generator pair (xi at y, left-flow eta at g)
     against the generator of Ad_{g^{-1}}(xi + eta) at y.g."""
     desc = action.space.fiber
@@ -240,7 +240,7 @@ def paired_generator_residual(action, y, g, xi, eta, eps=1e-5):
         gs = desc.exp(desc.algebra(s * eta.coords)) @ g
         return action.act(ys, gs).arrays()
 
-    lhs_base, lhs_fiber = central_difference(curve, eps)
+    lhs_base, lhs_fiber = central_difference(curve, 1e-5)
 
     target = desc.Ad(g.inverse(), desc.algebra(xi.coords + eta.coords))
     yg = action.act(y, g)
@@ -248,7 +248,7 @@ def paired_generator_residual(action, y, g, xi, eta, eps=1e-5):
     def gen(s):
         return action.act(yg, desc.exp(desc.algebra(s * target.coords))).arrays()
 
-    rhs_base, rhs_fiber = central_difference(gen, eps)
+    rhs_base, rhs_fiber = central_difference(gen, 1e-5)
     return float(np.linalg.norm(lhs_fiber - rhs_fiber) + np.linalg.norm(lhs_base - rhs_base))
 
 
@@ -288,13 +288,12 @@ def jet_lift_action(
     y_jet: SectionJet,
     g_jet: SectionJet,
     fd: bool = False,
-    eps: float = 1e-6,
 ) -> SectionJet:
     """Jet of the composite x -> action(y-section(x), g-section(x)).
 
     Uses the chain rule via the action differential (analytic for the torsor
     model); with ``fd=True`` recomputes slotwise from representative germs by
-    central differences, as an independent cross-check path.
+    central differences at step 1e-6, as an independent cross-check path.
     """
     if y_jet.deriv.shape != g_jet.deriv.shape:
         raise UsageError("jet derivative arrays must have matching shapes")
@@ -309,7 +308,7 @@ def jet_lift_action(
     rows = []
     for u, dy, dg in zip(np.eye(len(y_jet.deriv)), y_jet.deriv, g_jet.deriv):
         if fd:
-            dmat = central_difference(lambda s: composite(y_jet.x + s * u), eps)
+            dmat = central_difference(lambda s: composite(y_jet.x + s * u), 1e-6)
             rows.append(desc.matrix_coords(dmat @ np.linalg.inv(value.fiber.matrix), tol=1e-4))
         else:
             t = action.differential(y0, g_jet.value, Tangent(u, desc.algebra(dy)),

@@ -242,11 +242,13 @@ def _cmd_curvature(args):
         point = _json_vector(args.point, n, "--point") if args.point else scenario.chart.center()
         u1 = _json_vector(args.u1, n, "--u1") if args.u1 else np.eye(n)[0]
         u2 = _json_vector(args.u2, n, "--u2") if args.u2 else np.eye(n)[-1]
-        scenario.chart.require(point)
+        chart = scenario.chart
+        if not chart.contains(point):
+            raise UsageError(f"--point {point.tolist()} is outside the open chart box with "
+                             f"lower {chart.lower.tolist()} and upper {chart.upper.tolist()}")
         y = TotalPoint(point, scenario.group.random_element(rng))
-        omega = scenario.omega
-        out = curvature_eval(omega, y, u1, u2, raise_on_gap=False)
-        same = curvature_eval(omega, y, u1, u1, raise_on_gap=False)
+        out = curvature_eval(scenario.omega, y, u1, u2)
+        same = curvature_eval(scenario.omega, y, u1, u1)
         records = [
             make_record("curvature-two-path", "bracket and covariant-exterior paths agree",
                         scenario.name, [out.gap], 1e-4),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bundles import LieGroupBundle, SectionJet
 from .calculus import AlgebraOneForm, BaseCurve, central_difference
-from .errors import InconsistencyError, ValidationError
+from .errors import ValidationError
 from .groups import AlgebraElement, GroupElement
 from .integrators import integrate_linear, integrate_stack
 
@@ -281,27 +281,13 @@ def _algebra_flow(nu, curve, columns, step):
     return integrate_linear(k_matrix, columns, (curve.a, curve.b), step)
 
 
-def algebra_transport(
-    nu, curve, xi: AlgebraElement, step=1e-2, cross_check=True, cross_tol=1e-5
-) -> AlgebraElement:
-    """Induced linear transport of xi along the curve.
-
-    Primary path integrates the linear ODE with generator K(x(t), x'(t));
-    the cross-check (`algebra_transport_fd` at eps = 1e-4 / max(1, |xi|))
-    must agree within ``cross_tol``.  On a family of C curves xi and the
-    result hold one (C, dim) row per curve.
+def algebra_transport(nu, curve, xi: AlgebraElement, step=1e-2) -> AlgebraElement:
+    """Induced linear transport of xi along the curve: the linear ODE with
+    generator K(x(t), x'(t)).  `algebra_transport_fd` is the independent
+    reference path.  On a family of C curves xi and the result hold one
+    (C, dim) row per curve.
     """
-    desc = nu.bundle.fiber
-    out = _algebra_flow(nu, curve, xi.coords[..., None], step)[..., 0]
-    if cross_check:
-        scale = np.maximum(1.0, np.linalg.norm(xi.coords, axis=-1))
-        fd = algebra_transport_fd(nu, curve, xi, 1e-4 / scale, step)
-        gap = np.linalg.norm(fd - out, axis=-1)
-        if np.any(gap > cross_tol * scale):
-            raise InconsistencyError(
-                f"algebra transport paths disagree by {np.max(gap):.3e} (tolerance {cross_tol:.1e})"
-            )
-    return desc.algebra(out)
+    return nu.bundle.fiber.algebra(_algebra_flow(nu, curve, xi.coords[..., None], step)[..., 0])
 
 
 def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.ndarray:
@@ -375,16 +361,16 @@ def _reverse_transport(nu, seg, g_end, step):
     return transport_group(nu, rev, g_end, step).element
 
 
-def covariant_derivative_bracket_check(
-    nu, curve, g_path, xi_path, t, ds=1e-4, step=1e-3
-) -> float:
+def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
     """Residual of the product rule tying nabla(Ad_g xi) to Ad_g nabla xi plus
     the bracket with the right-trivialized covariant velocity of g.
 
-    All derivatives by central differences; transports by the group integrator.
+    All derivatives by central differences at step 1e-4 in t; transports by
+    the group integrator at step 1e-3.
     """
     desc = nu.bundle.fiber
     conn = AlgebraConnection(nu)
+    ds = 1e-4
 
     def algebra_section(tt):
         return desc.Ad(g_path(tt), xi_path(tt)).coords
@@ -400,7 +386,7 @@ def covariant_derivative_bracket_check(
     lhs = covariant_of(algebra_section)
 
     nabla_xi = covariant_of(lambda tt: xi_path(tt).coords)
-    dg = _covariant_group_derivative(nu, curve, g_path, t, ds, step)
+    dg = _covariant_group_derivative(nu, curve, g_path, t, ds, 1e-3)
     g_t = g_path(t)
     rtd = desc.matrix_coords(dg @ np.linalg.inv(g_t.matrix), tol=1e-4)
     term = desc.bracket_coords(rtd, desc.Ad(g_t, xi_path(t)).coords)
@@ -408,7 +394,7 @@ def covariant_derivative_bracket_check(
     return float(np.linalg.norm(lhs - rhs))
 
 
-def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement, eps=1e-5) -> float:
+def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement) -> float:
     """Finite-difference residual of the product rule for horizontal lifts:
     pushing (Hor_g(u), U_h) through the fiber product lands on Hor_{gh}(u)
     plus the left-translated vertical part of U_h."""
@@ -421,7 +407,7 @@ def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement, eps=1
         h_s = desc.exp(desc.algebra(s * delta_h.coords)) @ h
         return (g_s @ h_s).matrix
 
-    lhs = central_difference(product_curve, eps)
+    lhs = central_difference(product_curve, 1e-5)
 
     gh = g @ h
     hor_gh = nu.horizontal_delta(x, gh, u).coords

@@ -29,10 +29,6 @@ class InstabilityError(LieBundleError):
     """Integrator left the group manifold beyond recoverable drift."""
 
 
-class InconsistencyError(LieBundleError):
-    """Two independent evaluation paths disagree beyond tolerance."""
-
-
 class ConstructionError(LieBundleError):
     """A composite object (glued connection, partition of unity) failed its build checks."""
 

@@ -44,7 +44,7 @@ from .connections import (
     _transport_rows,
     validate_group_connection,
 )
-from .errors import ConstructionError, InconsistencyError, UsageError, ValidationError
+from .errors import ConstructionError, UsageError, ValidationError
 from .groups import AlgebraElement, GroupElement
 from .integrators import integrate_stack
 
@@ -242,9 +242,6 @@ class GeneralizedPrincipalConnection:
         return self.descriptor.algebra(
             self.matrix(y) @ np.concatenate([tangent.u, tangent.delta.coords]))
 
-    def weight_sum(self, x) -> float:
-        return float(sum(w(x) for w, _ in self.pieces))
-
     def vertical_operator(self, y: TotalPoint) -> np.ndarray:
         """Matrix of delta -> omega(y, (0, delta)) on algebra coordinates."""
         return self.matrix(y)[..., self.n :]
@@ -293,15 +290,14 @@ def build_two_chart_connection(
     tau_gen: AlgebraElement,
     r: Polynomial,
     ramp: WeightRamp,
-    rng=None,
-    weight_tol=1e-12,
 ):
     """Two overlapping presentations glued with a cosine partition of unity.
 
     The first piece is the reference canonical form, the second the canonical
     form of the presentation twisted by exp(p(x) Z_sigma)-conjugation and an
     exp(r(x) Z_tau) section change; nu is glued from the matching trivial
-    connections of each presentation.
+    connections of each presentation.  The partition of unity is checked at 25
+    base points drawn from a fixed seed.
     """
     desc = action.space.fiber
     twist = _Twist(desc, sigma_gen, p, tau_gen, r)
@@ -323,12 +319,12 @@ def build_two_chart_connection(
 
     nu = LieGroupBundleConnection.from_lift_map(action.bundle, glued_lift, "glued")
     omega = GeneralizedPrincipalConnection(action, nu, pieces, label="omega-glued")
-    check_rng = rng if rng is not None else np.random.default_rng(0)
+    check_rng = np.random.default_rng(0)
     for _ in range(25):
         x = action.space.quotient.sample(check_rng)
-        s = omega.weight_sum(x)
-        if abs(s - 1.0) > weight_tol or w_a(x) < -weight_tol or w_b(x) < -weight_tol:
-            raise ConstructionError(f"partition of unity fails at {x}: sum {s}")
+        wa, wb = w_a(x), w_b(x)
+        if abs(wa + wb - 1.0) > 1e-12 or min(wa, wb) < -1e-12:
+            raise ConstructionError(f"partition of unity fails at {x}: sum {wa + wb}")
     return omega, nu
 
 
@@ -337,48 +333,37 @@ def build_two_chart_connection(
 # ---------------------------------------------------------------------------
 
 
-def validate_principal_connection(omega, rng, samples=200, tol=1e-8, raise_on_failure=True):
-    """Residuals of complementarity, adjoint equivariance, and the weight
-    partition (sums to one, nonnegative) on random samples."""
-    action = omega.action
-    desc = omega.descriptor
-    nu = omega.nu
-    comp_worst = 0.0
-    equi_worst = 0.0
-    weight_worst = 0.0
+def _form_law_residuals(action, value, rng, samples, nu=None):
+    """Worst residuals of the two laws of an algebra-valued form on random
+    samples.  With a group connection nu: complementarity |value(generator of
+    xi) - xi| and equivariance value(y.g, dPhi) = Ad_{g^-1}(value(y) + nu form).
+    Without: horizontality |value(generator of xi)| and plain adjoint
+    equivariance."""
+    desc = action.space.fiber
+    vert_worst = equi_worst = 0.0
     for _ in range(samples):
         y = action.space.random_point(rng)
         xi = desc.random_algebra(rng)
-        comp = omega.value(y, action.generator(y, xi))
-        comp_worst = max(comp_worst, float(np.linalg.norm(comp.coords - xi.coords)))
+        target = xi.coords if nu is not None else 0.0
+        vert = value(y, action.generator(y, xi)).coords - target
+        vert_worst = max(vert_worst, float(np.linalg.norm(vert)))
 
         g = desc.random_element(rng)
         u = rng.standard_normal(action.space.quotient.dim)
         t_y = Tangent(u, desc.random_algebra(rng))
         t_g = Tangent(u, desc.random_algebra(rng))
-        pushed = action.differential(y, g, t_y, t_g)
-        lhs = omega.value(action.act(y, g), pushed).coords
-        nu_val = nu.connection_form(y.q, g, u, t_g.delta).coords
-        rhs = desc.Ad_matrix(g.inverse()) @ (omega.value(y, t_y).coords + nu_val)
+        lhs = value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
+        correction = nu.connection_form(y.q, g, u, t_g.delta).coords if nu is not None else 0.0
+        rhs = desc.Ad_matrix(g.inverse()) @ (value(y, t_y).coords + correction)
         equi_worst = max(equi_worst, float(np.linalg.norm(lhs - rhs)))
+    return vert_worst, equi_worst
 
-        weight_worst = max(weight_worst, abs(omega.weight_sum(y.q) - 1.0))
-        weight_worst = max(
-            weight_worst, max((-w(y.q) for w, _ in omega.pieces), default=0.0)
-        )
-    report = {
-        "complementarity": float(comp_worst),
-        "ad_equivariance": float(equi_worst),
-        "weight_partition": float(weight_worst),
-        "samples": samples,
-    }
-    if raise_on_failure and max(comp_worst, equi_worst, weight_worst) > tol:
-        raise ValidationError(
-            f"connection fails complementarity/equivariance/weights "
-            f"({comp_worst:.2e} / {equi_worst:.2e} / {weight_worst:.2e})",
-            report,
-        )
-    return report
+
+def validate_principal_connection(omega, rng, samples=200):
+    """Worst residuals of complementarity and of adjoint equivariance with the
+    omega.nu correction on random samples."""
+    comp, equi = _form_law_residuals(omega.action, omega.value, rng, samples, omega.nu)
+    return {"complementarity": comp, "ad_equivariance": equi, "samples": samples}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +435,7 @@ def jet_equivariance_check(omega, y, g) -> float:
     )
 
 
-def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement, eps=1e-5) -> float:
+def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement) -> float:
     """Finite-difference residual of pushing a horizontal lift through the
     action: the image is the horizontal lift at y.g plus the generator of the
     inverse-adjusted vertical part of the group tangent."""
@@ -464,7 +449,7 @@ def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement, eps=1e-5
         gs = desc.exp(desc.algebra(s * delta_g.coords)) @ g
         return action.act(ys, gs).fiber.matrix
 
-    dmat = central_difference(composite, eps)
+    dmat = central_difference(composite, 1e-5)
     yg = action.act(y, g)
     lhs_delta = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
 
@@ -494,55 +479,21 @@ class TensorialAdjointForm:
     def value(self, y: TotalPoint, t: Tangent) -> AlgebraElement:
         return self.descriptor.algebra(self.matrix(y) @ np.concatenate([t.u, t.delta.coords]))
 
-    def validate(self, rng, samples=100, horiz_tol=1e-9, equi_tol=1e-7, raise_on_failure=True):
-        action = self.action
-        desc = self.descriptor
-        horiz_worst = 0.0
-        equi_worst = 0.0
-        n = action.space.quotient.dim
-        for _ in range(samples):
-            y = action.space.random_point(rng)
-            xi = desc.random_algebra(rng)
-            vert = action.generator(y, xi)
-            horiz_worst = max(horiz_worst, self.value(y, vert).norm())
-
-            g = desc.random_element(rng)
-            u = rng.standard_normal(n)
-            t_y = Tangent(u, desc.random_algebra(rng))
-            t_g = Tangent(u, desc.random_algebra(rng))
-            pushed = action.differential(y, g, t_y, t_g)
-            lhs = self.value(action.act(y, g), pushed).coords
-            rhs = desc.Ad_matrix(g.inverse()) @ self.value(y, t_y).coords
-            equi_worst = max(equi_worst, float(np.linalg.norm(lhs - rhs)))
-        report = {"horizontality": horiz_worst, "ad_equivariance": equi_worst, "samples": samples}
-        if raise_on_failure and (horiz_worst > horiz_tol or equi_worst > equi_tol):
-            raise ValidationError(
-                f"form is not tensorial of adjoint type "
-                f"(horizontality {horiz_worst:.2e}, equivariance {equi_worst:.2e})",
-                report,
-            )
-        return report
+    def validate(self, rng, samples=100):
+        """Worst residuals of horizontality and adjoint equivariance on random
+        samples."""
+        horiz, equi = _form_law_residuals(self.action, self.value, rng, samples)
+        return {"horizontality": horiz, "ad_equivariance": equi, "samples": samples}
 
 
-def connection_difference(omega1, omega2, rng=None, validate=True) -> TensorialAdjointForm:
+def connection_difference(omega1, omega2) -> TensorialAdjointForm:
     """Pointwise difference of two connections associated to the same nu.
 
-    The difference must be horizontal and adjoint-equivariant; conversely
-    omega2 plus the difference revalidates as a connection (checked on samples
-    when a generator is supplied)."""
+    The difference is horizontal and adjoint-equivariant; its `validate`
+    measures both."""
     if omega1.action is not omega2.action:
         raise UsageError("connection difference requires a common total space action")
-    form = TensorialAdjointForm(omega1.action, lambda y: omega1.matrix(y) - omega2.matrix(y))
-    if validate and rng is not None:
-        form.validate(rng)
-        rebuilt = GeneralizedPrincipalConnection(
-            omega2.action,
-            omega2.nu,
-            [(constant_weight(1.0), lambda y: omega2.matrix(y) + form.matrix(y))],
-            label="omega2+difference",
-        )
-        validate_principal_connection(rebuilt, rng, samples=50)
-    return form
+    return TensorialAdjointForm(omega1.action, lambda y: omega1.matrix(y) - omega2.matrix(y))
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +521,15 @@ class CurvatureValue:
     gap: float
 
 
-def curvature(omega, y: TotalPoint, u1, u2, h=None, cross_tol=1e-4, raise_on_gap=True):
+def curvature(omega, y: TotalPoint, u1, u2, h=None):
     """Curvature of the connection at y on base directions u1, u2.
 
     Primary path: minus the form on the numerical bracket of the horizontal
     lift fields of the (constant) base directions.  Cross-check path: the
     covariant exterior derivative evaluated on constant extensions of the
     horizontal lifts, using the algebra connection of nu for the covariant
-    correction.  Both run in the exponential fiber chart at y.
+    correction.  Both run in the exponential fiber chart at y; ``gap`` is the
+    norm of their difference.
 
     The form takes values in the algebra bundle pulled back over the total
     space; the covariant correction acts through the base projection of each
@@ -632,10 +584,6 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None, cross_tol=1e-4, raise_on_gap
     exterior_val = desc.algebra(exterior)
 
     gap = float(np.linalg.norm(primary.coords - exterior.reshape(-1)))
-    if raise_on_gap and gap > cross_tol:
-        raise InconsistencyError(
-            f"curvature paths disagree by {gap:.3e} (tolerance {cross_tol:.1e})"
-        )
     return CurvatureValue(value=primary, exterior_value=exterior_val, gap=gap)
 
 
@@ -643,14 +591,14 @@ def reduced_curvature_residual(omega, y, g, u1, u2, h=None) -> float:
     """Representative independence of the reduced curvature: evaluate at y and
     at y.g and compare the induced adjoint-bundle classes."""
     action = omega.action
-    val_y = curvature(omega, y, u1, u2, h, raise_on_gap=False).value
-    val_yg = curvature(omega, action.act(y, g), u1, u2, h, raise_on_gap=False).value
+    val_y = curvature(omega, y, u1, u2, h).value
+    val_yg = curvature(omega, action.act(y, g), u1, u2, h).value
     return adjoint_class_residual(
         AdjointBundlePoint(y, val_y), AdjointBundlePoint(action.act(y, g), val_yg)
     )
 
 
-def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent, eps=1e-6) -> float:
+def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent) -> float:
     """Equivariance of the paired vertical projector (omega-generator, nu-form)
     under (y, g) -> (y.g, g), with the action differential by finite differences."""
     action = omega.action
@@ -672,7 +620,7 @@ def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent
         gs = desc.exp(desc.algebra(s * nu_val.coords)) @ g
         return action.act(ys, gs).fiber.matrix
 
-    dmat = central_difference(vertical_curve, eps)
+    dmat = central_difference(vertical_curve, 1e-6)
     yg = action.act(y, g)
     lhs_first = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
     lhs_second = nu_val.coords
@@ -687,12 +635,13 @@ def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent
     )
 
 
-def necessity_check(omega, rng, samples=100, tol=1e-6):
-    """A passing connection form must sit over a multiplicative nu."""
-    omega_report = validate_principal_connection(omega, rng, samples=samples, raise_on_failure=False)
-    nu_report = validate_group_connection(omega.nu, rng, samples=samples, tol=tol, raise_on_failure=False)
+def necessity_check(omega, rng, samples=100):
+    """A passing connection form must sit over a multiplicative nu; both are
+    judged at 1e-6, and a form that passes over a failing nu raises."""
+    omega_report = validate_principal_connection(omega, rng, samples=samples)
+    nu_report = validate_group_connection(omega.nu, rng, samples=samples, raise_on_failure=False)
     omega_ok = max(omega_report["complementarity"], omega_report["ad_equivariance"]) <= 1e-6
-    nu_ok = max(nu_report["unit_kernel"], nu_report["cocycle"]) <= tol
+    nu_ok = max(nu_report["unit_kernel"], nu_report["cocycle"]) <= 1e-6
     report = {"omega": omega_report, "nu": nu_report, "omega_ok": omega_ok, "nu_ok": nu_ok}
     if omega_ok and not nu_ok:
         raise ValidationError(

@@ -186,7 +186,7 @@ def _chk_transport_unit_inverse(s, rng, samples, step):
 def _chk_algebra_transport_consistency(s, rng, samples, step):
     def check(curve, xi):
         xi = s.group.algebra(xi)
-        linear = algebra_transport(s.nu, curve, xi, step=step, cross_check=False).coords
+        linear = algebra_transport(s.nu, curve, xi, step=step).coords
         return np.linalg.norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear, axis=-1)
 
     vals = _family_residuals(s, rng, min(samples, 5),
@@ -250,8 +250,7 @@ def _omegas_for(s):
 def _chk_form_complementarity(s, rng, samples, step):
     vals = []
     for _, omega in _omegas_for(s):
-        rep = validate_principal_connection(omega, rng, samples=min(samples, 300),
-                                            raise_on_failure=False)
+        rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
         vals.append(rep["complementarity"])
     return vals, 1e-8, "connection form reproduces generators", None
 
@@ -259,8 +258,7 @@ def _chk_form_complementarity(s, rng, samples, step):
 def _chk_form_equivariance(s, rng, samples, step):
     vals = []
     for _, omega in _omegas_for(s):
-        rep = validate_principal_connection(omega, rng, samples=min(samples, 300),
-                                            raise_on_failure=False)
+        rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
         vals.append(rep["ad_equivariance"])
     return vals, 1e-8, "connection form is adjoint-equivariant with group correction", None
 
@@ -334,8 +332,7 @@ def _chk_connection_difference(s, rng, samples, step):
         omega2 = GeneralizedPrincipalConnection(
             s.action, s.nu, [(constant_weight(1.0), lambda y: s.omega.matrix(y) + shift)],
             label="shifted")
-    form = connection_difference(omega1, omega2, validate=False)
-    rep = form.validate(rng, samples=min(samples, 100), raise_on_failure=False)
+    rep = connection_difference(omega1, omega2).validate(rng, samples=min(samples, 100))
     return [rep["horizontality"], rep["ad_equivariance"]], 1e-7, \
         "difference of two connections is tensorial of adjoint type", None
 
@@ -354,10 +351,10 @@ def _chk_curvature_two_path(s, rng, samples, step):
     for _ in range(min(samples, 4)):
         y = s.action.space.random_point(rng)
         u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        vals.append(curvature(omega, y, u1, u2, raise_on_gap=False).gap)
+        vals.append(curvature(omega, y, u1, u2).gap)
     y = s.action.space.random_point(rng)
-    gaps = [curvature(omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1],
-                      h=hh, raise_on_gap=False).gap for hh in (2e-2, 1e-2, 5e-3)]
+    gaps = [curvature(omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
+            for hh in (2e-2, 1e-2, 5e-3)]
     return vals, 1e-4, "bracket and covariant-exterior curvature paths agree", _order(gaps)
 
 
@@ -367,7 +364,7 @@ def _chk_curvature_antisymmetry(s, rng, samples, step):
     for _ in range(min(samples, 4)):
         y = s.action.space.random_point(rng)
         u = rng.standard_normal(s.chart.dim)
-        vals.append(np.linalg.norm(curvature(omega, y, u, u, raise_on_gap=False).value.coords))
+        vals.append(np.linalg.norm(curvature(omega, y, u, u).value.coords))
     return vals, 1e-10, "curvature is antisymmetric in its arguments", None
 
 
@@ -377,8 +374,8 @@ def _chk_curvature_tensoriality(s, rng, samples, step):
     for _ in range(min(samples, 3)):
         y = s.action.space.random_point(rng)
         u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        a = curvature(omega, y, u1, u2, raise_on_gap=False).value.coords
-        b = curvature(omega, y, 2.0 * u1, u2, raise_on_gap=False).value.coords
+        a = curvature(omega, y, u1, u2).value.coords
+        b = curvature(omega, y, 2.0 * u1, u2).value.coords
         vals.append(float(np.linalg.norm(2.0 * a - b)))
     return vals, 1e-6, "curvature value is pointwise tensorial in the arguments", None
 
@@ -435,50 +432,40 @@ def _chk_affine_transport_oracle(s, rng, samples, step):
     return vals, 1e-7, "fiber transport agrees with a refined reference", None
 
 
-_PRINCIPAL_CHECKS = [
-    ("action-axioms", _chk_action_axioms),
-    ("algebra-transport-adjoint", _chk_algebra_transport_adjoint),
-    ("algebra-transport-consistency", _chk_algebra_transport_consistency),
-    ("algebra-transport-linearity", _chk_algebra_transport_linearity),
-    ("classical-equivalence", _chk_classical_equivalence),
-    ("classical-equivalence-negative-control", _chk_classical_negative),
-    ("connection-difference-tensorial", _chk_connection_difference),
-    ("covariant-product-rule", _chk_covariant_product_rule),
-    ("curvature-antisymmetry", _chk_curvature_antisymmetry),
-    ("curvature-tensoriality", _chk_curvature_tensoriality),
-    ("curvature-two-path", _chk_curvature_two_path),
-    ("form-ad-equivariance", _chk_form_equivariance),
-    ("form-complementarity", _chk_form_complementarity),
-    ("generator-equivariance", _chk_generator_equivariance),
-    ("generator-isomorphism", _chk_generator_isomorphism),
-    ("generator-verticality", _chk_generator_vertical),
-    ("group-connection-laws", _chk_group_connection_laws),
-    ("horizontal-product-rule", _chk_horizontal_product_rule),
-    ("horizontal-transform", _chk_horizontal_transform),
-    ("jet-equivariance", _chk_jet_equivariance),
-    ("paired-generators", _chk_paired_generators),
-    ("product-connection-equivariance", _chk_product_connection),
-    ("reduced-curvature-independence", _chk_reduced_curvature),
-    ("transport-compatibility", _chk_transport_compatibility),
-    ("transport-multiplicative", _chk_transport_multiplicative),
-    ("transport-unit-inverse", _chk_transport_unit_inverse),
-    ("underlying-connection-necessity", _chk_necessity),
-]
-
-_AFFINE_CHECKS = [
-    ("action-axioms", _chk_action_axioms),
-    ("affine-reconstruction", _chk_affine_reconstruction),
-    ("affine-shift-equivariance", _chk_affine_shift_equivariance),
-    ("affine-transport-self-consistency", _chk_affine_transport_oracle),
-    ("connection-difference-tensorial", _chk_connection_difference),
-    ("curvature-antisymmetry", _chk_curvature_antisymmetry),
-    ("curvature-two-path", _chk_curvature_two_path),
-    ("form-ad-equivariance", _chk_form_equivariance),
-    ("form-complementarity", _chk_form_complementarity),
-    ("generator-verticality", _chk_generator_vertical),
-    ("group-connection-laws", _chk_group_connection_laws),
-    ("transport-compatibility", _chk_transport_compatibility),
-    ("underlying-connection-necessity", _chk_necessity),
+# Rows stay sorted by check id, and each names the scenario kinds it runs on:
+# a check's random substream is keyed by its position among its kind's rows.
+_P, _A, _PA = ("principal",), ("affine",), ("principal", "affine")
+_TORSOR_CHECKS = [
+    ("action-axioms", _chk_action_axioms, _PA),
+    ("affine-reconstruction", _chk_affine_reconstruction, _A),
+    ("affine-shift-equivariance", _chk_affine_shift_equivariance, _A),
+    ("affine-transport-self-consistency", _chk_affine_transport_oracle, _A),
+    ("algebra-transport-adjoint", _chk_algebra_transport_adjoint, _P),
+    ("algebra-transport-consistency", _chk_algebra_transport_consistency, _P),
+    ("algebra-transport-linearity", _chk_algebra_transport_linearity, _P),
+    ("classical-equivalence", _chk_classical_equivalence, _P),
+    ("classical-equivalence-negative-control", _chk_classical_negative, _P),
+    ("connection-difference-tensorial", _chk_connection_difference, _PA),
+    ("covariant-product-rule", _chk_covariant_product_rule, _P),
+    ("curvature-antisymmetry", _chk_curvature_antisymmetry, _PA),
+    ("curvature-tensoriality", _chk_curvature_tensoriality, _P),
+    ("curvature-two-path", _chk_curvature_two_path, _PA),
+    ("form-ad-equivariance", _chk_form_equivariance, _PA),
+    ("form-complementarity", _chk_form_complementarity, _PA),
+    ("generator-equivariance", _chk_generator_equivariance, _P),
+    ("generator-isomorphism", _chk_generator_isomorphism, _P),
+    ("generator-verticality", _chk_generator_vertical, _PA),
+    ("group-connection-laws", _chk_group_connection_laws, _PA),
+    ("horizontal-product-rule", _chk_horizontal_product_rule, _P),
+    ("horizontal-transform", _chk_horizontal_transform, _P),
+    ("jet-equivariance", _chk_jet_equivariance, _P),
+    ("paired-generators", _chk_paired_generators, _P),
+    ("product-connection-equivariance", _chk_product_connection, _P),
+    ("reduced-curvature-independence", _chk_reduced_curvature, _P),
+    ("transport-compatibility", _chk_transport_compatibility, _PA),
+    ("transport-multiplicative", _chk_transport_multiplicative, _P),
+    ("transport-unit-inverse", _chk_transport_unit_inverse, _P),
+    ("underlying-connection-necessity", _chk_necessity, _PA),
 ]
 
 
@@ -629,15 +616,18 @@ _GAUGE_CHECKS = [
     ("restricted-action-freeness", _chk_gauge_freeness),
 ]
 
-_SUITES = {"principal": _PRINCIPAL_CHECKS, "affine": _AFFINE_CHECKS, "gauge": _GAUGE_CHECKS}
+def _checks_for(kind):
+    if kind == "gauge":
+        return _GAUGE_CHECKS
+    return [(name, fn) for name, fn, kinds in _TORSOR_CHECKS if kind in kinds]
 
 
 def available_checks(kind):
-    return [name for name, _ in _SUITES[kind]]
+    return [name for name, _ in _checks_for(kind)]
 
 
 def suite_checks(scenario):
-    return _SUITES[scenario.kind]
+    return _checks_for(scenario.kind)
 
 
 def run_suite(scenario, seed=0, samples=None, step=None, only=None):

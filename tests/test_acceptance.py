@@ -102,7 +102,7 @@ def test_criterion_03_connection_form_laws_single_and_glued():
     s = PRINCIPAL
     worst = 0.0
     for omega in (s.omega_canonical, s.omega_glued):
-        rep = validate_principal_connection(omega, rng, samples=1000, raise_on_failure=False)
+        rep = validate_principal_connection(omega, rng, samples=1000)
         worst = max(worst, rep["complementarity"], rep["ad_equivariance"])
     _report(
         3,
@@ -143,10 +143,10 @@ def test_criterion_05_curvature_two_path_agreement():
     for _ in range(10):
         y = s.action.space.random_point(rng)
         u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
-        gaps.append(curvature(s.omega, y, u1, u2, raise_on_gap=False).gap)
+        gaps.append(curvature(s.omega, y, u1, u2).gap)
     worst = max(gaps)
     y = s.action.space.random_point(rng)
-    sweep = [curvature(s.omega, y, [1.0, 0.0], [0.0, 1.0], h=h, raise_on_gap=False).gap
+    sweep = [curvature(s.omega, y, [1.0, 0.0], [0.0, 1.0], h=h).gap
              for h in (2e-2, 1e-2, 5e-3)]
     order = observed_order(sweep)
     _report(

@@ -143,6 +143,7 @@ def test_curvature_gauge_reports_invariance(capsys):
     ["curvature", "--scenario", "principal-so3", "--u1", "[1.0, 0.0, 0.0]"],
     ["curvature", "--scenario", "principal-so3", "--u2", "[]"],
     ["transport", "--scenario", "principal-so3", "--fiber", "[0.1, 0.2]"],
+    ["curvature", "--scenario", "principal-so3", "--point", "[5, 5]"],
 ])
 def test_malformed_input_is_usage_error(args, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{\"scenario\": ", encoding="utf-8")
@@ -153,10 +154,13 @@ def test_malformed_input_is_usage_error(args, tmp_path, capsys):
 
 
 def test_curvature_point_outside_chart_is_error(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["curvature", "--scenario", "principal-so3", "--point", "[5.0, 0.0]",
          "--no-meta"], capsys)
-    assert code == 1
+    assert code == 2
+    assert err == ("usage error: --point [5.0, 0.0] is outside the open chart box with "
+                   "lower [-1.0, -1.0] and upper [1.0, 1.0]\n")
+    assert out == ""
 
 
 def test_report_roundtrip_and_csv(tmp_path, capsys):
@@ -222,6 +226,34 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
     code, out, err = run_cli([command, "--config", str(path), "--no-meta"], capsys)
     assert code == 2
     assert err == f"usage error: config is missing field {field!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("validate", {"scenario": "principal-so3", "chart": 5}, "chart"),
+    ("validate", {"scenario": "principal-so3",
+                  "chart": {"lower": [-1.0, -1.0], "upper": ["one", 1.0]}}, "chart.upper"),
+    ("transport", {"scenario": "principal-so3", "curves": {"main": 3}}, "curves.main"),
+    ("transport", {"scenario": "principal-so3", "curves": {
+        "main": {"kind": "line", "start": [0.0, 0.0], "end": "far"}}}, "curves.main.end"),
+    ("validate", {"scenario": "principal-so3", "two_chart": [0.0, 1.0]}, "two_chart"),
+    ("validate", {"scenario": "principal-so3", "base_form": {"0": 5}}, "base_form.0"),
+    ("validate", {"scenario": "principal-so3", "base_form": {"0": {"2": 5}}}, "base_form.0.2"),
+    ("validate", {"scenario": "principal-so3", "group": "translation:x"}, "group"),
+    ("validate", {"scenario": "affine-varying", "nu_coeff": 7}, "nu_coeff"),
+    ("validate", {"scenario": "affine-varying", "gamma": {"polynomials": 5}},
+     "gamma.polynomials"),
+    ("validate", {"scenario": "affine-constant", "fiber_dim": "two"}, "fiber_dim"),
+    ("validate", {"scenario": "gauge-jet-so3", "f_section": [0.3, 0.5]}, "f_section"),
+])
+def test_config_field_of_wrong_structure_is_usage_error(command, config, field, tmp_path,
+                                                        capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli([command, "--config", str(path), "--no-meta"], capsys)
+    assert code == 2
+    assert err.startswith(f"usage error: config field {field} must be ")
+    assert len(err.strip().splitlines()) == 1
     assert out == ""
 
 

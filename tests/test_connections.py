@@ -10,6 +10,7 @@ from liebundles.connections import (
     LieGroupBundleConnection,
     ad_compatibility_check,
     algebra_transport,
+    algebra_transport_fd,
     algebra_transport_linearity_check,
     covariant_derivative_bracket_check,
     horizontal_product_rule_check,
@@ -131,6 +132,14 @@ def test_transport_multiplicativity_abelian_exact():
     assert transport_multiplicativity_check(nu, LINE, g, h, step=5e-3) <= 1e-9
 
 
+def assert_matches_fd_transport(nu, curve, xi, out, step):
+    """The linear flow agrees with the transport of exp(eps xi) differenced at
+    eps = 1e-4 / max(1, |xi|), to 1e-5 max(1, |xi|) per curve."""
+    scale = np.maximum(1.0, np.linalg.norm(xi.coords, axis=-1))
+    fd = algebra_transport_fd(nu, curve, xi, 1e-4 / scale, step)
+    assert np.all(np.linalg.norm(fd - out.coords, axis=-1) <= 1e-5 * scale)
+
+
 def test_algebra_transport_constant_form_closed_form():
     # along the line, xi' = -[A(x'), xi]; for A = E3 dx1 the solution is
     # exp(-dx1 ad_E3) xi
@@ -139,6 +148,7 @@ def test_algebra_transport_constant_form_closed_form():
     ad_e3 = SO3.ad_matrix(np.array([0.0, 0.0, 1.0]))
     expected = taylor_expm(-1.2 * ad_e3) @ xi.coords
     assert np.linalg.norm(out.coords - expected) <= 1e-9
+    assert_matches_fd_transport(NU_E3, LINE, xi, out, 1e-3)
 
 
 def test_algebra_transport_zero_and_trivial():
@@ -146,14 +156,17 @@ def test_algebra_transport_zero_and_trivial():
     xi = SO3.algebra([0.3, -0.2, 0.5])
     out = algebra_transport(nu0, LINE, xi, step=5e-3)
     assert np.allclose(out.coords, xi.coords, atol=1e-12)
+    assert_matches_fd_transport(nu0, LINE, xi, out, 5e-3)
     zero = algebra_transport(NU_GEN, LINE, SO3.zero(), step=5e-3)
     assert np.allclose(zero.coords, 0.0, atol=1e-12)
+    assert_matches_fd_transport(NU_GEN, LINE, SO3.zero(), zero, 5e-3)
 
 
 def test_algebra_transport_cross_check_runs():
     xi = SO3.algebra([0.4, 0.1, -0.3])
-    out = algebra_transport(NU_GEN, LINE, xi, step=2e-3, cross_check=True)
+    out = algebra_transport(NU_GEN, LINE, xi, step=2e-3)
     assert np.all(np.isfinite(out.coords))
+    assert_matches_fd_transport(NU_GEN, LINE, xi, out, 2e-3)
 
 
 def test_algebra_transport_generator_extraction_matches_closed_form():

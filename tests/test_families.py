@@ -10,6 +10,7 @@ from liebundles.connections import (
     _algebra_flow,
     ad_compatibility_check,
     algebra_transport,
+    algebra_transport_fd,
     algebra_transport_linearity_check,
     transport_group,
     transport_multiplicativity_check,
@@ -87,6 +88,10 @@ def test_algebra_flow_family_rows_match_lone_curves():
     xi = _algebras(s, rng)
     out = algebra_transport(s.nu, family, s.group.algebra(xi), step=0.01).coords
     assert out.shape == (C, s.group.dim)
+    # per-curve agreement with the differenced group transport
+    scale = np.maximum(1.0, np.linalg.norm(xi, axis=-1))
+    fd = algebra_transport_fd(s.nu, family, s.group.algebra(xi), 1e-4 / scale, 0.01)
+    assert np.all(np.linalg.norm(fd - out, axis=-1) <= 1e-5 * scale)
     columns = rng.standard_normal((C, s.group.dim, 4))
     flows = _algebra_flow(s.nu, family, columns, 0.01)
     assert flows.shape == columns.shape

@@ -82,6 +82,11 @@ def test_two_chart_glued_validates():
     assert report["ad_equivariance"] <= 1e-8
     nu_report = validate_group_connection(NU_GLUED, rng, samples=100)
     assert nu_report["cocycle"] <= 1e-9
+    # the glued weights form a partition of unity: they sum to one, none negative
+    for _ in range(200):
+        x = CHART.sample(rng)
+        weights = [w(x) for w, _ in OMEGA_GLUED.pieces]
+        assert abs(sum(weights) - 1.0) <= 1e-8 and min(weights) >= -1e-8
 
 
 def test_abelian_canonical_is_fiber_coordinate_differential():
@@ -160,6 +165,22 @@ def test_horizontal_transform_rule():
     assert horizontal_transform_check(OMEGA_GLUED, y, g, u, hor_delta) <= 1e-5
 
 
+def _difference_with_laws(omega1, omega2, rng):
+    """The difference form, asserting it is tensorial of adjoint type and that
+    omega2 plus it validates as a connection."""
+    form = connection_difference(omega1, omega2)
+    report = form.validate(rng)
+    assert report["horizontality"] <= 1e-9
+    assert report["ad_equivariance"] <= 1e-7
+    rebuilt = GeneralizedPrincipalConnection(
+        omega2.action, omega2.nu,
+        [(constant_weight(1.0), lambda y: omega2.matrix(y) + form.matrix(y))])
+    rebuilt_report = validate_principal_connection(rebuilt, rng, samples=50)
+    assert rebuilt_report["complementarity"] <= 1e-8
+    assert rebuilt_report["ad_equivariance"] <= 1e-8
+    return form
+
+
 def test_connection_difference_is_tensorial():
     # two connections over the same (trivial) nu: canonical with and without a
     # base-form shift
@@ -168,11 +189,11 @@ def test_connection_difference_is_tensorial():
     )
     omega_shifted, _ = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(9)
-    form = connection_difference(omega_shifted, OMEGA_CANON, rng=rng, validate=True)
+    form = _difference_with_laws(omega_shifted, OMEGA_CANON, rng)
     report = form.validate(np.random.default_rng(90), samples=100)
     assert report["horizontality"] <= 1e-9
     assert report["ad_equivariance"] <= 1e-7
-    zero_form = connection_difference(OMEGA_CANON, OMEGA_CANON, validate=False)
+    zero_form = connection_difference(OMEGA_CANON, OMEGA_CANON)
     y = ACTION.space.random_point(rng)
     t = Tangent(rng.standard_normal(2), SO3.random_algebra(rng))
     assert zero_form.value(y, t).norm() == 0.0
@@ -184,7 +205,7 @@ def test_abelian_difference_recovers_added_base_form():
     omega_plus, _ = build_canonical_connection(action, base_form=base)
     omega0, _ = build_canonical_connection(action)
     rng = np.random.default_rng(10)
-    form = connection_difference(omega_plus, omega0, rng=rng, validate=True)
+    form = _difference_with_laws(omega_plus, omega0, rng)
     y = action.space.random_point(rng)
     u = np.array([1.0, 0.0])
     got = form.value(y, Tangent(u, T1.zero()))
@@ -213,17 +234,18 @@ def test_curvature_abelian_closed_form_is_flat():
     y = action.space.random_point(rng)
     out = curvature(omega, y, [1.0, 0.0], [0.0, 1.0])
     assert np.linalg.norm(out.value.coords) <= 1e-8
+    assert out.gap <= 1e-4
 
 
 def test_curvature_antisymmetry_and_tensoriality():
     rng = np.random.default_rng(13)
     y = ACTION.space.random_point(rng)
     u = rng.standard_normal(2)
-    same = curvature(OMEGA_GLUED, y, u, u, raise_on_gap=False)
+    same = curvature(OMEGA_GLUED, y, u, u)
     assert np.linalg.norm(same.value.coords) <= 1e-10
     u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
-    a = curvature(OMEGA_GLUED, y, u1, u2, raise_on_gap=False).value.coords
-    b = curvature(OMEGA_GLUED, y, 2.0 * u1, u2, raise_on_gap=False).value.coords
+    a = curvature(OMEGA_GLUED, y, u1, u2).value.coords
+    b = curvature(OMEGA_GLUED, y, 2.0 * u1, u2).value.coords
     assert np.linalg.norm(2.0 * a - b) <= 1e-6
 
 
@@ -233,7 +255,7 @@ def test_curvature_two_paths_agree_and_refine():
     out = curvature(OMEGA_GLUED, y, [1.0, 0.0], [0.0, 1.0])
     assert out.gap <= 1e-4
     gaps = [
-        curvature(OMEGA_GLUED, y, [1.0, 0.0], [0.0, 1.0], h=h, raise_on_gap=False).gap
+        curvature(OMEGA_GLUED, y, [1.0, 0.0], [0.0, 1.0], h=h).gap
         for h in (2e-2, 1e-2, 5e-3)
     ]
     assert observed_order(gaps) >= 1.8

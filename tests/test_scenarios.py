@@ -16,6 +16,7 @@ from liebundles.scenarios import (
     principal_equivalence_report,
     random_curve,
 )
+from liebundles.suites import available_checks
 
 from _oracles import affine_transport_oracle
 
@@ -31,6 +32,14 @@ def test_all_presets_build():
         assert scenario.name == name
 
 
+@pytest.mark.parametrize("kind", ["principal", "affine", "gauge"])
+def test_check_table_is_sorted_by_id(kind):
+    # run_suite keys each check's random substream by its position in the list
+    # of its kind, so a row out of order would change the numbers of others
+    names = available_checks(kind)
+    assert names == sorted(names) and len(names) == len(set(names))
+
+
 def test_unknown_preset_raises():
     with pytest.raises(UsageError):
         preset_config("nope")
@@ -39,8 +48,10 @@ def test_unknown_preset_raises():
 def test_principal_scenario_connections_validate():
     rng = np.random.default_rng(0)
     validate_group_connection(PRINCIPAL.nu, rng, samples=50)
-    validate_principal_connection(PRINCIPAL.omega, rng, samples=100)
-    validate_principal_connection(PRINCIPAL.omega_glued, rng, samples=100)
+    for omega in (PRINCIPAL.omega, PRINCIPAL.omega_glued):
+        report = validate_principal_connection(omega, rng, samples=100)
+        assert report["complementarity"] <= 1e-8
+        assert report["ad_equivariance"] <= 1e-8
 
 
 def test_principal_equivalence_both_directions():
@@ -78,8 +89,9 @@ def test_affine_equivalence_reports():
     for scenario in (AFFINE_CONST, AFFINE_VAR):
         report = affine_equivalence_report(scenario, rng, samples=100)
         assert report["shift_equivariance"] <= 1e-10
-        assert report["complementarity"] <= 1e-10
-        assert report["ad_equivariance"] <= 1e-10
+        generic = validate_principal_connection(scenario.omega, rng, samples=100)
+        assert generic["complementarity"] <= 1e-10
+        assert generic["ad_equivariance"] <= 1e-10
 
 
 def test_affine_reconstruction_exact():
