@@ -108,25 +108,18 @@ class Tangent:
 
 
 class FiberedAction:
-    """Vertical right action of the group bundle on the total space.
+    """Vertical right action of the group bundle on the total space: right
+    multiplication in the fiber (torsor model)."""
 
-    The default torsor action is right multiplication in the fiber; custom
-    actions may be supplied as act(y, g) together with optional analytic
-    differential/generator hooks (finite differences otherwise).
-    """
-
-    def __init__(self, space: TotalSpace, bundle: LieGroupBundle, act=None):
-        if space.fiber is not bundle.fiber and act is None:
+    def __init__(self, space: TotalSpace, bundle: LieGroupBundle):
+        if space.fiber is not bundle.fiber:
             raise UsageError("torsor action requires matching fiber descriptors")
         self.space = space
         self.bundle = bundle
-        self._act = act
 
     # -- the action ------------------------------------------------------
 
     def act(self, y: TotalPoint, g: GroupElement) -> TotalPoint:
-        if self._act is not None:
-            return self._act(y, g)
         return TotalPoint(y.q, y.fiber @ g)
 
     def differential(self, y: TotalPoint, g: GroupElement, ty: Tangent, tg: Tangent) -> Tangent:
@@ -137,28 +130,11 @@ class FiberedAction:
         """
         if not np.allclose(ty.u, tg.u):
             raise UsageError("fibered tangent pair must share the base velocity")
-        if self._act is None:
-            desc = self.space.fiber
-            delta = desc.algebra(
-                ty.delta.coords + desc.Ad_matrix(y.fiber) @ tg.delta.coords
-            )
-            return Tangent(ty.u, delta)
-        return self._fd_differential(y, g, ty, tg)
-
-    def _fd_differential(self, y, g, ty, tg):
         desc = self.space.fiber
-
-        def at(s):
-            ys = TotalPoint(
-                y.q + s * ty.u, desc.exp(desc.algebra(s * ty.delta.coords)) @ y.fiber
-            )
-            gs = desc.exp(desc.algebra(s * tg.delta.coords)) @ g
-            return self.act(ys, gs).arrays()
-
-        du, dmat = central_difference(at, 1e-6)
-        base = self.act(y, g)
-        delta = desc.matrix_coords(dmat @ np.linalg.inv(base.fiber.matrix), tol=1e-5)
-        return Tangent(du, desc.algebra(delta))
+        delta = desc.algebra(
+            ty.delta.coords + desc.Ad_matrix(y.fiber) @ tg.delta.coords
+        )
+        return Tangent(ty.u, delta)
 
     # -- infinitesimal generators -----------------------------------------
 
@@ -166,13 +142,7 @@ class FiberedAction:
         """Vertical generator of xi at y: derivative of t -> y . exp(t xi).
 
         Torsor closed form: right-trivialized value Ad_h(xi)."""
-        desc = self.space.fiber
-        if self._act is None:
-            return Tangent(np.zeros(self.space.quotient.dim), desc.Ad(y.fiber, xi))
-        du, dmat = central_difference(
-            lambda s: self.act(y, desc.exp(desc.algebra(s * xi.coords))).arrays(), 1e-6)
-        delta = desc.matrix_coords(dmat @ np.linalg.inv(y.fiber.matrix), tol=1e-5)
-        return Tangent(du, desc.algebra(delta))
+        return Tangent(np.zeros(self.space.quotient.dim), self.space.fiber.Ad(y.fiber, xi))
 
     def generator_matrix(self, y: TotalPoint) -> np.ndarray:
         """Columns are the fiber components of the basis generators at y."""

@@ -8,7 +8,7 @@ truncation and roundoff for second-order central stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,33 +92,22 @@ class ChartDomain:
 
 @dataclass
 class BaseCurve:
-    """Curve t -> x(t) in the chart with an (analytic or fallback) velocity.
+    """Curve t -> x(t) in the chart with its analytic velocity.
 
-    When no velocity is supplied a central-difference fallback is installed
-    and flagged via ``velocity_is_fd`` so reports can mention it.  A family
-    of C curves on a common interval is one BaseCurve whose position and
-    velocity return (C, n); a lone curve is a family without the leading axis.
+    A family of C curves on a common interval is one BaseCurve whose position
+    and velocity return (C, n); a lone curve is a family without the leading
+    axis.
     """
 
     a: float
     b: float
     position: Callable[[float], np.ndarray]
-    velocity: Optional[Callable[[float], np.ndarray]] = None
+    velocity: Callable[[float], np.ndarray]
     label: str = "curve"
-    velocity_is_fd: bool = field(default=False)
 
     def __post_init__(self):
         if not self.b > self.a:
             raise UsageError("curve interval must satisfy a < b")
-        if self.velocity is None:
-            h = 1e-6 * (self.b - self.a)
-            pos = self.position
-
-            def fd_velocity(t, _h=h, _pos=pos):
-                return central_difference(lambda s: np.asarray(_pos(t + s)), _h)
-
-            self.velocity = fd_velocity
-            self.velocity_is_fd = True
 
     def validate(self, chart: Optional[ChartDomain] = None, samples=20, tol=1e-6):
         """Containment in the chart plus velocity consistency at sampled times."""

@@ -19,7 +19,8 @@ from .errors import LieBundleError, UsageError
 from .gauge import ConnectionJet, curvature_map
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
-from .reporting import make_record, records_to_csv, render_jsonl, summary_dict, write_report
+from .reporting import (make_record, records_to_csv, render_jsonl, summary_dict, tolerance_for,
+                        write_report)
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
 from .suites import run_suite
 
@@ -158,6 +159,11 @@ def _emit(records, config, args, extra_summary=None):
     return 0 if all(r.passed for r in records) else 1
 
 
+def _record(config, check, label, scenario, residuals, tolerance):
+    """`make_record` at the config's tolerance override for the check, if any."""
+    return make_record(check, label, scenario, residuals, tolerance_for(config, check, tolerance))
+
+
 def _cmd_validate(args):
     config = _load_config(args)
     scenario = build_scenario(config)
@@ -202,19 +208,18 @@ def _cmd_transport(args):
     compat = transport_compatibility_check(omega, curve, y0, partner, step=step)
 
     records = [
-        make_record("transport-endpoint-membership",
-                    "transport endpoint stays on the group", scenario.name,
-                    [nu_result.membership_residual, total_result.membership_residual],
-                    1e-9),
-        make_record("transport-error-estimate",
-                    "step-halving error estimate", scenario.name,
-                    [nu_result.error_estimate, total_result.error_estimate], 1e-6),
-        make_record("transport-multiplicative",
-                    "transport is a fiberwise homomorphism", scenario.name,
-                    [mult_res], 1e-7),
-        make_record("transport-compatibility",
-                    "total transport intertwines the fiber action", scenario.name,
-                    [compat], 1e-7),
+        _record(config, "transport-endpoint-membership",
+                "transport endpoint stays on the group", scenario.name,
+                [nu_result.membership_residual, total_result.membership_residual], 1e-9),
+        _record(config, "transport-error-estimate",
+                "step-halving error estimate", scenario.name,
+                [nu_result.error_estimate, total_result.error_estimate], 1e-6),
+        _record(config, "transport-multiplicative",
+                "transport is a fiberwise homomorphism", scenario.name,
+                [mult_res], 1e-7),
+        _record(config, "transport-compatibility",
+                "total transport intertwines the fiber action", scenario.name,
+                [compat], 1e-7),
     ]
     extra = {
         "curve": args.curve,
@@ -250,10 +255,10 @@ def _cmd_curvature(args):
         out = curvature_eval(scenario.omega, y, u1, u2)
         same = curvature_eval(scenario.omega, y, u1, u1)
         records = [
-            make_record("curvature-two-path", "bracket and covariant-exterior paths agree",
-                        scenario.name, [out.gap], 1e-4),
-            make_record("curvature-antisymmetry", "curvature vanishes on a repeated argument",
-                        scenario.name, [float(np.linalg.norm(same.value.coords))], 1e-10),
+            _record(config, "curvature-two-path", "bracket and covariant-exterior paths agree",
+                    scenario.name, [out.gap], 1e-4),
+            _record(config, "curvature-antisymmetry", "curvature vanishes on a repeated argument",
+                    scenario.name, [float(np.linalg.norm(same.value.coords))], 1e-10),
         ]
         extra.update({
             "point": point.tolist(),

@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-__all__ = ["CheckRecord", "summary_dict", "render_jsonl", "write_report", "records_to_csv"]
+__all__ = ["CheckRecord", "tolerance_for", "summary_dict", "render_jsonl", "write_report",
+           "records_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,12 @@ class CheckRecord:
             "mode": self.mode,
             "passed": self.passed,
         }
+
+
+def tolerance_for(config, check, default):
+    """Tolerance of a check: the config's ``tolerances`` entry for it when
+    there is one, else the check's pinned default."""
+    return float(config.get("tolerances", {}).get(check, default))
 
 
 def make_record(check, label, scenario, residuals, tolerance, samples=None, order=None,

@@ -286,7 +286,6 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
         "classical_right_equivariance": requiv_worst,
         "induced_complementarity": induced["complementarity"],
         "induced_ad_equivariance": induced["ad_equivariance"],
-        "samples": samples,
     }
 
 
@@ -345,13 +344,7 @@ def _build_affine(config) -> AffineScenario:
         k = np.einsum("...n,...nij->...ij", u, nu_coeff(x))
         return lambda fibers: -(k @ group.log_coords(fibers)[..., None])[..., 0]
 
-    nu = LieGroupBundleConnection.from_lift_map(action.bundle, lift_map, "linear")
-    # custom cocycles are validated at load
-    from .connections import validate_group_connection
-
-    validate_group_connection(
-        nu, np.random.default_rng(int(config.get("seed", 0))), samples=25, tol=1e-9
-    )
+    nu = LieGroupBundleConnection(action.bundle, lift_map)
 
     def local_form(y):
         v = group.log_coords(y.fiber.matrix)
@@ -387,7 +380,7 @@ def affine_equivalence_report(scenario: AffineScenario, rng, samples=100):
         k = np.tensordot(u, scenario.nu_coeff(x), axes=(0, 0))
         rhs = scenario.omega.value(y, Tangent(u, dy)).coords + k @ w
         shift_worst = max(shift_worst, float(np.linalg.norm(lhs - rhs)))
-    return {"shift_equivariance": shift_worst, "samples": samples}
+    return {"shift_equivariance": shift_worst}
 
 
 def affine_reconstruction_residual(scenario: AffineScenario, omega_fn, rng, samples=50) -> float:

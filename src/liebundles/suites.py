@@ -51,7 +51,7 @@ from .principal import (
     transport_total,
     validate_principal_connection,
 )
-from .reporting import make_record
+from .reporting import make_record, tolerance_for
 from .scenarios import (
     affine_equivalence_report,
     affine_reconstruction_residual,
@@ -157,7 +157,7 @@ def _nus_for(s):
 def _chk_group_connection_laws(s, rng, samples, step):
     vals = []
     for _, nu in _nus_for(s):
-        rep = validate_group_connection(nu, rng, samples=min(samples, 100), raise_on_failure=False)
+        rep = validate_group_connection(nu, rng, samples=min(samples, 100))
         vals.extend([rep["unit_kernel"], rep["cocycle"], rep["jet_multiplicativity"]])
     return vals, 1e-9, "unit-kernel and multiplicative cocycle laws (plus jet form)", None
 
@@ -649,14 +649,13 @@ def run_suite(scenario, seed=0, samples=None, step=None, only=None):
         checks = [(i, (n, f)) for i, (n, f) in checks if n in wanted]
     samples = int(samples if samples is not None else scenario.config.get("samples", 100))
     step = float(step if step is not None else scenario.config.get("step", 5e-3))
-    tolerances = scenario.config.get("tolerances", {})
     records = []
     for index, (name, fn) in checks:
         rng = _rng_for(seed, index)
         out = fn(scenario, rng, samples, step)
         vals, tol, label, order = out[:4]
         mode = out[4] if len(out) > 4 else "max<=tol"
-        tol = float(tolerances.get(name, tol))
+        tol = tolerance_for(scenario.config, name, tol)
         records.append(make_record(
             name, label, scenario.name, vals, tol, samples=len(vals), order=order, mode=mode))
     return records

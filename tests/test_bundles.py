@@ -8,6 +8,7 @@ from liebundles.bundles import (
     FiberedAction,
     LieGroupBundle,
     SectionJet,
+    Tangent,
     TotalSpace,
     adjoint_class_equal,
     adjoint_class_residual,
@@ -35,6 +36,16 @@ SO3_ACTION = make_action(SO3)
 T2_ACTION = make_action(T2)
 
 
+class FrozenAction(FiberedAction):
+    """Degenerate action that fixes every point: not free, zero generators."""
+
+    def act(self, y, g):
+        return y
+
+    def generator(self, y, xi):
+        return Tangent(np.zeros(self.space.quotient.dim), self.space.fiber.zero())
+
+
 def test_bundle_fiberwise_group_axioms():
     rng = np.random.default_rng(0)
     assert LieGroupBundle(CHART, SO3).validate_fiberwise_group(rng) <= 1e-10
@@ -47,9 +58,7 @@ def test_action_axioms_on_samples():
 
 
 def test_degenerate_action_detected():
-    space = TotalSpace(CHART, CHART, SO3)
-    bundle = LieGroupBundle(CHART, SO3)
-    frozen = FiberedAction(space, bundle, act=lambda y, g: y)
+    frozen = FrozenAction(TotalSpace(CHART, CHART, SO3), LieGroupBundle(CHART, SO3))
     rng = np.random.default_rng(2)
     with pytest.raises(ValidationError):
         frozen.validate(rng, samples=20)
@@ -101,11 +110,9 @@ def test_vertical_isomorphism_identity_on_affine():
 
 
 def test_vertical_isomorphism_degenerate_raises():
-    space = TotalSpace(CHART, CHART, SO3)
-    bundle = LieGroupBundle(CHART, SO3)
-    frozen = FiberedAction(space, bundle, act=lambda y, g: y)
+    frozen = FrozenAction(TotalSpace(CHART, CHART, SO3), LieGroupBundle(CHART, SO3))
     rng = np.random.default_rng(8)
-    y = space.random_point(rng)
+    y = frozen.space.random_point(rng)
     with pytest.raises(ValidationError):
         vertical_isomorphism_check(frozen, y)
 

@@ -35,13 +35,9 @@ def test_chart_requires_strict_box():
         CHART.require(np.array([2.0, 0.0]))
 
 
-def test_curve_validation_and_fd_fallback():
+def test_curve_validation():
     line = BaseCurve.line([-0.5, -0.5], [0.5, 0.5], interval=(0.0, 1.0))
     assert line.validate(CHART) <= 1e-6
-    assert not line.velocity_is_fd
-    fd_curve = BaseCurve(0.0, 1.0, lambda t: np.array([0.3 * np.sin(t), 0.1 * t]))
-    assert fd_curve.velocity_is_fd
-    assert fd_curve.validate(CHART) <= 1e-6
 
 
 def test_polynomial_evaluation_and_partial():

@@ -76,6 +76,23 @@ def test_validate_failing_tolerance_sets_exit_one(capsys):
     assert not records[0]["passed"]
 
 
+@pytest.mark.parametrize("command, check", [
+    ("transport", "transport-multiplicative"),
+    ("curvature", "curvature-two-path"),
+])
+def test_config_tolerance_override_applies_to_transport_and_curvature(command, check, tmp_path,
+                                                                      capsys):
+    # validate honours the same override (test_validate_failing_tolerance_sets_exit_one)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": "principal-so3",
+        "tolerances": {"transport-multiplicative": 1e-30, "curvature-two-path": 1e-30}}))
+    code, out, _ = run_cli([command, "--config", str(path), "--no-meta"], capsys)
+    assert code == 1
+    record = [d for d in parse_jsonl(out) if d.get("check") == check][0]
+    assert record["tolerance"] == 1e-30 and not record["passed"]
+
+
 def test_transport_loop_reports_holonomy(capsys):
     code, out, _ = run_cli(
         ["transport", "--scenario", "principal-so3", "--curve", "loop",

@@ -82,6 +82,7 @@ def test_two_chart_glued_validates():
     assert report["ad_equivariance"] <= 1e-8
     nu_report = validate_group_connection(NU_GLUED, rng, samples=100)
     assert nu_report["cocycle"] <= 1e-9
+    assert max(nu_report.values()) <= 1e-6
     # the glued weights form a partition of unity: they sum to one, none negative
     for _ in range(200):
         x = CHART.sample(rng)
@@ -310,7 +311,8 @@ def test_necessity_check_passes_and_flags_bad_nu():
     # pairing a non-multiplicative cocycle with a forced form: the report must
     # flag nu (and the form fails equivariance against that nu, consistently)
     bad_nu = LieGroupBundleConnection(
-        ACTION.bundle, lambda x, g, u: SO3.algebra([0.2, 0.0, 0.0]), tag="custom"
+        ACTION.bundle,
+        lambda x, u: lambda fibers: np.broadcast_to([0.2, 0.0, 0.0], fibers.shape[:-2] + (3,)),
     )
     forced = GeneralizedPrincipalConnection(ACTION, bad_nu, OMEGA_CANON.pieces)
     bad_report = necessity_check(forced, np.random.default_rng(18))
@@ -424,17 +426,11 @@ def test_stacked_transports_match_separate_runs():
     s = PRINCIPAL
     curve = s.curves["main"]
     fibers = [s.group.identity()] + [s.group.random_element(rng) for _ in range(3)]
-    # a custom connection calls its cocycle with one GroupElement at a time
-    custom = LieGroupBundleConnection(s.action.bundle, s.nu_glued.cocycle, tag="custom")
-    for nu in (s.nu, s.nu_glued, custom):
+    for nu in (s.nu, s.nu_glued):
         rows = transport_group(nu, curve, fibers, step=0.01)
         for g, row in zip(fibers, rows):
             alone = transport_group(nu, curve, g, step=0.01).element.matrix
             assert np.max(np.abs(row.element.matrix - alone)) <= 1e-14
-    for g in fibers:
-        assert np.max(np.abs(transport_group(custom, curve, g, step=0.01).element.matrix
-                             - transport_group(s.nu_glued, curve, g, step=0.01).element.matrix)
-                      ) <= 1e-15
     points = [TotalPoint(curve.position(curve.a), g) for g in fibers]
     ends = transport_total(s.omega_glued, curve, points, step=0.01)
     for y, (end, result) in zip(points, ends):

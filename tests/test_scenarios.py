@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liebundles.bundles import Tangent
 from liebundles.connections import transport_group, validate_group_connection
@@ -47,7 +48,7 @@ def test_unknown_preset_raises():
 
 def test_principal_scenario_connections_validate():
     rng = np.random.default_rng(0)
-    validate_group_connection(PRINCIPAL.nu, rng, samples=50)
+    assert max(validate_group_connection(PRINCIPAL.nu, rng, samples=50).values()) <= 1e-6
     for omega in (PRINCIPAL.omega, PRINCIPAL.omega_glued):
         report = validate_principal_connection(omega, rng, samples=100)
         assert report["complementarity"] <= 1e-8
@@ -99,6 +100,30 @@ def test_affine_reconstruction_exact():
     for scenario in (AFFINE_CONST, AFFINE_VAR):
         res = affine_reconstruction_residual(scenario, scenario.omega.value, rng, samples=30)
         assert res <= 1e-9
+
+
+def _affine_with_nu_coeff(coeffs):
+    config = preset_config("affine-constant")
+    config["nu_coeff"] = {"constant": np.reshape(coeffs, (2, 2, 2)).tolist()}
+    return build_scenario(config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), st.integers(-3, 9))
+def test_affine_group_connection_laws_hold_relative_to_coefficients(unit_coeffs, exponent):
+    # the affine lift map -K(x, u) log g is additive in log g, so its laws
+    # hold to roundoff relative to the size of K, whatever the config
+    coeffs = np.asarray(unit_coeffs) * 10.0 ** exponent
+    scenario = _affine_with_nu_coeff(coeffs)
+    report = validate_group_connection(scenario.nu, np.random.default_rng(0), samples=25)
+    assert max(report.values()) <= 1e-13 * max(1.0, np.max(np.abs(coeffs)))
+
+
+def test_affine_config_with_large_coefficient_builds():
+    scenario = _affine_with_nu_coeff([1e8, 0.0, 0.0, -0.3, 0.2, 0.0, 0.0, 0.4])
+    report = validate_group_connection(scenario.nu, np.random.default_rng(0), samples=25)
+    assert report["unit_kernel"] == 0.0
+    assert max(report.values()) <= 1e-13 * 1e8
 
 
 def test_affine_constant_transport_matches_exponential_oracle():
