@@ -11,7 +11,6 @@ from .bundles import (
     Tangent,
     TotalPoint,
     TotalSpace,
-    adjoint_class_equal,
     jet_lift_action,
 )
 from .calculus import (

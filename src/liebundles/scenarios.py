@@ -85,6 +85,23 @@ def _numbers(spec, field, shape=None):
     return arr
 
 
+def _positive(spec, field):
+    """Check that ``spec`` is a finite number above zero."""
+    _require(_numbers(spec, field, ()) > 0, field, "a positive number", spec)
+
+
+def _run_settings(config):
+    """Check the seed, samples, step and tolerances a config may carry."""
+    if "seed" in config:
+        _count(config["seed"], "seed", 0)
+    if "samples" in config:
+        _count(config["samples"], "samples")
+    if "step" in config:
+        _positive(config["step"], "step")
+    for name, tol in _object(config.get("tolerances", {}), "tolerances").items():
+        _positive(tol, f"tolerances.{name}")
+
+
 def _index(key, field):
     """A key such as "1,0" as its tuple of non-negative integers."""
     parts = str(key).split(",")
@@ -204,7 +221,7 @@ class PrincipalScenario:
 def _build_principal(config) -> PrincipalScenario:
     group = _group_from_config(config["group"])
     chart = _chart_from_config(config["chart"])
-    action = FiberedAction(TotalSpace(chart, chart, group), LieGroupBundle(chart, group))
+    action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
     base_form = _one_form_from_config(group, config["base_form"], chart.dim, "base_form")
     nu_form = _one_form_from_config(group, config["nu_form"], chart.dim, "nu_form")
     nu = LieGroupBundleConnection.from_base_form(action.bundle, nu_form)
@@ -336,7 +353,7 @@ def _build_affine(config) -> AffineScenario:
     group = translation_descriptor(m)
     chart = _chart_from_config(config["chart"])
     n = chart.dim
-    action = FiberedAction(TotalSpace(chart, chart, group), LieGroupBundle(chart, group))
+    action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m), "nu_coeff")
     gamma = _table_fn(config["gamma"], n, (n, m), "gamma")
 
@@ -569,6 +586,7 @@ def build_scenario(config):
     builders = {"principal": _build_principal, "affine": _build_affine, "gauge": _build_gauge}
     if kind not in builders:
         raise UsageError(f"config must declare kind principal|affine|gauge, got {kind!r}")
+    _run_settings(config)
     try:
         return builders[kind](config)
     except KeyError as exc:

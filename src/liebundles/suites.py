@@ -21,13 +21,13 @@ from .connections import (
     transport_unit_inverse_check,
     validate_group_connection,
 )
-from .errors import UsageError
+from .errors import LieBundleError, UsageError
 from .gauge import (
     ConnectionJet,
     GaugeJet,
     GaugeSecondJet,
-    apply_gauge_second_jet,
     classification_equivariance_residual,
+    curvature_invariance_residual,
     curvature_map,
     element_from_gauge_jet,
     extract_classifying_sections,
@@ -574,11 +574,8 @@ def _chk_classification_negative(s, rng, samples, step):
 def _chk_curvature_invariance(s, rng, samples, step):
     vals = []
     for _ in range(min(samples, 1000)):
-        jet = ConnectionJet.random(s.group, s.n, rng)
-        gauge = GaugeSecondJet.random(s.group, s.n, rng)
-        before = curvature_map(jet)
-        after = curvature_map(apply_gauge_second_jet(jet, gauge))
-        vals.append(float(np.max(np.abs(after - before))))
+        vals.append(curvature_invariance_residual(ConnectionJet.random(s.group, s.n, rng),
+                                                  GaugeSecondJet.random(s.group, s.n, rng)))
     return vals, 1e-12, "curvature map is invariant under identity-value second jets", None
 
 
@@ -635,7 +632,8 @@ def run_suite(scenario, seed=0, samples=None, step=None, only=None):
 
     Each check's random substream is keyed by its position in the full suite,
     so filtering with ``only`` does not change the numbers of the remaining
-    checks.
+    checks.  A package error raised inside a check is raised again, as the
+    same type, with the check id in front of its message.
     """
     checks = list(enumerate(suite_checks(scenario)))
     if only is not None:
@@ -651,8 +649,10 @@ def run_suite(scenario, seed=0, samples=None, step=None, only=None):
     step = float(step if step is not None else scenario.config.get("step", 5e-3))
     records = []
     for index, (name, fn) in checks:
-        rng = _rng_for(seed, index)
-        out = fn(scenario, rng, samples, step)
+        try:
+            out = fn(scenario, _rng_for(seed, index), samples, step)
+        except LieBundleError as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
         vals, tol, label, order = out[:4]
         mode = out[4] if len(out) > 4 else "max<=tol"
         tol = tolerance_for(scenario.config, name, tol)

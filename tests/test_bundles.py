@@ -10,7 +10,6 @@ from liebundles.bundles import (
     SectionJet,
     Tangent,
     TotalSpace,
-    adjoint_class_equal,
     adjoint_class_residual,
     equivariance_of_generators,
     jet_lift_action,
@@ -18,7 +17,6 @@ from liebundles.bundles import (
     vertical_isomorphism_check,
 )
 from liebundles.calculus import ChartDomain
-from liebundles.errors import ValidationError
 from liebundles.groups import so3_descriptor, translation_descriptor
 
 SO3 = so3_descriptor()
@@ -27,7 +25,7 @@ CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
 def make_action(desc):
-    space = TotalSpace(CHART, CHART, desc)
+    space = TotalSpace(CHART, desc)
     bundle = LieGroupBundle(CHART, desc)
     return FiberedAction(space, bundle)
 
@@ -46,11 +44,6 @@ class FrozenAction(FiberedAction):
         return Tangent(np.zeros(self.space.quotient.dim), self.space.fiber.zero())
 
 
-def test_bundle_fiberwise_group_axioms():
-    rng = np.random.default_rng(0)
-    assert LieGroupBundle(CHART, SO3).validate_fiberwise_group(rng) <= 1e-10
-
-
 def test_action_axioms_on_samples():
     rng = np.random.default_rng(1)
     assert SO3_ACTION.validate(rng, samples=1000) <= 1e-10
@@ -58,10 +51,10 @@ def test_action_axioms_on_samples():
 
 
 def test_degenerate_action_detected():
-    frozen = FrozenAction(TotalSpace(CHART, CHART, SO3), LieGroupBundle(CHART, SO3))
+    frozen = FrozenAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
     rng = np.random.default_rng(2)
-    with pytest.raises(ValidationError):
-        frozen.validate(rng, samples=20)
+    # the axioms hold trivially; freeness fails and reads as residual 1
+    assert frozen.validate(rng, samples=20) == 1.0
 
 
 def test_generator_of_zero_vanishes():
@@ -109,12 +102,12 @@ def test_vertical_isomorphism_identity_on_affine():
     assert report["min_singular_value"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vertical_isomorphism_degenerate_raises():
-    frozen = FrozenAction(TotalSpace(CHART, CHART, SO3), LieGroupBundle(CHART, SO3))
+def test_vertical_isomorphism_degenerate_has_rank_zero():
+    frozen = FrozenAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
     rng = np.random.default_rng(8)
     y = frozen.space.random_point(rng)
-    with pytest.raises(ValidationError):
-        vertical_isomorphism_check(frozen, y)
+    report = vertical_isomorphism_check(frozen, y)
+    assert report["rank"] == 0 and report["dim"] == 3
 
 
 def test_generator_equivariance_identity_and_abelian():
@@ -221,8 +214,8 @@ def test_adjoint_class_defining_relation():
     g = SO3.random_element(rng)
     p1 = AdjointBundlePoint(y, xi)
     same = AdjointBundlePoint(SO3_ACTION.act(y, g), SO3.Ad(g.inverse(), xi))
-    assert adjoint_class_equal(p1, p1)
-    assert adjoint_class_equal(p1, same)
+    assert adjoint_class_residual(p1, p1) <= 1e-9
+    assert adjoint_class_residual(p1, same) <= 1e-9
 
 
 def test_adjoint_class_detects_missing_twist():
@@ -232,4 +225,3 @@ def test_adjoint_class_detects_missing_twist():
     g = SO3.exp(SO3.algebra([0.0, 0.0, 1.0]))
     wrong = AdjointBundlePoint(SO3_ACTION.act(y, g), xi)
     assert adjoint_class_residual(AdjointBundlePoint(y, xi), wrong) > 1e-2
-    assert not adjoint_class_equal(AdjointBundlePoint(y, xi), wrong)

@@ -38,6 +38,9 @@ def test_chart_requires_strict_box():
 def test_curve_validation():
     line = BaseCurve.line([-0.5, -0.5], [0.5, 0.5], interval=(0.0, 1.0))
     assert line.validate(CHART) <= 1e-6
+    # a wrong velocity is measured, not raised: the gap is its error
+    off = BaseCurve(0.0, 1.0, line.position, lambda t: line.velocity(t) + [0.0, 0.5])
+    assert off.validate(CHART) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_polynomial_evaluation_and_partial():
@@ -69,7 +72,14 @@ def test_one_form_linearity_and_polynomial_table():
     form = AlgebraOneForm.from_polynomials(
         SO3, [{"2": {"1,0": 0.8, "0,0": 0.3}}, {"0": {"0,1": 0.5}}], 2
     )
-    assert form.validate_linearity(rng, CHART) <= 1e-10
+    worst = 0.0
+    for _ in range(20):
+        x = CHART.sample(rng)
+        u, v = rng.standard_normal(2), rng.standard_normal(2)
+        a, b = rng.standard_normal(2)
+        combo = form(x, a * u + b * v).coords - (a * form(x, u).coords + b * form(x, v).coords)
+        worst = max(worst, float(np.max(np.abs(combo))))
+    assert worst <= 1e-10
     x = np.array([0.5, -0.2])
     val = form(x, np.array([1.0, 0.0]))
     assert np.allclose(val.coords, [0.0, 0.0, 0.8 * 0.5 + 0.3])
@@ -79,7 +89,17 @@ def test_two_index_form_bilinearity():
     rng = np.random.default_rng(1)
     arr = rng.standard_normal((2, 2, 3))
     form = TwoIndexAlgebraForm(SO3, lambda x: arr * (1.0 + x[0] ** 2))
-    assert form.validate_bilinearity(rng, CHART) <= 1e-10
+    worst = 0.0
+    for _ in range(20):
+        x = CHART.sample(rng)
+        u, v, w = (rng.standard_normal(2) for _ in range(3))
+        a, b = rng.standard_normal(2)
+        first = form(x, a * u + b * w, v).coords - (a * form(x, u, v).coords
+                                                     + b * form(x, w, v).coords)
+        second = form(x, u, a * v + b * w).coords - (a * form(x, u, v).coords
+                                                      + b * form(x, u, w).coords)
+        worst = max(worst, float(np.max(np.abs(first))), float(np.max(np.abs(second))))
+    assert worst <= 1e-10
 
 
 def test_jacobian_constant_and_linear_maps():

@@ -222,6 +222,11 @@ def test_meta_line_present_without_flag(capsys):
     {"step": True},
     {"samples": True},
     {"tolerances": {"jet-group-axioms": True}},
+    {"seed": 1.9},
+    {"samples": 2.7},
+    {"samples": "3"},
+    {"step": "0.01"},
+    {"tolerances": {"jet-group-axioms": "1e-3"}},
 ])
 def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -229,6 +234,19 @@ def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
     code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
     assert code == 2
     assert err.startswith("usage error") and len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+def test_error_inside_a_check_names_the_check(tmp_path, capsys):
+    # a huge nu coefficient overflows the transport to non-finite fibers
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "affine-constant", "nu_coeff": {
+        "constant": [[[1e8, 0], [0, -0.3]], [[0.2, 0], [0, 0.4]]]}}), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(["validate", "--config", str(path), "--no-meta",
+                                  "--checks", "affine-transport-self-consistency"], capsys)
+    assert code == 1
+    assert err.startswith("error: affine-transport-self-consistency: ")
     assert out == ""
 
 

@@ -205,7 +205,7 @@ def test_generic_jet_lift_reproduces_closed_form_on_block_torsor():
     from liebundles.calculus import ChartDomain
 
     chart = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    action = FiberedAction(TotalSpace(chart, chart, JET_DESC), LieGroupBundle(chart, JET_DESC))
+    action = FiberedAction(TotalSpace(chart, JET_DESC), LieGroupBundle(chart, JET_DESC))
     rng = np.random.default_rng(30)
 
     def flat_to_triv(t: SecondJetTuple):

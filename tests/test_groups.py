@@ -192,6 +192,13 @@ def test_descriptor_rejects_non_closed_basis():
         descriptor_from_json(bad)
 
 
+def test_descriptor_rejects_wrong_structure_constants_at_load():
+    doc = descriptor_to_json(SO3)
+    doc["structure_constants"] = (-np.asarray(doc["structure_constants"])).tolist()
+    with pytest.raises(DescriptorError, match="structure constant check failed"):
+        descriptor_from_json(doc)
+
+
 def test_log_without_hook_is_deterministic_and_keeps_global_rng():
     # scipy's logm estimates norms from numpy's global RNG; the jet descriptor
     # has no log hook, so its log goes through logm

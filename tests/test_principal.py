@@ -45,11 +45,11 @@ CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
 def so3_action():
-    return FiberedAction(TotalSpace(CHART, CHART, SO3), LieGroupBundle(CHART, SO3))
+    return FiberedAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
 
 
 def abelian_action():
-    return FiberedAction(TotalSpace(CHART, CHART, T1), LieGroupBundle(CHART, T1))
+    return FiberedAction(TotalSpace(CHART, T1), LieGroupBundle(CHART, T1))
 
 
 ACTION = so3_action()

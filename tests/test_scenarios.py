@@ -172,4 +172,4 @@ def test_random_curve_stays_in_chart():
     rng = np.random.default_rng(8)
     for _ in range(5):
         c = random_curve(PRINCIPAL.chart, rng)
-        c.validate(PRINCIPAL.chart)
+        assert c.validate(PRINCIPAL.chart) <= 1e-6
