@@ -3,9 +3,10 @@
 
 Names the report files that are byte-identical, prints the largest
 |delta max_residual| of each file that differs, and exits 1 if any check id,
-`samples` or `passed` differs between the two directories, or if any
-|delta max_residual| exceeds ROUNDOFF (1e-3) times that check's tolerance:
-the two runs must agree beyond roundoff.
+`samples`, `passed`, `tolerance` or `mode` differs between the two
+directories, or if any |delta max_residual| exceeds ROUNDOFF (1e-3) times
+that check's tolerance: the two runs must agree beyond roundoff, and neither
+may judge a check by a different bound.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
@@ -47,9 +48,9 @@ def main(argv):
         worst, worst_check = 0.0, None
         for check in sorted(rec_a.keys() & rec_b.keys()):
             a, b = rec_a[check], rec_b[check]
-            for key in ("samples", "passed"):
-                if a[key] != b[key]:
-                    print(f"{name}: {check} {key} differs: {a[key]} vs {b[key]}")
+            for key in ("samples", "passed", "tolerance", "mode"):
+                if a.get(key) != b.get(key):
+                    print(f"{name}: {check} {key} differs: {a.get(key)} vs {b.get(key)}")
                     mismatch = True
             delta = abs(a["max_residual"] - b["max_residual"])
             if delta > ROUNDOFF * a["tolerance"]:

@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every preset's invariant suite and write one JSON-lines report each.
+"""Run every preset's invariant suite and write one JSON-lines report each,
+plus the `transport` and `curvature` command reports of principal-so3 and
+affine-varying (`transport-<preset>.jsonl`, `curvature-<preset>.jsonl`), all
+without environment metadata, so that two runs at one seed can be compared
+byte for byte with compare_reports.py.
 
 Usage:
     python scripts/run_all_validations.py [--out-dir reports] [--seed 0]
@@ -9,9 +13,12 @@ import argparse
 import pathlib
 import sys
 
+from liebundles import cli
 from liebundles.reporting import render_jsonl, summary_dict
 from liebundles.scenarios import PRESET_NAMES, build_scenario
 from liebundles.suites import run_suite
+
+COMMAND_PRESETS = ("principal-so3", "affine-varying")
 
 
 def main():
@@ -33,6 +40,14 @@ def main():
         any_failed = any_failed or bool(failed)
         status = "ok" if not failed else f"FAILED: {', '.join(failed)}"
         print(f"{name:20s} {len(records):3d} checks  {status}  -> {path}")
+    for command in ("transport", "curvature"):
+        for name in COMMAND_PRESETS:
+            path = out_dir / f"{command}-{name}.jsonl"
+            code = cli.main([command, "--scenario", name, "--seed", str(args.seed), "--no-meta",
+                             "--out", str(path)])
+            any_failed = any_failed or code != 0
+            print(f"{command} {name:20s} {'ok' if code == 0 else f'FAILED (exit {code})'}"
+                  f"  -> {path}")
     return 1 if any_failed else 0
 
 

@@ -57,8 +57,8 @@ class TotalSpace:
     quotient: ChartDomain
     fiber: GroupDescriptor
 
-    def random_point(self, rng, scale=1.0) -> "TotalPoint":
-        return TotalPoint(self.quotient.sample(rng), self.fiber.random_element(rng, scale))
+    def random_point(self, rng) -> "TotalPoint":
+        return TotalPoint(self.quotient.sample(rng), self.fiber.random_element(rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +158,11 @@ class FiberedAction:
         return worst
 
 
-def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint):
-    """Rank of xi -> generator(y, xi), counting singular values above 1e-10
-    relative to the largest (at least 1), and the minimal singular value."""
-    mat = action.generator_matrix(y)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * max(1.0, svals[0] if svals.size else 1.0)))
-    return {"rank": rank, "dim": action.space.fiber.dim,
-            "min_singular_value": float(svals[-1]) if svals.size else 0.0}
+def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint) -> float:
+    """Condition number max(1, s_max) / s_min of xi -> generator(y, xi) from
+    its singular values: infinite when the map is singular."""
+    svals = np.linalg.svd(action.generator_matrix(y), compute_uv=False)
+    return float(max(1.0, svals[0]) / svals[-1]) if svals[-1] > 0 else np.inf
 
 
 def equivariance_of_generators(action, y, g, xi):

@@ -74,17 +74,17 @@ class ChartDomain:
     def dim(self):
         return self.lower.shape[0]
 
-    def contains(self, x, margin=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x > self.lower + margin) and np.all(x < self.upper - margin))
+        return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
-    def require(self, x, margin=0.0):
-        if not self.contains(x, margin=margin):
+    def require(self, x):
+        if not self.contains(x):
             raise DomainError(f"point {np.asarray(x)} is outside chart {self.label}")
 
-    def sample(self, rng, margin=0.05):
+    def sample(self, rng):
         span = self.upper - self.lower
-        return self.lower + span * rng.uniform(margin, 1.0 - margin, size=self.dim)
+        return self.lower + span * rng.uniform(0.05, 0.95, size=self.dim)
 
     def center(self):
         return 0.5 * (self.lower + self.upper)
@@ -109,10 +109,10 @@ class BaseCurve:
         if not self.b > self.a:
             raise UsageError("curve interval must satisfy a < b")
 
-    def validate(self, chart: Optional[ChartDomain] = None, samples=20):
+    def validate(self, chart: Optional[ChartDomain] = None):
         """Worst gap between the velocity and a central difference of the
-        position at sampled times; a sampled point outside ``chart`` raises."""
-        ts = np.linspace(self.a, self.b, samples)
+        position at 20 sampled times; a sampled point outside ``chart`` raises."""
+        ts = np.linspace(self.a, self.b, 20)
         h = 1e-6 * (self.b - self.a)
         worst = 0.0
         for t in ts:

@@ -182,7 +182,7 @@ def _cmd_transport(args):
     nu_result = transport_group(scenario.nu, curve, g0, step=step, with_error_estimate=True)
     partner = group.random_element(rng)
     mult_res = transport_multiplicativity_check(scenario.nu, curve, g0, partner, step=step)
-    omega = scenario.omega if scenario.kind == "affine" else scenario.omega_glued
+    omega = scenario.transport_form
     y0 = TotalPoint(np.asarray(curve.position(curve.a), float), g0)
     end, total_result = transport_total(omega, curve, y0, step=step, with_error_estimate=True)
     compat = transport_compatibility_check(omega, curve, y0, partner, step=step)

@@ -92,11 +92,10 @@ class LieGroupBundleConnection:
         h = self.horizontal_delta(x, g, u)
         return g.descriptor.algebra(delta.coords - h.coords)
 
-    def jet_section(self, x, g: GroupElement, n=None) -> SectionJet:
+    def jet_section(self, x, g: GroupElement) -> SectionJet:
         """Jet of the horizontal section through g: derivative rows h(x, g, e_mu)."""
         x = np.asarray(x, dtype=float)
-        n = self.bundle.base.dim if n is None else n
-        rows = [self.horizontal_delta(x, g, e).coords for e in np.eye(n)]
+        rows = [self.horizontal_delta(x, g, e).coords for e in np.eye(self.bundle.base.dim)]
         return SectionJet(x, g, np.vstack(rows))
 
 
@@ -142,27 +141,21 @@ def validate_group_connection(nu, rng, samples=100):
 def transport_group(
     nu: LieGroupBundleConnection,
     curve: BaseCurve,
-    g0,
+    g0: GroupElement,
     step=1e-2,
     with_error_estimate=False,
 ):
-    """Parallel transport along the curve: integrate the horizontal lift.
+    """Parallel transport of g0 along the curve: integrate the horizontal lift.
 
-    ``g0`` is one GroupElement, giving one TransportResult, or a sequence of
-    them, integrated as the rows of one stack and giving a list of
-    TransportResult in the same order.  A GroupElement holding an (R, m, m)
-    stack gives one TransportResult per row; on a family of R curves
-    (position of shape (R, n)) row r rides curve r.
+    ``g0`` may hold an (R, m, m) stack, whose rows are transported as one
+    stack; on a family of R curves (position of shape (R, n)) row r rides
+    curve r.  Returns the one TransportResult of `integrate_stack`.
     """
-    if isinstance(g0, GroupElement):
-        fibers = g0.matrix
-    else:
-        fibers = np.stack([g.matrix for g in g0])
 
     def field(t):
         return nu.lift_map(curve.position(t), curve.velocity(t))
 
-    return integrate_stack(field, nu.bundle.fiber, fibers, (curve.a, curve.b), step,
+    return integrate_stack(field, nu.bundle.fiber, g0.matrix, (curve.a, curve.b), step,
                            with_error_estimate)
 
 
@@ -176,10 +169,9 @@ def _rows(mats):
 def _transport_rows(nu, curve, mats, step):
     """Endpoint matrices of k fibers transported along a curve or a family of
     curves as the rows of one stack, each shaped like its fiber (see `_rows`)."""
-    results = transport_group(nu, curve.repeat(len(mats)),
-                              GroupElement(_rows(mats), nu.bundle.fiber, check=False), step)
-    ends = np.stack([r.element.matrix for r in results])
-    return list(ends.reshape((len(mats),) + np.shape(mats[0])))
+    result = transport_group(nu, curve.repeat(len(mats)),
+                             GroupElement(_rows(mats), nu.bundle.fiber, check=False), step)
+    return list(result.element.matrix.reshape((len(mats),) + np.shape(mats[0])))
 
 
 def _residual_norm(diff, point_ndim):

@@ -45,6 +45,7 @@ __all__ = [
     "GaugeSecondJet",
     "apply_gauge_second_jet",
     "curvature_invariance_residual",
+    "restricted_action_move",
     "fixed_point_is_trivial",
     "jet_realizing_curvature",
     "semidirect_jet_descriptor",
@@ -102,8 +103,8 @@ class GaugeJet:
         return GaugeJet(desc.identity(), np.zeros((n, desc.dim)))
 
     @staticmethod
-    def random(desc: GroupDescriptor, n: int, rng, scale=1.0) -> "GaugeJet":
-        return GaugeJet(desc.random_element(rng, scale), rng.uniform(-scale, scale, (n, desc.dim)))
+    def random(desc: GroupDescriptor, n: int, rng) -> "GaugeJet":
+        return GaugeJet(desc.random_element(rng), rng.uniform(-1.0, 1.0, (n, desc.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +245,9 @@ class ConnectionJet:
             raise UsageError("connection jet entries must be finite")
 
     @staticmethod
-    def random(desc, n, rng, scale=1.0):
-        return ConnectionJet(desc, rng.uniform(-scale, scale, (n, desc.dim)),
-                             rng.uniform(-scale, scale, (n, n, desc.dim)))
+    def random(desc, n, rng):
+        return ConnectionJet(desc, rng.uniform(-1.0, 1.0, (n, desc.dim)),
+                             rng.uniform(-1.0, 1.0, (n, n, desc.dim)))
 
 
 def curvature_map(jet: ConnectionJet) -> np.ndarray:
@@ -275,9 +276,9 @@ class GaugeSecondJet:
             raise UsageError(f"sigma must be symmetric in its covector slots (defect {asym:.2e})")
 
     @staticmethod
-    def random(desc, n, rng, scale=1.0):
-        raw = rng.uniform(-scale, scale, (n, n, desc.dim))
-        return GaugeSecondJet(desc, rng.uniform(-scale, scale, (n, desc.dim)),
+    def random(desc, n, rng):
+        raw = rng.uniform(-1.0, 1.0, (n, n, desc.dim))
+        return GaugeSecondJet(desc, rng.uniform(-1.0, 1.0, (n, desc.dim)),
                               0.5 * (raw + np.swapaxes(raw, 0, 1)))
 
 
@@ -298,15 +299,18 @@ def curvature_invariance_residual(jet: ConnectionJet, gauge: GaugeSecondJet) -> 
     return float(np.max(np.abs(after - before)))
 
 
+def restricted_action_move(jet: ConnectionJet, gauge: GaugeSecondJet) -> float:
+    """Largest entry of the change an identity-value second jet makes to a
+    connection jet."""
+    moved = apply_gauge_second_jet(jet, gauge)
+    return float(np.maximum(np.max(np.abs(moved.A - jet.A)), np.max(np.abs(moved.DA - jet.DA))))
+
+
 def fixed_point_is_trivial(jet: ConnectionJet, gauge: GaugeSecondJet) -> bool:
     """The restricted action is free: only the zero jet fixes a point, with
     zero judged entrywise at 1e-12."""
-
-    def zero(*arrays):
-        return all(np.max(np.abs(a)) <= 1e-12 for a in arrays)
-
-    moved = apply_gauge_second_jet(jet, gauge)
-    return not zero(moved.A - jet.A, moved.DA - jet.DA) or zero(gauge.xi, gauge.sigma)
+    zero = max(np.max(np.abs(gauge.xi)), np.max(np.abs(gauge.sigma))) <= 1e-12
+    return restricted_action_move(jet, gauge) > 1e-12 or zero
 
 
 def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:

@@ -239,11 +239,11 @@ class GroupDescriptor:
 
     # -- sampling ----------------------------------------------------------
 
-    def random_algebra(self, rng, scale=1.0):
-        return self.algebra(rng.uniform(-scale, scale, size=self.dim))
+    def random_algebra(self, rng):
+        return self.algebra(rng.uniform(-1.0, 1.0, size=self.dim))
 
-    def random_element(self, rng, scale=1.0):
-        return self.exp(self.random_algebra(rng, scale))
+    def random_element(self, rng):
+        return self.exp(self.random_algebra(rng))
 
     # -- self-validation ----------------------------------------------------
 
@@ -461,7 +461,7 @@ def _so3_log(r):
     return out
 
 
-def so3_descriptor(membership_tol=1e-8):
+def so3_descriptor():
     """Rotation group of R^3 with the standard antisymmetric basis."""
     e1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     e2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -472,7 +472,6 @@ def so3_descriptor(membership_tol=1e-8):
         matrix_dim=3,
         basis=basis,
         structure_constants=derive_structure_constants(basis),
-        membership_tol=membership_tol,
         family="orthogonal",
         injectivity_radius=np.pi - 0.1,
         retraction=_orthogonal_retract,
@@ -497,7 +496,7 @@ def _translation_retract(m):
     return out
 
 
-def translation_descriptor(m, membership_tol=1e-8):
+def translation_descriptor(m):
     """Additive group (R^m, +) embedded as affine translation matrices."""
     basis = np.zeros((m, m + 1, m + 1))
     for i in range(m):
@@ -507,7 +506,6 @@ def translation_descriptor(m, membership_tol=1e-8):
         matrix_dim=m + 1,
         basis=basis,
         structure_constants=np.zeros((m, m, m)),
-        membership_tol=membership_tol,
         family="translation",
         injectivity_radius=np.inf,
         retraction=_translation_retract,
@@ -515,7 +513,6 @@ def translation_descriptor(m, membership_tol=1e-8):
         exp_hook=lambda x: _eye(m + 1) + x,
         log_hook=lambda g: g - _eye(m + 1),
         ad_matrix_hook=lambda mat: _eye_stack(m, mat.shape[:-2]),
-        extra={"vector_dim": m},
     )
 
 

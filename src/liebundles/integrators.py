@@ -12,12 +12,12 @@ stack.  `integrate_on_group` is the one-element form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import InstabilityError, StiffnessError, UsageError
-from .groups import AlgebraElement, GroupDescriptor, GroupElement
+from .groups import AlgebraElement, GroupDescriptor, GroupElement, _frobenius
 
 __all__ = ["TransportResult", "integrate_stack", "integrate_on_group", "integrate_linear"]
 
@@ -27,12 +27,14 @@ _MIN_RELATIVE_STEP = 1e-13
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Endpoint of a group-valued integration with diagnostics."""
+    """Endpoints of a group-valued integration (``element`` holds one per row)
+    with one error estimate and membership residual per row, or one float each
+    for a single (m, m) matrix."""
 
     element: GroupElement
-    error_estimate: Optional[float]
+    error_estimate: Optional[Union[float, np.ndarray]]
     steps: int
-    membership_residual: float
+    membership_residual: Union[float, np.ndarray]
 
 
 def _dexpinv(desc: GroupDescriptor, u, v):
@@ -46,6 +48,16 @@ def _dexpinv(desc: GroupDescriptor, u, v):
     return v - 0.5 * uv[..., 0] + (ad @ uv)[..., 0] / 12.0
 
 
+def _finite(fibers, t):
+    """``fibers`` once every row is finite, else an InstabilityError naming the
+    rows: a NaN passes no residual test, and the right-hand side must not see one."""
+    finite = np.isfinite(fibers)
+    if not finite.all():
+        rows = np.flatnonzero(~finite.all(axis=(-2, -1))).tolist()
+        raise InstabilityError(f"integration produced non-finite fibers in rows {rows} at t={t:.4f}")
+    return fibers
+
+
 def _run(field, g, desc, t0, t1, n_steps):
     h = (t1 - t0) / n_steps
     limit = _BLOWUP_FACTOR * max(desc.membership_tol, 1e-12)
@@ -57,19 +69,13 @@ def _run(field, g, desc, t0, t1, n_steps):
         f_mid, f_end = field(t + 0.5 * h), field(t0 + (k + 1) * h)
         k1 = f_start(g)
         u2 = 0.5 * h * k1
-        k2 = _dexpinv(desc, u2, f_mid(exp(u2) @ g))
+        k2 = _dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, t + 0.5 * h)))
         u3 = 0.5 * h * k2
-        k3 = _dexpinv(desc, u3, f_mid(exp(u3) @ g))
+        k3 = _dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, t + 0.5 * h)))
         u4 = h * k3
-        k4 = _dexpinv(desc, u4, f_end(exp(u4) @ g))
+        k4 = _dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, t + h)))
         omega = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(omega).all():
-            rows = np.flatnonzero(~np.isfinite(omega).all(axis=-1))
-            raise InstabilityError(
-                f"integration produced non-finite algebra increments in rows "
-                f"{rows.tolist()} at t={t + h:.4f}"
-            )
-        g = exp(omega) @ g
+        g = _finite(exp(omega) @ g, t + h)
         res = desc.membership_residual(g)
         if np.count_nonzero(res > limit):
             raise InstabilityError(
@@ -94,10 +100,10 @@ def integrate_stack(
     ``field(t)`` returns v_t: a function from a stack of fiber matrices to
     their right-trivialized velocities, (B, m, m) -> (B, dim).  It is called
     once per stage time (three per step, one shared with the next step).
-    Returns a list with one TransportResult per row: the endpoint retracted
-    onto the group, with its step-halving error estimate (difference against
-    the half-step solution) when requested.  A single (m, m) matrix is a
-    stack without the leading axis and gives one TransportResult.
+    Returns one TransportResult: the endpoints retracted onto the group, with
+    each row's step-halving error estimate (Frobenius distance to the
+    half-step solution) when requested.  A single (m, m) matrix is a stack
+    without the leading axis.
     """
     t0, t1 = float(interval[0]), float(interval[1])
     if not t1 > t0:
@@ -112,16 +118,12 @@ def integrate_stack(
     n = max(1, int(np.ceil(span / step)))
     end = _run(field, g0, descriptor, t0, t1, n)
     fine = _run(field, g0, descriptor, t0, t1, 2 * n) if with_error_estimate else None
-    results = [
-        TransportResult(
-            element=GroupElement(end[b], descriptor, check=False),
-            error_estimate=None if fine is None else float(np.linalg.norm(end[b] - fine[b])),
-            steps=n,
-            membership_residual=descriptor.membership_residual(end[b]),
-        )
-        for b in np.ndindex(end.shape[:-2])
-    ]
-    return results if g0.ndim == 3 else results[0]
+    return TransportResult(
+        element=GroupElement(end, descriptor, check=False),
+        error_estimate=None if fine is None else _frobenius(end - fine),
+        steps=n,
+        membership_residual=descriptor.membership_residual(end),
+    )
 
 
 def integrate_on_group(

@@ -42,7 +42,6 @@ from .connections import (
     _residual_norm,
     _rows,
     _transport_rows,
-    validate_group_connection,
 )
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement
@@ -69,7 +68,6 @@ __all__ = [
     "curvature",
     "reduced_curvature_residual",
     "equivariant_product_connection_check",
-    "necessity_check",
 ]
 
 
@@ -98,8 +96,8 @@ class WeightRamp:
         return 1.0 - w if self.invert else w
 
 
-def constant_weight(value=1.0):
-    return lambda x: value
+def constant_weight():
+    return lambda x: 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +215,10 @@ class GeneralizedPrincipalConnection:
     (R, dim, n + dim) stack.
     """
 
-    def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces, label="omega"):
+    def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces):
         self.action = action
         self.nu = nu
         self.pieces = list(pieces)
-        self.label = label
         self.descriptor = action.space.fiber
         self.n = action.space.quotient.dim
 
@@ -278,7 +275,7 @@ def build_canonical_connection(action: FiberedAction, base_form: Optional[Algebr
     desc = action.space.fiber
     nu = LieGroupBundleConnection.trivial(action.bundle)
     omega = GeneralizedPrincipalConnection(
-        action, nu, [(constant_weight(1.0), canonical_local_form(desc, base_form))]
+        action, nu, [(constant_weight(), canonical_local_form(desc, base_form))]
     )
     return omega, nu
 
@@ -318,7 +315,7 @@ def build_two_chart_connection(
         return lambda fibers: wb[..., None] * inner(fibers)
 
     nu = LieGroupBundleConnection(action.bundle, glued_lift)
-    omega = GeneralizedPrincipalConnection(action, nu, pieces, label="omega-glued")
+    omega = GeneralizedPrincipalConnection(action, nu, pieces)
     check_rng = np.random.default_rng(0)
     for _ in range(25):
         x = action.space.quotient.sample(check_rng)
@@ -371,31 +368,23 @@ def validate_principal_connection(omega, rng, samples=200):
 # ---------------------------------------------------------------------------
 
 
-def transport_total(omega, curve: BaseCurve, y0, step=1e-2, with_error_estimate=False):
+def transport_total(omega, curve: BaseCurve, y0: TotalPoint, step=1e-2, with_error_estimate=False):
     """Transport over a quotient curve by integrating the horizontal lift.
 
-    ``y0`` is one TotalPoint, giving (end point, TransportResult), or a
-    sequence of them, integrated as the rows of one fiber stack and giving a
-    list of such pairs in the same order.  A TotalPoint whose fiber holds an
-    (R, m, m) stack gives (end point holding the R endpoints, list of R
-    TransportResult); on a family of R curves row r rides curve r.
+    ``y0.fiber`` may hold an (R, m, m) stack, whose rows are transported as
+    one stack; on a family of R curves row r rides curve r.  Returns the end
+    point, holding every row's endpoint, and the one TransportResult of
+    `integrate_stack`.
     """
     desc = omega.descriptor
-    single = isinstance(y0, TotalPoint)
-    fibers = y0.fiber.matrix if single else np.stack([y.fiber.matrix for y in y0])
 
     def field(t):
         q, u = curve.position(t), curve.velocity(t)
         return lambda h: omega.horizontal_deltas(TotalPoint(q, GroupElement(h, desc, check=False)), u)
 
-    results = integrate_stack(field, desc, fibers, (curve.a, curve.b), step, with_error_estimate)
-    q_end = curve.position(curve.b)
-    if not single:
-        return [(TotalPoint(q_end, r.element), r) for r in results]
-    if fibers.ndim == 2:
-        return TotalPoint(q_end, results.element), results
-    ends = np.stack([r.element.matrix for r in results])
-    return TotalPoint(q_end, GroupElement(ends, desc, check=False)), results
+    result = integrate_stack(field, desc, y0.fiber.matrix, (curve.a, curve.b), step,
+                             with_error_estimate)
+    return TotalPoint(curve.position(curve.b), result.element), result
 
 
 def transport_compatibility_check(omega, curve, y, g, step=1e-2):
@@ -426,7 +415,7 @@ def jet_equivariance_check(omega, y, g) -> float:
 
     action = omega.action
     jet_y = omega.horizontal_jet(y)
-    jet_g = omega.nu.jet_section(y.q, g, n=action.space.quotient.dim)
+    jet_g = omega.nu.jet_section(y.q, g)
     pushed = jet_lift_action(action, jet_y, jet_g)
     target = omega.horizontal_jet(action.act(y, g))
     return float(
@@ -470,11 +459,10 @@ class TensorialAdjointForm:
     """Horizontal, adjoint-equivariant algebra-valued 1-form on the total space,
     given by its (dim, n + dim) matrix function like a connection piece."""
 
-    def __init__(self, action: FiberedAction, matrix, label="difference"):
+    def __init__(self, action: FiberedAction, matrix):
         self.action = action
         self.descriptor = action.space.fiber
         self.matrix = matrix
-        self.label = label
 
     def value(self, y: TotalPoint, t: Tangent) -> AlgebraElement:
         return self.descriptor.algebra(self.matrix(y) @ np.concatenate([t.u, t.delta.coords]))
@@ -501,12 +489,12 @@ def connection_difference(omega1, omega2) -> TensorialAdjointForm:
 # ---------------------------------------------------------------------------
 
 
-def _dexp_operator(descriptor, w_coords, terms=24):
-    """Matrix of the right-trivialized differential of exp at w on coordinates."""
+def _dexp_operator(descriptor, w_coords):
+    """Matrix of the right-trivialized differential of exp at w, to 24 terms."""
     ad = descriptor.ad_matrix(w_coords)
     out = np.eye(descriptor.dim)
     term = np.eye(descriptor.dim)
-    for k in range(1, terms + 1):
+    for k in range(1, 25):
         term = term @ ad / (k + 1.0)
         out = out + term
         if np.linalg.norm(term) < 1e-18:
@@ -634,12 +622,3 @@ def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent
         np.linalg.norm(lhs_first - rhs_first) + np.linalg.norm(lhs_second - rhs_second)
     )
 
-
-def necessity_check(omega, rng, samples=100):
-    """Reports of the connection form and of its nu, each also judged at 1e-6:
-    a passing form must sit over a multiplicative nu."""
-    omega_report = validate_principal_connection(omega, rng, samples=samples)
-    nu_report = validate_group_connection(omega.nu, rng, samples=samples)
-    omega_ok = max(omega_report["complementarity"], omega_report["ad_equivariance"]) <= 1e-6
-    nu_ok = max(nu_report["unit_kernel"], nu_report["cocycle"]) <= 1e-6
-    return {"omega": omega_report, "nu": nu_report, "omega_ok": omega_ok, "nu_ok": nu_ok}

@@ -207,8 +207,7 @@ class PrincipalScenario:
     chart: ChartDomain
     action: FiberedAction
     base_form: AlgebraOneForm          # classical connection coefficient form
-    nu_form: AlgebraOneForm            # coefficient form of the group connection
-    nu: LieGroupBundleConnection       # coefficient-form group connection
+    nu: LieGroupBundleConnection       # group connection from the nu_form table
     nu0: LieGroupBundleConnection      # trivial group connection
     omega: GeneralizedPrincipalConnection        # classical form over nu0
     omega_canonical: GeneralizedPrincipalConnection
@@ -216,6 +215,11 @@ class PrincipalScenario:
     nu_glued: LieGroupBundleConnection
     curves: Dict[str, BaseCurve]
     kind: str = "principal"
+
+    @property
+    def transport_form(self):
+        """The form that transports and the transport checks use."""
+        return self.omega_glued
 
 
 def _build_principal(config) -> PrincipalScenario:
@@ -241,7 +245,7 @@ def _build_principal(config) -> PrincipalScenario:
     curves = _curves_from_config(config, chart.dim)
     return PrincipalScenario(
         name=config["name"], config=config, group=group, chart=chart, action=action,
-        base_form=base_form, nu_form=nu_form, nu=nu, nu0=nu0, omega=omega,
+        base_form=base_form, nu=nu, nu0=nu0, omega=omega,
         omega_canonical=omega_canonical, omega_glued=omega_glued, nu_glued=nu_glued,
         curves=curves,
     )
@@ -290,10 +294,9 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
         broken = GeneralizedPrincipalConnection(
             scenario.action,
             scenario.nu0,
-            [(constant_weight(1.0),
+            [(constant_weight(),
               lambda y: form_matrix(scenario.base_form.coefficient_array(y.q).T,
                                     desc.Ad_matrix(y.fiber.inverse())))],
-            label="broken",
         )
         induced = validate_principal_connection(broken, rng, samples=samples)
     else:
@@ -325,6 +328,11 @@ class AffineScenario:
     omega: GeneralizedPrincipalConnection
     curves: Dict[str, BaseCurve]
     kind: str = "affine"
+
+    @property
+    def transport_form(self):
+        """The form that transports and the transport checks use."""
+        return self.omega
 
     def fiber_point(self, x, v):
         return TotalPoint(np.asarray(x, float), self.group.exp(self.group.algebra(v)))
@@ -368,9 +376,7 @@ def _build_affine(config) -> AffineScenario:
         linear = (nu_coeff(y.q) @ v[..., None, :, None])[..., 0] + gamma(y.q)
         return form_matrix(np.swapaxes(linear, -1, -2), np.eye(m))
 
-    omega = GeneralizedPrincipalConnection(
-        action, nu, [(constant_weight(1.0), local_form)], label="affine"
-    )
+    omega = GeneralizedPrincipalConnection(action, nu, [(constant_weight(), local_form)])
     curves = _curves_from_config(config, n)
     return AffineScenario(
         name=config["name"], config=config, fiber_dim=m, group=group, chart=chart,

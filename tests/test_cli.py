@@ -237,17 +237,54 @@ def test_config_field_of_wrong_type_is_usage_error(fields, tmp_path, capsys):
     assert out == ""
 
 
+# a huge nu coefficient overflows the transport to non-finite fibers
+OVERFLOW_CONFIG = {"scenario": "affine-constant", "nu_coeff": {
+    "constant": [[[1e8, 0], [0, -0.3]], [[0.2, 0], [0, 0.4]]]}}
+
+
 def test_error_inside_a_check_names_the_check(tmp_path, capsys):
-    # a huge nu coefficient overflows the transport to non-finite fibers
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scenario": "affine-constant", "nu_coeff": {
-        "constant": [[[1e8, 0], [0, -0.3]], [[0.2, 0], [0, 0.4]]]}}), encoding="utf-8")
+    path.write_text(json.dumps(OVERFLOW_CONFIG), encoding="utf-8")
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = run_cli(["validate", "--config", str(path), "--no-meta",
                                   "--checks", "affine-transport-self-consistency"], capsys)
     assert code == 1
     assert err.startswith("error: affine-transport-self-consistency: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--checks", "affine-transport-self-consistency"],
+    ["transport"],
+])
+def test_overflowing_transport_stops_in_the_integrator(command, tmp_path, capsys):
+    # the integrator names the diverged rows before a non-finite fiber reaches
+    # the right-hand side (whose log would fail on it first)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(OVERFLOW_CONFIG), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(command + ["--config", str(path), "--no-meta"], capsys)
+    assert code == 1
+    assert "integration produced non-finite fibers in rows [" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("scenario, tolerances", [
+    ("principal-so3", {"generator-isomorphism": 1e-30, "underlying-connection-necessity": 1e-30}),
+    ("gauge-jet-so3", {"restricted-action-freeness": 1e3}),
+])
+def test_tolerance_override_moves_the_bound_of_every_check(scenario, tolerances, tmp_path,
+                                                           capsys):
+    # these checks record what they measure, not a flag a fixed cut decided
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": scenario, "tolerances": tolerances}))
+    code, out, _ = run_cli(["validate", "--config", str(path), "--no-meta",
+                            "--checks", ",".join(tolerances)], capsys)
+    assert code == 1
+    records = {d["check"]: d for d in parse_jsonl(out) if "check" in d}
+    assert sorted(records) == sorted(tolerances)
+    for check, tol in tolerances.items():
+        assert records[check]["tolerance"] == tol and not records[check]["passed"]
 
 
 @pytest.mark.parametrize("command, config, field", [

@@ -37,8 +37,8 @@ JET_DESC = semidirect_jet_descriptor(SO3, N)
 floats = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-def random_jet(rng, desc=SO3, scale=1.0):
-    return GaugeJet.random(desc, N, rng, scale)
+def random_jet(rng, desc=SO3):
+    return GaugeJet.random(desc, N, rng)
 
 
 # -- group axioms ----------------------------------------------------------

@@ -108,14 +108,17 @@ def test_stack_matches_separate_runs(desc, field):
     fibers = [desc.identity()] + [desc.random_element(rng) for _ in range(3)]
     stack = np.stack([g.matrix for g in fibers])
     together = integrate_stack(field, desc, stack, (0.0, 1.0), step=0.01, with_error_estimate=True)
-    assert len(together) == len(fibers)
-    for g, row in zip(fibers, together):
+    assert together.element.matrix.shape == stack.shape
+    assert together.error_estimate.shape == together.membership_residual.shape == (len(fibers),)
+    for b, g in enumerate(fibers):
         alone = integrate_stack(field, desc, g.matrix, (0.0, 1.0), step=0.01,
                                 with_error_estimate=True)
-        assert np.max(np.abs(row.element.matrix - alone.element.matrix)) <= 1e-14
-        assert abs(row.error_estimate - alone.error_estimate) <= 1e-14
-        assert row.steps == alone.steps == 100
-    assert np.array_equal(together[0].element.matrix, np.eye(desc.matrix_dim))
+        assert np.max(np.abs(together.element.matrix[b] - alone.element.matrix)) <= 1e-14
+        assert abs(together.error_estimate[b] - alone.error_estimate) <= 1e-14
+        assert isinstance(alone.error_estimate, float)
+        assert isinstance(alone.membership_residual, float)
+        assert together.steps == alone.steps == 100
+    assert np.array_equal(together.element.matrix[0], np.eye(desc.matrix_dim))
 
 
 def test_stack_drift_after_1000_steps():
@@ -126,9 +129,10 @@ def test_stack_drift_after_1000_steps():
         a = np.array([np.sin(t), np.cos(2 * t), 0.3])
         return lambda g: g @ a - a + np.array([0.2, -0.1, 0.4])
 
-    rows = integrate_stack(field, SO3, stack, (0.0, 10.0), step=0.01)
-    assert [r.steps for r in rows] == [1000] * 4
-    assert max(r.membership_residual for r in rows) <= 1e-9
+    result = integrate_stack(field, SO3, stack, (0.0, 10.0), step=0.01)
+    assert result.steps == 1000
+    assert result.membership_residual.shape == (4,)
+    assert np.max(result.membership_residual) <= 1e-9
 
 
 def test_stack_retraction_takes_svd_fallback_per_row():

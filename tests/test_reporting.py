@@ -36,14 +36,21 @@ def _compare_reports():
     return module
 
 
-@pytest.mark.parametrize("moved, code", [(0.0, 0), (5e-11, 0), (2e-10, 1)])
+@pytest.mark.parametrize("moved, code", [
+    (0.0, 0), (5e-11, 0), (2e-10, 1),
+    # a report that judges a check by another bound must not match
+    pytest.param({"tolerance": 1e-6}, 1, id="tolerance-1"),
+    pytest.param({"mode": "min>tol"}, 1, id="mode-1"),
+])
 def test_compare_reports_fails_beyond_roundoff(moved, code, tmp_path, capsys):
     import json
 
-    for name, residual in (("a", 1e-9), ("b", 1e-9 + moved)):
+    changed = moved if isinstance(moved, dict) else {}
+    shift = 0.0 if changed else moved
+    for name, residual, fields in (("a", 1e-9, {}), ("b", 1e-9 + shift, changed)):
         (tmp_path / name).mkdir()
         record = {"check": "c", "samples": 3, "passed": True, "max_residual": residual,
-                  "tolerance": 1e-7}
+                  "tolerance": 1e-7, "mode": "max<=tol", **fields}
         (tmp_path / name / "p.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
     assert _compare_reports().main([str(tmp_path / "a"), str(tmp_path / "b")]) == code
     capsys.readouterr()
