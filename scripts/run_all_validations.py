@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run every preset's invariant suite and write one JSON-lines report each,
-plus the `transport` and `curvature` command reports of principal-so3 and
-affine-varying (`transport-<preset>.jsonl`, `curvature-<preset>.jsonl`), all
+"""Run every preset's invariant suite and write one JSON-lines report each
+(`<preset>.jsonl`), plus the `transport` and `curvature` command reports of
+principal-so3 and affine-varying (`transport-<preset>.jsonl`,
+`curvature-<preset>.jsonl`), all through the `liebundles` command line and
 without environment metadata, so that two runs at one seed can be compared
 byte for byte with compare_reports.py.
 
@@ -14,9 +15,7 @@ import pathlib
 import sys
 
 from liebundles import cli
-from liebundles.reporting import render_jsonl, summary_dict
-from liebundles.scenarios import PRESET_NAMES, build_scenario
-from liebundles.suites import run_suite
+from liebundles.scenarios import PRESET_NAMES
 
 COMMAND_PRESETS = ("principal-so3", "affine-varying")
 
@@ -29,25 +28,16 @@ def main():
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    runs = [("validate", name, out_dir / f"{name}.jsonl") for name in PRESET_NAMES]
+    runs += [(command, name, out_dir / f"{command}-{name}.jsonl")
+             for command in ("transport", "curvature") for name in COMMAND_PRESETS]
     any_failed = False
-    for name in PRESET_NAMES:
-        scenario = build_scenario(name)
-        records = run_suite(scenario, seed=args.seed)
-        summary = summary_dict(records, name, args.seed, scenario.config.get("step", 5e-3))
-        path = out_dir / f"{name}.jsonl"
-        path.write_text(render_jsonl(records, summary), encoding="utf-8")
-        failed = [r.check for r in records if not r.passed]
-        any_failed = any_failed or bool(failed)
-        status = "ok" if not failed else f"FAILED: {', '.join(failed)}"
-        print(f"{name:20s} {len(records):3d} checks  {status}  -> {path}")
-    for command in ("transport", "curvature"):
-        for name in COMMAND_PRESETS:
-            path = out_dir / f"{command}-{name}.jsonl"
-            code = cli.main([command, "--scenario", name, "--seed", str(args.seed), "--no-meta",
-                             "--out", str(path)])
-            any_failed = any_failed or code != 0
-            print(f"{command} {name:20s} {'ok' if code == 0 else f'FAILED (exit {code})'}"
-                  f"  -> {path}")
+    for command, name, path in runs:
+        code = cli.main([command, "--scenario", name, "--seed", str(args.seed), "--no-meta",
+                         "--out", str(path)])
+        any_failed = any_failed or code != 0
+        print(f"{command:9s} {name:20s} {'ok' if code == 0 else f'FAILED (exit {code})'}"
+              f"  -> {path}")
     return 1 if any_failed else 0
 
 

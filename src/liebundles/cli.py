@@ -15,14 +15,14 @@ import numpy as np
 
 from .bundles import TotalPoint
 from .connections import transport_group, transport_multiplicativity_check
-from .errors import LieBundleError, UsageError
+from .errors import LieBundleError, UsageError, prefixed
 from .gauge import ConnectionJet, curvature_map
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
 from .reporting import (make_record, records_to_csv, render_jsonl, summary_dict, tolerance_for,
                         write_report)
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
-from .suites import run_suite
+from .suites import available_checks, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -77,19 +77,26 @@ def _load_config(args):
             raise UsageError("config must be a JSON object")
     name = args.scenario or config.get("scenario")
     if name:
-        base = preset_config(name)
-        overrides = {k: v for k, v in config.items() if k != "scenario"}
-        base.update(overrides)
-        config = base
+        config = {**preset_config(name), **{k: v for k, v in config.items() if k != "scenario"}}
     if not config:
         raise UsageError("provide --scenario or --config")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.step is not None:
-        config["step"] = args.step
-    if args.samples is not None:
-        config["samples"] = args.samples
+    for key in ("seed", "step", "samples"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     return config
+
+
+def _scenario(args):
+    """The scenario of the command line, with its tolerance keys checked
+    against the check ids its commands write."""
+    scenario = build_scenario(_load_config(args))
+    known = {*available_checks(scenario.kind), "transport-endpoint-membership",
+             "transport-error-estimate"}
+    for check in scenario.config.get("tolerances", {}):
+        if check not in known:
+            raise UsageError(f"config field tolerances must be keyed by {scenario.kind} "
+                             f"check ids, got {check!r}")
+    return scenario
 
 
 def _number(value, what):
@@ -128,10 +135,9 @@ def _meta(args):
     }
 
 
-def _emit(records, config, args, extra_summary=None):
-    seed = int(config.get("seed", 0))
-    step = float(config.get("step", 5e-3))
-    summary = summary_dict(records, config.get("name", "inline"), seed, step)
+def _emit(records, scenario, args, extra_summary=None):
+    config = scenario.config
+    summary = summary_dict(records, scenario.name, config["seed"], config["step"])
     if extra_summary:
         summary["summary"].update(extra_summary)
     text = render_jsonl(records, summary, meta=_meta(args))
@@ -139,39 +145,28 @@ def _emit(records, config, args, extra_summary=None):
     return 0 if all(r.passed for r in records) else 1
 
 
-def _record(config, check, label, scenario, residuals, tolerance):
+def _record(scenario, check, label, residuals, tolerance):
     """`make_record` at the config's tolerance override for the check, if any."""
-    return make_record(check, label, scenario, residuals, tolerance_for(config, check, tolerance))
+    return make_record(check, label, scenario.name, residuals,
+                       tolerance_for(scenario.config, check, tolerance))
 
 
 def _cmd_validate(args):
-    config = _load_config(args)
-    scenario = build_scenario(config)
-    only = None
-    if args.checks is not None:
-        only = args.checks.split(",")
-    records = run_suite(
-        scenario,
-        seed=int(config.get("seed", 0)),
-        samples=config.get("samples"),
-        step=config.get("step"),
-        only=only,
-    )
-    return _emit(records, config, args)
+    scenario = _scenario(args)
+    only = None if args.checks is None else args.checks.split(",")
+    return _emit(run_suite(scenario, only=only), scenario, args)
 
 
 def _cmd_transport(args):
-    config = _load_config(args)
-    scenario = build_scenario(config)
+    scenario = _scenario(args)
     if scenario.kind == "gauge":
         raise UsageError("transport applies to principal/affine scenarios; "
                          "use `validate` for gauge presets")
     if args.curve not in scenario.curves:
         raise UsageError(f"curve {args.curve!r} not defined; have {sorted(scenario.curves)}")
     curve = scenario.curves[args.curve]
-    seed = int(config.get("seed", 0))
-    step = float(config.get("step", 5e-3))
-    rng = np.random.default_rng([seed, 1000])
+    step = scenario.config["step"]
+    rng = np.random.default_rng([scenario.config["seed"], 1000])
     group = scenario.group
     if args.fiber:
         coords = _json_vector(args.fiber, group.dim, "--fiber")
@@ -179,27 +174,27 @@ def _cmd_transport(args):
         coords = rng.uniform(-1.0, 1.0, group.dim)
     g0 = group.exp(group.algebra(coords))
 
-    nu_result = transport_group(scenario.nu, curve, g0, step=step, with_error_estimate=True)
+    with prefixed("nu transport"):
+        nu_result = transport_group(scenario.nu, curve, g0, step=step, with_error_estimate=True)
     partner = group.random_element(rng)
-    mult_res = transport_multiplicativity_check(scenario.nu, curve, g0, partner, step=step)
+    with prefixed("transport-multiplicative"):
+        mult_res = transport_multiplicativity_check(scenario.nu, curve, g0, partner, step=step)
     omega = scenario.transport_form
     y0 = TotalPoint(np.asarray(curve.position(curve.a), float), g0)
-    end, total_result = transport_total(omega, curve, y0, step=step, with_error_estimate=True)
-    compat = transport_compatibility_check(omega, curve, y0, partner, step=step)
+    with prefixed("total transport"):
+        end, total_result = transport_total(omega, curve, y0, step=step, with_error_estimate=True)
+    with prefixed("transport-compatibility"):
+        compat = transport_compatibility_check(omega, curve, y0, partner, step=step)
 
     records = [
-        _record(config, "transport-endpoint-membership",
-                "transport endpoint stays on the group", scenario.name,
+        _record(scenario, "transport-endpoint-membership", "transport endpoint stays on the group",
                 [nu_result.membership_residual, total_result.membership_residual], 1e-9),
-        _record(config, "transport-error-estimate",
-                "step-halving error estimate", scenario.name,
+        _record(scenario, "transport-error-estimate", "step-halving error estimate",
                 [nu_result.error_estimate, total_result.error_estimate], 1e-6),
-        _record(config, "transport-multiplicative",
-                "transport is a fiberwise homomorphism", scenario.name,
+        _record(scenario, "transport-multiplicative", "transport is a fiberwise homomorphism",
                 [mult_res], 1e-7),
-        _record(config, "transport-compatibility",
-                "total transport intertwines the fiber action", scenario.name,
-                [compat], 1e-7),
+        _record(scenario, "transport-compatibility",
+                "total transport intertwines the fiber action", [compat], 1e-7),
     ]
     extra = {
         "curve": args.curve,
@@ -208,18 +203,15 @@ def _cmd_transport(args):
         "total_endpoint_fiber": scenario.group.log(end.fiber).coords.tolist(),
         "steps": nu_result.steps,
     }
-    return _emit(records, config, args, extra_summary=extra)
+    return _emit(records, scenario, args, extra_summary=extra)
 
 
 def _cmd_curvature(args):
-    config = _load_config(args)
-    scenario = build_scenario(config)
-    seed = int(config.get("seed", 0))
-    rng = np.random.default_rng([seed, 2000])
+    scenario = _scenario(args)
+    rng = np.random.default_rng([scenario.config["seed"], 2000])
     extra = {}
     if scenario.kind == "gauge":
-        records = run_suite(scenario, seed=seed, samples=config.get("samples"),
-                            only=["curvature-map-invariance"])
+        records = run_suite(scenario, only=["curvature-map-invariance"])
         sample_jet = ConnectionJet.random(scenario.group, scenario.n, rng)
         extra["curvature_sample"] = curvature_map(sample_jet).tolist()
     else:
@@ -235,10 +227,10 @@ def _cmd_curvature(args):
         out = curvature_eval(scenario.omega, y, u1, u2)
         same = curvature_eval(scenario.omega, y, u1, u1)
         records = [
-            _record(config, "curvature-two-path", "bracket and covariant-exterior paths agree",
-                    scenario.name, [out.gap], 1e-4),
-            _record(config, "curvature-antisymmetry", "curvature vanishes on a repeated argument",
-                    scenario.name, [float(np.linalg.norm(same.value.coords))], 1e-10),
+            _record(scenario, "curvature-two-path", "bracket and covariant-exterior paths agree",
+                    [out.gap], 1e-4),
+            _record(scenario, "curvature-antisymmetry", "curvature vanishes on a repeated argument",
+                    [float(np.linalg.norm(same.value.coords))], 1e-10),
         ]
         extra.update({
             "point": point.tolist(),
@@ -246,7 +238,7 @@ def _cmd_curvature(args):
             "exterior_value": out.exterior_value.coords.tolist(),
             "gap": out.gap,
         })
-    return _emit(records, config, args, extra_summary=extra)
+    return _emit(records, scenario, args, extra_summary=extra)
 
 
 def _cmd_report(args):

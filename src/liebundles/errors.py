@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LieBundleError(Exception):
     """Base class for all package errors."""
@@ -31,3 +33,12 @@ class InstabilityError(LieBundleError):
 
 class ConstructionError(LieBundleError):
     """A composite object (glued connection, partition of unity) failed its build checks."""
+
+
+@contextmanager
+def prefixed(name):
+    """Raise a package error again, as the same type, with ``name`` in front."""
+    try:
+        yield
+    except LieBundleError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc

@@ -58,6 +58,8 @@ def _finite(fibers, t):
     return fibers
 
 
+# a diverging run overflows on its way to the non-finite fibers `_finite` reports
+@np.errstate(over="ignore", invalid="ignore")
 def _run(field, g, desc, t0, t1, n_steps):
     h = (t1 - t0) / n_steps
     limit = _BLOWUP_FACTOR * max(desc.membership_tol, 1e-12)

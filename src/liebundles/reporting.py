@@ -53,10 +53,9 @@ def tolerance_for(config, check, default):
     return float(config.get("tolerances", {}).get(check, default))
 
 
-def make_record(check, label, scenario, residuals, tolerance, samples=None, order=None,
-                mode="max<=tol"):
-    """Record of a check; an empty or non-finite residual set fails in either
-    mode and reports NaN as its max and mean."""
+def make_record(check, label, scenario, residuals, tolerance, order=None, mode="max<=tol"):
+    """Record of a check over its residuals; an empty or non-finite residual
+    set fails in either mode and reports NaN as its max and mean."""
     if mode not in ("max<=tol", "min>tol"):
         raise ValueError(f"unknown mode {mode}")
     residuals = [float(r) for r in residuals]
@@ -69,7 +68,7 @@ def make_record(check, label, scenario, residuals, tolerance, samples=None, orde
         passed = finite and min(residuals) > tolerance
     return CheckRecord(
         check=check, label=label, scenario=scenario,
-        samples=samples if samples is not None else len(residuals),
+        samples=len(residuals),
         max_residual=mx, mean_residual=mean, tolerance=float(tolerance),
         passed=bool(passed), mode=mode,
         order_estimate=None if order is None else float(order),

@@ -22,7 +22,7 @@ import numpy as np
 from .bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
 from .calculus import AlgebraOneForm, BaseCurve, ChartDomain, Polynomial
 from .connections import LieGroupBundleConnection
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .gauge import EquivariantJetConnection, semidirect_jet_descriptor
 from .groups import GroupDescriptor, descriptor_from_json, so3_descriptor, translation_descriptor
 from .principal import (
@@ -86,18 +86,17 @@ def _numbers(spec, field, shape=None):
 
 
 def _positive(spec, field):
-    """Check that ``spec`` is a finite number above zero."""
+    """``spec`` as a float when it is a finite number above zero."""
     _require(_numbers(spec, field, ()) > 0, field, "a positive number", spec)
+    return float(spec)
 
 
 def _run_settings(config):
-    """Check the seed, samples, step and tolerances a config may carry."""
-    if "seed" in config:
-        _count(config["seed"], "seed", 0)
-    if "samples" in config:
-        _count(config["samples"], "samples")
-    if "step" in config:
-        _positive(config["step"], "step")
+    """Check the seed, samples, step and tolerances a config may carry, and
+    fill in the defaults of the first three; every reader takes them from here."""
+    config["seed"] = int(_count(config.get("seed", 0), "seed", 0))
+    config["samples"] = int(_count(config.get("samples", 100), "samples"))
+    config["step"] = _positive(config.get("step", 5e-3), "step")
     for name, tol in _object(config.get("tolerances", {}), "tolerances").items():
         _positive(tol, f"tolerances.{name}")
 
@@ -171,9 +170,17 @@ def _curve_from_config(spec, label, n):
     raise UsageError(f"unknown curve kind {kind!r}")
 
 
-def _curves_from_config(config, n):
+def _curves_from_config(config, chart):
+    """The config's named curves, each checked to stay inside the chart."""
     curves = _object(config.get("curves", {}), "curves")
-    return {k: _curve_from_config(v, k, n) for k, v in curves.items()}
+    curves = {k: _curve_from_config(v, k, chart.dim) for k, v in curves.items()}
+    for label, curve in curves.items():
+        try:
+            curve.validate(chart)
+        except DomainError as exc:
+            raise UsageError(f"config field curves.{label} must be a curve in the chart: "
+                             f"{exc}") from None
+    return curves
 
 
 RANDOM_CURVE_INTERVAL = (0.0, 0.4)
@@ -242,7 +249,7 @@ def _build_principal(config) -> PrincipalScenario:
         ramp=WeightRamp(lo, hi, axis=_count(glue.get("ramp_axis", 0), "two_chart.ramp_axis",
                                             0, chart.dim)),
     )
-    curves = _curves_from_config(config, chart.dim)
+    curves = _curves_from_config(config, chart)
     return PrincipalScenario(
         name=config["name"], config=config, group=group, chart=chart, action=action,
         base_form=base_form, nu=nu, nu0=nu0, omega=omega,
@@ -377,7 +384,7 @@ def _build_affine(config) -> AffineScenario:
         return form_matrix(np.swapaxes(linear, -1, -2), np.eye(m))
 
     omega = GeneralizedPrincipalConnection(action, nu, [(constant_weight(), local_form)])
-    curves = _curves_from_config(config, n)
+    curves = _curves_from_config(config, chart)
     return AffineScenario(
         name=config["name"], config=config, fiber_dim=m, group=group, chart=chart,
         action=action, nu_coeff=nu_coeff, gamma=gamma, nu=nu, omega=omega, curves=curves,
@@ -500,9 +507,6 @@ def _principal_so3_config():
             "loop": {"kind": "loop", "center": [0.0, 0.0], "radius": 0.45,
                       "interval": [0.0, 1.0]},
         },
-        "seed": 0,
-        "step": 5e-3,
-        "samples": 100,
     }
 
 
@@ -517,9 +521,6 @@ def _affine_config(name, constant):
             "main": {"kind": "line", "start": [-0.5, -0.3], "end": [0.5, 0.4],
                       "interval": [0.0, 1.0]},
         },
-        "seed": 0,
-        "step": 5e-3,
-        "samples": 100,
     }
     if constant:
         # commuting (diagonal) coefficient matrices keep the linear connection flat
@@ -561,7 +562,6 @@ def _gauge_config(name, group):
             "1,0,0": {"1,0": -0.3},
             f"1,1,{d - 1}": {"0,0": 0.2},
         }},
-        "seed": 0,
         "samples": 1000,
     }
 

@@ -21,7 +21,7 @@ from .connections import (
     transport_unit_inverse_check,
     validate_group_connection,
 )
-from .errors import LieBundleError, UsageError
+from .errors import UsageError, prefixed
 from .gauge import (
     ConnectionJet,
     GaugeJet,
@@ -60,7 +60,7 @@ from .scenarios import (
     random_wiggle,
 )
 
-__all__ = ["suite_checks", "run_suite", "available_checks"]
+__all__ = ["run_suite", "available_checks"]
 
 
 def _order(errors):
@@ -617,39 +617,32 @@ def available_checks(kind):
     return [name for name, _ in _checks_for(kind)]
 
 
-def suite_checks(scenario):
-    return _checks_for(scenario.kind)
-
-
-def run_suite(scenario, seed=0, samples=None, step=None, only=None):
+def run_suite(scenario, seed=None, only=None):
     """Run the applicable checks; returns a list of CheckRecord.
 
+    Seed (unless given), samples and step come from the scenario's config.
     Each check's random substream is keyed by its position in the full suite,
     so filtering with ``only`` does not change the numbers of the remaining
     checks.  A package error raised inside a check is raised again, as the
     same type, with the check id in front of its message.
     """
-    checks = list(enumerate(suite_checks(scenario)))
+    checks = list(enumerate(_checks_for(scenario.kind)))
     if only is not None:
         wanted = [c.strip() for c in only if c.strip()]
         if not wanted:
             raise UsageError("empty check list")
-        known = {name for _, (name, _) in checks}
-        unknown = [c for c in wanted if c not in known]
+        unknown = [c for c in wanted if c not in available_checks(scenario.kind)]
         if unknown:
             raise UsageError(f"unknown checks for {scenario.kind}: {', '.join(unknown)}")
         checks = [(i, (n, f)) for i, (n, f) in checks if n in wanted]
-    samples = int(samples if samples is not None else scenario.config.get("samples", 100))
-    step = float(step if step is not None else scenario.config.get("step", 5e-3))
+    config = scenario.config
+    seed = config["seed"] if seed is None else seed
     records = []
     for index, (name, fn) in checks:
-        try:
-            out = fn(scenario, _rng_for(seed, index), samples, step)
-        except LieBundleError as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
+        with prefixed(name):
+            out = fn(scenario, _rng_for(seed, index), config["samples"], config["step"])
         vals, tol, label, order = out[:4]
         mode = out[4] if len(out) > 4 else "max<=tol"
-        tol = tolerance_for(scenario.config, name, tol)
-        records.append(make_record(
-            name, label, scenario.name, vals, tol, samples=len(vals), order=order, mode=mode))
+        tol = tolerance_for(config, name, tol)
+        records.append(make_record(name, label, scenario.name, vals, tol, order=order, mode=mode))
     return records

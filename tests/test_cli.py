@@ -1,6 +1,7 @@
 """CLI behavior tests: subcommands, exit codes, report handling, configs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -245,7 +246,8 @@ OVERFLOW_CONFIG = {"scenario": "affine-constant", "nu_coeff": {
 def test_error_inside_a_check_names_the_check(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(OVERFLOW_CONFIG), encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run_cli(["validate", "--config", str(path), "--no-meta",
                                   "--checks", "affine-transport-self-consistency"], capsys)
     assert code == 1
@@ -253,19 +255,22 @@ def test_error_inside_a_check_names_the_check(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", [
-    ["validate", "--checks", "affine-transport-self-consistency"],
-    ["transport"],
+@pytest.mark.parametrize("command, prefix", [
+    (["validate", "--checks", "affine-transport-self-consistency"],
+     "affine-transport-self-consistency"),
+    (["transport"], "nu transport"),
 ])
-def test_overflowing_transport_stops_in_the_integrator(command, tmp_path, capsys):
+def test_overflowing_transport_stops_in_the_integrator(command, prefix, tmp_path, capsys):
     # the integrator names the diverged rows before a non-finite fiber reaches
-    # the right-hand side (whose log would fail on it first)
+    # the right-hand side (whose log would fail on it first), without a numpy
+    # warning on the way, and the command names the check or transport
     path = tmp_path / "config.json"
     path.write_text(json.dumps(OVERFLOW_CONFIG), encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run_cli(command + ["--config", str(path), "--no-meta"], capsys)
     assert code == 1
-    assert "integration produced non-finite fibers in rows [" in err
+    assert err.startswith(f"error: {prefix}: integration produced non-finite fibers in rows [")
     assert out == ""
 
 
@@ -317,6 +322,10 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
      "gamma.polynomials"),
     ("validate", {"scenario": "affine-constant", "fiber_dim": "two"}, "fiber_dim"),
     ("validate", {"scenario": "gauge-jet-so3", "f_section": [0.3, 0.5]}, "f_section"),
+    ("transport", {"scenario": "principal-so3", "curves": {
+        "main": {"kind": "line", "start": [-0.6, -0.4], "end": [1.4, 0.5]}}}, "curves.main"),
+    ("validate", {"scenario": "principal-so3",
+                  "tolerances": {"transport-multiplicatve": 1e-30}}, "tolerances"),
 ])
 def test_config_field_of_wrong_structure_is_usage_error(command, config, field, tmp_path,
                                                         capsys):

@@ -1,5 +1,7 @@
 """Scenario fixture tests: presets build, equivalences hold, oracles match."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from liebundles.scenarios import (
     principal_equivalence_report,
     random_curve,
 )
-from liebundles.suites import available_checks
+from liebundles.suites import available_checks, run_suite
 
 from _oracles import affine_transport_oracle
 
@@ -35,10 +37,20 @@ def test_all_presets_build():
 
 @pytest.mark.parametrize("kind", ["principal", "affine", "gauge"])
 def test_check_table_is_sorted_by_id(kind):
-    # run_suite keys each check's random substream by its position in the list
-    # of its kind, so a row out of order would change the numbers of others
+    # rows stay sorted so that a table reads like a report; run_suite keys each
+    # check's random substream by the crc32 of its id, so no two may share one
     names = available_checks(kind)
     assert names == sorted(names) and len(names) == len(set(names))
+    assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
+
+
+def test_run_suite_seeds_with_the_scenario_seed():
+    only = ["generator-equivariance", "paired-generators"]
+    config = preset_config("principal-so3")
+    config["seed"] = 7
+    seeded = run_suite(build_scenario(config), only=only)
+    assert seeded == run_suite(PRINCIPAL, seed=7, only=only)
+    assert seeded != run_suite(PRINCIPAL, only=only)
 
 
 def test_unknown_preset_raises():
