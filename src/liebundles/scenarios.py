@@ -92,8 +92,8 @@ def _positive(spec, field):
 
 
 def _run_settings(config):
-    """Check the seed, samples, step and tolerances a config may carry, and
-    fill in the defaults of the first three; every reader takes them from here."""
+    """Check the seed, samples, step and tolerances a config may carry and
+    fill in the defaults of the first three, the one place they are set."""
     config["seed"] = int(_count(config.get("seed", 0), "seed", 0))
     config["samples"] = int(_count(config.get("samples", 100), "samples"))
     config["step"] = _positive(config.get("step", 5e-3), "step")

@@ -1,10 +1,13 @@
 """Invariant suites per scenario kind, producing check records.
 
-Each check draws from its own seeded substream so suites are deterministic
-given (config, seed) and insensitive to check-order filtering.
+Each check draws from its own substream, keyed by (seed, check id), so a
+record depends only on the config and the check: not on the table's order,
+on other checks or on filtering.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -71,8 +74,9 @@ def _order(errors):
     return float(np.median(pairs))
 
 
-def _rng_for(seed, index):
-    return np.random.default_rng([int(seed), int(index)])
+def _rng_for(seed, check):
+    # crc32, unlike hash(), is the same in every process
+    return np.random.default_rng([int(seed), zlib.crc32(check.encode())])
 
 
 def _family_residuals(s, rng, count, draw, check):
@@ -426,8 +430,7 @@ def _chk_affine_transport_oracle(s, rng, samples, step):
     return vals, 1e-7, "fiber transport agrees with a refined reference", None
 
 
-# Rows stay sorted by check id, and each names the scenario kinds it runs on:
-# a check's random substream is keyed by its position among its kind's rows.
+# Rows stay sorted by check id, and each names the scenario kinds it runs on.
 _P, _A, _PA = ("principal",), ("affine",), ("principal", "affine")
 _TORSOR_CHECKS = [
     ("action-axioms", _chk_action_axioms, _PA),
@@ -621,12 +624,10 @@ def run_suite(scenario, seed=None, only=None):
     """Run the applicable checks; returns a list of CheckRecord.
 
     Seed (unless given), samples and step come from the scenario's config.
-    Each check's random substream is keyed by its position in the full suite,
-    so filtering with ``only`` does not change the numbers of the remaining
-    checks.  A package error raised inside a check is raised again, as the
-    same type, with the check id in front of its message.
+    A package error raised inside a check is raised again, as the same type,
+    with the check id in front of its message.
     """
-    checks = list(enumerate(_checks_for(scenario.kind)))
+    checks = _checks_for(scenario.kind)
     if only is not None:
         wanted = [c.strip() for c in only if c.strip()]
         if not wanted:
@@ -634,13 +635,13 @@ def run_suite(scenario, seed=None, only=None):
         unknown = [c for c in wanted if c not in available_checks(scenario.kind)]
         if unknown:
             raise UsageError(f"unknown checks for {scenario.kind}: {', '.join(unknown)}")
-        checks = [(i, (n, f)) for i, (n, f) in checks if n in wanted]
+        checks = [(n, f) for n, f in checks if n in wanted]
     config = scenario.config
     seed = config["seed"] if seed is None else seed
     records = []
-    for index, (name, fn) in checks:
+    for name, fn in checks:
         with prefixed(name):
-            out = fn(scenario, _rng_for(seed, index), config["samples"], config["step"])
+            out = fn(scenario, _rng_for(seed, name), config["samples"], config["step"])
         vals, tol, label, order = out[:4]
         mode = out[4] if len(out) > 4 else "max<=tol"
         tol = tolerance_for(config, name, tol)

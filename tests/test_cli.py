@@ -255,20 +255,22 @@ def test_error_inside_a_check_names_the_check(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("command, prefix", [
+@pytest.mark.parametrize("command", [
+    # (arguments, what the error names first)
     (["validate", "--checks", "affine-transport-self-consistency"],
      "affine-transport-self-consistency"),
     (["transport"], "nu transport"),
 ])
-def test_overflowing_transport_stops_in_the_integrator(command, prefix, tmp_path, capsys):
+def test_overflowing_transport_stops_in_the_integrator(command, tmp_path, capsys):
     # the integrator names the diverged rows before a non-finite fiber reaches
     # the right-hand side (whose log would fail on it first), without a numpy
     # warning on the way, and the command names the check or transport
     path = tmp_path / "config.json"
     path.write_text(json.dumps(OVERFLOW_CONFIG), encoding="utf-8")
+    args, prefix = command
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(command + ["--config", str(path), "--no-meta"], capsys)
+        code, out, err = run_cli(args + ["--config", str(path), "--no-meta"], capsys)
     assert code == 1
     assert err.startswith(f"error: {prefix}: integration produced non-finite fibers in rows [")
     assert out == ""

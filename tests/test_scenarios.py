@@ -19,6 +19,7 @@ from liebundles.scenarios import (
     principal_equivalence_report,
     random_curve,
 )
+from liebundles import suites
 from liebundles.suites import available_checks, run_suite
 
 from _oracles import affine_transport_oracle
@@ -42,6 +43,16 @@ def test_check_table_is_sorted_by_id(kind):
     names = available_checks(kind)
     assert names == sorted(names) and len(names) == len(set(names))
     assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
+
+
+def test_a_new_row_leaves_the_numbers_of_other_checks(monkeypatch):
+    only = ["transport-multiplicative"]
+    before = run_suite(PRINCIPAL, only=only)
+    dummy = ("aaa-dummy", lambda s, rng, samples, step: ([0.0], 1.0, "dummy", None),
+             ("principal",))
+    monkeypatch.setattr(suites, "_TORSOR_CHECKS", [dummy] + suites._TORSOR_CHECKS)
+    assert available_checks("principal")[0] == "aaa-dummy"
+    assert run_suite(PRINCIPAL, only=only) == before
 
 
 def test_run_suite_seeds_with_the_scenario_seed():
