@@ -42,7 +42,7 @@ def main():
     print(f"# observed orders: {['%.2f' % o for o in observed_orders(mult)]}")
 
     print("# transport compatibility residual vs step")
-    compat = [transport_compatibility_check(s.omega_glued, curve, y, g, step=st)
+    compat = [transport_compatibility_check(s.transport_form, curve, y, g, step=st)
               for st in steps]
     for st, err in zip(steps, compat):
         print(f"{st:.6e} {err:.6e}")

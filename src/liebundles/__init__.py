@@ -34,7 +34,6 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     descriptor_from_json,
-    descriptor_to_json,
     so3_descriptor,
     translation_descriptor,
 )

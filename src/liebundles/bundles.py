@@ -13,7 +13,6 @@ is recovered from h' = delta h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -216,47 +215,19 @@ class SectionJet:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "deriv", np.asarray(self.deriv, dtype=float))
 
-    def section(self, descriptor: GroupDescriptor) -> Callable[[np.ndarray], GroupElement]:
-        """Representative germ with this jet: exp(deriv . dx) value."""
 
-        def rep(xq):
-            dx = np.asarray(xq, dtype=float) - self.x
-            return descriptor.exp(descriptor.algebra(dx @ self.deriv)) @ self.value
-
-        return rep
-
-
-def jet_lift_action(
-    action: FiberedAction,
-    y_jet: SectionJet,
-    g_jet: SectionJet,
-    fd: bool = False,
-) -> SectionJet:
-    """Jet of the composite x -> action(y-section(x), g-section(x)).
-
-    Uses the chain rule via the action differential (analytic for the torsor
-    model); with ``fd=True`` recomputes slotwise from representative germs by
-    central differences at step 1e-6, as an independent cross-check path.
-    """
+def jet_lift_action(action: FiberedAction, y_jet: SectionJet, g_jet: SectionJet) -> SectionJet:
+    """Jet of the composite x -> action(y-section(x), g-section(x)), by the
+    chain rule through the action differential (analytic for the torsor
+    model)."""
     if y_jet.deriv.shape != g_jet.deriv.shape:
         raise UsageError("jet derivative arrays must have matching shapes")
     desc = action.space.fiber
     y0 = TotalPoint(y_jet.x, y_jet.value)
     value = action.act(y0, g_jet.value)
-    y_rep, g_rep = y_jet.section(desc), g_jet.section(desc)
-
-    def composite(x):
-        return action.act(TotalPoint(y_jet.x, y_rep(x)), g_rep(x)).fiber.matrix
-
-    rows = []
-    for u, dy, dg in zip(np.eye(len(y_jet.deriv)), y_jet.deriv, g_jet.deriv):
-        if fd:
-            dmat = central_difference(lambda s: composite(y_jet.x + s * u), 1e-6)
-            rows.append(desc.matrix_coords(dmat @ np.linalg.inv(value.fiber.matrix), tol=1e-4))
-        else:
-            t = action.differential(y0, g_jet.value, Tangent(u, desc.algebra(dy)),
-                                    Tangent(u, desc.algebra(dg)))
-            rows.append(t.delta.coords)
+    rows = [action.differential(y0, g_jet.value, Tangent(u, desc.algebra(dy)),
+                                Tangent(u, desc.algebra(dg))).delta.coords
+            for u, dy, dg in zip(np.eye(len(y_jet.deriv)), y_jet.deriv, g_jet.deriv)]
     return SectionJet(y_jet.x, value.fiber, np.vstack(rows))
 
 

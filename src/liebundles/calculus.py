@@ -304,10 +304,6 @@ class AlgebraOneForm:
         return self.descriptor.algebra((u[..., None, :] @ arr)[..., 0, :])
 
     @staticmethod
-    def zero(descriptor, n):
-        return AlgebraOneForm(descriptor, lambda x: np.zeros((n, descriptor.dim)))
-
-    @staticmethod
     def constant(descriptor, array):
         array = np.asarray(array, dtype=float)
         return AlgebraOneForm(descriptor, lambda x: array)

@@ -127,9 +127,6 @@ class SecondJetTuple:
     def descriptor(self):
         return self.g.descriptor
 
-    def value(self) -> GaugeJet:
-        return GaugeJet(self.g, self.xi)
-
     def distance(self, other: "SecondJetTuple") -> float:
         return float(
             np.linalg.norm(self.g.matrix - other.g.matrix)

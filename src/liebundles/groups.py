@@ -32,7 +32,6 @@ __all__ = [
     "so3_descriptor",
     "translation_descriptor",
     "descriptor_from_json",
-    "descriptor_to_json",
 ]
 
 
@@ -565,18 +564,3 @@ def descriptor_from_json(doc):
         raise DescriptorError(f"{name}: structure constant check failed ("
                               + ", ".join(f"{k} {v:.2e}" for k, v in report.items()) + ")")
     return desc
-
-
-def descriptor_to_json(desc: GroupDescriptor):
-    """Round-trippable JSON document (row-major basis arrays)."""
-    return {
-        "name": desc.name,
-        "matrix_dim": desc.matrix_dim,
-        "basis": [b.reshape(-1).tolist() for b in desc.basis],
-        "structure_constants": desc.structure_constants.tolist(),
-        "membership_tol": desc.membership_tol,
-        "family": desc.family,
-        "injectivity_radius": (
-            desc.injectivity_radius if np.isfinite(desc.injectivity_radius) else None
-        ),
-    }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset_config",
     "build_scenario",
-    "PrincipalScenario",
-    "AffineScenario",
+    "TorsorScenario",
     "GaugeJetScenario",
     "principal_equivalence_report",
     "affine_equivalence_report",
@@ -202,41 +201,51 @@ def random_curve(chart: ChartDomain, rng, interval=RANDOM_CURVE_INTERVAL):
 
 
 # ---------------------------------------------------------------------------
-# principal scenario
+# torsor scenarios
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class PrincipalScenario:
+class TorsorScenario:
+    """A torsor of a Lie group bundle with the forms and group connections its
+    checks sample.  Principal and affine scenarios differ only in what their
+    builders fill in; ``kind`` chooses which rows of the check table run."""
+
     name: str
     config: dict
+    kind: str                          # "principal" or "affine"
     group: GroupDescriptor
     chart: ChartDomain
     action: FiberedAction
-    base_form: AlgebraOneForm          # classical connection coefficient form
-    nu: LieGroupBundleConnection       # group connection from the nu_form table
-    nu0: LieGroupBundleConnection      # trivial group connection
-    omega: GeneralizedPrincipalConnection        # classical form over nu0
-    omega_canonical: GeneralizedPrincipalConnection
-    omega_glued: GeneralizedPrincipalConnection
-    nu_glued: LieGroupBundleConnection
+    nu: LieGroupBundleConnection       # group connection of the group transport checks
+    # the curvature form: it sits over a flat group connection, which
+    # representative independence needs; on principal scenarios it is the
+    # classical-family form, curved across the whole chart (the glued form is
+    # flat outside the weight ramp)
+    omega: GeneralizedPrincipalConnection
+    transport_form: GeneralizedPrincipalConnection  # form of the total transport checks
+    forms: Dict[str, GeneralizedPrincipalConnection]  # forms the form-law checks sample
+    nus: Dict[str, LieGroupBundleConnection]  # group connections the cocycle laws sample
+    # the two connections over one nu whose difference is checked tensorial
+    difference_pair: Tuple[GeneralizedPrincipalConnection, GeneralizedPrincipalConnection]
     curves: Dict[str, BaseCurve]
-    kind: str = "principal"
+    base_form: Optional[AlgebraOneForm] = None  # principal: classical coefficient form
+    nu_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None  # affine: (n, m, m)
+    gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None     # affine: (n, m)
 
-    @property
-    def transport_form(self):
-        """The form that transports and the transport checks use."""
-        return self.omega_glued
+    def fiber_point(self, x, v):
+        """The point over x whose fiber is exp of the algebra coordinates v."""
+        return TotalPoint(np.asarray(x, float), self.group.exp(self.group.algebra(v)))
 
 
-def _build_principal(config) -> PrincipalScenario:
+def _build_principal(config) -> TorsorScenario:
     group = _group_from_config(config["group"])
     chart = _chart_from_config(config["chart"])
     action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
     base_form = _one_form_from_config(group, config["base_form"], chart.dim, "base_form")
     nu_form = _one_form_from_config(group, config["nu_form"], chart.dim, "nu_form")
     nu = LieGroupBundleConnection.from_base_form(action.bundle, nu_form)
-    omega, nu0 = build_canonical_connection(action, base_form=base_form)
+    omega, _ = build_canonical_connection(action, base_form=base_form)
     omega_canonical, _ = build_canonical_connection(action)
     glue = _object(config["two_chart"], "two_chart")
     lo, hi = _numbers(glue["ramp"], "two_chart.ramp", (2,))
@@ -249,12 +258,12 @@ def _build_principal(config) -> PrincipalScenario:
         ramp=WeightRamp(lo, hi, axis=_count(glue.get("ramp_axis", 0), "two_chart.ramp_axis",
                                             0, chart.dim)),
     )
-    curves = _curves_from_config(config, chart)
-    return PrincipalScenario(
-        name=config["name"], config=config, group=group, chart=chart, action=action,
-        base_form=base_form, nu=nu, nu0=nu0, omega=omega,
-        omega_canonical=omega_canonical, omega_glued=omega_glued, nu_glued=nu_glued,
-        curves=curves,
+    return TorsorScenario(
+        name=config["name"], config=config, kind="principal", group=group, chart=chart,
+        action=action, nu=nu, omega=omega, transport_form=omega_glued,
+        forms={"single": omega, "canonical": omega_canonical, "glued": omega_glued},
+        nus={"nu": nu, "nu_glued": nu_glued}, difference_pair=(omega, omega_canonical),
+        curves=_curves_from_config(config, chart), base_form=base_form,
     )
 
 
@@ -300,7 +309,7 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
     if drop_ad:
         broken = GeneralizedPrincipalConnection(
             scenario.action,
-            scenario.nu0,
+            scenario.omega.nu,
             [(constant_weight(),
               lambda y: form_matrix(scenario.base_form.coefficient_array(y.q).T,
                                     desc.Ad_matrix(y.fiber.inverse())))],
@@ -321,33 +330,6 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AffineScenario:
-    name: str
-    config: dict
-    fiber_dim: int
-    group: GroupDescriptor
-    chart: ChartDomain
-    action: FiberedAction
-    nu_coeff: Callable[[np.ndarray], np.ndarray]    # (n, m, m)
-    gamma: Callable[[np.ndarray], np.ndarray]       # (n, m)
-    nu: LieGroupBundleConnection
-    omega: GeneralizedPrincipalConnection
-    curves: Dict[str, BaseCurve]
-    kind: str = "affine"
-
-    @property
-    def transport_form(self):
-        """The form that transports and the transport checks use."""
-        return self.omega
-
-    def fiber_point(self, x, v):
-        return TotalPoint(np.asarray(x, float), self.group.exp(self.group.algebra(v)))
-
-    def fiber_coords(self, y: TotalPoint):
-        return self.group.log(y.fiber).coords
-
-
 def _table_fn(spec, n, shape, field):
     """Coefficient function x -> array of ``shape`` from a config spec: absent
     (zero), ``constant`` (a fixed array) or ``polynomials`` (one table per
@@ -363,7 +345,7 @@ def _table_fn(spec, n, shape, field):
     return Polynomial.array(entries, n, shape)
 
 
-def _build_affine(config) -> AffineScenario:
+def _build_affine(config) -> TorsorScenario:
     m = _count(config["fiber_dim"], "fiber_dim")
     group = translation_descriptor(m)
     chart = _chart_from_config(config["chart"])
@@ -384,19 +366,27 @@ def _build_affine(config) -> AffineScenario:
         return form_matrix(np.swapaxes(linear, -1, -2), np.eye(m))
 
     omega = GeneralizedPrincipalConnection(action, nu, [(constant_weight(), local_form)])
+    # a second connection over nu: omega plus a constant horizontal shift
+    shift = np.hstack([np.full((m, n), 0.35), np.zeros((m, m))])
+    shifted = GeneralizedPrincipalConnection(
+        action, nu, [(constant_weight(), lambda y: omega.matrix(y) + shift)])
     curves = _curves_from_config(config, chart)
-    return AffineScenario(
-        name=config["name"], config=config, fiber_dim=m, group=group, chart=chart,
-        action=action, nu_coeff=nu_coeff, gamma=gamma, nu=nu, omega=omega, curves=curves,
+    if "main" not in curves:  # the affine transport oracle rides it
+        raise KeyError("main")
+    return TorsorScenario(
+        name=config["name"], config=config, kind="affine", group=group, chart=chart,
+        action=action, nu=nu, omega=omega, transport_form=omega, forms={"affine": omega},
+        nus={"nu": nu}, difference_pair=(omega, shifted), curves=curves,
+        nu_coeff=nu_coeff, gamma=gamma,
     )
 
 
-def affine_equivalence_report(scenario: AffineScenario, rng, samples=100):
+def affine_equivalence_report(scenario: TorsorScenario, rng, samples=100):
     """Shifted-point equivariance of the affine form: the abelian form of the
     defining equivariance."""
     group = scenario.group
     chart = scenario.chart
-    m = scenario.fiber_dim
+    m = scenario.group.dim
     shift_worst = 0.0
     for _ in range(samples):
         x = chart.sample(rng)
@@ -413,12 +403,12 @@ def affine_equivalence_report(scenario: AffineScenario, rng, samples=100):
     return {"shift_equivariance": shift_worst}
 
 
-def affine_reconstruction_residual(scenario: AffineScenario, omega_fn, rng, samples=50) -> float:
+def affine_reconstruction_residual(scenario: TorsorScenario, omega_fn, rng, samples=50) -> float:
     """Fit the offset coefficients from the form at the zero section and verify
     the linear-plus-offset expression reconstructs the form exactly."""
     group = scenario.group
     chart = scenario.chart
-    m = scenario.fiber_dim
+    m = scenario.group.dim
     n = chart.dim
     worst = 0.0
     for _ in range(samples):

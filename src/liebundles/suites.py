@@ -41,9 +41,7 @@ from .gauge import (
     EquivariantJetConnection,
 )
 from .principal import (
-    GeneralizedPrincipalConnection,
     connection_difference,
-    constant_weight,
     curvature,
     equivariant_product_connection_check,
     horizontal_transform_check,
@@ -150,15 +148,9 @@ def _chk_paired_generators(s, rng, samples, step):
     return vals, 1e-6, "action differential on paired generators", None
 
 
-def _nus_for(s):
-    if s.kind == "principal":
-        return [("nu", s.nu), ("nu-glued", s.nu_glued)]
-    return [("nu", s.nu)]
-
-
 def _chk_group_connection_laws(s, rng, samples, step):
     vals = []
-    for _, nu in _nus_for(s):
+    for nu in s.nus.values():
         rep = validate_group_connection(nu, rng, samples=min(samples, 100))
         vals.extend([rep["unit_kernel"], rep["cocycle"], rep["jet_multiplicativity"]])
     return vals, 1e-9, "unit-kernel and multiplicative cocycle laws (plus jet form)", None
@@ -243,15 +235,9 @@ def _chk_horizontal_product_rule(s, rng, samples, step):
     return vals, 1e-5, "horizontal lifts obey the fiber product rule", None
 
 
-def _omegas_for(s):
-    if s.kind == "principal":
-        return [("single", s.omega), ("canonical", s.omega_canonical), ("glued", s.omega_glued)]
-    return [("affine", s.omega)]
-
-
 def _chk_form_complementarity(s, rng, samples, step):
     vals = []
-    for _, omega in _omegas_for(s):
+    for omega in s.forms.values():
         rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
         vals.append(rep["complementarity"])
     return vals, 1e-8, "connection form reproduces generators", None
@@ -259,7 +245,7 @@ def _chk_form_complementarity(s, rng, samples, step):
 
 def _chk_form_equivariance(s, rng, samples, step):
     vals = []
-    for _, omega in _omegas_for(s):
+    for omega in s.forms.values():
         rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
         vals.append(rep["ad_equivariance"])
     return vals, 1e-8, "connection form is adjoint-equivariant with group correction", None
@@ -319,70 +305,50 @@ def _chk_product_connection(s, rng, samples, step):
 
 
 def _chk_connection_difference(s, rng, samples, step):
-    if s.kind == "principal":
-        omega1, omega2 = s.omega, s.omega_canonical
-    else:
-        omega1 = s.omega
-        shift = np.hstack([np.full((s.group.dim, s.chart.dim), 0.35),
-                           np.zeros((s.group.dim, s.group.dim))])
-        omega2 = GeneralizedPrincipalConnection(
-            s.action, s.nu, [(constant_weight(), lambda y: s.omega.matrix(y) + shift)])
-    rep = connection_difference(omega1, omega2).validate(rng, samples=min(samples, 100))
+    rep = connection_difference(*s.difference_pair).validate(rng, samples=min(samples, 100))
     return [rep["horizontality"], rep["ad_equivariance"]], 1e-7, \
         "difference of two connections is tensorial of adjoint type", None
 
 
-def _curvature_omega(s):
-    # the classical-family form has nonvanishing curvature across the whole
-    # chart (the glued form is flat outside the weight ramp); it also sits
-    # over a flat group connection, which representative independence needs
-    # (see decisions ledger)
-    return s.omega
-
-
 def _chk_curvature_two_path(s, rng, samples, step):
-    omega = _curvature_omega(s)
     vals = []
     for _ in range(min(samples, 4)):
         y = s.action.space.random_point(rng)
         u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        vals.append(curvature(omega, y, u1, u2).gap)
+        vals.append(curvature(s.omega, y, u1, u2).gap)
     y = s.action.space.random_point(rng)
-    gaps = [curvature(omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
+    gaps = [curvature(s.omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
             for hh in (2e-2, 1e-2, 5e-3)]
     return vals, 1e-4, "bracket and covariant-exterior curvature paths agree", _order(gaps)
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
-    omega = _curvature_omega(s)
     vals = []
     for _ in range(min(samples, 4)):
         y = s.action.space.random_point(rng)
         u = rng.standard_normal(s.chart.dim)
-        vals.append(np.linalg.norm(curvature(omega, y, u, u).value.coords))
+        vals.append(np.linalg.norm(curvature(s.omega, y, u, u).value.coords))
     return vals, 1e-10, "curvature is antisymmetric in its arguments", None
 
 
 def _chk_curvature_tensoriality(s, rng, samples, step):
-    omega = _curvature_omega(s)
     vals = []
     for _ in range(min(samples, 3)):
         y = s.action.space.random_point(rng)
         u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        a = curvature(omega, y, u1, u2).value.coords
-        b = curvature(omega, y, 2.0 * u1, u2).value.coords
+        a = curvature(s.omega, y, u1, u2).value.coords
+        b = curvature(s.omega, y, 2.0 * u1, u2).value.coords
         vals.append(float(np.linalg.norm(2.0 * a - b)))
     return vals, 1e-6, "curvature value is pointwise tensorial in the arguments", None
 
 
 def _chk_reduced_curvature(s, rng, samples, step):
-    omega = _curvature_omega(s)
     vals = []
     for _ in range(min(samples, 4)):
         y = s.action.space.random_point(rng)
         g = s.group.random_element(rng)
         u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        vals.append(reduced_curvature_residual(omega, y, g, u1, u2))
+        vals.append(reduced_curvature_residual(s.omega, y, g, u1, u2))
     return vals, 1e-5, "reduced curvature is representative independent", None
 
 
@@ -420,7 +386,7 @@ def _chk_affine_reconstruction(s, rng, samples, step):
 
 def _chk_affine_transport_oracle(s, rng, samples, step):
     curve = s.curves["main"]
-    v0 = np.array([rng.uniform(-1, 1, s.fiber_dim) for _ in range(min(samples, 5))])
+    v0 = np.array([rng.uniform(-1, 1, s.group.dim) for _ in range(min(samples, 5))])
     y0 = s.fiber_point(curve.position(curve.a), v0)
     coarse, _ = transport_total(s.omega, curve, y0, step=step)
     fine, _ = transport_total(s.omega, curve, y0, step=step / 4.0)

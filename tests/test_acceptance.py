@@ -101,7 +101,7 @@ def test_criterion_03_connection_form_laws_single_and_glued():
     rng = np.random.default_rng(103)
     s = PRINCIPAL
     worst = 0.0
-    for omega in (s.omega_canonical, s.omega_glued):
+    for omega in (s.forms["canonical"], s.forms["glued"]):
         rep = validate_principal_connection(omega, rng, samples=1000)
         worst = max(worst, rep["complementarity"], rep["ad_equivariance"])
     _report(
@@ -120,12 +120,12 @@ def test_criterion_04_transport_compatibility_and_order():
         curve = random_curve(s.chart, rng, interval=(0.0, 0.25))
         y = s.action.space.random_point(rng)
         g = s.group.random_element(rng)
-        residuals.append(transport_compatibility_check(s.omega_glued, curve, y, g, step=5e-3))
+        residuals.append(transport_compatibility_check(s.transport_form, curve, y, g, step=5e-3))
     worst = max(residuals)
     curve = random_curve(s.chart, rng, interval=(0.0, 0.25))
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)
-    errs = [transport_compatibility_check(s.omega_glued, curve, y, g, step=st)
+    errs = [transport_compatibility_check(s.transport_form, curve, y, g, step=st)
             for st in (0.05, 0.025, 0.0125)]
     order = observed_order(errs)
     _report(
@@ -199,7 +199,7 @@ def test_criterion_08_affine_reconstruction_and_closed_form():
     curve = s.curves["main"]
     worst_transport = 0.0
     for _ in range(10):
-        y0v = rng.uniform(-1, 1, s.fiber_dim)
+        y0v = rng.uniform(-1, 1, s.group.dim)
         y0 = s.fiber_point(curve.position(curve.a), y0v)
         end, _ = transport_total(s.omega, curve, y0, step=1e-3)
         u = (curve.position(curve.b) - curve.position(curve.a)) / (curve.b - curve.a)
@@ -207,7 +207,7 @@ def test_criterion_08_affine_reconstruction_and_closed_form():
         gamma_u = u @ s.gamma(curve.position(curve.a))
         expected = affine_transport_oracle(nu_u, gamma_u, curve.b - curve.a, y0v)
         worst_transport = max(worst_transport,
-                              float(np.linalg.norm(s.fiber_coords(end) - expected)))
+                              float(np.linalg.norm(s.group.log(end.fiber).coords - expected)))
     _report(
         8,
         recon <= 1e-9 and equiv["shift_equivariance"] <= 1e-9 and worst_transport <= 1e-7,

@@ -16,7 +16,7 @@ from liebundles.bundles import (
     paired_generator_residual,
     vertical_isomorphism_check,
 )
-from liebundles.calculus import ChartDomain
+from liebundles.calculus import ChartDomain, central_difference
 from liebundles.groups import so3_descriptor, translation_descriptor
 
 SO3 = so3_descriptor()
@@ -191,10 +191,19 @@ def test_jet_lift_chain_rule_matches_fd_oracle():
     x = CHART.sample(rng)
     y_jet = SectionJet(x, SO3.random_element(rng), rng.standard_normal((2, 3)))
     g_jet = SectionJet(x, SO3.random_element(rng), rng.standard_normal((2, 3)))
-    closed = jet_lift_action(SO3_ACTION, y_jet, g_jet, fd=False)
-    fd = jet_lift_action(SO3_ACTION, y_jet, g_jet, fd=True)
-    assert np.allclose(closed.value.matrix, fd.value.matrix, atol=1e-12)
-    assert np.allclose(closed.deriv, fd.deriv, atol=1e-6)
+    closed = jet_lift_action(SO3_ACTION, y_jet, g_jet)
+
+    def germ(jet, dx):
+        # a representative section with this jet: exp(dx . deriv) value
+        return SO3.exp(SO3.algebra(dx @ jet.deriv)) @ jet.value
+
+    value = (y_jet.value @ g_jet.value).matrix
+    fd = []
+    for u in np.eye(2):
+        dmat = central_difference(lambda s: (germ(y_jet, s * u) @ germ(g_jet, s * u)).matrix, 1e-6)
+        fd.append(SO3.matrix_coords(dmat @ np.linalg.inv(value), tol=1e-4))
+    assert np.allclose(closed.value.matrix, value, atol=1e-12)
+    assert np.allclose(closed.deriv, np.vstack(fd), atol=1e-6)
 
 
 def test_jet_lift_constant_sections():

@@ -298,6 +298,7 @@ def test_tolerance_override_moves_the_bound_of_every_check(scenario, tolerances,
     ("validate", {"kind": "principal", "group": "so3"}, "chart"),
     ("transport", {"scenario": "principal-so3",
                    "curves": {"main": {"kind": "line", "start": [0.0, 0.0]}}}, "end"),
+    ("validate", {"scenario": "affine-constant", "curves": {}}, "main"),
 ])
 def test_config_missing_field_is_usage_error(command, config, field, tmp_path, capsys):
     path = tmp_path / "config.json"

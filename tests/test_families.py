@@ -56,7 +56,7 @@ def test_wiggle_family_rows_are_bitwise_lone_curves():
 @pytest.mark.parametrize("nu_name", ["nu", "nu_glued"])
 def test_group_family_rows_match_lone_curves(nu_name):
     s = PRINCIPAL
-    nu = getattr(s, nu_name)
+    nu = s.nus[nu_name]
     family, lone, rng = _family(s, 31)
     g = _elements(s, rng)
     rows = transport_group(nu, family, s.group.element(g), step=0.01).element.matrix
@@ -68,7 +68,7 @@ def test_group_family_rows_match_lone_curves(nu_name):
 
 @pytest.mark.parametrize("scenario, omega_name", [(PRINCIPAL, "omega_glued"), (AFFINE, "omega")])
 def test_total_family_rows_match_lone_curves(scenario, omega_name):
-    omega = getattr(scenario, omega_name)
+    omega = {"omega": scenario.omega, "omega_glued": scenario.transport_form}[omega_name]
     family, lone, rng = _family(scenario, 32)
     starts = [scenario.action.space.random_point(rng) for _ in range(C)]
     y0 = TotalPoint(np.stack([y.q for y in starts]),
@@ -116,7 +116,7 @@ def test_checks_return_one_residual_per_curve():
         "linearity": algebra_transport_linearity_check(
             s.nu, family, alg(xi), alg(eta), a, b, 0.01),
         "adjoint": ad_compatibility_check(s.nu, family, el(g), alg(xi), 0.01),
-        "compatibility": transport_compatibility_check(s.omega_glued, family, y, el(g), 0.01),
+        "compatibility": transport_compatibility_check(s.transport_form, family, y, el(g), 0.01),
     }
     for c, curve in enumerate(lone):
         lone_runs = {
@@ -125,7 +125,7 @@ def test_checks_return_one_residual_per_curve():
             "linearity": algebra_transport_linearity_check(
                 s.nu, curve, alg(xi[c]), alg(eta[c]), a[c], b[c], 0.01),
             "adjoint": ad_compatibility_check(s.nu, curve, el(g[c]), alg(xi[c]), 0.01),
-            "compatibility": transport_compatibility_check(s.omega_glued, curve, ys[c], el(g[c]), 0.01),
+            "compatibility": transport_compatibility_check(s.transport_form, curve, ys[c], el(g[c]), 0.01),
         }
         for name, residual in lone_runs.items():
             assert isinstance(residual, (float, tuple)), name
@@ -151,7 +151,7 @@ def test_family_with_nonfinite_row_names_it():
 @pytest.mark.parametrize("scenario, nu_name", [
     (PRINCIPAL, "nu"), (PRINCIPAL, "nu_glued"), (PRINCIPAL, "nu0"), (AFFINE, "nu")])
 def test_generator_on_a_batch_of_points_matches_each_point(scenario, nu_name):
-    conn = AlgebraConnection(getattr(scenario, nu_name))
+    conn = AlgebraConnection({"nu0": scenario.omega.nu, **scenario.nus}[nu_name])
     rng = np.random.default_rng(38)
     x = np.column_stack([rng.uniform(-0.3, 0.3, 6), rng.uniform(-0.9, 0.9, 6)])
     u = rng.standard_normal((6, 2))

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
     descriptor_from_json,
-    descriptor_to_json,
     so3_descriptor,
     translation_descriptor,
 )
@@ -18,6 +17,22 @@ from _oracles import series_logm, so3_hat, taylor_expm
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
+
+# SO(3) as a descriptor document: the standard antisymmetric basis, row-major,
+# with [E_1, E_2] = E_3 and its cyclic shifts
+SO3_DOC = {
+    "name": "so3",
+    "matrix_dim": 3,
+    "basis": [[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+              [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+              [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+    "structure_constants": [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                            [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                            [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+    "membership_tol": 1e-8,
+    "family": "orthogonal",
+    "injectivity_radius": np.pi - 0.1,
+}
 
 coords3 = st.tuples(*[st.floats(-1.2, 1.2) for _ in range(3)]).map(np.array)
 
@@ -167,7 +182,7 @@ def test_ad_matrix_consistent_with_ad():
 
 
 def test_descriptor_json_roundtrip():
-    doc = json.dumps(descriptor_to_json(SO3))
+    doc = json.dumps(SO3_DOC)
     desc = descriptor_from_json(doc)
     rng = np.random.default_rng(11)
     xi = desc.random_algebra(rng)
@@ -193,7 +208,7 @@ def test_descriptor_rejects_non_closed_basis():
 
 
 def test_descriptor_rejects_wrong_structure_constants_at_load():
-    doc = descriptor_to_json(SO3)
+    doc = dict(SO3_DOC)
     doc["structure_constants"] = (-np.asarray(doc["structure_constants"])).tolist()
     with pytest.raises(DescriptorError, match="structure constant check failed"):
         descriptor_from_json(doc)

@@ -346,8 +346,8 @@ def _per_tangent_oracles():
 
     return {
         "single": (s, s.omega, lambda y, u, d: canonical_form_oracle(SO3, y, u, d, s.base_form)),
-        "canonical": (s, s.omega_canonical, lambda y, u, d: canonical_form_oracle(SO3, y, u, d)),
-        "glued": (s, s.omega_glued, glued),
+        "canonical": (s, s.forms["canonical"], lambda y, u, d: canonical_form_oracle(SO3, y, u, d)),
+        "glued": (s, s.forms["glued"], glued),
         "affine": (AFFINE, AFFINE.omega,
                    lambda y, u, d: affine_form_oracle(AFFINE.nu_coeff, AFFINE.gamma, y, u, d)),
     }
@@ -417,7 +417,7 @@ def test_stacked_form_matches_per_point_oracle(name):
 @pytest.mark.parametrize("scenario, nu_name", [
     (PRINCIPAL, "nu"), (PRINCIPAL, "nu_glued"), (PRINCIPAL, "nu0"), (AFFINE, "nu")])
 def test_stacked_lift_map_matches_per_fiber_cocycle(scenario, nu_name):
-    nu = getattr(scenario, nu_name)
+    nu = {"nu0": scenario.omega.nu, **scenario.nus}[nu_name]
     group = scenario.group
     rng = np.random.default_rng(22)
     for _ in range(40):
@@ -435,15 +435,15 @@ def test_stacked_transports_match_separate_runs():
     curve = s.curves["main"]
     fibers = [s.group.identity()] + [s.group.random_element(rng) for _ in range(3)]
     stack = s.group.element(np.stack([g.matrix for g in fibers]))
-    for nu in (s.nu, s.nu_glued):
+    for nu in s.nus.values():
         rows = transport_group(nu, curve, stack, step=0.01).element.matrix
         for g, row in zip(fibers, rows):
             alone = transport_group(nu, curve, g, step=0.01).element.matrix
             assert np.max(np.abs(row - alone)) <= 1e-14
     x0 = curve.position(curve.a)
-    end, result = transport_total(s.omega_glued, curve, TotalPoint(x0, stack), step=0.01)
+    end, result = transport_total(s.transport_form, curve, TotalPoint(x0, stack), step=0.01)
     for g, row, residual in zip(fibers, end.fiber.matrix, result.membership_residual):
-        alone, _ = transport_total(s.omega_glued, curve, TotalPoint(x0, g), step=0.01)
+        alone, _ = transport_total(s.transport_form, curve, TotalPoint(x0, g), step=0.01)
         assert np.max(np.abs(row - alone.fiber.matrix)) <= 1e-14
         assert np.array_equal(end.q, alone.q)
         assert residual <= 1e-12

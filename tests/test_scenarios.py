@@ -1,5 +1,7 @@
 """Scenario fixture tests: presets build, equivalences hold, oracles match."""
 
+import ast
+import pathlib
 import zlib
 
 import numpy as np
@@ -45,6 +47,33 @@ def test_check_table_is_sorted_by_id(kind):
     assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
 
 
+def _compares_kind(node):
+    """True for a comparison that has ``kind`` (a name, an attribute or a
+    key) inside one of its operands."""
+    if not isinstance(node, ast.Compare):
+        return False
+    return any((isinstance(sub, ast.Name) and sub.id == "kind")
+               or (isinstance(sub, ast.Attribute) and sub.attr == "kind")
+               or (isinstance(sub, ast.Constant) and sub.value == "kind")
+               for operand in (node.left, *node.comparators) for sub in ast.walk(operand))
+
+
+def test_suites_compare_kind_only_to_choose_rows():
+    """A check reads what it samples from the scenario's fields, never from a
+    branch on its kind: suites.py compares ``kind`` only where `_checks_for`
+    and `run_suite` choose the rows of the check tables."""
+    tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
+    allowed = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("_checks_for", "run_suite")]
+    assert len(allowed) == 2
+    found = [f"suites.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+             if _compares_kind(node) and not any(node.lineno in rows for rows in allowed)]
+    assert not found, "kind compared outside the row choice:\n" + "\n".join(found)
+    for branch in ('s.kind == "principal"', 'kind in ("affine",)', 's.config["kind"] != k'):
+        assert _compares_kind(ast.parse(branch).body[0].value)
+    assert not _compares_kind(ast.parse('s.name == "principal-so3"').body[0].value)
+
+
 def test_a_new_row_leaves_the_numbers_of_other_checks(monkeypatch):
     only = ["transport-multiplicative"]
     before = run_suite(PRINCIPAL, only=only)
@@ -72,7 +101,7 @@ def test_unknown_preset_raises():
 def test_principal_scenario_connections_validate():
     rng = np.random.default_rng(0)
     assert max(validate_group_connection(PRINCIPAL.nu, rng, samples=50).values()) <= 1e-6
-    for omega in (PRINCIPAL.omega, PRINCIPAL.omega_glued):
+    for omega in (PRINCIPAL.omega, PRINCIPAL.transport_form):
         report = validate_principal_connection(omega, rng, samples=100)
         assert report["complementarity"] <= 1e-8
         assert report["ad_equivariance"] <= 1e-8
@@ -156,7 +185,7 @@ def test_affine_constant_transport_matches_exponential_oracle():
     y0v = rng.uniform(-1, 1, 2)
     y0 = scenario.fiber_point(curve.position(curve.a), y0v)
     end, _ = transport_total(scenario.omega, curve, y0, step=1e-3)
-    got = scenario.fiber_coords(end)
+    got = scenario.group.log(end.fiber).coords
 
     # straight line: constant-coefficient linear system with augmented expm
     start_x, end_x = curve.position(curve.a), curve.position(curve.b)
