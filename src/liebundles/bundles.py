@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ChartDomain, central_difference
+from .calculus import ChartDomain, central_difference, draw_rows
 from .errors import UsageError
-from .groups import AlgebraElement, GroupDescriptor, GroupElement
+from .groups import AlgebraElement, GroupDescriptor, GroupElement, _frobenius, _norm
 
 __all__ = [
     "LieGroupBundle",
@@ -65,10 +65,9 @@ class TotalPoint:
     q: np.ndarray
     fiber: GroupElement
 
-    def distance(self, other: "TotalPoint") -> float:
-        return float(
-            np.linalg.norm(self.q - other.q) + np.linalg.norm(self.fiber.matrix - other.fiber.matrix)
-        )
+    def distance(self, other: "TotalPoint"):
+        """|q - q'| + |fiber - fiber'|_F: a float, or one per row of a stack."""
+        return _norm(self.q - other.q) + _frobenius(self.fiber.matrix - other.fiber.matrix)
 
     def arrays(self):
         """(base point, fiber matrix): the pair `central_difference` differences."""
@@ -106,13 +105,13 @@ class FiberedAction:
         """d(action) applied to a fibered tangent pair over a common base velocity.
 
         Torsor closed form: d(h g) right-trivialized at hg equals
-        delta_h + Ad_h(delta_g).
+        delta_h + Ad_h(delta_g).  Stacked points and tangents act row by row.
         """
         if not np.allclose(ty.u, tg.u):
             raise UsageError("fibered tangent pair must share the base velocity")
         desc = self.space.fiber
         delta = desc.algebra(
-            ty.delta.coords + desc.Ad_matrix(y.fiber) @ tg.delta.coords
+            ty.delta.coords + (desc.Ad_matrix(y.fiber) @ tg.delta.coords[..., None])[..., 0]
         )
         return Tangent(ty.u, delta)
 
@@ -121,8 +120,10 @@ class FiberedAction:
     def generator(self, y: TotalPoint, xi: AlgebraElement) -> Tangent:
         """Vertical generator of xi at y: derivative of t -> y . exp(t xi).
 
-        Torsor closed form: right-trivialized value Ad_h(xi)."""
-        return Tangent(np.zeros(self.space.quotient.dim), self.space.fiber.Ad(y.fiber, xi))
+        Torsor closed form: right-trivialized value Ad_h(xi); a stack of
+        fibers or of xi gives a stack of tangents."""
+        delta = self.space.fiber.Ad(y.fiber, xi)
+        return Tangent(np.zeros(delta.coords.shape[:-1] + (self.space.quotient.dim,)), delta)
 
     def generator_matrix(self, y: TotalPoint) -> np.ndarray:
         """Columns are the fiber components of the basis generators at y."""
@@ -134,27 +135,26 @@ class FiberedAction:
 
     def validate(self, rng, samples=200):
         """Worst residual of verticality, compatibility and unit, then of
-        freeness, each on ``samples`` random draws; a sampled y.g = y with g
-        far from 1 counts as residual 1."""
+        freeness, each on ``samples`` random draws evaluated as one stack; a
+        sampled y.g = y with g far from 1 counts as residual 1."""
         desc = self.space.fiber
-        worst = 0.0
-        for _ in range(samples):
-            y = self.space.random_point(rng)
-            g = desc.random_element(rng)
-            h = desc.random_element(rng)
-            yg = self.act(y, g)
-            worst = max(worst, float(np.linalg.norm(yg.q - y.q)))
-            two_step = self.act(self.act(y, h), g)
-            one_step = self.act(y, h @ g)
-            worst = max(worst, two_step.distance(one_step))
-            worst = max(worst, self.act(y, desc.identity()).distance(y))
-        for _ in range(samples):
-            y = self.space.random_point(rng)
-            g = desc.random_element(rng)
-            if np.linalg.norm(g.matrix - np.eye(desc.matrix_dim)) > 1e-8:
-                if self.act(y, g).distance(y) <= 1e-10:
-                    worst = max(worst, 1.0)
-        return worst
+
+        def draw(elements):
+            """A stack of points, then ``elements`` stacks of group elements."""
+            x, *coords = draw_rows(samples, lambda: (self.space.quotient.sample(rng), *(
+                desc.random_algebra(rng).coords for _ in range(elements + 1))))
+            fiber, *rest = (desc.exp(desc.algebra(c)) for c in coords)
+            return (TotalPoint(x, fiber), *rest)
+
+        y, g, h = draw(2)
+        worst = max(np.max(_norm(self.act(y, g).q - y.q)),
+                    np.max(self.act(self.act(y, h), g).distance(self.act(y, h @ g))),
+                    np.max(self.act(y, desc.identity()).distance(y)))
+        y, g = draw(1)
+        moved = _frobenius(g.matrix - np.eye(desc.matrix_dim)) > 1e-8
+        if np.any(moved & (self.act(y, g).distance(y) <= 1e-10)):
+            worst = max(worst, 1.0)
+        return float(worst)
 
 
 def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "TwoIndexAlgebraForm",
     "fd_step",
     "central_difference",
+    "draw_rows",
     "finite_diff_jacobian",
     "directional_derivative",
     "numerical_bracket",
@@ -50,6 +51,16 @@ def central_difference(f, eps):
     if isinstance(plus, tuple):
         return tuple((p - m) / (2 * eps) for p, m in zip(plus, minus))
     return (plus - minus) / (2 * eps)
+
+
+def draw_rows(count, draw):
+    """``count`` calls of ``draw()``, each a tuple of arrays or numbers, made
+    one row at a time so the RNG order is that of a per-sample loop, and
+    stacked entry by entry into a tuple of arrays with a leading row axis.
+    A count below 1 raises: no check may pass on an empty sample."""
+    if count < 1:
+        raise UsageError(f"samples must be at least 1, got {count}")
+    return tuple(np.array(column) for column in zip(*(draw() for _ in range(count))))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .calculus import (
     Polynomial,
     central_difference,
     directional_derivative,
+    draw_rows,
     numerical_bracket,
 )
 from .connections import (
@@ -44,7 +45,7 @@ from .connections import (
     _transport_rows,
 )
 from .errors import ConstructionError, UsageError
-from .groups import AlgebraElement, GroupElement
+from .groups import AlgebraElement, GroupElement, _norm
 from .integrators import integrate_stack
 
 __all__ = [
@@ -330,36 +331,36 @@ def build_two_chart_connection(
 # ---------------------------------------------------------------------------
 
 
-def _form_law_residuals(action, value, rng, samples, nu=None):
+def _form_law_residuals(form, rng, samples, nu=None):
     """Worst residuals of the two laws of an algebra-valued form on random
-    samples.  With a group connection nu: complementarity |value(generator of
-    xi) - xi| and equivariance value(y.g, dPhi) = Ad_{g^-1}(value(y) + nu form).
-    Without: horizontality |value(generator of xi)| and plain adjoint
-    equivariance."""
+    samples, drawn one at a time and evaluated as one stack.  With a group
+    connection nu: complementarity |form(generator of xi) - xi| and
+    equivariance form(y.g, dPhi) = Ad_{g^-1}(form(y) + nu form).  Without:
+    horizontality |form(generator of xi)| and plain adjoint equivariance."""
+    action = form.action
     desc = action.space.fiber
-    vert_worst = equi_worst = 0.0
-    for _ in range(samples):
-        y = action.space.random_point(rng)
-        xi = desc.random_algebra(rng)
-        target = xi.coords if nu is not None else 0.0
-        vert = value(y, action.generator(y, xi)).coords - target
-        vert_worst = max(vert_worst, float(np.linalg.norm(vert)))
+    x, fy, xi, fg, u, dy, dg = draw_rows(samples, lambda: (
+        action.space.quotient.sample(rng), desc.random_algebra(rng).coords,
+        desc.random_algebra(rng).coords, desc.random_algebra(rng).coords,
+        rng.standard_normal(action.space.quotient.dim), desc.random_algebra(rng).coords,
+        desc.random_algebra(rng).coords))
+    y, g = TotalPoint(x, desc.exp(desc.algebra(fy))), desc.exp(desc.algebra(fg))
 
-        g = desc.random_element(rng)
-        u = rng.standard_normal(action.space.quotient.dim)
-        t_y = Tangent(u, desc.random_algebra(rng))
-        t_g = Tangent(u, desc.random_algebra(rng))
-        lhs = value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
-        correction = nu.connection_form(y.q, g, u, t_g.delta).coords if nu is not None else 0.0
-        rhs = desc.Ad_matrix(g.inverse()) @ (value(y, t_y).coords + correction)
-        equi_worst = max(equi_worst, float(np.linalg.norm(lhs - rhs)))
-    return vert_worst, equi_worst
+    def value(y, t):
+        return (form.matrix(y) @ np.concatenate([t.u, t.delta.coords], axis=-1)[..., None])[..., 0]
+
+    vert = value(y, action.generator(y, desc.algebra(xi))) - (xi if nu is not None else 0.0)
+    t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))
+    lhs = value(action.act(y, g), action.differential(y, g, t_y, t_g))
+    correction = dg - nu.lift_map(x, u)(g.matrix) if nu is not None else 0.0
+    rhs = (desc.Ad_matrix(g.inverse()) @ (value(y, t_y) + correction)[..., None])[..., 0]
+    return float(np.max(_norm(vert))), float(np.max(_norm(lhs - rhs)))
 
 
 def validate_principal_connection(omega, rng, samples=200):
     """Worst residuals of complementarity and of adjoint equivariance with the
     omega.nu correction on random samples."""
-    comp, equi = _form_law_residuals(omega.action, omega.value, rng, samples, omega.nu)
+    comp, equi = _form_law_residuals(omega, rng, samples, omega.nu)
     return {"complementarity": comp, "ad_equivariance": equi}
 
 
@@ -470,7 +471,7 @@ class TensorialAdjointForm:
     def validate(self, rng, samples=100):
         """Worst residuals of horizontality and adjoint equivariance on random
         samples."""
-        horiz, equi = _form_law_residuals(self.action, self.value, rng, samples)
+        horiz, equi = _form_law_residuals(self, rng, samples)
         return {"horizontality": horiz, "ad_equivariance": equi}
 
 

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 
 from .bundles import Tangent, TotalPoint, paired_generator_residual, equivariance_of_generators, vertical_isomorphism_check
-from .calculus import BaseCurve, central_difference
+from .calculus import BaseCurve, central_difference, draw_rows
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
@@ -85,15 +85,9 @@ def _family_residuals(s, rng, count, draw, check):
     ``check(family, *draws stacked along a leading curve axis)`` once, so every
     curve's transports are rows of the same integrations.
     """
-    params, draws = [], []
-    for _ in range(count):
-        params.append(random_wiggle(s.chart, rng))
-        draws.append(draw())
-    if not params:
-        return []
-    family = BaseCurve.wiggle(*(np.array(p) for p in zip(*params)), RANDOM_CURVE_INTERVAL,
-                              label="random")
-    return list(check(family, *(np.array(d) for d in zip(*draws))))
+    start, end, amps, *draws = draw_rows(count, lambda: random_wiggle(s.chart, rng) + draw())
+    family = BaseCurve.wiggle(start, end, amps, RANDOM_CURVE_INTERVAL, label="random")
+    return list(check(family, *draws))
 
 
 def _element(s, matrices):

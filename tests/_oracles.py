@@ -149,3 +149,162 @@ def horizontal_lift_oracle(value, d, u):
     rhs = -value(u, np.zeros(d))
     op = np.column_stack([value(np.zeros(u.size), e) for e in np.eye(d)])
     return np.linalg.solve(op, rhs)
+
+
+# ---------------------------------------------------------------------------
+# per-sample law checks: the sampled-law validators as loops that draw and
+# evaluate one sample at a time through the lone-point kernels.  The package
+# draws the same numbers in the same order and evaluates them as one stack;
+# it must return exactly these numbers.
+# ---------------------------------------------------------------------------
+
+
+def form_law_residuals_oracle(action, value, rng, samples, nu=None):
+    """Worst residuals of the two laws of an algebra-valued form on random
+    samples.  With a group connection nu: complementarity |value(generator of
+    xi) - xi| and equivariance value(y.g, dPhi) = Ad_{g^-1}(value(y) + nu form).
+    Without: horizontality |value(generator of xi)| and plain adjoint
+    equivariance."""
+    from liebundles.bundles import Tangent
+
+    desc = action.space.fiber
+    vert_worst = equi_worst = 0.0
+    for _ in range(samples):
+        y = action.space.random_point(rng)
+        xi = desc.random_algebra(rng)
+        target = xi.coords if nu is not None else 0.0
+        vert = value(y, action.generator(y, xi)).coords - target
+        vert_worst = max(vert_worst, float(np.linalg.norm(vert)))
+
+        g = desc.random_element(rng)
+        u = rng.standard_normal(action.space.quotient.dim)
+        t_y = Tangent(u, desc.random_algebra(rng))
+        t_g = Tangent(u, desc.random_algebra(rng))
+        lhs = value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
+        correction = nu.connection_form(y.q, g, u, t_g.delta).coords if nu is not None else 0.0
+        rhs = desc.Ad_matrix(g.inverse()) @ (value(y, t_y).coords + correction)
+        equi_worst = max(equi_worst, float(np.linalg.norm(lhs - rhs)))
+    return vert_worst, equi_worst
+
+
+def principal_connection_oracle(omega, rng, samples):
+    """`validate_principal_connection`, one sample at a time."""
+    comp, equi = form_law_residuals_oracle(omega.action, omega.value, rng, samples, omega.nu)
+    return {"complementarity": comp, "ad_equivariance": equi}
+
+
+def tensorial_form_oracle(form, rng, samples):
+    """`TensorialAdjointForm.validate`, one sample at a time."""
+    horiz, equi = form_law_residuals_oracle(form.action, form.value, rng, samples)
+    return {"horizontality": horiz, "ad_equivariance": equi}
+
+
+def group_connection_oracle(nu, rng, samples):
+    """`validate_group_connection`, one sample at a time."""
+    desc = nu.bundle.fiber
+    chart = nu.bundle.base
+    unit_worst = 0.0
+    cocycle_worst = 0.0
+    jet_worst = 0.0
+    for _ in range(samples):
+        x = chart.sample(rng)
+        u = rng.standard_normal(chart.dim)
+        g = desc.random_element(rng)
+        gp = desc.random_element(rng)
+        unit_worst = max(
+            unit_worst, np.linalg.norm(nu.horizontal_delta(x, desc.identity(), u).coords)
+        )
+        lhs = nu.horizontal_delta(x, g @ gp, u).coords
+        rhs = (
+            nu.horizontal_delta(x, g, u).coords
+            + desc.Ad_matrix(g) @ nu.horizontal_delta(x, gp, u).coords
+        )
+        cocycle_worst = max(cocycle_worst, float(np.linalg.norm(lhs - rhs)))
+        jg = nu.jet_section(x, g)
+        jgp = nu.jet_section(x, gp)
+        prod_deriv = jg.deriv + (desc.Ad_matrix(g) @ jgp.deriv.T).T
+        jet = nu.jet_section(x, g @ gp)
+        jet_worst = max(jet_worst, float(np.max(np.abs(prod_deriv - jet.deriv))))
+    return {
+        "unit_kernel": float(unit_worst),
+        "cocycle": float(cocycle_worst),
+        "jet_multiplicativity": float(jet_worst),
+    }
+
+
+def classical_form_value_oracle(scenario, x, g, u, delta_right, drop_ad=False):
+    """Classical coefficient form at one sample."""
+    desc = scenario.group
+    left = desc.Ad_matrix(g.inverse()) @ delta_right.coords
+    base = scenario.base_form(x, u).coords
+    if not drop_ad:
+        base = desc.Ad_matrix(g.inverse()) @ base
+    return desc.algebra(base + left)
+
+
+def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
+    """`principal_equivalence_report`, one sample at a time; its control form
+    is evaluated at one point at a time, where a plain transpose suffices."""
+    from liebundles.principal import GeneralizedPrincipalConnection, constant_weight, form_matrix
+
+    desc = scenario.group
+    chart = scenario.chart
+    vert_worst = 0.0
+    requiv_worst = 0.0
+    for _ in range(samples):
+        x = chart.sample(rng)
+        g = desc.random_element(rng)
+        xi = desc.random_algebra(rng)
+        # right-action generator at g has left-trivialized value xi
+        delta = desc.algebra(desc.Ad_matrix(g) @ xi.coords)
+        got = classical_form_value_oracle(scenario, x, g, np.zeros(chart.dim), delta, drop_ad)
+        vert_worst = max(vert_worst, float(np.linalg.norm(got.coords - xi.coords)))
+
+        h = desc.random_element(rng)
+        u = rng.standard_normal(chart.dim)
+        dv = desc.random_algebra(rng)
+        lhs = classical_form_value_oracle(scenario, x, g @ h, u, dv, drop_ad).coords
+        rhs = desc.Ad_matrix(h.inverse()) @ classical_form_value_oracle(
+            scenario, x, g, u, dv, drop_ad).coords
+        requiv_worst = max(requiv_worst, float(np.linalg.norm(lhs - rhs)))
+
+    if drop_ad:
+        broken = GeneralizedPrincipalConnection(
+            scenario.action,
+            scenario.omega.nu,
+            [(constant_weight(),
+              lambda y: form_matrix(scenario.base_form.coefficient_array(y.q).T,
+                                    desc.Ad_matrix(y.fiber.inverse())))],
+        )
+        induced = principal_connection_oracle(broken, rng, samples)
+    else:
+        induced = principal_connection_oracle(scenario.omega, rng, samples)
+    return {
+        "classical_vertical": vert_worst,
+        "classical_right_equivariance": requiv_worst,
+        "induced_complementarity": induced["complementarity"],
+        "induced_ad_equivariance": induced["ad_equivariance"],
+    }
+
+
+def action_axioms_oracle(action, rng, samples):
+    """`FiberedAction.validate`, one sample at a time."""
+    desc = action.space.fiber
+    worst = 0.0
+    for _ in range(samples):
+        y = action.space.random_point(rng)
+        g = desc.random_element(rng)
+        h = desc.random_element(rng)
+        yg = action.act(y, g)
+        worst = max(worst, float(np.linalg.norm(yg.q - y.q)))
+        two_step = action.act(action.act(y, h), g)
+        one_step = action.act(y, h @ g)
+        worst = max(worst, two_step.distance(one_step))
+        worst = max(worst, action.act(y, desc.identity()).distance(y))
+    for _ in range(samples):
+        y = action.space.random_point(rng)
+        g = desc.random_element(rng)
+        if np.linalg.norm(g.matrix - np.eye(desc.matrix_dim)) > 1e-8:
+            if action.act(y, g).distance(y) <= 1e-10:
+                worst = max(worst, 1.0)
+    return worst

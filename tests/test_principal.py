@@ -184,9 +184,11 @@ def _difference_with_laws(omega1, omega2, rng):
 def test_connection_difference_is_tensorial():
     # two connections over the same (trivial) nu: canonical with and without a
     # base-form shift
-    base = AlgebraOneForm(
-        SO3, lambda x: np.array([[0.3 + 0.5 * x[1], 0.0, 0.2], [0.0, 0.4 * x[0], 0.1]])
-    )
+    # A = [[0.3 + 0.5 x2, 0, 0.2], [0, 0.4 x1, 0.1]], as a table so that it
+    # also evaluates at a batch of points, as the form-law validators ask
+    base = AlgebraOneForm.from_polynomials(
+        SO3, [{"0": {"0,0": 0.3, "0,1": 0.5}, "2": {"0,0": 0.2}},
+              {"1": {"1,0": 0.4}, "2": {"0,0": 0.1}}], 2)
     omega_shifted, _ = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(9)
     form = _difference_with_laws(omega_shifted, OMEGA_CANON, rng)

@@ -1,9 +1,12 @@
 """Smoke tests of the runnable scripts under scripts/."""
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -16,3 +19,59 @@ def test_convergence_study_runs():
         capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
     assert "# observed orders" in result.stdout
+
+
+def _compare(tmp_path, records_a, records_b, extra_args=None):
+    """Exit code and output of compare_reports.py on two report directories,
+    each holding one `principal-so3.jsonl` of the given records."""
+    dirs = []
+    for name, records in (("a", records_a), ("b", records_b)):
+        d = tmp_path / name
+        d.mkdir()
+        if records is not None:
+            (d / "principal-so3.jsonl").write_text(
+                "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8")
+        dirs.append(str(d))
+    args = dirs if extra_args is None else extra_args
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_reports.py"), *args],
+                            capture_output=True, text=True, timeout=60)
+    return result.returncode, result.stdout + result.stderr
+
+
+def _record(check, max_residual, tolerance=1e-8):
+    return {"check": check, "samples": 3, "passed": max_residual <= tolerance,
+            "tolerance": tolerance, "mode": "max<=tol", "max_residual": max_residual}
+
+
+REPORT = [_record("form-complementarity", 2e-16), _record("group-connection-laws", 4e-17)]
+
+
+def test_compare_reports_passes_byte_identical_directories(tmp_path):
+    code, out = _compare(tmp_path, REPORT, REPORT)
+    assert code == 0, out
+    assert "principal-so3.jsonl: byte-identical" in out
+
+
+def test_compare_reports_passes_a_roundoff_move(tmp_path):
+    moved = [_record("form-complementarity", 2e-16 + 0.5e-3 * 1e-8), REPORT[1]]
+    code, out = _compare(tmp_path, REPORT, moved)
+    assert code == 0, out
+    assert "differs; largest" in out
+
+
+@pytest.mark.parametrize("other", [
+    [_record("form-complementarity", 2e-16, tolerance=1e-7), REPORT[1]],  # tolerance differs
+    REPORT[:1],                                                           # check id missing
+    [_record("form-complementarity", 2e-16 + 2e-3 * 1e-8), REPORT[1]],    # beyond roundoff
+    None,                                                                 # file missing
+])
+def test_compare_reports_flags_a_mismatch(tmp_path, other):
+    code, out = _compare(tmp_path, REPORT, other)
+    assert code == 1, out
+
+
+@pytest.mark.parametrize("args", [[], ["only-one-dir"], ["a", "b", "c"]])
+def test_compare_reports_rejects_wrong_usage(tmp_path, args):
+    code, out = _compare(tmp_path, REPORT, REPORT, extra_args=args)
+    assert code == 2, out
+    assert "Usage" in out

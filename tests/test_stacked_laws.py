@@ -1,0 +1,113 @@
+"""The sampled-law validators draw one sample at a time and evaluate one stack
+of samples.  Each must return exactly the numbers of its per-sample loop in
+_oracles, with no tolerance, and leave the RNG where that loop leaves it."""
+
+import numpy as np
+import pytest
+
+from liebundles.bundles import TotalPoint
+from liebundles.connections import validate_group_connection
+from liebundles.errors import UsageError
+from liebundles.principal import connection_difference, validate_principal_connection
+from liebundles.scenarios import build_scenario, drop_ad_form, principal_equivalence_report
+
+from _oracles import (
+    action_axioms_oracle,
+    group_connection_oracle,
+    principal_connection_oracle,
+    principal_equivalence_oracle,
+    tensorial_form_oracle,
+)
+
+SCENARIOS = {name: build_scenario(name)
+             for name in ("principal-so3", "affine-constant", "affine-varying")}
+
+
+def _subjects(s):
+    """(label, stacked validator, per-sample oracle), each called as f(rng, samples)."""
+    def form_law(omega):
+        return (lambda rng, k: validate_principal_connection(omega, rng, samples=k),
+                lambda rng, k: principal_connection_oracle(omega, rng, k))
+
+    def cocycle_law(nu):
+        return (lambda rng, k: validate_group_connection(nu, rng, samples=k),
+                lambda rng, k: group_connection_oracle(nu, rng, k))
+
+    out = {f"forms.{key}": form_law(omega) for key, omega in s.forms.items()}
+    out.update({f"nus.{key}": cocycle_law(nu) for key, nu in s.nus.items()})
+    out["transport_form"] = form_law(s.transport_form)
+    out["transport_form.nu"] = cocycle_law(s.transport_form.nu)
+    diff = connection_difference(*s.difference_pair)
+    out["difference"] = (lambda rng, k: diff.validate(rng, samples=k),
+                         lambda rng, k: tensorial_form_oracle(diff, rng, k))
+    out["action"] = (lambda rng, k: s.action.validate(rng, samples=k),
+                     lambda rng, k: action_axioms_oracle(s.action, rng, k))
+    if s.base_form is not None:
+        for drop_ad in (False, True):
+            out[f"classical.drop_ad={drop_ad}"] = (
+                lambda rng, k, d=drop_ad: principal_equivalence_report(s, rng, samples=k, drop_ad=d),
+                lambda rng, k, d=drop_ad: principal_equivalence_oracle(s, rng, k, drop_ad=d))
+    return out
+
+
+CASES = [(name, label) for name, s in SCENARIOS.items() for label in _subjects(s)]
+
+
+@pytest.mark.parametrize("name, label", CASES)
+def test_stacked_validator_equals_per_sample_oracle(name, label):
+    stacked, oracle = _subjects(SCENARIOS[name])[label]
+    for seed in (0, 7919):
+        for samples in (1, 7, 100):
+            rng_stacked, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert stacked(rng_stacked, samples) == oracle(rng_oracle, samples), (seed, samples)
+            assert rng_stacked.bit_generator.state == rng_oracle.bit_generator.state
+
+
+def _forms(s):
+    """Every form the validators evaluate at a batch of points, by label."""
+    out = {f"forms.{key}": omega for key, omega in s.forms.items()}
+    out["transport_form"] = s.transport_form
+    out["difference_pair.0"], out["difference_pair.1"] = s.difference_pair
+    out["difference"] = connection_difference(*s.difference_pair)
+    if s.base_form is not None:
+        out["drop_ad_control"] = drop_ad_form(s)
+    return out
+
+
+FORM_CASES = [(name, label) for name, s in SCENARIOS.items() for label in _forms(s)]
+
+
+@pytest.mark.parametrize("name, label", FORM_CASES)
+def test_form_matrix_at_a_batch_equals_lone_points(name, label):
+    s = SCENARIOS[name]
+    form = _forms(s)[label]
+    rng = np.random.default_rng(31)
+    x = np.array([s.chart.sample(rng) for _ in range(7)])
+    # first coordinates across the glued ramp [-0.2, 0.2]: weights 0, 1 and between
+    x[:, 0] = np.linspace(-0.6, 0.6, 7)
+    fibers = np.array([s.group.random_element(rng).matrix for _ in range(7)])
+    batch = TotalPoint(x, s.group.element(fibers))
+    lone = [TotalPoint(x[r], s.group.element(fibers[r])) for r in range(7)]
+    pieces = [piece for _, piece in getattr(form, "pieces", [])] + [form.matrix]
+    for piece in pieces:
+        stacked = piece(batch)
+        assert stacked.shape[0] == 7
+        for r, y in enumerate(lone):
+            assert np.array_equal(stacked[r], piece(y)), (piece, r)
+
+
+def test_every_sampled_validator_refuses_an_empty_sample():
+    s = SCENARIOS["principal-so3"]
+    validators = [
+        lambda k: validate_principal_connection(s.omega, np.random.default_rng(0), samples=k),
+        lambda k: connection_difference(*s.difference_pair).validate(
+            np.random.default_rng(0), samples=k),
+        lambda k: validate_group_connection(s.nu, np.random.default_rng(0), samples=k),
+        lambda k: principal_equivalence_report(s, np.random.default_rng(0), samples=k),
+        lambda k: s.action.validate(np.random.default_rng(0), samples=k),
+    ]
+    for validate in validators:
+        for samples in (0, -1):
+            with pytest.raises(UsageError, match="at least 1"):
+                validate(samples)
+        validate(1)
