@@ -142,7 +142,7 @@ class FiberedAction:
         def draw(elements):
             """A stack of points, then ``elements`` stacks of group elements."""
             x, *coords = draw_rows(samples, lambda: (self.space.quotient.sample(rng), *(
-                desc.random_algebra(rng).coords for _ in range(elements + 1))))
+                desc.random_coords(rng) for _ in range(elements + 1))))
             fiber, *rest = (desc.exp(desc.algebra(c)) for c in coords)
             return (TotalPoint(x, fiber), *rest)
 

@@ -7,7 +7,6 @@ truncation and roundoff for second-order central stencils.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +18,7 @@ from .groups import AlgebraElement, GroupDescriptor
 __all__ = [
     "ChartDomain",
     "BaseCurve",
+    "FiberMap",
     "Polynomial",
     "AlgebraOneForm",
     "TwoIndexAlgebraForm",
@@ -101,13 +101,19 @@ class ChartDomain:
         return 0.5 * (self.lower + self.upper)
 
 
+def _times(t, ndim):
+    """A 1-D array of times with ``ndim`` trailing unit axes; a lone time as it is."""
+    return np.reshape(t, np.shape(t) + (1,) * ndim) if np.ndim(t) else t
+
+
 @dataclass
 class BaseCurve:
     """Curve t -> x(t) in the chart with its analytic velocity.
 
     A family of C curves on a common interval is one BaseCurve whose position
     and velocity return (C, n); a lone curve is a family without the leading
-    axis.
+    axis.  Position and velocity also take a 1-D array of T times and return
+    (T, n) or (T, C, n), row k bit-identical to time k alone.
     """
 
     a: float
@@ -125,15 +131,11 @@ class BaseCurve:
         position at 20 sampled times; a sampled point outside ``chart`` raises."""
         ts = np.linspace(self.a, self.b, 20)
         h = 1e-6 * (self.b - self.a)
-        worst = 0.0
-        for t in ts:
-            x = np.asarray(self.position(t), dtype=float)
-            if chart is not None:
-                chart.require(x)
-            tt = min(max(t, self.a + h), self.b - h)
-            fd = central_difference(lambda s: np.asarray(self.position(tt + s)), h)
-            worst = max(worst, float(np.linalg.norm(fd - np.asarray(self.velocity(tt)))))
-        return worst
+        for x in self.position(ts) if chart is not None else ():
+            chart.require(x)
+        tt = np.clip(ts, self.a + h, self.b - h)
+        gap = central_difference(lambda s: self.position(tt + s), h) - self.velocity(tt)
+        return float(np.max(np.linalg.norm(gap.reshape(len(ts), -1), axis=1)))
 
     @staticmethod
     def line(start, end, interval=(0.0, 1.0), label="line"):
@@ -144,11 +146,11 @@ class BaseCurve:
         rate = (end - start) / span
 
         def pos(t):
-            s = (t - a) / span
+            s = _times((t - a) / span, start.ndim)
             return (1.0 - s) * start + s * end
 
         def vel(t):
-            return rate.copy()
+            return np.broadcast_to(rate, np.shape(t) + rate.shape).copy()
 
         return BaseCurve(a, b, pos, vel, label=label)
 
@@ -162,16 +164,16 @@ class BaseCurve:
 
         def pos(t):
             s = 2.0 * np.pi * (t - a) / span
-            x = center.copy()
-            x[i] += radius * np.cos(s)
-            x[j] += radius * np.sin(s)
+            x = np.broadcast_to(center, np.shape(t) + center.shape).copy()
+            x[..., i] += radius * np.cos(s)
+            x[..., j] += radius * np.sin(s)
             return x
 
         def vel(t):
             s = 2.0 * np.pi * (t - a) / span
-            v = np.zeros_like(center)
-            v[i] = -radius * np.sin(s) * 2.0 * np.pi / span
-            v[j] = radius * np.cos(s) * 2.0 * np.pi / span
+            v = np.zeros(np.shape(t) + center.shape)
+            v[..., i] = -radius * np.sin(s) * 2.0 * np.pi / span
+            v[..., j] = radius * np.cos(s) * 2.0 * np.pi / span
             return v
 
         return BaseCurve(a, b, pos, vel, label=label)
@@ -192,19 +194,18 @@ class BaseCurve:
         base = (end - start) / span
         w = np.arange(start.shape[-1])
 
-        # scalar trigonometry through math: a numpy call per scalar costs more
         def pos(t):
-            s = (t - a) / span
-            return (1.0 - s) * start + s * end + amp * math.sin(np.pi * s) * np.sin(
+            s = _times((t - a) / span, start.ndim)
+            return (1.0 - s) * start + s * end + amp * np.sin(np.pi * s) * np.sin(
                 2.0 * np.pi * s + w
             )
 
         def vel(t):
-            s = (t - a) / span
+            s = _times((t - a) / span, start.ndim)
             phase = 2 * np.pi * s + w
             d = (
-                np.pi * math.cos(np.pi * s) * np.sin(phase)
-                + 2 * np.pi * math.sin(np.pi * s) * np.cos(phase)
+                np.pi * np.cos(np.pi * s) * np.sin(phase)
+                + 2 * np.pi * np.sin(np.pi * s) * np.cos(phase)
             )
             return base + amp * d / span
 
@@ -217,8 +218,25 @@ class BaseCurve:
         if np.ndim(self.position(self.a)) == 1:
             return self
         pos, vel = self.position, self.velocity
-        return BaseCurve(self.a, self.b, lambda t: np.concatenate((pos(t),) * k),
-                         lambda t: np.concatenate((vel(t),) * k), label=self.label)
+        return BaseCurve(self.a, self.b, lambda t: np.concatenate((pos(t),) * k, axis=-2),
+                         lambda t: np.concatenate((vel(t),) * k, axis=-2), label=self.label)
+
+
+class FiberMap:
+    """A map from (..., m, m) fiber matrices whose base-point-dependent parts
+    are computed once: ``m(fibers)`` is ``apply(fibers, *parts)``.  When the
+    points have a leading stage axis, so does every part, and ``m[k]`` is the
+    map at stage k, with every part, FiberMaps included, sliced along it.
+    """
+
+    def __init__(self, apply, *parts):
+        self.apply, self.parts = apply, parts
+
+    def __call__(self, fibers):
+        return self.apply(fibers, *self.parts)
+
+    def __getitem__(self, k):
+        return FiberMap(self.apply, *(part[k] for part in self.parts))
 
 
 class Polynomial:
@@ -231,7 +249,8 @@ class Polynomial:
     per slot in sorted exponent order, so an entry of ``Polynomial.array`` is
     bit-identical to the scalar polynomial of its table.  A point of shape
     (n,) gives one value; a batch of points (R, n) gives R values along a
-    leading axis, each row bit-identical to that point alone.
+    leading axis, each row bit-identical to that point alone; any number of
+    leading axes is a batch.
     """
 
     def __init__(self, table, dim):
@@ -264,7 +283,8 @@ class Polynomial:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         # per-axis values: floats for one point, columns for a batch of points
-        values = x.tolist() if x.ndim == 1 else list(np.ascontiguousarray(x.T))
+        flat = x.reshape(-1, x.shape[-1])
+        values = x.tolist() if x.ndim == 1 else list(np.ascontiguousarray(flat.T))
         out = [0.0] * self._size
         for slot, coeff, factors in self.terms:
             term = coeff
@@ -273,10 +293,10 @@ class Polynomial:
             out[slot] = out[slot] + term
         if x.ndim == 1:
             return np.array(out).reshape(self.shape) if self.shape else out[0]
-        batch = np.empty((len(x), self._size))
+        batch = np.empty((len(flat), self._size))
         for slot, value in enumerate(out):
             batch[:, slot] = value
-        return batch.reshape(x.shape[:1] + self.shape)
+        return batch.reshape(x.shape[:-1] + self.shape)
 
     def partial(self, mu):
         """Analytic partial derivative of a scalar polynomial as a new Polynomial."""
@@ -305,14 +325,22 @@ class AlgebraOneForm:
         self.coefficients = coefficients
 
     def coefficient_array(self, x):
-        return np.asarray(self.coefficients(np.asarray(x, dtype=float)), dtype=float)
+        """(..., n, dim) at points (..., n); coefficients that ignore the
+        leading axes of x are broadcast over them."""
+        x = np.asarray(x, dtype=float)
+        arr = np.asarray(self.coefficients(x), dtype=float)
+        return np.broadcast_to(arr, x.shape[:-1] + arr.shape[-2:])
+
+    def coords(self, x, u):
+        """Coordinates (..., dim) of the value on u at x, for any leading axes."""
+        arr = self.coefficient_array(x)
+        u = np.asarray(u, dtype=float)
+        return (u[..., None, :] @ arr)[..., 0, :]
 
     def __call__(self, x, u) -> AlgebraElement:
         """Value on u at x; points x and vectors u of shape (R, n) give an
         (R, dim) stack."""
-        arr = self.coefficient_array(x)
-        u = np.asarray(u, dtype=float)
-        return self.descriptor.algebra((u[..., None, :] @ arr)[..., 0, :])
+        return self.descriptor.algebra(self.coords(x, u))
 
     @staticmethod
     def constant(descriptor, array):

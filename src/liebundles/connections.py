@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import LieGroupBundle, SectionJet
-from .calculus import AlgebraOneForm, BaseCurve, central_difference, draw_rows
+from .calculus import AlgebraOneForm, BaseCurve, FiberMap, central_difference, draw_rows
 from .groups import AlgebraElement, GroupElement, _eye_stack, _norm
 from .integrators import integrate_linear, integrate_stack
 
@@ -44,12 +44,12 @@ class LieGroupBundleConnection:
     """Connection on chart x G given by its horizontal-lift cocycle.
 
     ``lift_map(x, u)`` computes the x-dependent part of h(x, g, u) once per
-    (x, u) and returns the map from a (..., m, m) array of fiber matrices to
-    the (..., dim) coordinates of h.  It also takes a batch of points: x and u
-    of shape (R, n) give the map from an (R, m, m) stack, row r at
-    (x[r], u[r]), to (R, dim).  ``base_form`` is the coefficient 1-form A of a
-    connection built by `from_base_form`; `AlgebraConnection.generator` reads
-    its closed form from A.
+    (x, u) and returns the `FiberMap` from a (..., m, m) array of fiber
+    matrices to the (..., dim) coordinates of h.  It also takes a batch of
+    points with any leading axes: x and u of shape (R, n) give the map from
+    an (R, m, m) stack, row r at (x[r], u[r]), to (R, dim).  ``base_form`` is
+    the coefficient 1-form A of a connection built by `from_base_form`;
+    `AlgebraConnection.generator` reads its closed form from A.
     """
 
     def __init__(self, bundle: LieGroupBundle, lift_map, base_form=None):
@@ -61,28 +61,25 @@ class LieGroupBundleConnection:
     def from_base_form(cls, bundle: LieGroupBundle, form: AlgebraOneForm):
         desc = bundle.fiber
 
-        def lift_map(x, u):
-            a = (u[..., None, :] @ form.coefficient_array(x))[..., 0, :]
-            return lambda fibers: (desc.Ad_matrix(fibers) @ a[..., None])[..., 0] - a
+        def lift(fibers, a):
+            return (desc.Ad_matrix(fibers) @ a[..., None])[..., 0] - a
 
-        return cls(bundle, lift_map, base_form=form)
+        return cls(bundle, lambda x, u: FiberMap(lift, form.coords(x, u)), base_form=form)
 
     @classmethod
     def trivial(cls, bundle: LieGroupBundle):
         dim = bundle.fiber.dim
-
-        def lift_map(x, u):
-            lead = np.shape(x)[:-1]
-            return lambda fibers: np.zeros(np.broadcast_shapes(fibers.shape[:-2], lead) + (dim,))
-
-        return cls(bundle, lift_map)
+        # zeros shaped like the fiber stack and the points together
+        return cls(bundle, lambda x, u: FiberMap(
+            lambda fibers, zero: zero + np.zeros(fibers.shape[:-2] + (dim,)),
+            np.zeros(np.shape(x)[:-1] + (dim,))))
 
     # -- pointwise maps ----------------------------------------------------
 
     def horizontal_delta(self, x, g: GroupElement, u) -> AlgebraElement:
         return self.bundle.fiber.algebra(self.lift_map(x, u)(g.matrix))
 
-    def lift_map(self, x, u):
+    def lift_map(self, x, u) -> FiberMap:
         """The map from fiber matrices (..., m, m) to the coordinates
         (..., dim) of h(x, g, u) at fixed (x, u)."""
         return self._lift_map(np.asarray(x, float), np.asarray(u, float))
@@ -112,8 +109,8 @@ def validate_group_connection(nu, rng, samples=100):
     desc = nu.bundle.fiber
     n = nu.bundle.base.dim
     x, u, fg, fgp = draw_rows(samples, lambda: (
-        nu.bundle.base.sample(rng), rng.standard_normal(n), desc.random_algebra(rng).coords,
-        desc.random_algebra(rng).coords))
+        nu.bundle.base.sample(rng), rng.standard_normal(n), desc.random_coords(rng),
+        desc.random_coords(rng)))
     g, gp = desc.exp(desc.algebra(fg)), desc.exp(desc.algebra(fgp))
     lift = nu.lift_map(np.repeat(x, n + 1, axis=0), np.concatenate(
         [u[:, None], np.broadcast_to(np.eye(n), (samples, n, n))], axis=1).reshape(-1, n))
@@ -131,22 +128,18 @@ def validate_group_connection(nu, rng, samples=100):
     }
 
 
-def transport_group(
-    nu: LieGroupBundleConnection,
-    curve: BaseCurve,
-    g0: GroupElement,
-    step=1e-2,
-    with_error_estimate=False,
-):
+def transport_group(nu: LieGroupBundleConnection, curve: BaseCurve, g0: GroupElement, step=1e-2,
+                    with_error_estimate=False):
     """Parallel transport of g0 along the curve: integrate the horizontal lift.
 
     ``g0`` may hold an (R, m, m) stack, whose rows are transported as one
     stack; on a family of R curves (position of shape (R, n)) row r rides
-    curve r.  Returns the one TransportResult of `integrate_stack`.
+    curve r.  Returns the one TransportResult of `integrate_stack`; its base
+    schedule is the lift map at every stage point.
     """
 
-    def field(t):
-        return nu.lift_map(curve.position(t), curve.velocity(t))
+    def field(times):
+        return nu.lift_map(curve.position(times), curve.velocity(times))
 
     return integrate_stack(field, nu.bundle.fiber, g0.matrix, (curve.a, curve.b), step,
                            with_error_estimate)
@@ -200,8 +193,9 @@ class AlgebraConnection:
     """Linear connection on the algebra bundle induced by a group connection.
 
     ``generator(x, u)`` is the matrix of the transport ODE xi' = K xi on
-    coordinates, or an (R, dim, dim) stack for x and u of shape (R, n); the
-    covariant derivative of a section is then nabla_u xi = D xi(u) - K(x, u) xi.
+    coordinates, or a (..., dim, dim) stack for x and u with leading axes;
+    the covariant derivative of a section is then
+    nabla_u xi = D xi(u) - K(x, u) xi.
     """
 
     def __init__(self, nu: LieGroupBundleConnection):
@@ -211,8 +205,7 @@ class AlgebraConnection:
     def generator(self, x, u) -> np.ndarray:
         desc = self.descriptor
         if self.nu.base_form is not None:
-            a = self.nu.base_form(x, u)
-            return -desc.ad_matrix(a.coords)
+            return -desc.ad_matrix(self.nu.base_form.coords(x, u))
         # linearize the cocycle in the fiber around the identity
         lift = self.nu.lift_map(x, u)
         cols = [central_difference(lambda s: lift(desc.exp(desc.algebra(s * e)).matrix), 1e-6)
@@ -223,13 +216,13 @@ class AlgebraConnection:
 def _algebra_flow(nu, curve, columns, step):
     """Linear transport of coordinate columns (a (d, k) array, or (C, d, k)
     with k columns per curve of a family) by the transport ODE with generator
-    K(x(t), x'(t))."""
+    K(x(t), x'(t)), evaluated at every stage point of the curve at once."""
     conn = AlgebraConnection(nu)
 
-    def k_matrix(t):
-        return conn.generator(curve.position(t), curve.velocity(t))
+    def k_matrices(times):
+        return conn.generator(curve.position(times), curve.velocity(times))
 
-    return integrate_linear(k_matrix, columns, (curve.a, curve.b), step)
+    return integrate_linear(k_matrices, columns, (curve.a, curve.b), step)
 
 
 def algebra_transport(nu, curve, xi: AlgebraElement, step=1e-2) -> AlgebraElement:
@@ -286,30 +279,20 @@ def _restricted_curve(curve, t_lo, t_hi):
 
 def _covariant_group_derivative(nu, curve, g_path, t, ds, step):
     """nabla g(t)/dt as d/ds of pulling g(t+s) back to x(t), central differences."""
-    desc = nu.bundle.fiber
 
     def pulled(s):
-        if s > 0:
-            seg = _restricted_curve(curve, t, t + s)
-            return _reverse_transport(nu, seg, g_path(t + s), step).matrix
-        seg = _restricted_curve(curve, t + s, t)
-        return transport_group(nu, seg, g_path(t + s), step).element.matrix
+        seg = _restricted_curve(curve, min(t, t + s), max(t, t + s))
+        back = _reversed_curve(seg) if s > 0 else seg
+        return transport_group(nu, back, g_path(t + s), step).element.matrix
 
     return central_difference(pulled, ds)
 
 
-def _reverse_transport(nu, seg, g_end, step):
-    """Transport from seg.b back to seg.a by reparametrizing the curve."""
+def _reversed_curve(seg):
+    """The curve run backwards on the same interval, from seg.b to seg.a."""
     a, b = seg.a, seg.b
-
-    def pos(t):
-        return seg.position(a + b - t)
-
-    def vel(t):
-        return -np.asarray(seg.velocity(a + b - t))
-
-    rev = BaseCurve(a, b, pos, vel, label=seg.label + "-rev")
-    return transport_group(nu, rev, g_end, step).element
+    return BaseCurve(a, b, lambda t: seg.position(a + b - t),
+                     lambda t: -np.asarray(seg.velocity(a + b - t)), label=seg.label + "-rev")
 
 
 def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:

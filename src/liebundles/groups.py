@@ -238,8 +238,13 @@ class GroupDescriptor:
 
     # -- sampling ----------------------------------------------------------
 
+    def random_coords(self, rng):
+        """The coordinates of a `random_algebra` draw, for samplers that stack
+        many draws and validate them once."""
+        return rng.uniform(-1.0, 1.0, size=self.dim)
+
     def random_algebra(self, rng):
-        return self.algebra(rng.uniform(-1.0, 1.0, size=self.dim))
+        return self.algebra(self.random_coords(rng))
 
     def random_element(self, rng):
         return self.exp(self.random_algebra(rng))

@@ -4,15 +4,18 @@
 (B, m, m) stack of fibers by a 4th-order Runge--Kutta--Munthe-Kaas scheme:
 each step works in the algebra, maps back through the group exponential, and
 retracts onto the group so drift stays at roundoff over long horizons.  Every
-row is its own trajectory and keeps its own guards, while the time-dependent
-part of the right-hand side is computed once per stage time for the whole
-stack.  `integrate_on_group` is the one-element form.
+row is its own trajectory and keeps its own guards.  The time-dependent part
+of the right-hand side is a base schedule: the field is asked once per run,
+for all 2N+1 stage times of its N steps at once, and the step loop then does
+only fiber work.  `integrate_linear` asks its K(t) the same way.
+`integrate_on_group` is the one-element form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,17 +61,40 @@ def _finite(fibers, t):
     return fibers
 
 
+def _steps(interval, step):
+    """(t0, t1, N) for N equal steps of at most ``step``."""
+    t0, t1 = float(interval[0]), float(interval[1])
+    if not t1 > t0:
+        raise UsageError("integration interval must satisfy t0 < t1")
+    span = t1 - t0
+    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
+        raise StiffnessError(f"step {step} underflows for interval of length {span}")
+    return t0, t1, max(1, int(np.ceil(span / step)))
+
+
+def _stage_times(t0, t1, n_steps):
+    """The 2N+1 stage times t0 + k h (entry 2k) and t0 + k h + h/2 (entry
+    2k + 1), each the float a step-by-step loop computes, and h."""
+    h = (t1 - t0) / n_steps
+    times = np.empty(2 * n_steps + 1)
+    times[0] = t0
+    times[2::2] = t0 + np.arange(1, n_steps + 1) * h
+    times[1::2] = t0 + np.arange(n_steps) * h + 0.5 * h
+    return times, h
+
+
 # a diverging run overflows on its way to the non-finite fibers `_finite` reports
 @np.errstate(over="ignore", invalid="ignore")
 def _run(field, g, desc, t0, t1, n_steps):
-    h = (t1 - t0) / n_steps
+    times, h = _stage_times(t0, t1, n_steps)
+    schedule = field(times)
     limit = _BLOWUP_FACTOR * max(desc.membership_tol, 1e-12)
     exp = desc.exp_coords
-    f_start = field(t0)
+    f_start = schedule[0]
     for k in range(n_steps):
         t = t0 + k * h
-        # the stage-4 time is the next step's stage-1 time, so its field is reused
-        f_mid, f_end = field(t + 0.5 * h), field(t0 + (k + 1) * h)
+        # the stage-4 map is the next step's stage-1 map
+        f_mid, f_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = f_start(g)
         u2 = 0.5 * h * k1
         k2 = _dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, t + 0.5 * h)))
@@ -89,35 +115,24 @@ def _run(field, g, desc, t0, t1, n_steps):
     return g
 
 
-def integrate_stack(
-    field: Callable[[float], Callable[[np.ndarray], np.ndarray]],
-    descriptor: GroupDescriptor,
-    g0,
-    interval,
-    step=1e-2,
-    with_error_estimate=False,
-):
+def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descriptor: GroupDescriptor,
+                    g0, interval, step=1e-2, with_error_estimate=False):
     """Solve g' = v_t(g) g for each row of a (B, m, m) stack of fibers.
 
-    ``field(t)`` returns v_t: a function from a stack of fiber matrices to
-    their right-trivialized velocities, (B, m, m) -> (B, dim).  It is called
-    once per stage time (three per step, one shared with the next step).
+    ``field(times)`` is called once per run, with the 1-D array of all 2N+1
+    stage times (the step-halving rerun asks for its own 4N+1), and returns
+    the base schedule: entry j maps a stack of fiber matrices to their
+    right-trivialized velocities at stage time j, (B, m, m) -> (B, dim).
     Returns one TransportResult: the endpoints retracted onto the group, with
     each row's step-halving error estimate (Frobenius distance to the
     half-step solution) when requested.  A single (m, m) matrix is a stack
     without the leading axis.
     """
-    t0, t1 = float(interval[0]), float(interval[1])
-    if not t1 > t0:
-        raise UsageError("integration interval must satisfy t0 < t1")
-    span = t1 - t0
-    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
-        raise StiffnessError(f"step {step} underflows for interval of length {span}")
+    t0, t1, n = _steps(interval, step)
     g0 = np.asarray(g0, dtype=float)
     m = descriptor.matrix_dim
     if g0.ndim not in (2, 3) or g0.shape[-2:] != (m, m):
         raise UsageError(f"fibers have shape {g0.shape}, expected (B, {m}, {m}) or ({m}, {m})")
-    n = max(1, int(np.ceil(span / step)))
     end = _run(field, g0, descriptor, t0, t1, n)
     fine = _run(field, g0, descriptor, t0, t1, 2 * n) if with_error_estimate else None
     return TransportResult(
@@ -128,52 +143,46 @@ def integrate_stack(
     )
 
 
-def integrate_on_group(
-    rhs: Callable[[float, GroupElement], AlgebraElement],
-    g0: GroupElement,
-    interval,
-    step=1e-2,
-    with_error_estimate=True,
-) -> TransportResult:
+def integrate_on_group(rhs: Callable[[float, GroupElement], AlgebraElement], g0: GroupElement,
+                       interval, step=1e-2, with_error_estimate=True) -> TransportResult:
     """Solve g' = rhs(t, g) g (right-trivialized velocity in the algebra) for
     one element by `integrate_stack`."""
     desc = g0.descriptor
 
-    def field(t):
-        def velocity(g):
-            val = rhs(t, GroupElement(g, desc, check=False))
-            return val.coords if isinstance(val, AlgebraElement) else np.asarray(val, float)
+    def velocity(t, g):
+        val = rhs(t, GroupElement(g, desc, check=False))
+        return val.coords if isinstance(val, AlgebraElement) else np.asarray(val, float)
 
-        return velocity
+    # rhs is a function of (t, g), so its schedule is one rhs per stage time
+    return integrate_stack(lambda times: [functools.partial(velocity, t) for t in times.tolist()],
+                           desc, g0.matrix, interval, step, with_error_estimate)
 
-    return integrate_stack(field, desc, g0.matrix, interval, step, with_error_estimate)
 
-
+# a diverging run overflows on its way to the non-finite values it reports
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     """Classical RK4 for linear systems v' = K(t) v on coordinate vectors.
 
     ``v0`` may be a (d, B) array: K @ V acts column by column, so B columns
-    share each K.  K is evaluated once per stage time, as in `integrate_stack`.
+    share each K.  Like the field of `integrate_stack`, ``matrix_fn`` is
+    called once, with all 2N+1 stage times; entry j of its result is K there.
     """
-    t0, t1 = float(interval[0]), float(interval[1])
-    if not t1 > t0:
-        raise UsageError("integration interval must satisfy t0 < t1")
-    span = t1 - t0
-    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
-        raise StiffnessError(f"step {step} underflows for interval of length {span}")
-    n = max(1, int(np.ceil(span / step)))
-    h = span / n
+    t0, t1, n = _steps(interval, step)
+    times, h = _stage_times(t0, t1, n)
+    schedule = matrix_fn(times)
     v = np.asarray(v0, dtype=float).copy()
-    k_start = matrix_fn(t0)
+    k_start = schedule[0]
     for k in range(n):
         t = t0 + k * h
-        k_mid, k_end = matrix_fn(t + 0.5 * h), matrix_fn(t0 + (k + 1) * h)
+        k_mid, k_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = k_start @ v
         k2 = k_mid @ (v + 0.5 * h * k1)
         k3 = k_mid @ (v + 0.5 * h * k2)
         k4 = k_end @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         k_start = k_end
-        if not np.all(np.isfinite(v)):
-            raise InstabilityError("linear integration produced non-finite values")
+        finite = np.isfinite(v).reshape(-1, v.shape[-1] if v.ndim > 1 else 1).all(axis=0)
+        if not finite.all():
+            raise InstabilityError(f"linear integration produced non-finite values in columns "
+                                   f"{np.flatnonzero(~finite).tolist()} at t={t + h:.4f}")
     return v

@@ -16,6 +16,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,7 @@ from .bundles import (
 from .calculus import (
     AlgebraOneForm,
     BaseCurve,
+    FiberMap,
     Polynomial,
     central_difference,
     directional_derivative,
@@ -79,7 +81,7 @@ __all__ = [
 
 class WeightRamp:
     """Cosine ramp in one base coordinate: 1 below lo, 0 above hi.  A batch
-    of points (R, n) gives one weight per point."""
+    of points (..., n) gives one weight per point."""
 
     def __init__(self, lo, hi, axis=0, invert=False):
         if not hi > lo:
@@ -92,7 +94,7 @@ class WeightRamp:
         if x.ndim == 1:
             s = min(max((float(x[self.axis]) - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         else:
-            s = np.clip((x[:, self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+            s = np.clip((x[..., self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         w = 0.5 * (1.0 + np.cos(np.pi * s))
         return 1.0 - w if self.invert else w
 
@@ -126,11 +128,14 @@ def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None)
     1-form (zero by default); as a matrix, Ad_{h^{-1}} [A(x)^T | I].
     """
 
-    def form(y: TotalPoint) -> np.ndarray:
-        ad = descriptor.Ad_matrix(y.fiber.inverse())
+    def matrix(fibers, a_t):
+        ad = descriptor.Ad_matrix(np.linalg.inv(fibers))
+        return form_matrix(a_t if base_form is None else ad @ a_t, ad)
+
+    def form(q) -> FiberMap:
         if base_form is None:
-            return form_matrix(np.zeros((descriptor.dim, y.q.shape[-1])), ad)
-        return form_matrix(ad @ np.swapaxes(base_form.coefficient_array(y.q), -1, -2), ad)
+            return FiberMap(matrix, np.zeros(np.shape(q)[:-1] + (descriptor.dim, np.shape(q)[-1])))
+        return FiberMap(matrix, np.swapaxes(base_form.coefficient_array(q), -1, -2))
 
     return form
 
@@ -160,9 +165,9 @@ class _Twist:
 
     def rates(self, x):
         """Right-trivialized rates of sigma and tau as (dim, n) matrices, or
-        (R, dim, n) at a batch of points."""
+        (..., dim, n) at a batch of points."""
         def rate(gen, partials):
-            return gen.coords[:, None] * np.array([d(x) for d in partials]).T[..., None, :]
+            return gen.coords[:, None] * np.stack([d(x) for d in partials], -1)[..., None, :]
 
         return rate(self.sigma_gen, self._dp), rate(self.tau_gen, self._dr)
 
@@ -177,13 +182,16 @@ def twisted_local_form(descriptor, twist: _Twist):
     Ad_{h^{-1}} [-T - Ad_t S | I] + [S | 0].
     """
 
-    def form(y: TotalPoint) -> np.ndarray:
-        s_rate, t_rate = twist.rates(y.q)
-        ad_t = descriptor.Ad_matrix(twist.tau(y.q))
-        out = descriptor.Ad_matrix(y.fiber.inverse()) @ form_matrix(
-            -t_rate - ad_t @ s_rate, np.eye(descriptor.dim))
-        out[..., : y.q.shape[-1]] += s_rate
+    def matrix(fibers, block, s_rate):
+        out = descriptor.Ad_matrix(np.linalg.inv(fibers)) @ block
+        out[..., : s_rate.shape[-1]] += s_rate
         return out
+
+    def form(q) -> FiberMap:
+        s_rate, t_rate = twist.rates(q)
+        ad_t = descriptor.Ad_matrix(twist.tau(q))
+        return FiberMap(matrix, form_matrix(-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)),
+                        s_rate)
 
     return form
 
@@ -193,11 +201,10 @@ def twisted_cocycle(descriptor, twist: _Twist):
     that is trivial in the twisted group-bundle chart: h(x, g, u) = s - Ad_g s
     with s the automorphism rate."""
 
-    def lift_map(x, u):
-        s = twist.sigma_rate(x, u)
-        return lambda fibers: s - (descriptor.Ad_matrix(fibers) @ s[..., None])[..., 0]
+    def lift(fibers, s):
+        return s - (descriptor.Ad_matrix(fibers) @ s[..., None])[..., 0]
 
-    return lift_map
+    return lambda x, u: FiberMap(lift, twist.sigma_rate(x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +216,11 @@ class GeneralizedPrincipalConnection:
     """Algebra-valued 1-form glued from weighted local pieces.
 
     ``pieces`` is a sequence of (weight, form) with weight a function of the
-    base point and form(y) the (dim, n + dim) matrix of the piece at y: its
-    first n columns act on the base velocity u, its last dim columns on the
-    fiber velocity delta.  At a batch of points (y.q of shape (R, n), y.fiber
-    an (R, m, m) stack) a weight returns one value per point and a form an
-    (R, dim, n + dim) stack.
+    base point and form(q) the `FiberMap` from fibers h to the (dim, n + dim)
+    matrix of the piece at (q, h): its first n columns act on the base
+    velocity u, its last dim columns on the fiber velocity delta.  At a batch
+    of points (q of shape (..., n)) a weight returns one value per point and
+    a form maps (..., m, m) fibers to an (..., dim, n + dim) stack.
     """
 
     def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces):
@@ -223,18 +230,31 @@ class GeneralizedPrincipalConnection:
         self.descriptor = action.space.fiber
         self.n = action.space.quotient.dim
 
+    def matrix_map(self, q) -> FiberMap:
+        """The `FiberMap` from fibers to the weighted sum of the pieces'
+        matrices at base points q, one weight per point; a piece with no
+        nonzero weight there is not evaluated."""
+        parts = []
+        for weight, form in self.pieces:
+            w = np.broadcast_to(weight(q), np.shape(q)[:-1])
+            parts += [w, form(q) if np.count_nonzero(w) else FiberMap(None)]
+        return FiberMap(self._weighted_sum, *parts)
+
+    def _weighted_sum(self, fibers, *parts):
+        """A piece is summed when any of its weights is nonzero."""
+        d = self.descriptor.dim
+        weights, forms = parts[::2], parts[1::2]
+        lead = max(fibers.shape[:-2], *(np.shape(w) for w in weights), key=len)
+        total = np.zeros(lead + (d, self.n + d))
+        for w, form in zip(weights, forms):
+            if np.count_nonzero(w):
+                total = total + np.asarray(w)[..., None, None] * form(fibers)
+        return total
+
     def matrix(self, y: TotalPoint) -> np.ndarray:
         """Weighted sum of the pieces' matrices at y, shape (dim, n + dim), or
-        (B, dim, n + dim) when y.fiber holds a (B, m, m) stack.  A piece is
-        summed when any of its weights is nonzero."""
-        d = self.descriptor.dim
-        lead = max(y.fiber.matrix.shape[:-2], np.shape(y.q)[:-1], key=len)
-        total = np.zeros(lead + (d, self.n + d))
-        for weight, form in self.pieces:
-            w = np.asarray(weight(y.q))
-            if np.count_nonzero(w):
-                total = total + w[..., None, None] * form(y)
-        return total
+        (B, dim, n + dim) when y.fiber holds a (B, m, m) stack."""
+        return self.matrix_map(y.q)(y.fiber.matrix)
 
     def value(self, y: TotalPoint, tangent: Tangent) -> AlgebraElement:
         return self.descriptor.algebra(
@@ -252,12 +272,19 @@ class GeneralizedPrincipalConnection:
         one base vector per point, (R, n), and gives (R, dim); an (n, k) array
         of base vectors gives (dim, k) for one fiber.
         """
-        mat = self.matrix(y)
+        return self.horizontal_map(y.q, u_columns)(y.fiber.matrix)
+
+    def horizontal_map(self, q, u_columns) -> FiberMap:
+        """`horizontal_deltas` at base points q as a `FiberMap`."""
         u_columns = np.asarray(u_columns, dtype=float)
-        column = u_columns.ndim == 1 or np.ndim(y.q) == 2
-        rhs = -mat[..., : self.n] @ (u_columns[..., None] if column else u_columns)
+        column = u_columns.ndim == 1 or np.ndim(q) >= 2
+        return FiberMap(functools.partial(self._solve, column), self.matrix_map(q),
+                        u_columns[..., None] if column else u_columns)
+
+    def _solve(self, column, fibers, matrix, u_columns):
+        mat = matrix(fibers)
         try:
-            out = np.linalg.solve(mat[..., self.n :], rhs)
+            out = np.linalg.solve(mat[..., self.n :], -mat[..., : self.n] @ u_columns)
         except np.linalg.LinAlgError as exc:
             raise ConstructionError("degenerate connection: vertical operator singular") from exc
         return out[..., 0] if column else out
@@ -307,15 +334,13 @@ def build_two_chart_connection(
     ]
     lift_b = twisted_cocycle(desc, twist)
 
-    def glued_lift(x, u):
-        wb = w_b(x)
+    def glued(fibers, wb, inner):
         if not np.count_nonzero(wb):
-            return lambda fibers: np.zeros(np.broadcast_shapes(fibers.shape[:-2], wb.shape)
-                                           + (desc.dim,))
-        inner = lift_b(x, u)
-        return lambda fibers: wb[..., None] * inner(fibers)
+            return np.zeros(np.broadcast_shapes(fibers.shape[:-2], np.shape(wb)) + (desc.dim,))
+        return wb[..., None] * inner(fibers)
 
-    nu = LieGroupBundleConnection(action.bundle, glued_lift)
+    nu = LieGroupBundleConnection(action.bundle,
+                                  lambda x, u: FiberMap(glued, w_b(x), lift_b(x, u)))
     omega = GeneralizedPrincipalConnection(action, nu, pieces)
     check_rng = np.random.default_rng(0)
     for _ in range(25):
@@ -340,10 +365,9 @@ def _form_law_residuals(form, rng, samples, nu=None):
     action = form.action
     desc = action.space.fiber
     x, fy, xi, fg, u, dy, dg = draw_rows(samples, lambda: (
-        action.space.quotient.sample(rng), desc.random_algebra(rng).coords,
-        desc.random_algebra(rng).coords, desc.random_algebra(rng).coords,
-        rng.standard_normal(action.space.quotient.dim), desc.random_algebra(rng).coords,
-        desc.random_algebra(rng).coords))
+        action.space.quotient.sample(rng), desc.random_coords(rng), desc.random_coords(rng),
+        desc.random_coords(rng), rng.standard_normal(action.space.quotient.dim),
+        desc.random_coords(rng), desc.random_coords(rng)))
     y, g = TotalPoint(x, desc.exp(desc.algebra(fy))), desc.exp(desc.algebra(fg))
 
     def value(y, t):
@@ -375,15 +399,14 @@ def transport_total(omega, curve: BaseCurve, y0: TotalPoint, step=1e-2, with_err
     ``y0.fiber`` may hold an (R, m, m) stack, whose rows are transported as
     one stack; on a family of R curves row r rides curve r.  Returns the end
     point, holding every row's endpoint, and the one TransportResult of
-    `integrate_stack`.
+    `integrate_stack`; its base schedule is the form's horizontal map at
+    every stage point.
     """
-    desc = omega.descriptor
 
-    def field(t):
-        q, u = curve.position(t), curve.velocity(t)
-        return lambda h: omega.horizontal_deltas(TotalPoint(q, GroupElement(h, desc, check=False)), u)
+    def field(times):
+        return omega.horizontal_map(curve.position(times), curve.velocity(times))
 
-    result = integrate_stack(field, desc, y0.fiber.matrix, (curve.a, curve.b), step,
+    result = integrate_stack(field, omega.descriptor, y0.fiber.matrix, (curve.a, curve.b), step,
                              with_error_estimate)
     return TotalPoint(curve.position(curve.b), result.element), result
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
-from .calculus import AlgebraOneForm, BaseCurve, ChartDomain, Polynomial, draw_rows
+from .calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial, draw_rows
 from .connections import LieGroupBundleConnection
 from .errors import DomainError, UsageError
 from .gauge import EquivariantJetConnection, semidirect_jet_descriptor
@@ -286,9 +286,9 @@ def drop_ad_form(scenario):
     with the base form left untwisted by Ad_{h^-1}, over the trivial nu."""
     desc = scenario.group
     return GeneralizedPrincipalConnection(scenario.action, scenario.omega.nu, [(
-        constant_weight(),
-        lambda y: form_matrix(np.swapaxes(scenario.base_form.coefficient_array(y.q), -1, -2),
-                              desc.Ad_matrix(y.fiber.inverse())))])
+        constant_weight(), lambda q: FiberMap(
+            lambda fibers, a_t: form_matrix(a_t, desc.Ad_matrix(np.linalg.inv(fibers))),
+            np.swapaxes(scenario.base_form.coefficient_array(q), -1, -2)))])
 
 
 def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
@@ -302,9 +302,9 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
     """
     desc = scenario.group
     x, fg, xi, fh, u, dv = draw_rows(samples, lambda: (
-        scenario.chart.sample(rng), desc.random_algebra(rng).coords,
-        desc.random_algebra(rng).coords, desc.random_algebra(rng).coords,
-        rng.standard_normal(scenario.chart.dim), desc.random_algebra(rng).coords))
+        scenario.chart.sample(rng), desc.random_coords(rng), desc.random_coords(rng),
+        desc.random_coords(rng), rng.standard_normal(scenario.chart.dim),
+        desc.random_coords(rng)))
     g, h, dv = desc.exp(desc.algebra(fg)), desc.exp(desc.algebra(fh)), desc.algebra(dv)
     # right-action generator at g has left-trivialized value xi
     delta = desc.algebra((desc.Ad_matrix(g) @ xi[..., None])[..., 0])
@@ -330,12 +330,12 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
 def _table_fn(spec, n, shape, field):
     """Coefficient function x -> array of ``shape`` from a config spec: absent
     (zero), ``constant`` (a fixed array) or ``polynomials`` (one table per
-    comma-separated index)."""
+    comma-separated index).  A batch of points (..., n) gives (..., *shape)."""
     if spec is None:
-        return lambda x: np.zeros(shape)
+        return lambda x: np.zeros(np.shape(x)[:-1] + shape)
     if "constant" in _object(spec, field):
         arr = _numbers(spec["constant"], f"{field}.constant", shape)
-        return lambda x: arr
+        return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + shape)
     field = f"{field}.polynomials"
     entries = {_index(key, field): _poly_table(table, f"{field}.{key}")
                for key, table in _object(spec["polynomials"], field).items()}
@@ -351,22 +351,24 @@ def _build_affine(config) -> TorsorScenario:
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m), "nu_coeff")
     gamma = _table_fn(config["gamma"], n, (n, m), "gamma")
 
-    def lift_map(x, u):
-        k = np.einsum("...n,...nij->...ij", u, nu_coeff(x))
-        return lambda fibers: -(k @ group.log_coords(fibers)[..., None])[..., 0]
+    def lift(fibers, k):
+        return -(k @ group.log_coords(fibers)[..., None])[..., 0]
 
-    nu = LieGroupBundleConnection(action.bundle, lift_map)
+    nu = LieGroupBundleConnection(action.bundle, lambda x, u: FiberMap(
+        lift, np.einsum("...n,...nij->...ij", u, nu_coeff(x))))
 
-    def local_form(y):
-        v = group.log_coords(y.fiber.matrix)
-        linear = (nu_coeff(y.q) @ v[..., None, :, None])[..., 0] + gamma(y.q)
+    def local_form(fibers, coeff, offset):
+        v = group.log_coords(fibers)
+        linear = (coeff @ v[..., None, :, None])[..., 0] + offset
         return form_matrix(np.swapaxes(linear, -1, -2), np.eye(m))
 
-    omega = GeneralizedPrincipalConnection(action, nu, [(constant_weight(), local_form)])
+    omega = GeneralizedPrincipalConnection(action, nu, [(
+        constant_weight(), lambda q: FiberMap(local_form, nu_coeff(q), gamma(q)))])
     # a second connection over nu: omega plus a constant horizontal shift
     shift = np.hstack([np.full((m, n), 0.35), np.zeros((m, m))])
-    shifted = GeneralizedPrincipalConnection(
-        action, nu, [(constant_weight(), lambda y: omega.matrix(y) + shift)])
+    shifted = GeneralizedPrincipalConnection(action, nu, [(
+        constant_weight(),
+        lambda q: FiberMap(lambda fibers, form: form(fibers) + shift, omega.matrix_map(q)))])
     curves = _curves_from_config(config, chart)
     if "main" not in curves:  # the affine transport oracle rides it
         raise KeyError("main")

@@ -90,8 +90,9 @@ def _family_residuals(s, rng, count, draw, check):
     return list(check(family, *draws))
 
 
-def _element(s, matrices):
-    return s.group.element(matrices, check=False)
+def _exp(s, coords):
+    """The group elements exp(coords) of a stack of algebra coordinates."""
+    return s.group.exp(s.group.algebra(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +154,9 @@ def _chk_group_connection_laws(s, rng, samples, step):
 def _chk_transport_multiplicative(s, rng, samples, step):
     vals = _family_residuals(
         s, rng, min(samples, 8),
-        lambda: (s.group.random_element(rng).matrix, s.group.random_element(rng).matrix),
+        lambda: (s.group.random_coords(rng), s.group.random_coords(rng)),
         lambda curve, g, h: transport_multiplicativity_check(
-            s.nu, curve, _element(s, g), _element(s, h), step=step))
+            s.nu, curve, _exp(s, g), _exp(s, h), step=step))
     curve = random_curve(s.chart, rng)
     g, h = s.group.random_element(rng), s.group.random_element(rng)
     errs = [transport_multiplicativity_check(s.nu, curve, g, h, step=hh)
@@ -165,9 +166,9 @@ def _chk_transport_multiplicative(s, rng, samples, step):
 
 def _chk_transport_unit_inverse(s, rng, samples, step):
     vals = _family_residuals(
-        s, rng, min(samples, 8), lambda: (s.group.random_element(rng).matrix,),
+        s, rng, min(samples, 8), lambda: (s.group.random_coords(rng),),
         lambda curve, g: np.column_stack(transport_unit_inverse_check(
-            s.nu, curve, _element(s, g), step=step)).ravel())
+            s.nu, curve, _exp(s, g), step=step)).ravel())
     return vals, 1e-8, "transport fixes the unit and commutes with inversion", None
 
 
@@ -178,14 +179,14 @@ def _chk_algebra_transport_consistency(s, rng, samples, step):
         return np.linalg.norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear, axis=-1)
 
     vals = _family_residuals(s, rng, min(samples, 5),
-                             lambda: (s.group.random_algebra(rng).coords,), check)
+                             lambda: (s.group.random_coords(rng),), check)
     return vals, 1e-5, "linearized transport agrees with the direct linear flow", None
 
 
 def _chk_algebra_transport_linearity(s, rng, samples, step):
     vals = _family_residuals(
         s, rng, min(samples, 5),
-        lambda: (s.group.random_algebra(rng).coords, s.group.random_algebra(rng).coords,
+        lambda: (s.group.random_coords(rng), s.group.random_coords(rng),
                  float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
         lambda curve, xi, eta, a, b: algebra_transport_linearity_check(
             s.nu, curve, s.group.algebra(xi), s.group.algebra(eta), a, b, step=step))
@@ -195,9 +196,9 @@ def _chk_algebra_transport_linearity(s, rng, samples, step):
 def _chk_algebra_transport_adjoint(s, rng, samples, step):
     vals = _family_residuals(
         s, rng, min(samples, 5),
-        lambda: (s.group.random_element(rng).matrix, s.group.random_algebra(rng).coords),
+        lambda: (s.group.random_coords(rng), s.group.random_coords(rng)),
         lambda curve, g, xi: ad_compatibility_check(
-            s.nu, curve, _element(s, g), s.group.algebra(xi), step=step))
+            s.nu, curve, _exp(s, g), s.group.algebra(xi), step=step))
     return vals, 1e-7, "algebra transport intertwines the adjoint action", None
 
 
@@ -248,14 +249,11 @@ def _chk_form_equivariance(s, rng, samples, step):
 def _chk_transport_compatibility(s, rng, samples, step):
     omega = s.transport_form
 
-    def draw():
-        y = s.action.space.random_point(rng)
-        return y.q, y.fiber.matrix, s.group.random_element(rng).matrix
-
     vals = _family_residuals(
-        s, rng, min(samples, 6), draw,
-        lambda curve, q, fibers, g: transport_compatibility_check(
-            omega, curve, TotalPoint(q, _element(s, fibers)), _element(s, g), step=step))
+        s, rng, min(samples, 6),
+        lambda: (s.chart.sample(rng), s.group.random_coords(rng), s.group.random_coords(rng)),
+        lambda curve, q, fiber, g: transport_compatibility_check(
+            omega, curve, TotalPoint(q, _exp(s, fiber)), _exp(s, g), step=step))
     curve = random_curve(s.chart, rng)
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)

@@ -245,6 +245,7 @@ def classical_form_value_oracle(scenario, x, g, u, delta_right, drop_ad=False):
 def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
     """`principal_equivalence_report`, one sample at a time; its control form
     is evaluated at one point at a time, where a plain transpose suffices."""
+    from liebundles.calculus import FiberMap
     from liebundles.principal import GeneralizedPrincipalConnection, constant_weight, form_matrix
 
     desc = scenario.group
@@ -273,8 +274,9 @@ def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
             scenario.action,
             scenario.omega.nu,
             [(constant_weight(),
-              lambda y: form_matrix(scenario.base_form.coefficient_array(y.q).T,
-                                    desc.Ad_matrix(y.fiber.inverse())))],
+              lambda q: FiberMap(lambda fibers: form_matrix(
+                  scenario.base_form.coefficient_array(q).T,
+                  desc.Ad_matrix(np.linalg.inv(fibers)))))],
         )
         induced = principal_connection_oracle(broken, rng, samples)
     else:
@@ -308,3 +310,100 @@ def action_axioms_oracle(action, rng, samples):
             if action.act(y, g).distance(y) <= 1e-10:
                 worst = max(worst, 1.0)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-stage transports: the integrators as loops that ask the right-hand side
+# field(t) once per stage time, so every x-dependent term is evaluated inside
+# the step loop.  The package asks for the whole base schedule of a run in one
+# batched call; it must return exactly these numbers.
+# ---------------------------------------------------------------------------
+
+
+def _per_stage_rkmk(field, desc, g, t0, t1, n_steps):
+    h = (t1 - t0) / n_steps
+
+    def dexpinv(u, v):
+        ad = desc.ad_matrix(u)
+        uv = ad @ v[..., None]
+        return v - 0.5 * uv[..., 0] + (ad @ uv)[..., 0] / 12.0
+
+    exp = desc.exp_coords
+    f_start = field(t0)
+    for k in range(n_steps):
+        t = t0 + k * h
+        f_mid, f_end = field(t + 0.5 * h), field(t0 + (k + 1) * h)
+        k1 = f_start(g)
+        u2 = 0.5 * h * k1
+        k2 = dexpinv(u2, f_mid(exp(u2) @ g))
+        u3 = 0.5 * h * k2
+        k3 = dexpinv(u3, f_mid(exp(u3) @ g))
+        u4 = h * k3
+        k4 = dexpinv(u4, f_end(exp(u4) @ g))
+        g = desc.retract(exp((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) @ g)
+        f_start = f_end
+    return g
+
+
+def per_stage_integrate(field, desc, g0, interval, step, with_error_estimate):
+    """(endpoints, step-halving error estimate or None) of g' = v_t(g) g by
+    RKMK4 with ``field(t)`` asked once per stage time."""
+    from liebundles.groups import _frobenius
+
+    t0, t1 = float(interval[0]), float(interval[1])
+    n = max(1, int(np.ceil((t1 - t0) / step)))
+    end = _per_stage_rkmk(field, desc, g0, t0, t1, n)
+    if not with_error_estimate:
+        return end, None
+    return end, _frobenius(end - _per_stage_rkmk(field, desc, g0, t0, t1, 2 * n))
+
+
+def transport_group_oracle(nu, curve, g0, step, with_error_estimate):
+    """`transport_group` with the lift map built at each stage point."""
+    return per_stage_integrate(
+        lambda t: nu.lift_map(curve.position(t), curve.velocity(t)), nu.bundle.fiber,
+        g0.matrix, (curve.a, curve.b), step, with_error_estimate)
+
+
+def transport_total_oracle(omega, curve, y0, step, with_error_estimate):
+    """`transport_total` with the whole horizontal lift, x-parts included,
+    evaluated at every fiber evaluation."""
+    from liebundles.bundles import TotalPoint
+    from liebundles.groups import GroupElement
+
+    desc = omega.descriptor
+
+    def field(t):
+        q, u = curve.position(t), curve.velocity(t)
+        return lambda h: omega.horizontal_deltas(
+            TotalPoint(q, GroupElement(h, desc, check=False)), u)
+
+    return per_stage_integrate(field, desc, y0.fiber.matrix, (curve.a, curve.b), step,
+                               with_error_estimate)
+
+
+def algebra_flow_oracle(nu, curve, columns, step):
+    """`connections._algebra_flow` by classical RK4 with K asked once per
+    stage time."""
+    from liebundles.connections import AlgebraConnection
+
+    conn = AlgebraConnection(nu)
+
+    def k_matrix(t):
+        return conn.generator(curve.position(t), curve.velocity(t))
+
+    t0, t1 = float(curve.a), float(curve.b)
+    n = max(1, int(np.ceil((t1 - t0) / step)))
+    h = (t1 - t0) / n
+    v = np.asarray(columns, dtype=float).copy()
+    k_start = k_matrix(t0)
+    for k in range(n):
+        t = t0 + k * h
+        k_mid, k_end = k_matrix(t + 0.5 * h), k_matrix(t0 + (k + 1) * h)
+        k1 = k_start @ v
+        k2 = k_mid @ (v + 0.5 * h * k1)
+        k3 = k_mid @ (v + 0.5 * h * k2)
+        k4 = k_end @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k_start = k_end
+    return v

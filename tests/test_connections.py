@@ -3,7 +3,7 @@
 import numpy as np
 
 from liebundles.bundles import LieGroupBundle
-from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain
+from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap
 from liebundles.connections import (
     AlgebraConnection,
     LieGroupBundleConnection,
@@ -64,7 +64,7 @@ def test_base_form_connection_validates_to_machine_precision():
 
 def constant_lift_map(coords):
     """Lift map of the non-multiplicative h(x, g, u) = coords for every g."""
-    return lambda x, u: lambda fibers: np.broadcast_to(coords, fibers.shape[:-2] + (3,))
+    return lambda x, u: FiberMap(lambda fibers: np.broadcast_to(coords, fibers.shape[:-2] + (3,)))
 
 
 def test_constant_nonzero_cocycle_rejected():
@@ -124,7 +124,7 @@ def test_transport_multiplicativity_abelian_exact():
     k = np.array([[0.3, 0.1], [0.0, -0.2]])
 
     def lift_map(x, u):
-        return lambda fibers: -u[..., 0, None] * (T2.log_coords(fibers) @ k.T)
+        return FiberMap(lambda fibers, u0: -u0 * (T2.log_coords(fibers) @ k.T), u[..., 0, None])
 
     nu = LieGroupBundleConnection(BUNDLE_T2, lift_map)
     rng2 = np.random.default_rng(6)

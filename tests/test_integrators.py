@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from liebundles.calculus import FiberMap
 from liebundles.errors import InstabilityError, StiffnessError, UsageError
 from liebundles.groups import so3_descriptor, translation_descriptor
 from liebundles.integrators import integrate_linear, integrate_on_group, integrate_stack
@@ -78,10 +79,22 @@ def test_error_estimate_tracks_true_error():
 
 def test_linear_integrator_matches_matrix_exponential():
     k = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    v = integrate_linear(lambda t: k, np.array([1.0, 0.0]), (0.0, np.pi / 2), step=1e-3)
+    v = integrate_linear(lambda times: np.broadcast_to(k, times.shape + k.shape),
+                         np.array([1.0, 0.0]), (0.0, np.pi / 2), step=1e-3)
     expected = taylor_expm((np.pi / 2) * k) @ np.array([1.0, 0.0])
     assert np.allclose(v, expected, atol=1e-9)
     assert np.allclose(v, [0.0, -1.0], atol=1e-9)
+
+
+def test_linear_blowup_names_its_columns_and_time():
+    # K = 1e5 I overflows the one nonzero column at the 21st step of 0.1;
+    # the zero columns stay zero
+    v0 = np.zeros((2, 3))
+    v0[:, 1] = [1.0, -2.0]
+    k = 1e5 * np.eye(2)
+    with pytest.raises(InstabilityError, match=r"non-finite values in columns \[1\] at t=2\.1000"):
+        integrate_linear(lambda times: np.broadcast_to(k, times.shape + k.shape), v0, (0.0, 5.0),
+                         step=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +102,18 @@ def test_linear_integrator_matches_matrix_exponential():
 # ---------------------------------------------------------------------------
 
 
-def so3_field(t):
+def so3_field(times):
     """Velocity Ad_g a(t) - a(t): it vanishes at the identity, so an identity
     row stays put with angle 0 at every stage."""
-    a = np.array([0.9 * np.sin(3 * t), 0.4, -0.7 * np.cos(t)])
-    return lambda g: g @ a - a
+    a = np.stack([0.9 * np.sin(3 * times), np.full_like(times, 0.4), -0.7 * np.cos(times)], -1)
+    return FiberMap(lambda g, a: g @ a - a, a)
 
 
-def translation_field(t):
+def translation_field(times):
     """Linear velocity -K(t) v in the translation part v of each fiber."""
-    k = np.array([[0.5 * np.cos(t), 0.2], [-0.3, 0.4 * t]])
-    return lambda g: -(k @ T2.log_coords(g)[..., None])[..., 0]
+    k = np.stack([0.5 * np.cos(times), np.full_like(times, 0.2), np.full_like(times, -0.3),
+                  0.4 * times], -1).reshape(times.shape + (2, 2))
+    return FiberMap(lambda g, k: -(k @ T2.log_coords(g)[..., None])[..., 0], k)
 
 
 @pytest.mark.parametrize("desc, field", [(SO3, so3_field), (T2, translation_field)])
@@ -125,9 +139,9 @@ def test_stack_drift_after_1000_steps():
     rng = np.random.default_rng(41)
     stack = np.stack([SO3.random_element(rng).matrix for _ in range(4)])
 
-    def field(t):
-        a = np.array([np.sin(t), np.cos(2 * t), 0.3])
-        return lambda g: g @ a - a + np.array([0.2, -0.1, 0.4])
+    def field(times):
+        a = np.stack([np.sin(times), np.cos(2 * times), np.full_like(times, 0.3)], -1)
+        return FiberMap(lambda g, a: g @ a - a + np.array([0.2, -0.1, 0.4]), a)
 
     result = integrate_stack(field, SO3, stack, (0.0, 10.0), step=0.01)
     assert result.steps == 1000
@@ -156,13 +170,13 @@ def test_stack_retraction_takes_svd_fallback_per_row():
 def test_stack_non_finite_row_raises_instability():
     stack = np.stack([SO3.identity().matrix] * 3)
 
-    def field(t):
-        def velocity(g):
-            v = np.full((3, 3), 0.1)
-            v[1] = np.nan
-            return v
+    def velocity(g):
+        v = np.full((3, 3), 0.1)
+        v[1] = np.nan
+        return v
 
-        return velocity
+    def field(times):
+        return [velocity] * len(times)
 
     with pytest.raises(InstabilityError, match=r"rows \[1\]"):
         integrate_stack(field, SO3, stack, (0.0, 1.0), step=0.1)

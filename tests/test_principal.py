@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liebundles.bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
-from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, Polynomial
+from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial
 from liebundles.connections import (
     LieGroupBundleConnection,
     transport_group,
@@ -172,9 +172,13 @@ def _difference_with_laws(omega1, omega2, rng):
     report = form.validate(rng)
     assert report["horizontality"] <= 1e-9
     assert report["ad_equivariance"] <= 1e-7
-    rebuilt = GeneralizedPrincipalConnection(
-        omega2.action, omega2.nu,
-        [(constant_weight(), lambda y: omega2.matrix(y) + form.matrix(y))])
+    desc = omega2.descriptor
+
+    def matrix(fibers, omega2_map, q):
+        return omega2_map(fibers) + form.matrix(TotalPoint(q, GroupElement(fibers, desc)))
+
+    rebuilt = GeneralizedPrincipalConnection(omega2.action, omega2.nu, [
+        (constant_weight(), lambda q: FiberMap(matrix, omega2.matrix_map(q), q))])
     rebuilt_report = validate_principal_connection(rebuilt, rng, samples=50)
     assert rebuilt_report["complementarity"] <= 1e-8
     assert rebuilt_report["ad_equivariance"] <= 1e-8
@@ -322,7 +326,8 @@ def test_necessity_check_passes_and_flags_bad_nu():
     # flag nu (and the form fails equivariance against that nu, consistently)
     bad_nu = LieGroupBundleConnection(
         ACTION.bundle,
-        lambda x, u: lambda fibers: np.broadcast_to([0.2, 0.0, 0.0], fibers.shape[:-2] + (3,)),
+        lambda x, u: FiberMap(
+            lambda fibers: np.broadcast_to([0.2, 0.0, 0.0], fibers.shape[:-2] + (3,))),
     )
     forced = GeneralizedPrincipalConnection(ACTION, bad_nu, OMEGA_CANON.pieces)
     form_worst, nu_worst = _form_and_nu_worst(forced, np.random.default_rng(18))
@@ -381,7 +386,7 @@ def test_form_matrix_matches_per_tangent_oracle(name):
 
 
 def test_zero_fiber_block_makes_lift_and_jet_raise():
-    piece = lambda y: np.hstack([np.ones((3, 2)), np.zeros((3, 3))])
+    piece = lambda q: FiberMap(lambda fibers: np.hstack([np.ones((3, 2)), np.zeros((3, 3))]))
     omega = GeneralizedPrincipalConnection(ACTION, NU_CANON, [(constant_weight(), piece)])
     y = ACTION.space.random_point(np.random.default_rng(20))
     with pytest.raises(ConstructionError):

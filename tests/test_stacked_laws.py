@@ -88,7 +88,9 @@ def test_form_matrix_at_a_batch_equals_lone_points(name, label):
     fibers = np.array([s.group.random_element(rng).matrix for _ in range(7)])
     batch = TotalPoint(x, s.group.element(fibers))
     lone = [TotalPoint(x[r], s.group.element(fibers[r])) for r in range(7)]
-    pieces = [piece for _, piece in getattr(form, "pieces", [])] + [form.matrix]
+    # a piece maps base points to the map from fibers to its matrices
+    pieces = [lambda y, piece=piece: piece(y.q)(y.fiber.matrix)
+              for _, piece in getattr(form, "pieces", [])] + [form.matrix]
     for piece in pieces:
         stacked = piece(batch)
         assert stacked.shape[0] == 7
