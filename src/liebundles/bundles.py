@@ -82,9 +82,6 @@ class Tangent:
     u: np.ndarray
     delta: AlgebraElement
 
-    def norm(self):
-        return float(np.linalg.norm(self.u) + np.linalg.norm(self.delta.coords))
-
 
 class FiberedAction:
     """Vertical right action of the group bundle on the total space: right

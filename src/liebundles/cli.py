@@ -227,7 +227,7 @@ def _cmd_curvature(args):
         out = curvature_eval(scenario.omega, y, u1, u2)
         same = curvature_eval(scenario.omega, y, u1, u1)
         records = [
-            _record(scenario, "curvature-two-path", "bracket and covariant-exterior paths agree",
+            _record(scenario, "curvature-two-path", "bracket and exterior-derivative paths agree",
                     [out.gap], 1e-4),
             _record(scenario, "curvature-antisymmetry", "curvature vanishes on a repeated argument",
                     [float(np.linalg.norm(same.value.coords))], 1e-10),

@@ -245,7 +245,8 @@ def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.nd
     eps = np.asarray(eps, dtype=float)[..., None]
     ends = iter(_transport_rows(
         nu, curve, [desc.exp(desc.algebra(s * xi.coords)).matrix for s in (eps, -eps)], step))
-    # both ends come from the one stack above; central_difference asks for +eps first
+    # both ends come from the one stack above; central_difference asks for +eps
+    # first; they are retracted integrator ends, so their logs need no check
     return central_difference(lambda s: desc.log_coords(next(ends)), eps)
 
 

@@ -11,6 +11,12 @@ membership residual, retraction, bracket) broadcast over leading axes: a
 (B, m, m) stack of group matrices or a (B, dim) stack of coordinates is
 handled row by row in one call, and a GroupElement or an AlgebraElement may
 hold such a stack.
+
+The logarithm has two paths.  `GroupDescriptor.log` is for input from outside
+the program and checks the algebra span, finiteness, the injectivity radius
+and an exp round trip.  `log_coords` is the raw kernel, with the same floats,
+for fibers the program made: exp draws and the fibers of `integrate_stack`,
+which checks its initial fibers once and retracts every step.
 """
 
 from __future__ import annotations
@@ -170,19 +176,25 @@ class GroupDescriptor:
             raise DomainError("exp: algebra coordinates must be finite")
         return GroupElement(self.retract(self.exp_coords(coords)), self, check=False)
 
-    def log_coords(self, matrix):
-        """Principal logarithm of group matrices as algebra coordinates.
-
-        Every row must lie within the configured injectivity radius and
-        reproduce its matrix through exp to 1e-10 (relative).
-        """
-        mat = np.asarray(matrix, dtype=float)
+    def _log_matrix(self, mat):
         if self.log_hook is not None:
-            m = self.log_hook(mat)
-        else:
-            rows = mat.reshape((-1,) + mat.shape[-2:])
-            m = np.stack([_principal_logm(r) for r in rows]).reshape(mat.shape)
-        coords = self.matrix_coords(m)
+            return self.log_hook(mat)
+        rows = mat.reshape((-1,) + mat.shape[-2:])
+        return np.stack([_principal_logm(r) for r in rows]).reshape(mat.shape)
+
+    def log_coords(self, matrix):
+        """Principal logarithm of group matrices the program made (exp draws,
+        retracted integrator ends) as algebra coordinates, unchecked: only the
+        so3 and logm branch guards run.  Outside input goes through `log`."""
+        m = self._log_matrix(np.asarray(matrix, dtype=float))
+        return (self._basis_pinv @ m.reshape(m.shape[:-2] + (-1,))[..., None])[..., 0]
+
+    def log(self, g: "GroupElement") -> "AlgebraElement":
+        """Checked principal logarithm: every row must lie in the algebra span,
+        be finite, lie within the injectivity radius and reproduce its matrix
+        through exp to 1e-10 (relative)."""
+        mat = g.matrix
+        coords = self.matrix_coords(self._log_matrix(mat))
         if not np.all(np.isfinite(coords)):
             raise DomainError("log: non-finite algebra coordinates")
         if np.any(np.linalg.norm(coords, axis=-1) > self.injectivity_radius):
@@ -193,11 +205,7 @@ class GroupDescriptor:
         gap = np.linalg.norm(self.retract(self.exp_coords(coords)) - mat, axis=(-2, -1))
         if np.any(gap > 1e-10 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))):
             raise RangeError("log: exp(log(g)) does not reproduce g")
-        return coords
-
-    def log(self, g: "GroupElement") -> "AlgebraElement":
-        """Principal logarithm; valid within the configured injectivity radius."""
-        return self.algebra(self.log_coords(g.matrix))
+        return self.algebra(coords)
 
     def Ad(self, g: "GroupElement", xi: "AlgebraElement") -> "AlgebraElement":
         """Adjoint action g xi g^{-1}, expressed in algebra coordinates."""
@@ -326,9 +334,11 @@ class GroupElement:
         object.__setattr__(self, "matrix", mat)
         if self.check:
             res = self.descriptor.membership_residual(mat)
-            if _any(res > self.descriptor.membership_tol):
+            bad = res > self.descriptor.membership_tol
+            if _any(bad):
+                rows = f"in rows {np.flatnonzero(bad).tolist()} " if mat.ndim == 3 else ""
                 raise DescriptorError(
-                    f"matrix violates {self.descriptor.name} membership "
+                    f"matrix violates {self.descriptor.name} membership {rows}"
                     f"(residual {np.max(res):.3e} > {self.descriptor.membership_tol:.1e})"
                 )
 

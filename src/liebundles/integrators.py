@@ -123,16 +123,20 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     stage times (the step-halving rerun asks for its own 4N+1), and returns
     the base schedule: entry j maps a stack of fiber matrices to their
     right-trivialized velocities at stage time j, (B, m, m) -> (B, dim).
-    Returns one TransportResult: the endpoints retracted onto the group, with
-    each row's step-halving error estimate (Frobenius distance to the
-    half-step solution) when requested.  A single (m, m) matrix is a stack
-    without the leading axis.
+    Initial fibers off the group raise the `DescriptorError` of a checked
+    `GroupElement`, naming the rows.  Returns one TransportResult: the
+    endpoints retracted onto the group, with each row's step-halving error
+    estimate (Frobenius distance to the half-step solution) when requested.
+    A single (m, m) matrix is a stack without the leading axis.
     """
     t0, t1, n = _steps(interval, step)
     g0 = np.asarray(g0, dtype=float)
     m = descriptor.matrix_dim
     if g0.ndim not in (2, 3) or g0.shape[-2:] != (m, m):
         raise UsageError(f"fibers have shape {g0.shape}, expected (B, {m}, {m}) or ({m}, {m})")
+    # the one membership check: every later fiber is exp of a finite velocity
+    # times a member, retracted at each step, so its log needs no check
+    GroupElement(g0, descriptor)
     end = _run(field, g0, descriptor, t0, t1, n)
     fine = _run(field, g0, descriptor, t0, t1, 2 * n) if with_error_estimate else None
     return TransportResult(

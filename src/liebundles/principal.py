@@ -356,6 +356,11 @@ def build_two_chart_connection(
 # ---------------------------------------------------------------------------
 
 
+def _values(matrices, u, delta):
+    """Rows of a form's (S, d, n + d) matrices on the tangents (u, delta)."""
+    return (matrices @ np.concatenate([u, delta], axis=-1)[..., None])[..., 0]
+
+
 def _form_law_residuals(form, rng, samples, nu=None):
     """Worst residuals of the two laws of an algebra-valued form on random
     samples, drawn one at a time and evaluated as one stack.  With a group
@@ -371,7 +376,7 @@ def _form_law_residuals(form, rng, samples, nu=None):
     y, g = TotalPoint(x, desc.exp(desc.algebra(fy))), desc.exp(desc.algebra(fg))
 
     def value(y, t):
-        return (form.matrix(y) @ np.concatenate([t.u, t.delta.coords], axis=-1)[..., None])[..., 0]
+        return _values(form.matrix(y), t.u, t.delta.coords)
 
     vert = value(y, action.generator(y, desc.algebra(xi))) - (xi if nu is not None else 0.0)
     t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))

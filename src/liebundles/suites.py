@@ -311,7 +311,7 @@ def _chk_curvature_two_path(s, rng, samples, step):
     y = s.action.space.random_point(rng)
     gaps = [curvature(s.omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
             for hh in (2e-2, 1e-2, 5e-3)]
-    return vals, 1e-4, "bracket and covariant-exterior curvature paths agree", _order(gaps)
+    return vals, 1e-4, "bracket and exterior-derivative curvature paths agree", _order(gaps)
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
@@ -372,7 +372,7 @@ def _chk_affine_shift_equivariance(s, rng, samples, step):
 
 
 def _chk_affine_reconstruction(s, rng, samples, step):
-    res = affine_reconstruction_residual(s, s.omega.value, rng, samples=min(samples, 50))
+    res = affine_reconstruction_residual(s, s.omega, rng, samples=min(samples, 50))
     return [res], 1e-9, "linear-plus-offset coefficients reconstruct the form", None
 
 
@@ -382,7 +382,7 @@ def _chk_affine_transport_oracle(s, rng, samples, step):
     y0 = s.fiber_point(curve.position(curve.a), v0)
     coarse, _ = transport_total(s.omega, curve, y0, step=step)
     fine, _ = transport_total(s.omega, curve, y0, step=step / 4.0)
-    # one log per row, as for a lone point
+    # one log per row, as for a lone point; integrator ends need no log check
     vals = [float(np.linalg.norm(s.group.log_coords(end) - s.group.log_coords(ref)))
             for end, ref in zip(coarse.fiber.matrix, fine.fiber.matrix)]
     return vals, 1e-7, "fiber transport agrees with a refined reference", None

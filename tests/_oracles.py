@@ -289,6 +289,59 @@ def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
     }
 
 
+def affine_equivalence_oracle(scenario, rng, samples):
+    """`affine_equivalence_report`, one sample at a time."""
+    from liebundles.bundles import Tangent
+
+    group = scenario.group
+    chart = scenario.chart
+    m = scenario.group.dim
+    shift_worst = 0.0
+    for _ in range(samples):
+        x = chart.sample(rng)
+        yv = rng.uniform(-1, 1, m)
+        w = rng.uniform(-1, 1, m)
+        u = rng.standard_normal(chart.dim)
+        dy = group.random_algebra(rng)
+        y = scenario.fiber_point(x, yv)
+        y_shift = scenario.fiber_point(x, yv + w)
+        lhs = scenario.omega.value(y_shift, Tangent(u, dy)).coords
+        k = np.tensordot(u, scenario.nu_coeff(x), axes=(0, 0))
+        rhs = scenario.omega.value(y, Tangent(u, dy)).coords + k @ w
+        shift_worst = max(shift_worst, float(np.linalg.norm(lhs - rhs)))
+    return {"shift_equivariance": shift_worst}
+
+
+def affine_reconstruction_oracle(scenario, omega, rng, samples):
+    """`affine_reconstruction_residual`, one sample at a time, with the form
+    evaluated on one tangent at a time."""
+    from liebundles.bundles import Tangent
+
+    group = scenario.group
+    chart = scenario.chart
+    m = scenario.group.dim
+    n = chart.dim
+    worst = 0.0
+    for _ in range(samples):
+        x = chart.sample(rng)
+        origin = scenario.fiber_point(x, np.zeros(m))
+        gamma_fit = np.vstack([
+            omega.value(origin, Tangent(e, group.zero())).coords for e in np.eye(n)
+        ])
+        yv = rng.uniform(-1, 1, m)
+        y = scenario.fiber_point(x, yv)
+        linear_fit = np.stack([
+            omega.value(y, Tangent(e, group.zero())).coords - gamma_fit[mu]
+            for mu, e in enumerate(np.eye(n))
+        ])
+        u = rng.standard_normal(n)
+        dy = group.random_algebra(rng)
+        recon = u @ gamma_fit + np.tensordot(u, linear_fit, axes=(0, 0)) + dy.coords
+        got = omega.value(y, Tangent(u, dy)).coords
+        worst = max(worst, float(np.linalg.norm(recon - got)))
+    return worst
+
+
 def action_axioms_oracle(action, rng, samples):
     """`FiberedAction.validate`, one sample at a time."""
     desc = action.space.fiber

@@ -193,7 +193,7 @@ def test_criterion_07_classical_equivalence_and_negative_control():
 def test_criterion_08_affine_reconstruction_and_closed_form():
     rng = np.random.default_rng(108)
     s = AFFINE
-    recon = affine_reconstruction_residual(s, s.omega.value, rng, samples=50)
+    recon = affine_reconstruction_residual(s, s.omega, rng, samples=50)
     equiv = affine_equivalence_report(s, rng, samples=200)
 
     curve = s.curves["main"]

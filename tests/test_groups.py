@@ -87,6 +87,23 @@ def test_log_outside_injectivity_region_raises():
         SO3.log(g)
 
 
+def test_checked_log_refuses_a_non_member_a_far_element_and_a_non_finite_matrix():
+    rotation = SO3.exp(SO3.algebra([0.2, -0.4, 0.3])).matrix
+    with pytest.raises(RangeError, match="does not reproduce"):
+        SO3.log(SO3.element(1.3 * rotation, check=False))
+    sheared = T2.exp(T2.algebra([0.5, 1.0])).matrix
+    sheared[0, 1] = 1e-3
+    with pytest.raises(DescriptorError, match="span"):
+        T2.log(T2.element(sheared, check=False))
+    with pytest.raises(RangeError, match="injectivity radius"):
+        SO3.log(SO3.exp(SO3.algebra([0.0, 0.0, np.pi - 0.07])))
+    for desc, entry in ((SO3, (0, 1)), (T2, (0, 2))):
+        matrix = np.eye(desc.matrix_dim)
+        matrix[entry] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            desc.log(desc.element(matrix, check=False))
+
+
 def test_adjoint_identity_fixes_algebra():
     xi = SO3.algebra([0.2, -0.4, 0.9])
     assert np.allclose(SO3.Ad(SO3.identity(), xi).coords, xi.coords)

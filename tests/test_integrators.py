@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liebundles.calculus import FiberMap
-from liebundles.errors import InstabilityError, StiffnessError, UsageError
+from liebundles.errors import DescriptorError, InstabilityError, StiffnessError, UsageError
 from liebundles.groups import so3_descriptor, translation_descriptor
 from liebundles.integrators import integrate_linear, integrate_on_group, integrate_stack
 
@@ -133,6 +133,33 @@ def test_stack_matches_separate_runs(desc, field):
         assert isinstance(alone.membership_residual, float)
         assert together.steps == alone.steps == 100
     assert np.array_equal(together.element.matrix[0], np.eye(desc.matrix_dim))
+
+
+def _scaled(g):
+    return 1.3 * g
+
+
+def _sheared(g):
+    out = g.copy()
+    out[0, 1] += 1e-3
+    return out
+
+
+@pytest.mark.parametrize("desc, field, spoil", [(SO3, so3_field, _scaled),
+                                                (T2, translation_field, _sheared)])
+def test_stack_refuses_a_non_member_initial_fiber(desc, field, spoil):
+    """The initial fibers are checked once; every later fiber is exp of a
+    velocity times a member, retracted at each step."""
+    rng = np.random.default_rng(43)
+    good = [desc.random_element(rng).matrix for _ in range(3)]
+    bad = spoil(good[1])
+    with pytest.raises(DescriptorError, match=r"membership in rows \[1\] "):
+        integrate_stack(field, desc, np.stack([good[0], bad, good[2]]), (0.0, 1.0), step=0.1)
+    with pytest.raises(DescriptorError, match=r"membership in rows \[0, 2\] "):
+        integrate_stack(field, desc, np.stack([bad, good[0], bad]), (0.0, 1.0), step=0.1)
+    with pytest.raises(DescriptorError, match=f"violates {desc.name} membership \\(residual"):
+        integrate_stack(field, desc, bad, (0.0, 1.0), step=0.1)
+    integrate_stack(field, desc, np.stack(good), (0.0, 1.0), step=0.1)
 
 
 def test_stack_drift_after_1000_steps():

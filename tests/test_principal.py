@@ -106,7 +106,7 @@ def test_horizontal_lift_annihilated_and_zero_input():
         hor = omega.horizontal_lift(y, u)
         assert np.linalg.norm(omega.value(y, hor).coords) <= 1e-12
         zero = omega.horizontal_lift(y, np.zeros(2))
-        assert zero.norm() <= 1e-12
+        assert np.linalg.norm(zero.delta.coords) <= 1e-12
 
 
 def test_transport_total_trivial_keeps_fiber():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebundles.bundles import Tangent
+from liebundles.bundles import Tangent, TotalPoint
 from liebundles.connections import transport_group, validate_group_connection
 from liebundles.errors import UsageError
+from liebundles.groups import GroupDescriptor
 from liebundles.principal import transport_total, validate_principal_connection
 from liebundles.scenarios import (
     PRESET_NAMES,
@@ -150,8 +151,41 @@ def test_affine_equivalence_reports():
 def test_affine_reconstruction_exact():
     rng = np.random.default_rng(5)
     for scenario in (AFFINE_CONST, AFFINE_VAR):
-        res = affine_reconstruction_residual(scenario, scenario.omega.value, rng, samples=30)
+        res = affine_reconstruction_residual(scenario, scenario.omega, rng, samples=30)
         assert res <= 1e-9
+
+
+def test_affine_transport_and_suite_never_run_the_checked_log(monkeypatch):
+    """The affine form and lift map read the log of fibers the integrator has
+    just retracted, so they take the raw `log_coords`; the checked `log` is
+    for outside input."""
+    calls = []
+    checked = GroupDescriptor.log
+    monkeypatch.setattr(GroupDescriptor, "log",
+                        lambda self, g: calls.append(g) or checked(self, g))
+    curve = AFFINE_VAR.curves["main"]
+    y0 = AFFINE_VAR.fiber_point(curve.position(curve.a), [[0.3, -0.2], [0.1, 0.5]])
+    transport_total(AFFINE_VAR.omega, curve, y0, step=1e-2)
+    run_suite(AFFINE_VAR)
+    assert calls == []
+    AFFINE_VAR.group.log(AFFINE_VAR.group.identity())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scenario", [AFFINE_CONST, AFFINE_VAR, PRINCIPAL],
+                         ids=lambda s: s.name)
+def test_raw_log_equals_checked_log_on_exp_draws_and_integrator_ends(scenario):
+    group = scenario.group
+    rng = np.random.default_rng(46)
+    curve = scenario.curves["main"]
+    for rows in (1, 3, 9):
+        draws = group.exp(group.algebra(rng.uniform(-1.0, 1.0, (rows, group.dim))))
+        end, _ = transport_total(scenario.transport_form, curve,
+                                 TotalPoint(curve.position(curve.a), draws), step=1e-2)
+        for fibers in (draws, end.fiber):
+            assert np.array_equal(group.log_coords(fibers.matrix), group.log(fibers).coords)
+            for row in fibers.matrix:
+                assert np.array_equal(group.log_coords(row), group.log(group.element(row)).coords)
 
 
 def _affine_with_nu_coeff(coeffs):

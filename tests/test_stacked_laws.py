@@ -9,10 +9,13 @@ from liebundles.bundles import TotalPoint
 from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
 from liebundles.principal import connection_difference, validate_principal_connection
-from liebundles.scenarios import build_scenario, drop_ad_form, principal_equivalence_report
+from liebundles.scenarios import (affine_equivalence_report, affine_reconstruction_residual,
+                                  build_scenario, drop_ad_form, principal_equivalence_report)
 
 from _oracles import (
     action_axioms_oracle,
+    affine_equivalence_oracle,
+    affine_reconstruction_oracle,
     group_connection_oracle,
     principal_connection_oracle,
     principal_equivalence_oracle,
@@ -47,6 +50,13 @@ def _subjects(s):
             out[f"classical.drop_ad={drop_ad}"] = (
                 lambda rng, k, d=drop_ad: principal_equivalence_report(s, rng, samples=k, drop_ad=d),
                 lambda rng, k, d=drop_ad: principal_equivalence_oracle(s, rng, k, drop_ad=d))
+    if s.nu_coeff is not None:
+        out["affine_equivalence"] = (
+            lambda rng, k: affine_equivalence_report(s, rng, samples=k),
+            lambda rng, k: affine_equivalence_oracle(s, rng, k))
+        out["affine_reconstruction"] = (
+            lambda rng, k: affine_reconstruction_residual(s, s.omega, rng, samples=k),
+            lambda rng, k: affine_reconstruction_oracle(s, s.omega, rng, k))
     return out
 
 
