@@ -299,21 +299,18 @@ class Polynomial:
         return batch.reshape(x.shape[:-1] + self.shape)
 
     def partial(self, mu):
-        """Analytic partial derivative of a scalar polynomial as a new Polynomial."""
-        table = {}
-        for _, coeff, factors in self.terms:
+        """Analytic partial derivative as a new Polynomial of the same shape."""
+        entries = {}
+        for slot, coeff, factors in self.terms:
             e = factors.count(mu)
             if e == 0:
                 continue
             exps = [factors.count(ax) for ax in range(self.dim)]
             exps[mu] = e - 1
             key = ",".join(str(p) for p in exps)
+            table = entries.setdefault(tuple(map(int, np.unravel_index(slot, self.shape))), {})
             table[key] = table.get(key, 0.0) + coeff * e
-        return Polynomial(table, self.dim)
-
-    @staticmethod
-    def constant(value, dim):
-        return Polynomial({",".join(["0"] * dim): value}, dim)
+        return Polynomial.array(entries, self.dim, self.shape)
 
 
 class AlgebraOneForm:
@@ -341,11 +338,6 @@ class AlgebraOneForm:
         """Value on u at x; points x and vectors u of shape (R, n) give an
         (R, dim) stack."""
         return self.descriptor.algebra(self.coords(x, u))
-
-    @staticmethod
-    def constant(descriptor, array):
-        array = np.asarray(array, dtype=float)
-        return AlgebraOneForm(descriptor, lambda x: array)
 
     @staticmethod
     def from_polynomials(descriptor, tables, dim):

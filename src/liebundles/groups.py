@@ -537,6 +537,20 @@ _FAMILY_BUILDERS = {
 }
 
 
+def _parsed(field, expected, parse, value):
+    """``parse(value)``, or a usage error naming the descriptor field."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"descriptor field {field} must be {expected}, got {value!r}") from None
+
+
+def _positive_int(value):
+    if isinstance(value, bool) or int(value) != value or value < 1:
+        raise ValueError(value)
+    return int(value)
+
+
 def descriptor_from_json(doc):
     """Build a descriptor from a JSON document (text, dict, or file path)."""
     if isinstance(doc, str):
@@ -548,18 +562,21 @@ def descriptor_from_json(doc):
     else:
         data = doc
     try:
-        name = data["name"]
-        mdim = int(data["matrix_dim"])
-        raw = data["basis"]
+        name, mdim, raw = data["name"], data["matrix_dim"], data["basis"]
     except KeyError as exc:
         raise UsageError(f"descriptor document is missing field {exc}") from exc
-    basis = np.array([np.asarray(b, dtype=float).reshape(mdim, mdim) for b in raw])
+    mdim = _parsed("matrix_dim", "a positive integer", _positive_int, mdim)
+    basis = _parsed("basis", f"a non-empty list of {mdim}x{mdim} matrices", lambda v: np.stack(
+        [np.asarray(b, dtype=float).reshape(mdim, mdim) for b in v]), raw)
     family = data.get("family", "generic")
     if family not in _FAMILY_BUILDERS:
         raise UsageError(f"unknown descriptor family {family!r}")
     retract, residual = _FAMILY_BUILDERS[family]
     c = data.get("structure_constants")
-    c = np.asarray(c, dtype=float) if c is not None else derive_structure_constants(basis)
+    shape = (len(basis),) * 3
+    c = derive_structure_constants(basis) if c is None else _parsed(
+        "structure_constants", f"numbers of shape {shape}",
+        lambda v: np.asarray(v, dtype=float).reshape(shape), c)
     radius = data.get("injectivity_radius")
     if radius is None:
         radius = np.pi - 0.1 if family == "orthogonal" else np.inf
@@ -568,9 +585,10 @@ def descriptor_from_json(doc):
         matrix_dim=mdim,
         basis=basis,
         structure_constants=c,
-        membership_tol=float(data.get("membership_tol", 1e-8)),
+        membership_tol=_parsed("membership_tol", "a number", float,
+                               data.get("membership_tol", 1e-8)),
         family=family,
-        injectivity_radius=float(radius),
+        injectivity_radius=_parsed("injectivity_radius", "a number", float, radius),
         retraction=retract,
         membership_residual_fn=residual,
     )

@@ -2,10 +2,10 @@
 
 A connection is an algebra-valued 1-form omega on the total space satisfying
 complementarity (it reproduces generators) and adjoint equivariance with a
-correction term coming from an associated group-bundle connection nu.  Forms
-are assembled from weighted local pieces (partition-of-unity gluing); each
-piece is the fiber left-Maurer-Cartan form of one trivializing presentation,
-optionally shifted by a base 1-form.
+correction term coming from an associated group-bundle connection nu.  A form
+is one matrix map; the local forms are the fiber left-Maurer-Cartan forms of
+one trivializing presentation, optionally shifted by a base 1-form, and the
+two-chart builder glues two of them with a partition of unity.
 
 Curvature is evaluated two independent ways: minus omega of the bracket of
 horizontalized fields, and the exterior derivative of omega on constant
@@ -52,11 +52,9 @@ from .integrators import integrate_stack
 
 __all__ = [
     "WeightRamp",
-    "constant_weight",
     "form_matrix",
     "canonical_local_form",
     "twisted_local_form",
-    "twisted_cocycle",
     "GeneralizedPrincipalConnection",
     "build_canonical_connection",
     "build_two_chart_connection",
@@ -99,17 +97,13 @@ class WeightRamp:
         return 1.0 - w if self.invert else w
 
 
-def constant_weight():
-    return lambda x: 1.0
-
-
 # ---------------------------------------------------------------------------
 # local forms
 # ---------------------------------------------------------------------------
 
 
 def form_matrix(u_block, fiber_block):
-    """[u_block | fiber_block] along the last axis: a piece's (..., dim, n + dim)
+    """[u_block | fiber_block] along the last axis: a form's (..., dim, n + dim)
     matrix from its two blocks, the one with more leading (stack) axes setting
     the stack shape and the other repeated along it."""
     lead = max(u_block.shape[:-2], fiber_block.shape[:-2], key=len)
@@ -157,12 +151,6 @@ class _Twist:
         desc = self.descriptor
         return desc.retract(desc.exp_coords(np.multiply.outer(self.r(x), self.tau_gen.coords)))
 
-    def sigma_rate(self, x, u):
-        """Right-trivialized derivative of sigma along u (exact: Z commutes)."""
-        u = np.asarray(u, float)
-        rate = sum(d(x) * u[..., mu] for mu, d in enumerate(self._dp))
-        return np.multiply.outer(rate, self.sigma_gen.coords)
-
     def rates(self, x):
         """Right-trivialized rates of sigma and tau as (dim, n) matrices, or
         (..., dim, n) at a batch of points."""
@@ -196,15 +184,29 @@ def twisted_local_form(descriptor, twist: _Twist):
     return form
 
 
-def twisted_cocycle(descriptor, twist: _Twist):
-    """Lift map (see `LieGroupBundleConnection`) of the connection
-    that is trivial in the twisted group-bundle chart: h(x, g, u) = s - Ad_g s
-    with s the automorphism rate."""
+def _glued_form(pieces):
+    """Matrix map of the sum of w(q) form(q) over the (weight, form) pieces.
+    A piece whose weight is zero at every point is not evaluated, and at each
+    call (one stage, when the points have a stage axis) only the pieces with a
+    nonzero weight there are summed, starting from the first live term."""
 
-    def lift(fibers, s):
-        return s - (descriptor.Ad_matrix(fibers) @ s[..., None])[..., 0]
+    def glue(fibers, *parts):
+        terms = (np.asarray(w)[..., None, None] * form(fibers)
+                 for w, form in zip(parts[::2], parts[1::2]) if np.count_nonzero(w))
+        total = next(terms)
+        for term in terms:
+            total = total + term
+        return total
 
-    return lambda x, u: FiberMap(lift, twist.sigma_rate(x, u))
+    def form(q) -> FiberMap:
+        parts = []
+        for weight, piece in pieces:
+            w = np.broadcast_to(weight(q), np.shape(q)[:-1])
+            if np.count_nonzero(w):
+                parts += [w, piece(q)]
+        return FiberMap(glue, *parts)
+
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -213,46 +215,24 @@ def twisted_cocycle(descriptor, twist: _Twist):
 
 
 class GeneralizedPrincipalConnection:
-    """Algebra-valued 1-form glued from weighted local pieces.
+    """Algebra-valued 1-form on the total space given by its matrix map.
 
-    ``pieces`` is a sequence of (weight, form) with weight a function of the
-    base point and form(q) the `FiberMap` from fibers h to the (dim, n + dim)
-    matrix of the piece at (q, h): its first n columns act on the base
-    velocity u, its last dim columns on the fiber velocity delta.  At a batch
-    of points (q of shape (..., n)) a weight returns one value per point and
-    a form maps (..., m, m) fibers to an (..., dim, n + dim) stack.
+    ``form(q)``, stored as ``matrix_map``, is the `FiberMap` from fibers h to
+    the (dim, n + dim) matrix of the form at (q, h): its first n columns act
+    on the base velocity u, its last dim columns on the fiber velocity delta.
+    At a batch of points (q of shape (..., n)) it maps (..., m, m) fibers to
+    an (..., dim, n + dim) stack.
     """
 
-    def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, pieces):
+    def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, form):
         self.action = action
         self.nu = nu
-        self.pieces = list(pieces)
+        self.matrix_map = form
         self.descriptor = action.space.fiber
         self.n = action.space.quotient.dim
 
-    def matrix_map(self, q) -> FiberMap:
-        """The `FiberMap` from fibers to the weighted sum of the pieces'
-        matrices at base points q, one weight per point; a piece with no
-        nonzero weight there is not evaluated."""
-        parts = []
-        for weight, form in self.pieces:
-            w = np.broadcast_to(weight(q), np.shape(q)[:-1])
-            parts += [w, form(q) if np.count_nonzero(w) else FiberMap(None)]
-        return FiberMap(self._weighted_sum, *parts)
-
-    def _weighted_sum(self, fibers, *parts):
-        """A piece is summed when any of its weights is nonzero."""
-        d = self.descriptor.dim
-        weights, forms = parts[::2], parts[1::2]
-        lead = max(fibers.shape[:-2], *(np.shape(w) for w in weights), key=len)
-        total = np.zeros(lead + (d, self.n + d))
-        for w, form in zip(weights, forms):
-            if np.count_nonzero(w):
-                total = total + np.asarray(w)[..., None, None] * form(fibers)
-        return total
-
     def matrix(self, y: TotalPoint) -> np.ndarray:
-        """Weighted sum of the pieces' matrices at y, shape (dim, n + dim), or
+        """Matrix of the form at y, shape (dim, n + dim), or
         (B, dim, n + dim) when y.fiber holds a (B, m, m) stack."""
         return self.matrix_map(y.q)(y.fiber.matrix)
 
@@ -302,9 +282,7 @@ def build_canonical_connection(action: FiberedAction, base_form: Optional[Algebr
     """Single-chart connection: trivial nu plus the canonical fiber form."""
     desc = action.space.fiber
     nu = LieGroupBundleConnection.trivial(action.bundle)
-    omega = GeneralizedPrincipalConnection(
-        action, nu, [(constant_weight(), canonical_local_form(desc, base_form))]
-    )
+    omega = GeneralizedPrincipalConnection(action, nu, canonical_local_form(desc, base_form))
     return omega, nu
 
 
@@ -320,28 +298,24 @@ def build_two_chart_connection(
 
     The first piece is the reference canonical form, the second the canonical
     form of the presentation twisted by exp(p(x) Z_sigma)-conjugation and an
-    exp(r(x) Z_tau) section change; nu is glued from the matching trivial
-    connections of each presentation.  The partition of unity is checked at 25
-    base points drawn from a fixed seed.
+    exp(r(x) Z_tau) section change.  nu glues the trivial connections of the
+    two presentations: it is the connection of the base form A = -w_b S, with
+    S the right-trivialized rate of sigma.  The partition of unity is checked
+    at 25 base points drawn from a fixed seed.
     """
     desc = action.space.fiber
     twist = _Twist(desc, sigma_gen, p, tau_gen, r)
     w_a = ramp
     w_b = WeightRamp(ramp.lo, ramp.hi, ramp.axis, invert=not ramp.invert)
-    pieces = [
-        (w_a, canonical_local_form(desc)),
-        (w_b, twisted_local_form(desc, twist)),
-    ]
-    lift_b = twisted_cocycle(desc, twist)
 
-    def glued(fibers, wb, inner):
-        if not np.count_nonzero(wb):
-            return np.zeros(np.broadcast_shapes(fibers.shape[:-2], np.shape(wb)) + (desc.dim,))
-        return wb[..., None] * inner(fibers)
+    def base_coefficients(x):
+        s_rate, _ = twist.rates(x)
+        return np.swapaxes(-np.asarray(w_b(x))[..., None, None] * s_rate, -1, -2)
 
-    nu = LieGroupBundleConnection(action.bundle,
-                                  lambda x, u: FiberMap(glued, w_b(x), lift_b(x, u)))
-    omega = GeneralizedPrincipalConnection(action, nu, pieces)
+    nu = LieGroupBundleConnection.from_base_form(action.bundle,
+                                                 AlgebraOneForm(desc, base_coefficients))
+    omega = GeneralizedPrincipalConnection(action, nu, _glued_form(
+        [(w_a, canonical_local_form(desc)), (w_b, twisted_local_form(desc, twist))]))
     check_rng = np.random.default_rng(0)
     for _ in range(25):
         x = action.space.quotient.sample(check_rng)
@@ -486,7 +460,7 @@ def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement) -> float
 
 class TensorialAdjointForm:
     """Horizontal, adjoint-equivariant algebra-valued 1-form on the total space,
-    given by its (dim, n + dim) matrix function like a connection piece."""
+    given by its (dim, n + dim) matrix function of the point y."""
 
     def __init__(self, action: FiberedAction, matrix):
         self.action = action

@@ -32,7 +32,6 @@ from .principal import (
     _values,
     build_canonical_connection,
     build_two_chart_connection,
-    constant_weight,
     form_matrix,
     validate_principal_connection,
 )
@@ -286,10 +285,9 @@ def drop_ad_form(scenario):
     """The negative control of the classical equivalence: the canonical form
     with the base form left untwisted by Ad_{h^-1}, over the trivial nu."""
     desc = scenario.group
-    return GeneralizedPrincipalConnection(scenario.action, scenario.omega.nu, [(
-        constant_weight(), lambda q: FiberMap(
-            lambda fibers, a_t: form_matrix(a_t, desc.Ad_matrix(np.linalg.inv(fibers))),
-            np.swapaxes(scenario.base_form.coefficient_array(q), -1, -2)))])
+    return GeneralizedPrincipalConnection(scenario.action, scenario.omega.nu, lambda q: FiberMap(
+        lambda fibers, a_t: form_matrix(a_t, desc.Ad_matrix(np.linalg.inv(fibers))),
+        np.swapaxes(scenario.base_form.coefficient_array(q), -1, -2)))
 
 
 def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
@@ -366,13 +364,12 @@ def _build_affine(config) -> TorsorScenario:
         linear = (coeff @ v[..., None, :, None])[..., 0] + offset
         return form_matrix(np.swapaxes(linear, -1, -2), eye)
 
-    omega = GeneralizedPrincipalConnection(action, nu, [(
-        constant_weight(), lambda q: FiberMap(local_form, nu_coeff(q), gamma(q)))])
+    omega = GeneralizedPrincipalConnection(
+        action, nu, lambda q: FiberMap(local_form, nu_coeff(q), gamma(q)))
     # a second connection over nu: omega plus a constant horizontal shift
     shift = np.hstack([np.full((m, n), 0.35), np.zeros((m, m))])
-    shifted = GeneralizedPrincipalConnection(action, nu, [(
-        constant_weight(),
-        lambda q: FiberMap(lambda fibers, form: form(fibers) + shift, omega.matrix_map(q)))])
+    shifted = GeneralizedPrincipalConnection(action, nu, lambda q: FiberMap(
+        lambda fibers, form: form(fibers) + shift, omega.matrix_map(q)))
     curves = _curves_from_config(config, chart)
     if "main" not in curves:  # the affine transport oracle rides it
         raise KeyError("main")

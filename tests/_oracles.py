@@ -133,6 +133,16 @@ def twisted_form_oracle(desc, sigma_gen, p, tau_gen, r, y, u, delta):
     return desc.matrix_coords(s @ np.linalg.inv(m) @ m_dot @ s_inv)
 
 
+def glued_cocycle_oracle(desc, sigma_gen, p, w_b, x, u, fibers):
+    """Lift map of the two-chart nu written as the weighted cocycle of the
+    twisted chart: w_b(x) (s - Ad_g s), with s the right-trivialized rate of
+    sigma = exp(p(x) Z_sigma) along u.  x, u and the fibers may carry one
+    leading stack axis."""
+    rate = sum(p.partial(mu)(x) * u[..., mu] for mu in range(p.dim))
+    s = np.multiply.outer(rate, sigma_gen.coords)
+    return np.asarray(w_b(x))[..., None] * (s - (desc.Ad_matrix(fibers) @ s[..., None])[..., 0])
+
+
 def affine_form_oracle(nu_coeff, gamma, y, u, delta):
     """(sum_mu u_mu N_mu(x)) v + u . Gamma(x) + delta, with v the translation
     part of the fiber matrix."""
@@ -246,7 +256,7 @@ def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
     """`principal_equivalence_report`, one sample at a time; its control form
     is evaluated at one point at a time, where a plain transpose suffices."""
     from liebundles.calculus import FiberMap
-    from liebundles.principal import GeneralizedPrincipalConnection, constant_weight, form_matrix
+    from liebundles.principal import GeneralizedPrincipalConnection, form_matrix
 
     desc = scenario.group
     chart = scenario.chart
@@ -273,10 +283,9 @@ def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
         broken = GeneralizedPrincipalConnection(
             scenario.action,
             scenario.omega.nu,
-            [(constant_weight(),
-              lambda q: FiberMap(lambda fibers: form_matrix(
-                  scenario.base_form.coefficient_array(q).T,
-                  desc.Ad_matrix(np.linalg.inv(fibers)))))],
+            lambda q: FiberMap(lambda fibers: form_matrix(
+                scenario.base_form.coefficient_array(q).T,
+                desc.Ad_matrix(np.linalg.inv(fibers)))),
         )
         induced = principal_connection_oracle(broken, rng, samples)
     else:

@@ -160,7 +160,20 @@ def test_polynomial_batch_matches_points_bitwise():
     assert np.array_equal(batch, np.array([scalar(p) for p in points]))
     assert np.array_equal(array(points), np.stack([array(p) for p in points]))
     # a polynomial of constant terms only still gets its batch axis
-    assert np.array_equal(Polynomial.constant(2.5, 2)(points), np.full(2000, 2.5))
+    assert np.array_equal(Polynomial({"0,0": 2.5}, 2)(points), np.full(2000, 2.5))
+
+
+def test_array_polynomial_partial_keeps_each_entry():
+    # p = [x^2, 3 y + x y^2], by hand: dp/dx = [2 x, y^2], dp/dy = [0, 3 + 2 x y]
+    poly = Polynomial.array({(0,): {"2,0": 1.0}, (1,): {"0,1": 3.0, "1,2": 1.0}}, 2, (2,))
+    x, y = 0.5, -0.2
+    assert poly.partial(0).shape == (2,)
+    assert np.allclose(poly.partial(0)(np.array([x, y])), [2 * x, y ** 2], rtol=0, atol=1e-15)
+    assert np.allclose(poly.partial(1)(np.array([x, y])), [0.0, 3 + 2 * x * y], rtol=0,
+                       atol=1e-15)
+    points = np.random.default_rng(37).uniform(-1.0, 1.0, (5, 2))
+    assert np.allclose(poly.partial(0)(points), np.column_stack([2 * points[:, 0], points[:, 1] ** 2]),
+                       rtol=0, atol=1e-15)
 
 
 def test_central_difference_matches_hand_stencil_bitwise():

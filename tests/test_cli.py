@@ -386,3 +386,50 @@ def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, 
     assert err.startswith("usage error: record 'x' field ")
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+SO3_BASIS = [[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+             [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("group, field", [
+    ({"name": "g", "matrix_dim": 2, "basis": [[1, 2, 3]]}, "basis"),
+    ({"name": "g", "matrix_dim": "two", "basis": SO3_BASIS}, "matrix_dim"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "structure_constants": [[1, 2]]},
+     "structure_constants"),
+    ({"name": "g", "matrix_dim": 3.7, "basis": SO3_BASIS}, "matrix_dim"),
+    ({"name": "g", "matrix_dim": 3, "basis": []}, "basis"),
+])
+def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "principal-so3", "group": group}), encoding="utf-8")
+    code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
+    assert code == 2
+    assert err.startswith(f"usage error: descriptor field {field} must be ")
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+def test_command_records_carry_the_suite_tolerance(name, tmp_path):
+    # the transport and curvature commands write some records under suite
+    # check ids; each must be judged by the bound run_suite pins for that id
+    from liebundles.scenarios import build_scenario, preset_config
+    from liebundles.suites import available_checks, run_suite
+
+    records = {}
+    for command in ("transport", "curvature"):
+        path = tmp_path / f"{command}.jsonl"
+        assert main([command, "--scenario", name, "--no-meta", "--out", str(path)]) == 0
+        records.update({d["check"]: d for d in parse_jsonl(path.read_text()) if "check" in d})
+    ids = ["transport-multiplicative", "transport-compatibility", "curvature-two-path",
+           "curvature-antisymmetry"]
+    assert set(ids) <= set(records)
+    # the tolerance is the check's own; a cheap sample count and step read it
+    config = dict(preset_config(name), samples=1, step=0.05)
+    pinned = run_suite(build_scenario(config),
+                       only=[i for i in ids if i in available_checks(config["kind"])])
+    assert len(pinned) >= 3
+    for record in pinned:
+        assert records[record.check]["tolerance"] == record.tolerance, record.check

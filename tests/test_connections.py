@@ -29,7 +29,7 @@ BUNDLE = LieGroupBundle(CHART, SO3)
 BUNDLE_T2 = LieGroupBundle(CHART, T2)
 
 # constant base form A = E3 dx1
-A_E3 = AlgebraOneForm.constant(SO3, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+A_E3 = AlgebraOneForm.from_polynomials(SO3, [{"2": {"0,0": 1.0}}, {}], 2)
 NU_E3 = LieGroupBundleConnection.from_base_form(BUNDLE, A_E3)
 
 # generic polynomial base form
@@ -118,7 +118,6 @@ def test_transport_multiplicativity_and_unit_inverse():
 
 def test_transport_multiplicativity_abelian_exact():
     rng = np.random.default_rng(5)
-    form = AlgebraOneForm.constant(T2, np.array([[0.5, 0.0], [0.0, -0.3]]))
     # abelian adjoint is trivial, so the base-form cocycle vanishes: use a
     # linear lift map instead (a linear connection on the fiber)
     k = np.array([[0.3, 0.1], [0.0, -0.2]])

@@ -15,10 +15,11 @@ from liebundles.groups import GroupElement, so3_descriptor, translation_descript
 from liebundles.principal import (
     GeneralizedPrincipalConnection,
     WeightRamp,
+    _glued_form,
     build_canonical_connection,
     build_two_chart_connection,
+    canonical_local_form,
     connection_difference,
-    constant_weight,
     curvature,
     equivariant_product_connection_check,
     horizontal_transform_check,
@@ -33,6 +34,7 @@ from liebundles.scenarios import build_scenario
 from _oracles import (
     affine_form_oracle,
     canonical_form_oracle,
+    glued_cocycle_oracle,
     horizontal_lift_oracle,
     observed_order,
     twisted_form_oracle,
@@ -53,14 +55,16 @@ def abelian_action():
 
 ACTION = so3_action()
 OMEGA_CANON, NU_CANON = build_canonical_connection(ACTION)
+RAMP = WeightRamp(-0.2, 0.2, axis=0)
 
+SIGMA_GEN, SIGMA_POLY = SO3.algebra([0.0, 1.0, 0.0]), Polynomial({"1,0": 0.8, "0,1": 0.3}, 2)
 TWO_CHART = build_two_chart_connection(
     ACTION,
-    sigma_gen=SO3.algebra([0.0, 1.0, 0.0]),
-    p=Polynomial({"1,0": 0.8, "0,1": 0.3}, 2),
+    sigma_gen=SIGMA_GEN,
+    p=SIGMA_POLY,
     tau_gen=SO3.algebra([1.0, 0.0, 0.0]),
     r=Polynomial({"0,1": 0.6, "1,1": 0.4}, 2),
-    ramp=WeightRamp(-0.2, 0.2, axis=0),
+    ramp=RAMP,
 )
 OMEGA_GLUED, NU_GLUED = TWO_CHART
 
@@ -85,8 +89,50 @@ def test_two_chart_glued_validates():
     # the glued weights form a partition of unity: they sum to one, none negative
     for _ in range(200):
         x = CHART.sample(rng)
-        weights = [w(x) for w, _ in OMEGA_GLUED.pieces]
+        weights = [RAMP(x), WeightRamp(-0.2, 0.2, axis=0, invert=True)(x)]
         assert abs(sum(weights) - 1.0) <= 1e-8 and min(weights) >= -1e-8
+
+
+def test_glued_nu_is_the_weighted_twisted_cocycle():
+    # the glued nu is the base-form connection of A = -w_b S, whose lift map
+    # Ad_g A - A is the twisted chart's cocycle w_b (s - Ad_g s)
+    assert NU_GLUED.base_form is not None
+    rng = np.random.default_rng(21)
+    w_b = WeightRamp(-0.2, 0.2, axis=0, invert=True)
+    # first coordinates across the ramp [-0.2, 0.2]: w_b = 0, 1 and between
+    x = np.column_stack([[-0.6, -0.2, -0.1, 0.0, 0.15, 0.2, 0.6], rng.uniform(-0.9, 0.9, 7)])
+    assert {0.0, 1.0} < set(w_b(x))
+    u = rng.standard_normal((7, 2))
+    fibers = np.array([SO3.random_element(rng).matrix for _ in range(7)])
+
+    def gap(x, u, fibers):
+        want = glued_cocycle_oracle(SO3, SIGMA_GEN, SIGMA_POLY, w_b, x, u, fibers)
+        return np.max(np.abs(NU_GLUED.lift_map(x, u)(fibers) - want))
+
+    assert gap(x, u, fibers) <= 1e-15
+    assert max(gap(x[r], u[r], fibers[r]) for r in range(7)) <= 1e-15
+
+
+def test_glue_evaluates_only_pieces_with_a_nonzero_weight():
+    def never(q):
+        raise AssertionError("a piece of zero weight at every point was evaluated")
+
+    def fiber_part_raises(q):
+        return FiberMap(lambda fibers, zero: never(q), np.zeros(np.shape(q)[:-1]))
+
+    canonical = canonical_local_form(SO3)
+    fiber = SO3.random_element(np.random.default_rng(22)).matrix
+    # two stage points: RAMP weighs 1 at the first and 0 at the second
+    x = np.array([[-0.6, 0.1], [0.6, 0.1]])
+    glued = _glued_form([(RAMP, canonical), (lambda q: np.zeros(np.shape(q)[:-1]), never)])
+    assert np.array_equal(glued(x[0])(fiber), canonical(x[0])(fiber))
+    assert np.array_equal(glued(x)[0](fiber), canonical(x[0])(fiber))
+    # a piece live at some stage is evaluated only at the stages where it is live
+    staged = _glued_form([(RAMP, canonical),
+                          (WeightRamp(-0.2, 0.2, axis=0, invert=True), fiber_part_raises)])(x)
+    assert np.array_equal(staged[0](fiber), canonical(x[0])(fiber))
+    with pytest.raises(AssertionError):
+        staged[1](fiber)
 
 
 def test_abelian_canonical_is_fiber_coordinate_differential():
@@ -177,8 +223,8 @@ def _difference_with_laws(omega1, omega2, rng):
     def matrix(fibers, omega2_map, q):
         return omega2_map(fibers) + form.matrix(TotalPoint(q, GroupElement(fibers, desc)))
 
-    rebuilt = GeneralizedPrincipalConnection(omega2.action, omega2.nu, [
-        (constant_weight(), lambda q: FiberMap(matrix, omega2.matrix_map(q), q))])
+    rebuilt = GeneralizedPrincipalConnection(
+        omega2.action, omega2.nu, lambda q: FiberMap(matrix, omega2.matrix_map(q), q))
     rebuilt_report = validate_principal_connection(rebuilt, rng, samples=50)
     assert rebuilt_report["complementarity"] <= 1e-8
     assert rebuilt_report["ad_equivariance"] <= 1e-8
@@ -207,7 +253,7 @@ def test_connection_difference_is_tensorial():
 
 def test_abelian_difference_recovers_added_base_form():
     action = abelian_action()
-    base = AlgebraOneForm.constant(T1, np.array([[0.4], [-0.9]]))
+    base = AlgebraOneForm.from_polynomials(T1, [{"0": {"0,0": 0.4}}, {"0": {"0,0": -0.9}}], 2)
     omega_plus, _ = build_canonical_connection(action, base_form=base)
     omega0, _ = build_canonical_connection(action)
     rng = np.random.default_rng(10)
@@ -329,7 +375,7 @@ def test_necessity_check_passes_and_flags_bad_nu():
         lambda x, u: FiberMap(
             lambda fibers: np.broadcast_to([0.2, 0.0, 0.0], fibers.shape[:-2] + (3,))),
     )
-    forced = GeneralizedPrincipalConnection(ACTION, bad_nu, OMEGA_CANON.pieces)
+    forced = GeneralizedPrincipalConnection(ACTION, bad_nu, OMEGA_CANON.matrix_map)
     form_worst, nu_worst = _form_and_nu_worst(forced, np.random.default_rng(18))
     assert nu_worst > 1e-6
     assert form_worst > 1e-6
@@ -387,7 +433,7 @@ def test_form_matrix_matches_per_tangent_oracle(name):
 
 def test_zero_fiber_block_makes_lift_and_jet_raise():
     piece = lambda q: FiberMap(lambda fibers: np.hstack([np.ones((3, 2)), np.zeros((3, 3))]))
-    omega = GeneralizedPrincipalConnection(ACTION, NU_CANON, [(constant_weight(), piece)])
+    omega = GeneralizedPrincipalConnection(ACTION, NU_CANON, piece)
     y = ACTION.space.random_point(np.random.default_rng(20))
     with pytest.raises(ConstructionError):
         omega.horizontal_lift(y, [1.0, 0.0])
