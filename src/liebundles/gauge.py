@@ -18,6 +18,9 @@ is exactly invariant under identity-value second jets acting by
 
 which is the coordinate form of the chain-rule action frozen from analytic
 representatives gamma(x) = exp(xi dx + sigma dx dx / 2).
+
+Every jet may hold a stack of samples along a leading axis: operations then
+work row by row, and residuals return one value per row, not a float.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .groups import GroupDescriptor, GroupElement, derive_structure_constants
+from .groups import GroupDescriptor, GroupElement, _any, _norm, derive_structure_constants
 
 __all__ = [
     "GaugeJet",
     "SecondJetTuple",
     "compose_second_jets",
-    "section_product_jet",
     "jet_connection_value",
     "jet_connection_multiplicativity_residual",
     "EquivariantJetConnection",
@@ -49,14 +51,47 @@ __all__ = [
     "fixed_point_is_trivial",
     "jet_realizing_curvature",
     "semidirect_jet_descriptor",
-    "gauge_jet_from_element",
     "element_from_gauge_jet",
 ]
 
 
-def _ad_slots(desc: GroupDescriptor, g: GroupElement, arr: np.ndarray) -> np.ndarray:
-    """Apply Ad_g to the algebra index (last axis) of an array of coords."""
-    return np.tensordot(arr, desc.Ad_matrix(g).T, axes=(-1, 0))
+def _ad_slots(desc: GroupDescriptor, g: GroupElement, arr: np.ndarray, slots=1) -> np.ndarray:
+    """Apply Ad_g to the algebra index (last axis) of coords with ``slots``
+    covector axes; a stacked g twists its own row of arr, or all of a lone arr."""
+    ad_t = np.swapaxes(desc.Ad_matrix(g), -1, -2)
+    return arr @ ad_t.reshape(ad_t.shape[:-2] + (1,) * (slots - 1) + ad_t.shape[-2:])
+
+
+def _per_row(value):
+    """A float for a lone jet's value, the array for a stack's."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _max_abs(arr, lone_ndim):
+    """Largest |entry| of each row of an array whose lone form has lone_ndim axes."""
+    return _per_row(np.max(np.abs(arr), axis=tuple(range(arr.ndim - lone_ndim, arr.ndim))))
+
+
+def _finite(arr, lone_ndim):
+    return np.isfinite(arr).all(axis=tuple(range(arr.ndim - lone_ndim, arr.ndim)))
+
+
+def _require(ok, what, detail=""):
+    """UsageError unless ok holds in every row; a stack names the failing rows."""
+    bad = ~np.asarray(ok)
+    if _any(bad):
+        rows = f" in rows {np.flatnonzero(bad).tolist()}" if bad.ndim else ""
+        raise UsageError(f"{what}{rows}{detail}")
+
+
+def _distance(*pairs):
+    """Sum of the Frobenius norms of a - b over (a, b, lone ndim) triples, as
+    np.linalg.norm sums them: a float, or one per row of a stack."""
+    total = 0.0
+    for a, b, lone_ndim in pairs:
+        diff = a - b
+        total = total + _norm(diff.reshape(diff.shape[: diff.ndim - lone_ndim] + (-1,)))
+    return _per_row(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +99,14 @@ class GaugeJet:
     """Element (g, xi) of the jet gauge group over an n-dimensional base."""
 
     g: GroupElement
-    xi: np.ndarray  # (n, dim_g)
+    xi: np.ndarray  # (n, dim_g), or (S, n, dim_g)
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim != 2 or xi.shape[1] != self.g.descriptor.dim:
-            raise UsageError(f"xi must have shape (n, {self.g.descriptor.dim})")
+        d = self.g.descriptor.dim
+        if xi.ndim not in (2, 3) or xi.shape[-1] != d:
+            raise UsageError(f"xi must have shape (n, {d}) or (S, n, {d})")
+        _require(_finite(xi, 2), "xi must be finite")
         object.__setattr__(self, "xi", xi)
 
     @property
@@ -88,15 +125,13 @@ class GaugeJet:
     def adjoint(self, eta: np.ndarray, phi: np.ndarray):
         """Adjoint action on algebra pairs: (Ad_g eta, Ad_g o phi - [Ad_g eta, xi])."""
         desc = self.descriptor
-        ad_eta = desc.Ad_matrix(self.g) @ np.asarray(eta, float)
+        ad_eta = (desc.Ad_matrix(self.g) @ np.asarray(eta, float)[..., None])[..., 0]
         ad_phi = _ad_slots(desc, self.g, np.asarray(phi, float))
-        correction = desc.bracket_coords(ad_eta[None, :], self.xi)
+        correction = desc.bracket_coords(ad_eta[..., None, :], self.xi)
         return ad_eta, ad_phi - correction
 
-    def distance(self, other: "GaugeJet") -> float:
-        return float(
-            np.linalg.norm(self.g.matrix - other.g.matrix) + np.linalg.norm(self.xi - other.xi)
-        )
+    def distance(self, other: "GaugeJet"):
+        return _distance((self.g.matrix, other.g.matrix, 2), (self.xi, other.xi, 2))
 
     @staticmethod
     def identity(desc: GroupDescriptor, n: int) -> "GaugeJet":
@@ -127,13 +162,9 @@ class SecondJetTuple:
     def descriptor(self):
         return self.g.descriptor
 
-    def distance(self, other: "SecondJetTuple") -> float:
-        return float(
-            np.linalg.norm(self.g.matrix - other.g.matrix)
-            + np.linalg.norm(self.xi - other.xi)
-            + np.linalg.norm(self.eta - other.eta)
-            + np.linalg.norm(self.phi - other.phi)
-        )
+    def distance(self, other: "SecondJetTuple"):
+        return _distance((self.g.matrix, other.g.matrix, 2), (self.xi, other.xi, 2),
+                         (self.eta, other.eta, 2), (self.phi, other.phi, 3))
 
 
 def compose_second_jets(a: SecondJetTuple, b: SecondJetTuple) -> SecondJetTuple:
@@ -143,24 +174,7 @@ def compose_second_jets(a: SecondJetTuple, b: SecondJetTuple) -> SecondJetTuple:
         a.g @ b.g,
         a.xi + _ad_slots(desc, a.g, b.xi),
         a.eta + _ad_slots(desc, a.g, b.eta),
-        a.phi + _ad_slots(desc, a.g, b.phi),
-    )
-
-
-def section_product_jet(a: SecondJetTuple, b: SecondJetTuple) -> SecondJetTuple:
-    """One-jet of the pointwise product of sections represented by a and b.
-
-    The chain rule adds the bracket of the left factor's derivative slot with
-    the Ad-translated value slot of the right factor:
-    phi_uv += [eta_u, (Ad_g xi'_v)]."""
-    desc = a.descriptor
-    ad_xi = _ad_slots(desc, a.g, b.xi)
-    bracket = desc.bracket_coords(a.eta[:, None, :], ad_xi[None, :, :])
-    return SecondJetTuple(
-        a.g @ b.g,
-        a.xi + ad_xi,
-        a.eta + _ad_slots(desc, a.g, b.eta),
-        a.phi + _ad_slots(desc, a.g, b.phi) + bracket,
+        a.phi + _ad_slots(desc, a.g, b.phi, slots=2),
     )
 
 
@@ -171,11 +185,10 @@ def section_product_jet(a: SecondJetTuple, b: SecondJetTuple) -> SecondJetTuple:
 
 def jet_connection_value(k: GaugeJet) -> SecondJetTuple:
     """Horizontal jet through (g, xi): derivative slots (xi, 0)."""
-    n = k.xi.shape[0]
-    return SecondJetTuple(k.g, k.xi, k.xi, np.zeros((n, n, k.descriptor.dim)))
+    return SecondJetTuple(k.g, k.xi, k.xi, np.zeros(k.xi.shape[:-1] + k.xi.shape[-2:]))
 
 
-def jet_connection_multiplicativity_residual(k1: GaugeJet, k2: GaugeJet) -> float:
+def jet_connection_multiplicativity_residual(k1: GaugeJet, k2: GaugeJet):
     lhs = jet_connection_value(k1.mul(k2))
     rhs = compose_second_jets(jet_connection_value(k1), jet_connection_value(k2))
     return lhs.distance(rhs)
@@ -201,13 +214,11 @@ class EquivariantJetConnection:
         g_val = np.asarray(self.g2(x), dtype=float)
         if not self.drop_ad_twist:
             f_val = _ad_slots(desc, w.g, f_val)
-            g_val = _ad_slots(desc, w.g, g_val)
+            g_val = _ad_slots(desc, w.g, g_val, slots=2)
         return SecondJetTuple(w.g, w.xi, f_val + w.xi, g_val)
 
 
-def classification_equivariance_residual(
-    omega_hat: EquivariantJetConnection, k: GaugeJet, w: GaugeJet
-) -> float:
+def classification_equivariance_residual(omega_hat: EquivariantJetConnection, k, w):
     """Residual of omega_hat(k . w) = nu_hat(k) . omega_hat(w) (semidirect
     composition; the left action on values is the group product)."""
     lhs = omega_hat(np.zeros(omega_hat.n), k.mul(w))
@@ -238,8 +249,7 @@ class ConnectionJet:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "DA", np.asarray(self.DA, dtype=float))
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.DA))):
-            raise UsageError("connection jet entries must be finite")
+        _require(_finite(self.A, 2) & _finite(self.DA, 3), "connection jet entries must be finite")
 
     @staticmethod
     def random(desc, n, rng):
@@ -250,8 +260,8 @@ class ConnectionJet:
 def curvature_map(jet: ConnectionJet) -> np.ndarray:
     """F_uv = DA_uv - DA_vu - [A_u, A_v]; antisymmetric (n, n, dim_g) array."""
     desc = jet.descriptor
-    antisym = jet.DA - np.swapaxes(jet.DA, 0, 1)
-    bracket = desc.bracket_coords(jet.A[:, None, :], jet.A[None, :, :])
+    antisym = jet.DA - np.swapaxes(jet.DA, -3, -2)
+    bracket = desc.bracket_coords(jet.A[..., :, None, :], jet.A[..., None, :, :])
     return antisym - bracket
 
 
@@ -268,9 +278,10 @@ class GaugeSecondJet:
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "sigma", sigma)
-        asym = np.max(np.abs(sigma - np.swapaxes(sigma, 0, 1)))
-        if asym > 1e-12:
-            raise UsageError(f"sigma must be symmetric in its covector slots (defect {asym:.2e})")
+        _require(_finite(xi, 2) & _finite(sigma, 3), "second jet entries must be finite")
+        asym = _max_abs(sigma - np.swapaxes(sigma, -3, -2), 3)
+        _require(asym <= 1e-12, "sigma must be symmetric in its covector slots",
+                 f" (defect {np.max(asym):.2e})")
 
     @staticmethod
     def random(desc, n, rng):
@@ -283,24 +294,24 @@ def apply_gauge_second_jet(jet: ConnectionJet, gauge: GaugeSecondJet) -> Connect
     """Frozen coordinate form of the identity-value second-jet action."""
     desc = jet.descriptor
     new_a = jet.A + gauge.xi
-    cross = desc.bracket_coords(gauge.xi[:, None, :], jet.A[None, :, :])
-    self_term = 0.5 * desc.bracket_coords(gauge.xi[:, None, :], gauge.xi[None, :, :])
+    cross = desc.bracket_coords(gauge.xi[..., :, None, :], jet.A[..., None, :, :])
+    self_term = 0.5 * desc.bracket_coords(gauge.xi[..., :, None, :], gauge.xi[..., None, :, :])
     new_da = jet.DA + gauge.sigma + cross + self_term
     return ConnectionJet(desc, new_a, new_da)
 
 
-def curvature_invariance_residual(jet: ConnectionJet, gauge: GaugeSecondJet) -> float:
+def curvature_invariance_residual(jet: ConnectionJet, gauge: GaugeSecondJet):
     """Largest change of the curvature map under an identity-value second jet."""
     before = curvature_map(jet)
     after = curvature_map(apply_gauge_second_jet(jet, gauge))
-    return float(np.max(np.abs(after - before)))
+    return _max_abs(after - before, 3)
 
 
-def restricted_action_move(jet: ConnectionJet, gauge: GaugeSecondJet) -> float:
+def restricted_action_move(jet: ConnectionJet, gauge: GaugeSecondJet):
     """Largest entry of the change an identity-value second jet makes to a
     connection jet."""
     moved = apply_gauge_second_jet(jet, gauge)
-    return float(np.maximum(np.max(np.abs(moved.A - jet.A)), np.max(np.abs(moved.DA - jet.DA))))
+    return _per_row(np.maximum(_max_abs(moved.A - jet.A, 2), _max_abs(moved.DA - jet.DA, 3)))
 
 
 def fixed_point_is_trivial(jet: ConnectionJet, gauge: GaugeSecondJet) -> bool:
@@ -313,11 +324,9 @@ def fixed_point_is_trivial(jet: ConnectionJet, gauge: GaugeSecondJet) -> bool:
 def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:
     """A connection jet whose curvature equals a given antisymmetric target."""
     target_f = np.asarray(target_f, dtype=float)
-    asym = np.max(np.abs(target_f + np.swapaxes(target_f, 0, 1)))
-    if asym > 1e-12:
-        raise UsageError("target curvature array must be antisymmetric")
-    n = target_f.shape[0]
-    return ConnectionJet(desc, np.zeros((n, desc.dim)), 0.5 * target_f)
+    _require(_max_abs(target_f + np.swapaxes(target_f, -3, -2), 3) <= 1e-12,
+             "target curvature array must be antisymmetric")
+    return ConnectionJet(desc, np.zeros(target_f.shape[:-2] + (desc.dim,)), 0.5 * target_f)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +335,13 @@ def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:
 
 
 def _embed_jet(n, g_matrix, ad_matrix, xi_flat):
-    """The block matrix blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]) of (g, xi)."""
-    m, vdim = len(g_matrix), n * len(ad_matrix)
-    out = np.zeros((m + vdim + 1, m + vdim + 1))
-    out[:m, :m] = g_matrix
-    out[m : m + vdim, m : m + vdim] = np.kron(np.eye(n), ad_matrix)
-    out[m : m + vdim, -1] = xi_flat
-    out[-1, -1] = 1.0
+    """The block matrix blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]) of each (g, xi)."""
+    m, vdim = g_matrix.shape[-1], n * ad_matrix.shape[-1]
+    out = np.zeros(g_matrix.shape[:-2] + (m + vdim + 1, m + vdim + 1))
+    out[..., :m, :m] = g_matrix
+    out[..., m : m + vdim, m : m + vdim] = np.kron(np.eye(n), ad_matrix)
+    out[..., m : m + vdim, -1] = xi_flat
+    out[..., -1, -1] = 1.0
     return out
 
 
@@ -392,15 +401,6 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
 
 def element_from_gauge_jet(desc_jet: GroupDescriptor, k: GaugeJet) -> GroupElement:
     base = desc_jet.extra["base"]
-    out = _embed_jet(desc_jet.extra["n"], k.g.matrix, base.Ad_matrix(k.g), k.xi.reshape(-1))
+    xi_flat = k.xi.reshape(k.xi.shape[:-2] + (-1,))
+    out = _embed_jet(desc_jet.extra["n"], k.g.matrix, base.Ad_matrix(k.g), xi_flat)
     return GroupElement(out, desc_jet, check=False)
-
-
-def gauge_jet_from_element(desc_jet: GroupDescriptor, e: GroupElement) -> GaugeJet:
-    base = desc_jet.extra["base"]
-    m = desc_jet.extra["m"]
-    n = desc_jet.extra["n"]
-    vdim = desc_jet.extra["vdim"]
-    g = GroupElement(e.matrix[:m, :m], base, check=False)
-    xi = e.matrix[m : m + vdim, -1].reshape(n, base.dim).copy()
-    return GaugeJet(g, xi)

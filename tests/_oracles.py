@@ -469,3 +469,136 @@ def algebra_flow_oracle(nu, curve, columns, step):
         v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         k_start = k_end
     return v
+
+
+# ---------------------------------------------------------------------------
+# gauge jets
+# ---------------------------------------------------------------------------
+
+
+def _ad_slots_oracle(desc, g, arr):
+    """Ad_g on the algebra index (last axis) of a lone jet's coords."""
+    return np.tensordot(arr, desc.Ad_matrix(g).T, axes=(-1, 0))
+
+
+def section_product_jet(a, b):
+    """One-jet of the pointwise product of the sections that the lone second
+    jet tuples a and b represent.  The chain rule adds the bracket of the left
+    factor's derivative slot with the Ad-translated value slot of the right
+    factor: phi_uv += [eta_u, (Ad_g xi'_v)]."""
+    from liebundles.gauge import SecondJetTuple
+
+    desc = a.descriptor
+    ad_xi = _ad_slots_oracle(desc, a.g, b.xi)
+    bracket = desc.bracket_coords(a.eta[:, None, :], ad_xi[None, :, :])
+    return SecondJetTuple(
+        a.g @ b.g,
+        a.xi + ad_xi,
+        a.eta + _ad_slots_oracle(desc, a.g, b.eta),
+        a.phi + _ad_slots_oracle(desc, a.g, b.phi) + bracket,
+    )
+
+
+def gauge_jet_from_element(desc_jet, e):
+    """The lone GaugeJet (g, xi) read back from its block matrix."""
+    from liebundles.gauge import GaugeJet
+    from liebundles.groups import GroupElement
+
+    base, m, n, vdim = (desc_jet.extra[key] for key in ("base", "m", "n", "vdim"))
+    g = GroupElement(e.matrix[:m, :m], base, check=False)
+    return GaugeJet(g, e.matrix[m : m + vdim, -1].reshape(n, base.dim).copy())
+
+
+def gauge_check_oracles():
+    """The sampled gauge suite checks, one lone jet at a time: check id ->
+    f(scenario, rng, samples) returning the residual list of the check."""
+    from liebundles.gauge import (ConnectionJet, EquivariantJetConnection, GaugeJet,
+                                  GaugeSecondJet, classification_equivariance_residual,
+                                  curvature_invariance_residual, curvature_map,
+                                  element_from_gauge_jet, extract_classifying_sections,
+                                  jet_connection_multiplicativity_residual,
+                                  jet_realizing_curvature, restricted_action_move)
+
+    def jet(s, rng):
+        return GaugeJet.random(s.group, s.n, rng)
+
+    def group_axioms(s, rng, samples):
+        vals = []
+        e = GaugeJet.identity(s.group, s.n)
+        for _ in range(min(samples, 1000)):
+            k1, k2, k3 = jet(s, rng), jet(s, rng), jet(s, rng)
+            vals.append(k1.mul(k2).mul(k3).distance(k1.mul(k2.mul(k3))))
+            vals.append(k1.mul(e).distance(k1))
+            vals.append(k1.mul(k1.inv()).distance(e))
+        return vals
+
+    def adjoint_closed_form(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 50)):
+            k = jet(s, rng)
+            eta = rng.uniform(-1, 1, s.group.dim)
+            phi = rng.uniform(-1, 1, (s.n, s.group.dim))
+            ad_eta, ad_phi = k.adjoint(eta, phi)
+            big = element_from_gauge_jet(s.jet_descriptor, k)
+            via = s.jet_descriptor.Ad(big, s.jet_descriptor.algebra(
+                np.concatenate([eta, phi.reshape(-1)]))).coords
+            vals.append(float(np.max(np.abs(
+                np.concatenate([ad_eta, ad_phi.reshape(-1)]) - via))))
+        return vals
+
+    def connection_mult(s, rng, samples):
+        return [jet_connection_multiplicativity_residual(jet(s, rng), jet(s, rng))
+                for _ in range(min(samples, 500))]
+
+    def equivariance(s, rng, samples):
+        return [classification_equivariance_residual(s.omega_hat, jet(s, rng), jet(s, rng))
+                for _ in range(min(samples, 200))]
+
+    def reconstruction(s, rng, samples):
+        x = np.zeros(s.n)
+        f_got, g_got = extract_classifying_sections(s.omega_hat, x, s.n, s.group)
+        rebuilt = EquivariantJetConnection(s.group, s.n, f=lambda _: f_got, g2=lambda _: g_got)
+        vals = []
+        for _ in range(min(samples, 100)):
+            w = jet(s, rng)
+            vals.append(rebuilt(x, w).distance(s.omega_hat(x, w)))
+        return vals
+
+    def negative(s, rng, samples):
+        broken = EquivariantJetConnection(
+            s.group, s.n, f=lambda x: 0.5 * np.ones((s.n, s.group.dim)), drop_ad_twist=True)
+        return [classification_equivariance_residual(broken, jet(s, rng), jet(s, rng))
+                for _ in range(min(samples, 50))]
+
+    def invariance(s, rng, samples):
+        return [curvature_invariance_residual(ConnectionJet.random(s.group, s.n, rng),
+                                              GaugeSecondJet.random(s.group, s.n, rng))
+                for _ in range(min(samples, 1000))]
+
+    def freeness(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 200)):
+            connection = ConnectionJet.random(s.group, s.n, rng)
+            vals.append(restricted_action_move(connection, GaugeSecondJet.random(s.group, s.n, rng)))
+        return vals
+
+    def surjectivity(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 50)):
+            raw = rng.uniform(-1, 1, (s.n, s.n, s.group.dim))
+            target = raw - np.swapaxes(raw, 0, 1)
+            vals.append(float(np.max(np.abs(
+                curvature_map(jet_realizing_curvature(s.group, target)) - target))))
+        return vals
+
+    return {
+        "classification-equivariance": equivariance,
+        "classification-negative-control": negative,
+        "classification-reconstruction": reconstruction,
+        "curvature-map-invariance": invariance,
+        "curvature-target-realization": surjectivity,
+        "jet-adjoint-closed-form": adjoint_closed_form,
+        "jet-connection-multiplicative": connection_mult,
+        "jet-group-axioms": group_axioms,
+        "restricted-action-freeness": freeness,
+    }

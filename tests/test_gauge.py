@@ -20,14 +20,15 @@ from liebundles.gauge import (
     element_from_gauge_jet,
     extract_classifying_sections,
     fixed_point_is_trivial,
-    gauge_jet_from_element,
     jet_connection_multiplicativity_residual,
     jet_connection_value,
     jet_realizing_curvature,
-    section_product_jet,
+    restricted_action_move,
     semidirect_jet_descriptor,
 )
 from liebundles.groups import so3_descriptor, translation_descriptor
+
+from _oracles import gauge_jet_from_element, section_product_jet
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -457,3 +458,138 @@ def test_pointwise_surjectivity_onto_curvature_targets():
     target = raw - np.swapaxes(raw, 0, 1)
     jet = jet_realizing_curvature(SO3, target)
     assert np.max(np.abs(curvature_map(jet) - target)) <= 1e-13
+
+
+# -- stacks of jets ------------------------------------------------------------
+
+
+def _stack(desc, jets):
+    """One stacked GaugeJet holding the lone jets as rows."""
+    g = desc.element(np.stack([k.g.matrix for k in jets]), check=False)
+    return GaugeJet(g, np.stack([k.xi for k in jets]))
+
+
+def _row(k, r):
+    return GaugeJet(k.g.descriptor.element(k.g.matrix[r], check=False), k.xi[r])
+
+
+def _second_row(t, r):
+    return SecondJetTuple(t.g.descriptor.element(t.g.matrix[r], check=False), t.xi[r],
+                          t.eta[r], t.phi[r])
+
+
+@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation2"])
+def test_stacked_jet_operations_equal_lone_rows(desc):
+    rng = np.random.default_rng(40)
+    lone = [[random_jet(rng, desc) for _ in range(5)] for _ in range(3)]
+    k1, k2, k3 = (_stack(desc, row) for row in lone)
+    eta, phi = rng.uniform(-1, 1, (5, desc.dim)), rng.uniform(-1, 1, (5, N, desc.dim))
+    omega_hat = EquivariantJetConnection(desc, N, f=lambda x: np.full((N, desc.dim), 0.3),
+                                         g2=lambda x: np.full((N, N, desc.dim), -0.2))
+    e = GaugeJet.identity(desc, N)
+    product, inverse = k1.mul(k2), k1.inv()
+    ad_eta, ad_phi = k1.adjoint(eta, phi)
+    composed = compose_second_jets(jet_connection_value(k1), omega_hat(np.zeros(N), k2))
+    stacked = {
+        "assoc": product.mul(k3).distance(k1.mul(k2.mul(k3))),
+        "unit": k1.mul(e).distance(k1),
+        "mult": jet_connection_multiplicativity_residual(k1, k2),
+        "equivariance": classification_equivariance_residual(omega_hat, k1, k2),
+    }
+    for r in range(5):
+        a, b, c = (row[r] for row in lone)
+        assert np.array_equal(product.g.matrix[r], a.mul(b).g.matrix)
+        assert np.array_equal(product.xi[r], a.mul(b).xi)
+        assert np.array_equal(inverse.xi[r], a.inv().xi)
+        lone_eta, lone_phi = a.adjoint(eta[r], phi[r])
+        assert np.array_equal(ad_eta[r], lone_eta) and np.array_equal(ad_phi[r], lone_phi)
+        lone_composed = compose_second_jets(jet_connection_value(a), omega_hat(np.zeros(N), b))
+        assert _second_row(composed, r).distance(lone_composed) == 0.0
+        assert stacked["assoc"][r] == a.mul(b).mul(c).distance(a.mul(b.mul(c)))
+        assert stacked["unit"][r] == a.mul(e).distance(a)
+        assert stacked["mult"][r] == jet_connection_multiplicativity_residual(a, b)
+        assert stacked["equivariance"][r] == classification_equivariance_residual(omega_hat, a, b)
+    jet_desc = semidirect_jet_descriptor(desc, N)
+    big = element_from_gauge_jet(jet_desc, k1).matrix
+    assert all(np.array_equal(big[r], element_from_gauge_jet(jet_desc, lone[0][r]).matrix)
+               for r in range(5))
+
+
+@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation2"])
+def test_stacked_connection_jets_equal_lone_rows(desc):
+    rng = np.random.default_rng(41)
+    pairs = [(ConnectionJet.random(desc, N, rng), GaugeSecondJet.random(desc, N, rng))
+             for _ in range(6)]
+    jet = ConnectionJet(desc, np.stack([j.A for j, _ in pairs]), np.stack([j.DA for j, _ in pairs]))
+    gauge = GaugeSecondJet(desc, np.stack([q.xi for _, q in pairs]),
+                           np.stack([q.sigma for _, q in pairs]))
+    curvature, moved = curvature_map(jet), apply_gauge_second_jet(jet, gauge)
+    invariance, move = curvature_invariance_residual(jet, gauge), restricted_action_move(jet, gauge)
+    target = curvature - 2.0
+    target = target - np.swapaxes(target, -3, -2)
+    realized = curvature_map(jet_realizing_curvature(desc, target))
+    for r, (j, q) in enumerate(pairs):
+        assert np.array_equal(curvature[r], curvature_map(j))
+        assert np.array_equal(moved.DA[r], apply_gauge_second_jet(j, q).DA)
+        assert invariance[r] == curvature_invariance_residual(j, q)
+        assert move[r] == restricted_action_move(j, q)
+        assert np.array_equal(realized[r], curvature_map(jet_realizing_curvature(desc, target[r])))
+
+
+def test_lone_distance_is_the_old_norm_sum_and_a_stack_gives_one_per_row():
+    rng = np.random.default_rng(42)
+    a, b = random_jet(rng), random_jet(rng)
+    old = float(np.linalg.norm(a.g.matrix - b.g.matrix) + np.linalg.norm(a.xi - b.xi))
+    assert type(a.distance(b)) is float and a.distance(b) == old
+
+    def second(k):
+        return SecondJetTuple(k.g, k.xi, rng.uniform(-1, 1, (N, 3)), rng.uniform(-1, 1, (N, N, 3)))
+
+    s, t = second(a), second(b)
+    old = float(np.linalg.norm(s.g.matrix - t.g.matrix) + np.linalg.norm(s.xi - t.xi)
+                + np.linalg.norm(s.eta - t.eta) + np.linalg.norm(s.phi - t.phi))
+    assert type(s.distance(t)) is float and s.distance(t) == old
+
+    jets = [[random_jet(rng) for _ in range(4)] for _ in range(2)]
+    left, right = _stack(SO3, jets[0]), _stack(SO3, jets[1])
+    rows = left.distance(right)
+    assert rows.shape == (4,)
+    assert all(rows[r] == jets[0][r].distance(jets[1][r]) for r in range(4))
+    seconds = [[second(k) for k in row] for row in jets]
+    stacked = [SecondJetTuple(_stack(SO3, row).g, *(np.stack([getattr(t, f) for t in seq])
+                                                     for f in ("xi", "eta", "phi")))
+               for row, seq in zip(jets, seconds)]
+    rows = stacked[0].distance(stacked[1])
+    assert rows.shape == (4,)
+    assert all(rows[r] == seconds[0][r].distance(seconds[1][r]) for r in range(4))
+    assert all(_row(left, r).distance(_row(right, r)) == left.distance(right)[r] for r in range(4))
+
+
+def test_stacked_guards_name_the_offending_rows():
+    rng = np.random.default_rng(43)
+    raw = rng.uniform(-1, 1, (4, N, N, 3))
+    sigma = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    xi = rng.uniform(-1, 1, (4, N, 3))
+    GaugeSecondJet(SO3, xi, sigma)
+    asymmetric = sigma.copy()
+    asymmetric[2, 0, 1, 0] += 1.0
+    with pytest.raises(UsageError, match=r"symmetric .*in rows \[2\]"):
+        GaugeSecondJet(SO3, xi, asymmetric)
+    for field in ("xi", "sigma"):
+        bad = {"xi": xi.copy(), "sigma": sigma.copy()}
+        bad[field][1, ...] = np.nan
+        with pytest.raises(UsageError, match=r"finite in rows \[1\]"):
+            GaugeSecondJet(SO3, bad["xi"], bad["sigma"])
+    lone_nan = np.zeros((N, N, 3))
+    lone_nan[0, 0, 0] = np.nan
+    with pytest.raises(UsageError, match="finite$"):
+        GaugeSecondJet(SO3, np.zeros((N, 3)), lone_nan)
+    da = rng.uniform(-1, 1, (4, N, N, 3))
+    da[3, 1, 0, 2] = np.inf
+    with pytest.raises(UsageError, match=r"finite in rows \[3\]"):
+        ConnectionJet(SO3, xi, da)
+    with pytest.raises(UsageError, match=r"finite in rows \[0, 2\]"):
+        GaugeJet(SO3.element(np.stack([np.eye(3)] * 4)),
+                 np.where(np.arange(4)[:, None, None] % 2 == 0, np.nan, xi))
+    with pytest.raises(UsageError, match="finite$"):
+        GaugeJet(SO3.identity(), np.full((N, 3), np.nan))
