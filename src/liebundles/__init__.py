@@ -4,14 +4,12 @@ parallel transport in local trivializations."""
 __version__ = "0.1.0"
 
 from .bundles import (
-    AdjointBundlePoint,
     FiberedAction,
     LieGroupBundle,
-    SectionJet,
     Tangent,
     TotalPoint,
     TotalSpace,
-    jet_lift_action,
+    product_velocity,
 )
 from .calculus import (
     AlgebraOneForm,

@@ -1,4 +1,4 @@
-"""Trivialized group bundles, fibered actions, generators, and jets.
+"""Trivialized group bundles, the fibered action and its generators.
 
 Everything lives in a single-chart presentation: the group bundle is
 chart x G, the total space is quotient-chart x G with the fiber acting by
@@ -26,13 +26,9 @@ __all__ = [
     "TotalPoint",
     "Tangent",
     "FiberedAction",
-    "SectionJet",
-    "jet_lift_action",
     "vertical_isomorphism_check",
-    "equivariance_of_generators",
+    "product_velocity",
     "paired_generator_residual",
-    "AdjointBundlePoint",
-    "adjoint_class_residual",
 ]
 
 
@@ -68,10 +64,6 @@ class TotalPoint:
     def distance(self, other: "TotalPoint"):
         """|q - q'| + |fiber - fiber'|_F: a float, or one per row of a stack."""
         return _norm(self.q - other.q) + _frobenius(self.fiber.matrix - other.fiber.matrix)
-
-    def arrays(self):
-        """(base point, fiber matrix): the pair `central_difference` differences."""
-        return self.q, self.fiber.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,95 +153,24 @@ def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint) -> float:
     return float(max(1.0, svals[0]) / svals[-1]) if svals[-1] > 0 else np.inf
 
 
-def equivariance_of_generators(action, y, g, xi):
-    """Residual of pushing a generator through the action versus the adjoint-
-    twisted generator at the translated point, both by central differences:
-    the paired residual with a zero group velocity."""
-    zero = action.space.fiber.algebra(np.zeros_like(xi.coords))
-    return paired_generator_residual(action, y, g, xi, zero)
+def product_velocity(desc: GroupDescriptor, h: GroupElement, a, g: GroupElement, b, eps):
+    """Right-trivialized velocity at h g of s -> (exp(s a) h)(exp(s b) g), for
+    algebra coordinates a and b, from one central difference at step eps: the
+    finite-difference twin of `FiberedAction.differential` on (a at h, b at g)."""
+
+    def curve(s):
+        return ((desc.exp(desc.algebra(s * a)) @ h) @ (desc.exp(desc.algebra(s * b)) @ g)).matrix
+
+    dmat = central_difference(curve, eps)
+    return desc.matrix_coords(dmat @ np.linalg.inv((h @ g).matrix), tol=1e-4)
 
 
 def paired_generator_residual(action, y, g, xi, eta):
-    """Residual of d(action) on the generator pair (xi at y, left-flow eta at g)
-    against the generator of Ad_{g^{-1}}(xi + eta) at y.g."""
+    """Residual of d(action) on the generator pair (xi at y, left-flow eta at g),
+    by `product_velocity`, against the closed-form generator of
+    Ad_{g^{-1}}(xi + eta) at y.g; a zero eta measures the equivariance of
+    generators."""
     desc = action.space.fiber
-
-    def curve(s):
-        ys = action.act(y, desc.exp(desc.algebra(s * xi.coords)))
-        gs = desc.exp(desc.algebra(s * eta.coords)) @ g
-        return action.act(ys, gs).arrays()
-
-    lhs_base, lhs_fiber = central_difference(curve, 1e-5)
-
+    lhs = product_velocity(desc, y.fiber, action.generator(y, xi).delta.coords, g, eta.coords, 1e-5)
     target = desc.Ad(g.inverse(), desc.algebra(xi.coords + eta.coords))
-    yg = action.act(y, g)
-
-    def gen(s):
-        return action.act(yg, desc.exp(desc.algebra(s * target.coords))).arrays()
-
-    rhs_base, rhs_fiber = central_difference(gen, 1e-5)
-    return float(np.linalg.norm(lhs_fiber - rhs_fiber) + np.linalg.norm(lhs_base - rhs_base))
-
-
-# ---------------------------------------------------------------------------
-# jets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SectionJet:
-    """One-jet of a fiber-valued section at a base point.
-
-    ``value`` is the fiber element; ``deriv`` has shape (n, dim_g) and holds
-    the right-trivialized derivative along each base direction.
-    """
-
-    x: np.ndarray
-    value: GroupElement
-    deriv: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "deriv", np.asarray(self.deriv, dtype=float))
-
-
-def jet_lift_action(action: FiberedAction, y_jet: SectionJet, g_jet: SectionJet) -> SectionJet:
-    """Jet of the composite x -> action(y-section(x), g-section(x)), by the
-    chain rule through the action differential (analytic for the torsor
-    model)."""
-    if y_jet.deriv.shape != g_jet.deriv.shape:
-        raise UsageError("jet derivative arrays must have matching shapes")
-    desc = action.space.fiber
-    y0 = TotalPoint(y_jet.x, y_jet.value)
-    value = action.act(y0, g_jet.value)
-    rows = [action.differential(y0, g_jet.value, Tangent(u, desc.algebra(dy)),
-                                Tangent(u, desc.algebra(dg))).delta.coords
-            for u, dy, dg in zip(np.eye(len(y_jet.deriv)), y_jet.deriv, g_jet.deriv)]
-    return SectionJet(y_jet.x, value.fiber, np.vstack(rows))
-
-
-# ---------------------------------------------------------------------------
-# adjoint bundle classes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class AdjointBundlePoint:
-    """Representative (y, xi) of a class under (y.g, Ad_{g^{-1}} xi)."""
-
-    y: TotalPoint
-    xi: AlgebraElement
-
-
-def solve_torsor_transition(y1: TotalPoint, y2: TotalPoint) -> GroupElement:
-    """Unique g with y1 . g = y2 in the torsor model."""
-    if not np.allclose(y1.q, y2.q, atol=1e-9):
-        raise UsageError("points lie over different base points")
-    return y1.fiber.inverse() @ y2.fiber
-
-
-def adjoint_class_residual(p1: AdjointBundlePoint, p2: AdjointBundlePoint) -> float:
-    g = solve_torsor_transition(p1.y, p2.y)
-    desc = p1.xi.descriptor
-    expected = desc.Ad(g.inverse(), p1.xi)
-    return float(np.linalg.norm(expected.coords - p2.xi.coords))
+    return float(np.linalg.norm(lhs - action.generator(action.act(y, g), target).delta.coords))

@@ -41,15 +41,12 @@ def fd_step(x, h=None):
 
 
 def central_difference(f, eps):
-    """(f(eps) - f(-eps)) / (2 eps), evaluating f(eps) first: the one
-    finite-difference stencil of the package; each caller owns its step.
-    ``f`` maps a step to an array or to a tuple of arrays (such as the base
-    point and fiber matrix of a total-space curve), differenced entry by entry.
+    """(f(eps) - f(-eps)) / (2 eps) for ``f`` mapping a step to an array,
+    evaluating f(eps) first: the one finite-difference stencil of the
+    package; each caller owns its step.
     """
     plus = f(eps)
     minus = f(-eps)
-    if isinstance(plus, tuple):
-        return tuple((p - m) / (2 * eps) for p, m in zip(plus, minus))
     return (plus - minus) / (2 * eps)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import LieGroupBundle, SectionJet
+from .bundles import LieGroupBundle, product_velocity
 from .calculus import AlgebraOneForm, BaseCurve, FiberMap, central_difference, draw_rows
 from .groups import AlgebraElement, GroupElement, _eye_stack, _norm
 from .integrators import integrate_linear, integrate_stack
@@ -88,12 +88,6 @@ class LieGroupBundleConnection:
         """Algebra-valued connection form: delta minus the horizontal part."""
         h = self.horizontal_delta(x, g, u)
         return g.descriptor.algebra(delta.coords - h.coords)
-
-    def jet_section(self, x, g: GroupElement) -> SectionJet:
-        """Jet of the horizontal section through g: derivative rows h(x, g, e_mu)."""
-        x = np.asarray(x, dtype=float)
-        rows = [self.horizontal_delta(x, g, e).coords for e in np.eye(self.bundle.base.dim)]
-        return SectionJet(x, g, np.vstack(rows))
 
 
 def validate_group_connection(nu, rng, samples=100):
@@ -331,22 +325,13 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
 
 def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement) -> float:
     """Finite-difference residual of the product rule for horizontal lifts:
-    pushing (Hor_g(u), U_h) through the fiber product lands on Hor_{gh}(u)
-    plus the left-translated vertical part of U_h."""
+    pushing (Hor_g(u), U_h) through the fiber product, by `product_velocity`,
+    lands on Hor_{gh}(u) plus the left-translated vertical part Ad_g nu_h of
+    U_h, all right-trivialized at gh."""
     desc = nu.bundle.fiber
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-
-    def product_curve(s):
-        g_s = desc.exp(desc.algebra(s * nu.horizontal_delta(x, g, u).coords)) @ g
-        h_s = desc.exp(desc.algebra(s * delta_h.coords)) @ h
-        return (g_s @ h_s).matrix
-
-    lhs = central_difference(product_curve, 1e-5)
-
-    gh = g @ h
-    hor_gh = nu.horizontal_delta(x, gh, u).coords
-    nu_h = nu.connection_form(x, h, u, delta_h).coords
-    # left translation of the vertical part: g . (nu_h h) expressed at gh
-    rhs = desc.algebra_matrix(hor_gh) @ gh.matrix + g.matrix @ desc.algebra_matrix(nu_h) @ h.matrix
-    return float(np.linalg.norm(lhs - rhs))
+    lhs = product_velocity(desc, g, nu.horizontal_delta(x, g, u).coords, h, delta_h.coords, 1e-5)
+    nu_h = nu.connection_form(x, h, u, delta_h)
+    return float(np.linalg.norm(lhs - nu.horizontal_delta(x, g @ h, u).coords
+                                - desc.Ad(g, nu_h).coords))

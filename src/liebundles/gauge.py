@@ -48,7 +48,6 @@ __all__ = [
     "apply_gauge_second_jet",
     "curvature_invariance_residual",
     "restricted_action_move",
-    "fixed_point_is_trivial",
     "jet_realizing_curvature",
     "semidirect_jet_descriptor",
     "element_from_gauge_jet",
@@ -312,13 +311,6 @@ def restricted_action_move(jet: ConnectionJet, gauge: GaugeSecondJet):
     connection jet."""
     moved = apply_gauge_second_jet(jet, gauge)
     return _per_row(np.maximum(_max_abs(moved.A - jet.A, 2), _max_abs(moved.DA - jet.DA, 3)))
-
-
-def fixed_point_is_trivial(jet: ConnectionJet, gauge: GaugeSecondJet) -> bool:
-    """The restricted action is free: only the zero jet fixes a point, with
-    zero judged entrywise at 1e-12."""
-    zero = max(np.max(np.abs(gauge.xi)), np.max(np.abs(gauge.sigma))) <= 1e-12
-    return restricted_action_move(jet, gauge) > 1e-12 or zero
 
 
 def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:

@@ -453,7 +453,7 @@ def _so3_exp(m):
     if series:
         theta = np.where(small, 1.0, theta)
     a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
+    b = (1.0 - np.cos(theta)) / (theta * theta)
     if series:
         a, b = np.where(small, 1.0, a), np.where(small, 0.5, b)
     return _eye(3) + a[..., None, None] * m + b[..., None, None] * (m @ m)

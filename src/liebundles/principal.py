@@ -22,20 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import (
-    AdjointBundlePoint,
-    FiberedAction,
-    SectionJet,
-    Tangent,
-    TotalPoint,
-    adjoint_class_residual,
-)
+from .bundles import FiberedAction, Tangent, TotalPoint, product_velocity
 from .calculus import (
     AlgebraOneForm,
     BaseCurve,
     FiberMap,
     Polynomial,
-    central_difference,
     directional_derivative,
     draw_rows,
     numerical_bracket,
@@ -274,9 +266,6 @@ class GeneralizedPrincipalConnection:
         u = np.asarray(u, dtype=float)
         return Tangent(u, self.descriptor.algebra(self.horizontal_deltas(y, u)))
 
-    def horizontal_jet(self, y: TotalPoint) -> SectionJet:
-        return SectionJet(y.q, y.fiber, self.horizontal_deltas(y, np.eye(self.n)).T)
-
 
 def build_canonical_connection(action: FiberedAction, base_form: Optional[AlgebraOneForm] = None):
     """Single-chart connection: trivial nu plus the canonical fiber form."""
@@ -412,39 +401,31 @@ def transport_compatibility_check(omega, curve, y, g, step=1e-2):
 
 
 def jet_equivariance_check(omega, y, g) -> float:
-    """Jet of the horizontal section at y.g versus the jet-lifted action of the
-    nu-horizontal jet at g on the horizontal jet at y."""
-    from .bundles import jet_lift_action
-
+    """Largest entry of the horizontal lifts of the n base directions at y.g
+    minus the action differential of the paired lifts (omega-horizontal at y,
+    nu-horizontal at g), pushed as one stacked tangent pair."""
     action = omega.action
-    jet_y = omega.horizontal_jet(y)
-    jet_g = omega.nu.jet_section(y.q, g)
-    pushed = jet_lift_action(action, jet_y, jet_g)
-    target = omega.horizontal_jet(action.act(y, g))
-    return float(
-        np.linalg.norm(pushed.value.matrix - target.value.matrix)
-        + np.max(np.abs(pushed.deriv - target.deriv))
-    )
+    desc = omega.descriptor
+    eye = np.eye(omega.n)
+    t_y = Tangent(eye, desc.algebra(omega.horizontal_deltas(y, eye).T))
+    t_g = Tangent(eye, desc.algebra(np.stack([omega.nu.horizontal_delta(y.q, g, e).coords
+                                              for e in eye])))
+    pushed = action.differential(y, g, t_y, t_g).delta.coords
+    return float(np.max(np.abs(pushed - omega.horizontal_deltas(action.act(y, g), eye).T)))
 
 
 def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement) -> float:
     """Finite-difference residual of pushing a horizontal lift through the
-    action: the image is the horizontal lift at y.g plus the generator of the
-    inverse-adjusted vertical part of the group tangent."""
+    action, by `product_velocity`: the image is the horizontal lift at y.g
+    plus the generator of the inverse-adjusted vertical part of the group
+    tangent."""
     action = omega.action
     desc = omega.descriptor
     u = np.asarray(u, dtype=float)
     hor = omega.horizontal_lift(y, u)
+    lhs_delta = product_velocity(desc, y.fiber, hor.delta.coords, g, delta_g.coords, 1e-5)
 
-    def composite(s):
-        ys = TotalPoint(y.q + s * u, desc.exp(desc.algebra(s * hor.delta.coords)) @ y.fiber)
-        gs = desc.exp(desc.algebra(s * delta_g.coords)) @ g
-        return action.act(ys, gs).fiber.matrix
-
-    dmat = central_difference(composite, 1e-5)
     yg = action.act(y, g)
-    lhs_delta = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
-
     hor_yg = omega.horizontal_lift(yg, u)
     nu_val = omega.nu.connection_form(y.q, g, u, delta_g)
     zeta = desc.Ad(g.inverse(), nu_val)
@@ -568,49 +549,31 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
 
 
 def reduced_curvature_residual(omega, y, g, u1, u2) -> float:
-    """Representative independence of the reduced curvature: evaluate at y and
-    at y.g and compare the induced adjoint-bundle classes."""
-    action = omega.action
+    """Representative independence of the reduced curvature, a section of the
+    adjoint bundle: |Ad_{g^{-1}} Omega_y - Omega_{y.g}|, with g solved from
+    the two fibers as y.fiber^{-1} (y.g).fiber."""
+    yg = omega.action.act(y, g)
     val_y = curvature(omega, y, u1, u2).value
-    val_yg = curvature(omega, action.act(y, g), u1, u2).value
-    return adjoint_class_residual(
-        AdjointBundlePoint(y, val_y), AdjointBundlePoint(action.act(y, g), val_yg)
-    )
+    val_yg = curvature(omega, yg, u1, u2).value
+    solved = y.fiber.inverse() @ yg.fiber
+    return float(np.linalg.norm(omega.descriptor.Ad(solved.inverse(), val_y).coords
+                                - val_yg.coords))
 
 
 def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent) -> float:
     """Equivariance of the paired vertical projector (omega-generator, nu-form)
-    under (y, g) -> (y.g, g), with the action differential by finite differences."""
+    under (y, g) -> (y.g, g): the projected pair pushed through the action by
+    `product_velocity` against the projector at y.g of the closed-form pushed
+    pair.  The nu-form of the group tangent is the same on both sides."""
     action = omega.action
     desc = omega.descriptor
-    nu = omega.nu
-    if not np.allclose(t_y.u, t_g.u):
-        raise UsageError("tangent pair must share the base velocity")
-    u = t_y.u
-
-    omega_val = omega.value(y, t_y)
-    nu_val = nu.connection_form(y.q, g, u, t_g.delta)
-
-    # lhs: push the projected pair (generator of omega_val at y, vertical part
-    # of t_g) through the action, by central differences of a product curve
-    gen_y = action.generator(y, omega_val)
-
-    def vertical_curve(s):
-        ys = TotalPoint(y.q, desc.exp(desc.algebra(s * gen_y.delta.coords)) @ y.fiber)
-        gs = desc.exp(desc.algebra(s * nu_val.coords)) @ g
-        return action.act(ys, gs).fiber.matrix
-
-    dmat = central_difference(vertical_curve, 1e-6)
     yg = action.act(y, g)
-    lhs_first = desc.matrix_coords(dmat @ np.linalg.inv(yg.fiber.matrix), tol=1e-4)
-    lhs_second = nu_val.coords
+    # rhs first: `differential` guards the shared base velocity
+    pushed = action.differential(y, g, t_y, t_g)
+    rhs = action.generator(yg, omega.value(yg, pushed)).delta.coords
 
-    # rhs: apply the projector at (y.g, g) to the pushed pair (dPhi(t_y,t_g), t_g)
-    pushed_full = action.differential(y, g, t_y, t_g)
-    omega_pushed = omega.value(yg, pushed_full)
-    rhs_first = action.generator(yg, omega_pushed).delta.coords
-    rhs_second = nu.connection_form(y.q, g, u, t_g.delta).coords
-    return float(
-        np.linalg.norm(lhs_first - rhs_first) + np.linalg.norm(lhs_second - rhs_second)
-    )
+    gen_y = action.generator(y, omega.value(y, t_y))
+    nu_val = omega.nu.connection_form(y.q, g, t_y.u, t_g.delta)
+    lhs = product_velocity(desc, y.fiber, gen_y.delta.coords, g, nu_val.coords, 1e-6)
+    return float(np.linalg.norm(lhs - rhs))
 

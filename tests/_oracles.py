@@ -230,11 +230,10 @@ def group_connection_oracle(nu, rng, samples):
             + desc.Ad_matrix(g) @ nu.horizontal_delta(x, gp, u).coords
         )
         cocycle_worst = max(cocycle_worst, float(np.linalg.norm(lhs - rhs)))
-        jg = nu.jet_section(x, g)
-        jgp = nu.jet_section(x, gp)
-        prod_deriv = jg.deriv + (desc.Ad_matrix(g) @ jgp.deriv.T).T
-        jet = nu.jet_section(x, g @ gp)
-        jet_worst = max(jet_worst, float(np.max(np.abs(prod_deriv - jet.deriv))))
+        jg, jgp, jet = (np.vstack([nu.horizontal_delta(x, f, e).coords for e in np.eye(chart.dim)])
+                        for f in (g, gp, g @ gp))
+        prod_deriv = jg + (desc.Ad_matrix(g) @ jgp.T).T
+        jet_worst = max(jet_worst, float(np.max(np.abs(prod_deriv - jet))))
     return {
         "unit_kernel": float(unit_worst),
         "cocycle": float(cocycle_worst),

@@ -1,22 +1,22 @@
-"""Fibered action tests: axioms, generators, jets, adjoint classes."""
+"""Fibered action tests: axioms, generators, the action differential and its
+finite-difference twin."""
 
 import numpy as np
 import pytest
 
+from liebundles import bundles
 from liebundles.bundles import (
-    AdjointBundlePoint,
     FiberedAction,
     LieGroupBundle,
-    SectionJet,
     Tangent,
+    TotalPoint,
     TotalSpace,
-    adjoint_class_residual,
-    equivariance_of_generators,
-    jet_lift_action,
     paired_generator_residual,
+    product_velocity,
     vertical_isomorphism_check,
 )
 from liebundles.calculus import ChartDomain, central_difference
+from liebundles.gauge import semidirect_jet_descriptor
 from liebundles.groups import so3_descriptor, translation_descriptor
 
 SO3 = so3_descriptor()
@@ -114,10 +114,10 @@ def test_generator_equivariance_identity_and_abelian():
     rng = np.random.default_rng(9)
     y = SO3_ACTION.space.random_point(rng)
     xi = SO3.random_algebra(rng)
-    assert equivariance_of_generators(SO3_ACTION, y, SO3.identity(), xi) <= 1e-9
+    assert paired_generator_residual(SO3_ACTION, y, SO3.identity(), xi, SO3.zero()) <= 1e-9
     yv = T2_ACTION.space.random_point(rng)
     g = T2.random_element(rng)
-    assert equivariance_of_generators(T2_ACTION, yv, g, T2.algebra([1.0, 2.0])) <= 1e-9
+    assert paired_generator_residual(T2_ACTION, yv, g, T2.algebra([1.0, 2.0]), T2.zero()) <= 1e-9
 
 
 def test_generator_equivariance_so3_random():
@@ -127,33 +127,8 @@ def test_generator_equivariance_so3_random():
         y = SO3_ACTION.space.random_point(rng)
         g = SO3.random_element(rng)
         xi = SO3.random_algebra(rng)
-        worst = max(worst, equivariance_of_generators(SO3_ACTION, y, g, xi))
+        worst = max(worst, paired_generator_residual(SO3_ACTION, y, g, xi, SO3.zero()))
     assert worst <= 1e-7
-
-
-@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation"])
-def test_generator_equivariance_is_paired_residual_with_zero_eta(desc):
-    """exp(0) is the identity exactly, so a zero group velocity leaves every
-    bit of the paired residual equal to the two-curve form of the identity."""
-    action = make_action(desc)
-    zero = desc.algebra(np.zeros(desc.dim))
-    rng = np.random.default_rng(13)
-    eps = 1e-5
-    for _ in range(10):
-        y = action.space.random_point(rng)
-        g = desc.random_element(rng)
-        xi = desc.random_algebra(rng)
-        got = equivariance_of_generators(action, y, g, xi)
-        assert got == paired_generator_residual(action, y, g, xi, zero)
-        # the two curves written out: y.exp(s xi).g against y.g.exp(s Ad_{g^-1} xi)
-        yg, ad_xi = action.act(y, g), desc.Ad(g.inverse(), xi)
-        p, m = (action.act(action.act(y, desc.exp(desc.algebra(s * xi.coords))), g)
-                for s in (eps, -eps))
-        pr, mr = (action.act(yg, desc.exp(desc.algebra(s * ad_xi.coords))) for s in (eps, -eps))
-        fiber = (p.fiber.matrix - m.fiber.matrix) / (2 * eps) - (
-            pr.fiber.matrix - mr.fiber.matrix) / (2 * eps)
-        base = (p.q - m.q) / (2 * eps) - (pr.q - mr.q) / (2 * eps)
-        assert got == float(np.linalg.norm(fiber) + np.linalg.norm(base))
 
 
 def test_paired_generator_residual_small():
@@ -176,61 +151,81 @@ def test_generators_vertical_components_small():
         assert np.linalg.norm(SO3_ACTION.generator(y, xi).u) <= 1e-9
 
 
-def test_jet_lift_unit_section_keeps_y_jet():
-    rng = np.random.default_rng(13)
-    x = CHART.sample(rng)
-    y_jet = SectionJet(x, SO3.random_element(rng), rng.standard_normal((2, 3)))
-    unit = SectionJet(x, SO3.identity(), np.zeros((2, 3)))
-    out = jet_lift_action(SO3_ACTION, y_jet, unit)
-    assert np.allclose(out.value.matrix, y_jet.value.matrix)
-    assert np.allclose(out.deriv, y_jet.deriv, atol=1e-12)
+@pytest.mark.parametrize("desc", [SO3, T2, semidirect_jet_descriptor(SO3, 2)],
+                         ids=["so3", "translation", "semidirect-jet"])
+def test_product_velocity_matches_differential(desc):
+    """The finite-difference pushforward and the closed-form differential
+    agree on random generator pairs, also on a descriptor with no hooks."""
+    action = make_action(desc)
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for _ in range(10):
+        y = action.space.random_point(rng)
+        g = desc.random_element(rng)
+        u = rng.standard_normal(2)
+        a, b = desc.random_algebra(rng), desc.random_algebra(rng)
+        closed = action.differential(y, g, Tangent(u, a), Tangent(u, b)).delta.coords
+        fd = product_velocity(desc, y.fiber, a.coords, g, b.coords, 1e-5)
+        worst = max(worst, float(np.max(np.abs(fd - closed))))
+    assert worst <= 1e-8
 
 
-def test_jet_lift_chain_rule_matches_fd_oracle():
-    rng = np.random.default_rng(14)
-    x = CHART.sample(rng)
-    y_jet = SectionJet(x, SO3.random_element(rng), rng.standard_normal((2, 3)))
-    g_jet = SectionJet(x, SO3.random_element(rng), rng.standard_normal((2, 3)))
-    closed = jet_lift_action(SO3_ACTION, y_jet, g_jet)
-
-    def germ(jet, dx):
-        # a representative section with this jet: exp(dx . deriv) value
-        return SO3.exp(SO3.algebra(dx @ jet.deriv)) @ jet.value
-
-    value = (y_jet.value @ g_jet.value).matrix
-    fd = []
-    for u in np.eye(2):
-        dmat = central_difference(lambda s: (germ(y_jet, s * u) @ germ(g_jet, s * u)).matrix, 1e-6)
-        fd.append(SO3.matrix_coords(dmat @ np.linalg.inv(value), tol=1e-4))
-    assert np.allclose(closed.value.matrix, value, atol=1e-12)
-    assert np.allclose(closed.deriv, np.vstack(fd), atol=1e-6)
-
-
-def test_jet_lift_constant_sections():
-    rng = np.random.default_rng(15)
-    x = CHART.sample(rng)
-    y_jet = SectionJet(x, SO3.random_element(rng), np.zeros((2, 3)))
-    g_jet = SectionJet(x, SO3.random_element(rng), np.zeros((2, 3)))
-    out = jet_lift_action(SO3_ACTION, y_jet, g_jet)
-    assert np.allclose(out.value.matrix, (y_jet.value @ g_jet.value).matrix)
-    assert np.allclose(out.deriv, 0.0, atol=1e-12)
-
-
-def test_adjoint_class_defining_relation():
-    rng = np.random.default_rng(16)
+def test_planted_stencil_error_fails_paired_generators(monkeypatch):
+    """Only the pushforward side runs a finite difference, so a 1% stencil
+    error cannot cancel against the closed-form side."""
+    rng = np.random.default_rng(11)
     y = SO3_ACTION.space.random_point(rng)
-    xi = SO3.random_algebra(rng)
     g = SO3.random_element(rng)
-    p1 = AdjointBundlePoint(y, xi)
-    same = AdjointBundlePoint(SO3_ACTION.act(y, g), SO3.Ad(g.inverse(), xi))
-    assert adjoint_class_residual(p1, p1) <= 1e-9
-    assert adjoint_class_residual(p1, same) <= 1e-9
+    xi, eta = SO3.random_algebra(rng), SO3.random_algebra(rng)
+    assert paired_generator_residual(SO3_ACTION, y, g, xi, eta) <= 1e-6
+    monkeypatch.setattr(bundles, "central_difference",
+                        lambda f, eps: (f(eps) - f(-eps)) / (2.02 * eps))
+    assert paired_generator_residual(SO3_ACTION, y, g, xi, eta) > 1e-6
+    assert paired_generator_residual(SO3_ACTION, y, g, xi, SO3.zero()) > 1e-6
 
 
-def test_adjoint_class_detects_missing_twist():
-    rng = np.random.default_rng(17)
-    y = SO3_ACTION.space.random_point(rng)
-    xi = SO3.algebra([0.9, 0.0, 0.0])
-    g = SO3.exp(SO3.algebra([0.0, 0.0, 1.0]))
-    wrong = AdjointBundlePoint(SO3_ACTION.act(y, g), xi)
-    assert adjoint_class_residual(AdjointBundlePoint(y, xi), wrong) > 1e-2
+def test_differential_unit_group_keeps_y_tangent():
+    rng = np.random.default_rng(13)
+    y = TotalPoint(CHART.sample(rng), SO3.random_element(rng))
+    eye = np.eye(2)
+    t_y = Tangent(eye, SO3.algebra(rng.standard_normal((2, 3))))
+    t_unit = Tangent(eye, SO3.algebra(np.zeros((2, 3))))
+    out = SO3_ACTION.differential(y, SO3.identity(), t_y, t_unit)
+    assert np.allclose(SO3_ACTION.act(y, SO3.identity()).fiber.matrix, y.fiber.matrix)
+    assert np.allclose(out.delta.coords, t_y.delta.coords, atol=1e-12)
+
+
+def test_differential_chain_rule_matches_fd_oracle():
+    # the n base directions of two section jets, pushed as one stacked
+    # tangent pair, against central differences of representative sections
+    rng = np.random.default_rng(14)
+    y = TotalPoint(CHART.sample(rng), SO3.random_element(rng))
+    dy = rng.standard_normal((2, 3))
+    g = SO3.random_element(rng)
+    dg = rng.standard_normal((2, 3))
+    eye = np.eye(2)
+    closed = SO3_ACTION.differential(y, g, Tangent(eye, SO3.algebra(dy)),
+                                     Tangent(eye, SO3.algebra(dg))).delta.coords
+
+    def germ(value, deriv, dx):
+        # a representative section with this jet: exp(dx . deriv) value
+        return SO3.exp(SO3.algebra(dx @ deriv)) @ value
+
+    value = (y.fiber @ g).matrix
+    fd = []
+    for u in eye:
+        dmat = central_difference(
+            lambda s: (germ(y.fiber, dy, s * u) @ germ(g, dg, s * u)).matrix, 1e-6)
+        fd.append(SO3.matrix_coords(dmat @ np.linalg.inv(value), tol=1e-4))
+    assert np.allclose(SO3_ACTION.act(y, g).fiber.matrix, value, atol=1e-12)
+    assert np.allclose(closed, np.vstack(fd), atol=1e-6)
+
+
+def test_differential_of_constant_sections_vanishes():
+    rng = np.random.default_rng(15)
+    y = TotalPoint(CHART.sample(rng), SO3.random_element(rng))
+    g = SO3.random_element(rng)
+    eye, zero = np.eye(2), SO3.algebra(np.zeros((2, 3)))
+    out = SO3_ACTION.differential(y, g, Tangent(eye, zero), Tangent(eye, zero))
+    assert np.allclose(SO3_ACTION.act(y, g).fiber.matrix, (y.fiber @ g).matrix)
+    assert np.allclose(out.delta.coords, 0.0, atol=1e-12)

@@ -190,15 +190,6 @@ def test_central_difference_matches_hand_stencil_bitwise():
         assert calls == [eps, -eps]  # the plus side first
         assert np.array_equal(got, (f(eps) - f(-eps)) / (2 * eps))
 
-    def pair(s):
-        return x0 + s * x0**2, np.outer(f(s), x0) @ np.outer(x0, f(s))
-
-    eps = 1e-5
-    dq, dm = central_difference(pair, eps)
-    (qp, mp), (qm, mm) = pair(eps), pair(-eps)
-    assert np.array_equal(dq, (qp - qm) / (2 * eps))
-    assert np.array_equal(dm, (mp - mm) / (2 * eps))
-
 
 _STENCIL = re.compile(r"/\s*\(\s*2(\.0*)?\s*\*")
 
@@ -218,3 +209,26 @@ def test_central_difference_is_the_only_stencil():
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not found, "hand-written stencils outside central_difference:\n" + "\n".join(found)
     assert _STENCIL.search("(a - b) / (2 * eps)") and _STENCIL.search("(a - b)/(2.0*h)")
+
+
+def _central_difference_users(module):
+    """Whether a package module imports central_difference, and the names of
+    its top-level functions and classes that call it (by name or attribute)."""
+    path = pathlib.Path(liebundles.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = any(alias.name == "central_difference" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names)
+    callers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and "central_difference"
+               in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    return imported, callers
+
+
+def test_action_checks_difference_only_through_product_velocity():
+    """The torsor's action checks run one finite difference, the pushforward
+    in bundles.product_velocity: principal.py does not import the stencil and
+    bundles.py calls it nowhere else."""
+    imported, callers = _central_difference_users("principal.py")
+    assert not imported and not callers
+    imported, callers = _central_difference_users("bundles.py")
+    assert callers == {"product_velocity"}

@@ -247,3 +247,11 @@ def test_log_without_hook_is_deterministic_and_keeps_global_rng():
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     assert before[0] == after[0] and before[2:] == after[2:]
     assert np.array_equal(before[1], after[1])
+
+
+def test_so3_lone_exp_equals_its_stacked_row():
+    # the angle is squared as theta * theta, which rounds alike for the numpy
+    # scalar of a lone matrix and for an array
+    coords = np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 3))
+    stacked = SO3.exp_coords(coords)
+    assert all(np.array_equal(SO3.exp_coords(c), row) for c, row in zip(coords, stacked))

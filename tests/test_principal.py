@@ -29,7 +29,7 @@ from liebundles.principal import (
     transport_total,
     validate_principal_connection,
 )
-from liebundles.scenarios import build_scenario
+from liebundles.scenarios import build_scenario, drop_ad_form
 
 from _oracles import (
     affine_form_oracle,
@@ -341,6 +341,19 @@ def test_reduced_curvature_defect_is_structural_for_curved_nu():
     assert res > 1e-3
 
 
+def test_reduced_curvature_detects_missing_twist():
+    # the canonical form with its base form left untwisted by Ad_{h^-1} is not
+    # equivariant, so its curvature at y.g is not Ad_{g^-1} of the one at y
+    s = build_scenario("principal-so3")
+    omega = drop_ad_form(s)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        y = s.action.space.random_point(rng)
+        g = s.group.random_element(rng)
+        u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
+        assert reduced_curvature_residual(omega, y, g, u1, u2) > 1e-2
+
+
 def test_equivariant_product_connection():
     rng = np.random.default_rng(16)
     worst = 0.0
@@ -422,7 +435,7 @@ def test_form_matrix_matches_per_tangent_oracle(name):
         lift = omega.horizontal_lift(y, u).delta.coords
         want = horizontal_lift_oracle(lambda uu, dd: oracle(y, uu, dd), group.dim, u)
         worst_lift = max(worst_lift, np.max(np.abs(lift - want)))
-        jet = omega.horizontal_jet(y).deriv
+        jet = omega.horizontal_deltas(y, np.eye(2)).T
         for mu, e in enumerate(np.eye(2)):
             worst_jet = max(worst_jet, np.max(np.abs(
                 jet[mu] - omega.horizontal_lift(y, e).delta.coords)))
@@ -438,7 +451,7 @@ def test_zero_fiber_block_makes_lift_and_jet_raise():
     with pytest.raises(ConstructionError):
         omega.horizontal_lift(y, [1.0, 0.0])
     with pytest.raises(ConstructionError):
-        omega.horizontal_jet(y)
+        omega.horizontal_deltas(y, np.eye(2))
 
 
 @pytest.mark.parametrize("name", ["single", "canonical", "glued", "affine"])
