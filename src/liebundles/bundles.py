@@ -115,10 +115,11 @@ class FiberedAction:
         return Tangent(np.zeros(delta.coords.shape[:-1] + (self.space.quotient.dim,)), delta)
 
     def generator_matrix(self, y: TotalPoint) -> np.ndarray:
-        """Columns are the fiber components of the basis generators at y."""
+        """Columns are the fiber components of the basis generators at y; a
+        stack of fibers gives a stack of matrices."""
         desc = self.space.fiber
-        cols = [self.generator(y, desc.algebra(e)).delta.coords for e in np.eye(desc.dim)]
-        return np.column_stack(cols)
+        return np.stack([self.generator(y, desc.algebra(e)).delta.coords
+                         for e in np.eye(desc.dim)], axis=-1)
 
     # -- axioms -----------------------------------------------------------
 
@@ -146,17 +147,21 @@ class FiberedAction:
         return float(worst)
 
 
-def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint) -> float:
+def vertical_isomorphism_check(action: FiberedAction, y: TotalPoint):
     """Condition number max(1, s_max) / s_min of xi -> generator(y, xi) from
-    its singular values: infinite when the map is singular."""
+    its singular values, infinite where the map is singular: a float, or one
+    per point of a stack."""
     svals = np.linalg.svd(action.generator_matrix(y), compute_uv=False)
-    return float(max(1.0, svals[0]) / svals[-1]) if svals[-1] > 0 else np.inf
+    low = svals[..., -1]
+    with np.errstate(divide="ignore"):
+        return np.where(low > 0, np.maximum(1.0, svals[..., 0]) / low, np.inf)[()]
 
 
 def product_velocity(desc: GroupDescriptor, h: GroupElement, a, g: GroupElement, b, eps):
     """Right-trivialized velocity at h g of s -> (exp(s a) h)(exp(s b) g), for
     algebra coordinates a and b, from one central difference at step eps: the
-    finite-difference twin of `FiberedAction.differential` on (a at h, b at g)."""
+    finite-difference twin of `FiberedAction.differential` on (a at h, b at g).
+    Stacks of h, a, g and b give one velocity per row."""
 
     def curve(s):
         return ((desc.exp(desc.algebra(s * a)) @ h) @ (desc.exp(desc.algebra(s * b)) @ g)).matrix
@@ -169,8 +174,8 @@ def paired_generator_residual(action, y, g, xi, eta):
     """Residual of d(action) on the generator pair (xi at y, left-flow eta at g),
     by `product_velocity`, against the closed-form generator of
     Ad_{g^{-1}}(xi + eta) at y.g; a zero eta measures the equivariance of
-    generators."""
+    generators.  One residual per row of stacked points."""
     desc = action.space.fiber
     lhs = product_velocity(desc, y.fiber, action.generator(y, xi).delta.coords, g, eta.coords, 1e-5)
     target = desc.Ad(g.inverse(), desc.algebra(xi.coords + eta.coords))
-    return float(np.linalg.norm(lhs - action.generator(action.act(y, g), target).delta.coords))
+    return _norm(lhs - action.generator(action.act(y, g), target).delta.coords)

@@ -323,15 +323,12 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement) -> float:
+def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement):
     """Finite-difference residual of the product rule for horizontal lifts:
     pushing (Hor_g(u), U_h) through the fiber product, by `product_velocity`,
     lands on Hor_{gh}(u) plus the left-translated vertical part Ad_g nu_h of
-    U_h, all right-trivialized at gh."""
+    U_h, all right-trivialized at gh.  One residual per row of stacked points."""
     desc = nu.bundle.fiber
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
     lhs = product_velocity(desc, g, nu.horizontal_delta(x, g, u).coords, h, delta_h.coords, 1e-5)
     nu_h = nu.connection_form(x, h, u, delta_h)
-    return float(np.linalg.norm(lhs - nu.horizontal_delta(x, g @ h, u).coords
-                                - desc.Ad(g, nu_h).coords))
+    return _norm(lhs - nu.horizontal_delta(x, g @ h, u).coords - desc.Ad(g, nu_h).coords)

@@ -31,7 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .groups import GroupDescriptor, GroupElement, _any, _norm, derive_structure_constants
+from .groups import (GroupDescriptor, GroupElement, _any, _frobenius, _norm,
+                     derive_structure_constants)
 
 __all__ = [
     "GaugeJet",
@@ -341,7 +342,8 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     """GroupDescriptor for G x| (n copies of the algebra), as block matrices.
 
     An element (g, xi) embeds as blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]),
-    so the standard exp/log/Ad/bracket machinery applies unchanged.
+    so the standard exp/log/Ad/bracket machinery applies unchanged.  Its
+    membership residual and retraction act row by row on a (B, M, M) stack.
     """
     d = base.dim
     m = base.matrix_dim
@@ -361,20 +363,18 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     basis = np.stack(basis)
 
     def residual(mat):
-        g_blk = mat[:m, :m]
-        res = base.membership_residual(g_blk)
-        res += float(np.linalg.norm(mat[m : m + vdim, m : m + vdim]
-                                    - np.kron(np.eye(n), _ad_of(g_blk))))
-        res += float(np.linalg.norm(mat[:m, m:]) + np.linalg.norm(mat[m:, :m]))
-        res += abs(mat[-1, -1] - 1.0) + float(np.linalg.norm(mat[-1, :-1]))
-        return res
+        g_blk = mat[..., :m, :m]
+        res = base.membership_residual(g_blk) + _frobenius(
+            mat[..., m : m + vdim, m : m + vdim] - np.kron(np.eye(n), _ad_of(g_blk)))
+        res = res + (_frobenius(mat[..., :m, m:]) + _frobenius(mat[..., m:, :m]))
+        return res + (abs(mat[..., -1, -1] - 1.0) + _norm(mat[..., -1, :-1]))
 
     def _ad_of(g_blk):
         return base.Ad_matrix(GroupElement(base.retract(g_blk), base, check=False))
 
     def retract(mat):
-        g_blk = base.retract(mat[:m, :m])
-        return _embed_jet(n, g_blk, _ad_of(g_blk), mat[m : m + vdim, -1].copy())
+        g_blk = base.retract(mat[..., :m, :m])
+        return _embed_jet(n, g_blk, _ad_of(g_blk), mat[..., m : m + vdim, -1])
 
     desc = GroupDescriptor(
         name=f"jet({base.name},n={n})",

@@ -229,8 +229,8 @@ class GeneralizedPrincipalConnection:
         return self.matrix_map(y.q)(y.fiber.matrix)
 
     def value(self, y: TotalPoint, tangent: Tangent) -> AlgebraElement:
-        return self.descriptor.algebra(
-            self.matrix(y) @ np.concatenate([tangent.u, tangent.delta.coords]))
+        """The form on a tangent at y, or one row per point of a stack."""
+        return self.descriptor.algebra(_values(self.matrix(y), tangent.u, tangent.delta.coords))
 
     def vertical_operator(self, y: TotalPoint) -> np.ndarray:
         """Matrix of delta -> omega(y, (0, delta)) on algebra coordinates."""
@@ -241,15 +241,16 @@ class GeneralizedPrincipalConnection:
 
         A base vector u gives shape (dim,), or (B, dim) when y.fiber holds a
         stack; at a batch of points (y.q of shape (R, n)) ``u_columns`` holds
-        one base vector per point, (R, n), and gives (R, dim); an (n, k) array
-        of base vectors gives (dim, k) for one fiber.
+        one base vector per point, (R, n), and gives (R, dim).  With one axis
+        more than y.q it holds (n, k) base vectors per point and gives (dim, k)
+        per point: (R, n, k) at a batch gives (R, dim, k).
         """
         return self.horizontal_map(y.q, u_columns)(y.fiber.matrix)
 
     def horizontal_map(self, q, u_columns) -> FiberMap:
         """`horizontal_deltas` at base points q as a `FiberMap`."""
         u_columns = np.asarray(u_columns, dtype=float)
-        column = u_columns.ndim == 1 or np.ndim(q) >= 2
+        column = u_columns.ndim == np.ndim(q)
         return FiberMap(functools.partial(self._solve, column), self.matrix_map(q),
                         u_columns[..., None] if column else u_columns)
 
@@ -337,15 +338,13 @@ def _form_law_residuals(form, rng, samples, nu=None):
         desc.random_coords(rng), rng.standard_normal(action.space.quotient.dim),
         desc.random_coords(rng), desc.random_coords(rng)))
     y, g = TotalPoint(x, desc.exp(desc.algebra(fy))), desc.exp(desc.algebra(fg))
-
-    def value(y, t):
-        return _values(form.matrix(y), t.u, t.delta.coords)
-
-    vert = value(y, action.generator(y, desc.algebra(xi))) - (xi if nu is not None else 0.0)
+    vert = form.value(y, action.generator(y, desc.algebra(xi))).coords
+    vert = vert - xi if nu is not None else vert
     t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))
-    lhs = value(action.act(y, g), action.differential(y, g, t_y, t_g))
+    lhs = form.value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
     correction = dg - nu.lift_map(x, u)(g.matrix) if nu is not None else 0.0
-    rhs = (desc.Ad_matrix(g.inverse()) @ (value(y, t_y) + correction)[..., None])[..., 0]
+    rhs = form.value(y, t_y).coords + correction
+    rhs = (desc.Ad_matrix(g.inverse()) @ rhs[..., None])[..., 0]
     return float(np.max(_norm(vert))), float(np.max(_norm(lhs - rhs)))
 
 
@@ -400,38 +399,43 @@ def transport_compatibility_check(omega, curve, y, g, step=1e-2):
     return _residual_norm(end_yg - recombined.fiber.matrix, 2)
 
 
-def jet_equivariance_check(omega, y, g) -> float:
+def jet_equivariance_check(omega, y, g):
     """Largest entry of the horizontal lifts of the n base directions at y.g
     minus the action differential of the paired lifts (omega-horizontal at y,
-    nu-horizontal at g), pushed as one stacked tangent pair."""
-    action = omega.action
-    desc = omega.descriptor
-    eye = np.eye(omega.n)
-    t_y = Tangent(eye, desc.algebra(omega.horizontal_deltas(y, eye).T))
-    t_g = Tangent(eye, desc.algebra(np.stack([omega.nu.horizontal_delta(y.q, g, e).coords
-                                              for e in eye])))
-    pushed = action.differential(y, g, t_y, t_g).delta.coords
-    return float(np.max(np.abs(pushed - omega.horizontal_deltas(action.act(y, g), eye).T)))
+    nu-horizontal at g), each (point, direction) pair one row of a stacked
+    tangent pair; one value per point of a stack.  The lifts at each point
+    come from one solve with n right-hand sides."""
+    action, desc, n = omega.action, omega.descriptor, omega.n
+    lead = np.shape(y.q)[:-1]
+    eye = np.broadcast_to(np.eye(n), lead + (n, n))
+
+    def pairs(a):
+        """One row per (point, direction), point-major."""
+        return np.repeat(np.reshape(a, (-1,) + np.shape(a)[len(lead):]), n, axis=0)
+
+    def lifts(at):
+        """The (..., n, dim) horizontal lifts of the n base directions."""
+        return np.swapaxes(omega.horizontal_deltas(at, eye), -1, -2)
+
+    u, g_rows = eye.reshape(-1, n), GroupElement(pairs(g.matrix), desc, check=False)
+    t_y = Tangent(u, desc.algebra(lifts(y).reshape(-1, desc.dim)))
+    t_g = Tangent(u, omega.nu.horizontal_delta(pairs(y.q), g_rows, u))
+    y_rows = TotalPoint(pairs(y.q), GroupElement(pairs(y.fiber.matrix), desc, check=False))
+    pushed = action.differential(y_rows, g_rows, t_y, t_g).delta.coords
+    target = lifts(action.act(y, g))
+    return np.max(np.abs(pushed.reshape(target.shape) - target), axis=(-2, -1))
 
 
-def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement) -> float:
+def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement):
     """Finite-difference residual of pushing a horizontal lift through the
     action, by `product_velocity`: the image is the horizontal lift at y.g
     plus the generator of the inverse-adjusted vertical part of the group
-    tangent."""
-    action = omega.action
-    desc = omega.descriptor
-    u = np.asarray(u, dtype=float)
-    hor = omega.horizontal_lift(y, u)
-    lhs_delta = product_velocity(desc, y.fiber, hor.delta.coords, g, delta_g.coords, 1e-5)
-
+    tangent.  One residual per row of stacked points."""
+    action, desc = omega.action, omega.descriptor
+    lhs = product_velocity(desc, y.fiber, omega.horizontal_deltas(y, u), g, delta_g.coords, 1e-5)
     yg = action.act(y, g)
-    hor_yg = omega.horizontal_lift(yg, u)
-    nu_val = omega.nu.connection_form(y.q, g, u, delta_g)
-    zeta = desc.Ad(g.inverse(), nu_val)
-    gen = action.generator(yg, zeta)
-    rhs_delta = hor_yg.delta.coords + gen.delta.coords
-    return float(np.linalg.norm(lhs_delta - rhs_delta))
+    zeta = desc.Ad(g.inverse(), omega.nu.connection_form(y.q, g, u, delta_g))
+    return _norm(lhs - (omega.horizontal_deltas(yg, u) + action.generator(yg, zeta).delta.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +453,7 @@ class TensorialAdjointForm:
         self.matrix = matrix
 
     def value(self, y: TotalPoint, t: Tangent) -> AlgebraElement:
-        return self.descriptor.algebra(self.matrix(y) @ np.concatenate([t.u, t.delta.coords]))
+        return self.descriptor.algebra(_values(self.matrix(y), t.u, t.delta.coords))
 
     def validate(self, rng, samples=100):
         """Worst residuals of horizontality and adjoint equivariance on random
@@ -560,20 +564,17 @@ def reduced_curvature_residual(omega, y, g, u1, u2) -> float:
                                 - val_yg.coords))
 
 
-def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent) -> float:
+def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent):
     """Equivariance of the paired vertical projector (omega-generator, nu-form)
     under (y, g) -> (y.g, g): the projected pair pushed through the action by
     `product_velocity` against the projector at y.g of the closed-form pushed
-    pair.  The nu-form of the group tangent is the same on both sides."""
+    pair.  The nu-form of the group tangent is the same on both sides.  One
+    residual per row of stacked points."""
     action = omega.action
-    desc = omega.descriptor
     yg = action.act(y, g)
     # rhs first: `differential` guards the shared base velocity
-    pushed = action.differential(y, g, t_y, t_g)
-    rhs = action.generator(yg, omega.value(yg, pushed)).delta.coords
-
-    gen_y = action.generator(y, omega.value(y, t_y))
-    nu_val = omega.nu.connection_form(y.q, g, t_y.u, t_g.delta)
-    lhs = product_velocity(desc, y.fiber, gen_y.delta.coords, g, nu_val.coords, 1e-6)
-    return float(np.linalg.norm(lhs - rhs))
+    rhs = action.generator(yg, omega.value(yg, action.differential(y, g, t_y, t_g))).delta.coords
+    gen_y = action.generator(y, omega.value(y, t_y)).delta.coords
+    nu_val = omega.nu.connection_form(y.q, g, t_y.u, t_g.delta).coords
+    return _norm(product_velocity(omega.descriptor, y.fiber, gen_y, g, nu_val, 1e-6) - rhs)
 

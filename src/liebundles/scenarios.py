@@ -163,10 +163,10 @@ def _curve_from_config(spec, label, n):
         axes = spec.get("axes", [0, 1])
         _require(isinstance(axes, (list, tuple)) and len(axes) == 2, f"{field}.axes",
                  "a pair of axes", axes)
+        i, j = (_count(k, f"{field}.axes", 0, n) for k in axes)
+        _require(i != j, f"{field}.axes", "a pair of different axes", axes)
         radius = float(_numbers(spec["radius"], f"{field}.radius", ()))
-        return BaseCurve.loop(point("center"), radius, interval,
-                              axes=tuple(_count(i, f"{field}.axes", 0, n) for i in axes),
-                              label=label)
+        return BaseCurve.loop(point("center"), radius, interval, axes=(i, j), label=label)
     raise UsageError(f"unknown curve kind {kind!r}")
 
 

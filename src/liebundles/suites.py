@@ -11,8 +11,9 @@ import zlib
 
 import numpy as np
 
-from .bundles import Tangent, TotalPoint, paired_generator_residual, vertical_isomorphism_check
-from .calculus import BaseCurve, central_difference, draw_rows
+from .bundles import (Tangent, TotalPoint, paired_generator_residual, product_velocity,
+                      vertical_isomorphism_check)
+from .calculus import BaseCurve, draw_rows
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
@@ -40,6 +41,7 @@ from .gauge import (
     jet_realizing_curvature,
     EquivariantJetConnection,
 )
+from .groups import _norm
 from .principal import (
     connection_difference,
     curvature,
@@ -95,6 +97,21 @@ def _exp(s, coords):
     return s.group.exp(s.group.algebra(coords))
 
 
+def _coords(s, rng, count):
+    """``count`` draws of `random_coords`, one after the other."""
+    return tuple(s.group.random_coords(rng) for _ in range(count))
+
+
+def _draw_points(s, rng, count, draw=lambda: ()):
+    """``count`` random total points, each followed by ``draw()`` (a tuple of
+    arrays), in the RNG order of a per-sample loop that calls
+    `TotalSpace.random_point` (a chart sample, then the fiber's coordinates)
+    and then ``draw()``; returns the stacked TotalPoint, then the stacked draws."""
+    x, fiber, *draws = draw_rows(count, lambda: (s.chart.sample(rng),
+                                                 s.group.random_coords(rng), *draw()))
+    return (TotalPoint(x, _exp(s, fiber)), *draws)
+
+
 # ---------------------------------------------------------------------------
 # principal checks
 # ---------------------------------------------------------------------------
@@ -106,40 +123,28 @@ def _chk_action_axioms(s, rng, samples, step):
 
 
 def _chk_generator_vertical(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 100)):
-        y = s.action.space.random_point(rng)
-        xi = s.group.random_algebra(rng)
-        vals.append(np.linalg.norm(s.action.generator(y, xi).u))
+    y, xi = _draw_points(s, rng, min(samples, 100), lambda: (s.group.random_coords(rng),))
+    vals = _norm(s.action.generator(y, s.group.algebra(xi)).u)
     return vals, 1e-9, "generators are vertical for both projections", None
 
 
 def _chk_generator_isomorphism(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 25)):
-        y = s.action.space.random_point(rng)
-        vals.append(vertical_isomorphism_check(s.action, y))
+    (y,) = _draw_points(s, rng, min(samples, 25))
+    vals = vertical_isomorphism_check(s.action, y)
     return vals, 1e10, "algebra-to-vertical map has full rank", None
 
 
 def _chk_generator_equivariance(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 25)):
-        y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        xi = s.group.random_algebra(rng)
-        vals.append(paired_generator_residual(s.action, y, g, xi, s.group.zero()))
+    y, g, xi = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 2))
+    vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
+                                     s.group.algebra(np.zeros_like(xi)))
     return vals, 1e-7, "pushforward of a generator is the adjoint-twisted generator", None
 
 
 def _chk_paired_generators(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 25)):
-        y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        vals.append(paired_generator_residual(s.action, y, g,
-                                              s.group.random_algebra(rng),
-                                              s.group.random_algebra(rng)))
+    y, g, xi, eta = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 3))
+    vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
+                                     s.group.algebra(eta))
     return vals, 1e-6, "action differential on paired generators", None
 
 
@@ -221,12 +226,11 @@ def _chk_covariant_product_rule(s, rng, samples, step):
 
 
 def _chk_horizontal_product_rule(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 25)):
-        x = s.chart.sample(rng)
-        vals.append(horizontal_product_rule_check(
-            s.nu, x, s.group.random_element(rng), s.group.random_element(rng),
-            rng.standard_normal(s.chart.dim), s.group.random_algebra(rng)))
+    x, g, h, u, delta_h = draw_rows(min(samples, 25), lambda: (
+        s.chart.sample(rng), *_coords(s, rng, 2), rng.standard_normal(s.chart.dim),
+        s.group.random_coords(rng)))
+    vals = horizontal_product_rule_check(s.nu, x, _exp(s, g), _exp(s, h), u,
+                                         s.group.algebra(delta_h))
     return vals, 1e-5, "horizontal lifts obey the fiber product rule", None
 
 
@@ -263,36 +267,25 @@ def _chk_transport_compatibility(s, rng, samples, step):
 
 
 def _chk_jet_equivariance(s, rng, samples, step):
-    omega = s.transport_form
-    vals = []
-    for _ in range(min(samples, 25)):
-        y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        vals.append(jet_equivariance_check(omega, y, g))
+    y, g = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 1))
+    vals = jet_equivariance_check(s.transport_form, y, _exp(s, g))
     return vals, 1e-6, "horizontal jets transform by the lifted action", None
 
 
 def _chk_horizontal_transform(s, rng, samples, step):
-    omega = s.transport_form
-    vals = []
-    for _ in range(min(samples, 15)):
-        y = s.action.space.random_point(rng)
-        vals.append(horizontal_transform_check(
-            omega, y, s.group.random_element(rng), rng.standard_normal(s.chart.dim),
-            s.group.random_algebra(rng)))
+    y, g, u, delta_g = _draw_points(s, rng, min(samples, 15), lambda: (
+        s.group.random_coords(rng), rng.standard_normal(s.chart.dim), s.group.random_coords(rng)))
+    vals = horizontal_transform_check(s.transport_form, y, _exp(s, g), u,
+                                      s.group.algebra(delta_g))
     return vals, 1e-5, "horizontal lifts transform with a vertical correction", None
 
 
 def _chk_product_connection(s, rng, samples, step):
-    omega = s.transport_form
-    vals = []
-    for _ in range(min(samples, 10)):
-        y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        u = rng.standard_normal(s.chart.dim)
-        vals.append(equivariant_product_connection_check(
-            omega, y, g, Tangent(u, s.group.random_algebra(rng)),
-            Tangent(u, s.group.random_algebra(rng))))
+    y, g, u, a, b = _draw_points(s, rng, min(samples, 10), lambda: (
+        s.group.random_coords(rng), rng.standard_normal(s.chart.dim), *_coords(s, rng, 2)))
+    vals = equivariant_product_connection_check(s.transport_form, y, _exp(s, g),
+                                                Tangent(u, s.group.algebra(a)),
+                                                Tangent(u, s.group.algebra(b)))
     return vals, 1e-6, "paired vertical projector is action-equivariant", None
 
 
@@ -378,13 +371,12 @@ def _chk_affine_reconstruction(s, rng, samples, step):
 
 def _chk_affine_transport_oracle(s, rng, samples, step):
     curve = s.curves["main"]
-    v0 = np.array([rng.uniform(-1, 1, s.group.dim) for _ in range(min(samples, 5))])
+    (v0,) = draw_rows(min(samples, 5), lambda: (rng.uniform(-1, 1, s.group.dim),))
     y0 = s.fiber_point(curve.position(curve.a), v0)
     coarse, _ = transport_total(s.omega, curve, y0, step=step)
     fine, _ = transport_total(s.omega, curve, y0, step=step / 4.0)
-    # one log per row, as for a lone point; integrator ends need no log check
-    vals = [float(np.linalg.norm(s.group.log_coords(end) - s.group.log_coords(ref)))
-            for end, ref in zip(coarse.fiber.matrix, fine.fiber.matrix)]
+    # integrator ends need no log check
+    vals = _norm(s.group.log_coords(coarse.fiber.matrix) - s.group.log_coords(fine.fiber.matrix))
     return vals, 1e-7, "fiber transport agrees with a refined reference", None
 
 
@@ -460,36 +452,35 @@ def _chk_jet_group_axioms(s, rng, samples, step):
     return vals, 1e-12, "semidirect jet group axioms and inverse formula", None
 
 
-def _chk_jet_adjoint_closed_form(s, rng, samples, step):
+def _draw_adjoint_pairs(s, rng, count):
+    """``count`` jets and algebra pairs (eta, phi), drawn per row in the order
+    of GaugeJet.random, then eta, then phi.  Returns the jets' block matrices,
+    the pairs and their closed-form adjoints, each pair flattened to a row of
+    d (n + 1) coordinates."""
     n, d = s.n, s.group.dim
-    coords, xi, eta, phi = draw_rows(min(samples, 50), lambda: _jet_draw(s, rng) + (
+    coords, xi, eta, phi = draw_rows(count, lambda: _jet_draw(s, rng) + (
         rng.uniform(-1, 1, d), rng.uniform(-1, 1, (n, d))))
     k = GaugeJet(_exp(s, coords), xi)
-    ad_eta, ad_phi = k.adjoint(eta, phi)
-    big = element_from_gauge_jet(s.jet_descriptor, k)
-    flat = (-1, d * (n + 1))
-    via = s.jet_descriptor.Ad(big, s.jet_descriptor.algebra(
-        np.concatenate([eta[:, None], phi], axis=1).reshape(flat))).coords
-    vals = np.max(np.abs(np.concatenate([ad_eta[:, None], ad_phi], axis=1).reshape(flat) - via),
-                  axis=1)
-    return vals, 1e-12, "jet adjoint closed form matches the block descriptor", None
+
+    def pairs(e, p):
+        return np.concatenate([e[:, None], p], axis=1).reshape(count, d * (n + 1))
+
+    return element_from_gauge_jet(s.jet_descriptor, k), pairs(eta, phi), pairs(*k.adjoint(eta, phi))
+
+
+def _chk_jet_adjoint_closed_form(s, rng, samples, step):
+    big, c, closed = _draw_adjoint_pairs(s, rng, min(samples, 50))
+    via = s.jet_descriptor.Ad(big, s.jet_descriptor.algebra(c)).coords
+    return np.max(np.abs(closed - via), axis=1), 1e-12, \
+        "jet adjoint closed form matches the block descriptor", None
 
 
 def _chk_jet_adjoint_fd(s, rng, samples, step):
-    desc = s.jet_descriptor
-    vals = []
-    for _ in range(min(samples, 10)):
-        k = GaugeJet.random(s.group, s.n, rng)
-        eta = rng.uniform(-1, 1, s.group.dim)
-        phi = rng.uniform(-1, 1, (s.n, s.group.dim))
-        ad_eta, ad_phi = k.adjoint(eta, phi)
-        big = element_from_gauge_jet(desc, k)
-        coords = np.concatenate([eta, phi.reshape(-1)])
-        dmat = central_difference(
-            lambda e: (big @ desc.exp(desc.algebra(e * coords)) @ big.inverse()).matrix, 1e-6)
-        fd = desc.matrix_coords(dmat, tol=1e-4)
-        vals.append(float(np.max(np.abs(fd - np.concatenate([ad_eta, ad_phi.reshape(-1)])))))
-    return vals, 1e-6, "jet adjoint matches the conjugation derivative", None
+    big, c, closed = _draw_adjoint_pairs(s, rng, min(samples, 10))
+    # the velocity of s -> big exp(s c) big^-1 at the unit
+    fd = product_velocity(s.jet_descriptor, big, np.zeros_like(c), big.inverse(), c, 1e-6)
+    return np.max(np.abs(fd - closed), axis=1), 1e-6, \
+        "jet adjoint matches the conjugation derivative", None
 
 
 def _chk_jet_descriptor(s, rng, samples, step):

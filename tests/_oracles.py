@@ -601,3 +601,144 @@ def gauge_check_oracles():
         "jet-group-axioms": group_axioms,
         "restricted-action-freeness": freeness,
     }
+
+
+# ---------------------------------------------------------------------------
+# per-sample suite checks: the torsor action, lift and jet-adjoint checks as
+# loops over lone samples, in the RNG order the stacked suite checks keep
+# ---------------------------------------------------------------------------
+
+
+def jet_equivariance_oracle(omega, y, g):
+    """`jet_equivariance_check` at one point: the n horizontal lifts as the
+    columns of one solve, and the nu-lifts one base direction at a time."""
+    from liebundles.bundles import Tangent
+
+    desc = omega.descriptor
+    eye = np.eye(omega.n)
+    t_y = Tangent(eye, desc.algebra(omega.horizontal_deltas(y, eye).T))
+    t_g = Tangent(eye, desc.algebra(np.stack([omega.nu.horizontal_delta(y.q, g, e).coords
+                                              for e in eye])))
+    pushed = omega.action.differential(y, g, t_y, t_g).delta.coords
+    return float(np.max(np.abs(pushed - omega.horizontal_deltas(omega.action.act(y, g), eye).T)))
+
+
+def torsor_check_oracles():
+    """The stacked torsor suite checks, one lone sample at a time: check id ->
+    f(scenario, rng, samples) returning the residual list of the check."""
+    from liebundles.bundles import (Tangent, paired_generator_residual,
+                                    vertical_isomorphism_check)
+    from liebundles.connections import horizontal_product_rule_check
+    from liebundles.principal import (equivariant_product_connection_check,
+                                      horizontal_transform_check, transport_total)
+
+    def point(s, rng):
+        return s.action.space.random_point(rng)
+
+    def vertical(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 100)):
+            y = point(s, rng)
+            vals.append(float(np.linalg.norm(s.action.generator(y, s.group.random_algebra(rng)).u)))
+        return vals
+
+    def isomorphism(s, rng, samples):
+        return [float(vertical_isomorphism_check(s.action, point(s, rng)))
+                for _ in range(min(samples, 25))]
+
+    def equivariance(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 25)):
+            y, g = point(s, rng), s.group.random_element(rng)
+            vals.append(float(paired_generator_residual(
+                s.action, y, g, s.group.random_algebra(rng), s.group.zero())))
+        return vals
+
+    def paired(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 25)):
+            y, g = point(s, rng), s.group.random_element(rng)
+            xi = s.group.random_algebra(rng)
+            vals.append(float(paired_generator_residual(s.action, y, g, xi,
+                                                        s.group.random_algebra(rng))))
+        return vals
+
+    def product_rule(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 25)):
+            x = s.chart.sample(rng)
+            g, h = s.group.random_element(rng), s.group.random_element(rng)
+            u = rng.standard_normal(s.chart.dim)
+            vals.append(float(horizontal_product_rule_check(s.nu, x, g, h, u,
+                                                            s.group.random_algebra(rng))))
+        return vals
+
+    def jet(s, rng, samples):
+        return [jet_equivariance_oracle(s.transport_form, point(s, rng),
+                                        s.group.random_element(rng))
+                for _ in range(min(samples, 25))]
+
+    def transform(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 15)):
+            y, g = point(s, rng), s.group.random_element(rng)
+            u = rng.standard_normal(s.chart.dim)
+            vals.append(float(horizontal_transform_check(s.transport_form, y, g, u,
+                                                         s.group.random_algebra(rng))))
+        return vals
+
+    def product_connection(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 10)):
+            y, g = point(s, rng), s.group.random_element(rng)
+            u = rng.standard_normal(s.chart.dim)
+            t_y = Tangent(u, s.group.random_algebra(rng))
+            t_g = Tangent(u, s.group.random_algebra(rng))
+            vals.append(float(equivariant_product_connection_check(s.transport_form, y, g,
+                                                                   t_y, t_g)))
+        return vals
+
+    def affine_self_consistency(s, rng, samples):
+        curve = s.curves["main"]
+        v0 = np.array([rng.uniform(-1, 1, s.group.dim) for _ in range(min(samples, 5))])
+        y0 = s.fiber_point(curve.position(curve.a), v0)
+        coarse, _ = transport_total(s.omega, curve, y0, step=s.config["step"])
+        fine, _ = transport_total(s.omega, curve, y0, step=s.config["step"] / 4.0)
+        return [float(np.linalg.norm(s.group.log_coords(end) - s.group.log_coords(ref)))
+                for end, ref in zip(coarse.fiber.matrix, fine.fiber.matrix)]
+
+    return {
+        "affine-transport-self-consistency": affine_self_consistency,
+        "generator-equivariance": equivariance,
+        "generator-isomorphism": isomorphism,
+        "generator-verticality": vertical,
+        "horizontal-product-rule": product_rule,
+        "horizontal-transform": transform,
+        "jet-equivariance": jet,
+        "paired-generators": paired,
+        "product-connection-equivariance": product_connection,
+    }
+
+
+def jet_adjoint_fd_oracle(s, rng, samples):
+    """`jet-adjoint-fd-cross-check` one lone jet at a time, with its own
+    central difference of e -> big exp(e c) big^-1 at the unit."""
+    from liebundles.gauge import GaugeJet, element_from_gauge_jet
+
+    desc = s.jet_descriptor
+    vals = []
+    for _ in range(min(samples, 10)):
+        k = GaugeJet.random(s.group, s.n, rng)
+        eta = rng.uniform(-1, 1, s.group.dim)
+        phi = rng.uniform(-1, 1, (s.n, s.group.dim))
+        ad_eta, ad_phi = k.adjoint(eta, phi)
+        big = element_from_gauge_jet(desc, k)
+        coords = np.concatenate([eta, phi.reshape(-1)])
+        h = 1e-6
+
+        def conj(e):
+            return (big @ desc.exp(desc.algebra(e * coords)) @ big.inverse()).matrix
+
+        fd = desc.matrix_coords((conj(h) - conj(-h)) / (2 * h), tol=1e-4)
+        vals.append(float(np.max(np.abs(fd - np.concatenate([ad_eta, ad_phi.reshape(-1)])))))
+    return vals

@@ -224,11 +224,35 @@ def _central_difference_users(module):
     return imported, callers
 
 
+_LOOPED_CHECKS = {"_chk_covariant_product_rule", "_chk_curvature_two_path",
+                  "_chk_curvature_antisymmetry", "_chk_curvature_tensoriality",
+                  "_chk_reduced_curvature"}
+
+
 def test_action_checks_difference_only_through_product_velocity():
-    """The torsor's action checks run one finite difference, the pushforward
-    in bundles.product_velocity: principal.py does not import the stencil and
-    bundles.py calls it nowhere else."""
-    imported, callers = _central_difference_users("principal.py")
-    assert not imported and not callers
+    """The torsor's action checks and the jet adjoint's cross-check run one
+    finite difference, the pushforward in bundles.product_velocity:
+    principal.py and suites.py do not import the stencil and bundles.py calls
+    it nowhere else.  The suite checks draw their samples through draw_rows
+    and evaluate one stack; only the curvature checks and the covariant
+    product rule still loop over samples."""
+    for module in ("principal.py", "suites.py"):
+        imported, callers = _central_difference_users(module)
+        assert not imported and not callers, module
     imported, callers = _central_difference_users("bundles.py")
     assert callers == {"product_velocity"}
+    path = pathlib.Path(liebundles.__file__).parent / "suites.py"
+    looped = {top.name for top in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(top, ast.FunctionDef) and top.name.startswith("_chk_")
+              and any(_over_range(node) for node in ast.walk(top))}
+    assert looped == _LOOPED_CHECKS
+
+
+def _over_range(node):
+    """Whether an AST node is a loop or comprehension over ``range(...)``,
+    the form of a per-sample loop; a while loop counts too."""
+    if isinstance(node, ast.While):
+        return True
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return False
+    return isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"

@@ -327,6 +327,9 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
     ("validate", {"scenario": "gauge-jet-so3", "f_section": [0.3, 0.5]}, "f_section"),
     ("transport", {"scenario": "principal-so3", "curves": {
         "main": {"kind": "line", "start": [-0.6, -0.4], "end": [1.4, 0.5]}}}, "curves.main"),
+    ("transport", {"scenario": "principal-so3", "curves": {
+        "main": {"kind": "loop", "center": [0.0, 0.0], "radius": 0.3, "axes": [0, 0]}}},
+     "curves.main.axes"),
     ("validate", {"scenario": "principal-so3",
                   "tolerances": {"transport-multiplicatve": 1e-30}}, "tolerances"),
 ])

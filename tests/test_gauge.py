@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebundles.errors import UsageError
+from liebundles.errors import DescriptorError, UsageError
 from liebundles.gauge import (
     ConnectionJet,
     EquivariantJetConnection,
@@ -595,3 +595,21 @@ def test_stacked_guards_name_the_offending_rows():
                  np.where(np.arange(4)[:, None, None] % 2 == 0, np.nan, xi))
     with pytest.raises(UsageError, match="finite$"):
         GaugeJet(SO3.identity(), np.full((N, 3), np.nan))
+
+
+@pytest.mark.parametrize("base", [SO3, T2], ids=["so3", "translation2"])
+def test_semidirect_descriptor_kernels_act_row_by_row(base):
+    desc = semidirect_jet_descriptor(base, N)
+    coords = np.random.default_rng(5).uniform(-1.0, 1.0, (6, desc.dim))
+    stacked = desc.exp(desc.algebra(coords)).matrix
+    lone = [desc.exp(desc.algebra(c)).matrix for c in coords]
+    assert stacked.shape == (6, desc.matrix_dim, desc.matrix_dim)
+    assert all(np.array_equal(row, m) for row, m in zip(stacked, lone))
+    residuals = desc.membership_residual(stacked)
+    assert list(residuals) == [desc.membership_residual(m) for m in lone]
+    assert np.array_equal(desc.retract(stacked), np.stack([desc.retract(m) for m in lone]))
+    desc.element(stacked)  # every row lies on the group
+    off = stacked.copy()
+    off[3, 0, -1] += 1e-3  # couples the base block to the translation column
+    with pytest.raises(DescriptorError, match=r"in rows \[3\]"):
+        desc.element(off)

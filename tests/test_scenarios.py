@@ -1,6 +1,7 @@
 """Scenario fixture tests: presets build, equivalences hold, oracles match."""
 
 import ast
+import json
 import pathlib
 import zlib
 
@@ -46,6 +47,18 @@ def test_check_table_is_sorted_by_id(kind):
     names = available_checks(kind)
     assert names == sorted(names) and len(names) == len(set(names))
     assert len({zlib.crc32(name.encode()) for name in names}) == len(names)
+
+
+def test_benchmarked_presets_report_the_reference_checks_and_samples():
+    """At default config each benchmarked preset reports exactly the check ids
+    and sample counts of perfbench/reference.json, the only set the
+    benchmark's gate accepts, so a change to either fails here too."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))["checks"]
+    assert sorted(reference) == ["affine-varying", "gauge-jet-abelian", "gauge-jet-so3",
+                                 "principal-so3"]
+    for name, expected in reference.items():
+        assert {r.check: r.samples for r in run_suite(build_scenario(name))} == expected, name
 
 
 def _compares_kind(node):

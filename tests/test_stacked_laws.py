@@ -21,9 +21,11 @@ from _oracles import (
     affine_reconstruction_oracle,
     gauge_check_oracles,
     group_connection_oracle,
+    jet_adjoint_fd_oracle,
     principal_connection_oracle,
     principal_equivalence_oracle,
     tensorial_form_oracle,
+    torsor_check_oracles,
 )
 
 SCENARIOS = {name: build_scenario(name)
@@ -92,6 +94,34 @@ def test_stacked_gauge_check_equals_per_sample_oracle(name, check):
             want = oracle(s, rng_oracle, samples)
             assert rng_stacked.bit_generator.state == rng_oracle.bit_generator.state
             assert got == want, (seed, samples)
+
+
+SUITE_CASES = [(name, check) for name in ("principal-so3", "affine-varying")
+               for check in suites.available_checks(SCENARIOS[name].kind)
+               if check in torsor_check_oracles()]
+SUITE_CASES += [(name, "jet-adjoint-fd-cross-check") for name in sorted(GAUGE_SCENARIOS)]
+
+
+@pytest.mark.parametrize("name, check", SUITE_CASES)
+def test_stacked_suite_check_equals_per_sample_oracle(name, check):
+    """Each suite check that draws a stack returns the residuals of its
+    per-sample loop: equal for the torsor checks; the jet adjoint's finite
+    difference runs a different product order, so it may move by roundoff,
+    at most 1e-3 of its 1e-6 tolerance."""
+    s = {**SCENARIOS, **GAUGE_SCENARIOS}[name]
+    stacked = dict(suites._checks_for(s.kind))[check]
+    oracle = {**torsor_check_oracles(), "jet-adjoint-fd-cross-check": jet_adjoint_fd_oracle}[check]
+    for seed in (0, 1, 7919):
+        for samples in (1, 7, s.config["samples"]):
+            rng_stacked, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [float(v) for v in stacked(s, rng_stacked, samples, s.config["step"])[0]]
+            want = oracle(s, rng_oracle, samples)
+            assert rng_stacked.bit_generator.state == rng_oracle.bit_generator.state
+            if check == "jet-adjoint-fd-cross-check":
+                assert len(got) == len(want)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-3 * 1e-6, (seed, samples)
+            else:
+                assert got == want, (seed, samples)
 
 
 def _forms(s):
