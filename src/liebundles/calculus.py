@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .groups import AlgebraElement, GroupDescriptor
+from .groups import AlgebraElement, GroupDescriptor, _norm
 
 __all__ = [
     "ChartDomain",
@@ -34,10 +34,11 @@ _EPS_CBRT = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 def fd_step(x, h=None):
-    """Default central-difference step at x."""
+    """Default central-difference step at x, or one per row of an (R, N) stack
+    of points, each from that row's norm alone."""
     if h is not None:
         return float(h)
-    return _EPS_CBRT * max(1.0, float(np.linalg.norm(x)))
+    return _EPS_CBRT * np.maximum(1.0, _norm(np.asarray(x, dtype=float)))
 
 
 def central_difference(f, eps):
@@ -99,7 +100,7 @@ class ChartDomain:
 
 
 def _times(t, ndim):
-    """A 1-D array of times with ``ndim`` trailing unit axes; a lone time as it is."""
+    """A 1-D array of times or steps with ``ndim`` trailing unit axes; a lone one as it is."""
     return np.reshape(t, np.shape(t) + (1,) * ndim) if np.ndim(t) else t
 
 
@@ -153,11 +154,13 @@ class BaseCurve:
 
     @staticmethod
     def loop(center, radius, interval=(0.0, 1.0), axes=(0, 1), label="loop"):
-        """Closed circle in the (axes) coordinate plane."""
+        """Closed circle in the (axes) coordinate plane; the two axes must differ."""
         center = np.asarray(center, dtype=float)
         a, b = interval
         span = b - a
         i, j = axes
+        if i == j:
+            raise UsageError(f"loop axes must be two different axes, got {tuple(axes)}")
 
         def pos(t):
             s = 2.0 * np.pi * (t - a) / span
@@ -381,14 +384,12 @@ def finite_diff_jacobian(f, x, h=None, chart: Optional[ChartDomain] = None):
 
 
 def directional_derivative(f, x, v, h=None):
-    """Central difference of f along direction v (not normalized)."""
+    """Central difference of f along direction v (not normalized); points x
+    and directions v of shape (R, N) give one row each, stepped by that row's
+    own x and v.  A zero direction differences f(x) with itself, to exactly 0."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    vn = np.linalg.norm(v)
-    if vn == 0.0:
-        probe = np.asarray(f(x), float)
-        return np.zeros_like(probe)
-    step = fd_step(x, h) / max(1.0, vn)
+    step = _times(fd_step(x, h) / np.maximum(1.0, _norm(v)), 1)
     return central_difference(lambda s: np.asarray(f(x + s * v), float), step)
 
 
@@ -396,7 +397,8 @@ def numerical_bracket(v1, v2, z, h=None):
     """Lie bracket [v1, v2](z) of vector fields on R^N by central differences.
 
     [v1, v2] = (Dv2) v1 - (Dv1) v2, each directional derivative evaluated with
-    a second-order stencil.
+    a second-order stencil.  Points z of shape (R, N), for fields that map such
+    stacks row by row, give one bracket per row.
     """
     z = np.asarray(z, dtype=float)
     a = np.asarray(v1(z), dtype=float)

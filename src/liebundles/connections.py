@@ -290,12 +290,14 @@ def _reversed_curve(seg):
                      lambda t: -np.asarray(seg.velocity(a + b - t)), label=seg.label + "-rev")
 
 
-def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
+def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t):
     """Residual of the product rule tying nabla(Ad_g xi) to Ad_g nabla xi plus
     the bracket with the right-trivialized covariant velocity of g.
 
     All derivatives by central differences at step 1e-4 in t; transports by
-    the group integrator at step 1e-3.
+    the group integrator at step 1e-3.  On a family of C curves g_path and
+    xi_path return one row per curve, and the result is one residual per
+    curve, each equal to that curve alone.
     """
     desc = nu.bundle.fiber
     conn = AlgebraConnection(nu)
@@ -304,13 +306,11 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
     def algebra_section(tt):
         return desc.Ad(g_path(tt), xi_path(tt)).coords
 
-    x_t = curve.position(t)
-    u_t = curve.velocity(t)
-    k_t = conn.generator(x_t, u_t)
+    k_t = conn.generator(curve.position(t), curve.velocity(t))
 
     def covariant_of(section):
         dsec = central_difference(lambda s: np.asarray(section(t + s)), ds)
-        return dsec - k_t @ np.asarray(section(t))
+        return dsec - (k_t @ np.asarray(section(t))[..., None])[..., 0]
 
     lhs = covariant_of(algebra_section)
 
@@ -319,8 +319,8 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t) -> float:
     g_t = g_path(t)
     rtd = desc.matrix_coords(dg @ np.linalg.inv(g_t.matrix), tol=1e-4)
     term = desc.bracket_coords(rtd, desc.Ad(g_t, xi_path(t)).coords)
-    rhs = desc.Ad_matrix(g_t) @ nabla_xi + term
-    return float(np.linalg.norm(lhs - rhs))
+    rhs = (desc.Ad_matrix(g_t) @ nabla_xi[..., None])[..., 0] + term
+    return _norm(lhs - rhs)
 
 
 def horizontal_product_rule_check(nu, x, g, h, u, delta_h: AlgebraElement):

@@ -300,9 +300,6 @@ class AlgebraElement:
     def matrix(self):
         return self.descriptor.algebra_matrix(self.coords)
 
-    def norm(self):
-        return float(np.linalg.norm(self.coords))
-
     def __add__(self, other):
         if other.descriptor is not self.descriptor:
             raise UsageError("cannot add algebra elements from different descriptors")
@@ -352,9 +349,6 @@ class GroupElement:
 
     def membership_residual(self):
         return self.descriptor.membership_residual(self.matrix)
-
-    def distance(self, other):
-        return float(np.linalg.norm(self.matrix - other.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .connections import (
     _transport_rows,
 )
 from .errors import ConstructionError, UsageError
-from .groups import AlgebraElement, GroupElement, _norm
+from .groups import AlgebraElement, GroupElement, _frobenius, _norm
 from .integrators import integrate_stack
 
 __all__ = [
@@ -478,14 +478,17 @@ def connection_difference(omega1, omega2) -> TensorialAdjointForm:
 
 
 def _dexp_operator(descriptor, w_coords):
-    """Matrix of the right-trivialized differential of exp at w, to 24 terms."""
+    """Matrix of the right-trivialized differential of exp at w, to 24 terms,
+    or one per row of a (B, dim) stack of w.  A row stops on its first term
+    of norm below 1e-18, that term included; later terms leave it as it is."""
     ad = descriptor.ad_matrix(w_coords)
-    out = np.eye(descriptor.dim)
-    term = np.eye(descriptor.dim)
+    out = term = np.eye(descriptor.dim)
+    live = np.ones(ad.shape[:-2], dtype=bool)
     for k in range(1, 25):
         term = term @ ad / (k + 1.0)
-        out = out + term
-        if np.linalg.norm(term) < 1e-18:
+        out = np.where(live[..., None, None], out + term, out)
+        live = live & (_frobenius(term) >= 1e-18)
+        if not live.any():
             break
     return out
 
@@ -506,62 +509,72 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
     lifts at y.  A covariant correction would multiply the form on those
     lifts, which is zero, so there is none.  Both run in the exponential fiber
     chart at y; ``gap`` is the norm of their difference.
+
+    A stack of points (y.q of shape (B, n), y.fiber of (B, m, m)) with (B, n)
+    directions gives (B, dim) values and exterior values and (B,) gaps, each
+    row equal to that row alone: the finite differences step every row by its
+    own size.
     """
     desc = omega.descriptor
     n = omega.action.space.quotient.dim
-    d = desc.dim
     h0 = y.fiber
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
 
     def point(z):
-        w = z[n:]
-        return TotalPoint(z[:n], desc.exp(desc.algebra(w)) @ h0)
+        return TotalPoint(z[..., :n], desc.exp(desc.algebra(z[..., n:])) @ h0)
 
     def field(u):
         def f(z):
-            yq = point(z)
-            delta = omega.horizontal_lift(yq, u).delta.coords
-            op = _dexp_operator(desc, z[n:])
-            return np.concatenate([u, np.linalg.solve(op, delta)])
+            delta = omega.horizontal_deltas(point(z), u)
+            op = _dexp_operator(desc, z[..., n:])
+            return np.concatenate([u, np.linalg.solve(op, delta[..., None])[..., 0]], axis=-1)
 
         return f
 
-    z0 = np.concatenate([y.q, np.zeros(d)])
+    z0 = np.concatenate([y.q, np.zeros(np.shape(y.q)[:-1] + (desc.dim,))], axis=-1)
     br = numerical_bracket(field(u1), field(u2), z0, h)
-    bracket_tangent = Tangent(br[:n], desc.algebra(br[n:]))
-    primary = desc.algebra(-omega.value(y, bracket_tangent).coords)
+    bracket_tangent = Tangent(br[..., :n], desc.algebra(br[..., n:]))
+    primary = -omega.value(y, bracket_tangent).coords
 
     # exterior path on constant field extensions (their bracket vanishes)
-    w1 = np.concatenate([u1, omega.horizontal_lift(y, u1).delta.coords])
-    w2 = np.concatenate([u2, omega.horizontal_lift(y, u2).delta.coords])
+    w1 = np.concatenate([u1, omega.horizontal_deltas(y, u1)], axis=-1)
+    w2 = np.concatenate([u2, omega.horizontal_deltas(y, u2)], axis=-1)
 
     def omega_along(wvec):
         def f(z):
-            yq = point(z)
-            op = _dexp_operator(desc, z[n:])
-            delta = desc.algebra(op @ wvec[n:])
-            return omega.value(yq, Tangent(wvec[:n], delta)).coords
+            op = _dexp_operator(desc, z[..., n:])
+            delta = desc.algebra((op @ wvec[..., n:, None])[..., 0])
+            return omega.value(point(z), Tangent(wvec[..., :n], delta)).coords
 
         return f
 
     d1 = directional_derivative(omega_along(w2), z0, w1, h)
     d2 = directional_derivative(omega_along(w1), z0, w2, h)
     exterior = d1 - d2
-    gap = float(np.linalg.norm(primary.coords - exterior.reshape(-1)))
-    return CurvatureValue(value=primary, exterior_value=desc.algebra(exterior), gap=gap)
+    return CurvatureValue(value=desc.algebra(primary), exterior_value=desc.algebra(exterior),
+                          gap=_norm(primary - exterior))
 
 
-def reduced_curvature_residual(omega, y, g, u1, u2) -> float:
+def reduced_curvature_residual(omega, y, g, u1, u2):
     """Representative independence of the reduced curvature, a section of the
     adjoint bundle: |Ad_{g^{-1}} Omega_y - Omega_{y.g}|, with g solved from
-    the two fibers as y.fiber^{-1} (y.g).fiber."""
+    the two fibers as y.fiber^{-1} (y.g).fiber.  y and y.g are the two halves
+    of one curvature stack; a stack of points, with g and u1, u2 holding one
+    row each, gives one residual per row."""
+    desc, lead = omega.descriptor, np.shape(y.q)[:-1]
     yg = omega.action.act(y, g)
-    val_y = curvature(omega, y, u1, u2).value
-    val_yg = curvature(omega, yg, u1, u2).value
+
+    def both(a, b):
+        """a, then b, as the rows of one stack."""
+        return np.reshape([a, b], (-1,) + np.shape(a)[len(lead):])
+
+    pair = TotalPoint(both(y.q, yg.q), GroupElement(both(y.fiber.matrix, yg.fiber.matrix), desc,
+                                                    check=False))
+    values = curvature(omega, pair, both(u1, u1), both(u2, u2)).value.coords
+    val_y, val_yg = values.reshape((2,) + lead + (desc.dim,))
     solved = y.fiber.inverse() @ yg.fiber
-    return float(np.linalg.norm(omega.descriptor.Ad(solved.inverse(), val_y).coords
-                                - val_yg.coords))
+    return _norm(desc.Ad(solved.inverse(), desc.algebra(val_y)).coords - val_yg)
 
 
 def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent):

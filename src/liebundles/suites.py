@@ -208,20 +208,12 @@ def _chk_algebra_transport_adjoint(s, rng, samples, step):
 
 
 def _chk_covariant_product_rule(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 3)):
-        curve = random_curve(s.chart, rng)
-        w = s.group.random_algebra(rng)
-        xi0 = s.group.random_algebra(rng)
+    def check(curve, w, xi0):
+        return covariant_derivative_bracket_check(
+            s.nu, curve, lambda t: _exp(s, t * w), lambda t: s.group.algebra(xi0 * (1.0 + 0.3 * t)),
+            0.5 * (curve.a + curve.b))
 
-        def g_path(t, w=w):
-            return s.group.exp(s.group.algebra(t * w.coords))
-
-        def xi_path(t, xi0=xi0):
-            return s.group.algebra(xi0.coords * (1.0 + 0.3 * t))
-
-        vals.append(covariant_derivative_bracket_check(
-            s.nu, curve, g_path, xi_path, 0.5 * (curve.a + curve.b)))
+    vals = _family_residuals(s, rng, min(samples, 3), lambda: _coords(s, rng, 2), check)
     return vals, 1e-5, "covariant product rule for adjoint-twisted sections", None
 
 
@@ -295,12 +287,14 @@ def _chk_connection_difference(s, rng, samples, step):
         "difference of two connections is tensorial of adjoint type", None
 
 
+def _directions(s, rng, k):
+    """k draws of a base direction, one after the other."""
+    return tuple(rng.standard_normal(s.chart.dim) for _ in range(k))
+
+
 def _chk_curvature_two_path(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 4)):
-        y = s.action.space.random_point(rng)
-        u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        vals.append(curvature(s.omega, y, u1, u2).gap)
+    y, u1, u2 = _draw_points(s, rng, min(samples, 4), lambda: _directions(s, rng, 2))
+    vals = curvature(s.omega, y, u1, u2).gap
     y = s.action.space.random_point(rng)
     gaps = [curvature(s.omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
             for hh in (2e-2, 1e-2, 5e-3)]
@@ -308,32 +302,25 @@ def _chk_curvature_two_path(s, rng, samples, step):
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 4)):
-        y = s.action.space.random_point(rng)
-        u = rng.standard_normal(s.chart.dim)
-        vals.append(np.linalg.norm(curvature(s.omega, y, u, u).value.coords))
+    y, u = _draw_points(s, rng, min(samples, 4), lambda: _directions(s, rng, 1))
+    vals = _norm(curvature(s.omega, y, u, u).value.coords)
     return vals, 1e-10, "curvature is antisymmetric in its arguments", None
 
 
 def _chk_curvature_tensoriality(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 3)):
-        y = s.action.space.random_point(rng)
-        u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        a = curvature(s.omega, y, u1, u2).value.coords
-        b = curvature(s.omega, y, 2.0 * u1, u2).value.coords
-        vals.append(float(np.linalg.norm(2.0 * a - b)))
-    return vals, 1e-6, "curvature value is pointwise tensorial in the arguments", None
+    x, fiber, u1, u2 = draw_rows(min(samples, 3), lambda: (
+        s.chart.sample(rng), s.group.random_coords(rng), *_directions(s, rng, 2)))
+    # the rows at (u1, u2) and at (2 u1, u2) as the two halves of one stack
+    twice = TotalPoint(np.concatenate([x, x]), _exp(s, np.concatenate([fiber, fiber])))
+    a, b = np.split(curvature(s.omega, twice, np.concatenate([u1, 2.0 * u1]),
+                              np.concatenate([u2, u2])).value.coords, 2)
+    return _norm(2.0 * a - b), 1e-6, "curvature value is pointwise tensorial in the arguments", None
 
 
 def _chk_reduced_curvature(s, rng, samples, step):
-    vals = []
-    for _ in range(min(samples, 4)):
-        y = s.action.space.random_point(rng)
-        g = s.group.random_element(rng)
-        u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
-        vals.append(reduced_curvature_residual(s.omega, y, g, u1, u2))
+    y, g, u1, u2 = _draw_points(s, rng, min(samples, 4), lambda: (
+        s.group.random_coords(rng), *_directions(s, rng, 2)))
+    vals = reduced_curvature_residual(s.omega, y, _exp(s, g), u1, u2)
     return vals, 1e-5, "reduced curvature is representative independent", None
 
 

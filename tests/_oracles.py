@@ -604,8 +604,9 @@ def gauge_check_oracles():
 
 
 # ---------------------------------------------------------------------------
-# per-sample suite checks: the torsor action, lift and jet-adjoint checks as
-# loops over lone samples, in the RNG order the stacked suite checks keep
+# per-sample suite checks: the torsor action, lift, curvature, covariant
+# product rule and jet-adjoint checks as loops over lone samples or curves, in
+# the RNG order the stacked suite checks keep
 # ---------------------------------------------------------------------------
 
 
@@ -628,9 +629,11 @@ def torsor_check_oracles():
     f(scenario, rng, samples) returning the residual list of the check."""
     from liebundles.bundles import (Tangent, paired_generator_residual,
                                     vertical_isomorphism_check)
-    from liebundles.connections import horizontal_product_rule_check
-    from liebundles.principal import (equivariant_product_connection_check,
+    from liebundles.connections import (covariant_derivative_bracket_check,
+                                        horizontal_product_rule_check)
+    from liebundles.principal import (curvature, equivariant_product_connection_check,
                                       horizontal_transform_check, transport_total)
+    from liebundles.scenarios import random_curve
 
     def point(s, rng):
         return s.action.space.random_point(rng)
@@ -707,8 +710,72 @@ def torsor_check_oracles():
         return [float(np.linalg.norm(s.group.log_coords(end) - s.group.log_coords(ref)))
                 for end, ref in zip(coarse.fiber.matrix, fine.fiber.matrix)]
 
+    def covariant_product_rule(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 3)):
+            curve = random_curve(s.chart, rng)
+            w = s.group.random_algebra(rng)
+            xi0 = s.group.random_algebra(rng)
+
+            def g_path(t, w=w):
+                return s.group.exp(s.group.algebra(t * w.coords))
+
+            def xi_path(t, xi0=xi0):
+                return s.group.algebra(xi0.coords * (1.0 + 0.3 * t))
+
+            vals.append(float(covariant_derivative_bracket_check(
+                s.nu, curve, g_path, xi_path, 0.5 * (curve.a + curve.b))))
+        return vals
+
+    def curvature_two_path(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 4)):
+            y = point(s, rng)
+            u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
+            vals.append(float(curvature(s.omega, y, u1, u2).gap))
+        point(s, rng)  # the point of the check's step sweep
+        return vals
+
+    def curvature_antisymmetry(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 4)):
+            y = point(s, rng)
+            u = rng.standard_normal(s.chart.dim)
+            vals.append(float(np.linalg.norm(curvature(s.omega, y, u, u).value.coords)))
+        return vals
+
+    def curvature_tensoriality(s, rng, samples):
+        vals = []
+        for _ in range(min(samples, 3)):
+            y = point(s, rng)
+            u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
+            a = curvature(s.omega, y, u1, u2).value.coords
+            b = curvature(s.omega, y, 2.0 * u1, u2).value.coords
+            vals.append(float(np.linalg.norm(2.0 * a - b)))
+        return vals
+
+    def reduced_curvature(s, rng, samples):
+        """|Ad_{g^-1} Omega_y - Omega_{y.g}| from two lone curvature calls,
+        with g solved back from the two fibers."""
+        vals = []
+        for _ in range(min(samples, 4)):
+            y = point(s, rng)
+            g = s.group.random_element(rng)
+            u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
+            yg = s.action.act(y, g)
+            val_y = curvature(s.omega, y, u1, u2).value
+            val_yg = curvature(s.omega, yg, u1, u2).value
+            solved = y.fiber.inverse() @ yg.fiber
+            vals.append(float(np.linalg.norm(s.group.Ad(solved.inverse(), val_y).coords
+                                             - val_yg.coords)))
+        return vals
+
     return {
         "affine-transport-self-consistency": affine_self_consistency,
+        "covariant-product-rule": covariant_product_rule,
+        "curvature-antisymmetry": curvature_antisymmetry,
+        "curvature-tensoriality": curvature_tensoriality,
+        "curvature-two-path": curvature_two_path,
         "generator-equivariance": equivariance,
         "generator-isomorphism": isomorphism,
         "generator-verticality": vertical,
@@ -717,6 +784,7 @@ def torsor_check_oracles():
         "jet-equivariance": jet,
         "paired-generators": paired,
         "product-connection-equivariance": product_connection,
+        "reduced-curvature-independence": reduced_curvature,
     }
 
 

@@ -43,6 +43,14 @@ def test_curve_validation():
     assert off.validate(CHART) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_loop_refuses_equal_axes():
+    """A circle needs a plane: a loop in one axis would be a segment run back
+    and forth, with a velocity that is not its derivative."""
+    with pytest.raises(UsageError, match="different axes"):
+        BaseCurve.loop([0.1, -0.2], 0.45, axes=(1, 1))
+    assert BaseCurve.loop([0.1, -0.2], 0.45, axes=(1, 0)).validate(CHART) <= 1e-6
+
+
 def test_polynomial_evaluation_and_partial():
     p = Polynomial({"2,0": 1.0, "1,1": -2.0, "0,0": 0.5}, 2)
     x = np.array([0.7, -0.4])
@@ -224,18 +232,12 @@ def _central_difference_users(module):
     return imported, callers
 
 
-_LOOPED_CHECKS = {"_chk_covariant_product_rule", "_chk_curvature_two_path",
-                  "_chk_curvature_antisymmetry", "_chk_curvature_tensoriality",
-                  "_chk_reduced_curvature"}
-
-
 def test_action_checks_difference_only_through_product_velocity():
     """The torsor's action checks and the jet adjoint's cross-check run one
     finite difference, the pushforward in bundles.product_velocity:
     principal.py and suites.py do not import the stencil and bundles.py calls
-    it nowhere else.  The suite checks draw their samples through draw_rows
-    and evaluate one stack; only the curvature checks and the covariant
-    product rule still loop over samples."""
+    it nowhere else.  Every suite check draws its samples through draw_rows
+    and evaluates one stack: no check loops over samples."""
     for module in ("principal.py", "suites.py"):
         imported, callers = _central_difference_users(module)
         assert not imported and not callers, module
@@ -245,7 +247,7 @@ def test_action_checks_difference_only_through_product_velocity():
     looped = {top.name for top in ast.parse(path.read_text(encoding="utf-8")).body
               if isinstance(top, ast.FunctionDef) and top.name.startswith("_chk_")
               and any(_over_range(node) for node in ast.walk(top))}
-    assert looped == _LOOPED_CHECKS
+    assert looped == set()
 
 
 def _over_range(node):

@@ -248,7 +248,7 @@ def test_connection_difference_is_tensorial():
     zero_form = connection_difference(OMEGA_CANON, OMEGA_CANON)
     y = ACTION.space.random_point(rng)
     t = Tangent(rng.standard_normal(2), SO3.random_algebra(rng))
-    assert zero_form.value(y, t).norm() == 0.0
+    assert np.linalg.norm(zero_form.value(y, t).coords) == 0.0
 
 
 def test_abelian_difference_recovers_added_base_form():
@@ -316,10 +316,11 @@ def test_curvature_two_paths_agree_and_refine():
 def test_reduced_curvature_representative_independence():
     # representative independence needs a flat underlying group connection;
     # the base-form family over the trivial nu is the supported regime
-    base = AlgebraOneForm(
-        SO3,
-        lambda x: np.array([[0.3 + 0.8 * x[1], 0.0, 0.5 * x[0]], [0.2, 0.7 * x[0], 0.0]]),
-    )
+    # A = (0.3 + 0.8 x2) E1 + 0.5 x1 E3 on e1 and 0.2 E1 + 0.7 x1 E2 on e2, as
+    # polynomials, since y and y.g are evaluated as one stack of points
+    base = AlgebraOneForm.from_polynomials(
+        SO3, [{"0": {"0,0": 0.3, "0,1": 0.8}, "2": {"1,0": 0.5}},
+              {"0": {"0,0": 0.2}, "1": {"1,0": 0.7}}], 2)
     omega, _ = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(15)
     worst = 0.0

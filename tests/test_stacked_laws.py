@@ -10,8 +10,9 @@ from liebundles.bundles import TotalPoint
 from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
 from liebundles.calculus import Polynomial
-from liebundles.principal import (_Twist, canonical_local_form, connection_difference,
-                                  twisted_local_form, validate_principal_connection)
+from liebundles.principal import (_dexp_operator, _Twist, canonical_local_form,
+                                  connection_difference, curvature, twisted_local_form,
+                                  validate_principal_connection)
 from liebundles.scenarios import (affine_equivalence_report, affine_reconstruction_residual,
                                   build_scenario, drop_ad_form, principal_equivalence_report)
 
@@ -168,6 +169,47 @@ def test_form_matrix_at_a_batch_equals_lone_points(name, label):
     assert stacked.shape[0] == 7
     for r in range(7):
         assert np.array_equal(stacked[r], matrix(TotalPoint(x[r], s.group.element(fibers[r])))), r
+
+
+CURVATURE_FORMS = {"principal-so3.single": SCENARIOS["principal-so3"].forms["single"],
+                   "principal-so3.glued": SCENARIOS["principal-so3"].forms["glued"],
+                   "affine-varying": SCENARIOS["affine-varying"].omega}
+
+
+@pytest.mark.parametrize("h", [None, 1e-2])
+@pytest.mark.parametrize("label", sorted(CURVATURE_FORMS))
+def test_curvature_rows_equal_lone_calls(label, h):
+    """Each row of a stacked curvature call is its lone call: value, exterior
+    value and gap.  Row 1 repeats its direction and row 2 has u1 = 0, a zero
+    direction for both finite-difference paths; both read exactly 0."""
+    omega = CURVATURE_FORMS[label]
+    s = SCENARIOS[label.split(".")[0]]
+    rng = np.random.default_rng(37)
+    x = np.array([s.chart.sample(rng) for _ in range(7)])
+    # first coordinates across the glued ramp [-0.2, 0.2]: weights 0, 1 and between
+    x[:, 0] = np.linspace(-0.6, 0.6, 7)
+    fibers = np.array([s.group.random_element(rng).matrix for _ in range(7)])
+    u1, u2 = rng.standard_normal((2, 7, s.chart.dim))
+    u1[1], u1[2] = u2[1], 0.0
+    stacked = curvature(omega, TotalPoint(x, s.group.element(fibers)), u1, u2, h)
+    assert stacked.gap.shape == (7,)
+    for r in range(7):
+        lone = curvature(omega, TotalPoint(x[r], s.group.element(fibers[r])), u1[r], u2[r], h)
+        assert np.array_equal(stacked.value.coords[r], lone.value.coords), r
+        assert np.array_equal(stacked.exterior_value.coords[r], lone.exterior_value.coords), r
+        assert stacked.gap[r] == lone.gap, r
+    for values in (stacked.value.coords, stacked.exterior_value.coords):
+        assert np.all(values[1:3] == 0.0)
+
+
+def test_dexp_operator_rows_stop_on_their_own_last_term():
+    """Rows of very different size stop their series at different terms; each
+    row of the stack equals its lone series."""
+    desc = SCENARIOS["principal-so3"].group
+    w = np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, -2e-7], [0.3, -0.2, 0.1], [1.5, 0.5, -1.0]])
+    stacked = _dexp_operator(desc, w)
+    for r in range(len(w)):
+        assert np.array_equal(stacked[r], _dexp_operator(desc, w[r])), r
 
 
 def test_every_sampled_validator_refuses_an_empty_sample():
