@@ -168,8 +168,10 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     """Classical RK4 for linear systems v' = K(t) v on coordinate vectors.
 
     ``v0`` may be a (d, B) array: K @ V acts column by column, so B columns
-    share each K.  Like the field of `integrate_stack`, ``matrix_fn`` is
-    called once, with all 2N+1 stage times; entry j of its result is K there.
+    share each K; a (C, d, B) family gives curve c its own K.  Like the field
+    of `integrate_stack`, ``matrix_fn`` is called once, with all 2N+1 stage
+    times; entry j of its result is K there.  A blow-up names its columns,
+    or on a family its (curve, column) pairs, and t.
     """
     t0, t1, n = _steps(interval, step)
     times, h = _stage_times(t0, t1, n)
@@ -187,6 +189,11 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
         k_start = k_end
         finite = np.isfinite(v).reshape(-1, v.shape[-1] if v.ndim > 1 else 1).all(axis=0)
         if not finite.all():
-            raise InstabilityError(f"linear integration produced non-finite values in columns "
-                                   f"{np.flatnonzero(~finite).tolist()} at t={t + h:.4f}")
+            if v.ndim > 2:  # a family: name each curve's columns, not the pooled ones
+                pairs = np.argwhere(~np.isfinite(v).all(axis=-2)).tolist()
+                where = f"(curve, column) pairs {[tuple(p) for p in pairs]}"
+            else:
+                where = f"columns {np.flatnonzero(~finite).tolist()}"
+            raise InstabilityError(f"linear integration produced non-finite values in {where} "
+                                   f"at t={t + h:.4f}")
     return v

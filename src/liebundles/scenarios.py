@@ -26,6 +26,7 @@ from .errors import DomainError, UsageError
 from .gauge import EquivariantJetConnection, semidirect_jet_descriptor
 from .groups import (GroupDescriptor, _norm, descriptor_from_json, so3_descriptor,
                      translation_descriptor)
+from .integrators import integrate_linear
 from .principal import (
     GeneralizedPrincipalConnection,
     WeightRamp,
@@ -44,6 +45,7 @@ __all__ = [
     "GaugeJetScenario",
     "principal_equivalence_report",
     "affine_equivalence_report",
+    "affine_transport_flow",
     "affine_reconstruction_residual",
 ]
 
@@ -395,6 +397,26 @@ def affine_equivalence_report(scenario: TorsorScenario, rng, samples=100):
     k = (u[:, None, :] @ scenario.nu_coeff(x).reshape(samples, chart.dim, -1))[:, 0]
     rhs = at_y + (k.reshape(samples, m, m) @ w[..., None])[..., 0]
     return {"shift_equivariance": float(np.max(_norm(lhs - rhs)))}
+
+
+def affine_transport_flow(scenario: TorsorScenario, curve: BaseCurve, v0, step):
+    """End fiber coordinates (B, m) of the affine transport of the rows of
+    ``v0`` along ``curve``: `integrate_linear` on the augmented system
+    (v, 1)' = -[[K(x'), Gamma(x')], [0, 0]] (v, 1), built from the
+    scenario's ``nu_coeff`` and ``gamma`` tables alone.  It evaluates no
+    form, solve, log or retraction, so it shares no code with the group
+    transport it is a reference for."""
+    m = scenario.group.dim
+
+    def generators(times):
+        x, u = curve.position(times), curve.velocity(times)
+        big = np.zeros((len(times), m + 1, m + 1))
+        big[:, :m, :m] = -np.einsum("tn,tnij->tij", u, scenario.nu_coeff(x))
+        big[:, :m, m] = -np.einsum("tn,tnj->tj", u, scenario.gamma(x))
+        return big
+
+    columns = np.vstack([np.transpose(v0), np.ones((1, len(v0)))])
+    return integrate_linear(generators, columns, (curve.a, curve.b), step)[:m].T
 
 
 def affine_reconstruction_residual(scenario: TorsorScenario, omega, rng, samples=50) -> float:

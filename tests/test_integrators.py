@@ -95,6 +95,14 @@ def test_linear_blowup_names_its_columns_and_time():
     with pytest.raises(InstabilityError, match=r"non-finite values in columns \[1\] at t=2\.1000"):
         integrate_linear(lambda times: np.broadcast_to(k, times.shape + k.shape), v0, (0.0, 5.0),
                          step=0.1)
+    # on a family of two curves, curve 1's column 2 alone blows up: the
+    # message names that pair, not column 2 of the pooled curves
+    family = np.zeros((2, 2, 3))
+    family[1, :, 2] = [1.0, -2.0]
+    with pytest.raises(InstabilityError,
+                       match=r"non-finite values in \(curve, column\) pairs \[\(1, 2\)\] at t=2\.1000"):
+        integrate_linear(lambda times: np.broadcast_to(k, times.shape + (2,) + k.shape), family,
+                         (0.0, 5.0), step=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario fixture tests: presets build, equivalences hold, oracles match."""
 
 import ast
+import dataclasses
 import json
 import pathlib
 import zlib
@@ -18,6 +19,7 @@ from liebundles.scenarios import (
     PRESET_NAMES,
     affine_equivalence_report,
     affine_reconstruction_residual,
+    affine_transport_flow,
     build_scenario,
     preset_config,
     principal_equivalence_report,
@@ -241,6 +243,66 @@ def test_affine_constant_transport_matches_exponential_oracle():
     gamma_u = u @ scenario.gamma(start_x)
     expected = affine_transport_oracle(nu_u, gamma_u, curve.b - curve.a, y0v)
     assert np.linalg.norm(got - expected) <= 1e-7
+    # the suite's form-free reference flow meets the closed form too
+    flow = affine_transport_flow(scenario, curve, y0v[None], 1e-3)[0]
+    assert np.linalg.norm(flow - expected) <= 1e-10
+
+
+def test_affine_transport_flow_reads_only_the_coefficient_tables(monkeypatch):
+    """The reference flow shares no code with the group transport it checks:
+    with no form, group connection or action in the scenario, and every group
+    log, exp and retraction refusing, it still runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear flow called a group kernel")
+
+    for name in ("log", "log_coords", "exp", "exp_coords", "retract"):
+        monkeypatch.setattr(GroupDescriptor, name, refuse)
+    bare = dataclasses.replace(AFFINE_VAR, action=None, nu=None, omega=None, transport_form=None,
+                               forms={}, nus={}, difference_pair=None)
+    out = affine_transport_flow(bare, bare.curves["main"], np.full((3, 2), 0.25), 1e-2)
+    assert out.shape == (3, 2) and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("scenario", [AFFINE_CONST, AFFINE_VAR], ids=lambda s: s.name)
+def test_affine_transport_flow_is_the_group_transport_at_one_step(scenario):
+    """For an abelian fiber RKMK4 is RK4 on the augmented system, so at the
+    same step the flow and the group transport agree to roundoff: the flow
+    follows the transport's sign convention."""
+    curve, step = scenario.curves["main"], scenario.config["step"]
+    for seed in (0, 7919):
+        v0 = np.random.default_rng(seed).uniform(-1, 1, (5, 2))
+        end, _ = transport_total(scenario.transport_form, curve,
+                                 scenario.fiber_point(curve.position(curve.a), v0), step=step)
+        gap = scenario.group.log_coords(end.fiber.matrix) - affine_transport_flow(
+            scenario, curve, v0, step)
+        assert np.max(np.linalg.norm(gap, axis=-1)) <= 1e-15, seed
+
+
+@pytest.mark.parametrize("scenario", [AFFINE_CONST, AFFINE_VAR], ids=lambda s: s.name)
+def test_affine_transport_check_fails_on_a_form_off_the_tables(scenario):
+    """The check's reference comes from ``nu_coeff`` and ``gamma`` alone, so
+    a form over the same nu with another horizontal part, the shifted half of
+    the difference pair, fails it, where a finer rerun of the same form
+    would agree with it."""
+    check = "affine-transport-self-consistency"
+    (good,) = run_suite(scenario, only=[check])
+    shifted = scenario.difference_pair[1]
+    (bad,) = run_suite(dataclasses.replace(scenario, omega=shifted, transport_form=shifted),
+                       only=[check])
+    assert good.passed and good.max_residual <= 1e-10
+    assert not bad.passed and bad.max_residual > 1e-3
+
+
+def test_affine_transport_check_runs_one_group_transport(monkeypatch):
+    """The reference is the linear flow, not a second group transport at a
+    finer step."""
+    steps = []
+    real = suites.transport_total
+    monkeypatch.setattr(suites, "transport_total",
+                        lambda *args, **kwargs: steps.append(kwargs["step"]) or real(*args, **kwargs))
+    (record,) = run_suite(AFFINE_VAR, only=["affine-transport-self-consistency"])
+    assert record.passed
+    assert steps == [AFFINE_VAR.config["step"]]
 
 
 def test_affine_group_transport_is_linear_map():
