@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-from .groups import (GroupDescriptor, GroupElement, _any, _frobenius, _norm,
+from .groups import (GroupDescriptor, GroupElement, _any, _dexp_operator, _frobenius, _norm,
                      derive_structure_constants)
 
 __all__ = [
@@ -329,11 +329,12 @@ def jet_realizing_curvature(desc, target_f: np.ndarray) -> ConnectionJet:
 
 def _embed_jet(n, g_matrix, ad_matrix, xi_flat):
     """The block matrix blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]) of each (g, xi)."""
-    m, vdim = g_matrix.shape[-1], n * ad_matrix.shape[-1]
-    out = np.zeros(g_matrix.shape[:-2] + (m + vdim + 1, m + vdim + 1))
+    m, d = g_matrix.shape[-1], ad_matrix.shape[-1]
+    out = np.zeros(g_matrix.shape[:-2] + (m + n * d + 1, m + n * d + 1))
     out[..., :m, :m] = g_matrix
-    out[..., m : m + vdim, m : m + vdim] = np.kron(np.eye(n), ad_matrix)
-    out[..., m : m + vdim, -1] = xi_flat
+    for r in range(m, m + n * d, d):  # the n diagonal blocks of I_n (x) Ad_g
+        out[..., r : r + d, r : r + d] = ad_matrix
+    out[..., m : m + n * d, -1] = xi_flat
     out[..., -1, -1] = 1.0
     return out
 
@@ -342,8 +343,11 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
     """GroupDescriptor for G x| (n copies of the algebra), as block matrices.
 
     An element (g, xi) embeds as blockdiag(g, [[I_n (x) Ad_g, vec(xi)], [0, 1]]),
-    so the standard exp/log/Ad/bracket machinery applies unchanged.  Its
-    membership residual and retraction act row by row on a (B, M, M) stack.
+    so the standard log/Ad/bracket machinery applies unchanged (log through
+    scipy's logm).  exp has a closed form from the base: the algebra element
+    (a, eta) goes to (exp a, (I_n (x) phi(ad_a)) eta) with phi(ad) =
+    (e^ad - 1) / ad.  Its exp, membership residual and retraction act row by
+    row on a (B, M, M) stack.
     """
     d = base.dim
     m = base.matrix_dim
@@ -376,6 +380,13 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
         g_blk = base.retract(mat[..., :m, :m])
         return _embed_jet(n, g_blk, _ad_of(g_blk), mat[..., m : m + vdim, -1])
 
+    def exp(mat):
+        a = base.matrix_coords(mat[..., :m, :m])
+        g_blk = base.exp_coords(a)
+        eta = mat[..., m : m + vdim, -1].reshape(mat.shape[:-2] + (n, d, 1))
+        xi = (_dexp_operator(base, a)[..., None, :, :] @ eta).reshape(eta.shape[:-3] + (vdim,))
+        return _embed_jet(n, g_blk, base.Ad_matrix(g_blk), xi)
+
     desc = GroupDescriptor(
         name=f"jet({base.name},n={n})",
         matrix_dim=total,
@@ -386,6 +397,7 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
         injectivity_radius=base.injectivity_radius,
         retraction=retract,
         membership_residual_fn=residual,
+        exp_hook=exp,
         extra={"base": base, "n": n, "m": m, "vdim": vdim},
     )
     return desc

@@ -17,6 +17,10 @@ the program and checks the algebra span, finiteness, the injectivity radius
 and an exp round trip.  `log_coords` is the raw kernel, with the same floats,
 for fibers the program made: exp draws and the fibers of `integrate_stack`,
 which checks its initial fibers once and retracts every step.
+
+scipy is imported only where `expm` or `logm` runs, for descriptors without
+an exp or log hook; no preset reaches them.  `_dexp_operator` is the one
+phi(ad) series, shared by the curvature's exponential chart and the jet exp.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DescriptorError, DomainError, RangeError, UsageError
 
@@ -167,6 +170,7 @@ class GroupDescriptor:
         m = self.algebra_matrix(coords)
         if self.exp_hook is not None:
             return self.exp_hook(m)
+        import scipy.linalg  # only descriptors without an exp hook pay for scipy
         return scipy.linalg.expm(m)
 
     def exp(self, xi: "AlgebraElement") -> "GroupElement":
@@ -231,8 +235,7 @@ class GroupDescriptor:
     def bracket(self, xi: "AlgebraElement", eta: "AlgebraElement") -> "AlgebraElement":
         if xi.descriptor is not eta.descriptor:
             raise UsageError("bracket: operands use different descriptors")
-        out = np.einsum("kij,i,j->k", self.structure_constants, xi.coords, eta.coords)
-        return self.algebra(out)
+        return self.algebra(self.bracket_coords(xi.coords, eta.coords))
 
     def ad_matrix(self, coords) -> np.ndarray:
         """Matrix of ad_xi = [xi, .] on coordinates, shape (..., dim, dim)."""
@@ -394,9 +397,27 @@ def _eye_stack(k, lead):
     return out
 
 
+def _dexp_operator(descriptor, w_coords):
+    """phi(ad_w) = (e^ad_w - 1) / ad_w, the matrix of the right-trivialized
+    differential of exp at w, to 24 terms, or one per row of a (B, dim) stack
+    of w.  A row stops on its first term of norm below 1e-18, that term
+    included; later terms leave it as it is."""
+    ad = descriptor.ad_matrix(w_coords)
+    out = term = np.eye(descriptor.dim)
+    live = np.ones(ad.shape[:-2], dtype=bool)
+    for k in range(1, 25):
+        term = term @ ad / (k + 1.0)
+        out = np.where(live[..., None, None], out + term, out)
+        live = live & (_frobenius(term) >= 1e-18)
+        if not live.any():
+            break
+    return out
+
+
 def _principal_logm(mat):
     """scipy's logm, made deterministic: its norm estimate draws from numpy's
     global RNG, so it runs under a fixed state and the caller's is restored."""
+    import scipy.linalg  # only descriptors without a log hook pay for scipy
     state = np.random.get_state()
     try:
         np.random.seed(0)

@@ -39,7 +39,7 @@ from .connections import (
     _transport_rows,
 )
 from .errors import ConstructionError, UsageError
-from .groups import AlgebraElement, GroupElement, _frobenius, _norm
+from .groups import AlgebraElement, GroupElement, _dexp_operator, _norm
 from .integrators import integrate_stack
 
 __all__ = [
@@ -475,22 +475,6 @@ def connection_difference(omega1, omega2) -> TensorialAdjointForm:
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
-
-
-def _dexp_operator(descriptor, w_coords):
-    """Matrix of the right-trivialized differential of exp at w, to 24 terms,
-    or one per row of a (B, dim) stack of w.  A row stops on its first term
-    of norm below 1e-18, that term included; later terms leave it as it is."""
-    ad = descriptor.ad_matrix(w_coords)
-    out = term = np.eye(descriptor.dim)
-    live = np.ones(ad.shape[:-2], dtype=bool)
-    for k in range(1, 25):
-        term = term @ ad / (k + 1.0)
-        out = np.where(live[..., None, None], out + term, out)
-        live = live & (_frobenius(term) >= 1e-18)
-        if not live.any():
-            break
-    return out
 
 
 @dataclass(frozen=True)

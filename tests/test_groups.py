@@ -147,6 +147,16 @@ def test_bracket_descriptor_mismatch_raises():
         SO3.bracket(SO3.algebra([1, 0, 0]), T2.algebra([1, 0]))
 
 
+@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation2"])
+def test_stacked_bracket_rows_equal_lone_calls(desc):
+    xi, eta = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 8, desc.dim))
+    stacked = desc.bracket(desc.algebra(xi), desc.algebra(eta)).coords
+    assert stacked.shape == (8, desc.dim)
+    for r in range(8):
+        lone = desc.bracket(desc.algebra(xi[r]), desc.algebra(eta[r])).coords
+        assert np.array_equal(stacked[r], lone), r
+
+
 @settings(max_examples=60, deadline=None)
 @given(coords3)
 def test_exp_log_roundtrip_so3(w):

@@ -10,7 +10,8 @@ from liebundles.bundles import TotalPoint
 from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
 from liebundles.calculus import Polynomial
-from liebundles.principal import (_dexp_operator, _Twist, canonical_local_form,
+from liebundles.groups import _dexp_operator
+from liebundles.principal import (_Twist, canonical_local_form,
                                   connection_difference, curvature, twisted_local_form,
                                   validate_principal_connection)
 from liebundles.scenarios import (affine_equivalence_report, affine_reconstruction_residual,
