@@ -55,6 +55,15 @@ class TotalSpace:
     def random_point(self, rng) -> "TotalPoint":
         return TotalPoint(self.quotient.sample(rng), self.fiber.random_element(rng))
 
+    def random_points(self, rng, count, draw=lambda: ()):
+        """``count`` random points, each followed by ``draw()`` (a tuple of
+        arrays), in the RNG order of a loop that calls `random_point` (a chart
+        sample, then the fiber's coordinates) and then ``draw()``; returns the
+        stacked TotalPoint, then the stacked draws."""
+        x, coords, *draws = draw_rows(count, lambda: (self.quotient.sample(rng),
+                                                      self.fiber.random_coords(rng), *draw()))
+        return (TotalPoint(x, self.fiber.exp(self.fiber.algebra(coords))), *draws)
+
 
 @dataclass(frozen=True, eq=False)
 class TotalPoint:
@@ -131,10 +140,9 @@ class FiberedAction:
 
         def draw(elements):
             """A stack of points, then ``elements`` stacks of group elements."""
-            x, *coords = draw_rows(samples, lambda: (self.space.quotient.sample(rng), *(
-                desc.random_coords(rng) for _ in range(elements + 1))))
-            fiber, *rest = (desc.exp(desc.algebra(c)) for c in coords)
-            return (TotalPoint(x, fiber), *rest)
+            y, *coords = self.space.random_points(rng, samples, lambda: tuple(
+                desc.random_coords(rng) for _ in range(elements)))
+            return (y, *(desc.exp(desc.algebra(c)) for c in coords))
 
         y, g, h = draw(2)
         worst = max(np.max(_norm(self.act(y, g).q - y.q)),

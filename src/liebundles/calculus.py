@@ -247,10 +247,10 @@ class Polynomial:
     scenario configs.  Tables are compiled once into (output slot,
     coefficient, factor axes) terms, a power x^e being e factors of x, summed
     per slot in sorted exponent order, so an entry of ``Polynomial.array`` is
-    bit-identical to the scalar polynomial of its table.  A point of shape
-    (n,) gives one value; a batch of points (R, n) gives R values along a
-    leading axis, each row bit-identical to that point alone; any number of
-    leading axes is a batch.
+    bit-identical to the scalar polynomial of its table.  Points of shape
+    (..., n) give values of shape (...,) + shape, each bit-identical to that
+    point alone: a lone point is a batch without leading axes, and a lone
+    point of a scalar polynomial gives a numpy float.
     """
 
     def __init__(self, table, dim):
@@ -282,21 +282,18 @@ class Polynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        # per-axis values: floats for one point, columns for a batch of points
         flat = x.reshape(-1, x.shape[-1])
-        values = x.tolist() if x.ndim == 1 else list(np.ascontiguousarray(flat.T))
+        values = np.ascontiguousarray(flat.T)  # one column per axis
         out = [0.0] * self._size
         for slot, coeff, factors in self.terms:
             term = coeff
             for axis in factors:
                 term = term * values[axis]
             out[slot] = out[slot] + term
-        if x.ndim == 1:
-            return np.array(out).reshape(self.shape) if self.shape else out[0]
         batch = np.empty((len(flat), self._size))
         for slot, value in enumerate(out):
             batch[:, slot] = value
-        return batch.reshape(x.shape[:-1] + self.shape)
+        return batch.reshape(x.shape[:-1] + self.shape)[()]
 
     def partial(self, mu):
         """Analytic partial derivative as a new Polynomial of the same shape."""

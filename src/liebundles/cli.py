@@ -191,8 +191,8 @@ def _cmd_transport(args):
                 [nu_result.membership_residual, total_result.membership_residual], 1e-9),
         _record(scenario, "transport-error-estimate", "step-halving error estimate",
                 [nu_result.error_estimate, total_result.error_estimate], 1e-6),
-        _record(scenario, "transport-multiplicative", "transport is a fiberwise homomorphism",
-                [mult_res], 1e-7),
+        _record(scenario, "transport-multiplicative",
+                "parallel transport is a fiberwise homomorphism", [mult_res], 1e-7),
         _record(scenario, "transport-compatibility",
                 "total transport intertwines the fiber action", [compat], 1e-7),
     ]
@@ -227,9 +227,10 @@ def _cmd_curvature(args):
         out = curvature_eval(scenario.omega, y, u1, u2)
         same = curvature_eval(scenario.omega, y, u1, u1)
         records = [
-            _record(scenario, "curvature-two-path", "bracket and exterior-derivative paths agree",
-                    [out.gap], 1e-4),
-            _record(scenario, "curvature-antisymmetry", "curvature vanishes on a repeated argument",
+            _record(scenario, "curvature-two-path",
+                    "bracket and exterior-derivative curvature paths agree", [out.gap], 1e-4),
+            _record(scenario, "curvature-antisymmetry",
+                    "curvature is antisymmetric in its arguments",
                     [float(np.linalg.norm(same.value.coords))], 1e-10),
         ]
         extra.update({

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bundles import LieGroupBundle, product_velocity
 from .calculus import AlgebraOneForm, BaseCurve, FiberMap, central_difference, draw_rows
-from .groups import AlgebraElement, GroupElement, _eye_stack, _norm
+from .groups import AlgebraElement, GroupElement, _eye_stack, _frobenius, _norm
 from .integrators import integrate_linear, integrate_stack
 
 __all__ = [
@@ -154,33 +154,25 @@ def _transport_rows(nu, curve, mats, step):
     return list(result.element.matrix.reshape((len(mats),) + np.shape(mats[0])))
 
 
-def _residual_norm(diff, point_ndim):
-    """Norm of a residual: a float for a lone curve, or one per curve when
-    ``diff`` has a leading family axis on top of ``point_ndim`` axes."""
-    if diff.ndim == point_ndim:
-        return float(np.linalg.norm(diff))
-    return np.linalg.norm(diff.reshape(len(diff), -1), axis=1)
-
-
 def transport_multiplicativity_check(nu, curve, g, h, step=1e-2):
     """|| transport(gh) - transport(g) transport(h) ||, with g, h and gh
     transported as independent rows of one stack.
 
     On a family of C curves g and h hold one (C, m, m) fiber per curve and
-    the result is one residual per curve; a lone curve gives a float.
+    the result is one residual per curve; a lone curve gives a numpy float.
     """
     tg, th, tgh = _transport_rows(nu, curve, [g.matrix, h.matrix, (g @ h).matrix], step)
-    return _residual_norm(tgh - tg @ th, 2)
+    return _frobenius(tgh - tg @ th)
 
 
 def transport_unit_inverse_check(nu, curve, g, step=1e-2):
     """Residuals of transporting the unit and of the inverse law, one pair of
-    floats for a lone curve or of per-curve arrays for a family (g then holds
-    one fiber per curve)."""
+    numpy floats for a lone curve or of per-curve arrays for a family (g then
+    holds one fiber per curve)."""
     eye = np.eye(nu.bundle.fiber.matrix_dim)
     t1, tg, tginv = _transport_rows(
         nu, curve, [np.broadcast_to(eye, g.matrix.shape), g.matrix, g.inverse().matrix], step)
-    return _residual_norm(t1 - eye, 2), _residual_norm(tginv - np.linalg.inv(tg), 2)
+    return _frobenius(t1 - eye), _frobenius(tginv - np.linalg.inv(tg))
 
 
 class AlgebraConnection:
@@ -254,7 +246,7 @@ def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2):
     combo = a * xi.coords + b * eta.coords
     t_combo, t_xi, t_eta = np.moveaxis(_algebra_flow(
         nu, curve, np.stack([combo, xi.coords, eta.coords], axis=-1), step), -1, 0)
-    return _residual_norm(t_combo - a * t_xi - b * t_eta, 1)
+    return _norm(t_combo - a * t_xi - b * t_eta)
 
 
 def ad_compatibility_check(nu, curve, g, xi, step=1e-2):
@@ -264,8 +256,7 @@ def ad_compatibility_check(nu, curve, g, xi, step=1e-2):
     lhs, txi = np.moveaxis(_algebra_flow(
         nu, curve, np.stack([desc.Ad(g, xi).coords, xi.coords], axis=-1), step), -1, 0)
     (tg,) = _transport_rows(nu, curve, [g.matrix], step)
-    return _residual_norm(lhs - desc.Ad(GroupElement(tg, desc, check=False),
-                                        desc.algebra(txi)).coords, 1)
+    return _norm(lhs - desc.Ad(GroupElement(tg, desc, check=False), desc.algebra(txi)).coords)
 
 
 def _restricted_curve(curve, t_lo, t_hi):

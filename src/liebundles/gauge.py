@@ -393,7 +393,6 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
         basis=basis,
         structure_constants=derive_structure_constants(basis),
         membership_tol=max(base.membership_tol, 1e-8),
-        family="semidirect",
         injectivity_radius=base.injectivity_radius,
         retraction=retract,
         membership_residual_fn=residual,

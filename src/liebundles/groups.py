@@ -76,9 +76,7 @@ class GroupDescriptor:
     """An embedded matrix Lie group together with its numerical controls.
 
     ``basis`` has shape (dim, m, m); ``structure_constants`` has shape
-    (dim, dim, dim) indexed as c[k, i, j].  ``family`` tags the retraction /
-    membership conventions ("orthogonal", "translation", "semidirect",
-    "generic").
+    (dim, dim, dim) indexed as c[k, i, j].
     """
 
     name: str
@@ -86,7 +84,6 @@ class GroupDescriptor:
     basis: np.ndarray
     structure_constants: np.ndarray
     membership_tol: float = 1e-8
-    family: str = "generic"
     injectivity_radius: float = np.inf
     retraction: Optional[Callable[[np.ndarray], np.ndarray]] = None
     membership_residual_fn: Optional[Callable[[np.ndarray], float]] = None
@@ -360,16 +357,17 @@ class GroupElement:
 
 
 def _norm(v):
-    """Euclidean norm over the last axis; a 1xk by kx1 product per row gives
-    the same bits as np.linalg.norm of one vector, so the thresholds below
-    decide each row of a stack exactly as they decide a lone matrix."""
-    if v.ndim == 1:
-        return np.sqrt(v.dot(v))
+    """Euclidean norm over the last axis, one per row of a stack; a lone
+    vector is a stack without leading axes and gives a numpy float.  A 1xk
+    by kx1 product per row gives the same bits as np.linalg.norm of that row
+    alone, so the thresholds below decide each row of a stack exactly as they
+    decide a lone matrix."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _frobenius(m):
-    return _norm(m.ravel() if m.ndim == 2 else m.reshape(m.shape[:-2] + (-1,)))
+    """Frobenius norm over the last two axes, through `_norm`."""
+    return _norm(m.reshape(m.shape[:-2] + (-1,)))
 
 
 def _any(mask):
@@ -501,7 +499,6 @@ def so3_descriptor():
         matrix_dim=3,
         basis=basis,
         structure_constants=derive_structure_constants(basis),
-        family="orthogonal",
         injectivity_radius=np.pi - 0.1,
         retraction=_orthogonal_retract,
         membership_residual_fn=_orthogonal_residual,
@@ -535,7 +532,6 @@ def translation_descriptor(m):
         matrix_dim=m + 1,
         basis=basis,
         structure_constants=np.zeros((m, m, m)),
-        family="translation",
         injectivity_radius=np.inf,
         retraction=_translation_retract,
         membership_residual_fn=_translation_residual,
@@ -602,7 +598,6 @@ def descriptor_from_json(doc):
         structure_constants=c,
         membership_tol=_parsed("membership_tol", "a number", float,
                                data.get("membership_tol", 1e-8)),
-        family=family,
         injectivity_radius=_parsed("injectivity_radius", "a number", float, radius),
         retraction=retract,
         membership_residual_fn=residual,

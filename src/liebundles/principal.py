@@ -34,12 +34,11 @@ from .calculus import (
 )
 from .connections import (
     LieGroupBundleConnection,
-    _residual_norm,
     _rows,
     _transport_rows,
 )
 from .errors import ConstructionError, UsageError
-from .groups import AlgebraElement, GroupElement, _dexp_operator, _norm
+from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
 from .integrators import integrate_stack
 
 __all__ = [
@@ -70,8 +69,9 @@ __all__ = [
 
 
 class WeightRamp:
-    """Cosine ramp in one base coordinate: 1 below lo, 0 above hi.  A batch
-    of points (..., n) gives one weight per point."""
+    """Cosine ramp in one base coordinate: 1 below lo, 0 above hi.  Points
+    (..., n) give one weight per point; a lone point, a batch without leading
+    axes, gives a numpy float."""
 
     def __init__(self, lo, hi, axis=0, invert=False):
         if not hi > lo:
@@ -80,11 +80,7 @@ class WeightRamp:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        # a float for one point, as numpy calls on a lone scalar cost more
-        if x.ndim == 1:
-            s = min(max((float(x[self.axis]) - self.lo) / (self.hi - self.lo), 0.0), 1.0)
-        else:
-            s = np.clip((x[..., self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        s = np.clip((x[..., self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         w = 0.5 * (1.0 + np.cos(np.pi * s))
         return 1.0 - w if self.invert else w
 
@@ -307,11 +303,12 @@ def build_two_chart_connection(
     omega = GeneralizedPrincipalConnection(action, nu, _glued_form(
         [(w_a, canonical_local_form(desc)), (w_b, twisted_local_form(desc, twist))]))
     check_rng = np.random.default_rng(0)
-    for _ in range(25):
-        x = action.space.quotient.sample(check_rng)
-        wa, wb = w_a(x), w_b(x)
-        if abs(wa + wb - 1.0) > 1e-12 or min(wa, wb) < -1e-12:
-            raise ConstructionError(f"partition of unity fails at {x}: sum {wa + wb}")
+    (x,) = draw_rows(25, lambda: (action.space.quotient.sample(check_rng),))
+    wa, wb = w_a(x), w_b(x)
+    bad = np.flatnonzero((np.abs(wa + wb - 1.0) > 1e-12) | (np.minimum(wa, wb) < -1e-12))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(f"partition of unity fails at {x[k]}: sum {wa[k] + wb[k]}")
     return omega, nu
 
 
@@ -333,16 +330,16 @@ def _form_law_residuals(form, rng, samples, nu=None):
     horizontality |form(generator of xi)| and plain adjoint equivariance."""
     action = form.action
     desc = action.space.fiber
-    x, fy, xi, fg, u, dy, dg = draw_rows(samples, lambda: (
-        action.space.quotient.sample(rng), desc.random_coords(rng), desc.random_coords(rng),
-        desc.random_coords(rng), rng.standard_normal(action.space.quotient.dim),
-        desc.random_coords(rng), desc.random_coords(rng)))
-    y, g = TotalPoint(x, desc.exp(desc.algebra(fy))), desc.exp(desc.algebra(fg))
+    y, xi, fg, u, dy, dg = action.space.random_points(rng, samples, lambda: (
+        desc.random_coords(rng), desc.random_coords(rng),
+        rng.standard_normal(action.space.quotient.dim), desc.random_coords(rng),
+        desc.random_coords(rng)))
+    g = desc.exp(desc.algebra(fg))
     vert = form.value(y, action.generator(y, desc.algebra(xi))).coords
     vert = vert - xi if nu is not None else vert
     t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))
     lhs = form.value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
-    correction = dg - nu.lift_map(x, u)(g.matrix) if nu is not None else 0.0
+    correction = dg - nu.lift_map(y.q, u)(g.matrix) if nu is not None else 0.0
     rhs = form.value(y, t_y).coords + correction
     rhs = (desc.Ad_matrix(g.inverse()) @ rhs[..., None])[..., 0]
     return float(np.max(_norm(vert))), float(np.max(_norm(lhs - rhs)))
@@ -384,7 +381,7 @@ def transport_compatibility_check(omega, curve, y, g, step=1e-2):
 
     On a family of C curves y.q is (C, n), y.fiber and g hold one (C, m, m)
     fiber per curve, and the result is one residual per curve; a lone curve
-    gives a float.
+    gives a numpy float.
     """
     action = omega.action
     desc = omega.descriptor
@@ -396,7 +393,7 @@ def transport_compatibility_check(omega, curve, y, g, step=1e-2):
     (end_g,) = _transport_rows(omega.nu, curve, [g.matrix], step)
     recombined = action.act(TotalPoint(curve.position(curve.b), GroupElement(end_y, desc, check=False)),
                             GroupElement(end_g, desc, check=False))
-    return _residual_norm(end_yg - recombined.fiber.matrix, 2)
+    return _frobenius(end_yg - recombined.fiber.matrix)
 
 
 def jet_equivariance_check(omega, y, g):

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 __all__ = ["CheckRecord", "tolerance_for", "summary_dict", "render_jsonl", "write_report",
@@ -33,18 +33,7 @@ class CheckRecord:
     order_estimate: Optional[float] = None
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "label": self.label,
-            "scenario": self.scenario,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "order_estimate": self.order_estimate,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def tolerance_for(config, check, default):

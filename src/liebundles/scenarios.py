@@ -302,11 +302,10 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
     trivial group connection.
     """
     desc = scenario.group
-    x, fg, xi, fh, u, dv = draw_rows(samples, lambda: (
-        scenario.chart.sample(rng), desc.random_coords(rng), desc.random_coords(rng),
-        desc.random_coords(rng), rng.standard_normal(scenario.chart.dim),
+    y, xi, fh, u, dv = scenario.action.space.random_points(rng, samples, lambda: (
+        desc.random_coords(rng), desc.random_coords(rng), rng.standard_normal(scenario.chart.dim),
         desc.random_coords(rng)))
-    g, h, dv = desc.exp(desc.algebra(fg)), desc.exp(desc.algebra(fh)), desc.algebra(dv)
+    x, g, h, dv = y.q, y.fiber, desc.exp(desc.algebra(fh)), desc.algebra(dv)
     # right-action generator at g has left-trivialized value xi
     delta = desc.algebra((desc.Ad_matrix(g) @ xi[..., None])[..., 0])
     got = classical_form_value(scenario, x, g, np.zeros_like(x), delta, drop_ad).coords

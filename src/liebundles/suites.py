@@ -103,16 +103,6 @@ def _coords(s, rng, count):
     return tuple(s.group.random_coords(rng) for _ in range(count))
 
 
-def _draw_points(s, rng, count, draw=lambda: ()):
-    """``count`` random total points, each followed by ``draw()`` (a tuple of
-    arrays), in the RNG order of a per-sample loop that calls
-    `TotalSpace.random_point` (a chart sample, then the fiber's coordinates)
-    and then ``draw()``; returns the stacked TotalPoint, then the stacked draws."""
-    x, fiber, *draws = draw_rows(count, lambda: (s.chart.sample(rng),
-                                                 s.group.random_coords(rng), *draw()))
-    return (TotalPoint(x, _exp(s, fiber)), *draws)
-
-
 # ---------------------------------------------------------------------------
 # principal checks
 # ---------------------------------------------------------------------------
@@ -124,26 +114,27 @@ def _chk_action_axioms(s, rng, samples, step):
 
 
 def _chk_generator_vertical(s, rng, samples, step):
-    y, xi = _draw_points(s, rng, min(samples, 100), lambda: (s.group.random_coords(rng),))
+    y, xi = s.action.space.random_points(rng, min(samples, 100),
+                                         lambda: (s.group.random_coords(rng),))
     vals = _norm(s.action.generator(y, s.group.algebra(xi)).u)
     return vals, 1e-9, "generators are vertical for both projections", None
 
 
 def _chk_generator_isomorphism(s, rng, samples, step):
-    (y,) = _draw_points(s, rng, min(samples, 25))
+    (y,) = s.action.space.random_points(rng, min(samples, 25))
     vals = vertical_isomorphism_check(s.action, y)
     return vals, 1e10, "algebra-to-vertical map has full rank", None
 
 
 def _chk_generator_equivariance(s, rng, samples, step):
-    y, g, xi = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 2))
+    y, g, xi = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 2))
     vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
                                      s.group.algebra(np.zeros_like(xi)))
     return vals, 1e-7, "pushforward of a generator is the adjoint-twisted generator", None
 
 
 def _chk_paired_generators(s, rng, samples, step):
-    y, g, xi, eta = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 3))
+    y, g, xi, eta = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 3))
     vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
                                      s.group.algebra(eta))
     return vals, 1e-6, "action differential on paired generators", None
@@ -182,7 +173,7 @@ def _chk_algebra_transport_consistency(s, rng, samples, step):
     def check(curve, xi):
         xi = s.group.algebra(xi)
         linear = algebra_transport(s.nu, curve, xi, step=step).coords
-        return np.linalg.norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear, axis=-1)
+        return _norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear)
 
     vals = _family_residuals(s, rng, min(samples, 5),
                              lambda: (s.group.random_coords(rng),), check)
@@ -260,13 +251,13 @@ def _chk_transport_compatibility(s, rng, samples, step):
 
 
 def _chk_jet_equivariance(s, rng, samples, step):
-    y, g = _draw_points(s, rng, min(samples, 25), lambda: _coords(s, rng, 1))
+    y, g = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 1))
     vals = jet_equivariance_check(s.transport_form, y, _exp(s, g))
     return vals, 1e-6, "horizontal jets transform by the lifted action", None
 
 
 def _chk_horizontal_transform(s, rng, samples, step):
-    y, g, u, delta_g = _draw_points(s, rng, min(samples, 15), lambda: (
+    y, g, u, delta_g = s.action.space.random_points(rng, min(samples, 15), lambda: (
         s.group.random_coords(rng), rng.standard_normal(s.chart.dim), s.group.random_coords(rng)))
     vals = horizontal_transform_check(s.transport_form, y, _exp(s, g), u,
                                       s.group.algebra(delta_g))
@@ -274,7 +265,7 @@ def _chk_horizontal_transform(s, rng, samples, step):
 
 
 def _chk_product_connection(s, rng, samples, step):
-    y, g, u, a, b = _draw_points(s, rng, min(samples, 10), lambda: (
+    y, g, u, a, b = s.action.space.random_points(rng, min(samples, 10), lambda: (
         s.group.random_coords(rng), rng.standard_normal(s.chart.dim), *_coords(s, rng, 2)))
     vals = equivariant_product_connection_check(s.transport_form, y, _exp(s, g),
                                                 Tangent(u, s.group.algebra(a)),
@@ -294,7 +285,7 @@ def _directions(s, rng, k):
 
 
 def _chk_curvature_two_path(s, rng, samples, step):
-    y, u1, u2 = _draw_points(s, rng, min(samples, 4), lambda: _directions(s, rng, 2))
+    y, u1, u2 = s.action.space.random_points(rng, min(samples, 4), lambda: _directions(s, rng, 2))
     vals = curvature(s.omega, y, u1, u2).gap
     y = s.action.space.random_point(rng)
     gaps = [curvature(s.omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
@@ -303,7 +294,7 @@ def _chk_curvature_two_path(s, rng, samples, step):
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
-    y, u = _draw_points(s, rng, min(samples, 4), lambda: _directions(s, rng, 1))
+    y, u = s.action.space.random_points(rng, min(samples, 4), lambda: _directions(s, rng, 1))
     vals = _norm(curvature(s.omega, y, u, u).value.coords)
     return vals, 1e-10, "curvature is antisymmetric in its arguments", None
 
@@ -319,7 +310,7 @@ def _chk_curvature_tensoriality(s, rng, samples, step):
 
 
 def _chk_reduced_curvature(s, rng, samples, step):
-    y, g, u1, u2 = _draw_points(s, rng, min(samples, 4), lambda: (
+    y, g, u1, u2 = s.action.space.random_points(rng, min(samples, 4), lambda: (
         s.group.random_coords(rng), *_directions(s, rng, 2)))
     vals = reduced_curvature_residual(s.omega, y, _exp(s, g), u1, u2)
     return vals, 1e-5, "reduced curvature is representative independent", None

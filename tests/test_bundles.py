@@ -57,6 +57,26 @@ def test_degenerate_action_detected():
     assert frozen.validate(rng, samples=20) == 1.0
 
 
+@pytest.mark.parametrize("action", [SO3_ACTION, T2_ACTION], ids=["so3", "translation2"])
+def test_random_points_equal_a_loop_of_random_point(action):
+    space = action.space
+
+    def draw(rng):
+        return lambda: (rng.standard_normal(2), space.fiber.random_coords(rng))
+
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    y, u, xi = space.random_points(rng, 7, draw(rng))
+    loop = [(space.random_point(twin), *draw(twin)()) for _ in range(7)]
+    assert np.all(y.q == np.array([p.q for p, _, _ in loop]))
+    assert np.all(y.fiber.matrix == np.array([p.fiber.matrix for p, _, _ in loop]))
+    assert np.all(u == np.array([v for _, v, _ in loop]))
+    assert np.all(xi == np.array([c for _, _, c in loop]))
+    (alone,) = space.random_points(rng, 3)
+    lone = [space.random_point(twin) for _ in range(3)]
+    assert np.all(alone.fiber.matrix == np.array([p.fiber.matrix for p in lone]))
+    assert rng.random() == twin.random()
+
+
 def test_generator_of_zero_vanishes():
     rng = np.random.default_rng(3)
     y = SO3_ACTION.space.random_point(rng)

@@ -166,6 +166,8 @@ def test_polynomial_batch_matches_points_bitwise():
     batch = scalar(points)
     assert batch.shape == (2000,)
     assert np.array_equal(batch, np.array([scalar(p) for p in points]))
+    # a lone point is a batch without leading axes: a numpy float, not a 0-d array
+    assert type(scalar(points[0])) is np.float64
     assert np.array_equal(array(points), np.stack([array(p) for p in points]))
     # a polynomial of constant terms only still gets its batch axis
     assert np.array_equal(Polynomial({"0,0": 2.5}, 2)(points), np.full(2000, 2.5))

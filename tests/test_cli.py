@@ -422,9 +422,10 @@ def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsy
 
 
 @pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
-def test_command_records_carry_the_suite_tolerance(name, tmp_path):
+def test_command_records_read_as_the_suite_records(name, tmp_path):
     # the transport and curvature commands write some records under suite
-    # check ids; each must be judged by the bound run_suite pins for that id
+    # check ids; each must carry the label, tolerance and mode that run_suite
+    # gives that id, so a report reads one check one way
     from liebundles.scenarios import build_scenario, preset_config
     from liebundles.suites import available_checks, run_suite
 
@@ -433,16 +434,13 @@ def test_command_records_carry_the_suite_tolerance(name, tmp_path):
         path = tmp_path / f"{command}.jsonl"
         assert main([command, "--scenario", name, "--no-meta", "--out", str(path)]) == 0
         records.update({d["check"]: d for d in parse_jsonl(path.read_text()) if "check" in d})
-    ids = ["transport-multiplicative", "transport-compatibility", "curvature-two-path",
-           "curvature-antisymmetry"]
-    assert set(ids) <= set(records)
-    # the tolerance is the check's own; a cheap sample count and step read it
+    # label, tolerance and mode are the check's own; a cheap sample count and step read them
     config = dict(preset_config(name), samples=1, step=0.05)
-    pinned = run_suite(build_scenario(config),
-                       only=[i for i in ids if i in available_checks(config["kind"])])
-    assert len(pinned) >= 3
-    for record in pinned:
-        assert records[record.check]["tolerance"] == record.tolerance, record.check
+    shared = sorted(set(records) & set(available_checks(config["kind"])))
+    assert len(shared) >= 3
+    for record in run_suite(build_scenario(config), only=shared):
+        for key in ("label", "tolerance", "mode"):
+            assert records[record.check][key] == getattr(record, key), (record.check, key)
 
 
 def test_no_preset_command_imports_scipy():

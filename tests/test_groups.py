@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
+    _orthogonal_residual,
+    _orthogonal_retract,
     descriptor_from_json,
     so3_descriptor,
     translation_descriptor,
@@ -214,7 +216,11 @@ def test_descriptor_json_roundtrip():
     rng = np.random.default_rng(11)
     xi = desc.random_algebra(rng)
     assert np.allclose(desc.exp(xi).matrix, SO3.exp(SO3.algebra(xi.coords)).matrix, atol=1e-12)
-    assert desc.family == "orthogonal"
+    # the family key selects the retraction, the residual and the default radius
+    assert desc.retraction is _orthogonal_retract
+    assert desc.membership_residual_fn is _orthogonal_residual
+    unsized = descriptor_from_json({k: v for k, v in SO3_DOC.items() if k != "injectivity_radius"})
+    assert unsized.injectivity_radius == np.pi - 0.1
 
 
 def test_descriptor_json_missing_field_raises():

@@ -1,5 +1,9 @@
 """Generalized connection tests: gluing, lifts, transports, curvature."""
 
+import ast
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -393,6 +397,33 @@ def test_necessity_check_passes_and_flags_bad_nu():
     form_worst, nu_worst = _form_and_nu_worst(forced, np.random.default_rng(18))
     assert nu_worst > 1e-6
     assert form_worst > 1e-6
+
+
+class _OverweightRamp(WeightRamp):
+    """A ramp scaled by 1.1: with its unscaled complement it sums past 1."""
+
+    def __call__(self, x):
+        return 1.1 * super().__call__(x)
+
+
+def test_two_chart_guard_names_the_first_point_off_the_partition():
+    # the guard's 25 draws, one lone point at a time, and the lone weights
+    rng = np.random.default_rng(0)
+    points = [ACTION.space.quotient.sample(rng) for _ in range(25)]
+    ramp, complement = _OverweightRamp(-0.2, 0.2, axis=0), WeightRamp(-0.2, 0.2, invert=True)
+    first = next(k for k, x in enumerate(points) if abs(ramp(x) + complement(x) - 1.0) > 1e-12)
+    assert first > 0  # the first failing point, not the first drawn
+    with pytest.raises(ConstructionError, match=re.escape(f"fails at {points[first]}: sum")):
+        build_two_chart_connection(ACTION, sigma_gen=SIGMA_GEN, p=SIGMA_POLY,
+                                   tau_gen=SO3.algebra([1.0, 0.0, 0.0]),
+                                   r=Polynomial({"0,1": 0.6}, 2), ramp=ramp)
+
+
+def test_two_chart_guard_evaluates_one_stack():
+    # the 25 guard points are drawn through draw_rows and weighed once
+    tree = ast.parse(inspect.getsource(build_two_chart_connection))
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(tree))
 
 
 PRINCIPAL = build_scenario("principal-so3")
