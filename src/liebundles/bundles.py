@@ -175,7 +175,7 @@ def product_velocity(desc: GroupDescriptor, h: GroupElement, a, g: GroupElement,
         return ((desc.exp(desc.algebra(s * a)) @ h) @ (desc.exp(desc.algebra(s * b)) @ g)).matrix
 
     dmat = central_difference(curve, eps)
-    return desc.matrix_coords(dmat @ np.linalg.inv((h @ g).matrix), tol=1e-4)
+    return desc.matrix_coords(dmat @ desc.inverse((h @ g).matrix), tol=1e-4)
 
 
 def paired_generator_residual(action, y, g, xi, eta):

@@ -133,7 +133,7 @@ class BaseCurve:
             chart.require(x)
         tt = np.clip(ts, self.a + h, self.b - h)
         gap = central_difference(lambda s: self.position(tt + s), h) - self.velocity(tt)
-        return float(np.max(np.linalg.norm(gap.reshape(len(ts), -1), axis=1)))
+        return float(np.max(_norm(gap.reshape(len(ts), -1))))
 
     @staticmethod
     def line(start, end, interval=(0.0, 1.0), label="line"):

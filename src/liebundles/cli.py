@@ -17,6 +17,7 @@ from .bundles import TotalPoint
 from .connections import transport_group, transport_multiplicativity_check
 from .errors import LieBundleError, UsageError, prefixed
 from .gauge import ConnectionJet, curvature_map
+from .groups import _norm
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
 from .reporting import (make_record, records_to_csv, render_jsonl, summary_dict, tolerance_for,
@@ -231,7 +232,7 @@ def _cmd_curvature(args):
                     "bracket and exterior-derivative curvature paths agree", [out.gap], 1e-4),
             _record(scenario, "curvature-antisymmetry",
                     "curvature is antisymmetric in its arguments",
-                    [float(np.linalg.norm(same.value.coords))], 1e-10),
+                    [float(_norm(same.value.coords))], 1e-10),
         ]
         extra.update({
             "point": point.tolist(),

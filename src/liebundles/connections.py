@@ -169,10 +169,11 @@ def transport_unit_inverse_check(nu, curve, g, step=1e-2):
     """Residuals of transporting the unit and of the inverse law, one pair of
     numpy floats for a lone curve or of per-curve arrays for a family (g then
     holds one fiber per curve)."""
-    eye = np.eye(nu.bundle.fiber.matrix_dim)
+    desc = nu.bundle.fiber
+    eye = np.eye(desc.matrix_dim)
     t1, tg, tginv = _transport_rows(
         nu, curve, [np.broadcast_to(eye, g.matrix.shape), g.matrix, g.inverse().matrix], step)
-    return _frobenius(t1 - eye), _frobenius(tginv - np.linalg.inv(tg))
+    return _frobenius(t1 - eye), _frobenius(tginv - desc.inverse(tg))
 
 
 class AlgebraConnection:
@@ -308,7 +309,7 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t):
     nabla_xi = covariant_of(lambda tt: xi_path(tt).coords)
     dg = _covariant_group_derivative(nu, curve, g_path, t, ds, 1e-3)
     g_t = g_path(t)
-    rtd = desc.matrix_coords(dg @ np.linalg.inv(g_t.matrix), tol=1e-4)
+    rtd = desc.matrix_coords(dg @ g_t.inverse().matrix, tol=1e-4)
     term = desc.bracket_coords(rtd, desc.Ad(g_t, xi_path(t)).coords)
     rhs = (desc.Ad_matrix(g_t) @ nabla_xi[..., None])[..., 0] + term
     return _norm(lhs - rhs)

@@ -366,24 +366,17 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
             basis.append(blk)
     basis = np.stack(basis)
 
-    def residual(mat):
-        g_blk = mat[..., :m, :m]
-        res = base.membership_residual(g_blk) + _frobenius(
-            mat[..., m : m + vdim, m : m + vdim] - np.kron(np.eye(n), _ad_of(g_blk)))
-        res = res + (_frobenius(mat[..., :m, m:]) + _frobenius(mat[..., m:, :m]))
-        return res + (abs(mat[..., -1, -1] - 1.0) + _norm(mat[..., -1, :-1]))
-
-    def _ad_of(g_blk):
-        return base.Ad_matrix(GroupElement(base.retract(g_blk), base, check=False))
-
     def retract(mat):
-        g_blk = base.retract(mat[..., :m, :m])
-        return _embed_jet(n, g_blk, _ad_of(g_blk), mat[..., m : m + vdim, -1])
+        g_blk, res = base.retract_measured(mat[..., :m, :m])
+        ad = base.Ad_matrix(g_blk)
+        res = res + _frobenius(mat[..., m : m + vdim, m : m + vdim] - np.kron(np.eye(n), ad))
+        res = res + (_frobenius(mat[..., :m, m:]) + _frobenius(mat[..., m:, :m]))
+        res = res + (abs(mat[..., -1, -1] - 1.0) + _norm(mat[..., -1, :-1]))
+        return _embed_jet(n, g_blk, ad, mat[..., m : m + vdim, -1]), res
 
-    def exp(mat):
-        a = base.matrix_coords(mat[..., :m, :m])
+    def exp(coords):
+        a, eta = coords[..., :d], coords[..., d:].reshape(coords.shape[:-1] + (n, d, 1))
         g_blk = base.exp_coords(a)
-        eta = mat[..., m : m + vdim, -1].reshape(mat.shape[:-2] + (n, d, 1))
         xi = (_dexp_operator(base, a)[..., None, :, :] @ eta).reshape(eta.shape[:-3] + (vdim,))
         return _embed_jet(n, g_blk, base.Ad_matrix(g_blk), xi)
 
@@ -395,7 +388,7 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
         membership_tol=max(base.membership_tol, 1e-8),
         injectivity_radius=base.injectivity_radius,
         retraction=retract,
-        membership_residual_fn=residual,
+        membership_residual_fn=lambda mat: retract(mat)[1],
         exp_hook=exp,
         extra={"base": base, "n": n, "m": m, "vdim": vdim},
     )

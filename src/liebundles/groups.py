@@ -7,7 +7,7 @@ immutable wrappers around numpy arrays; every operation is a pure function, so
 values are safe to share across threads.
 
 The array kernels (algebra and coordinate maps, exp, log, Ad_matrix,
-membership residual, retraction, bracket) broadcast over leading axes: a
+membership residual, retraction, inverse, bracket) broadcast over leading axes: a
 (B, m, m) stack of group matrices or a (B, dim) stack of coordinates is
 handled row by row in one call, and a GroupElement or an AlgebraElement may
 hold such a stack.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -85,11 +85,13 @@ class GroupDescriptor:
     structure_constants: np.ndarray
     membership_tol: float = 1e-8
     injectivity_radius: float = np.inf
-    retraction: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    membership_residual_fn: Optional[Callable[[np.ndarray], float]] = None
-    exp_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (retracted matrices, membership residual of each before retraction)
+    retraction: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    membership_residual_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    exp_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None  # coordinates -> matrices
     log_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ad_matrix_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    inverse_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -156,19 +158,29 @@ class GroupDescriptor:
         return float(res) if np.ndim(res) == 0 else res
 
     def retract(self, matrix):
-        if self.retraction is not None:
-            return self.retraction(matrix)
-        return matrix
+        return matrix if self.retraction is None else self.retraction(matrix)[0]
+
+    def retract_measured(self, matrix):
+        """(retracted matrices, membership residual each had before), in one pass."""
+        if self.retraction is None:
+            return matrix, self.membership_residual(matrix)
+        return self.retraction(matrix)
+
+    def inverse(self, matrix):
+        """Inverse of a group matrix, or of each matrix of a stack."""
+        if self.inverse_hook is not None:
+            return self.inverse_hook(matrix)
+        return np.linalg.inv(matrix)
 
     # -- core operations --------------------------------------------------
 
     def exp_coords(self, coords):
         """Group exponential of raw algebra coordinates, not retracted."""
-        m = self.algebra_matrix(coords)
+        coords = np.asarray(coords, dtype=float)
         if self.exp_hook is not None:
-            return self.exp_hook(m)
+            return self.exp_hook(coords)
         import scipy.linalg  # only descriptors without an exp hook pay for scipy
-        return scipy.linalg.expm(m)
+        return scipy.linalg.expm(self.algebra_matrix(coords))
 
     def exp(self, xi: "AlgebraElement") -> "GroupElement":
         """Group exponential of an algebra element, retracted onto the group."""
@@ -198,13 +210,13 @@ class GroupDescriptor:
         coords = self.matrix_coords(self._log_matrix(mat))
         if not np.all(np.isfinite(coords)):
             raise DomainError("log: non-finite algebra coordinates")
-        if np.any(np.linalg.norm(coords, axis=-1) > self.injectivity_radius):
+        if np.any(_norm(coords) > self.injectivity_radius):
             raise RangeError(
                 f"log: element lies outside the injectivity radius "
                 f"{self.injectivity_radius:.3f} of {self.name}"
             )
-        gap = np.linalg.norm(self.retract(self.exp_coords(coords)) - mat, axis=(-2, -1))
-        if np.any(gap > 1e-10 * np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))):
+        gap = _frobenius(self.retract(self.exp_coords(coords)) - mat)
+        if np.any(gap > 1e-10 * np.maximum(1.0, _frobenius(mat))):
             raise RangeError("log: exp(log(g)) does not reproduce g")
         return self.algebra(coords)
 
@@ -225,7 +237,7 @@ class GroupDescriptor:
         mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
         if self.ad_matrix_hook is not None:
             return self.ad_matrix_hook(mat)
-        ginv = np.linalg.inv(mat)
+        ginv = self.inverse(mat)
         cols = [self.matrix_coords(mat @ self.basis[j] @ ginv) for j in range(self.dim)]
         return np.stack(cols, axis=-1)
 
@@ -345,7 +357,7 @@ class GroupElement:
         return GroupElement(self.matrix @ other.matrix, self.descriptor, check=False)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix), self.descriptor, check=False)
+        return GroupElement(self.descriptor.inverse(self.matrix), self.descriptor, check=False)
 
     def membership_residual(self):
         return self.descriptor.membership_residual(self.matrix)
@@ -429,38 +441,47 @@ def _principal_logm(mat):
     return np.real(m)
 
 
-def _orthogonal_residual(m):
+def _gram_defect(m):
+    """m^T m - I and its Frobenius norm, per matrix of a stack."""
     gram = m.swapaxes(-1, -2) @ m - _eye(m.shape[-1])
-    return _frobenius(gram) + abs(np.linalg.det(m) - 1.0)
+    return gram, _frobenius(gram)
+
+
+def _orthogonal_residual(m):
+    return _gram_defect(m)[1] + abs(np.linalg.det(m) - 1.0)
 
 
 def _orthogonal_retract(m):
-    """Closest special-orthogonal matrix, per matrix of a stack.
+    """Closest special-orthogonal matrix per matrix of a stack, and m's residual.
 
     Near the group a couple of Newton polar iterations suffice and are much
-    cheaper than the SVD, which remains the fallback for large drift."""
+    cheaper than the SVD, which remains the fallback for large drift.  One
+    step leaves a Gram defect of -3/4 E^2 + 1/4 E^3, below 1e-16 when
+    |E|_F <= 1e-8, so only rows above that can need the second."""
     eye = _eye(m.shape[-1])
-    gram_defect = m.swapaxes(-1, -2) @ m - eye
+    gram_defect, size = _gram_defect(m)
     r = m @ (eye - 0.5 * gram_defect)
-    defect = r.swapaxes(-1, -2) @ r - eye
-    again = _frobenius(defect) > 1e-14
-    if _any(again):
-        r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
-    far = _frobenius(gram_defect) >= 1e-4
+    rough = size > 1e-8
+    if _any(rough):
+        defect, defect_size = _gram_defect(r)
+        again = rough & (defect_size > 1e-14)
+        if _any(again):
+            r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
+    far = size >= 1e-4
     if _any(far):
         u, _, vt = np.linalg.svd(m[far])
         u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
         r[far] = u @ vt
-    return r
+    return r, size + abs(np.linalg.det(m) - 1.0)
 
 
 # entries (2,1), (0,2), (1,0) of a hat matrix hold w1, w2, w3
 _HAT_ROWS, _HAT_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
 
 
-def _so3_exp(m):
-    """Rodrigues formula per matrix, with the series below an angle of 1e-8."""
-    theta = _norm(m[..., _HAT_ROWS, _HAT_COLS])  # a numpy scalar for one matrix
+def _so3_exp(w, basis_flat):
+    """Rodrigues formula per row of coordinates, with the series below 1e-8."""
+    theta = _norm(w)  # a numpy scalar for one row
     small = theta < 1e-8
     series = _any(small)
     if series:
@@ -469,6 +490,7 @@ def _so3_exp(m):
     b = (1.0 - np.cos(theta)) / (theta * theta)
     if series:
         a, b = np.where(small, 1.0, a), np.where(small, 0.5, b)
+    m = (w[..., None, :] @ basis_flat).reshape(w.shape[:-1] + (3, 3))
     return _eye(3) + a[..., None, None] * m + b[..., None, None] * (m @ m)
 
 
@@ -494,6 +516,7 @@ def so3_descriptor():
     e2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     e3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     basis = np.stack([e1, e2, e3])
+    flat = basis.reshape(3, 9)
     return GroupDescriptor(
         name="so3",
         matrix_dim=3,
@@ -502,10 +525,11 @@ def so3_descriptor():
         injectivity_radius=np.pi - 0.1,
         retraction=_orthogonal_retract,
         membership_residual_fn=_orthogonal_residual,
-        exp_hook=_so3_exp,
+        exp_hook=lambda w: _so3_exp(w, flat),
         log_hook=_so3_log,
         # on the standard antisymmetric basis the adjoint matrix is the rotation
         ad_matrix_hook=lambda m: m,
+        inverse_hook=lambda m: m.swapaxes(-1, -2).copy(),
     )
 
 
@@ -515,11 +539,16 @@ def _translation_residual(m):
     return res + _norm(m[..., k, :k]) + abs(m[..., k, k] - 1.0)
 
 
-def _translation_retract(m):
-    k = m.shape[-1] - 1
-    out = _eye_stack(k + 1, m.shape[:-2])
-    out[..., :k, k] = m[..., :k, k]
+def _translation_matrix(c):
+    """The identity with c in its last column, one per row of a stack of c."""
+    k = c.shape[-1]
+    out = _eye_stack(k + 1, c.shape[:-1])
+    out[..., :k, k] = c
     return out
+
+
+def _translation_retract(m):
+    return _translation_matrix(m[..., :-1, -1]), _translation_residual(m)
 
 
 def translation_descriptor(m):
@@ -535,9 +564,10 @@ def translation_descriptor(m):
         injectivity_radius=np.inf,
         retraction=_translation_retract,
         membership_residual_fn=_translation_residual,
-        exp_hook=lambda x: _eye(m + 1) + x,
+        exp_hook=_translation_matrix,
         log_hook=lambda g: g - _eye(m + 1),
         ad_matrix_hook=lambda mat: _eye_stack(m, mat.shape[:-2]),
+        inverse_hook=lambda mat: _translation_matrix(-mat[..., :-1, -1]),
     )
 
 

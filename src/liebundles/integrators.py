@@ -2,12 +2,14 @@
 
 `integrate_stack` solves right-trivialized equations g' = v_t(g) g for a
 (B, m, m) stack of fibers by a 4th-order Runge--Kutta--Munthe-Kaas scheme:
-each step works in the algebra, maps back through the group exponential, and
-retracts onto the group so drift stays at roundoff over long horizons.  Every
-row is its own trajectory and keeps its own guards.  The time-dependent part
-of the right-hand side is a base schedule: the field is asked once per run,
-for all 2N+1 stage times of its N steps at once, and the step loop then does
-only fiber work.  `integrate_linear` asks its K(t) the same way.
+each step works in the algebra, maps back through the group exponential of
+its coordinates, and retracts onto the group so drift stays at roundoff over
+long horizons; the one retraction call per step also returns the membership
+residual the blow-up guard reads.  Every row is its own trajectory and keeps
+its own guards.  The time-dependent part of the right-hand side is a base
+schedule: the field is asked once per run, for all 2N+1 stage times of its N
+steps at once, and the step loop then does only fiber work.
+`integrate_linear` asks its K(t) the same way.
 `integrate_on_group` is the one-element form.
 """
 
@@ -103,14 +105,12 @@ def _run(field, g, desc, t0, t1, n_steps):
         u4 = h * k3
         k4 = _dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, t + h)))
         omega = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g = _finite(exp(omega) @ g, t + h)
-        res = desc.membership_residual(g)
+        g, res = desc.retract_measured(_finite(exp(omega) @ g, t + h))
         if np.count_nonzero(res > limit):
             raise InstabilityError(
                 f"membership residual blew up to {np.max(res):.3e} in row "
                 f"{int(np.argmax(res))} at t={t + h:.4f}"
             )
-        g = desc.retract(g)
         f_start = f_end
     return g
 

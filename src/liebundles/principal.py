@@ -111,7 +111,7 @@ def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None)
     """
 
     def matrix(fibers, a_t):
-        ad = descriptor.Ad_matrix(np.linalg.inv(fibers))
+        ad = descriptor.Ad_matrix(descriptor.inverse(fibers))
         return form_matrix(a_t if base_form is None else ad @ a_t, ad)
 
     def form(q) -> FiberMap:
@@ -159,7 +159,7 @@ def twisted_local_form(descriptor, twist: _Twist):
     """
 
     def matrix(fibers, block, s_rate):
-        out = descriptor.Ad_matrix(np.linalg.inv(fibers)) @ block
+        out = descriptor.Ad_matrix(descriptor.inverse(fibers)) @ block
         out[..., : s_rate.shape[-1]] += s_rate
         return out
 

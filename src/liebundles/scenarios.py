@@ -288,7 +288,7 @@ def drop_ad_form(scenario):
     with the base form left untwisted by Ad_{h^-1}, over the trivial nu."""
     desc = scenario.group
     return GeneralizedPrincipalConnection(scenario.action, scenario.omega.nu, lambda q: FiberMap(
-        lambda fibers, a_t: form_matrix(a_t, desc.Ad_matrix(np.linalg.inv(fibers))),
+        lambda fibers, a_t: form_matrix(a_t, desc.Ad_matrix(desc.inverse(fibers))),
         np.swapaxes(scenario.base_form.coefficient_array(q), -1, -2)))
 
 

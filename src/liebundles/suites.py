@@ -300,10 +300,10 @@ def _chk_curvature_antisymmetry(s, rng, samples, step):
 
 
 def _chk_curvature_tensoriality(s, rng, samples, step):
-    x, fiber, u1, u2 = draw_rows(min(samples, 3), lambda: (
-        s.chart.sample(rng), s.group.random_coords(rng), *_directions(s, rng, 2)))
+    y, u1, u2 = s.action.space.random_points(rng, min(samples, 3), lambda: _directions(s, rng, 2))
     # the rows at (u1, u2) and at (2 u1, u2) as the two halves of one stack
-    twice = TotalPoint(np.concatenate([x, x]), _exp(s, np.concatenate([fiber, fiber])))
+    twice = TotalPoint(np.concatenate([y.q, y.q]),
+                       s.group.element(np.concatenate([y.fiber.matrix] * 2), check=False))
     a, b = np.split(curvature(s.omega, twice, np.concatenate([u1, 2.0 * u1]),
                               np.concatenate([u2, u2])).value.coords, 2)
     return _norm(2.0 * a - b), 1e-6, "curvature value is pointwise tensorial in the arguments", None

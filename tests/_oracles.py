@@ -55,6 +55,51 @@ def so3_hat(w):
     )
 
 
+def _row_norm(v):
+    """Euclidean norm per row, by the 1xk by kx1 product the package uses."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _frob(m):
+    return _row_norm(m.reshape(m.shape[:-2] + (-1,)))
+
+
+def hat_so3_exp(m):
+    """The earlier so3 exp kernel: Rodrigues from a stack of hat matrices,
+    reading the angle back out of entries (2,1), (0,2), (1,0).  The coordinate
+    kernel must equal it bit for bit."""
+    theta = _row_norm(m[..., [2, 0, 1], [1, 2, 0]])
+    small = theta < 1e-8
+    series = np.count_nonzero(small) > 0
+    if series:
+        theta = np.where(small, 1.0, theta)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    if series:
+        a, b = np.where(small, 1.0, a), np.where(small, 0.5, b)
+    return np.eye(3) + a[..., None, None] * m + b[..., None, None] * (m @ m)
+
+
+def two_check_orthogonal_retract(m):
+    """The earlier orthogonal retraction: one Newton polar step, a second on
+    every row whose Gram defect stays above 1e-14, and the SVD where the
+    first Gram defect is at least 1e-4.  The retraction must equal it bit for
+    bit."""
+    eye = np.eye(m.shape[-1])
+    gram_defect = m.swapaxes(-1, -2) @ m - eye
+    r = m @ (eye - 0.5 * gram_defect)
+    defect = r.swapaxes(-1, -2) @ r - eye
+    again = _frob(defect) > 1e-14
+    if np.count_nonzero(again):
+        r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
+    far = _frob(gram_defect) >= 1e-4
+    if np.count_nonzero(far):
+        u, _, vt = np.linalg.svd(m[far])
+        u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+        r[far] = u @ vt
+    return r
+
+
 def constant_coefficient_transport(a_matrix, t, g0):
     """Closed-form solution of g' = -[A, g] = (Ad_g A - A) g for constant A."""
     e = taylor_expm(-t * a_matrix)
@@ -284,7 +329,7 @@ def principal_equivalence_oracle(scenario, rng, samples, drop_ad=False):
             scenario.omega.nu,
             lambda q: FiberMap(lambda fibers: form_matrix(
                 scenario.base_form.coefficient_array(q).T,
-                desc.Ad_matrix(np.linalg.inv(fibers)))),
+                desc.Ad_matrix(desc.inverse(fibers)))),
         )
         induced = principal_connection_oracle(broken, rng, samples)
     else:

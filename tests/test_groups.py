@@ -1,11 +1,15 @@
 """Group kernel tests: exponential, logarithm, adjoint, bracket, descriptors."""
 
+import ast
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liebundles
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
     _orthogonal_residual,
@@ -15,7 +19,8 @@ from liebundles.groups import (
     translation_descriptor,
 )
 
-from _oracles import series_logm, so3_hat, taylor_expm
+from _oracles import (hat_so3_exp, series_logm, so3_hat, taylor_expm,
+                      two_check_orthogonal_retract)
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -271,3 +276,98 @@ def test_so3_lone_exp_equals_its_stacked_row():
     coords = np.random.default_rng(0).uniform(-1.0, 1.0, (3000, 3))
     stacked = SO3.exp_coords(coords)
     assert all(np.array_equal(SO3.exp_coords(c), row) for c, row in zip(coords, stacked))
+
+
+def _unit_axes(rng, count):
+    axes = rng.standard_normal((count, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def test_so3_exp_from_coordinates_equals_the_hat_matrix_kernel():
+    # 10,000 rows at angles 0, 1e-9, 1e-3, 1 and 3, on both sides of the
+    # series switch at 1e-8: in one mixed stack, in stacks that take only the
+    # series or only Rodrigues, and as lone rows
+    rng = np.random.default_rng(3)
+    angles = np.repeat([0.0, 1e-9, 1e-3, 1.0, 3.0], 2000)
+    coords = _unit_axes(rng, angles.size) * angles[:, None]
+    for rows in (coords, coords[:2000], coords[2000:4000], coords[4000:]):
+        assert np.array_equal(SO3.exp_coords(rows), hat_so3_exp(SO3.algebra_matrix(rows)))
+    assert all(np.array_equal(SO3.exp_coords(c), hat_so3_exp(SO3.algebra_matrix(c)))
+               for c in coords[::997])
+
+
+def test_translation_exp_is_identity_plus_hat():
+    c = np.random.default_rng(4).uniform(-1.0, 1.0, (500, 2))
+    assert np.array_equal(T2.exp_coords(c), np.eye(3) + T2.algebra_matrix(c))
+
+
+def _drifted_rotations(rng, defects):
+    """Rotations times I + S, S symmetric with |S|_F = defect / 2, so the Gram
+    defect (I + S)^2 - I has a Frobenius norm close to ``defect``."""
+    rot = SO3.exp_coords(_unit_axes(rng, defects.size) * rng.uniform(0.0, 3.0, (defects.size, 1)))
+    sym = rng.standard_normal((defects.size, 3, 3))
+    sym = sym + sym.swapaxes(-1, -2)
+    sym *= (0.5 * defects / np.linalg.norm(sym, axis=(-2, -1)))[:, None, None]
+    return rot @ (np.eye(3) + sym)
+
+
+def test_retraction_equals_the_two_check_kernel_and_returns_the_residual():
+    # Gram defects from 1e-16 to 1e-2: the skipped second check below 1e-8,
+    # the second Newton step above it and the SVD from 1e-4, mixed in a stack
+    rng = np.random.default_rng(5)
+    defects = np.repeat(np.logspace(-16, -2, 15), 700)
+    rng.shuffle(defects)
+    m = _drifted_rotations(rng, defects)
+    assert np.count_nonzero(defects >= 1e-4) > 0
+    for rows in (m, m[:5000], m[defects <= 1e-8], m[defects > 1e-8]):
+        got, residual = _orthogonal_retract(rows)
+        assert np.array_equal(got, two_check_orthogonal_retract(rows))
+        assert np.array_equal(residual, _orthogonal_residual(rows))
+        assert np.array_equal(residual, SO3.membership_residual(rows))
+    lone, lone_res = SO3.retract_measured(m[7])
+    assert np.array_equal(lone, two_check_orthogonal_retract(m[7]))
+    assert lone_res == SO3.membership_residual(m[7])
+
+
+def test_translation_retraction_returns_the_residual():
+    m = np.eye(3) + np.random.default_rng(6).uniform(-1e-3, 1e-3, (50, 3, 3))
+    got, residual = T2.retract_measured(m)
+    assert np.array_equal(got[:, :2, 2], m[:, :2, 2])
+    assert np.array_equal(residual, T2.membership_residual(m))
+    assert np.array_equal(T2.retract(m), got)
+
+
+def test_inverse_matches_linalg_inv():
+    # so3 draws are retracted exp values, orthogonal to roundoff
+    rng = np.random.default_rng(8)
+    g = SO3.exp(SO3.algebra(rng.uniform(-3.0, 3.0, (1000, 3)))).matrix
+    assert np.max(np.abs(SO3.inverse(g) - np.linalg.inv(g))) <= 1e-15
+    assert not np.shares_memory(SO3.inverse(g), g)
+    t = T2.exp_coords(rng.uniform(-5.0, 5.0, (1000, 2)))
+    assert np.array_equal(T2.inverse(t), np.linalg.inv(t))
+    assert np.array_equal(T2.inverse(t[0]), np.linalg.inv(t[0]))
+    desc = descriptor_from_json(dict(SO3_DOC, family="generic"))
+    assert np.array_equal(desc.inverse(g), np.linalg.inv(g))
+
+
+_INV = re.compile(r"np\.linalg\.inv\(")
+
+
+def test_group_inverse_is_the_only_linalg_inv():
+    """No module of the package calls np.linalg.inv( outside
+    GroupDescriptor.inverse: every group matrix is inverted through its
+    descriptor, which transposes on so3 and negates the column on translations."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    tree = ast.parse((pkg / "groups.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "GroupDescriptor")
+    method = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "inverse")
+    allowed = range(method.lineno, method.end_lineno + 1)
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if _INV.search(line) and not (path.name == "groups.py" and lineno in allowed):
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not found, "np.linalg.inv outside GroupDescriptor.inverse:\n" + "\n".join(found)
+    assert _INV.search("x = np.linalg.inv(m)") and not _INV.search("desc.inverse(m)")
