@@ -4,9 +4,12 @@
 Names the report files that are byte-identical, prints the largest
 |delta max_residual| of each file that differs, and exits 1 if any check id,
 `samples`, `passed`, `tolerance` or `mode` differs between the two
-directories, or if any |delta max_residual| exceeds ROUNDOFF (1e-3) times
-that check's tolerance: the two runs must agree beyond roundoff, and neither
-may judge a check by a different bound.
+directories, if any |delta max_residual| or |delta mean_residual| exceeds
+ROUNDOFF (1e-3) times that check's tolerance, or if an `order_estimate` (or
+any of these fields) is null or absent in one run and a number in the other
+or moves by more than ORDER_MOVE (1e-3): the two runs must agree beyond
+roundoff in every numeric field, and neither may judge a check by a
+different bound.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
@@ -17,6 +20,7 @@ import pathlib
 import sys
 
 ROUNDOFF = 1e-3
+ORDER_MOVE = 1e-3
 
 
 def _records(path):
@@ -52,11 +56,14 @@ def main(argv):
                 if a.get(key) != b.get(key):
                     print(f"{name}: {check} {key} differs: {a.get(key)} vs {b.get(key)}")
                     mismatch = True
+            roundoff = ROUNDOFF * a["tolerance"]
+            for key, bound in (("max_residual", roundoff), ("mean_residual", roundoff),
+                               ("order_estimate", ORDER_MOVE)):
+                x, y = a.get(key), b.get(key)
+                if (x is None) != (y is None) or (x is not None and abs(x - y) > bound):
+                    print(f"{name}: {check} {key} moved: {x} vs {y}, bound {bound:.1e}")
+                    mismatch = True
             delta = abs(a["max_residual"] - b["max_residual"])
-            if delta > ROUNDOFF * a["tolerance"]:
-                print(f"{name}: {check} max_residual moved by {delta:.3e}, more than "
-                      f"{ROUNDOFF:g} x tolerance {a['tolerance']:.1e}")
-                mismatch = True
             if worst_check is None or delta > worst:
                 worst, worst_check = delta, check
         print(f"{name}: differs; largest |delta max_residual| {worst:.3e} ({worst_check})")

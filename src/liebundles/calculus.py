@@ -25,6 +25,7 @@ __all__ = [
     "fd_step",
     "central_difference",
     "draw_rows",
+    "uniform_rows",
     "finite_diff_jacobian",
     "directional_derivative",
     "numerical_bracket",
@@ -59,6 +60,19 @@ def draw_rows(count, draw):
     if count < 1:
         raise UsageError(f"samples must be at least 1, got {count}")
     return tuple(np.array(column) for column in zip(*(draw() for _ in range(count))))
+
+
+def uniform_rows(rng, count, *shapes):
+    """`draw_rows` of ``rng.uniform(-1, 1, shape) for shape in shapes`` from
+    one uniform call, split by columns into contiguous arrays: the generator
+    fills its output row by row, one double per entry, so the arrays and the
+    generator's state are the same.  Rows that mix ranges or draw a normal
+    stay on `draw_rows`."""
+    if count < 1:
+        raise UsageError(f"samples must be at least 1, got {count}")
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    parts = np.split(rng.uniform(-1.0, 1.0, (count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    return tuple(part.reshape((count,) + shape).copy() for part, shape in zip(parts, shapes))
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,7 @@ from .calculus import (
     draw_rows,
     numerical_bracket,
 )
-from .connections import (
-    LieGroupBundleConnection,
-    _rows,
-    _transport_rows,
-)
+from .connections import LieGroupBundleConnection, _rows
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
 from .integrators import integrate_stack
@@ -376,8 +372,10 @@ def transport_total(omega, curve: BaseCurve, y0: TotalPoint, step=1e-2, with_err
 
 
 def transport_compatibility_check(omega, curve, y, g, step=1e-2):
-    """Transport of y.g against (transport of y).(nu-transport of g); y.g and
-    y are independent rows of one stack.
+    """Transport of y.g against (transport of y).(nu-transport of g).  The
+    total-space rows y.g and y and the group rows g are independent rows of
+    one integration, whose field is the form's horizontal map on the first
+    two blocks and nu's lift map on the last.
 
     On a family of C curves y.q is (C, n), y.fiber and g hold one (C, m, m)
     fiber per curve, and the result is one residual per curve; a lone curve
@@ -386,11 +384,19 @@ def transport_compatibility_check(omega, curve, y, g, step=1e-2):
     action = omega.action
     desc = omega.descriptor
     shape = y.fiber.matrix.shape
-    rows = _rows([action.act(y, g).fiber.matrix, y.fiber.matrix])
-    end, _ = transport_total(omega, curve.repeat(2),
-                             TotalPoint(y.q, GroupElement(rows, desc, check=False)), step)
-    end_yg, end_y = end.fiber.matrix.reshape((2,) + shape)
-    (end_g,) = _transport_rows(omega.nu, curve, [g.matrix], step)
+    rows = _rows([action.act(y, g).fiber.matrix, y.fiber.matrix, g.matrix])
+    split = len(rows) // 3 * 2
+    pair = curve.repeat(2)
+
+    def stacked(fibers, total, group):
+        return np.concatenate([total(fibers[:split]), group(fibers[split:])])
+
+    def field(times):
+        return FiberMap(stacked, omega.horizontal_map(pair.position(times), pair.velocity(times)),
+                        omega.nu.lift_map(curve.position(times), curve.velocity(times)))
+
+    result = integrate_stack(field, desc, rows, (curve.a, curve.b), step)
+    end_yg, end_y, end_g = result.element.matrix.reshape((3,) + shape)
     recombined = action.act(TotalPoint(curve.position(curve.b), GroupElement(end_y, desc, check=False)),
                             GroupElement(end_g, desc, check=False))
     return _frobenius(end_yg - recombined.fiber.matrix)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bundles import (Tangent, TotalPoint, paired_generator_residual, product_velocity,
                       vertical_isomorphism_check)
-from .calculus import BaseCurve, draw_rows
+from .calculus import BaseCurve, draw_rows, uniform_rows
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
@@ -350,7 +350,7 @@ def _chk_affine_reconstruction(s, rng, samples, step):
 
 def _chk_affine_transport_oracle(s, rng, samples, step):
     curve = s.curves["main"]
-    (v0,) = draw_rows(min(samples, 5), lambda: (rng.uniform(-1, 1, s.group.dim),))
+    (v0,) = uniform_rows(rng, min(samples, 5), (s.group.dim,))
     y0 = s.fiber_point(curve.position(curve.a), v0)
     # the group transport runs first, so a diverging config stops in its guards
     coarse, _ = transport_total(s.omega, curve, y0, step=step)
@@ -401,15 +401,11 @@ _TORSOR_CHECKS = [
 # ---------------------------------------------------------------------------
 
 
-def _jet_draw(s, rng):
-    """The draws of one GaugeJet.random, in its order: coordinates of g, then xi."""
-    return s.group.random_coords(rng), rng.uniform(-1.0, 1.0, (s.n, s.group.dim))
-
-
 def _draw_jets(s, rng, count, per_row):
     """``per_row`` stacked GaugeJets of ``count`` rows, in the RNG order of
-    ``per_row`` GaugeJet.random calls a row; each stack is exponentiated once."""
-    cols = draw_rows(count, lambda: sum((_jet_draw(s, rng) for _ in range(per_row)), ()))
+    ``per_row`` GaugeJet.random calls a row (the coordinates of g, then xi);
+    each stack is exponentiated once."""
+    cols = uniform_rows(rng, count, *((s.group.dim,), (s.n, s.group.dim)) * per_row)
     return [GaugeJet(_exp(s, coords), xi) for coords, xi in zip(cols[::2], cols[1::2])]
 
 
@@ -417,8 +413,7 @@ def _draw_connection_jets(s, rng, count):
     """A stacked ConnectionJet and GaugeSecondJet of ``count`` rows, drawn in
     the RNG order of ConnectionJet.random then GaugeSecondJet.random per row."""
     n, d = s.n, s.group.dim
-    a, da, raw, xi = draw_rows(count, lambda: tuple(
-        rng.uniform(-1.0, 1.0, shape) for shape in ((n, d), (n, n, d), (n, n, d), (n, d))))
+    a, da, raw, xi = uniform_rows(rng, count, (n, d), (n, n, d), (n, n, d), (n, d))
     return (ConnectionJet(s.group, a, da),
             GaugeSecondJet(s.group, xi, 0.5 * (raw + np.swapaxes(raw, -3, -2))))
 
@@ -438,8 +433,7 @@ def _draw_adjoint_pairs(s, rng, count):
     the pairs and their closed-form adjoints, each pair flattened to a row of
     d (n + 1) coordinates."""
     n, d = s.n, s.group.dim
-    coords, xi, eta, phi = draw_rows(count, lambda: _jet_draw(s, rng) + (
-        rng.uniform(-1, 1, d), rng.uniform(-1, 1, (n, d))))
+    coords, xi, eta, phi = uniform_rows(rng, count, (d,), (n, d), (d,), (n, d))
     k = GaugeJet(_exp(s, coords), xi)
 
     def pairs(e, p):
@@ -517,7 +511,7 @@ def _chk_gauge_freeness(s, rng, samples, step):
 
 
 def _chk_gauge_surjectivity(s, rng, samples, step):
-    (raw,) = draw_rows(min(samples, 50), lambda: (rng.uniform(-1, 1, (s.n, s.n, s.group.dim)),))
+    (raw,) = uniform_rows(rng, min(samples, 50), (s.n, s.n, s.group.dim))
     target = raw - np.swapaxes(raw, -3, -2)
     jet = jet_realizing_curvature(s.group, target)
     vals = np.max(np.abs(curvature_map(jet) - target), axis=(-3, -2, -1))

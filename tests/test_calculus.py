@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import liebundles
+from liebundles import suites
 from liebundles.calculus import (
     AlgebraOneForm,
     BaseCurve,
@@ -15,8 +16,10 @@ from liebundles.calculus import (
     Polynomial,
     TwoIndexAlgebraForm,
     central_difference,
+    draw_rows,
     finite_diff_jacobian,
     numerical_bracket,
+    uniform_rows,
 )
 from liebundles.errors import DomainError, UsageError
 from liebundles.groups import so3_descriptor
@@ -201,6 +204,21 @@ def test_central_difference_matches_hand_stencil_bitwise():
         assert np.array_equal(got, (f(eps) - f(-eps)) / (2 * eps))
 
 
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("count", [1, 1000])
+def test_uniform_rows_equals_per_row_draws(seed, count):
+    """One block draw gives exactly the per-row uniform draws of draw_rows and
+    leaves the generator where they leave it."""
+    shapes = ((3,), (2, 3), (2, 2, 3))
+    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = uniform_rows(block_rng, count, *shapes)
+    want = draw_rows(count, lambda: tuple(row_rng.uniform(-1, 1, s) for s in shapes))
+    assert [a.shape for a in got] == [(count,) + s for s in shapes]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(a.flags.c_contiguous for a in got)
+    assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+
 _STENCIL = re.compile(r"/\s*\(\s*2(\.0*)?\s*\*")
 
 
@@ -238,18 +256,29 @@ def test_action_checks_difference_only_through_product_velocity():
     """The torsor's action checks and the jet adjoint's cross-check run one
     finite difference, the pushforward in bundles.product_velocity:
     principal.py and suites.py do not import the stencil and bundles.py calls
-    it nowhere else.  Every suite check draws its samples through draw_rows
-    and evaluates one stack: no check loops over samples."""
+    it nowhere else.  Every suite check draws its samples as whole stacks,
+    through draw_rows or uniform_rows, and evaluates one stack: no check loops
+    over samples.  The gauge checks and their draw helpers, whose rows are all
+    uniform on (-1, 1), draw each stack in one uniform_rows call and never
+    through the per-row draw_rows."""
     for module in ("principal.py", "suites.py"):
         imported, callers = _central_difference_users(module)
         assert not imported and not callers, module
     imported, callers = _central_difference_users("bundles.py")
     assert callers == {"product_velocity"}
     path = pathlib.Path(liebundles.__file__).parent / "suites.py"
-    looped = {top.name for top in ast.parse(path.read_text(encoding="utf-8")).body
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    looped = {top.name for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name.startswith("_chk_")
               and any(_over_range(node) for node in ast.walk(top))}
     assert looped == set()
+    gauge = {fn.__name__ for _, fn in suites._GAUGE_CHECKS}
+    gauge |= {"_draw_jets", "_draw_connection_jets", "_draw_adjoint_pairs"}
+    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert gauge <= tops.keys()
+    per_row = {name for name in gauge for node in ast.walk(tops[name])
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "draw_rows"}
+    assert per_row == set()
 
 
 def _over_range(node):

@@ -38,12 +38,15 @@ def _compare(tmp_path, records_a, records_b, extra_args=None):
     return result.returncode, result.stdout + result.stderr
 
 
-def _record(check, max_residual, tolerance=1e-8):
+def _record(check, max_residual, tolerance=1e-8, mean_residual=None, order_estimate=None):
     return {"check": check, "samples": 3, "passed": max_residual <= tolerance,
-            "tolerance": tolerance, "mode": "max<=tol", "max_residual": max_residual}
+            "tolerance": tolerance, "mode": "max<=tol", "max_residual": max_residual,
+            "mean_residual": max_residual if mean_residual is None else mean_residual,
+            "order_estimate": order_estimate}
 
 
-REPORT = [_record("form-complementarity", 2e-16), _record("group-connection-laws", 4e-17)]
+REPORT = [_record("form-complementarity", 2e-16),
+          _record("group-connection-laws", 4e-17, order_estimate=4.0)]
 
 
 def test_compare_reports_passes_byte_identical_directories(tmp_path):
@@ -53,7 +56,8 @@ def test_compare_reports_passes_byte_identical_directories(tmp_path):
 
 
 def test_compare_reports_passes_a_roundoff_move(tmp_path):
-    moved = [_record("form-complementarity", 2e-16 + 0.5e-3 * 1e-8), REPORT[1]]
+    moved = [_record("form-complementarity", 2e-16 + 0.5e-3 * 1e-8),
+             _record("group-connection-laws", 4e-17, order_estimate=4.0 + 0.5e-3)]
     code, out = _compare(tmp_path, REPORT, moved)
     assert code == 0, out
     assert "differs; largest" in out
@@ -63,6 +67,10 @@ def test_compare_reports_passes_a_roundoff_move(tmp_path):
     [_record("form-complementarity", 2e-16, tolerance=1e-7), REPORT[1]],  # tolerance differs
     REPORT[:1],                                                           # check id missing
     [_record("form-complementarity", 2e-16 + 2e-3 * 1e-8), REPORT[1]],    # beyond roundoff
+    [_record("form-complementarity", 2e-16, mean_residual=2e-16 + 2e-3 * 1e-8),
+     REPORT[1]],                                                          # mean beyond roundoff
+    [REPORT[0], _record("group-connection-laws", 4e-17, order_estimate=4.002)],  # order moved
+    [REPORT[0], _record("group-connection-laws", 4e-17)],                 # order lost
     None,                                                                 # file missing
 ])
 def test_compare_reports_flags_a_mismatch(tmp_path, other):
