@@ -151,20 +151,9 @@ class BaseCurve:
 
     @staticmethod
     def line(start, end, interval=(0.0, 1.0), label="line"):
-        start = np.asarray(start, dtype=float)
-        end = np.asarray(end, dtype=float)
-        a, b = interval
-        span = b - a
-        rate = (end - start) / span
-
-        def pos(t):
-            s = _times((t - a) / span, start.ndim)
-            return (1.0 - s) * start + s * end
-
-        def vel(t):
-            return np.broadcast_to(rate, np.shape(t) + rate.shape).copy()
-
-        return BaseCurve(a, b, pos, vel, label=label)
+        """The straight segment: a wiggle with zero amplitude, whose first two
+        terms are the line and whose zero terms add nothing."""
+        return BaseCurve.wiggle(start, end, np.zeros(np.shape(start)), interval, label=label)
 
     @staticmethod
     def loop(center, radius, interval=(0.0, 1.0), axes=(0, 1), label="loop"):

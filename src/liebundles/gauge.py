@@ -388,7 +388,6 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
         membership_tol=max(base.membership_tol, 1e-8),
         injectivity_radius=base.injectivity_radius,
         retraction=retract,
-        membership_residual_fn=lambda mat: retract(mat)[1],
         exp_hook=exp,
         extra={"base": base, "n": n, "m": m, "vdim": vdim},
     )

@@ -1,10 +1,10 @@
 """Matrix Lie group kernel.
 
 Groups are embedded matrix groups described by a :class:`GroupDescriptor`: an
-algebra basis, structure constants, a membership residual, and a retraction
-that projects near-group matrices back onto the group.  Elements are thin
-immutable wrappers around numpy arrays; every operation is a pure function, so
-values are safe to share across threads.
+algebra basis, structure constants, and a retraction that projects near-group
+matrices back onto the group and measures their membership residual.
+Elements are thin immutable wrappers around numpy arrays; every operation is
+a pure function, so values are safe to share across threads.
 
 The array kernels (algebra and coordinate maps, exp, log, Ad_matrix,
 membership residual, retraction, inverse, bracket) broadcast over leading axes: a
@@ -87,7 +87,6 @@ class GroupDescriptor:
     injectivity_radius: float = np.inf
     # (retracted matrices, membership residual of each before retraction)
     retraction: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-    membership_residual_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     exp_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None  # coordinates -> matrices
     log_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ad_matrix_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -151,19 +150,19 @@ class GroupDescriptor:
     # -- membership ------------------------------------------------------
 
     def membership_residual(self, matrix):
-        """Distance from the group: a float, or an array with one per stacked matrix."""
-        if self.membership_residual_fn is None:
-            return 0.0 if np.ndim(matrix) == 2 else np.zeros(np.shape(matrix)[:-2])
-        res = self.membership_residual_fn(matrix)
-        return float(res) if np.ndim(res) == 0 else res
+        """Distance from the group, one per stacked matrix (a numpy float for a
+        lone one): the residual the retraction measures."""
+        return self.retract_measured(matrix)[1]
 
     def retract(self, matrix):
-        return matrix if self.retraction is None else self.retraction(matrix)[0]
+        return self.retract_measured(matrix)[0]
 
     def retract_measured(self, matrix):
-        """(retracted matrices, membership residual each had before), in one pass."""
+        """(retracted matrices, membership residual each had before), in one
+        pass; the retraction hook is the one membership measure, and a
+        descriptor without one keeps its matrices with zero residuals."""
         if self.retraction is None:
-            return matrix, self.membership_residual(matrix)
+            return matrix, np.zeros(np.shape(matrix)[:-2])[()]
         return self.retraction(matrix)
 
     def inverse(self, matrix):
@@ -312,22 +311,6 @@ class AlgebraElement:
     def matrix(self):
         return self.descriptor.algebra_matrix(self.coords)
 
-    def __add__(self, other):
-        if other.descriptor is not self.descriptor:
-            raise UsageError("cannot add algebra elements from different descriptors")
-        return AlgebraElement(self.coords + other.coords, self.descriptor)
-
-    def __sub__(self, other):
-        if other.descriptor is not self.descriptor:
-            raise UsageError("cannot subtract algebra elements from different descriptors")
-        return AlgebraElement(self.coords - other.coords, self.descriptor)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(float(scalar) * self.coords, self.descriptor)
-
-    def __neg__(self):
-        return AlgebraElement(-self.coords, self.descriptor)
-
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
@@ -342,14 +325,18 @@ class GroupElement:
         mat = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", mat)
         if self.check:
-            res = self.descriptor.membership_residual(mat)
-            bad = res > self.descriptor.membership_tol
+            # a NaN passes no comparison, so finiteness is tested before measuring
+            desc = self.descriptor
+            finite = np.isfinite(mat).all(axis=(-2, -1))
+            if finite.all():
+                res = desc.membership_residual(mat)
+                bad = np.logical_not(res <= desc.membership_tol)
+                why = f"residual {np.max(res):.3e} > {desc.membership_tol:.1e}"
+            else:
+                bad, why = np.logical_not(finite), "non-finite entries"
             if _any(bad):
                 rows = f"in rows {np.flatnonzero(bad).tolist()} " if mat.ndim == 3 else ""
-                raise DescriptorError(
-                    f"matrix violates {self.descriptor.name} membership {rows}"
-                    f"(residual {np.max(res):.3e} > {self.descriptor.membership_tol:.1e})"
-                )
+                raise DescriptorError(f"matrix violates {desc.name} membership {rows}({why})")
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if other.descriptor is not self.descriptor:
@@ -358,9 +345,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.descriptor.inverse(self.matrix), self.descriptor, check=False)
-
-    def membership_residual(self):
-        return self.descriptor.membership_residual(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +431,6 @@ def _gram_defect(m):
     return gram, _frobenius(gram)
 
 
-def _orthogonal_residual(m):
-    return _gram_defect(m)[1] + abs(np.linalg.det(m) - 1.0)
-
-
 def _orthogonal_retract(m):
     """Closest special-orthogonal matrix per matrix of a stack, and m's residual.
 
@@ -524,19 +504,12 @@ def so3_descriptor():
         structure_constants=derive_structure_constants(basis),
         injectivity_radius=np.pi - 0.1,
         retraction=_orthogonal_retract,
-        membership_residual_fn=_orthogonal_residual,
         exp_hook=lambda w: _so3_exp(w, flat),
         log_hook=_so3_log,
         # on the standard antisymmetric basis the adjoint matrix is the rotation
         ad_matrix_hook=lambda m: m,
         inverse_hook=lambda m: m.swapaxes(-1, -2).copy(),
     )
-
-
-def _translation_residual(m):
-    k = m.shape[-1] - 1
-    res = _frobenius(m[..., :k, :k] - _eye(k))
-    return res + _norm(m[..., k, :k]) + abs(m[..., k, k] - 1.0)
 
 
 def _translation_matrix(c):
@@ -548,7 +521,9 @@ def _translation_matrix(c):
 
 
 def _translation_retract(m):
-    return _translation_matrix(m[..., :-1, -1]), _translation_residual(m)
+    k = m.shape[-1] - 1
+    res = _frobenius(m[..., :k, :k] - _eye(k)) + _norm(m[..., k, :k]) + abs(m[..., k, k] - 1.0)
+    return _translation_matrix(m[..., :k, k]), res
 
 
 def translation_descriptor(m):
@@ -563,7 +538,6 @@ def translation_descriptor(m):
         structure_constants=np.zeros((m, m, m)),
         injectivity_radius=np.inf,
         retraction=_translation_retract,
-        membership_residual_fn=_translation_residual,
         exp_hook=_translation_matrix,
         log_hook=lambda g: g - _eye(m + 1),
         ad_matrix_hook=lambda mat: _eye_stack(m, mat.shape[:-2]),
@@ -572,9 +546,9 @@ def translation_descriptor(m):
 
 
 _FAMILY_BUILDERS = {
-    "orthogonal": (_orthogonal_retract, _orthogonal_residual),
-    "translation": (_translation_retract, _translation_residual),
-    "generic": (None, None),
+    "orthogonal": _orthogonal_retract,
+    "translation": _translation_retract,
+    "generic": None,
 }
 
 
@@ -612,7 +586,7 @@ def descriptor_from_json(doc):
     family = data.get("family", "generic")
     if family not in _FAMILY_BUILDERS:
         raise UsageError(f"unknown descriptor family {family!r}")
-    retract, residual = _FAMILY_BUILDERS[family]
+    retract = _FAMILY_BUILDERS[family]
     c = data.get("structure_constants")
     shape = (len(basis),) * 3
     c = derive_structure_constants(basis) if c is None else _parsed(
@@ -630,7 +604,6 @@ def descriptor_from_json(doc):
                                data.get("membership_tol", 1e-8)),
         injectivity_radius=_parsed("injectivity_radius", "a number", float, radius),
         retraction=retract,
-        membership_residual_fn=residual,
     )
     report = desc.validate()
     if not all(v <= 1e-12 for v in report.values()):  # NaN fails too

@@ -450,8 +450,6 @@ class GaugeJetScenario:
     group: GroupDescriptor
     n: int
     jet_descriptor: GroupDescriptor
-    f_section: Callable[[np.ndarray], np.ndarray]
-    g_section: Callable[[np.ndarray], np.ndarray]
     omega_hat: EquivariantJetConnection
     kind: str = "gauge"
 
@@ -462,10 +460,9 @@ def _build_gauge(config) -> GaugeJetScenario:
     jet_desc = semidirect_jet_descriptor(group, n)
     f_fn = _table_fn(config.get("f_section"), n, (n, group.dim), "f_section")
     g_fn = _table_fn(config.get("g_section"), n, (n, n, group.dim), "g_section")
-    omega_hat = EquivariantJetConnection(group, n, f=f_fn, g2=g_fn)
     return GaugeJetScenario(
         name=config["name"], config=config, group=group, n=n, jet_descriptor=jet_desc,
-        f_section=f_fn, g_section=g_fn, omega_hat=omega_hat,
+        omega_hat=EquivariantJetConnection(group, n, f=f_fn, g2=g_fn),
     )
 
 

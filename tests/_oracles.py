@@ -100,6 +100,21 @@ def two_check_orthogonal_retract(m):
     return r
 
 
+def orthogonal_residual(m):
+    """Distance of each matrix of a stack from SO(n): the Frobenius norm of
+    its Gram defect m^T m - I plus |det m - 1|, the measure the orthogonal
+    retraction must return bit for bit."""
+    return _frob(m.swapaxes(-1, -2) @ m - np.eye(m.shape[-1])) + abs(np.linalg.det(m) - 1.0)
+
+
+def line_oracle(start, end, s):
+    """The closed-form straight segment (1 - s) start + s end at the interval
+    fraction ``s``, a lone fraction or a 1-D array of them (rows first)."""
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    s = np.reshape(s, np.shape(s) + (1,) * start.ndim)
+    return (1.0 - s) * start + s * end
+
+
 def constant_coefficient_transport(a_matrix, t, g0):
     """Closed-form solution of g' = -[A, g] = (Ad_g A - A) g for constant A."""
     e = taylor_expm(-t * a_matrix)

@@ -24,7 +24,7 @@ from liebundles.calculus import (
 from liebundles.errors import DomainError, UsageError
 from liebundles.groups import so3_descriptor
 
-from _oracles import central_jacobian, observed_order
+from _oracles import central_jacobian, line_oracle, observed_order
 
 SO3 = so3_descriptor()
 CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -44,6 +44,26 @@ def test_curve_validation():
     # a wrong velocity is measured, not raised: the gap is its error
     off = BaseCurve(0.0, 1.0, line.position, lambda t: line.velocity(t) + [0.0, 0.5])
     assert off.validate(CHART) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("start, end", [
+    ([-0.6, -0.4], [0.6, 0.5]),
+    ([[-0.6, -0.4], [0.1, 0.3], [0.0, -0.0]], [[0.6, 0.5], [-0.2, 0.3], [0.7, 0.2]]),
+])
+def test_line_is_the_closed_form_segment(start, end):
+    """A line is a wiggle with zero amplitude, bit for bit the segment
+    (1 - s) start + s end, at a lone time, at a 1-D array of times and on a
+    (C, n) family; its velocity is the constant rate."""
+    a, b = 0.1, 0.5
+    line = BaseCurve.line(start, end, interval=(a, b), label="seg")
+    ts = np.linspace(a, b, 11)
+    assert line.label == "seg"
+    assert np.array_equal(line.position(ts), line_oracle(start, end, (ts - a) / (b - a)))
+    rate = (np.asarray(end) - np.asarray(start)) / (b - a)
+    assert np.array_equal(line.velocity(ts), np.broadcast_to(rate, ts.shape + rate.shape))
+    for t in ts:
+        assert np.array_equal(line.position(t), line_oracle(start, end, (t - a) / (b - a)))
+        assert np.array_equal(line.velocity(t), rate)
 
 
 def test_loop_refuses_equal_axes():
@@ -272,7 +292,7 @@ def test_action_checks_difference_only_through_product_velocity():
               if isinstance(top, ast.FunctionDef) and top.name.startswith("_chk_")
               and any(_over_range(node) for node in ast.walk(top))}
     assert looped == set()
-    gauge = {fn.__name__ for _, fn in suites._GAUGE_CHECKS}
+    gauge = {fn.__name__ for _, fn in suites._checks_for("gauge")}
     gauge |= {"_draw_jets", "_draw_connection_jets", "_draw_adjoint_pairs"}
     tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
     assert gauge <= tops.keys()

@@ -421,6 +421,27 @@ def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsy
     assert out == ""
 
 
+@pytest.mark.parametrize("scenario, group, label, residual", [
+    # an abelian fiber under another name: the twist is invisible
+    ("gauge-jet-abelian", {"name": "diag2", "matrix_dim": 2, "basis": [[1, 0, 0, 0], [0, 0, 0, 1]]},
+     "dropping the adjoint twist is invisible for abelian fibers", lambda r: r <= 1e-12),
+    # so3 under an abelian-sounding name: the twist must show
+    ("gauge-jet-so3", {"name": "translation-like", "matrix_dim": 3, "basis": SO3_BASIS,
+                       "family": "orthogonal"},
+     "dropping the adjoint twist breaks equivariance", lambda r: r > 1e-3),
+])
+def test_classification_negative_control_reads_the_bracket_not_the_name(
+        scenario, group, label, residual, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": scenario, "group": group}), encoding="utf-8")
+    code, out, _ = run_cli(["validate", "--config", str(path), "--no-meta",
+                            "--checks", "classification-negative-control"], capsys)
+    (record,) = [d for d in parse_jsonl(out) if "check" in d]
+    assert code == 0 and record["passed"]
+    assert record["label"] == label
+    assert residual(record["max_residual"])
+
+
 @pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
 def test_command_records_read_as_the_suite_records(name, tmp_path):
     # the transport and curvature commands write some records under suite

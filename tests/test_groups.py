@@ -12,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 import liebundles
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
-    _orthogonal_residual,
     _orthogonal_retract,
     descriptor_from_json,
     so3_descriptor,
     translation_descriptor,
 )
 
-from _oracles import (hat_so3_exp, series_logm, so3_hat, taylor_expm,
+from _oracles import (hat_so3_exp, orthogonal_residual, series_logm, so3_hat, taylor_expm,
                       two_check_orthogonal_retract)
 
 SO3 = so3_descriptor()
@@ -221,9 +220,8 @@ def test_descriptor_json_roundtrip():
     rng = np.random.default_rng(11)
     xi = desc.random_algebra(rng)
     assert np.allclose(desc.exp(xi).matrix, SO3.exp(SO3.algebra(xi.coords)).matrix, atol=1e-12)
-    # the family key selects the retraction, the residual and the default radius
+    # the family key selects the retraction and the default radius
     assert desc.retraction is _orthogonal_retract
-    assert desc.membership_residual_fn is _orthogonal_residual
     unsized = descriptor_from_json({k: v for k, v in SO3_DOC.items() if k != "injectivity_radius"})
     assert unsized.injectivity_radius == np.pi - 0.1
 
@@ -322,7 +320,7 @@ def test_retraction_equals_the_two_check_kernel_and_returns_the_residual():
     for rows in (m, m[:5000], m[defects <= 1e-8], m[defects > 1e-8]):
         got, residual = _orthogonal_retract(rows)
         assert np.array_equal(got, two_check_orthogonal_retract(rows))
-        assert np.array_equal(residual, _orthogonal_residual(rows))
+        assert np.array_equal(residual, orthogonal_residual(rows))
         assert np.array_equal(residual, SO3.membership_residual(rows))
     lone, lone_res = SO3.retract_measured(m[7])
     assert np.array_equal(lone, two_check_orthogonal_retract(m[7]))
@@ -335,6 +333,54 @@ def test_translation_retraction_returns_the_residual():
     assert np.array_equal(got[:, :2, 2], m[:, :2, 2])
     assert np.array_equal(residual, T2.membership_residual(m))
     assert np.array_equal(T2.retract(m), got)
+
+
+def _membership_descriptors():
+    from liebundles.gauge import semidirect_jet_descriptor
+    generic = descriptor_from_json(
+        {**{k: v for k, v in SO3_DOC.items() if k != "family"}, "name": "so3-generic"})
+    return [SO3, T2, semidirect_jet_descriptor(SO3, 2), generic]
+
+
+@pytest.mark.parametrize("desc", _membership_descriptors(), ids=lambda d: d.name)
+def test_membership_residual_is_the_residual_the_retraction_measures(desc):
+    """The retraction is the one membership measure; a descriptor without
+    one measures zero, as a numpy float for a lone matrix."""
+    rng = np.random.default_rng(9)
+    m = desc.exp_coords(rng.uniform(-1.0, 1.0, (6, desc.dim)))
+    m = m + rng.uniform(-1e-3, 1e-3, m.shape)
+    stacked = desc.membership_residual(m)
+    assert stacked.shape == (6,)
+    assert np.array_equal(stacked, desc.retract_measured(m)[1])
+    for row, residual in zip(m, stacked):
+        lone = desc.membership_residual(row)
+        assert isinstance(lone, np.float64)
+        assert lone == desc.retract_measured(row)[1] == residual
+    if desc.retraction is None:
+        assert not np.any(stacked) and desc.retract(m) is m
+    else:
+        assert np.all(stacked > 0.0)
+
+
+@pytest.mark.parametrize("desc, row, col, value", [
+    (SO3, 0, 0, np.nan), (SO3, 1, 2, np.inf), (SO3, 2, 0, -np.inf),
+    (T2, 0, 2, np.nan), (T2, 1, 2, np.inf),
+])
+def test_checked_element_refuses_a_non_finite_matrix(desc, row, col, value):
+    """A NaN passes no residual test, and the translation residual does not
+    read the translation column, so finiteness is checked on its own."""
+    rng = np.random.default_rng(4)
+    good = desc.exp_coords(rng.uniform(-1.0, 1.0, (3, desc.dim)))
+    bad = good[1].copy()
+    bad[row, col] = value
+    with pytest.raises(DescriptorError, match=r"membership \(non-finite entries\)"):
+        desc.element(bad)
+    with pytest.raises(DescriptorError, match=r"membership in rows \[1\] \(non-finite entries\)"):
+        desc.element(np.stack([good[0], bad, good[2]]))
+    with pytest.raises(DescriptorError, match=r"membership \(non-finite entries\)"):
+        desc.element(np.full((desc.matrix_dim,) * 2, value))
+    desc.element(good)
+    desc.element(bad, check=False)
 
 
 def test_inverse_matches_linalg_inv():

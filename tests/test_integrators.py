@@ -170,6 +170,20 @@ def test_stack_refuses_a_non_member_initial_fiber(desc, field, spoil):
     integrate_stack(field, desc, np.stack(good), (0.0, 1.0), step=0.1)
 
 
+@pytest.mark.parametrize("desc, field", [(SO3, so3_field), (T2, translation_field)])
+def test_stack_names_the_non_finite_initial_fibers(desc, field):
+    """A non-finite initial fiber is refused by the membership check, by row,
+    before the integrator's own non-finite guard could report it at t0."""
+    rng = np.random.default_rng(44)
+    good = [desc.random_element(rng).matrix for _ in range(3)]
+    bad = good[2].copy()
+    bad[0, -1] = np.nan
+    with pytest.raises(DescriptorError, match=r"membership in rows \[2\] \(non-finite entries\)"):
+        integrate_stack(field, desc, np.stack([good[0], good[1], bad]), (0.0, 1.0), step=0.1)
+    with pytest.raises(DescriptorError, match=r"membership \(non-finite entries\)"):
+        integrate_stack(field, desc, bad, (0.0, 1.0), step=0.1)
+
+
 def test_stack_drift_after_1000_steps():
     rng = np.random.default_rng(41)
     stack = np.stack([SO3.random_element(rng).matrix for _ in range(4)])

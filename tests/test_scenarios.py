@@ -90,12 +90,40 @@ def test_suites_compare_kind_only_to_choose_rows():
     assert not _compares_kind(ast.parse('s.name == "principal-so3"').body[0].value)
 
 
+def _name_conditions(tree):
+    """(line, source) of each condition that reads a ``.name``: the tests of
+    if, while, assert, conditional expressions and comprehension filters,
+    and every comparison."""
+    conditions = [node.test for node in ast.walk(tree)
+                  if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert))]
+    conditions += [cond for node in ast.walk(tree) if isinstance(node, ast.comprehension)
+                   for cond in node.ifs]
+    conditions += [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+    return sorted({(cond.lineno, ast.unparse(cond)) for cond in conditions
+                   if any(isinstance(sub, ast.Attribute) and sub.attr == "name"
+                          for sub in ast.walk(cond))})
+
+
+def test_suites_never_dispatch_on_a_name():
+    """A check decides what a group is from its structure (its structure
+    constants, its descriptor hooks), never from the name a config gave it:
+    no condition in suites.py reads a ``.name``."""
+    tree = ast.parse(pathlib.Path(suites.__file__).read_text(encoding="utf-8"))
+    found = [f"suites.py:{line}: {source}" for line, source in _name_conditions(tree)]
+    assert not found, "a name decides a branch:\n" + "\n".join(found)
+    for branch in ('if s.group.name.startswith("translation"):\n    pass',
+                   'tol = 0.0 if desc.name == "so3" else 1.0',
+                   'rows = [r for r in rows if r.descriptor.name in names]'):
+        assert _name_conditions(ast.parse(branch)), branch
+    assert not _name_conditions(ast.parse("make_record(name, label, scenario.name, vals)"))
+
+
 def test_a_new_row_leaves_the_numbers_of_other_checks(monkeypatch):
     only = ["transport-multiplicative"]
     before = run_suite(PRINCIPAL, only=only)
     dummy = ("aaa-dummy", lambda s, rng, samples, step: ([0.0], 1.0, "dummy", None),
              ("principal",))
-    monkeypatch.setattr(suites, "_TORSOR_CHECKS", [dummy] + suites._TORSOR_CHECKS)
+    monkeypatch.setattr(suites, "_CHECKS", [dummy] + suites._CHECKS)
     assert available_checks("principal")[0] == "aaa-dummy"
     assert run_suite(PRINCIPAL, only=only) == before
 
@@ -322,8 +350,8 @@ def test_affine_group_transport_is_linear_map():
 
 def test_gauge_scenario_sections_evaluate():
     x = np.array([0.3, -0.2])
-    f = GAUGE.f_section(x)
-    g2 = GAUGE.g_section(x)
+    f = GAUGE.omega_hat.f(x)
+    g2 = GAUGE.omega_hat.g2(x)
     assert f.shape == (2, 3)
     assert g2.shape == (2, 2, 3)
     assert f[0, 0] == pytest.approx(0.3 + 0.5 * 0.3)

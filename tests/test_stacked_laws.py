@@ -88,7 +88,7 @@ GAUGE_SCENARIOS = {name: build_scenario(name) for name in ("gauge-jet-so3", "gau
 @pytest.mark.parametrize("check", sorted(gauge_check_oracles()))
 def test_stacked_gauge_check_equals_per_sample_oracle(name, check):
     s = GAUGE_SCENARIOS[name]
-    stacked, oracle = dict(suites._GAUGE_CHECKS)[check], gauge_check_oracles()[check]
+    stacked, oracle = dict(suites._checks_for("gauge"))[check], gauge_check_oracles()[check]
     for seed in (0, 7919):
         for samples in (1, 7, 1000):
             rng_stacked, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
