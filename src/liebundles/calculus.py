@@ -157,7 +157,7 @@ class BaseCurve:
 
     @staticmethod
     def loop(center, radius, interval=(0.0, 1.0), axes=(0, 1), label="loop"):
-        """Closed circle in the (axes) coordinate plane; the two axes must differ."""
+        """Closed circle in the plane of two different axes; a (C, n) centre gives C circles."""
         center = np.asarray(center, dtype=float)
         a, b = interval
         span = b - a
@@ -166,14 +166,14 @@ class BaseCurve:
             raise UsageError(f"loop axes must be two different axes, got {tuple(axes)}")
 
         def pos(t):
-            s = 2.0 * np.pi * (t - a) / span
+            s = _times(2.0 * np.pi * (t - a) / span, center.ndim - 1)
             x = np.broadcast_to(center, np.shape(t) + center.shape).copy()
             x[..., i] += radius * np.cos(s)
             x[..., j] += radius * np.sin(s)
             return x
 
         def vel(t):
-            s = 2.0 * np.pi * (t - a) / span
+            s = _times(2.0 * np.pi * (t - a) / span, center.ndim - 1)
             v = np.zeros(np.shape(t) + center.shape)
             v[..., i] = -radius * np.sin(s) * 2.0 * np.pi / span
             v[..., j] = radius * np.cos(s) * 2.0 * np.pi / span

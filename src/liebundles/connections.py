@@ -22,7 +22,7 @@ import numpy as np
 from .bundles import LieGroupBundle, product_velocity
 from .calculus import AlgebraOneForm, BaseCurve, FiberMap, central_difference, draw_rows
 from .groups import AlgebraElement, GroupElement, _eye_stack, _frobenius, _norm
-from .integrators import integrate_linear, integrate_stack
+from .integrators import Transport, integrate_linear, integrate_stack, planned
 
 __all__ = [
     "LieGroupBundleConnection",
@@ -131,29 +131,12 @@ def transport_group(nu: LieGroupBundleConnection, curve: BaseCurve, g0: GroupEle
     curve r.  Returns the one TransportResult of `integrate_stack`; its base
     schedule is the lift map at every stage point.
     """
-
-    def field(times):
-        return nu.lift_map(curve.position(times), curve.velocity(times))
-
-    return integrate_stack(field, nu.bundle.fiber, g0.matrix, (curve.a, curve.b), step,
-                           with_error_estimate)
+    return integrate_stack(
+        lambda times: nu.lift_map(curve.position(times), curve.velocity(times)),
+        nu.bundle.fiber, g0.matrix, (curve.a, curve.b), step, with_error_estimate)
 
 
-def _rows(mats):
-    """k fibers, each one (m, m) matrix or a (C, m, m) stack with one fiber per
-    curve of a family, as the rows of one (k C, m, m) stack: row j C + c is
-    fiber j on curve c, the layout of ``curve.repeat(k)``."""
-    return np.concatenate([np.reshape(m, (-1,) + np.shape(m)[-2:]) for m in mats])
-
-
-def _transport_rows(nu, curve, mats, step):
-    """Endpoint matrices of k fibers transported along a curve or a family of
-    curves as the rows of one stack, each shaped like its fiber (see `_rows`)."""
-    result = transport_group(nu, curve.repeat(len(mats)),
-                             GroupElement(_rows(mats), nu.bundle.fiber, check=False), step)
-    return list(result.element.matrix.reshape((len(mats),) + np.shape(mats[0])))
-
-
+@planned
 def transport_multiplicativity_check(nu, curve, g, h, step=1e-2):
     """|| transport(gh) - transport(g) transport(h) ||, with g, h and gh
     transported as independent rows of one stack.
@@ -161,18 +144,19 @@ def transport_multiplicativity_check(nu, curve, g, h, step=1e-2):
     On a family of C curves g and h hold one (C, m, m) fiber per curve and
     the result is one residual per curve; a lone curve gives a numpy float.
     """
-    tg, th, tgh = _transport_rows(nu, curve, [g.matrix, h.matrix, (g @ h).matrix], step)
+    ((tg, th, tgh),) = yield [Transport(nu.lift_map, curve, [g, h, g @ h], step)]
     return _frobenius(tgh - tg @ th)
 
 
+@planned
 def transport_unit_inverse_check(nu, curve, g, step=1e-2):
     """Residuals of transporting the unit and of the inverse law, one pair of
     numpy floats for a lone curve or of per-curve arrays for a family (g then
     holds one fiber per curve)."""
     desc = nu.bundle.fiber
     eye = np.eye(desc.matrix_dim)
-    t1, tg, tginv = _transport_rows(
-        nu, curve, [np.broadcast_to(eye, g.matrix.shape), g.matrix, g.inverse().matrix], step)
+    unit = GroupElement(np.broadcast_to(eye, g.matrix.shape), desc, check=False)
+    ((t1, tg, tginv),) = yield [Transport(nu.lift_map, curve, [unit, g, g.inverse()], step)]
     return _frobenius(t1 - eye), _frobenius(tginv - desc.inverse(tg))
 
 
@@ -221,6 +205,7 @@ def algebra_transport(nu, curve, xi: AlgebraElement, step=1e-2) -> AlgebraElemen
     return nu.bundle.fiber.algebra(_algebra_flow(nu, curve, xi.coords[..., None], step)[..., 0])
 
 
+@planned
 def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.ndarray:
     """Central difference at 0 of eps -> log transport_group(exp(eps xi)), with
     exp(eps xi) and exp(-eps xi) transported as rows of one stack.
@@ -230,11 +215,11 @@ def algebra_transport_fd(nu, curve, xi: AlgebraElement, eps, step=1e-2) -> np.nd
     """
     desc = nu.bundle.fiber
     eps = np.asarray(eps, dtype=float)[..., None]
-    ends = iter(_transport_rows(
-        nu, curve, [desc.exp(desc.algebra(s * xi.coords)).matrix for s in (eps, -eps)], step))
+    (ends,) = yield [Transport(
+        nu.lift_map, curve, [desc.exp(desc.algebra(s * xi.coords)) for s in (eps, -eps)], step)]
     # both ends come from the one stack above; central_difference asks for +eps
     # first; they are retracted integrator ends, so their logs need no check
-    return central_difference(lambda s: desc.log_coords(next(ends)), eps)
+    return central_difference(lambda s: desc.log_coords(ends.pop(0)), eps)
 
 
 def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2):
@@ -250,13 +235,14 @@ def algebra_transport_linearity_check(nu, curve, xi, eta, a, b, step=1e-2):
     return _norm(t_combo - a * t_xi - b * t_eta)
 
 
+@planned
 def ad_compatibility_check(nu, curve, g, xi, step=1e-2):
     """|| transport(Ad_g xi) - Ad_{transport(g)}(transport(xi)) ||, one
     residual per curve on a family (g and xi then hold one row per curve)."""
     desc = nu.bundle.fiber
     lhs, txi = np.moveaxis(_algebra_flow(
         nu, curve, np.stack([desc.Ad(g, xi).coords, xi.coords], axis=-1), step), -1, 0)
-    (tg,) = _transport_rows(nu, curve, [g.matrix], step)
+    ((tg,),) = yield [Transport(nu.lift_map, curve, [g], step)]
     return _norm(lhs - desc.Ad(GroupElement(tg, desc, check=False), desc.algebra(txi)).coords)
 
 

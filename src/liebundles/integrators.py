@@ -11,20 +11,30 @@ schedule: the field is asked once per run, for all 2N+1 stage times of its N
 steps at once, and the step loop then does only fiber work.
 `integrate_linear` asks its K(t) the same way.
 `integrate_on_group` is the one-element form.
+
+Transport checks are plans: generators that yield lists of `Transport`
+requests (k fibers of one shape carried along a curve at a step by the field
+``builder(x, u)``) and are sent each request's k endpoints.  `planned` drives
+a plan, `together` runs several in lockstep, and `transport` runs a round as
+one `integrate_stack` per interval and step, in which requests with one
+builder share one evaluation on their concatenated curve rows.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .calculus import FiberMap
 from .errors import InstabilityError, StiffnessError, UsageError
 from .groups import AlgebraElement, GroupDescriptor, GroupElement, _frobenius
 
-__all__ = ["TransportResult", "integrate_stack", "integrate_on_group", "integrate_linear"]
+__all__ = ["TransportResult", "integrate_stack", "integrate_on_group", "integrate_linear",
+           "Transport", "transport", "planned", "together"]
 
 _BLOWUP_FACTOR = 1e6
 _MIN_RELATIVE_STEP = 1e-13
@@ -160,6 +170,88 @@ def integrate_on_group(rhs: Callable[[float, GroupElement], AlgebraElement], g0:
     # rhs is a function of (t, g), so its schedule is one rhs per stage time
     return integrate_stack(lambda times: [functools.partial(velocity, t) for t in times.tolist()],
                            desc, g0.matrix, interval, step, with_error_estimate)
+
+
+Transport = namedtuple("Transport", "builder curve fibers step")
+
+
+def _field(requests, stacks, groups):
+    """The base schedule of one run: each builder's map at its requests' curve
+    rows (a lone request's own curve); several builders' maps act on their rows."""
+    def points(idx, times, attr):
+        values = [getattr(requests[i].curve.repeat(len(requests[i].fibers)), attr)(times)
+                  for i in idx]
+        return values[0] if len(idx) == 1 else np.concatenate([np.broadcast_to(
+            v.reshape(len(v), -1, v.shape[-1]), (len(v), len(stacks[i]), v.shape[-1]))
+            for v, i in zip(values, idx)], axis=1)
+
+    def maps(times):
+        return [builder(points(idx, times, "position"), points(idx, times, "velocity"))
+                for builder, idx in groups.items()]
+
+    if len(groups) == 1:
+        return lambda times: maps(times)[0]
+    cut = np.cumsum([0] + [sum(len(stacks[i]) for i in idx) for idx in groups.values()]).tolist()
+
+    def stacked(fibers, *fiber_maps):
+        return np.concatenate([f(fibers[lo:hi]) for f, lo, hi in zip(fiber_maps, cut, cut[1:])])
+
+    return lambda times: FiberMap(stacked, *maps(times))
+
+
+def transport(requests):
+    """The endpoints of each request: one matrix per fiber, shaped like it."""
+    runs, ends = {}, [None] * len(requests)
+    for i, req in enumerate(requests):
+        key = (req.curve.a, req.curve.b, req.step, req.fibers[0].descriptor)
+        runs.setdefault(key, {}).setdefault(req.builder, []).append(i)
+    # fiber j on curve c is row j C + c, as curve.repeat(k) lays them out
+    stacks = [np.concatenate([np.reshape(f.matrix, (-1,) + f.matrix.shape[-2:]) for f in r.fibers])
+              for r in requests]
+    for (a, b, step, desc), groups in runs.items():
+        order = [i for idx in groups.values() for i in idx]
+        end = integrate_stack(_field(requests, stacks, groups), desc,
+                              np.concatenate([stacks[i] for i in order]), (a, b), step)
+        for i, part in zip(order, np.split(end.element.matrix,
+                                           np.cumsum([len(stacks[i]) for i in order])[:-1])):
+            fibers = requests[i].fibers
+            ends[i] = list(part.reshape((len(fibers),) + fibers[0].matrix.shape))
+    return ends
+
+
+def planned(plan):
+    """The generator function ``plan`` as the function that drives its plan,
+    each round run by `transport`; ``.plan`` keeps the generator function."""
+
+    @functools.wraps(plan)
+    def run(*args, **kwargs):
+        gen, ends = plan(*args, **kwargs), None
+        while True:
+            try:
+                requests = gen.send(ends)
+            except StopIteration as stop:
+                return stop.value
+            ends = transport(requests)
+
+    run.plan = plan
+    return run
+
+
+@planned
+def together(plans):
+    """Runs a list of plans in lockstep and returns the list of their values:
+    each round yields every unfinished plan's requests at once."""
+    values, sent = [None] * len(plans), dict.fromkeys(range(len(plans)))
+    while sent:
+        asked = {}
+        for i, ends in sent.items():
+            try:
+                asked[i] = plans[i].send(ends)
+            except StopIteration as stop:
+                values[i] = stop.value
+        got = iter((yield [r for reqs in asked.values() for r in reqs]) if asked else ())
+        sent = {i: [next(got) for _ in reqs] for i, reqs in asked.items()}
+    return values
 
 
 # a diverging run overflows on its way to the non-finite values it reports

@@ -32,10 +32,10 @@ from .calculus import (
     draw_rows,
     numerical_bracket,
 )
-from .connections import LieGroupBundleConnection, _rows
+from .connections import LieGroupBundleConnection
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
-from .integrators import integrate_stack
+from .integrators import Transport, integrate_stack, planned
 
 __all__ = [
     "WeightRamp",
@@ -362,41 +362,26 @@ def transport_total(omega, curve: BaseCurve, y0: TotalPoint, step=1e-2, with_err
     `integrate_stack`; its base schedule is the form's horizontal map at
     every stage point.
     """
-
-    def field(times):
-        return omega.horizontal_map(curve.position(times), curve.velocity(times))
-
-    result = integrate_stack(field, omega.descriptor, y0.fiber.matrix, (curve.a, curve.b), step,
-                             with_error_estimate)
+    result = integrate_stack(
+        lambda times: omega.horizontal_map(curve.position(times), curve.velocity(times)),
+        omega.descriptor, y0.fiber.matrix, (curve.a, curve.b), step, with_error_estimate)
     return TotalPoint(curve.position(curve.b), result.element), result
 
 
+@planned
 def transport_compatibility_check(omega, curve, y, g, step=1e-2):
     """Transport of y.g against (transport of y).(nu-transport of g).  The
-    total-space rows y.g and y and the group rows g are independent rows of
-    one integration, whose field is the form's horizontal map on the first
-    two blocks and nu's lift map on the last.
+    total-space rows y.g and y, by the form's horizontal map, and the group
+    rows g, by nu's lift map, are independent rows of one integration.
 
     On a family of C curves y.q is (C, n), y.fiber and g hold one (C, m, m)
     fiber per curve, and the result is one residual per curve; a lone curve
     gives a numpy float.
     """
-    action = omega.action
-    desc = omega.descriptor
-    shape = y.fiber.matrix.shape
-    rows = _rows([action.act(y, g).fiber.matrix, y.fiber.matrix, g.matrix])
-    split = len(rows) // 3 * 2
-    pair = curve.repeat(2)
-
-    def stacked(fibers, total, group):
-        return np.concatenate([total(fibers[:split]), group(fibers[split:])])
-
-    def field(times):
-        return FiberMap(stacked, omega.horizontal_map(pair.position(times), pair.velocity(times)),
-                        omega.nu.lift_map(curve.position(times), curve.velocity(times)))
-
-    result = integrate_stack(field, desc, rows, (curve.a, curve.b), step)
-    end_yg, end_y, end_g = result.element.matrix.reshape((3,) + shape)
+    action, desc = omega.action, omega.descriptor
+    (end_yg, end_y), (end_g,) = yield [
+        Transport(omega.horizontal_map, curve, [action.act(y, g).fiber, y.fiber], step),
+        Transport(omega.nu.lift_map, curve, [g], step)]
     recombined = action.act(TotalPoint(curve.position(curve.b), GroupElement(end_y, desc, check=False)),
                             GroupElement(end_g, desc, check=False))
     return _frobenius(end_yg - recombined.fiber.matrix)

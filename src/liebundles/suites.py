@@ -2,11 +2,14 @@
 
 Each check draws from its own substream, keyed by (seed, check id), so a
 record depends only on the config and the check: not on the table's order,
-on other checks or on filtering.
+on other checks or on filtering.  A transport check is a plan that yields
+its requests; `run_suite` runs all plans in lockstep, so their transports on
+one interval at one step share one integration (see `integrators`).
 """
 
 from __future__ import annotations
 
+import inspect
 import zlib
 
 import numpy as np
@@ -25,7 +28,7 @@ from .connections import (
     transport_unit_inverse_check,
     validate_group_connection,
 )
-from .errors import UsageError, prefixed
+from .errors import LieBundleError, UsageError, prefixed
 from .gauge import (
     ConnectionJet,
     GaugeJet,
@@ -42,6 +45,7 @@ from .gauge import (
     EquivariantJetConnection,
 )
 from .groups import _norm
+from .integrators import together
 from .principal import (
     connection_difference,
     curvature,
@@ -80,17 +84,11 @@ def _rng_for(seed, check):
     return np.random.default_rng([int(seed), zlib.crc32(check.encode())])
 
 
-def _family_residuals(s, rng, count, draw, check):
-    """Per-curve residuals of one check run on a family of random curves.
-
-    Draws ``count`` random curves, each followed by ``draw()`` (a tuple of
-    arrays that ride it), in the RNG order of one curve at a time; then calls
-    ``check(family, *draws stacked along a leading curve axis)`` once, so every
-    curve's transports are rows of the same integrations.
-    """
+def _family(s, rng, count, draw):
+    """``count`` random curves as one family, then the ``draw()`` arrays that ride
+    each curve stacked along a leading axis, drawn one curve at a time."""
     start, end, amps, *draws = draw_rows(count, lambda: random_wiggle(s.chart, rng) + draw())
-    family = BaseCurve.wiggle(start, end, amps, RANDOM_CURVE_INTERVAL, label="random")
-    return list(check(family, *draws))
+    return (BaseCurve.wiggle(start, end, amps, RANDOM_CURVE_INTERVAL, label="random"), *draws)
 
 
 def _exp(s, coords):
@@ -149,63 +147,52 @@ def _chk_group_connection_laws(s, rng, samples, step):
 
 
 def _chk_transport_multiplicative(s, rng, samples, step):
-    vals = _family_residuals(
-        s, rng, min(samples, 8),
-        lambda: (s.group.random_coords(rng), s.group.random_coords(rng)),
-        lambda curve, g, h: transport_multiplicativity_check(
-            s.nu, curve, _exp(s, g), _exp(s, h), step=step))
+    curve, g, h = _family(s, rng, min(samples, 8), lambda: _coords(s, rng, 2))
+    vals = yield from transport_multiplicativity_check.plan(s.nu, curve, _exp(s, g), _exp(s, h),
+                                                            step)
     curve = random_curve(s.chart, rng)
     g, h = s.group.random_element(rng), s.group.random_element(rng)
-    errs = [transport_multiplicativity_check(s.nu, curve, g, h, step=hh)
-            for hh in (0.05, 0.025, 0.0125)]
+    errs = yield from together.plan([transport_multiplicativity_check.plan(s.nu, curve, g, h, hh)
+                                     for hh in (0.05, 0.025, 0.0125)])
     return vals, 1e-7, "parallel transport is a fiberwise homomorphism", _order(errs)
 
 
 def _chk_transport_unit_inverse(s, rng, samples, step):
-    vals = _family_residuals(
-        s, rng, min(samples, 8), lambda: (s.group.random_coords(rng),),
-        lambda curve, g: np.column_stack(transport_unit_inverse_check(
-            s.nu, curve, _exp(s, g), step=step)).ravel())
-    return vals, 1e-8, "transport fixes the unit and commutes with inversion", None
+    curve, g = _family(s, rng, min(samples, 8), lambda: (s.group.random_coords(rng),))
+    vals = yield from transport_unit_inverse_check.plan(s.nu, curve, _exp(s, g), step)
+    return np.column_stack(vals).ravel(), 1e-8, \
+        "transport fixes the unit and commutes with inversion", None
 
 
 def _chk_algebra_transport_consistency(s, rng, samples, step):
-    def check(curve, xi):
-        xi = s.group.algebra(xi)
-        linear = algebra_transport(s.nu, curve, xi, step=step).coords
-        return _norm(algebra_transport_fd(s.nu, curve, xi, 1e-4, step) - linear)
-
-    vals = _family_residuals(s, rng, min(samples, 5),
-                             lambda: (s.group.random_coords(rng),), check)
-    return vals, 1e-5, "linearized transport agrees with the direct linear flow", None
+    curve, xi = _family(s, rng, min(samples, 5), lambda: (s.group.random_coords(rng),))
+    xi = s.group.algebra(xi)
+    linear = algebra_transport(s.nu, curve, xi, step=step).coords
+    fd = yield from algebra_transport_fd.plan(s.nu, curve, xi, 1e-4, step)
+    return _norm(fd - linear), 1e-5, "linearized transport agrees with the direct linear flow", None
 
 
 def _chk_algebra_transport_linearity(s, rng, samples, step):
-    vals = _family_residuals(
-        s, rng, min(samples, 5),
-        lambda: (s.group.random_coords(rng), s.group.random_coords(rng),
-                 float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
-        lambda curve, xi, eta, a, b: algebra_transport_linearity_check(
-            s.nu, curve, s.group.algebra(xi), s.group.algebra(eta), a, b, step=step))
+    curve, xi, eta, a, b = _family(s, rng, min(samples, 5), lambda: (
+        s.group.random_coords(rng), s.group.random_coords(rng),
+        float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
+    vals = algebra_transport_linearity_check(s.nu, curve, s.group.algebra(xi),
+                                             s.group.algebra(eta), a, b, step=step)
     return vals, 1e-7, "induced algebra transport is linear", None
 
 
 def _chk_algebra_transport_adjoint(s, rng, samples, step):
-    vals = _family_residuals(
-        s, rng, min(samples, 5),
-        lambda: (s.group.random_coords(rng), s.group.random_coords(rng)),
-        lambda curve, g, xi: ad_compatibility_check(
-            s.nu, curve, _exp(s, g), s.group.algebra(xi), step=step))
+    curve, g, xi = _family(s, rng, min(samples, 5), lambda: _coords(s, rng, 2))
+    vals = yield from ad_compatibility_check.plan(s.nu, curve, _exp(s, g), s.group.algebra(xi),
+                                                  step)
     return vals, 1e-7, "algebra transport intertwines the adjoint action", None
 
 
 def _chk_covariant_product_rule(s, rng, samples, step):
-    def check(curve, w, xi0):
-        return covariant_derivative_bracket_check(
-            s.nu, curve, lambda t: _exp(s, t * w), lambda t: s.group.algebra(xi0 * (1.0 + 0.3 * t)),
-            0.5 * (curve.a + curve.b))
-
-    vals = _family_residuals(s, rng, min(samples, 3), lambda: _coords(s, rng, 2), check)
+    curve, w, xi0 = _family(s, rng, min(samples, 3), lambda: _coords(s, rng, 2))
+    vals = covariant_derivative_bracket_check(
+        s.nu, curve, lambda t: _exp(s, t * w), lambda t: s.group.algebra(xi0 * (1.0 + 0.3 * t)),
+        0.5 * (curve.a + curve.b))
     return vals, 1e-5, "covariant product rule for adjoint-twisted sections", None
 
 
@@ -236,17 +223,15 @@ def _chk_form_equivariance(s, rng, samples, step):
 
 def _chk_transport_compatibility(s, rng, samples, step):
     omega = s.transport_form
-
-    vals = _family_residuals(
-        s, rng, min(samples, 6),
-        lambda: (s.chart.sample(rng), s.group.random_coords(rng), s.group.random_coords(rng)),
-        lambda curve, q, fiber, g: transport_compatibility_check(
-            omega, curve, TotalPoint(q, _exp(s, fiber)), _exp(s, g), step=step))
+    curve, q, fiber, g = _family(s, rng, min(samples, 6), lambda: (
+        s.chart.sample(rng), s.group.random_coords(rng), s.group.random_coords(rng)))
+    vals = yield from transport_compatibility_check.plan(
+        omega, curve, TotalPoint(q, _exp(s, fiber)), _exp(s, g), step)
     curve = random_curve(s.chart, rng)
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)
-    errs = [transport_compatibility_check(omega, curve, y, g, step=hh)
-            for hh in (0.05, 0.025, 0.0125)]
+    errs = yield from together.plan([transport_compatibility_check.plan(omega, curve, y, g, hh)
+                                     for hh in (0.05, 0.025, 0.0125)])
     return vals, 1e-7, "total transport intertwines the fiber action", _order(errs)
 
 
@@ -560,12 +545,24 @@ def run_suite(scenario, seed=None, only=None):
         checks = [(n, f) for n, f in checks if n in wanted]
     config = scenario.config
     seed = config["seed"] if seed is None else seed
-    records = []
-    for name, fn in checks:
+
+    def start(name, fn):
         with prefixed(name):
-            out = fn(scenario, _rng_for(seed, name), config["samples"], config["step"])
-        vals, tol, label, order = out[:4]
-        mode = out[4] if len(out) > 4 else "max<=tol"
+            return fn(scenario, _rng_for(seed, name), config["samples"], config["step"])
+
+    outs = {name: start(name, fn) for name, fn in checks}
+    plans = {name: fn for name, fn in checks if inspect.isgenerator(outs[name])}
+    try:
+        outs.update(zip(plans, together([outs[name] for name in plans])))
+    except LieBundleError:  # each plan alone, in table order, names its check and rows
+        for name, fn in plans.items():
+            with prefixed(name):
+                together([start(name, fn)])
+        raise
+    records = []
+    for name, _ in checks:
+        vals, tol, label, order, *mode = outs[name]
         tol = tolerance_for(config, name, tol)
-        records.append(make_record(name, label, scenario.name, vals, tol, order=order, mode=mode))
+        records.append(make_record(name, label, scenario.name, vals, tol, order=order,
+                                   mode=mode[0] if mode else "max<=tol"))
     return records

@@ -74,6 +74,27 @@ def test_loop_refuses_equal_axes():
     assert BaseCurve.loop([0.1, -0.2], 0.45, axes=(1, 0)).validate(CHART) <= 1e-6
 
 
+def test_loop_family_rows_equal_lone_loops():
+    """A (C, n) centre gives a family of circles: row c is bit-identical to the
+    lone loop about centre c, at a lone time and at a 1-D array of times, and
+    a lone loop is its closed form, bit for bit."""
+    centres = np.array([[0.1, -0.2], [0.0, 0.3], [-0.4, 0.1]])
+    a, b, r = 0.2, 1.4, 0.3
+    family = BaseCurve.loop(centres, r, (a, b), axes=(1, 0))
+    ts = np.linspace(a, b, 7)
+    assert family.position(ts).shape == family.velocity(ts).shape == (7, 3, 2)
+    for c, centre in enumerate(centres):
+        lone = BaseCurve.loop(centre, r, (a, b), axes=(1, 0))
+        for t in (0.37, ts):
+            assert np.array_equal(family.position(t)[..., c, :], lone.position(t))
+            assert np.array_equal(family.velocity(t)[..., c, :], lone.velocity(t))
+        s = 2.0 * np.pi * (ts - a) / (b - a)
+        assert np.array_equal(lone.position(ts), np.stack([centre[0] + r * np.sin(s),
+                                                           centre[1] + r * np.cos(s)], -1))
+        assert np.array_equal(lone.velocity(ts)[:, 1], -r * np.sin(s) * 2.0 * np.pi / (b - a))
+    assert family.validate(CHART) <= 1e-6
+
+
 def test_polynomial_evaluation_and_partial():
     p = Polynomial({"2,0": 1.0, "1,1": -2.0, "0,0": 0.5}, 2)
     x = np.array([0.7, -0.4])

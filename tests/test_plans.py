@@ -1,0 +1,108 @@
+"""Merged transport plans: a suite runs every transport of one interval and
+step as one RKMK4 integration, and each record stays what its check gives
+when it runs alone."""
+
+import numpy as np
+import pytest
+
+from liebundles import integrators
+from liebundles.calculus import BaseCurve, FiberMap
+from liebundles.errors import InstabilityError
+from liebundles.scenarios import build_scenario, random_wiggle
+from liebundles.suites import available_checks, run_suite
+
+SCENARIOS = {name: build_scenario(name)
+             for name in ("principal-so3", "affine-varying", "affine-constant")}
+
+
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_each_check_alone_equals_its_record_in_the_full_run(name, seed):
+    """Merging is invisible in the records: every check run alone with
+    ``only=[id]`` gives the record of the full run, field for field."""
+    s = SCENARIOS[name]
+    full = {record.check: record for record in run_suite(s, seed=seed)}
+    assert list(full) == available_checks(s.kind)
+    for check in full:
+        assert run_suite(s, seed=seed, only=[check]) == [full[check]], check
+
+
+# (rows, steps) of each RKMK4 run of one suite, in call order: on principal-so3
+# the two one-step covariant-product-rule segments, the 81 family rows at the
+# config step (63 nu rows of four checks, 12 horizontal and 6 nu rows of the
+# compatibility check) and the two order ladders merged by step
+RUNS = {
+    "principal-so3": [(3, 1), (3, 1), (81, 80), (6, 8), (6, 16), (6, 32)],
+    "affine-varying": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
+    "affine-constant": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_a_suite_makes_one_run_per_interval_and_step(monkeypatch, name, seed):
+    runs = []
+    real = integrators._run
+
+    def counted(field, g, desc, t0, t1, n_steps):
+        runs.append((len(g), n_steps))
+        return real(field, g, desc, t0, t1, n_steps)
+
+    monkeypatch.setattr(integrators, "_run", counted)
+    run_suite(SCENARIOS[name], seed=seed)
+    assert runs == RUNS[name]
+    assert name != "principal-so3" or len(runs) <= 6
+
+
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+def test_an_error_in_a_merged_run_names_its_check_and_rows(monkeypatch, name):
+    """A compatibility row that turns non-finite half way through its family
+    run raises from the full suite with the check id and the row numbers that
+    the check gives alone, not its rows in the merged stack."""
+    s = SCENARIOS[name]
+    form = s.transport_form
+    real = form.horizontal_map
+
+    def poisoned(q, u_columns):
+        fiber_map = real(q, u_columns)
+        if np.ndim(q) != 3:  # only a family run has (stage, row) points
+            return fiber_map
+        scale = np.ones(np.shape(q)[:-1] + (1,))
+        scale[len(scale) // 2:, 4] = np.inf
+        return FiberMap(lambda fibers, inner, sc: inner(fibers) * sc, fiber_map, scale)
+
+    monkeypatch.setattr(form, "horizontal_map", poisoned)
+    with pytest.raises(InstabilityError) as alone:
+        run_suite(s, only=["transport-compatibility"])
+    with pytest.raises(InstabilityError) as full:
+        run_suite(s)
+    assert str(alone.value).startswith("transport-compatibility: integration produced "
+                                       "non-finite fibers in rows [4] at t=")
+    assert str(full.value) == str(alone.value)
+
+
+def test_requests_merged_on_one_builder_equal_each_request_alone():
+    """Two lone-curve requests and a family request with one builder share one
+    run; each request's endpoints are those of its run alone."""
+    s = SCENARIOS["principal-so3"]
+    rng = np.random.default_rng(11)
+    lone_a, lone_b = (BaseCurve.wiggle(*random_wiggle(s.chart, rng), (0.0, 0.4)) for _ in "ab")
+    family = BaseCurve.wiggle(*(np.array(p) for p in zip(
+        *(random_wiggle(s.chart, rng) for _ in range(3)))), (0.0, 0.4))
+
+    def fiber(*lead):
+        return s.group.exp(s.group.algebra(rng.uniform(-1, 1, lead + (s.group.dim,))))
+
+    requests = [integrators.Transport(s.nu.lift_map, lone_a, [fiber(), fiber()], 0.01),
+                integrators.Transport(s.nu.lift_map, family, [fiber(3)], 0.01),
+                integrators.Transport(s.nu.lift_map, lone_b, [fiber()], 0.01)]
+    runs = []
+    real = integrators._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrators, "_run", lambda *args: runs.append(len(args[1])) or real(*args))
+        merged = integrators.transport(requests)
+    assert runs == [6]
+    for request, ends in zip(requests, merged):
+        (alone,) = integrators.transport([request])
+        assert [e.shape for e in ends] == [f.matrix.shape for f in request.fibers]
+        assert all(np.array_equal(a, b) for a, b in zip(ends, alone))

@@ -83,3 +83,35 @@ def test_compare_reports_rejects_wrong_usage(tmp_path, args):
     code, out = _compare(tmp_path, REPORT, REPORT, extra_args=args)
     assert code == 2, out
     assert "Usage" in out
+
+
+def _run_all(out_dir, *seeds):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_validations.py"), "--out-dir",
+         str(out_dir), "--seed", *map(str, seeds)],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_all_validations_writes_one_directory_per_seed(tmp_path):
+    """Several seeds write `<out-dir>/seed<k>/`, each with every report at
+    seed k and equal, byte for byte, to a run at that seed alone, which
+    writes to `<out-dir>` itself."""
+    result = _run_all(tmp_path / "many", 1, 7919)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in (tmp_path / "many").iterdir()) == ["seed1", "seed7919"]
+    alone = _run_all(tmp_path / "alone", 7919)
+    assert alone.returncode == 0, alone.stderr
+    names = sorted(p.name for p in (tmp_path / "alone").glob("*.jsonl"))
+    assert len(names) == 9
+    for seed in (1, 7919):
+        seed_dir = tmp_path / "many" / f"seed{seed}"
+        assert sorted(p.name for p in seed_dir.glob("*.jsonl")) == names
+        for name in names:
+            summary = json.loads(
+                (seed_dir / name).read_text(encoding="utf-8").splitlines()[-1])["summary"]
+            assert summary["seed"] == seed, name
+    for name in names:
+        assert ((tmp_path / "many" / "seed7919" / name).read_bytes()
+                == (tmp_path / "alone" / name).read_bytes()), name
