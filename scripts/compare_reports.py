@@ -6,16 +6,17 @@ Names the report files that are byte-identical, prints the largest
 `samples`, `passed`, `tolerance` or `mode` differs between the two
 directories, if any |delta max_residual| or |delta mean_residual| exceeds
 ROUNDOFF (1e-3) times that check's tolerance, or if an `order_estimate` (or
-any of these fields) is null or absent in one run and a number in the other
-or moves by more than ORDER_MOVE (1e-3): the two runs must agree beyond
-roundoff in every numeric field, and neither may judge a check by a
-different bound.
+any of these fields) is null or absent in one run and a number in the other,
+is NaN in exactly one run, or moves by more than ORDER_MOVE (1e-3): the two
+runs must agree beyond roundoff in every numeric field, and neither may
+judge a check by a different bound.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
 """
 
 import json
+import math
 import pathlib
 import sys
 
@@ -60,7 +61,9 @@ def main(argv):
             for key, bound in (("max_residual", roundoff), ("mean_residual", roundoff),
                                ("order_estimate", ORDER_MOVE)):
                 x, y = a.get(key), b.get(key)
-                if (x is None) != (y is None) or (x is not None and abs(x - y) > bound):
+                # abs(nan - y) > bound is False, so a NaN on one side is checked apart
+                if (x is None) != (y is None) or (x is not None and (
+                        math.isnan(x) != math.isnan(y) or abs(x - y) > bound)):
                     print(f"{name}: {check} {key} moved: {x} vs {y}, bound {bound:.1e}")
                     mismatch = True
             delta = abs(a["max_residual"] - b["max_residual"])

@@ -251,14 +251,16 @@ def _restricted_curve(curve, t_lo, t_hi):
 
 
 def _covariant_group_derivative(nu, curve, g_path, t, ds, step):
-    """nabla g(t)/dt as d/ds of pulling g(t+s) back to x(t), central differences."""
+    """nabla g(t)/dt as d/ds of pulling g(t+s) back to x(t), central differences: a
+    plan that yields the segment transports in `central_difference`'s order, +ds first."""
 
     def pulled(s):
         seg = _restricted_curve(curve, min(t, t + s), max(t, t + s))
         back = _reversed_curve(seg) if s > 0 else seg
-        return transport_group(nu, back, g_path(t + s), step).element.matrix
+        return Transport(nu.lift_map, back, [g_path(t + s)], step)
 
-    return central_difference(pulled, ds)
+    ends = yield [pulled(ds), pulled(-ds)]
+    return central_difference(lambda s: ends.pop(0)[0], ds)
 
 
 def _reversed_curve(seg):
@@ -268,6 +270,7 @@ def _reversed_curve(seg):
                      lambda t: -np.asarray(seg.velocity(a + b - t)), label=seg.label + "-rev")
 
 
+@planned
 def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t):
     """Residual of the product rule tying nabla(Ad_g xi) to Ad_g nabla xi plus
     the bracket with the right-trivialized covariant velocity of g.
@@ -293,7 +296,7 @@ def covariant_derivative_bracket_check(nu, curve, g_path, xi_path, t):
     lhs = covariant_of(algebra_section)
 
     nabla_xi = covariant_of(lambda tt: xi_path(tt).coords)
-    dg = _covariant_group_derivative(nu, curve, g_path, t, ds, 1e-3)
+    dg = yield from _covariant_group_derivative(nu, curve, g_path, t, ds, 1e-3)
     g_t = g_path(t)
     rtd = desc.matrix_coords(dg @ g_t.inverse().matrix, tol=1e-4)
     term = desc.bracket_coords(rtd, desc.Ad(g_t, xi_path(t)).coords)

@@ -12,12 +12,12 @@ steps at once, and the step loop then does only fiber work.
 `integrate_linear` asks its K(t) the same way.
 `integrate_on_group` is the one-element form.
 
-Transport checks are plans: generators that yield lists of `Transport`
+Transport checks are plans: generators that yield one list of `Transport`
 requests (k fibers of one shape carried along a curve at a step by the field
-``builder(x, u)``) and are sent each request's k endpoints.  `planned` drives
-a plan, `together` runs several in lockstep, and `transport` runs a round as
-one `integrate_stack` per interval and step, in which requests with one
-builder share one evaluation on their concatenated curve rows.
+``builder(x, u)``), once, and are sent each request's k endpoints.  `planned`
+drives a plan, `together` joins several into one round, and `transport` runs
+a round as one `integrate_stack` per interval and step, in which requests
+with one builder share one evaluation on their concatenated curve rows.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _steps(interval, step):
     if not t1 > t0:
         raise UsageError("integration interval must satisfy t0 < t1")
     span = t1 - t0
-    if step <= 0 or step < _MIN_RELATIVE_STEP * span:
+    if not step >= _MIN_RELATIVE_STEP * span:  # a NaN step fails it too
         raise StiffnessError(f"step {step} underflows for interval of length {span}")
     return t0, t1, max(1, int(np.ceil(span / step)))
 
@@ -219,19 +219,23 @@ def transport(requests):
     return ends
 
 
+def _finish(plan, ends):
+    """The value of ``plan`` once sent the endpoints of its one round of requests."""
+    try:
+        plan.send(ends)
+    except StopIteration as stop:
+        return stop.value
+    raise UsageError("a transport plan yields its requests once")
+
+
 def planned(plan):
     """The generator function ``plan`` as the function that drives its plan,
-    each round run by `transport`; ``.plan`` keeps the generator function."""
+    its one round run by `transport`; ``.plan`` keeps the generator function."""
 
     @functools.wraps(plan)
     def run(*args, **kwargs):
-        gen, ends = plan(*args, **kwargs), None
-        while True:
-            try:
-                requests = gen.send(ends)
-            except StopIteration as stop:
-                return stop.value
-            ends = transport(requests)
+        gen = plan(*args, **kwargs)
+        return _finish(gen, transport(next(gen)))
 
     run.plan = plan
     return run
@@ -239,19 +243,11 @@ def planned(plan):
 
 @planned
 def together(plans):
-    """Runs a list of plans in lockstep and returns the list of their values:
-    each round yields every unfinished plan's requests at once."""
-    values, sent = [None] * len(plans), dict.fromkeys(range(len(plans)))
-    while sent:
-        asked = {}
-        for i, ends in sent.items():
-            try:
-                asked[i] = plans[i].send(ends)
-            except StopIteration as stop:
-                values[i] = stop.value
-        got = iter((yield [r for reqs in asked.values() for r in reqs]) if asked else ())
-        sent = {i: [next(got) for _ in reqs] for i, reqs in asked.items()}
-    return values
+    """Runs a list of plans as one round and returns the list of their values:
+    every plan's requests are yielded at once."""
+    asked = [next(plan) for plan in plans]
+    got = iter((yield [r for reqs in asked for r in reqs]))
+    return [_finish(plan, [next(got) for _ in reqs]) for plan, reqs in zip(plans, asked)]
 
 
 # a diverging run overflows on its way to the non-finite values it reports

@@ -343,10 +343,11 @@ def _table_fn(spec, n, shape, field):
 
 
 def _build_affine(config) -> TorsorScenario:
-    m = _count(config["fiber_dim"], "fiber_dim")
-    group = translation_descriptor(m)
+    group = _group_from_config(config["group"])
+    _require(not np.any(group.structure_constants), "group",
+             "abelian (zero structure constants)", config["group"])
     chart = _chart_from_config(config["chart"])
-    n = chart.dim
+    n, m = chart.dim, group.dim
     action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m), "nu_coeff")
     gamma = _table_fn(config["gamma"], n, (n, m), "gamma")
@@ -509,7 +510,6 @@ def _affine_config(name, constant):
         "name": name,
         "kind": "affine",
         "group": "translation:2",
-        "fiber_dim": 2,
         "chart": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
         "curves": {
             "main": {"kind": "line", "start": [-0.5, -0.3], "end": [0.5, 0.4],

@@ -3,8 +3,8 @@
 Each check draws from its own substream, keyed by (seed, check id), so a
 record depends only on the config and the check: not on the table's order,
 on other checks or on filtering.  A transport check is a plan that yields
-its requests; `run_suite` runs all plans in lockstep, so their transports on
-one interval at one step share one integration (see `integrators`).
+all its requests once; `run_suite` runs every plan in one round, so the
+transports on one interval at one step share one integration (`integrators`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .gauge import (
     EquivariantJetConnection,
 )
 from .groups import _norm
-from .integrators import together
+from .integrators import Transport, together
 from .principal import (
     connection_difference,
     curvature,
@@ -54,7 +54,6 @@ from .principal import (
     jet_equivariance_check,
     reduced_curvature_residual,
     transport_compatibility_check,
-    transport_total,
     validate_principal_connection,
 )
 from .reporting import make_record, tolerance_for
@@ -148,12 +147,12 @@ def _chk_group_connection_laws(s, rng, samples, step):
 
 def _chk_transport_multiplicative(s, rng, samples, step):
     curve, g, h = _family(s, rng, min(samples, 8), lambda: _coords(s, rng, 2))
-    vals = yield from transport_multiplicativity_check.plan(s.nu, curve, _exp(s, g), _exp(s, h),
-                                                            step)
+    family = transport_multiplicativity_check.plan(s.nu, curve, _exp(s, g), _exp(s, h), step)
     curve = random_curve(s.chart, rng)
     g, h = s.group.random_element(rng), s.group.random_element(rng)
-    errs = yield from together.plan([transport_multiplicativity_check.plan(s.nu, curve, g, h, hh)
-                                     for hh in (0.05, 0.025, 0.0125)])
+    vals, *errs = yield from together.plan([family] + [
+        transport_multiplicativity_check.plan(s.nu, curve, g, h, hh)
+        for hh in (0.05, 0.025, 0.0125)])
     return vals, 1e-7, "parallel transport is a fiberwise homomorphism", _order(errs)
 
 
@@ -190,7 +189,7 @@ def _chk_algebra_transport_adjoint(s, rng, samples, step):
 
 def _chk_covariant_product_rule(s, rng, samples, step):
     curve, w, xi0 = _family(s, rng, min(samples, 3), lambda: _coords(s, rng, 2))
-    vals = covariant_derivative_bracket_check(
+    vals = yield from covariant_derivative_bracket_check.plan(
         s.nu, curve, lambda t: _exp(s, t * w), lambda t: s.group.algebra(xi0 * (1.0 + 0.3 * t)),
         0.5 * (curve.a + curve.b))
     return vals, 1e-5, "covariant product rule for adjoint-twisted sections", None
@@ -225,13 +224,14 @@ def _chk_transport_compatibility(s, rng, samples, step):
     omega = s.transport_form
     curve, q, fiber, g = _family(s, rng, min(samples, 6), lambda: (
         s.chart.sample(rng), s.group.random_coords(rng), s.group.random_coords(rng)))
-    vals = yield from transport_compatibility_check.plan(
+    family = transport_compatibility_check.plan(
         omega, curve, TotalPoint(q, _exp(s, fiber)), _exp(s, g), step)
     curve = random_curve(s.chart, rng)
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)
-    errs = yield from together.plan([transport_compatibility_check.plan(omega, curve, y, g, hh)
-                                     for hh in (0.05, 0.025, 0.0125)])
+    vals, *errs = yield from together.plan([family] + [
+        transport_compatibility_check.plan(omega, curve, y, g, hh)
+        for hh in (0.05, 0.025, 0.0125)])
     return vals, 1e-7, "total transport intertwines the fiber action", _order(errs)
 
 
@@ -338,10 +338,9 @@ def _chk_affine_transport_oracle(s, rng, samples, step):
     (v0,) = uniform_rows(rng, min(samples, 5), (s.group.dim,))
     y0 = s.fiber_point(curve.position(curve.a), v0)
     # the group transport runs first, so a diverging config stops in its guards
-    coarse, _ = transport_total(s.omega, curve, y0, step=step)
+    ((end,),) = yield [Transport(s.omega.horizontal_map, curve, [y0.fiber], step)]
     # integrator ends need no log check
-    vals = _norm(s.group.log_coords(coarse.fiber.matrix)
-                 - affine_transport_flow(s, curve, v0, step / 4.0))
+    vals = _norm(s.group.log_coords(end) - affine_transport_flow(s, curve, v0, step / 4.0))
     return vals, 1e-7, "fiber transport agrees with the form-free linear flow at step/4", None
 
 

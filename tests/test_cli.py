@@ -330,7 +330,7 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
     ("validate", {"scenario": "affine-varying", "nu_coeff": 7}, "nu_coeff"),
     ("validate", {"scenario": "affine-varying", "gamma": {"polynomials": 5}},
      "gamma.polynomials"),
-    ("validate", {"scenario": "affine-constant", "fiber_dim": "two"}, "fiber_dim"),
+    ("validate", {"scenario": "affine-constant", "group": "so3"}, "group"),
     ("validate", {"scenario": "gauge-jet-so3", "f_section": [0.3, 0.5]}, "f_section"),
     ("transport", {"scenario": "principal-so3", "curves": {
         "main": {"kind": "line", "start": [-0.6, -0.4], "end": [1.4, 0.5]}}}, "curves.main"),

@@ -66,6 +66,16 @@ def test_step_underflow_raises_stiffness_error():
         integrate_on_group(lambda t, g: SO3.zero(), SO3.identity(), (0.0, 1.0), step=1e-16)
 
 
+@pytest.mark.parametrize("step", [float("nan"), 0.0, -0.1, 1e-16])
+def test_both_integrators_refuse_a_step_below_the_floor_or_nan(step):
+    """A NaN step fails every comparison, so it is a StiffnessError like a
+    step at or below the floor, not numpy's error on its step count."""
+    with pytest.raises(StiffnessError):
+        integrate_stack(lambda times: None, SO3, np.eye(3), (0.0, 1.0), step=step)
+    with pytest.raises(StiffnessError):
+        integrate_linear(lambda times: None, np.array([1.0, 0.0]), (0.0, 1.0), step=step)
+
+
 def test_error_estimate_tracks_true_error():
     def rhs(t, g):
         return SO3.algebra([0.9 * np.sin(3 * t), 0.0, 0.8])

@@ -2,12 +2,15 @@
 step as one RKMK4 integration, and each record stays what its check gives
 when it runs alone."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from liebundles import integrators
+from liebundles import connections, integrators, principal, suites
 from liebundles.calculus import BaseCurve, FiberMap
-from liebundles.errors import InstabilityError
+from liebundles.errors import InstabilityError, UsageError
 from liebundles.scenarios import build_scenario, random_wiggle
 from liebundles.suites import available_checks, run_suite
 
@@ -28,11 +31,12 @@ def test_each_check_alone_equals_its_record_in_the_full_run(name, seed):
 
 
 # (rows, steps) of each RKMK4 run of one suite, in call order: on principal-so3
-# the two one-step covariant-product-rule segments, the 81 family rows at the
-# config step (63 nu rows of four checks, 12 horizontal and 6 nu rows of the
-# compatibility check) and the two order ladders merged by step
+# the 81 family rows at the config step (63 nu rows of four checks, 12
+# horizontal and 6 nu rows of the compatibility check), the two one-step
+# covariant-product-rule segments (+ds first) and the two order ladders merged
+# by step; on the affine presets the oracle's group transport comes first
 RUNS = {
-    "principal-so3": [(3, 1), (3, 1), (81, 80), (6, 8), (6, 16), (6, 32)],
+    "principal-so3": [(81, 80), (3, 1), (3, 1), (6, 8), (6, 16), (6, 32)],
     "affine-varying": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
     "affine-constant": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
 }
@@ -106,3 +110,51 @@ def test_requests_merged_on_one_builder_equal_each_request_alone():
         (alone,) = integrators.transport([request])
         assert [e.shape for e in ends] == [f.matrix.shape for f in request.fibers]
         assert all(np.array_equal(a, b) for a, b in zip(ends, alone))
+
+
+def _twice(s):
+    """A plan that yields a second round after its first."""
+    curve = s.curves["main"]
+    yield [integrators.Transport(s.nu.lift_map, curve, [s.group.identity()], 0.1)]
+    yield [integrators.Transport(s.nu.lift_map, curve, [s.group.identity()], 0.1)]
+    return 0.0
+
+
+def test_a_plan_that_yields_twice_is_a_usage_error():
+    """A plan yields its requests once, whether driven alone or with others."""
+    s = SCENARIOS["principal-so3"]
+    with pytest.raises(UsageError, match="yields its requests once"):
+        integrators.planned(_twice)(s)
+    with pytest.raises(UsageError, match="yields its requests once"):
+        integrators.together([_twice(s)])
+
+
+_DIRECT = {"integrate_stack", "transport_group", "transport_total"}
+
+
+def _names(tree):
+    """Every name, attribute and imported name in a syntax tree."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or n.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_suites_and_plans_leave_transport_to_the_round():
+    """`suites.py` names no integrator or transport function, and no plan calls
+    one, itself or through a helper of its module: every suite transport is a
+    request of the one round."""
+    assert not _names(ast.parse(inspect.getsource(suites))) & _DIRECT
+    for module in (connections, principal):
+        tree = ast.parse(inspect.getsource(module))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        plans = [name for name, node in defs.items()
+                 if any(getattr(d, "id", None) == "planned" for d in node.decorator_list)]
+        assert plans, module.__name__
+        for name in plans:
+            seen, todo = set(), [name]
+            while todo:  # the plan and the module functions it reaches
+                fn = todo.pop()
+                seen.add(fn)
+                todo += [n for n in _names(defs[fn]) if n in defs and n not in seen]
+            called = {n.func.id for d in seen for n in ast.walk(defs[d])
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert not called & _DIRECT, (module.__name__, name)

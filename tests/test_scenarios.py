@@ -25,7 +25,7 @@ from liebundles.scenarios import (
     principal_equivalence_report,
     random_curve,
 )
-from liebundles import suites
+from liebundles import integrators, suites
 from liebundles.suites import available_checks, run_suite
 
 from _oracles import affine_transport_oracle
@@ -323,14 +323,20 @@ def test_affine_transport_check_fails_on_a_form_off_the_tables(scenario):
 
 def test_affine_transport_check_runs_one_group_transport(monkeypatch):
     """The reference is the linear flow, not a second group transport at a
-    finer step."""
-    steps = []
-    real = suites.transport_total
-    monkeypatch.setattr(suites, "transport_total",
-                        lambda *args, **kwargs: steps.append(kwargs["step"]) or real(*args, **kwargs))
+    finer step: the check makes one RKMK4 run, on the main curve at the
+    config step."""
+    runs = []
+    real = integrators._run
+
+    def counted(field, g, desc, *steps):
+        runs.append(steps)
+        return real(field, g, desc, *steps)
+
+    monkeypatch.setattr(integrators, "_run", counted)
     (record,) = run_suite(AFFINE_VAR, only=["affine-transport-self-consistency"])
     assert record.passed
-    assert steps == [AFFINE_VAR.config["step"]]
+    curve = AFFINE_VAR.curves["main"]
+    assert runs == [integrators._steps((curve.a, curve.b), AFFINE_VAR.config["step"])]
 
 
 def test_affine_group_transport_is_linear_map():

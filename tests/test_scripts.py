@@ -71,6 +71,7 @@ def test_compare_reports_passes_a_roundoff_move(tmp_path):
      REPORT[1]],                                                          # mean beyond roundoff
     [REPORT[0], _record("group-connection-laws", 4e-17, order_estimate=4.002)],  # order moved
     [REPORT[0], _record("group-connection-laws", 4e-17)],                 # order lost
+    [REPORT[0], _record("group-connection-laws", 4e-17, order_estimate=float("nan"))],  # NaN
     None,                                                                 # file missing
 ])
 def test_compare_reports_flags_a_mismatch(tmp_path, other):
