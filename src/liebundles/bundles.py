@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ChartDomain, central_difference, draw_rows
+from .calculus import ChartDomain, central_difference, sample_rows
 from .errors import UsageError
 from .groups import AlgebraElement, GroupDescriptor, GroupElement, _frobenius, _norm
 
@@ -55,14 +55,15 @@ class TotalSpace:
     def random_point(self, rng) -> "TotalPoint":
         return TotalPoint(self.quotient.sample(rng), self.fiber.random_element(rng))
 
-    def random_points(self, rng, count, draw=lambda: ()):
-        """``count`` random points, each followed by ``draw()`` (a tuple of
-        arrays), in the RNG order of a loop that calls `random_point` (a chart
-        sample, then the fiber's coordinates) and then ``draw()``; returns the
-        stacked TotalPoint, then the stacked draws."""
-        x, coords, *draws = draw_rows(count, lambda: (self.quotient.sample(rng),
-                                                      self.fiber.random_coords(rng), *draw()))
-        return (TotalPoint(x, self.fiber.exp(self.fiber.algebra(coords))), *draws)
+    def random_points(self, rng, count, *fields):
+        """``count`` random points, each followed by a row of ``fields``, in the
+        RNG order of a loop that calls `random_point` (a chart sample, then the
+        fiber's coordinates) and then draws the row; returns the stacked
+        TotalPoint, then the stacked draws (`calculus.sample_rows`)."""
+        x, coords, *draws = sample_rows(rng, count, self.quotient.field, self.fiber.coords_field,
+                                        *fields)
+        return (TotalPoint(self.quotient.place(x), self.fiber.exp(self.fiber.algebra(coords))),
+                *draws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +141,7 @@ class FiberedAction:
 
         def draw(elements):
             """A stack of points, then ``elements`` stacks of group elements."""
-            y, *coords = self.space.random_points(rng, samples, lambda: tuple(
-                desc.random_coords(rng) for _ in range(elements)))
+            y, *coords = self.space.random_points(rng, samples, *[desc.coords_field] * elements)
             return (y, *(desc.exp(desc.algebra(c)) for c in coords))
 
         y, g, h = draw(2)

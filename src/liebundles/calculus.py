@@ -7,6 +7,9 @@ truncation and roundoff for second-order central stencils.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,21 +18,9 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .groups import AlgebraElement, GroupDescriptor, _norm
 
-__all__ = [
-    "ChartDomain",
-    "BaseCurve",
-    "FiberMap",
-    "Polynomial",
-    "AlgebraOneForm",
-    "TwoIndexAlgebraForm",
-    "fd_step",
-    "central_difference",
-    "draw_rows",
-    "uniform_rows",
-    "finite_diff_jacobian",
-    "directional_derivative",
-    "numerical_bracket",
-]
+__all__ = ["ChartDomain", "BaseCurve", "FiberMap", "Polynomial", "AlgebraOneForm",
+           "TwoIndexAlgebraForm", "fd_step", "central_difference", "Uniform", "Normal",
+           "sample_rows", "finite_diff_jacobian", "directional_derivative", "numerical_bracket"]
 
 _EPS_CBRT = float(np.finfo(float).eps ** (1.0 / 3.0))
 
@@ -52,27 +43,37 @@ def central_difference(f, eps):
     return (plus - minus) / (2 * eps)
 
 
-def draw_rows(count, draw):
-    """``count`` calls of ``draw()``, each a tuple of arrays or numbers, made
-    one row at a time so the RNG order is that of a per-sample loop, and
-    stacked entry by entry into a tuple of arrays with a leading row axis.
-    A count below 1 raises: no check may pass on an empty sample."""
-    if count < 1:
-        raise UsageError(f"samples must be at least 1, got {count}")
-    return tuple(np.array(column) for column in zip(*(draw() for _ in range(count))))
+# The fields of `sample_rows`: draws uniform on [low, high), mapped from the
+# generator's doubles u as ``low + (high - low) * u`` like ``rng.uniform``,
+# and standard normal draws.
+Uniform = namedtuple("Uniform", "shape low high", defaults=(-1.0, 1.0))
+Normal = namedtuple("Normal", "shape")
 
 
-def uniform_rows(rng, count, *shapes):
-    """`draw_rows` of ``rng.uniform(-1, 1, shape) for shape in shapes`` from
-    one uniform call, split by columns into contiguous arrays: the generator
-    fills its output row by row, one double per entry, so the arrays and the
-    generator's state are the same.  Rows that mix ranges or draw a normal
-    stay on `draw_rows`."""
+def sample_rows(rng, count, *fields):
+    """``count`` rows of the ``fields``, one array each with a leading row axis,
+    in the RNG order of a loop that draws a row's fields in turn: a row takes
+    one ``rng.random`` call per run of uniform fields and one
+    ``rng.standard_normal`` call per run of normal fields, a stack with no
+    normal field one call.  A count below 1 raises: no check may pass on an
+    empty sample."""
     if count < 1:
         raise UsageError(f"samples must be at least 1, got {count}")
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    parts = np.split(rng.uniform(-1.0, 1.0, (count, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
-    return tuple(part.reshape((count,) + shape).copy() for part, shape in zip(parts, shapes))
+    cuts = list(itertools.accumulate((math.prod(f.shape) for f in fields), initial=0))
+    normal = [isinstance(f, Normal) for f in fields]
+    if any(normal):
+        block = np.empty((count, cuts[-1]))
+        edges = [0] + [i for i in range(1, len(fields)) if normal[i] != normal[i - 1]]
+        runs = [(rng.standard_normal if normal[a] else rng.random, cuts[a], cuts[b])
+                for a, b in zip(edges, edges[1:] + [len(fields)])]
+        for row in block:
+            for draw, lo, hi in runs:
+                draw(out=row[lo:hi])
+    else:
+        block = rng.random((count, cuts[-1]))
+    parts = [block[:, lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return tuple(np.reshape(f.low + (f.high - f.low) * p if isinstance(f, Uniform) else p.copy(),
+                            (count,) + tuple(f.shape)) for f, p in zip(fields, parts))
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,17 @@ class ChartDomain:
         if not self.contains(x):
             raise DomainError(f"point {np.asarray(x)} is outside chart {self.label}")
 
+    @property
+    def field(self):
+        """The draws of a sample: fractions of the span, 0.05 in from each face."""
+        return Uniform((self.dim,), 0.05, 0.95)
+
+    def place(self, fractions):
+        """The points at ``fractions`` (..., n) of the span, drawn from `field`."""
+        return self.lower + (self.upper - self.lower) * fractions
+
     def sample(self, rng):
-        span = self.upper - self.lower
-        return self.lower + span * rng.uniform(0.05, 0.95, size=self.dim)
+        return self.place(sample_rows(rng, 1, self.field)[0][0])
 
     def center(self):
         return 0.5 * (self.lower + self.upper)

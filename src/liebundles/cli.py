@@ -169,10 +169,8 @@ def _cmd_transport(args):
     step = scenario.config["step"]
     rng = np.random.default_rng([scenario.config["seed"], 1000])
     group = scenario.group
-    if args.fiber:
-        coords = _json_vector(args.fiber, group.dim, "--fiber")
-    else:
-        coords = rng.uniform(-1.0, 1.0, group.dim)
+    coords = (_json_vector(args.fiber, group.dim, "--fiber") if args.fiber
+              else group.random_coords(rng))
     g0 = group.exp(group.algebra(coords))
 
     with prefixed("nu transport"):

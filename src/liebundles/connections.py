@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import LieGroupBundle, product_velocity
-from .calculus import AlgebraOneForm, BaseCurve, FiberMap, central_difference, draw_rows
+from .calculus import (AlgebraOneForm, BaseCurve, FiberMap, Normal, central_difference,
+                       sample_rows)
 from .groups import AlgebraElement, GroupElement, _eye_stack, _frobenius, _norm
 from .integrators import Transport, integrate_linear, integrate_stack, planned
 
@@ -102,9 +103,9 @@ def validate_group_connection(nu, rng, samples=100):
     """
     desc = nu.bundle.fiber
     n = nu.bundle.base.dim
-    x, u, fg, fgp = draw_rows(samples, lambda: (
-        nu.bundle.base.sample(rng), rng.standard_normal(n), desc.random_coords(rng),
-        desc.random_coords(rng)))
+    x, u, fg, fgp = sample_rows(rng, samples, nu.bundle.base.field, Normal((n,)),
+                                desc.coords_field, desc.coords_field)
+    x = nu.bundle.base.place(x)
     g, gp = desc.exp(desc.algebra(fg)), desc.exp(desc.algebra(fgp))
     lift = nu.lift_map(np.repeat(x, n + 1, axis=0), np.concatenate(
         [u[:, None], np.broadcast_to(np.eye(n), (samples, n, n))], axis=1).reshape(-1, n))

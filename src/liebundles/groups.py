@@ -257,10 +257,16 @@ class GroupDescriptor:
 
     # -- sampling ----------------------------------------------------------
 
+    @property
+    def coords_field(self):
+        """The draws of `random_coords`: uniform on [-1, 1) per coordinate."""
+        from .calculus import Uniform  # calculus imports this module
+        return Uniform((self.dim,))
+
     def random_coords(self, rng):
-        """The coordinates of a `random_algebra` draw, for samplers that stack
-        many draws and validate them once."""
-        return rng.uniform(-1.0, 1.0, size=self.dim)
+        """The coordinates of a `random_algebra` draw: one row of `coords_field`."""
+        from .calculus import sample_rows
+        return sample_rows(rng, 1, self.coords_field)[0][0]
 
     def random_algebra(self, rng):
         return self.algebra(self.random_coords(rng))
@@ -447,11 +453,11 @@ def _orthogonal_retract(m):
         again = rough & (defect_size > 1e-14)
         if _any(again):
             r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
-    far = size >= 1e-4
-    if _any(far):
-        u, _, vt = np.linalg.svd(m[far])
-        u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
-        r[far] = u @ vt
+        far = size >= 1e-4  # every far row is rough
+        if _any(far):
+            u, _, vt = np.linalg.svd(m[far])
+            u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+            r[far] = u @ vt
     return r, size + abs(np.linalg.det(m) - 1.0)
 
 

@@ -23,15 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .bundles import FiberedAction, Tangent, TotalPoint, product_velocity
-from .calculus import (
-    AlgebraOneForm,
-    BaseCurve,
-    FiberMap,
-    Polynomial,
-    directional_derivative,
-    draw_rows,
-    numerical_bracket,
-)
+from .calculus import (AlgebraOneForm, BaseCurve, FiberMap, Normal, Polynomial,
+                       directional_derivative, numerical_bracket, sample_rows)
 from .connections import LieGroupBundleConnection
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
@@ -299,7 +292,7 @@ def build_two_chart_connection(
     omega = GeneralizedPrincipalConnection(action, nu, _glued_form(
         [(w_a, canonical_local_form(desc)), (w_b, twisted_local_form(desc, twist))]))
     check_rng = np.random.default_rng(0)
-    (x,) = draw_rows(25, lambda: (action.space.quotient.sample(check_rng),))
+    x = action.space.quotient.place(*sample_rows(check_rng, 25, action.space.quotient.field))
     wa, wb = w_a(x), w_b(x)
     bad = np.flatnonzero((np.abs(wa + wb - 1.0) > 1e-12) | (np.minimum(wa, wb) < -1e-12))
     if bad.size:
@@ -326,10 +319,9 @@ def _form_law_residuals(form, rng, samples, nu=None):
     horizontality |form(generator of xi)| and plain adjoint equivariance."""
     action = form.action
     desc = action.space.fiber
-    y, xi, fg, u, dy, dg = action.space.random_points(rng, samples, lambda: (
-        desc.random_coords(rng), desc.random_coords(rng),
-        rng.standard_normal(action.space.quotient.dim), desc.random_coords(rng),
-        desc.random_coords(rng)))
+    c = desc.coords_field
+    y, xi, fg, u, dy, dg = action.space.random_points(
+        rng, samples, c, c, Normal((action.space.quotient.dim,)), c, c)
     g = desc.exp(desc.algebra(fg))
     vert = form.value(y, action.generator(y, desc.algebra(xi))).coords
     vert = vert - xi if nu is not None else vert

@@ -20,7 +20,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .bundles import FiberedAction, LieGroupBundle, TotalPoint, TotalSpace
-from .calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial, draw_rows
+from .calculus import (AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Normal, Polynomial,
+                       Uniform, sample_rows)
 from .connections import LieGroupBundleConnection
 from .errors import DomainError, UsageError
 from .gauge import EquivariantJetConnection, semidirect_jet_descriptor
@@ -188,14 +189,19 @@ def _curves_from_config(config, chart):
 RANDOM_CURVE_INTERVAL = (0.0, 0.4)
 
 
-def random_wiggle(chart: ChartDomain, rng):
-    """Start, end and amplitudes of a random wiggle in the chart's inner half."""
+def random_wiggles(chart: ChartDomain, rng, count, *fields):
+    """Start, end and amplitudes of ``count`` random wiggles in the chart's inner
+    half, each followed by a row of ``fields``, from one `sample_rows` call."""
     lo = chart.lower + 0.25 * (chart.upper - chart.lower)
     hi = chart.upper - 0.25 * (chart.upper - chart.lower)
-    start = lo + (hi - lo) * rng.uniform(0.0, 1.0, chart.dim)
-    end = lo + (hi - lo) * rng.uniform(0.0, 1.0, chart.dim)
-    amps = 0.08 * rng.uniform(-1.0, 1.0, chart.dim)
-    return start, end, amps
+    ends, amps = Uniform((chart.dim,), 0.0, 1.0), Uniform((chart.dim,))
+    start, end, amp, *draws = sample_rows(rng, count, ends, ends, amps, *fields)
+    return (lo + (hi - lo) * start, lo + (hi - lo) * end, 0.08 * amp, *draws)
+
+
+def random_wiggle(chart: ChartDomain, rng):
+    """Start, end and amplitudes of one random wiggle in the chart's inner half."""
+    return tuple(part[0] for part in random_wiggles(chart, rng, 1))
 
 
 def random_curve(chart: ChartDomain, rng, interval=RANDOM_CURVE_INTERVAL):
@@ -302,9 +308,9 @@ def principal_equivalence_report(scenario, rng, samples=100, drop_ad=False):
     trivial group connection.
     """
     desc = scenario.group
-    y, xi, fh, u, dv = scenario.action.space.random_points(rng, samples, lambda: (
-        desc.random_coords(rng), desc.random_coords(rng), rng.standard_normal(scenario.chart.dim),
-        desc.random_coords(rng)))
+    c = desc.coords_field
+    y, xi, fh, u, dv = scenario.action.space.random_points(
+        rng, samples, c, c, Normal((scenario.chart.dim,)), c)
     x, g, h, dv = y.q, y.fiber, desc.exp(desc.algebra(fh)), desc.algebra(dv)
     # right-action generator at g has left-trivialized value xi
     delta = desc.algebra((desc.Ad_matrix(g) @ xi[..., None])[..., 0])
@@ -388,9 +394,9 @@ def affine_equivalence_report(scenario: TorsorScenario, rng, samples=100):
     defining equivariance.  Samples are drawn one at a time and the form is
     evaluated once, at y and at its shift as the rows of one stack."""
     group, chart, m = scenario.group, scenario.chart, scenario.group.dim
-    x, yv, w, u, dy = draw_rows(samples, lambda: (
-        chart.sample(rng), rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
-        rng.standard_normal(chart.dim), group.random_coords(rng)))
+    x, yv, w, u, dy = sample_rows(rng, samples, chart.field, Uniform((m,)), Uniform((m,)),
+                                  Normal((chart.dim,)), group.coords_field)
+    x = chart.place(x)
     both = scenario.omega.matrix(scenario.fiber_point(np.concatenate([x, x]),
                                                       np.concatenate([yv + w, yv])))
     lhs, at_y = np.split(_values(both, np.concatenate([u, u]), np.concatenate([dy, dy])), 2)
@@ -426,9 +432,9 @@ def affine_reconstruction_residual(scenario: TorsorScenario, omega, rng, samples
     section and at the sampled points as the rows of one stack, and its
     first n columns are the form on the base unit vectors."""
     group, chart, m, n = scenario.group, scenario.chart, scenario.group.dim, scenario.chart.dim
-    x, yv, u, dy = draw_rows(samples, lambda: (
-        chart.sample(rng), rng.uniform(-1, 1, m), rng.standard_normal(n),
-        group.random_coords(rng)))
+    x, yv, u, dy = sample_rows(rng, samples, chart.field, Uniform((m,)), Normal((n,)),
+                               group.coords_field)
+    x = chart.place(x)
     mats = omega.matrix(scenario.fiber_point(np.concatenate([x, x]),
                                              np.concatenate([np.zeros_like(yv), yv])))
     # contiguous, as the per-sample rows are: numpy's own loop for a strided

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundles import (Tangent, TotalPoint, paired_generator_residual, product_velocity,
                       vertical_isomorphism_check)
-from .calculus import BaseCurve, draw_rows, uniform_rows
+from .calculus import BaseCurve, Normal, Uniform, sample_rows
 from .connections import (
     ad_compatibility_check,
     algebra_transport,
@@ -64,7 +64,7 @@ from .scenarios import (
     RANDOM_CURVE_INTERVAL,
     principal_equivalence_report,
     random_curve,
-    random_wiggle,
+    random_wiggles,
 )
 
 __all__ = ["run_suite", "available_checks"]
@@ -83,10 +83,10 @@ def _rng_for(seed, check):
     return np.random.default_rng([int(seed), zlib.crc32(check.encode())])
 
 
-def _family(s, rng, count, draw):
-    """``count`` random curves as one family, then the ``draw()`` arrays that ride
-    each curve stacked along a leading axis, drawn one curve at a time."""
-    start, end, amps, *draws = draw_rows(count, lambda: random_wiggle(s.chart, rng) + draw())
+def _family(s, rng, count, *fields):
+    """``count`` random curves as one family, then the rows of ``fields`` that
+    ride each curve, stacked along a leading axis, drawn one curve at a time."""
+    start, end, amps, *draws = random_wiggles(s.chart, rng, count, *fields)
     return (BaseCurve.wiggle(start, end, amps, RANDOM_CURVE_INTERVAL, label="random"), *draws)
 
 
@@ -95,9 +95,9 @@ def _exp(s, coords):
     return s.group.exp(s.group.algebra(coords))
 
 
-def _coords(s, rng, count):
-    """``count`` draws of `random_coords`, one after the other."""
-    return tuple(s.group.random_coords(rng) for _ in range(count))
+def _coords(s, count):
+    """The fields of ``count`` draws of `random_coords`, one after the other."""
+    return (s.group.coords_field,) * count
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,7 @@ def _chk_action_axioms(s, rng, samples, step):
 
 
 def _chk_generator_vertical(s, rng, samples, step):
-    y, xi = s.action.space.random_points(rng, min(samples, 100),
-                                         lambda: (s.group.random_coords(rng),))
+    y, xi = s.action.space.random_points(rng, min(samples, 100), *_coords(s, 1))
     vals = _norm(s.action.generator(y, s.group.algebra(xi)).u)
     return vals, 1e-9, "generators are vertical for both projections", None
 
@@ -124,14 +123,14 @@ def _chk_generator_isomorphism(s, rng, samples, step):
 
 
 def _chk_generator_equivariance(s, rng, samples, step):
-    y, g, xi = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 2))
+    y, g, xi = s.action.space.random_points(rng, min(samples, 25), *_coords(s, 2))
     vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
                                      s.group.algebra(np.zeros_like(xi)))
     return vals, 1e-7, "pushforward of a generator is the adjoint-twisted generator", None
 
 
 def _chk_paired_generators(s, rng, samples, step):
-    y, g, xi, eta = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 3))
+    y, g, xi, eta = s.action.space.random_points(rng, min(samples, 25), *_coords(s, 3))
     vals = paired_generator_residual(s.action, y, _exp(s, g), s.group.algebra(xi),
                                      s.group.algebra(eta))
     return vals, 1e-6, "action differential on paired generators", None
@@ -146,7 +145,7 @@ def _chk_group_connection_laws(s, rng, samples, step):
 
 
 def _chk_transport_multiplicative(s, rng, samples, step):
-    curve, g, h = _family(s, rng, min(samples, 8), lambda: _coords(s, rng, 2))
+    curve, g, h = _family(s, rng, min(samples, 8), *_coords(s, 2))
     family = transport_multiplicativity_check.plan(s.nu, curve, _exp(s, g), _exp(s, h), step)
     curve = random_curve(s.chart, rng)
     g, h = s.group.random_element(rng), s.group.random_element(rng)
@@ -157,14 +156,14 @@ def _chk_transport_multiplicative(s, rng, samples, step):
 
 
 def _chk_transport_unit_inverse(s, rng, samples, step):
-    curve, g = _family(s, rng, min(samples, 8), lambda: (s.group.random_coords(rng),))
+    curve, g = _family(s, rng, min(samples, 8), *_coords(s, 1))
     vals = yield from transport_unit_inverse_check.plan(s.nu, curve, _exp(s, g), step)
     return np.column_stack(vals).ravel(), 1e-8, \
         "transport fixes the unit and commutes with inversion", None
 
 
 def _chk_algebra_transport_consistency(s, rng, samples, step):
-    curve, xi = _family(s, rng, min(samples, 5), lambda: (s.group.random_coords(rng),))
+    curve, xi = _family(s, rng, min(samples, 5), *_coords(s, 1))
     xi = s.group.algebra(xi)
     linear = algebra_transport(s.nu, curve, xi, step=step).coords
     fd = yield from algebra_transport_fd.plan(s.nu, curve, xi, 1e-4, step)
@@ -172,23 +171,22 @@ def _chk_algebra_transport_consistency(s, rng, samples, step):
 
 
 def _chk_algebra_transport_linearity(s, rng, samples, step):
-    curve, xi, eta, a, b = _family(s, rng, min(samples, 5), lambda: (
-        s.group.random_coords(rng), s.group.random_coords(rng),
-        float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
+    curve, xi, eta, a, b = _family(s, rng, min(samples, 5), *_coords(s, 2),
+                                   *(Uniform((), -2.0, 2.0),) * 2)
     vals = algebra_transport_linearity_check(s.nu, curve, s.group.algebra(xi),
                                              s.group.algebra(eta), a, b, step=step)
     return vals, 1e-7, "induced algebra transport is linear", None
 
 
 def _chk_algebra_transport_adjoint(s, rng, samples, step):
-    curve, g, xi = _family(s, rng, min(samples, 5), lambda: _coords(s, rng, 2))
+    curve, g, xi = _family(s, rng, min(samples, 5), *_coords(s, 2))
     vals = yield from ad_compatibility_check.plan(s.nu, curve, _exp(s, g), s.group.algebra(xi),
                                                   step)
     return vals, 1e-7, "algebra transport intertwines the adjoint action", None
 
 
 def _chk_covariant_product_rule(s, rng, samples, step):
-    curve, w, xi0 = _family(s, rng, min(samples, 3), lambda: _coords(s, rng, 2))
+    curve, w, xi0 = _family(s, rng, min(samples, 3), *_coords(s, 2))
     vals = yield from covariant_derivative_bracket_check.plan(
         s.nu, curve, lambda t: _exp(s, t * w), lambda t: s.group.algebra(xi0 * (1.0 + 0.3 * t)),
         0.5 * (curve.a + curve.b))
@@ -196,10 +194,9 @@ def _chk_covariant_product_rule(s, rng, samples, step):
 
 
 def _chk_horizontal_product_rule(s, rng, samples, step):
-    x, g, h, u, delta_h = draw_rows(min(samples, 25), lambda: (
-        s.chart.sample(rng), *_coords(s, rng, 2), rng.standard_normal(s.chart.dim),
-        s.group.random_coords(rng)))
-    vals = horizontal_product_rule_check(s.nu, x, _exp(s, g), _exp(s, h), u,
+    x, g, h, u, delta_h = sample_rows(rng, min(samples, 25), s.chart.field, *_coords(s, 2),
+                                      *_directions(s, 1), *_coords(s, 1))
+    vals = horizontal_product_rule_check(s.nu, s.chart.place(x), _exp(s, g), _exp(s, h), u,
                                          s.group.algebra(delta_h))
     return vals, 1e-5, "horizontal lifts obey the fiber product rule", None
 
@@ -222,10 +219,9 @@ def _chk_form_equivariance(s, rng, samples, step):
 
 def _chk_transport_compatibility(s, rng, samples, step):
     omega = s.transport_form
-    curve, q, fiber, g = _family(s, rng, min(samples, 6), lambda: (
-        s.chart.sample(rng), s.group.random_coords(rng), s.group.random_coords(rng)))
+    curve, q, fiber, g = _family(s, rng, min(samples, 6), s.chart.field, *_coords(s, 2))
     family = transport_compatibility_check.plan(
-        omega, curve, TotalPoint(q, _exp(s, fiber)), _exp(s, g), step)
+        omega, curve, TotalPoint(s.chart.place(q), _exp(s, fiber)), _exp(s, g), step)
     curve = random_curve(s.chart, rng)
     y = s.action.space.random_point(rng)
     g = s.group.random_element(rng)
@@ -236,22 +232,22 @@ def _chk_transport_compatibility(s, rng, samples, step):
 
 
 def _chk_jet_equivariance(s, rng, samples, step):
-    y, g = s.action.space.random_points(rng, min(samples, 25), lambda: _coords(s, rng, 1))
+    y, g = s.action.space.random_points(rng, min(samples, 25), *_coords(s, 1))
     vals = jet_equivariance_check(s.transport_form, y, _exp(s, g))
     return vals, 1e-6, "horizontal jets transform by the lifted action", None
 
 
 def _chk_horizontal_transform(s, rng, samples, step):
-    y, g, u, delta_g = s.action.space.random_points(rng, min(samples, 15), lambda: (
-        s.group.random_coords(rng), rng.standard_normal(s.chart.dim), s.group.random_coords(rng)))
+    y, g, u, delta_g = s.action.space.random_points(rng, min(samples, 15), *_coords(s, 1),
+                                                    *_directions(s, 1), *_coords(s, 1))
     vals = horizontal_transform_check(s.transport_form, y, _exp(s, g), u,
                                       s.group.algebra(delta_g))
     return vals, 1e-5, "horizontal lifts transform with a vertical correction", None
 
 
 def _chk_product_connection(s, rng, samples, step):
-    y, g, u, a, b = s.action.space.random_points(rng, min(samples, 10), lambda: (
-        s.group.random_coords(rng), rng.standard_normal(s.chart.dim), *_coords(s, rng, 2)))
+    y, g, u, a, b = s.action.space.random_points(rng, min(samples, 10), *_coords(s, 1),
+                                                 *_directions(s, 1), *_coords(s, 2))
     vals = equivariant_product_connection_check(s.transport_form, y, _exp(s, g),
                                                 Tangent(u, s.group.algebra(a)),
                                                 Tangent(u, s.group.algebra(b)))
@@ -264,13 +260,13 @@ def _chk_connection_difference(s, rng, samples, step):
         "difference of two connections is tensorial of adjoint type", None
 
 
-def _directions(s, rng, k):
-    """k draws of a base direction, one after the other."""
-    return tuple(rng.standard_normal(s.chart.dim) for _ in range(k))
+def _directions(s, k):
+    """The fields of k draws of a base direction, one after the other."""
+    return (Normal((s.chart.dim,)),) * k
 
 
 def _chk_curvature_two_path(s, rng, samples, step):
-    y, u1, u2 = s.action.space.random_points(rng, min(samples, 4), lambda: _directions(s, rng, 2))
+    y, u1, u2 = s.action.space.random_points(rng, min(samples, 4), *_directions(s, 2))
     vals = curvature(s.omega, y, u1, u2).gap
     y = s.action.space.random_point(rng)
     gaps = [curvature(s.omega, y, np.eye(s.chart.dim)[0], np.eye(s.chart.dim)[-1], h=hh).gap
@@ -279,13 +275,13 @@ def _chk_curvature_two_path(s, rng, samples, step):
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
-    y, u = s.action.space.random_points(rng, min(samples, 4), lambda: _directions(s, rng, 1))
+    y, u = s.action.space.random_points(rng, min(samples, 4), *_directions(s, 1))
     vals = _norm(curvature(s.omega, y, u, u).value.coords)
     return vals, 1e-10, "curvature is antisymmetric in its arguments", None
 
 
 def _chk_curvature_tensoriality(s, rng, samples, step):
-    y, u1, u2 = s.action.space.random_points(rng, min(samples, 3), lambda: _directions(s, rng, 2))
+    y, u1, u2 = s.action.space.random_points(rng, min(samples, 3), *_directions(s, 2))
     # the rows at (u1, u2) and at (2 u1, u2) as the two halves of one stack
     twice = TotalPoint(np.concatenate([y.q, y.q]),
                        s.group.element(np.concatenate([y.fiber.matrix] * 2), check=False))
@@ -295,8 +291,8 @@ def _chk_curvature_tensoriality(s, rng, samples, step):
 
 
 def _chk_reduced_curvature(s, rng, samples, step):
-    y, g, u1, u2 = s.action.space.random_points(rng, min(samples, 4), lambda: (
-        s.group.random_coords(rng), *_directions(s, rng, 2)))
+    y, g, u1, u2 = s.action.space.random_points(rng, min(samples, 4), *_coords(s, 1),
+                                                *_directions(s, 2))
     vals = reduced_curvature_residual(s.omega, y, _exp(s, g), u1, u2)
     return vals, 1e-5, "reduced curvature is representative independent", None
 
@@ -335,7 +331,7 @@ def _chk_affine_reconstruction(s, rng, samples, step):
 
 def _chk_affine_transport_oracle(s, rng, samples, step):
     curve = s.curves["main"]
-    (v0,) = uniform_rows(rng, min(samples, 5), (s.group.dim,))
+    (v0,) = sample_rows(rng, min(samples, 5), *_coords(s, 1))
     y0 = s.fiber_point(curve.position(curve.a), v0)
     # the group transport runs first, so a diverging config stops in its guards
     ((end,),) = yield [Transport(s.omega.horizontal_map, curve, [y0.fiber], step)]
@@ -353,7 +349,7 @@ def _draw_jets(s, rng, count, per_row):
     """``per_row`` stacked GaugeJets of ``count`` rows, in the RNG order of
     ``per_row`` GaugeJet.random calls a row (the coordinates of g, then xi);
     each stack is exponentiated once."""
-    cols = uniform_rows(rng, count, *((s.group.dim,), (s.n, s.group.dim)) * per_row)
+    cols = sample_rows(rng, count, *(s.group.coords_field, Uniform((s.n, s.group.dim))) * per_row)
     return [GaugeJet(_exp(s, coords), xi) for coords, xi in zip(cols[::2], cols[1::2])]
 
 
@@ -361,7 +357,7 @@ def _draw_connection_jets(s, rng, count):
     """A stacked ConnectionJet and GaugeSecondJet of ``count`` rows, drawn in
     the RNG order of ConnectionJet.random then GaugeSecondJet.random per row."""
     n, d = s.n, s.group.dim
-    a, da, raw, xi = uniform_rows(rng, count, (n, d), (n, n, d), (n, n, d), (n, d))
+    a, da, raw, xi = sample_rows(rng, count, *map(Uniform, [(n, d), (n, n, d), (n, n, d), (n, d)]))
     return (ConnectionJet(s.group, a, da),
             GaugeSecondJet(s.group, xi, 0.5 * (raw + np.swapaxes(raw, -3, -2))))
 
@@ -381,7 +377,7 @@ def _draw_adjoint_pairs(s, rng, count):
     the pairs and their closed-form adjoints, each pair flattened to a row of
     d (n + 1) coordinates."""
     n, d = s.n, s.group.dim
-    coords, xi, eta, phi = uniform_rows(rng, count, (d,), (n, d), (d,), (n, d))
+    coords, xi, eta, phi = sample_rows(rng, count, *map(Uniform, [(d,), (n, d), (d,), (n, d)]))
     k = GaugeJet(_exp(s, coords), xi)
 
     def pairs(e, p):
@@ -459,7 +455,7 @@ def _chk_gauge_freeness(s, rng, samples, step):
 
 
 def _chk_gauge_surjectivity(s, rng, samples, step):
-    (raw,) = uniform_rows(rng, min(samples, 50), (s.n, s.n, s.group.dim))
+    (raw,) = sample_rows(rng, min(samples, 50), Uniform((s.n, s.n, s.group.dim)))
     target = raw - np.swapaxes(raw, -3, -2)
     jet = jet_realizing_curvature(s.group, target)
     vals = np.max(np.abs(curvature_map(jet) - target), axis=(-3, -2, -1))

@@ -9,6 +9,25 @@ solutions, and exterior derivatives are evaluated analytically.
 import numpy as np
 
 
+def draw_rows(count, draw):
+    """``count`` calls of ``draw()``, each a tuple of arrays or numbers, made
+    one row at a time and stacked entry by entry into a tuple of arrays with
+    a leading row axis: the per-sample loop of the stacked samplers."""
+    return tuple(np.array(column) for column in zip(*(draw() for _ in range(count))))
+
+
+def sample_rows_oracle(rng, count, *fields):
+    """`calculus.sample_rows` one row at a time: each field of a row drawn by
+    its own ``rng.uniform`` or ``rng.standard_normal`` call."""
+    from liebundles.calculus import Normal
+
+    def row():
+        return tuple(rng.standard_normal(f.shape) if isinstance(f, Normal)
+                     else rng.uniform(f.low, f.high, f.shape) for f in fields)
+
+    return draw_rows(count, row)
+
+
 def taylor_expm(m, terms=24, max_norm=0.5):
     """Scaling-and-squaring matrix exponential with a Taylor kernel."""
     m = np.asarray(m, dtype=float)

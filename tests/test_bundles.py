@@ -15,7 +15,7 @@ from liebundles.bundles import (
     product_velocity,
     vertical_isomorphism_check,
 )
-from liebundles.calculus import ChartDomain, central_difference
+from liebundles.calculus import ChartDomain, Normal, central_difference
 from liebundles.gauge import semidirect_jet_descriptor
 from liebundles.groups import so3_descriptor, translation_descriptor
 
@@ -65,7 +65,7 @@ def test_random_points_equal_a_loop_of_random_point(action):
         return lambda: (rng.standard_normal(2), space.fiber.random_coords(rng))
 
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
-    y, u, xi = space.random_points(rng, 7, draw(rng))
+    y, u, xi = space.random_points(rng, 7, Normal((2,)), space.fiber.coords_field)
     loop = [(space.random_point(twin), *draw(twin)()) for _ in range(7)]
     assert np.all(y.q == np.array([p.q for p, _, _ in loop]))
     assert np.all(y.fiber.matrix == np.array([p.fiber.matrix for p, _, _ in loop]))

@@ -8,23 +8,23 @@ import numpy as np
 import pytest
 
 import liebundles
-from liebundles import suites
 from liebundles.calculus import (
     AlgebraOneForm,
     BaseCurve,
     ChartDomain,
+    Normal,
     Polynomial,
     TwoIndexAlgebraForm,
+    Uniform,
     central_difference,
-    draw_rows,
     finite_diff_jacobian,
     numerical_bracket,
-    uniform_rows,
+    sample_rows,
 )
 from liebundles.errors import DomainError, UsageError
 from liebundles.groups import so3_descriptor
 
-from _oracles import central_jacobian, line_oracle, observed_order
+from _oracles import central_jacobian, line_oracle, observed_order, sample_rows_oracle
 
 SO3 = so3_descriptor()
 CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -245,19 +245,47 @@ def test_central_difference_matches_hand_stencil_bitwise():
         assert np.array_equal(got, (f(eps) - f(-eps)) / (2 * eps))
 
 
+class _CountingRng:
+    """A generator that counts the ``random`` and ``standard_normal`` calls made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+# (fields, RNG calls per row or None for one call per stack): two uniform
+# ranges back to back, a normal between uniform runs, two adjacent normals and
+# a scalar uniform; then the same uniform fields alone
+_MIXED = (Uniform((2,), 0.05, 0.95), Uniform((2, 3)), Normal((2,)), Uniform((), -2, 2),
+          Normal((3,)), Normal((2, 2)), Uniform((3,), 0.0, 1.0))
+_SAMPLERS = {"mixed": (_MIXED, 5),
+             "uniform": (tuple(f for f in _MIXED if isinstance(f, Uniform)), None)}
+
+
 @pytest.mark.parametrize("seed", [0, 7919])
 @pytest.mark.parametrize("count", [1, 1000])
-def test_uniform_rows_equals_per_row_draws(seed, count):
-    """One block draw gives exactly the per-row uniform draws of draw_rows and
-    leaves the generator where they leave it."""
-    shapes = ((3,), (2, 3), (2, 2, 3))
-    block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = uniform_rows(block_rng, count, *shapes)
-    want = draw_rows(count, lambda: tuple(row_rng.uniform(-1, 1, s) for s in shapes))
-    assert [a.shape for a in got] == [(count,) + s for s in shapes]
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_sample_rows_equals_per_row_draws(seed, count, sampler):
+    """The stacked draws are exactly the per-row draws of each field and
+    leave the generator where they leave it; a row takes one call per run of
+    one kind, and a stack without a normal field one call."""
+    fields, per_row = _SAMPLERS[sampler]
+    block_rng = _CountingRng(np.random.default_rng(seed))
+    row_rng = np.random.default_rng(seed)
+    got = sample_rows(block_rng, count, *fields)
+    want = sample_rows_oracle(row_rng, count, *fields)
+    assert [a.shape for a in got] == [(count,) + f.shape for f in fields]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert all(a.flags.c_contiguous for a in got)
-    assert block_rng.bit_generator.state == row_rng.bit_generator.state
+    assert block_rng.rng.bit_generator.state == row_rng.bit_generator.state
+    assert block_rng.calls == (1 if per_row is None else per_row * count)
 
 
 _STENCIL = re.compile(r"/\s*\(\s*2(\.0*)?\s*\*")
@@ -298,10 +326,9 @@ def test_action_checks_difference_only_through_product_velocity():
     finite difference, the pushforward in bundles.product_velocity:
     principal.py and suites.py do not import the stencil and bundles.py calls
     it nowhere else.  Every suite check draws its samples as whole stacks,
-    through draw_rows or uniform_rows, and evaluates one stack: no check loops
-    over samples.  The gauge checks and their draw helpers, whose rows are all
-    uniform on (-1, 1), draw each stack in one uniform_rows call and never
-    through the per-row draw_rows."""
+    through sample_rows, and evaluates one stack: no check loops over
+    samples, and no function of the package draws from a generator inside a
+    lambda or a loop, the form of a per-sample draw."""
     for module in ("principal.py", "suites.py"):
         imported, callers = _central_difference_users(module)
         assert not imported and not callers, module
@@ -313,13 +340,29 @@ def test_action_checks_difference_only_through_product_velocity():
               if isinstance(top, ast.FunctionDef) and top.name.startswith("_chk_")
               and any(_over_range(node) for node in ast.walk(top))}
     assert looped == set()
-    gauge = {fn.__name__ for _, fn in suites._checks_for("gauge")}
-    gauge |= {"_draw_jets", "_draw_connection_jets", "_draw_adjoint_pairs"}
-    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-    assert gauge <= tops.keys()
-    per_row = {name for name in gauge for node in ast.walk(tops[name])
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "draw_rows"}
-    assert per_row == set()
+    per_row = [f"{path.name}:{line}" for path in sorted(path.parent.glob("*.py"))
+               for line in _draws_per_row(path.read_text(encoding="utf-8"))]
+    assert per_row == []
+    assert _draws_per_row("f = lambda: (g.random_coords(rng), rng.standard_normal(2))") == [1]
+    assert _draws_per_row("for _ in range(k):\n    x = rng.uniform(-1, 1)") == [2]
+    assert _draws_per_row("xs = [chart.sample(rng) for _ in range(k)]") == [1]
+    assert _draws_per_row("x = rng.uniform(-1, 1, (k, 3))") == []
+
+
+def _draws_per_row(source):
+    """The lines of ``source`` that draw from a generator named ``rng`` or
+    ``*_rng`` (a method call on it, or a call that takes it) inside a lambda
+    or a per-sample loop or comprehension."""
+    lines = set()
+    for scope in ast.walk(ast.parse(source)):
+        comprehension = isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                           ast.GeneratorExp))
+        if isinstance(scope, ast.Lambda) or _over_range(scope) or (
+                comprehension and any(_over_range(g) for g in scope.generators)):
+            lines.update(node.lineno for node in ast.walk(scope) if isinstance(node, ast.Call)
+                         and any(isinstance(n, ast.Name) and n.id.endswith("rng")
+                                 for n in (getattr(node.func, "value", None), *node.args)))
+    return sorted(lines)
 
 
 def _over_range(node):

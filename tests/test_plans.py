@@ -129,6 +129,24 @@ def test_a_plan_that_yields_twice_is_a_usage_error():
         integrators.together([_twice(s)])
 
 
+def _never(s):
+    """A plan that returns without yielding its requests."""
+    return 0.0
+    yield
+
+
+def test_a_plan_that_never_yields_is_a_usage_error():
+    """A plan that yields nothing is refused alike, alone or with others, and
+    no StopIteration escapes as a RuntimeError of the joined round."""
+    s = SCENARIOS["principal-so3"]
+    with pytest.raises(UsageError, match="yields its requests once"):
+        integrators.planned(_never)(s)
+    with pytest.raises(UsageError, match="yields its requests once"):
+        integrators.together([_never(s)])
+    with pytest.raises(UsageError, match="yields its requests once"):
+        integrators.together([_twice(s), _never(s)])
+
+
 _DIRECT = {"integrate_stack", "transport_group", "transport_total"}
 
 

@@ -420,7 +420,7 @@ def test_two_chart_guard_names_the_first_point_off_the_partition():
 
 
 def test_two_chart_guard_evaluates_one_stack():
-    # the 25 guard points are drawn through draw_rows and weighed once
+    # the 25 guard points are drawn through sample_rows and weighed once
     tree = ast.parse(inspect.getsource(build_two_chart_connection))
     assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
                    for node in ast.walk(tree))

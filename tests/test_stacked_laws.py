@@ -11,7 +11,7 @@ from liebundles import integrators, suites
 from liebundles.bundles import TotalPoint
 from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
-from liebundles.calculus import Polynomial, uniform_rows
+from liebundles.calculus import Polynomial, Uniform, sample_rows
 from liebundles.groups import _dexp_operator
 from liebundles.principal import (_Twist, canonical_local_form,
                                   connection_difference, curvature, twisted_local_form,
@@ -227,7 +227,7 @@ def test_every_sampled_validator_refuses_an_empty_sample():
         lambda k: validate_group_connection(s.nu, np.random.default_rng(0), samples=k),
         lambda k: principal_equivalence_report(s, np.random.default_rng(0), samples=k),
         lambda k: s.action.validate(np.random.default_rng(0), samples=k),
-        lambda k: uniform_rows(np.random.default_rng(0), k, (s.group.dim,)),
+        lambda k: sample_rows(np.random.default_rng(0), k, Uniform((s.group.dim,))),
     ]
     for validate in validators:
         for samples in (0, -1):
