@@ -348,14 +348,6 @@ class AlgebraOneForm:
         (R, dim) stack."""
         return self.descriptor.algebra(self.coords(x, u))
 
-    @staticmethod
-    def from_polynomials(descriptor, tables, dim):
-        """tables[mu][k] is a Polynomial coefficient table for dx^mu x E_k."""
-        entries = {(mu, k): table[str(k)] for mu, table in enumerate(tables)
-                   for k in range(descriptor.dim) if str(k) in table}
-        return AlgebraOneForm(descriptor,
-                              Polynomial.array(entries, dim, (len(tables), descriptor.dim)))
-
 
 class TwoIndexAlgebraForm:
     """Algebra-valued bilinear form (x, u, v) -> xi."""

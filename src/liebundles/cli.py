@@ -245,20 +245,27 @@ def _cmd_report(args):
     try:
         with open(args.in_path, "r", encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
+        for i, entry in enumerate(lines, 1):
+            if not isinstance(entry, dict):
+                raise ValueError(f"entry {i} is not a JSON object, got {entry!r}")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read report {args.in_path}: {exc}") from exc
     records = [d for d in lines if "check" in d]
     for r in records:
+        what = f"record {r['check']!r} field"
         for key in ("max_residual", "tolerance"):
-            r[key] = _number(r.get(key), f"record {r['check']!r} field {key}")
+            r[key] = _number(r.get(key), f"{what} {key}")
+        if r.get("order_estimate") is not None:
+            _number(r["order_estimate"], f"{what} order_estimate")
+        if not isinstance(r.get("passed"), bool):
+            raise UsageError(f"{what} passed must be true or false, got {r.get('passed')!r}")
     summaries = [d["summary"] for d in lines if "summary" in d]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(records_to_csv(records))
-    failed = [r["check"] for r in records if not r.get("passed")]
+        write_report(records_to_csv(records), args.csv)
+    failed = [r["check"] for r in records if not r["passed"]]
     print(f"records: {len(records)}")
     for r in records:
-        status = "PASS" if r.get("passed") else "FAIL"
+        status = "PASS" if r["passed"] else "FAIL"
         order = r.get("order_estimate")
         order_txt = f" order={order:.2f}" if order is not None else ""
         print(f"  {status} {r['check']}: max={r['max_residual']:.3e} "

@@ -9,6 +9,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
+from .errors import UsageError
+
 __all__ = ["CheckRecord", "tolerance_for", "summary_dict", "render_jsonl", "write_report",
            "records_to_csv"]
 
@@ -90,9 +92,12 @@ def render_jsonl(records, summary, meta=None):
 def write_report(text, out_path=None):
     if out_path is None:
         print(text, end="")
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # an output path is a command-line argument
+        raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def records_to_csv(dicts):

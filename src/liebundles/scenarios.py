@@ -139,12 +139,15 @@ def _chart_from_config(spec):
 
 def _one_form_from_config(desc, spec, dim, field):
     """A 1-form from {mu: {k: polynomial table}}: the coefficient of dx^mu (x) E_k."""
-    tables = [_object(_object(spec, field).get(str(mu), {}), f"{field}.{mu}")
-              for mu in range(dim)]
-    for mu, table in enumerate(tables):
-        for k, poly in table.items():
-            _poly_table(poly, f"{field}.{mu}.{k}")
-    return AlgebraOneForm.from_polynomials(desc, tables, dim)
+    entries = {}
+    for mu, table in _object(spec, field).items():
+        for k, poly in _object(table, f"{field}.{mu}").items():
+            where = f"{field}.{mu}.{k}"
+            ok = all(i.isdecimal() and int(i) < size for i, size in ((mu, dim), (k, desc.dim)))
+            _require(ok, where, f"at a chart index below {dim} and an algebra index below "
+                     f"{desc.dim}", f"{mu}.{k}")
+            entries[int(mu), int(k)] = _poly_table(poly, where)
+    return AlgebraOneForm(desc, Polynomial.array(entries, dim, (dim, desc.dim)))
 
 
 def _curve_from_config(spec, label, n):

@@ -813,7 +813,6 @@ def torsor_check_oracles():
             y = point(s, rng)
             u1, u2 = rng.standard_normal(s.chart.dim), rng.standard_normal(s.chart.dim)
             vals.append(float(curvature(s.omega, y, u1, u2).gap))
-        point(s, rng)  # the point of the check's step sweep
         return vals
 
     def curvature_antisymmetry(s, rng, samples):

@@ -121,9 +121,8 @@ def test_polynomial_array_matches_scalar_entries_bitwise():
 
 def test_one_form_linearity_and_polynomial_table():
     rng = np.random.default_rng(0)
-    form = AlgebraOneForm.from_polynomials(
-        SO3, [{"2": {"1,0": 0.8, "0,0": 0.3}}, {"0": {"0,1": 0.5}}], 2
-    )
+    form = AlgebraOneForm(SO3, Polynomial.array(
+        {(0, 2): {"1,0": 0.8, "0,0": 0.3}, (1, 0): {"0,1": 0.5}}, 2, (2, 3)))
     worst = 0.0
     for _ in range(20):
         x = CHART.sample(rng)

@@ -326,6 +326,11 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
     ("validate", {"scenario": "principal-so3", "two_chart": [0.0, 1.0]}, "two_chart"),
     ("validate", {"scenario": "principal-so3", "base_form": {"0": 5}}, "base_form.0"),
     ("validate", {"scenario": "principal-so3", "base_form": {"0": {"2": 5}}}, "base_form.0.2"),
+    ("validate", {"scenario": "principal-so3", "base_form": {"0": {"7": {"0,0": 1}}}},
+     "base_form.0.7"),
+    ("validate", {"scenario": "principal-so3", "base_form": {"5": {"0": {"0,0": 1}}}},
+     "base_form.5.0"),
+    ("validate", {"scenario": "principal-so3", "nu_form": {"x": {"0": {"0,0": 1}}}}, "nu_form.x.0"),
     ("validate", {"scenario": "principal-so3", "group": "translation:x"}, "group"),
     ("validate", {"scenario": "affine-varying", "nu_coeff": 7}, "nu_coeff"),
     ("validate", {"scenario": "affine-varying", "gamma": {"polynomials": 5}},
@@ -351,7 +356,7 @@ def test_config_field_of_wrong_structure_is_usage_error(command, config, field, 
     assert out == ""
 
 
-@pytest.mark.parametrize("content", [None, "{\"check\": \n"])
+@pytest.mark.parametrize("content", [None, "{\"check\": \n", "5\n"])
 def test_report_missing_or_malformed_file_is_usage_error(content, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     if content is not None:
@@ -387,6 +392,9 @@ def test_report_shows_zero_order_estimate(tmp_path, capsys):
     {"check": "x", "passed": True},
     {"check": "x", "max_residual": 1e-12, "passed": True},
     {"check": "x", "max_residual": "small", "tolerance": 1e-7, "passed": True},
+    {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "order_estimate": "a",
+     "passed": True},
+    {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "passed": "no"},
 ])
 def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
@@ -394,6 +402,27 @@ def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, 
     code, out, err = run_cli(["report", "--in", str(path)], capsys)
     assert code == 2
     assert err.startswith("usage error: record 'x' field ")
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, target", [
+    ("validate", "missing/report.jsonl"),
+    ("validate", "."),
+    ("report", "."),
+])
+def test_unwritable_output_path_is_usage_error(command, target, tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    assert main(["validate", "--scenario", "gauge-jet-abelian", "--no-meta", "--out", str(report),
+                 "--checks", "jet-connection-unit"]) == 0
+    capsys.readouterr()
+    path = tmp_path / target
+    args = (["validate", "--scenario", "gauge-jet-abelian", "--no-meta", "--out", str(path),
+             "--checks", "jet-connection-unit"] if command == "validate"
+            else ["report", "--in", str(report), "--csv", str(path)])
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith(f"usage error: cannot write {path}: ")
     assert len(err.strip().splitlines()) == 1
     assert out == ""
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from liebundles.bundles import LieGroupBundle
-from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap
+from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial
 from liebundles.connections import (
     AlgebraConnection,
     LieGroupBundleConnection,
@@ -29,18 +29,16 @@ BUNDLE = LieGroupBundle(CHART, SO3)
 BUNDLE_T2 = LieGroupBundle(CHART, T2)
 
 # constant base form A = E3 dx1
-A_E3 = AlgebraOneForm.from_polynomials(SO3, [{"2": {"0,0": 1.0}}, {}], 2)
+A_E3 = AlgebraOneForm(SO3, Polynomial.array({(0, 2): {"0,0": 1.0}}, 2, (2, 3)))
 NU_E3 = LieGroupBundleConnection.from_base_form(BUNDLE, A_E3)
 
 # generic polynomial base form
-A_GEN = AlgebraOneForm.from_polynomials(
-    SO3,
-    [
-        {"0": {"0,0": 0.4}, "2": {"1,0": 0.8, "0,0": 0.3}},
-        {"1": {"0,1": 0.6}, "2": {"0,0": -0.2}},
-    ],
-    2,
-)
+A_GEN = AlgebraOneForm(SO3, Polynomial.array(
+    {
+        (0, 0): {"0,0": 0.4}, (0, 2): {"1,0": 0.8, "0,0": 0.3},
+        (1, 1): {"0,1": 0.6}, (1, 2): {"0,0": -0.2},
+    },
+    2, (2, 3)))
 NU_GEN = LieGroupBundleConnection.from_base_form(BUNDLE, A_GEN)
 
 LINE = BaseCurve.line([-0.6, -0.4], [0.6, 0.5], interval=(0.0, 0.4))

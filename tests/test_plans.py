@@ -33,12 +33,13 @@ def test_each_check_alone_equals_its_record_in_the_full_run(name, seed):
 # (rows, steps) of each RKMK4 run of one suite, in call order: on principal-so3
 # the 81 family rows at the config step (63 nu rows of four checks, 12
 # horizontal and 6 nu rows of the compatibility check), the two one-step
-# covariant-product-rule segments (+ds first) and the two order ladders merged
-# by step; on the affine presets the oracle's group transport comes first
+# covariant-product-rule segments (+ds first) and the 42 rows of the two
+# order-estimate families at twice the step; on the affine presets the
+# oracle's group transport comes first
 RUNS = {
-    "principal-so3": [(81, 80), (3, 1), (3, 1), (6, 8), (6, 16), (6, 32)],
-    "affine-varying": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
-    "affine-constant": [(5, 200), (18, 80), (3, 8), (3, 16), (3, 32)],
+    "principal-so3": [(81, 80), (3, 1), (3, 1), (42, 40)],
+    "affine-varying": [(5, 200), (18, 80), (18, 40)],
+    "affine-constant": [(5, 200), (18, 80), (18, 40)],
 }
 
 
@@ -55,7 +56,7 @@ def test_a_suite_makes_one_run_per_interval_and_step(monkeypatch, name, seed):
     monkeypatch.setattr(integrators, "_run", counted)
     run_suite(SCENARIOS[name], seed=seed)
     assert runs == RUNS[name]
-    assert name != "principal-so3" or len(runs) <= 6
+    assert name != "principal-so3" or len(runs) <= 4
 
 
 @pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
@@ -176,3 +177,42 @@ def test_suites_and_plans_leave_transport_to_the_round():
             called = {n.func.id for d in seen for n in ast.walk(defs[d])
                       if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
             assert not called & _DIRECT, (module.__name__, name)
+
+
+# the lone samplers: a suite check draws its sample as stacks instead
+_LONE = {"random_curve", "random_point", "random_element", "random_algebra", "random_coords",
+         "sample"}
+
+
+def test_no_suite_check_draws_a_lone_sample():
+    """No `_chk_*` function of `suites.py` calls a lone sampler (`sample` is
+    `ChartDomain.sample`): each check's order estimate, too, comes from the
+    sample it already has."""
+    tree = ast.parse(inspect.getsource(suites))
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_chk_")]
+    assert checks
+    for node in checks:
+        called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                  for n in ast.walk(node) if isinstance(n, ast.Call)}
+        assert not called & _LONE, node.name
+
+
+@pytest.mark.parametrize("seed", [*range(16), 7919])
+def test_transport_checks_estimate_the_order_of_their_own_family(seed):
+    """Both transport checks read RKMK4's order off their family at the
+    config step and at twice it: a number near 4 at every seed, never null."""
+    records = run_suite(SCENARIOS["principal-so3"], seed=seed,
+                        only=["transport-compatibility", "transport-multiplicative"])
+    assert len(records) == 2
+    for record in records:
+        assert record.order_estimate is not None, record.check
+        assert 3.5 <= record.order_estimate <= 6.0, (record.check, record.order_estimate)
+
+
+def test_order_takes_the_median_over_rungs_and_rows():
+    """`_order` reads numbers and per-row rungs alike, and a ladder below the
+    noise floor has no order."""
+    assert suites._order([16e-6, 1e-6]) == 4.0
+    assert suites._order([[16e-6, 8e-6, 4e-6], [1e-6, 1e-6, 1e-6]]) == 3.0
+    assert suites._order([np.full(3, 1e-13), np.full(3, 1e-14)]) is None

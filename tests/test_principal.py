@@ -240,9 +240,9 @@ def test_connection_difference_is_tensorial():
     # base-form shift
     # A = [[0.3 + 0.5 x2, 0, 0.2], [0, 0.4 x1, 0.1]], as a table so that it
     # also evaluates at a batch of points, as the form-law validators ask
-    base = AlgebraOneForm.from_polynomials(
-        SO3, [{"0": {"0,0": 0.3, "0,1": 0.5}, "2": {"0,0": 0.2}},
-              {"1": {"1,0": 0.4}, "2": {"0,0": 0.1}}], 2)
+    base = AlgebraOneForm(SO3, Polynomial.array(
+        {(0, 0): {"0,0": 0.3, "0,1": 0.5}, (0, 2): {"0,0": 0.2},
+         (1, 1): {"1,0": 0.4}, (1, 2): {"0,0": 0.1}}, 2, (2, 3)))
     omega_shifted, _ = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(9)
     form = _difference_with_laws(omega_shifted, OMEGA_CANON, rng)
@@ -257,7 +257,8 @@ def test_connection_difference_is_tensorial():
 
 def test_abelian_difference_recovers_added_base_form():
     action = abelian_action()
-    base = AlgebraOneForm.from_polynomials(T1, [{"0": {"0,0": 0.4}}, {"0": {"0,0": -0.9}}], 2)
+    base = AlgebraOneForm(T1, Polynomial.array({(0, 0): {"0,0": 0.4}, (1, 0): {"0,0": -0.9}},
+                                               2, (2, 1)))
     omega_plus, _ = build_canonical_connection(action, base_form=base)
     omega0, _ = build_canonical_connection(action)
     rng = np.random.default_rng(10)
@@ -322,9 +323,9 @@ def test_reduced_curvature_representative_independence():
     # the base-form family over the trivial nu is the supported regime
     # A = (0.3 + 0.8 x2) E1 + 0.5 x1 E3 on e1 and 0.2 E1 + 0.7 x1 E2 on e2, as
     # polynomials, since y and y.g are evaluated as one stack of points
-    base = AlgebraOneForm.from_polynomials(
-        SO3, [{"0": {"0,0": 0.3, "0,1": 0.8}, "2": {"1,0": 0.5}},
-              {"0": {"0,0": 0.2}, "1": {"1,0": 0.7}}], 2)
+    base = AlgebraOneForm(SO3, Polynomial.array(
+        {(0, 0): {"0,0": 0.3, "0,1": 0.8}, (0, 2): {"1,0": 0.5},
+         (1, 0): {"0,0": 0.2}, (1, 1): {"1,0": 0.7}}, 2, (2, 3)))
     omega, _ = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(15)
     worst = 0.0
