@@ -11,6 +11,12 @@ is NaN in exactly one run, or moves by more than ORDER_MOVE (1e-3): the two
 runs must agree beyond roundoff in every numeric field, and neither may
 judge a check by a different bound.
 
+The `*.jsonl` files of the two trees are paired by their path below each
+root, so the `seed<k>/` directories of a multi-seed run_all_validations.py
+run are compared seed by seed.  A root that is not a directory is a usage
+error (exit 2), and two trees that hold no report at all exit 1: a
+comparison of nothing passes nothing.
+
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
 """
@@ -31,11 +37,14 @@ def _records(path):
 
 
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) != 2 or not all(pathlib.Path(p).is_dir() for p in argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     dir_a, dir_b = (pathlib.Path(p) for p in argv)
-    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.jsonl")})
+    names = sorted({p.relative_to(d) for d in (dir_a, dir_b) for p in d.rglob("*.jsonl")})
+    if not names:
+        print(f"no *.jsonl report in {dir_a} or {dir_b}")
+        return 1
     mismatch = False
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name

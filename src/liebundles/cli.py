@@ -91,8 +91,9 @@ def _scenario(args):
     """The scenario of the command line, with its tolerance keys checked
     against the check ids its commands write."""
     scenario = build_scenario(_load_config(args))
-    known = {*available_checks(scenario.kind), "transport-endpoint-membership",
-             "transport-error-estimate"}
+    known = set(available_checks(scenario.kind))
+    if scenario.kind != "gauge":  # the transport command's records, torsor kinds only
+        known |= {"transport-endpoint-membership", "transport-error-estimate"}
     for check in scenario.config.get("tolerances", {}):
         if check not in known:
             raise UsageError(f"config field tolerances must be keyed by {scenario.kind} "

@@ -69,11 +69,10 @@ class LieGroupBundleConnection:
 
     @classmethod
     def trivial(cls, bundle: LieGroupBundle):
+        """The connection of the zero base form: its lift Ad_g 0 - 0 is zero."""
         dim = bundle.fiber.dim
-        # zeros shaped like the fiber stack and the points together
-        return cls(bundle, lambda x, u: FiberMap(
-            lambda fibers, zero: zero + np.zeros(fibers.shape[:-2] + (dim,)),
-            np.zeros(np.shape(x)[:-1] + (dim,))))
+        return cls.from_base_form(bundle, AlgebraOneForm(
+            bundle.fiber, lambda x: np.zeros((np.shape(x)[-1], dim))))
 
     # -- pointwise maps ----------------------------------------------------
 

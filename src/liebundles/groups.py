@@ -183,10 +183,7 @@ class GroupDescriptor:
 
     def exp(self, xi: "AlgebraElement") -> "GroupElement":
         """Group exponential of an algebra element, retracted onto the group."""
-        coords = np.asarray(xi.coords, dtype=float)
-        if not np.all(np.isfinite(coords)):
-            raise DomainError("exp: algebra coordinates must be finite")
-        return GroupElement(self.retract(self.exp_coords(coords)), self, check=False)
+        return GroupElement(self.retract(self.exp_coords(xi.coords)), self, check=False)
 
     def _log_matrix(self, mat):
         if self.log_hook is not None:

@@ -91,22 +91,28 @@ def form_matrix(u_block, fiber_block):
     return out
 
 
+def _local_matrix(descriptor, fibers, block, s_rate):
+    """Matrix of a local form at fibers h: Ad_{h^{-1}} block + [S | 0], from
+    its presentation's block [B | I] and rate S."""
+    out = descriptor.Ad_matrix(descriptor.inverse(fibers)) @ block
+    out[..., : s_rate.shape[-1]] += s_rate
+    return out
+
+
 def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None):
     """Fiber left-Maurer-Cartan form of the reference presentation.
 
     Its value on a tangent (u, delta) at fiber point h is
     Ad_{h^{-1}}(A(u) + delta), where A is the optional adjoint-twisted base
-    1-form (zero by default); as a matrix, Ad_{h^{-1}} [A(x)^T | I].
+    1-form (zero by default); as a matrix, Ad_{h^{-1}} [A(x)^T | I] with a
+    zero rate.
     """
 
-    def matrix(fibers, a_t):
-        ad = descriptor.Ad_matrix(descriptor.inverse(fibers))
-        return form_matrix(a_t if base_form is None else ad @ a_t, ad)
-
     def form(q) -> FiberMap:
-        if base_form is None:
-            return FiberMap(matrix, np.zeros(np.shape(q)[:-1] + (descriptor.dim, np.shape(q)[-1])))
-        return FiberMap(matrix, np.swapaxes(base_form.coefficient_array(q), -1, -2))
+        zero = np.broadcast_to(0.0, np.shape(q)[:-1] + (descriptor.dim, np.shape(q)[-1]))
+        a_t = zero if base_form is None else np.swapaxes(base_form.coefficient_array(q), -1, -2)
+        return FiberMap(functools.partial(_local_matrix, descriptor),
+                        form_matrix(a_t, np.eye(descriptor.dim)), zero)
 
     return form
 
@@ -147,41 +153,26 @@ def twisted_local_form(descriptor, twist: _Twist):
     Ad_{h^{-1}} [-T - Ad_t S | I] + [S | 0].
     """
 
-    def matrix(fibers, block, s_rate):
-        out = descriptor.Ad_matrix(descriptor.inverse(fibers)) @ block
-        out[..., : s_rate.shape[-1]] += s_rate
-        return out
-
     def form(q) -> FiberMap:
         s_rate, t_rate = twist.rates(q)
         ad_t = descriptor.Ad_matrix(twist.tau(q))
-        return FiberMap(matrix, form_matrix(-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)),
-                        s_rate)
+        return FiberMap(functools.partial(_local_matrix, descriptor),
+                        form_matrix(-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)), s_rate)
 
     return form
 
 
 def _glued_form(pieces):
-    """Matrix map of the sum of w(q) form(q) over the (weight, form) pieces.
-    A piece whose weight is zero at every point is not evaluated, and at each
-    call (one stage, when the points have a stage axis) only the pieces with a
-    nonzero weight there are summed, starting from the first live term."""
+    """Matrix map of the sum of w(q) form(q) over the (weight, form) pieces."""
 
     def glue(fibers, *parts):
-        terms = (np.asarray(w)[..., None, None] * form(fibers)
-                 for w, form in zip(parts[::2], parts[1::2]) if np.count_nonzero(w))
-        total = next(terms)
-        for term in terms:
-            total = total + term
-        return total
+        return functools.reduce(np.add, (np.asarray(w)[..., None, None] * form(fibers)
+                                         for w, form in zip(parts[::2], parts[1::2])))
 
     def form(q) -> FiberMap:
-        parts = []
-        for weight, piece in pieces:
-            w = np.broadcast_to(weight(q), np.shape(q)[:-1])
-            if np.count_nonzero(w):
-                parts += [w, piece(q)]
-        return FiberMap(glue, *parts)
+        lead = np.shape(q)[:-1]
+        return FiberMap(glue, *(part for weight, piece in pieces
+                                for part in (np.broadcast_to(weight(q), lead), piece(q))))
 
     return form
 

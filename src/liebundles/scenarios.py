@@ -111,10 +111,11 @@ def _index(key, field):
     return tuple(int(p) for p in parts)
 
 
-def _poly_table(spec, field):
-    """A polynomial coefficient table: exponent keys such as "1,0" to numbers."""
+def _poly_table(spec, field, dim):
+    """A polynomial coefficient table on a chart of dimension ``dim``: keys of
+    ``dim`` exponents such as "1,0" to numbers."""
     for key, coeff in _object(spec, field).items():
-        _index(key, field)
+        _require(len(_index(key, field)) == dim, field, f"keyed by {dim} exponents", key)
         _numbers(coeff, f"{field}.{key}", ())
     return spec
 
@@ -146,7 +147,7 @@ def _one_form_from_config(desc, spec, dim, field):
             ok = all(i.isdecimal() and int(i) < size for i, size in ((mu, dim), (k, desc.dim)))
             _require(ok, where, f"at a chart index below {dim} and an algebra index below "
                      f"{desc.dim}", f"{mu}.{k}")
-            entries[int(mu), int(k)] = _poly_table(poly, where)
+            entries[int(mu), int(k)] = _poly_table(poly, where, dim)
     return AlgebraOneForm(desc, Polynomial.array(entries, dim, (dim, desc.dim)))
 
 
@@ -261,12 +262,16 @@ def _build_principal(config) -> TorsorScenario:
     omega_canonical, _ = build_canonical_connection(action)
     glue = _object(config["two_chart"], "two_chart")
     lo, hi = _numbers(glue["ramp"], "two_chart.ramp", (2,))
+
+    def poly(key):
+        return Polynomial(_poly_table(glue[key], f"two_chart.{key}", chart.dim), chart.dim)
+
     omega_glued, nu_glued = build_two_chart_connection(
         action,
         sigma_gen=group.algebra(_numbers(glue["sigma_gen"], "two_chart.sigma_gen", (group.dim,))),
-        p=Polynomial(_poly_table(glue["sigma_poly"], "two_chart.sigma_poly"), chart.dim),
+        p=poly("sigma_poly"),
         tau_gen=group.algebra(_numbers(glue["tau_gen"], "two_chart.tau_gen", (group.dim,))),
-        r=Polynomial(_poly_table(glue["tau_poly"], "two_chart.tau_poly"), chart.dim),
+        r=poly("tau_poly"),
         ramp=WeightRamp(lo, hi, axis=_count(glue.get("ramp_axis", 0), "two_chart.ramp_axis",
                                             0, chart.dim)),
     )
@@ -346,8 +351,12 @@ def _table_fn(spec, n, shape, field):
         arr = _numbers(spec["constant"], f"{field}.constant", shape)
         return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + shape)
     field = f"{field}.polynomials"
-    entries = {_index(key, field): _poly_table(table, f"{field}.{key}")
-               for key, table in _object(spec["polynomials"], field).items()}
+    entries = {}
+    for key, table in _object(spec["polynomials"], field).items():
+        index = _index(key, field)
+        _require(len(index) == len(shape) and all(i < s for i, s in zip(index, shape)), field,
+                 f"keyed by indices within shape {shape}", key)
+        entries[index] = _poly_table(table, f"{field}.{key}", n)
     return Polynomial.array(entries, n, shape)
 
 

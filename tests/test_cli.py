@@ -344,6 +344,15 @@ def test_config_missing_field_is_usage_error(command, config, field, tmp_path, c
      "curves.main.axes"),
     ("validate", {"scenario": "principal-so3",
                   "tolerances": {"transport-multiplicatve": 1e-30}}, "tolerances"),
+    ("validate", {"scenario": "affine-varying", "gamma": {"polynomials": {"5,0": {"0,0": 1}}}},
+     "gamma.polynomials"),
+    ("validate", {"scenario": "affine-varying", "gamma": {"polynomials": {"0,0": {"0,0,0": 1}}}},
+     "gamma.polynomials.0,0"),
+    ("validate", {"scenario": "principal-so3", "two_chart": {
+        "sigma_gen": [0.0, 1.0, 0.0], "sigma_poly": {"1,0,0": 1}, "tau_gen": [1.0, 0.0, 0.0],
+        "tau_poly": {"0,1": 0.6}, "ramp": [-0.2, 0.2]}}, "two_chart.sigma_poly"),
+    ("validate", {"scenario": "gauge-jet-so3",
+                  "tolerances": {"transport-error-estimate": 1e-3}}, "tolerances"),
 ])
 def test_config_field_of_wrong_structure_is_usage_error(command, config, field, tmp_path,
                                                         capsys):

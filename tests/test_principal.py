@@ -20,6 +20,7 @@ from liebundles.principal import (
     GeneralizedPrincipalConnection,
     WeightRamp,
     _glued_form,
+    _Twist,
     build_canonical_connection,
     build_two_chart_connection,
     canonical_local_form,
@@ -31,6 +32,7 @@ from liebundles.principal import (
     reduced_curvature_residual,
     transport_compatibility_check,
     transport_total,
+    twisted_local_form,
     validate_principal_connection,
 )
 from liebundles.scenarios import build_scenario, drop_ad_form
@@ -117,26 +119,31 @@ def test_glued_nu_is_the_weighted_twisted_cocycle():
     assert max(gap(x[r], u[r], fibers[r]) for r in range(7)) <= 1e-15
 
 
-def test_glue_evaluates_only_pieces_with_a_nonzero_weight():
-    def never(q):
-        raise AssertionError("a piece of zero weight at every point was evaluated")
+TWIST = _Twist(SO3, SIGMA_GEN, SIGMA_POLY, SO3.algebra([1.0, 0.0, 0.0]),
+               Polynomial({"0,1": 0.6, "1,1": 0.4}, 2))
 
-    def fiber_part_raises(q):
-        return FiberMap(lambda fibers, zero: never(q), np.zeros(np.shape(q)[:-1]))
 
-    canonical = canonical_local_form(SO3)
+def test_glue_is_the_canonical_piece_where_the_twisted_weight_is_zero():
+    # every piece is evaluated; one of weight zero adds a signed zero to each entry
+    canonical, twisted = canonical_local_form(SO3), twisted_local_form(SO3, TWIST)
+    w_b = WeightRamp(-0.2, 0.2, axis=0, invert=True)
     fiber = SO3.random_element(np.random.default_rng(22)).matrix
-    # two stage points: RAMP weighs 1 at the first and 0 at the second
+    # two stage points: w_b weighs 0 at the first and 1 at the second
     x = np.array([[-0.6, 0.1], [0.6, 0.1]])
-    glued = _glued_form([(RAMP, canonical), (lambda q: np.zeros(np.shape(q)[:-1]), never)])
+    assert w_b(x[0]) == 0.0 and not np.allclose(twisted(x[0])(fiber), canonical(x[0])(fiber))
+    glued = _glued_form([(RAMP, canonical), (w_b, twisted)])
     assert np.array_equal(glued(x[0])(fiber), canonical(x[0])(fiber))
     assert np.array_equal(glued(x)[0](fiber), canonical(x[0])(fiber))
-    # a piece live at some stage is evaluated only at the stages where it is live
-    staged = _glued_form([(RAMP, canonical),
-                          (WeightRamp(-0.2, 0.2, axis=0, invert=True), fiber_part_raises)])(x)
-    assert np.array_equal(staged[0](fiber), canonical(x[0])(fiber))
-    with pytest.raises(AssertionError):
-        staged[1](fiber)
+
+
+def test_twisted_form_of_zero_rates_is_the_canonical_form():
+    gen = SO3.algebra([0.3, -0.5, 0.8])
+    untwisted = _Twist(SO3, gen, Polynomial({}, 2), gen, Polynomial({}, 2))
+    rng = np.random.default_rng(23)
+    q = rng.uniform(-0.9, 0.9, (6, 2))
+    fibers = np.array([SO3.random_element(rng).matrix for _ in range(6)])
+    assert np.array_equal(twisted_local_form(SO3, untwisted)(q)(fibers),
+                          canonical_local_form(SO3)(q)(fibers))
 
 
 def test_abelian_canonical_is_fiber_coordinate_differential():

@@ -21,21 +21,32 @@ def test_convergence_study_runs():
     assert "# observed orders" in result.stdout
 
 
+def _write_reports(root, reports):
+    """Write {path below root: records} as JSON-lines report files."""
+    root.mkdir(exist_ok=True)
+    for rel, records in reports.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                        encoding="utf-8")
+
+
+def _compare_dirs(*args):
+    """Exit code and output of compare_reports.py on the given arguments."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=60)
+    return result.returncode, result.stdout + result.stderr
+
+
 def _compare(tmp_path, records_a, records_b, extra_args=None):
     """Exit code and output of compare_reports.py on two report directories,
     each holding one `principal-so3.jsonl` of the given records."""
     dirs = []
     for name, records in (("a", records_a), ("b", records_b)):
-        d = tmp_path / name
-        d.mkdir()
-        if records is not None:
-            (d / "principal-so3.jsonl").write_text(
-                "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8")
-        dirs.append(str(d))
-    args = dirs if extra_args is None else extra_args
-    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_reports.py"), *args],
-                            capture_output=True, text=True, timeout=60)
-    return result.returncode, result.stdout + result.stderr
+        _write_reports(tmp_path / name, {} if records is None else {"principal-so3.jsonl": records})
+        dirs.append(tmp_path / name)
+    return _compare_dirs(*(dirs if extra_args is None else extra_args))
 
 
 def _record(check, max_residual, tolerance=1e-8, mean_residual=None, order_estimate=None):
@@ -84,6 +95,39 @@ def test_compare_reports_rejects_wrong_usage(tmp_path, args):
     code, out = _compare(tmp_path, REPORT, REPORT, extra_args=args)
     assert code == 2, out
     assert "Usage" in out
+
+
+SEED_LAYOUT = {f"seed{k}/{name}": REPORT for k in (0, 7919)
+               for name in ("principal-so3.jsonl", "transport-principal-so3.jsonl")}
+
+
+def test_compare_reports_pairs_the_reports_of_every_seed(tmp_path):
+    _write_reports(tmp_path / "a", SEED_LAYOUT)
+    _write_reports(tmp_path / "b", SEED_LAYOUT)
+    code, out = _compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert code == 0, out
+    for rel in SEED_LAYOUT:
+        assert f"{rel}: byte-identical" in out
+
+
+def test_compare_reports_flags_a_move_in_one_seed(tmp_path):
+    moved = [_record("form-complementarity", 2e-16 + 2e-3 * 1e-8), REPORT[1]]
+    _write_reports(tmp_path / "a", SEED_LAYOUT)
+    _write_reports(tmp_path / "b", dict(SEED_LAYOUT, **{"seed7919/principal-so3.jsonl": moved}))
+    code, out = _compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert code == 1, out
+    assert "seed7919/principal-so3.jsonl: form-complementarity max_residual moved" in out
+    assert "seed0/principal-so3.jsonl: byte-identical" in out
+
+
+@pytest.mark.parametrize("b, expected", [("empty", 1), ("missing", 2)])
+def test_compare_reports_fails_when_it_compares_nothing(tmp_path, b, expected):
+    _write_reports(tmp_path / "a", {})
+    if b == "empty":
+        _write_reports(tmp_path / b, {})
+    code, out = _compare_dirs(tmp_path / "a", tmp_path / b)
+    assert code == expected, out
+    assert out.strip()
 
 
 def _run_all(out_dir, *seeds):
