@@ -9,7 +9,13 @@ ROUNDOFF (1e-3) times that check's tolerance, or if an `order_estimate` (or
 any of these fields) is null or absent in one run and a number in the other,
 is NaN in exactly one run, or moves by more than ORDER_MOVE (1e-3): the two
 runs must agree beyond roundoff in every numeric field, and neither may
-judge a check by a different bound.
+judge a check by a different bound.  The `summary` lines, which hold the
+actual outputs of the `transport` and `curvature` commands, are compared
+field by field: keys and list lengths must match, a number may move by at
+most SUMMARY_MOVE (1e-9) times max(1, |x|), NaN must appear on both sides
+or neither, and every other value must be equal; any other difference
+prints `<file>: summary.<path> moved` and exits 1.  The "largest" line
+names the check of the largest move only when that move is above 0.
 
 The `*.jsonl` files of the two trees are paired by their path below each
 root, so the `seed<k>/` directories of a multi-seed run_all_validations.py
@@ -28,12 +34,37 @@ import sys
 
 ROUNDOFF = 1e-3
 ORDER_MOVE = 1e-3
+SUMMARY_MOVE = 1e-9
 
 
-def _records(path):
+def _report(path):
+    """The check records of a report by id, and its summary (None if absent)."""
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
              if line.strip()]
-    return {d["check"]: d for d in lines if "check" in d}
+    summaries = [d["summary"] for d in lines if "summary" in d]
+    return {d["check"]: d for d in lines if "check" in d}, summaries[0] if summaries else None
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _summary_moves(a, b, path="summary"):
+    """(path, a, b) for each place where two summaries differ beyond roundoff."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in sorted(a):
+            yield from _summary_moves(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (x, y) in enumerate(zip(a, b)):
+            yield from _summary_moves(x, y, f"{path}[{k}]")
+    elif _is_number(a) and _is_number(b):
+        if math.isnan(a) or math.isnan(b):
+            if math.isnan(a) != math.isnan(b):
+                yield path, a, b
+        elif a != b and not abs(a - b) <= SUMMARY_MOVE * max(1.0, abs(a)):
+            yield path, a, b
+    elif a != b:
+        yield path, a, b
 
 
 def main(argv):
@@ -55,7 +86,10 @@ def main(argv):
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"{name}: byte-identical")
             continue
-        rec_a, rec_b = _records(path_a), _records(path_b)
+        (rec_a, summary_a), (rec_b, summary_b) = _report(path_a), _report(path_b)
+        for where, x, y in _summary_moves(summary_a, summary_b):
+            print(f"{name}: {where} moved: {x!r} vs {y!r}")
+            mismatch = True
         if rec_a.keys() != rec_b.keys():
             print(f"{name}: check ids differ: {sorted(rec_a.keys() ^ rec_b.keys())}")
             mismatch = True
@@ -76,9 +110,10 @@ def main(argv):
                     print(f"{name}: {check} {key} moved: {x} vs {y}, bound {bound:.1e}")
                     mismatch = True
             delta = abs(a["max_residual"] - b["max_residual"])
-            if worst_check is None or delta > worst:
+            if delta > worst:
                 worst, worst_check = delta, check
-        print(f"{name}: differs; largest |delta max_residual| {worst:.3e} ({worst_check})")
+        named = f" ({worst_check})" if worst_check is not None else ""
+        print(f"{name}: differs; largest |delta max_residual| {worst:.3e}{named}")
     return 1 if mismatch else 0
 
 

@@ -32,7 +32,7 @@ class InstabilityError(LieBundleError):
 
 
 class ConstructionError(LieBundleError):
-    """A composite object (glued connection, partition of unity) failed its build checks."""
+    """A connection form is degenerate: its vertical operator is singular."""
 
 
 @contextmanager

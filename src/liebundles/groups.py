@@ -569,6 +569,14 @@ def _positive_int(value):
     return int(value)
 
 
+def _positive_float(value, finite=True):
+    """value as a float above 0 (NaN is not), finite unless ``finite`` is False."""
+    out = float(value)
+    if not (out > 0 and (np.isfinite(out) or not finite)):
+        raise ValueError(value)
+    return out
+
+
 def descriptor_from_json(doc):
     """Build a descriptor from a JSON document (text, dict, or file path)."""
     if isinstance(doc, str):
@@ -603,9 +611,10 @@ def descriptor_from_json(doc):
         matrix_dim=mdim,
         basis=basis,
         structure_constants=c,
-        membership_tol=_parsed("membership_tol", "a number", float,
+        membership_tol=_parsed("membership_tol", "a finite positive number", _positive_float,
                                data.get("membership_tol", 1e-8)),
-        injectivity_radius=_parsed("injectivity_radius", "a number", float, radius),
+        injectivity_radius=_parsed("injectivity_radius", "a positive number (inf allowed)",
+                                   lambda v: _positive_float(v, finite=False), radius),
         retraction=retract,
     )
     report = desc.validate()

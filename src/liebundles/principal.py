@@ -3,9 +3,12 @@
 A connection is an algebra-valued 1-form omega on the total space satisfying
 complementarity (it reproduces generators) and adjoint equivariance with a
 correction term coming from an associated group-bundle connection nu.  A form
-is one matrix map; the local forms are the fiber left-Maurer-Cartan forms of
-one trivializing presentation, optionally shifted by a base 1-form, and the
-two-chart builder glues two of them with a partition of unity.
+is one matrix map.  The connections over nu form an affine space modelled on
+Ad-type algebra 1-forms, and `GeneralizedPrincipalConnection.over` builds the
+one of each pair (nu, beta): omega(x, h)(u, delta) =
+Ad_{h^-1}(delta - c_nu(x, h, u) - beta(x, u)), with c_nu the lift cocycle of
+nu.  The single-chart connection is (trivial nu, minus its base form), and
+the two-chart builder glues two presentations into one pair.
 
 Curvature is evaluated two independent ways: minus omega of the bracket of
 horizontalized fields, and the exterior derivative of omega on constant
@@ -24,7 +27,7 @@ import numpy as np
 
 from .bundles import FiberedAction, Tangent, TotalPoint, product_velocity
 from .calculus import (AlgebraOneForm, BaseCurve, FiberMap, Normal, Polynomial,
-                       directional_derivative, numerical_bracket, sample_rows)
+                       directional_derivative, numerical_bracket)
 from .connections import LieGroupBundleConnection
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
@@ -33,8 +36,6 @@ from .integrators import Transport, integrate_stack, planned
 __all__ = [
     "WeightRamp",
     "form_matrix",
-    "canonical_local_form",
-    "twisted_local_form",
     "GeneralizedPrincipalConnection",
     "build_canonical_connection",
     "build_two_chart_connection",
@@ -62,20 +63,19 @@ class WeightRamp:
     (..., n) give one weight per point; a lone point, a batch without leading
     axes, gives a numpy float."""
 
-    def __init__(self, lo, hi, axis=0, invert=False):
+    def __init__(self, lo, hi, axis=0):
         if not hi > lo:
             raise UsageError("ramp needs lo < hi")
-        self.lo, self.hi, self.axis, self.invert = float(lo), float(hi), int(axis), invert
+        self.lo, self.hi, self.axis = float(lo), float(hi), int(axis)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         s = np.clip((x[..., self.axis] - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        w = 0.5 * (1.0 + np.cos(np.pi * s))
-        return 1.0 - w if self.invert else w
+        return 0.5 * (1.0 + np.cos(np.pi * s))
 
 
 # ---------------------------------------------------------------------------
-# local forms
+# form matrices
 # ---------------------------------------------------------------------------
 
 
@@ -91,90 +91,12 @@ def form_matrix(u_block, fiber_block):
     return out
 
 
-def _local_matrix(descriptor, fibers, block, s_rate):
-    """Matrix of a local form at fibers h: Ad_{h^{-1}} block + [S | 0], from
-    its presentation's block [B | I] and rate S."""
+def _local_matrix(descriptor, fibers, block, rate):
+    """Matrix of a form at fibers h: Ad_{h^{-1}} block + [R | 0], from its
+    block [B | I] and rate R."""
     out = descriptor.Ad_matrix(descriptor.inverse(fibers)) @ block
-    out[..., : s_rate.shape[-1]] += s_rate
+    out[..., : rate.shape[-1]] += rate
     return out
-
-
-def canonical_local_form(descriptor, base_form: Optional[AlgebraOneForm] = None):
-    """Fiber left-Maurer-Cartan form of the reference presentation.
-
-    Its value on a tangent (u, delta) at fiber point h is
-    Ad_{h^{-1}}(A(u) + delta), where A is the optional adjoint-twisted base
-    1-form (zero by default); as a matrix, Ad_{h^{-1}} [A(x)^T | I] with a
-    zero rate.
-    """
-
-    def form(q) -> FiberMap:
-        zero = np.broadcast_to(0.0, np.shape(q)[:-1] + (descriptor.dim, np.shape(q)[-1]))
-        a_t = zero if base_form is None else np.swapaxes(base_form.coefficient_array(q), -1, -2)
-        return FiberMap(functools.partial(_local_matrix, descriptor),
-                        form_matrix(a_t, np.eye(descriptor.dim)), zero)
-
-    return form
-
-
-class _Twist:
-    """Analytic presentation change: group-chart automorphism by exp(p(x) Z_sigma)
-    conjugation together with a section change by exp(r(x) Z_tau)."""
-
-    def __init__(self, descriptor, sigma_gen: AlgebraElement, p: Polynomial, tau_gen: AlgebraElement, r: Polynomial):
-        self.descriptor = descriptor
-        self.sigma_gen = sigma_gen
-        self.tau_gen = tau_gen
-        self.r = r
-        self._dp = [p.partial(mu) for mu in range(p.dim)]
-        self._dr = [r.partial(mu) for mu in range(r.dim)]
-
-    def tau(self, x):
-        """Matrix of tau at x, or an (R, m, m) stack at a batch of points."""
-        desc = self.descriptor
-        return desc.retract(desc.exp_coords(np.multiply.outer(self.r(x), self.tau_gen.coords)))
-
-    def rates(self, x):
-        """Right-trivialized rates of sigma and tau as (dim, n) matrices, or
-        (..., dim, n) at a batch of points."""
-        def rate(gen, partials):
-            return gen.coords[:, None] * np.stack([d(x) for d in partials], -1)[..., None, :]
-
-        return rate(self.sigma_gen, self._dp), rate(self.tau_gen, self._dr)
-
-
-def twisted_local_form(descriptor, twist: _Twist):
-    """Canonical form of the twisted presentation, expressed in reference data.
-
-    The twisted fiber coordinate of y = (x, h) is m = s^{-1} t^{-1} h s with
-    s = sigma(x), t = tau(x); its left-Maurer-Cartan value mapped back to
-    reference algebra coordinates by Ad_s is Ad_{h^{-1}}(delta - T - Ad_t S) + S,
-    with S, T the right-trivialized rates of sigma and tau.  As a matrix:
-    Ad_{h^{-1}} [-T - Ad_t S | I] + [S | 0].
-    """
-
-    def form(q) -> FiberMap:
-        s_rate, t_rate = twist.rates(q)
-        ad_t = descriptor.Ad_matrix(twist.tau(q))
-        return FiberMap(functools.partial(_local_matrix, descriptor),
-                        form_matrix(-t_rate - ad_t @ s_rate, np.eye(descriptor.dim)), s_rate)
-
-    return form
-
-
-def _glued_form(pieces):
-    """Matrix map of the sum of w(q) form(q) over the (weight, form) pieces."""
-
-    def glue(fibers, *parts):
-        return functools.reduce(np.add, (np.asarray(w)[..., None, None] * form(fibers)
-                                         for w, form in zip(parts[::2], parts[1::2])))
-
-    def form(q) -> FiberMap:
-        lead = np.shape(q)[:-1]
-        return FiberMap(glue, *(part for weight, piece in pieces
-                                for part in (np.broadcast_to(weight(q), lead), piece(q))))
-
-    return form
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +120,25 @@ class GeneralizedPrincipalConnection:
         self.matrix_map = form
         self.descriptor = action.space.fiber
         self.n = action.space.quotient.dim
+
+    @classmethod
+    def over(cls, action: FiberedAction, nu: LieGroupBundleConnection, beta: AlgebraOneForm):
+        """The connection over nu shifted by the algebra 1-form beta:
+        omega(x, h)(u, delta) = Ad_{h^{-1}}(delta - c_nu(x, h, u) - beta(x, u)),
+        with c_nu = Ad_h A - A the lift cocycle of nu's base form A.  As a
+        matrix: Ad_{h^{-1}} [A - beta | I] + [-A | 0].  A nu without a base
+        form is a usage error."""
+        if nu.base_form is None:
+            raise UsageError("a connection over nu needs nu's base form")
+        desc = action.space.fiber
+        eye = np.eye(desc.dim)
+
+        def form(q) -> FiberMap:
+            a = np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)
+            b = np.swapaxes(beta.coefficient_array(q), -1, -2)
+            return FiberMap(functools.partial(_local_matrix, desc), form_matrix(a - b, eye), -a)
+
+        return cls(action, nu, form)
 
     def matrix(self, y: TotalPoint) -> np.ndarray:
         """Matrix of the form at y, shape (dim, n + dim), or
@@ -245,11 +186,13 @@ class GeneralizedPrincipalConnection:
 
 
 def build_canonical_connection(action: FiberedAction, base_form: Optional[AlgebraOneForm] = None):
-    """Single-chart connection: trivial nu plus the canonical fiber form."""
-    desc = action.space.fiber
+    """Single-chart connection: the pair (trivial nu, -A), whose form is
+    Ad_{h^{-1}}(A(u) + delta) for the base form A, or the pair (trivial nu,
+    its zero form), the fiber left-Maurer-Cartan form, without one."""
     nu = LieGroupBundleConnection.trivial(action.bundle)
-    omega = GeneralizedPrincipalConnection(action, nu, canonical_local_form(desc, base_form))
-    return omega, nu
+    beta = nu.base_form if base_form is None else AlgebraOneForm(
+        action.space.fiber, lambda x: -base_form.coefficient_array(x))
+    return GeneralizedPrincipalConnection.over(action, nu, beta), nu
 
 
 def build_two_chart_connection(
@@ -260,36 +203,42 @@ def build_two_chart_connection(
     r: Polynomial,
     ramp: WeightRamp,
 ):
-    """Two overlapping presentations glued with a cosine partition of unity.
+    """Two overlapping presentations glued with the cosine weights ramp and
+    w_b = 1 - ramp, as one pair (nu, beta).
 
-    The first piece is the reference canonical form, the second the canonical
-    form of the presentation twisted by exp(p(x) Z_sigma)-conjugation and an
-    exp(r(x) Z_tau) section change.  nu glues the trivial connections of the
-    two presentations: it is the connection of the base form A = -w_b S, with
-    S the right-trivialized rate of sigma.  The partition of unity is checked
-    at 25 base points drawn from a fixed seed.
+    The first presentation is the reference one, the second the reference
+    twisted by exp(p(x) Z_sigma)-conjugation and an exp(r(x) Z_tau) section
+    change, with S, T the right-trivialized rates of sigma and tau and
+    t = tau(x).  The two local forms are the pairs (trivial nu, 0) and
+    (base-form nu of -S, T + Ad_t S - S).  Lifts are linear in nu and the
+    weights sum to one, so the glued form is the pair (nu_glued, beta):
+    nu_glued is the base-form connection of A = -w_b S, and
+    beta = w_b (T + Ad_t S - S).  A pair is a connection over its nu for any
+    beta, so the weights need no partition-of-unity check.
     """
     desc = action.space.fiber
-    twist = _Twist(desc, sigma_gen, p, tau_gen, r)
-    w_a = ramp
-    w_b = WeightRamp(ramp.lo, ramp.hi, ramp.axis, invert=not ramp.invert)
+    dp, dr = ([f.partial(mu) for mu in range(f.dim)] for f in (p, r))
 
-    def base_coefficients(x):
-        s_rate, _ = twist.rates(x)
-        return np.swapaxes(-np.asarray(w_b(x))[..., None, None] * s_rate, -1, -2)
+    def rate(gen, partials, x):
+        """(..., dim, n) right-trivialized rate of exp(f(x) gen), from f's partials."""
+        return gen.coords[:, None] * np.stack([d(x) for d in partials], -1)[..., None, :]
+
+    def w_b(x):
+        return np.asarray(1.0 - ramp(x))[..., None, None]
+
+    def nu_coefficients(x):
+        return np.swapaxes(-w_b(x) * rate(sigma_gen, dp, x), -1, -2)
+
+    def beta_coefficients(x):
+        s_rate, t_rate = rate(sigma_gen, dp, x), rate(tau_gen, dr, x)
+        t = desc.retract(desc.exp_coords(np.multiply.outer(r(x), tau_gen.coords)))
+        ad_t = desc.Ad_matrix(t)
+        return np.swapaxes(w_b(x) * (t_rate + ad_t @ s_rate - s_rate), -1, -2)
 
     nu = LieGroupBundleConnection.from_base_form(action.bundle,
-                                                 AlgebraOneForm(desc, base_coefficients))
-    omega = GeneralizedPrincipalConnection(action, nu, _glued_form(
-        [(w_a, canonical_local_form(desc)), (w_b, twisted_local_form(desc, twist))]))
-    check_rng = np.random.default_rng(0)
-    x = action.space.quotient.place(*sample_rows(check_rng, 25, action.space.quotient.field))
-    wa, wb = w_a(x), w_b(x)
-    bad = np.flatnonzero((np.abs(wa + wb - 1.0) > 1e-12) | (np.minimum(wa, wb) < -1e-12))
-    if bad.size:
-        k = bad[0]
-        raise ConstructionError(f"partition of unity fails at {x[k]}: sum {wa[k] + wb[k]}")
-    return omega, nu
+                                                 AlgebraOneForm(desc, nu_coefficients))
+    beta = AlgebraOneForm(desc, beta_coefficients)
+    return GeneralizedPrincipalConnection.over(action, nu, beta), nu
 
 
 # ---------------------------------------------------------------------------

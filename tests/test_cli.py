@@ -448,6 +448,13 @@ SO3_BASIS = [[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
      "structure_constants"),
     ({"name": "g", "matrix_dim": 3.7, "basis": SO3_BASIS}, "matrix_dim"),
     ({"name": "g", "matrix_dim": 3, "basis": []}, "basis"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": float("nan")},
+     "membership_tol"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": -1.0}, "membership_tol"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": float("nan")},
+     "injectivity_radius"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": -1.0},
+     "injectivity_radius"),
 ])
 def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsys):
     path = tmp_path / "config.json"

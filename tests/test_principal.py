@@ -1,9 +1,5 @@
 """Generalized connection tests: gluing, lifts, transports, curvature."""
 
-import ast
-import inspect
-import re
-
 import numpy as np
 import pytest
 
@@ -14,16 +10,13 @@ from liebundles.connections import (
     transport_group,
     validate_group_connection,
 )
-from liebundles.errors import ConstructionError
+from liebundles.errors import ConstructionError, UsageError
 from liebundles.groups import GroupElement, so3_descriptor, translation_descriptor
 from liebundles.principal import (
     GeneralizedPrincipalConnection,
     WeightRamp,
-    _glued_form,
-    _Twist,
     build_canonical_connection,
     build_two_chart_connection,
-    canonical_local_form,
     connection_difference,
     curvature,
     equivariant_product_connection_check,
@@ -32,7 +25,6 @@ from liebundles.principal import (
     reduced_curvature_residual,
     transport_compatibility_check,
     transport_total,
-    twisted_local_form,
     validate_principal_connection,
 )
 from liebundles.scenarios import build_scenario, drop_ad_form
@@ -92,11 +84,6 @@ def test_two_chart_glued_validates():
     nu_report = validate_group_connection(NU_GLUED, rng, samples=100)
     assert nu_report["cocycle"] <= 1e-9
     assert max(nu_report.values()) <= 1e-6
-    # the glued weights form a partition of unity: they sum to one, none negative
-    for _ in range(200):
-        x = CHART.sample(rng)
-        weights = [RAMP(x), WeightRamp(-0.2, 0.2, axis=0, invert=True)(x)]
-        assert abs(sum(weights) - 1.0) <= 1e-8 and min(weights) >= -1e-8
 
 
 def test_glued_nu_is_the_weighted_twisted_cocycle():
@@ -104,7 +91,7 @@ def test_glued_nu_is_the_weighted_twisted_cocycle():
     # Ad_g A - A is the twisted chart's cocycle w_b (s - Ad_g s)
     assert NU_GLUED.base_form is not None
     rng = np.random.default_rng(21)
-    w_b = WeightRamp(-0.2, 0.2, axis=0, invert=True)
+    w_b = lambda x: 1.0 - RAMP(x)
     # first coordinates across the ramp [-0.2, 0.2]: w_b = 0, 1 and between
     x = np.column_stack([[-0.6, -0.2, -0.1, 0.0, 0.15, 0.2, 0.6], rng.uniform(-0.9, 0.9, 7)])
     assert {0.0, 1.0} < set(w_b(x))
@@ -119,31 +106,25 @@ def test_glued_nu_is_the_weighted_twisted_cocycle():
     assert max(gap(x[r], u[r], fibers[r]) for r in range(7)) <= 1e-15
 
 
-TWIST = _Twist(SO3, SIGMA_GEN, SIGMA_POLY, SO3.algebra([1.0, 0.0, 0.0]),
-               Polynomial({"0,1": 0.6, "1,1": 0.4}, 2))
-
-
-def test_glue_is_the_canonical_piece_where_the_twisted_weight_is_zero():
-    # every piece is evaluated; one of weight zero adds a signed zero to each entry
-    canonical, twisted = canonical_local_form(SO3), twisted_local_form(SO3, TWIST)
-    w_b = WeightRamp(-0.2, 0.2, axis=0, invert=True)
+def test_glued_form_is_the_canonical_form_where_the_twisted_weight_is_zero():
+    # w_b = 0 zeroes nu_glued's base form and beta: the pair is the canonical one
     fiber = SO3.random_element(np.random.default_rng(22)).matrix
     # two stage points: w_b weighs 0 at the first and 1 at the second
     x = np.array([[-0.6, 0.1], [0.6, 0.1]])
-    assert w_b(x[0]) == 0.0 and not np.allclose(twisted(x[0])(fiber), canonical(x[0])(fiber))
-    glued = _glued_form([(RAMP, canonical), (w_b, twisted)])
+    glued, canonical = OMEGA_GLUED.matrix_map, OMEGA_CANON.matrix_map
+    assert RAMP(x[0]) == 1.0 and not np.allclose(glued(x[1])(fiber), canonical(x[1])(fiber))
     assert np.array_equal(glued(x[0])(fiber), canonical(x[0])(fiber))
     assert np.array_equal(glued(x)[0](fiber), canonical(x[0])(fiber))
 
 
-def test_twisted_form_of_zero_rates_is_the_canonical_form():
+def test_two_chart_connection_of_zero_polynomials_is_the_canonical_form():
     gen = SO3.algebra([0.3, -0.5, 0.8])
-    untwisted = _Twist(SO3, gen, Polynomial({}, 2), gen, Polynomial({}, 2))
+    omega, _ = build_two_chart_connection(ACTION, sigma_gen=gen, p=Polynomial({}, 2),
+                                          tau_gen=gen, r=Polynomial({}, 2), ramp=RAMP)
     rng = np.random.default_rng(23)
     q = rng.uniform(-0.9, 0.9, (6, 2))
     fibers = np.array([SO3.random_element(rng).matrix for _ in range(6)])
-    assert np.array_equal(twisted_local_form(SO3, untwisted)(q)(fibers),
-                          canonical_local_form(SO3)(q)(fibers))
+    assert np.array_equal(omega.matrix_map(q)(fibers), OMEGA_CANON.matrix_map(q)(fibers))
 
 
 def test_abelian_canonical_is_fiber_coordinate_differential():
@@ -407,35 +388,46 @@ def test_necessity_check_passes_and_flags_bad_nu():
     assert form_worst > 1e-6
 
 
-class _OverweightRamp(WeightRamp):
-    """A ramp scaled by 1.1: with its unscaled complement it sums past 1."""
-
-    def __call__(self, x):
-        return 1.1 * super().__call__(x)
-
-
-def test_two_chart_guard_names_the_first_point_off_the_partition():
-    # the guard's 25 draws, one lone point at a time, and the lone weights
-    rng = np.random.default_rng(0)
-    points = [ACTION.space.quotient.sample(rng) for _ in range(25)]
-    ramp, complement = _OverweightRamp(-0.2, 0.2, axis=0), WeightRamp(-0.2, 0.2, invert=True)
-    first = next(k for k, x in enumerate(points) if abs(ramp(x) + complement(x) - 1.0) > 1e-12)
-    assert first > 0  # the first failing point, not the first drawn
-    with pytest.raises(ConstructionError, match=re.escape(f"fails at {points[first]}: sum")):
-        build_two_chart_connection(ACTION, sigma_gen=SIGMA_GEN, p=SIGMA_POLY,
-                                   tau_gen=SO3.algebra([1.0, 0.0, 0.0]),
-                                   r=Polynomial({"0,1": 0.6}, 2), ramp=ramp)
-
-
-def test_two_chart_guard_evaluates_one_stack():
-    # the 25 guard points are drawn through sample_rows and weighed once
-    tree = ast.parse(inspect.getsource(build_two_chart_connection))
-    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
-                   for node in ast.walk(tree))
-
-
 PRINCIPAL = build_scenario("principal-so3")
 AFFINE = build_scenario("affine-varying")
+
+
+def _random_beta(group, rng):
+    """An algebra 1-form on the 2-dimensional chart whose coefficients are
+    random quadratic polynomials."""
+    keys = ("0,0", "1,0", "0,1", "2,0", "1,1", "0,2")
+    entries = {(mu, k): {key: rng.uniform(-1.0, 1.0) for key in keys}
+               for mu in range(2) for k in range(group.dim)}
+    return AlgebraOneForm(group, Polynomial.array(entries, 2, (2, group.dim)))
+
+
+@pytest.mark.parametrize("key", sorted(PRINCIPAL.nus))
+def test_connection_over_a_nu_and_any_beta_passes_the_form_laws(key):
+    s, nu = PRINCIPAL, PRINCIPAL.nus[key]
+    rng = np.random.default_rng(41)
+    omega, other = (GeneralizedPrincipalConnection.over(s.action, nu, _random_beta(s.group, rng))
+                    for _ in range(2))
+    report = validate_principal_connection(omega, rng, samples=200)
+    assert max(report.values()) <= 1e-12, report
+    difference = connection_difference(omega, other).validate(rng, samples=100)
+    assert max(difference.values()) <= 1e-12, difference
+
+
+def test_connection_over_nu_judged_against_another_nu_fails_equivariance():
+    s = PRINCIPAL
+    omega = GeneralizedPrincipalConnection.over(s.action, s.nus["nu"],
+                                                _random_beta(s.group, np.random.default_rng(41)))
+    misjudged = GeneralizedPrincipalConnection(s.action, s.nus["nu_glued"], omega.matrix_map)
+    report = validate_principal_connection(misjudged, np.random.default_rng(42), samples=200)
+    assert report["complementarity"] <= 1e-12
+    assert report["ad_equivariance"] > 1.0, report
+
+
+def test_connection_over_a_nu_without_base_form_is_a_usage_error():
+    assert AFFINE.nu.base_form is None
+    zero = AlgebraOneForm(AFFINE.group, lambda x: np.zeros((2, AFFINE.group.dim)))
+    with pytest.raises(UsageError, match="base form"):
+        GeneralizedPrincipalConnection.over(AFFINE.action, AFFINE.nu, zero)
 
 
 def _per_tangent_oracles():

@@ -90,6 +90,28 @@ def test_compare_reports_flags_a_mismatch(tmp_path, other):
     assert code == 1, out
 
 
+def _transport_report(endpoint=0.6476531098312618, failed=()):
+    """Records and summary of a `transport` command report."""
+    summary = {"all_passed": True, "checks": 2, "curve": "main",
+               "endpoint_fiber": [-0.08857669924038021, endpoint, -0.10154086682794902],
+               "failed": list(failed), "scenario": "principal-so3", "seed": 0, "step": 0.005}
+    return REPORT + [{"summary": summary}]
+
+
+@pytest.mark.parametrize("other, expected, moved", [
+    (_transport_report(0.6476531098312618 + 0.5), 1, "summary.endpoint_fiber[1] moved"),
+    (_transport_report(0.6476531098312618 + 1e-16), 0, None),
+    (_transport_report(failed=["transport-compatibility"]), 1, "summary.failed moved"),
+])
+def test_compare_reports_compares_the_summary(tmp_path, other, expected, moved):
+    code, out = _compare(tmp_path, _transport_report(), other)
+    assert code == expected, out
+    # no check record moved, so the largest move names no check
+    assert "largest |delta max_residual| 0.000e+00\n" in out
+    if moved is not None:
+        assert f"principal-so3.jsonl: {moved}" in out
+
+
 @pytest.mark.parametrize("args", [[], ["only-one-dir"], ["a", "b", "c"]])
 def test_compare_reports_rejects_wrong_usage(tmp_path, args):
     code, out = _compare(tmp_path, REPORT, REPORT, extra_args=args)

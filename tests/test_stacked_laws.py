@@ -11,11 +11,9 @@ from liebundles import integrators, suites
 from liebundles.bundles import TotalPoint
 from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
-from liebundles.calculus import Polynomial, Uniform, sample_rows
+from liebundles.calculus import Uniform, sample_rows
 from liebundles.groups import _dexp_operator
-from liebundles.principal import (_Twist, canonical_local_form,
-                                  connection_difference, curvature, twisted_local_form,
-                                  validate_principal_connection)
+from liebundles.principal import connection_difference, curvature, validate_principal_connection
 from liebundles.scenarios import (affine_equivalence_report, affine_reconstruction_residual,
                                   build_scenario, drop_ad_form, principal_equivalence_report)
 
@@ -142,29 +140,13 @@ def _forms(s):
     return out
 
 
-def _local_forms(s):
-    """The local forms the two-chart connection glues, as matrix maps by label."""
-    glue = s.config["two_chart"]
-    twist = _Twist(s.group, s.group.algebra(glue["sigma_gen"]), Polynomial(glue["sigma_poly"], 2),
-                   s.group.algebra(glue["tau_gen"]), Polynomial(glue["tau_poly"], 2))
-    return {"canonical_local_form": canonical_local_form(s.group),
-            "canonical_local_form.base_form": canonical_local_form(s.group, s.base_form),
-            "twisted_local_form": twisted_local_form(s.group, twist)}
-
-
 FORM_CASES = [(name, label) for name, s in SCENARIOS.items() for label in _forms(s)]
-FORM_CASES += [("principal-so3", label) for label in _local_forms(SCENARIOS["principal-so3"])]
 
 
 @pytest.mark.parametrize("name, label", FORM_CASES)
 def test_form_matrix_at_a_batch_equals_lone_points(name, label):
     s = SCENARIOS[name]
-    forms = _forms(s)
-    if label in forms:
-        matrix = forms[label].matrix
-    else:  # a local form maps base points to the map from fibers to its matrices
-        local = _local_forms(s)[label]
-        matrix = lambda y: local(y.q)(y.fiber.matrix)
+    matrix = _forms(s)[label].matrix
     rng = np.random.default_rng(31)
     x = np.array([s.chart.sample(rng) for _ in range(7)])
     # first coordinates across the glued ramp [-0.2, 0.2]: weights 0, 1 and between
