@@ -61,9 +61,10 @@ class LieGroupBundleConnection:
     @classmethod
     def from_base_form(cls, bundle: LieGroupBundle, form: AlgebraOneForm):
         desc = bundle.fiber
+        ad = desc.ad_matrix_hook or desc.Ad_matrix
 
         def lift(fibers, a):
-            return (desc.Ad_matrix(fibers) @ a[..., None])[..., 0] - a
+            return np.matvec(ad(fibers), a) - a
 
         return cls(bundle, lambda x, u: FiberMap(lift, form.coords(x, u)), base_form=form)
 

@@ -246,7 +246,9 @@ class GroupDescriptor:
         """Matrix of ad_xi = [xi, .] on coordinates, shape (..., dim, dim)."""
         coords = np.asarray(coords, dtype=float)
         d = self.dim
-        return (coords[..., None, :] @ self._ad_rows).reshape(coords.shape[:-1] + (d, d))
+        # the gufunc keeps a row's bits alone; one 2-D product would not when
+        # an entry sums several constants
+        return np.vecmat(coords, self._ad_rows).reshape(coords.shape[:-1] + (d, d))
 
     def bracket_coords(self, a, b):
         """Coordinate bracket on raw arrays; broadcasts over leading axes."""
@@ -357,11 +359,11 @@ class GroupElement:
 
 def _norm(v):
     """Euclidean norm over the last axis, one per row of a stack; a lone
-    vector is a stack without leading axes and gives a numpy float.  A 1xk
-    by kx1 product per row gives the same bits as np.linalg.norm of that row
-    alone, so the thresholds below decide each row of a stack exactly as they
-    decide a lone matrix."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    vector is a stack without leading axes and gives a numpy float.  The
+    gufunc vecdot runs one dot per row, whatever the stack around it, so a
+    row gets the bits it gets alone (those of a 1xk by kx1 product), and the
+    thresholds below decide each row of a stack as they decide a lone one."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _frobenius(m):
@@ -385,6 +387,11 @@ def _eye(k):
         eye = _EYES[k] = np.eye(k)
         eye.flags.writeable = False
     return eye
+
+
+# 0-d operands of the hot kernels: a ufunc gives them the bits of the Python
+# float and skips the conversion that a float costs on every call
+_HALF, _ONE, _TINY, _EYE3 = np.array(0.5), np.array(1.0), np.array(1e-8), _eye(3)
 
 
 def _eye_stack(k, lead):
@@ -430,7 +437,7 @@ def _principal_logm(mat):
 
 def _gram_defect(m):
     """m^T m - I and its Frobenius norm, per matrix of a stack."""
-    gram = m.swapaxes(-1, -2) @ m - _eye(m.shape[-1])
+    gram = m.mT @ m - _eye(m.shape[-1])
     return gram, _frobenius(gram)
 
 
@@ -443,19 +450,19 @@ def _orthogonal_retract(m):
     |E|_F <= 1e-8, so only rows above that can need the second."""
     eye = _eye(m.shape[-1])
     gram_defect, size = _gram_defect(m)
-    r = m @ (eye - 0.5 * gram_defect)
-    rough = size > 1e-8
-    if _any(rough):
+    r = m @ (eye - _HALF * gram_defect)
+    rough = size > _TINY
+    if np.count_nonzero(rough):
         defect, defect_size = _gram_defect(r)
         again = rough & (defect_size > 1e-14)
-        if _any(again):
-            r = np.where(again[..., None, None], r @ (eye - 0.5 * defect), r)
+        if np.count_nonzero(again):
+            r = np.where(again[..., None, None], r @ (eye - _HALF * defect), r)
         far = size >= 1e-4  # every far row is rough
-        if _any(far):
+        if np.count_nonzero(far):
             u, _, vt = np.linalg.svd(m[far])
             u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
             r[far] = u @ vt
-    return r, size + abs(np.linalg.det(m) - 1.0)
+    return r, size + abs(np.linalg.det(m) - _ONE)
 
 
 # entries (2,1), (0,2), (1,0) of a hat matrix hold w1, w2, w3
@@ -464,17 +471,18 @@ _HAT_ROWS, _HAT_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
 
 def _so3_exp(w, basis_flat):
     """Rodrigues formula per row of coordinates, with the series below 1e-8."""
-    theta = _norm(w)  # a numpy scalar for one row
-    small = theta < 1e-8
-    series = _any(small)
+    theta = np.sqrt(np.vecdot(w, w))[..., None, None]  # as `_norm`, one (1, 1) per row
+    small = theta < _TINY
+    series = np.count_nonzero(small)
     if series:
         theta = np.where(small, 1.0, theta)
     a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
+    b = (_ONE - np.cos(theta)) / (theta * theta)
     if series:
         a, b = np.where(small, 1.0, a), np.where(small, 0.5, b)
-    m = (w[..., None, :] @ basis_flat).reshape(w.shape[:-1] + (3, 3))
-    return _eye(3) + a[..., None, None] * m + b[..., None, None] * (m @ m)
+    # the hat's entries are single products with the 0/±1 basis: exact
+    m = (w @ basis_flat).reshape(w.shape[:-1] + (3, 3))
+    return _EYE3 + a * m + b * (m @ m)
 
 
 def _so3_log(r):

@@ -8,7 +8,8 @@ long horizons; the one retraction call per step also returns the membership
 residual the blow-up guard reads.  Every row is its own trajectory and keeps
 its own guards.  The time-dependent part of the right-hand side is a base
 schedule: the field is asked once per run, for all 2N+1 stage times of its N
-steps at once, and the step loop then does only fiber work.
+steps at once, and the step loop then does only fiber work: per step 4 exps,
+3 dexp^-1 on a non-abelian fiber, 1 retraction, 4 stage maps, 4 finite sums.
 `integrate_linear` asks its K(t) the same way.
 `integrate_on_group` is the one-element form.
 
@@ -32,13 +33,14 @@ import numpy as np
 
 from .calculus import FiberMap
 from .errors import InstabilityError, StiffnessError, UsageError
-from .groups import AlgebraElement, GroupDescriptor, GroupElement, _frobenius
+from .groups import _HALF, AlgebraElement, GroupDescriptor, GroupElement, _frobenius
 
 __all__ = ["TransportResult", "integrate_stack", "integrate_on_group", "integrate_linear",
            "Transport", "transport", "planned", "together"]
 
 _BLOWUP_FACTOR = 1e6
 _MIN_RELATIVE_STEP = 1e-13
+_TWELVE = np.array(12.0)  # a 0-d ufunc operand, as `groups._HALF`
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ def _dexpinv(desc: GroupDescriptor, u, v):
     both brackets come from one ad_u matrix.
     """
     ad = desc.ad_matrix(u)
-    uv = ad @ v[..., None]
-    return v - 0.5 * uv[..., 0] + (ad @ uv)[..., 0] / 12.0
+    uv = np.matvec(ad, v)
+    return v - _HALF * uv + np.matvec(ad, uv) / _TWELVE
 
 
 def _finite(fibers, t):
@@ -101,8 +103,10 @@ def _stage_times(t0, t1, n_steps):
 def _run(field, g, desc, t0, t1, n_steps):
     times, h = _stage_times(t0, t1, n_steps)
     schedule = field(times)
-    limit = _BLOWUP_FACTOR * max(desc.membership_tol, 1e-12)
-    exp = desc.exp_coords
+    # bound once per run; (0.5 * h) k is 0.5 * h * k and k + k is 2.0 k, bit for bit
+    exp, retract = desc.exp_hook or desc.exp_coords, desc.retraction or desc.retract_measured
+    half, whole, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+    limit = np.array(_BLOWUP_FACTOR * max(desc.membership_tol, 1e-12))
     # on an abelian fiber both brackets vanish and the correction returns v
     dexpinv = _dexpinv if np.any(desc.structure_constants) else lambda desc, u, v: v
     f_start = schedule[0]
@@ -111,14 +115,14 @@ def _run(field, g, desc, t0, t1, n_steps):
         # the stage-4 map is the next step's stage-1 map
         f_mid, f_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = f_start(g)
-        u2 = 0.5 * h * k1
+        u2 = half * k1
         k2 = dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, t + 0.5 * h)))
-        u3 = 0.5 * h * k2
+        u3 = half * k2
         k3 = dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, t + 0.5 * h)))
-        u4 = h * k3
+        u4 = whole * k3
         k4 = dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, t + h)))
-        omega = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g, res = desc.retract_measured(_finite(exp(omega) @ g, t + h))
+        omega = sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        g, res = retract(_finite(exp(omega) @ g, t + h))
         if np.count_nonzero(res > limit):
             raise InstabilityError(
                 f"membership residual blew up to {np.max(res):.3e} in row "

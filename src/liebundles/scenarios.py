@@ -262,6 +262,7 @@ def _build_principal(config) -> TorsorScenario:
     omega_canonical, _ = build_canonical_connection(action)
     glue = _object(config["two_chart"], "two_chart")
     lo, hi = _numbers(glue["ramp"], "two_chart.ramp", (2,))
+    _require(lo < hi, "two_chart.ramp", "an increasing pair [lo, hi]", glue["ramp"])
 
     def poly(key):
         return Polynomial(_poly_table(glue[key], f"two_chart.{key}", chart.dim), chart.dim)

@@ -75,8 +75,18 @@ def so3_hat(w):
 
 
 def _row_norm(v):
-    """Euclidean norm per row, by the 1xk by kx1 product the package uses."""
+    """Euclidean norm per row, by a 1xk by kx1 product per row; the package's
+    gufunc `_norm` must equal it bit for bit."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def per_row_ad_matrix(desc, coords):
+    """ad_u from the structure constants by a 1xd by dx(d d) product per row
+    of u; `GroupDescriptor.ad_matrix` must equal it bit for bit."""
+    c = desc.structure_constants
+    d = c.shape[0]
+    rows = np.swapaxes(c, 0, 1).reshape(d, -1)  # row k holds c[:, k, :]
+    return (coords[..., None, :] @ rows).reshape(coords.shape[:-1] + (d, d))
 
 
 def _frob(m):

@@ -365,6 +365,19 @@ def test_config_field_of_wrong_structure_is_usage_error(command, config, field, 
     assert out == ""
 
 
+@pytest.mark.parametrize("ramp", [[0.2, -0.2], [0.1, 0.1]])
+def test_a_ramp_that_does_not_increase_names_its_field(ramp, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "principal-so3", "two_chart": {
+        "sigma_gen": [0.0, 1.0, 0.0], "sigma_poly": {"1,0": 1}, "tau_gen": [1.0, 0.0, 0.0],
+        "tau_poly": {"0,1": 0.6}, "ramp": ramp}}), encoding="utf-8")
+    code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
+    assert code == 2
+    assert err == ("usage error: config field two_chart.ramp must be an increasing pair "
+                   f"[lo, hi], got {ramp!r}\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize("content", [None, "{\"check\": \n", "5\n"])
 def test_report_missing_or_malformed_file_is_usage_error(content, tmp_path, capsys):
     path = tmp_path / "report.jsonl"

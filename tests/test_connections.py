@@ -1,6 +1,7 @@
 """Group-bundle connection tests: cocycle laws, transports, algebra connection."""
 
 import numpy as np
+import pytest
 
 from liebundles.bundles import LieGroupBundle
 from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial
@@ -18,6 +19,7 @@ from liebundles.connections import (
     transport_unit_inverse_check,
     validate_group_connection,
 )
+from liebundles.gauge import semidirect_jet_descriptor
 from liebundles.groups import so3_descriptor, translation_descriptor
 
 from _oracles import constant_coefficient_transport, observed_order, taylor_expm
@@ -42,6 +44,24 @@ A_GEN = AlgebraOneForm(SO3, Polynomial.array(
 NU_GEN = LieGroupBundleConnection.from_base_form(BUNDLE, A_GEN)
 
 LINE = BaseCurve.line([-0.6, -0.4], [0.6, 0.5], interval=(0.0, 0.4))
+
+
+@pytest.mark.parametrize("desc", [SO3, T2, semidirect_jet_descriptor(SO3, 1)],
+                         ids=lambda d: d.name)
+def test_base_form_lift_equals_the_ad_matrix_product(desc):
+    # the lift's one matvec on the Ad hook (or, on the hookless jet
+    # descriptor, on Ad_matrix) against Ad_g a - a by a per-row product
+    rng = np.random.default_rng(14)
+    form = AlgebraOneForm(desc, Polynomial.array(
+        {(i, j): {"0,0": rng.uniform(-1.0, 1.0), "1,0": rng.uniform(-1.0, 1.0)}
+         for i in range(2) for j in range(desc.dim)}, 2, (2, desc.dim)))
+    lift = LieGroupBundleConnection.from_base_form(LieGroupBundle(CHART, desc), form).lift_map
+    x, u = rng.uniform(-0.5, 0.5, (12, 2)), rng.uniform(-1.0, 1.0, (12, 2))
+    fibers = np.stack([desc.random_element(rng).matrix for _ in range(12)])
+    a = form.coords(x, u)
+    expected = (desc.Ad_matrix(fibers) @ a[..., None])[..., 0] - a
+    assert np.array_equal(lift(x, u)(fibers), expected)
+    assert all(np.array_equal(lift(x[i], u[i])(fibers[i]), expected[i]) for i in range(12))
 
 
 def test_trivial_connection_validates_exactly():

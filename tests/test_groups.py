@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 import liebundles
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
+    _norm,
     _orthogonal_retract,
     descriptor_from_json,
     so3_descriptor,
     translation_descriptor,
 )
 
-from _oracles import (hat_so3_exp, orthogonal_residual, series_logm, so3_hat, taylor_expm,
-                      two_check_orthogonal_retract)
+from _oracles import (_row_norm, hat_so3_exp, orthogonal_residual, per_row_ad_matrix,
+                      series_logm, so3_hat, taylor_expm, two_check_orthogonal_retract)
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -294,6 +295,21 @@ def test_so3_exp_from_coordinates_equals_the_hat_matrix_kernel():
                for c in coords[::997])
 
 
+@pytest.mark.parametrize("k", [1, 3, 9, 17])
+def test_norm_rows_equal_the_per_row_product_alone_and_in_a_stack(k):
+    # rows of zeros, subnormals and entries whose squares underflow or
+    # overflow, shuffled into one stack, into a (., 2, k) stack and alone
+    rng = np.random.default_rng(8)
+    scales = [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e150, 1e300]
+    rows = np.concatenate([s * rng.uniform(-1.0, 1.0, (4, k)) for s in scales])
+    rng.shuffle(rows)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_norm(rows), _row_norm(rows))
+        assert np.array_equal(_norm(rows.reshape(-1, 2, k)), _row_norm(rows.reshape(-1, 2, k)))
+        assert all(_norm(row) == _row_norm(row) for row in rows)
+        assert np.isinf(_norm(rows)).any() and (_norm(rows) == 0.0).any()
+
+
 def test_translation_exp_is_identity_plus_hat():
     c = np.random.default_rng(4).uniform(-1.0, 1.0, (500, 2))
     assert np.array_equal(T2.exp_coords(c), np.eye(3) + T2.algebra_matrix(c))
@@ -340,6 +356,24 @@ def _membership_descriptors():
     generic = descriptor_from_json(
         {**{k: v for k, v in SO3_DOC.items() if k != "family"}, "name": "so3-generic"})
     return [SO3, T2, semidirect_jet_descriptor(SO3, 2), generic]
+
+
+def _mixed_so3():
+    """so3 on a basis of mixed generators: every ad entry sums three constants."""
+    mix = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
+    return descriptor_from_json({"name": "so3-mixed", "matrix_dim": 3,
+                                 "basis": np.tensordot(mix, SO3.basis, axes=(1, 0)).tolist()})
+
+
+@pytest.mark.parametrize("desc", _membership_descriptors() + [_mixed_so3()], ids=lambda d: d.name)
+def test_ad_matrix_rows_equal_the_per_row_product(desc):
+    # one (200, d) by (d, d d) product rounds the mixed rows differently
+    coords = np.random.default_rng(9).uniform(-2.0, 2.0, (200, desc.dim))
+    per_row = per_row_ad_matrix(desc, coords)
+    assert np.array_equal(desc.ad_matrix(coords), per_row)
+    assert np.array_equal(desc.ad_matrix(coords.reshape(40, 5, -1)), per_row.reshape(
+        (40, 5) + per_row.shape[1:]))
+    assert all(np.array_equal(desc.ad_matrix(c), row) for c, row in zip(coords, per_row))
 
 
 @pytest.mark.parametrize("desc", _membership_descriptors(), ids=lambda d: d.name)

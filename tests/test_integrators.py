@@ -1,11 +1,13 @@
 """Group integrator tests: order, drift control, closed-form comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liebundles.calculus import FiberMap
 from liebundles.errors import DescriptorError, InstabilityError, StiffnessError, UsageError
-from liebundles.groups import so3_descriptor, translation_descriptor
+from liebundles.groups import GroupDescriptor, so3_descriptor, translation_descriptor
 from liebundles.integrators import integrate_linear, integrate_on_group, integrate_stack
 
 from _oracles import observed_order, taylor_expm
@@ -244,3 +246,38 @@ def test_stack_non_finite_row_raises_instability():
 def test_stack_shape_is_checked():
     with pytest.raises(UsageError):
         integrate_stack(so3_field, SO3, np.zeros((2, 4, 4)), (0.0, 1.0), step=0.1)
+
+
+@pytest.mark.parametrize("desc, field", [(SO3, so3_field), (T2, translation_field)])
+def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, monkeypatch):
+    """The per-step budget: the field is asked once per run, and each of the
+    N steps makes 4 exp-hook calls, 1 retraction, 4 stage-map applications
+    and, on a non-abelian fiber only, 3 ad_matrix calls (one per dexp^-1)."""
+    calls = {"field": 0, "exp": 0, "retraction": 0, "stage": 0, "ad_matrix": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    counting = dataclasses.replace(desc, exp_hook=counted("exp", desc.exp_hook),
+                                   retraction=counted("retraction", desc.retraction))
+    monkeypatch.setattr(GroupDescriptor, "ad_matrix",
+                        counted("ad_matrix", GroupDescriptor.ad_matrix))
+
+    def asked(times):
+        calls["field"] += 1
+        maps = field(times)
+        return [counted("stage", maps[j]) for j in range(len(times))]
+
+    rng = np.random.default_rng(45)
+    stack = np.stack([desc.random_element(rng).matrix for _ in range(3)])
+    n = 37
+    result = integrate_stack(asked, counting, stack, (0.0, 1.0), step=1.0 / n)
+    assert result.steps == n
+    # the checked initial fibers and the end residual are measured once each
+    assert calls == {"field": 1, "exp": 4 * n, "retraction": n + 2, "stage": 4 * n,
+                     "ad_matrix": 3 * n if np.any(desc.structure_constants) else 0}
+    plain = integrate_stack(field, desc, stack, (0.0, 1.0), step=1.0 / n)
+    assert np.array_equal(result.element.matrix, plain.element.matrix)
