@@ -2,9 +2,11 @@
 """Compare two directories of JSON-lines reports written by run_all_validations.py.
 
 Names the report files that are byte-identical, prints the largest
-|delta max_residual| of each file that differs, and exits 1 if any check id,
-`samples`, `passed`, `tolerance` or `mode` differs between the two
-directories, if any |delta max_residual| or |delta mean_residual| exceeds
+|delta max_residual| of each file that differs, and exits 1 if any check id
+differs between the two directories, if a check's records differ in their
+field names or in any field but the three RESIDUALS (`samples`, `passed`,
+`tolerance`, `mode`, `label` and `scenario` must all be equal), if any
+|delta max_residual| or |delta mean_residual| exceeds
 ROUNDOFF (1e-3) times that check's tolerance, or if an `order_estimate` (or
 any of these fields) is null or absent in one run and a number in the other,
 is NaN in exactly one run, or moves by more than ORDER_MOVE (1e-3): the two
@@ -20,7 +22,9 @@ names the check of the largest move only when that move is above 0.
 The `*.jsonl` files of the two trees are paired by their path below each
 root, so the `seed<k>/` directories of a multi-seed run_all_validations.py
 run are compared seed by seed.  A root that is not a directory is a usage
-error (exit 2), and two trees that hold no report at all exit 1: a
+error (exit 2), as is a report line that is not a JSON object or a check
+record without a numeric `tolerance` and `max_residual` (the message names
+the file and the line); two trees that hold no report at all exit 1: a
 comparison of nothing passes nothing.
 
 Usage:
@@ -35,18 +39,41 @@ import sys
 ROUNDOFF = 1e-3
 ORDER_MOVE = 1e-3
 SUMMARY_MOVE = 1e-9
+RESIDUALS = ("max_residual", "mean_residual", "order_estimate")
 
 
-def _report(path):
-    """The check records of a report by id, and its summary (None if absent)."""
-    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
-             if line.strip()]
-    summaries = [d["summary"] for d in lines if "summary" in d]
-    return {d["check"]: d for d in lines if "check" in d}, summaries[0] if summaries else None
+class UnreadableReport(Exception):
+    """A report line the comparison cannot read: a usage error (exit 2)."""
 
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _report(path):
+    """The check records of a report by id, and its summary (None if absent)."""
+    records, summary = {}, None
+    for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise UnreadableReport(f"{path} line {k}: not JSON ({exc.msg})") from None
+        if not isinstance(d, dict):
+            raise UnreadableReport(f"{path} line {k}: not a JSON object")
+        if "check" in d:
+            bad = [] if isinstance(d["check"], str) else ["check"]
+            bad += [key for key in ("tolerance", "max_residual") if not _is_number(d.get(key))]
+            bad += [key for key in ("mean_residual", "order_estimate")
+                    if d.get(key) is not None and not _is_number(d[key])]
+            if bad:
+                raise UnreadableReport(f"{path} line {k}: check record without a readable "
+                                       + ", ".join(bad))
+            records[d["check"]] = d
+        elif "summary" in d and summary is None:
+            summary = d["summary"]
+    return records, summary
 
 
 def _summary_moves(a, b, path="summary"):
@@ -86,7 +113,11 @@ def main(argv):
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"{name}: byte-identical")
             continue
-        (rec_a, summary_a), (rec_b, summary_b) = _report(path_a), _report(path_b)
+        try:
+            (rec_a, summary_a), (rec_b, summary_b) = _report(path_a), _report(path_b)
+        except UnreadableReport as exc:
+            print(f"unreadable report: {exc}", file=sys.stderr)
+            return 2
         for where, x, y in _summary_moves(summary_a, summary_b):
             print(f"{name}: {where} moved: {x!r} vs {y!r}")
             mismatch = True
@@ -96,13 +127,15 @@ def main(argv):
         worst, worst_check = 0.0, None
         for check in sorted(rec_a.keys() & rec_b.keys()):
             a, b = rec_a[check], rec_b[check]
-            for key in ("samples", "passed", "tolerance", "mode"):
-                if a.get(key) != b.get(key):
-                    print(f"{name}: {check} {key} differs: {a.get(key)} vs {b.get(key)}")
+            if a.keys() != b.keys():
+                print(f"{name}: {check} fields differ: {sorted(a.keys() ^ b.keys())}")
+                mismatch = True
+            for key in sorted((a.keys() & b.keys()).difference(RESIDUALS)):
+                if a[key] != b[key]:
+                    print(f"{name}: {check} {key} differs: {a[key]!r} vs {b[key]!r}")
                     mismatch = True
             roundoff = ROUNDOFF * a["tolerance"]
-            for key, bound in (("max_residual", roundoff), ("mean_residual", roundoff),
-                               ("order_estimate", ORDER_MOVE)):
+            for key, bound in zip(RESIDUALS, (roundoff, roundoff, ORDER_MOVE)):
                 x, y = a.get(key), b.get(key)
                 # abs(nan - y) > bound is False, so a NaN on one side is checked apart
                 if (x is None) != (y is None) or (x is not None and (

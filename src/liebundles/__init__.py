@@ -31,7 +31,6 @@ from .groups import (
     AlgebraElement,
     GroupDescriptor,
     GroupElement,
-    descriptor_from_json,
     so3_descriptor,
     translation_descriptor,
 )
@@ -47,5 +46,5 @@ from .principal import (
     transport_total,
     validate_principal_connection,
 )
-from .scenarios import PRESET_NAMES, build_scenario, preset_config
+from .scenarios import PRESET_NAMES, build_scenario, descriptor_from_json, preset_config
 from .suites import run_suite

@@ -223,21 +223,22 @@ def _cmd_curvature(args):
         if not chart.contains(point):
             raise UsageError(f"--point {point.tolist()} is outside the open chart box with "
                              f"lower {chart.lower.tolist()} and upper {chart.upper.tolist()}")
-        y = TotalPoint(point, scenario.group.random_element(rng))
-        out = curvature_eval(scenario.omega, y, u1, u2)
-        same = curvature_eval(scenario.omega, y, u1, u1)
+        fibers = np.stack([scenario.group.random_element(rng).matrix] * 2)
+        y = TotalPoint(np.stack([point] * 2), scenario.group.element(fibers, check=False))
+        # one stack: row 0 at (u1, u2), row 1 at (u1, u1)
+        out = curvature_eval(scenario.omega, y, np.stack([u1, u1]), np.stack([u2, u1]))
         records = [
             _record(scenario, "curvature-two-path",
-                    "bracket and exterior-derivative curvature paths agree", [out.gap], 1e-4),
+                    "bracket and exterior-derivative curvature paths agree", [out.gap[0]], 1e-4),
             _record(scenario, "curvature-antisymmetry",
                     "curvature is antisymmetric in its arguments",
-                    [float(_norm(same.value.coords))], 1e-10),
+                    [float(_norm(out.value.coords[1]))], 1e-10),
         ]
         extra.update({
             "point": point.tolist(),
-            "bracket_value": out.value.coords.tolist(),
-            "exterior_value": out.exterior_value.coords.tolist(),
-            "gap": out.gap,
+            "bracket_value": out.value.coords[0].tolist(),
+            "exterior_value": out.exterior_value.coords[0].tolist(),
+            "gap": out.gap[0],
         })
     return _emit(records, scenario, args, extra_summary=extra)
 

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .calculus import Uniform, sample_rows
 from .errors import UsageError
 from .groups import (GroupDescriptor, GroupElement, _any, _dexp_operator, _frobenius, _norm,
                      derive_structure_constants)
@@ -139,7 +140,8 @@ class GaugeJet:
 
     @staticmethod
     def random(desc: GroupDescriptor, n: int, rng) -> "GaugeJet":
-        return GaugeJet(desc.random_element(rng), rng.uniform(-1.0, 1.0, (n, desc.dim)))
+        coords, xi = sample_rows(rng, 1, desc.coords_field, Uniform((n, desc.dim)))
+        return GaugeJet(desc.exp(desc.algebra(coords[0])), xi[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +255,8 @@ class ConnectionJet:
 
     @staticmethod
     def random(desc, n, rng):
-        return ConnectionJet(desc, rng.uniform(-1.0, 1.0, (n, desc.dim)),
-                             rng.uniform(-1.0, 1.0, (n, n, desc.dim)))
+        a, da = sample_rows(rng, 1, Uniform((n, desc.dim)), Uniform((n, n, desc.dim)))
+        return ConnectionJet(desc, a[0], da[0])
 
 
 def curvature_map(jet: ConnectionJet) -> np.ndarray:
@@ -285,9 +287,8 @@ class GaugeSecondJet:
 
     @staticmethod
     def random(desc, n, rng):
-        raw = rng.uniform(-1.0, 1.0, (n, n, desc.dim))
-        return GaugeSecondJet(desc, rng.uniform(-1.0, 1.0, (n, desc.dim)),
-                              0.5 * (raw + np.swapaxes(raw, 0, 1)))
+        raw, xi = sample_rows(rng, 1, Uniform((n, n, desc.dim)), Uniform((n, desc.dim)))
+        return GaugeSecondJet(desc, xi[0], 0.5 * (raw[0] + np.swapaxes(raw[0], 0, 1)))
 
 
 def apply_gauge_second_jet(jet: ConnectionJet, gauge: GaugeSecondJet) -> ConnectionJet:

@@ -1,4 +1,4 @@
-"""Matrix Lie group kernel.
+"""Matrix Lie group kernel, numerics only (`scenarios` reads JSON descriptors).
 
 Groups are embedded matrix groups described by a :class:`GroupDescriptor`: an
 algebra basis, structure constants, and a retraction that projects near-group
@@ -25,7 +25,6 @@ phi(ad) series, shared by the curvature's exponential chart and the jet exp.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -40,7 +39,6 @@ __all__ = [
     "GroupElement",
     "so3_descriptor",
     "translation_descriptor",
-    "descriptor_from_json",
 ]
 
 
@@ -554,79 +552,3 @@ def translation_descriptor(m):
         ad_matrix_hook=lambda mat: _eye_stack(m, mat.shape[:-2]),
         inverse_hook=lambda mat: _translation_matrix(-mat[..., :-1, -1]),
     )
-
-
-_FAMILY_BUILDERS = {
-    "orthogonal": _orthogonal_retract,
-    "translation": _translation_retract,
-    "generic": None,
-}
-
-
-def _parsed(field, expected, parse, value):
-    """``parse(value)``, or a usage error naming the descriptor field."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"descriptor field {field} must be {expected}, got {value!r}") from None
-
-
-def _positive_int(value):
-    if isinstance(value, bool) or int(value) != value or value < 1:
-        raise ValueError(value)
-    return int(value)
-
-
-def _positive_float(value, finite=True):
-    """value as a float above 0 (NaN is not), finite unless ``finite`` is False."""
-    out = float(value)
-    if not (out > 0 and (np.isfinite(out) or not finite)):
-        raise ValueError(value)
-    return out
-
-
-def descriptor_from_json(doc):
-    """Build a descriptor from a JSON document (text, dict, or file path)."""
-    if isinstance(doc, str):
-        try:
-            data = json.loads(doc)
-        except json.JSONDecodeError:
-            with open(doc, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    else:
-        data = doc
-    try:
-        name, mdim, raw = data["name"], data["matrix_dim"], data["basis"]
-    except KeyError as exc:
-        raise UsageError(f"descriptor document is missing field {exc}") from exc
-    mdim = _parsed("matrix_dim", "a positive integer", _positive_int, mdim)
-    basis = _parsed("basis", f"a non-empty list of {mdim}x{mdim} matrices", lambda v: np.stack(
-        [np.asarray(b, dtype=float).reshape(mdim, mdim) for b in v]), raw)
-    family = data.get("family", "generic")
-    if family not in _FAMILY_BUILDERS:
-        raise UsageError(f"unknown descriptor family {family!r}")
-    retract = _FAMILY_BUILDERS[family]
-    c = data.get("structure_constants")
-    shape = (len(basis),) * 3
-    c = derive_structure_constants(basis) if c is None else _parsed(
-        "structure_constants", f"numbers of shape {shape}",
-        lambda v: np.asarray(v, dtype=float).reshape(shape), c)
-    radius = data.get("injectivity_radius")
-    if radius is None:
-        radius = np.pi - 0.1 if family == "orthogonal" else np.inf
-    desc = GroupDescriptor(
-        name=name,
-        matrix_dim=mdim,
-        basis=basis,
-        structure_constants=c,
-        membership_tol=_parsed("membership_tol", "a finite positive number", _positive_float,
-                               data.get("membership_tol", 1e-8)),
-        injectivity_radius=_parsed("injectivity_radius", "a positive number (inf allowed)",
-                                   lambda v: _positive_float(v, finite=False), radius),
-        retraction=retract,
-    )
-    report = desc.validate()
-    if not all(v <= 1e-12 for v in report.values()):  # NaN fails too
-        raise DescriptorError(f"{name}: structure constant check failed ("
-                              + ", ".join(f"{k} {v:.2e}" for k, v in report.items()) + ")")
-    return desc

@@ -6,7 +6,8 @@ form and a coefficient-form group connection), "affine-constant" /
 "gauge-jet-so3" / "gauge-jet-abelian" (the semidirect jet-group algebra).
 
 Configs are plain dicts: polynomial coefficient tables keyed by exponent
-multi-indices, curve definitions, sample counts, seeds, steps, tolerances.
+multi-indices, curve definitions, sample counts, seeds, steps, tolerances and
+the group (a name, or a JSON descriptor document read by `descriptor_from_json`).
 Everything built here is deterministic given the config.
 """
 
@@ -23,10 +24,10 @@ from .bundles import FiberedAction, LieGroupBundle, TotalPoint, TotalSpace
 from .calculus import (AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Normal, Polynomial,
                        Uniform, sample_rows)
 from .connections import LieGroupBundleConnection
-from .errors import DomainError, UsageError
+from .errors import DescriptorError, DomainError, UsageError
 from .gauge import EquivariantJetConnection, semidirect_jet_descriptor
-from .groups import (GroupDescriptor, _norm, descriptor_from_json, so3_descriptor,
-                     translation_descriptor)
+from .groups import (GroupDescriptor, _norm, _orthogonal_retract, _translation_retract,
+                     derive_structure_constants, so3_descriptor, translation_descriptor)
 from .integrators import integrate_linear
 from .principal import (
     GeneralizedPrincipalConnection,
@@ -42,6 +43,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset_config",
     "build_scenario",
+    "descriptor_from_json",
     "TorsorScenario",
     "GaugeJetScenario",
     "principal_equivalence_report",
@@ -75,10 +77,12 @@ def _count(value, field, lo=1, hi=None):
     return value
 
 
-def _numbers(spec, field, shape=None):
-    """``spec`` as a finite float array, of ``shape`` when given (() for a number)."""
+def _numbers(spec, field, shape=None, nested=False):
+    """``spec`` as a finite float array, of ``shape`` when given (() for a number);
+    ``nested`` reshapes any nesting of the right number of entries to ``shape``."""
     try:
         arr = np.asarray(spec, dtype=float)
+        arr = arr.reshape(shape) if nested else arr
     except (TypeError, ValueError):
         arr = None
     ok = (not isinstance(spec, (str, bool)) and arr is not None and np.all(np.isfinite(arr))
@@ -120,16 +124,53 @@ def _poly_table(spec, field, dim):
     return spec
 
 
+_RETRACTIONS = {"orthogonal": _orthogonal_retract, "translation": _translation_retract,
+                "generic": None}
+
+
+def descriptor_from_json(doc):
+    """The `GroupDescriptor` of a parsed JSON descriptor document, a dict (its
+    fields are listed in the README).  A basis element or the structure
+    constants may nest their entries any way."""
+    _object(doc, "group")
+    name = doc.get("name")
+    _require(isinstance(name, str), "group.name", "a string", name)
+    mdim = int(_count(doc.get("matrix_dim"), "group.matrix_dim"))
+    raw = doc.get("basis")
+    _require(isinstance(raw, list) and len(raw) > 0, "group.basis",
+             f"a non-empty list of {mdim}x{mdim} matrices", raw)
+    basis = np.stack([_numbers(b, "group.basis", (mdim, mdim), nested=True) for b in raw])
+    family = doc.get("family", "generic")
+    _require(isinstance(family, str) and family in _RETRACTIONS, "group.family",
+             "orthogonal, translation or generic", family)
+    c = doc.get("structure_constants")
+    c = derive_structure_constants(basis) if c is None else _numbers(
+        c, "group.structure_constants", (len(basis),) * 3, nested=True)
+    tol = _positive(doc.get("membership_tol", 1e-8), "group.membership_tol")
+    radius = doc.get("injectivity_radius")
+    if radius is None:
+        radius = np.pi - 0.1 if family == "orthogonal" else np.inf
+    elif radius != np.inf:  # the one non-finite radius allowed
+        radius = _positive(radius, "group.injectivity_radius")
+    desc = GroupDescriptor(name=name, matrix_dim=mdim, basis=basis, structure_constants=c,
+                           membership_tol=tol, injectivity_radius=radius,
+                           retraction=_RETRACTIONS[family])
+    report = desc.validate()
+    if not all(v <= 1e-12 for v in report.values()):  # NaN fails too
+        raise DescriptorError(f"{name}: structure constant check failed ("
+                              + ", ".join(f"{k} {v:.2e}" for k, v in report.items()) + ")")
+    return desc
+
+
 def _group_from_config(spec):
     if spec == "so3":
         return so3_descriptor()
-    if isinstance(spec, str) and spec.startswith("translation:"):
-        size = spec.split(":")[1]
-        _require(size.isdigit() and int(size) > 0, "group", '"translation:m" with m > 0', spec)
-        return translation_descriptor(int(size))
     if isinstance(spec, dict):
         return descriptor_from_json(spec)
-    raise UsageError(f"unknown group spec {spec!r}")
+    size = spec.partition(":")[2] if str(spec).startswith("translation:") else ""
+    _require(size.isdecimal() and int(size) > 0, "group",
+             '"so3", "translation:m" with m > 0 or a descriptor object', spec)
+    return translation_descriptor(int(size))
 
 
 def _chart_from_config(spec):

@@ -10,8 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
+from liebundles.bundles import TotalPoint
 from liebundles.cli import main
-from liebundles.scenarios import PRESET_NAMES
+from liebundles.groups import _norm
+from liebundles.principal import curvature
+from liebundles.scenarios import PRESET_NAMES, build_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -145,6 +148,27 @@ def test_curvature_principal_emits_both_paths(capsys):
     summary = [d for d in parse_jsonl(out) if "summary" in d][0]["summary"]
     assert summary["gap"] <= 1e-4
     assert np.allclose(summary["bracket_value"], summary["exterior_value"], atol=1e-4)
+
+
+@pytest.mark.parametrize("scenario", ["principal-so3", "affine-varying"])
+def test_curvature_command_rows_equal_the_lone_calls(scenario, capsys):
+    """The command evaluates (u1, u2) and (u1, u1) as the rows of one stack;
+    what it writes equals two lone `curvature` calls at its draw."""
+    code, out, _ = run_cli(["curvature", "--scenario", scenario, "--seed", "4", "--no-meta",
+                            "--point", "[0.1, -0.2]", "--u1", "[0.6, 0.3]", "--u2", "[-0.2, 0.9]"],
+                           capsys)
+    assert code == 0
+    lines = parse_jsonl(out)
+    (summary,) = [d["summary"] for d in lines if "summary" in d]
+    records = {d["check"]: d for d in lines if "check" in d}
+    s = build_scenario(scenario)
+    y = TotalPoint(np.array([0.1, -0.2]), s.group.random_element(np.random.default_rng([4, 2000])))
+    u1, u2 = np.array([0.6, 0.3]), np.array([-0.2, 0.9])
+    lone, same = curvature(s.omega, y, u1, u2), curvature(s.omega, y, u1, u1)
+    assert summary["gap"] == records["curvature-two-path"]["max_residual"] == lone.gap
+    assert summary["bracket_value"] == lone.value.coords.tolist()
+    assert summary["exterior_value"] == lone.exterior_value.coords.tolist()
+    assert records["curvature-antisymmetry"]["max_residual"] == _norm(same.value.coords)
 
 
 def test_curvature_gauge_reports_invariance(capsys):
@@ -468,13 +492,28 @@ SO3_BASIS = [[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
      "injectivity_radius"),
     ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": -1.0},
      "injectivity_radius"),
+    # a JSON boolean is no number, a name is a string, and a family is one of three
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": True},
+     "membership_tol"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": True},
+     "injectivity_radius"),
+    ({"name": 5, "matrix_dim": 3, "basis": SO3_BASIS}, "name"),
+    ({"name": "g", "matrix_dim": 3.0, "basis": SO3_BASIS}, "matrix_dim"),
+    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "family": "nope"}, "family"),
+    ({"name": "g", "matrix_dim": 3}, "basis"),
+    ("sl2", None),
+    ("translation:2:3", None),
+    ("translation:\u00b2", None),
 ])
 def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsys):
+    """Each malformed field exits 2, named, before any of the checks runs."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"scenario": "principal-so3", "group": group}), encoding="utf-8")
-    code, out, err = run_cli(["validate", "--config", str(path), "--no-meta"], capsys)
+    code, out, err = run_cli(["validate", "--config", str(path), "--no-meta", "--checks",
+                              "group-connection-laws,form-complementarity"], capsys)
     assert code == 2
-    assert err.startswith(f"usage error: descriptor field {field} must be ")
+    where = "group" if field is None else f"group.{field}"
+    assert err.startswith(f"usage error: config field {where} must be ")
     assert len(err.strip().splitlines()) == 1
     assert out == ""
 

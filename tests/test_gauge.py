@@ -26,6 +26,8 @@ from liebundles.gauge import (
     semidirect_jet_descriptor,
 )
 from liebundles.groups import so3_descriptor, translation_descriptor
+from liebundles.scenarios import build_scenario
+from liebundles.suites import _draw_connection_jets, _draw_jets
 
 from _oracles import gauge_jet_from_element, section_product_jet
 
@@ -536,6 +538,31 @@ def test_stacked_connection_jets_equal_lone_rows(desc):
         assert invariance[r] == curvature_invariance_residual(j, q)
         assert move[r] == restricted_action_move(j, q)
         assert np.array_equal(realized[r], curvature_map(jet_realizing_curvature(desc, target[r])))
+
+
+@pytest.mark.parametrize("preset", ["gauge-jet-so3", "gauge-jet-abelian"])
+def test_jet_random_draws_one_row_of_the_suite_sampler(preset):
+    """Each `random` is one row of the stacks the gauge checks draw, and
+    takes the values and the RNG state of the `rng.uniform` calls it
+    replaced, so the `curvature` command's gauge sample is unchanged."""
+    s = build_scenario(preset)
+    desc, n = s.group, s.n
+    lone, stacked, uniform = (np.random.default_rng(12) for _ in range(3))
+    for _ in range(3):
+        k = GaugeJet.random(desc, n, lone)
+        (row,) = _draw_jets(s, stacked, 1, 1)
+        g, xi = desc.random_element(uniform), uniform.uniform(-1.0, 1.0, (n, desc.dim))
+        assert np.array_equal(k.g.matrix, row.g.matrix[0]) and np.array_equal(k.g.matrix, g.matrix)
+        assert np.array_equal(k.xi, row.xi[0]) and np.array_equal(k.xi, xi)
+        j, q = ConnectionJet.random(desc, n, lone), GaugeSecondJet.random(desc, n, lone)
+        jets, gauges = _draw_connection_jets(s, stacked, 1)
+        a, da, raw, xi = (uniform.uniform(-1.0, 1.0, shape) for shape in
+                          [(n, desc.dim), (n, n, desc.dim), (n, n, desc.dim), (n, desc.dim)])
+        sigma = 0.5 * (raw + np.swapaxes(raw, 0, 1))
+        for got, row, old in [(j.A, jets.A, a), (j.DA, jets.DA, da), (q.xi, gauges.xi, xi),
+                              (q.sigma, gauges.sigma, sigma)]:
+            assert np.array_equal(got, row[0]) and np.array_equal(got, old)
+    assert lone.bit_generator.state == stacked.bit_generator.state == uniform.bit_generator.state
 
 
 def test_lone_distance_is_the_old_norm_sum_and_a_stack_gives_one_per_row():

@@ -12,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 import liebundles
 from liebundles.errors import DescriptorError, DomainError, RangeError, UsageError
 from liebundles.groups import (
+    GroupDescriptor,
     _norm,
     _orthogonal_retract,
-    descriptor_from_json,
+    derive_structure_constants,
     so3_descriptor,
     translation_descriptor,
 )
+from liebundles.scenarios import descriptor_from_json
 
 from _oracles import (_row_norm, hat_so3_exp, orthogonal_residual, per_row_ad_matrix,
                       series_logm, so3_hat, taylor_expm, two_check_orthogonal_retract)
@@ -216,8 +218,7 @@ def test_ad_matrix_consistent_with_ad():
 
 
 def test_descriptor_json_roundtrip():
-    doc = json.dumps(SO3_DOC)
-    desc = descriptor_from_json(doc)
+    desc = descriptor_from_json(json.loads(json.dumps(SO3_DOC)))
     rng = np.random.default_rng(11)
     xi = desc.random_algebra(rng)
     assert np.allclose(desc.exp(xi).matrix, SO3.exp(SO3.algebra(xi.coords)).matrix, atol=1e-12)
@@ -351,18 +352,43 @@ def test_translation_retraction_returns_the_residual():
     assert np.array_equal(T2.retract(m), got)
 
 
+GENERIC_DOC = {**{k: v for k, v in SO3_DOC.items() if k != "family"}, "name": "so3-generic"}
+# so3 on a basis of mixed generators: every ad entry sums three constants
+MIXED_DOC = {"name": "so3-mixed", "matrix_dim": 3, "basis": np.tensordot(
+    [[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]], SO3.basis, axes=(1, 0)).tolist()}
+
+
 def _membership_descriptors():
     from liebundles.gauge import semidirect_jet_descriptor
-    generic = descriptor_from_json(
-        {**{k: v for k, v in SO3_DOC.items() if k != "family"}, "name": "so3-generic"})
-    return [SO3, T2, semidirect_jet_descriptor(SO3, 2), generic]
+    return [SO3, T2, semidirect_jet_descriptor(SO3, 2), descriptor_from_json(GENERIC_DOC)]
 
 
 def _mixed_so3():
-    """so3 on a basis of mixed generators: every ad entry sums three constants."""
-    mix = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
-    return descriptor_from_json({"name": "so3-mixed", "matrix_dim": 3,
-                                 "basis": np.tensordot(mix, SO3.basis, axes=(1, 0)).tolist()})
+    return descriptor_from_json(MIXED_DOC)
+
+
+@pytest.mark.parametrize("doc, retraction, radius", [
+    (SO3_DOC, _orthogonal_retract, np.pi - 0.1),
+    (GENERIC_DOC, None, np.pi - 0.1),
+    (MIXED_DOC, None, np.inf),
+], ids=lambda v: v["name"] if isinstance(v, dict) else "")
+def test_descriptor_document_builds_the_descriptor_of_its_fields(doc, retraction, radius):
+    """A document gives the descriptor built directly from its fields."""
+    mdim = doc["matrix_dim"]
+    basis = np.reshape(doc["basis"], (-1, mdim, mdim))
+    c = doc.get("structure_constants")
+    want = GroupDescriptor(
+        name=doc["name"], matrix_dim=mdim, basis=basis,
+        structure_constants=derive_structure_constants(basis) if c is None else c,
+        membership_tol=doc.get("membership_tol", 1e-8), injectivity_radius=radius,
+        retraction=retraction)
+    got = descriptor_from_json(doc)
+    assert (got.name, got.matrix_dim) == (want.name, want.matrix_dim)
+    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.structure_constants, want.structure_constants)
+    assert got.membership_tol == want.membership_tol
+    assert got.injectivity_radius == want.injectivity_radius
+    assert got.retraction is want.retraction
 
 
 @pytest.mark.parametrize("desc", _membership_descriptors() + [_mixed_so3()], ids=lambda d: d.name)
@@ -451,3 +477,16 @@ def test_group_inverse_is_the_only_linalg_inv():
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not found, "np.linalg.inv outside GroupDescriptor.inverse:\n" + "\n".join(found)
     assert _INV.search("x = np.linalg.inv(m)") and not _INV.search("desc.inverse(m)")
+
+
+_CONFIG_READING = re.compile(r"^\s*(import json|from json )|\bopen\(", re.MULTILINE)
+
+
+def test_group_kernel_reads_no_config():
+    """groups.py holds numerics only: it imports no json and opens no file;
+    descriptor documents are read by the config validators of scenarios.py."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    found = _CONFIG_READING.findall((pkg / "groups.py").read_text(encoding="utf-8"))
+    assert not found, found
+    assert _CONFIG_READING.search("import json\n") and _CONFIG_READING.search("with open(p):")
+    assert not _CONFIG_READING.search("reopen_count = 0")

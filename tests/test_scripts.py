@@ -50,7 +50,8 @@ def _compare(tmp_path, records_a, records_b, extra_args=None):
 
 
 def _record(check, max_residual, tolerance=1e-8, mean_residual=None, order_estimate=None):
-    return {"check": check, "samples": 3, "passed": max_residual <= tolerance,
+    return {"check": check, "label": f"{check} holds", "scenario": "principal-so3",
+            "samples": 3, "passed": max_residual <= tolerance,
             "tolerance": tolerance, "mode": "max<=tol", "max_residual": max_residual,
             "mean_residual": max_residual if mean_residual is None else mean_residual,
             "order_estimate": order_estimate}
@@ -84,10 +85,33 @@ def test_compare_reports_passes_a_roundoff_move(tmp_path):
     [REPORT[0], _record("group-connection-laws", 4e-17)],                 # order lost
     [REPORT[0], _record("group-connection-laws", 4e-17, order_estimate=float("nan"))],  # NaN
     None,                                                                 # file missing
+    [dict(REPORT[0], label="curvature is antisymmetric"), REPORT[1]],     # relabelled
+    [dict(REPORT[0], scenario="affine-varying"), REPORT[1]],              # other scenario
+    [{k: v for k, v in REPORT[0].items() if k != "label"}, REPORT[1]],    # field missing
+    [dict(REPORT[0], note="extra"), REPORT[1]],                           # field added
 ])
 def test_compare_reports_flags_a_mismatch(tmp_path, other):
     code, out = _compare(tmp_path, REPORT, other)
     assert code == 1, out
+
+
+@pytest.mark.parametrize("line, why", [
+    ("{not json", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    (json.dumps({k: v for k, v in REPORT[1].items() if k != "tolerance"}), "readable tolerance"),
+    (json.dumps(dict(REPORT[1], max_residual="small")), "readable max_residual"),
+    (json.dumps(dict(REPORT[1], order_estimate=[4.0])), "readable order_estimate"),
+], ids=["not-json", "not-an-object", "no-tolerance", "text-residual", "list-order"])
+def test_compare_reports_refuses_an_unreadable_report(tmp_path, line, why):
+    """A report it cannot read is a usage error naming the file and line."""
+    _write_reports(tmp_path / "a", {"principal-so3.jsonl": REPORT})
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "principal-so3.jsonl").write_text(
+        json.dumps(REPORT[0], sort_keys=True) + "\n" + line + "\n", encoding="utf-8")
+    code, out = _compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert code == 2, out
+    assert f"{tmp_path / 'b' / 'principal-so3.jsonl'} line 2: " in out and why in out
+    assert "Traceback" not in out
 
 
 def _transport_report(endpoint=0.6476531098312618, failed=()):
