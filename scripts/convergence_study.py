@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from liebundles.bundles import TotalPoint
 from liebundles.connections import transport_multiplicativity_check
 from liebundles.principal import curvature, transport_compatibility_check
 from liebundles.scenarios import build_scenario, random_curve
@@ -50,7 +51,11 @@ def main():
 
     print("# curvature two-path gap vs finite-difference step")
     fd_steps = [2e-2 / 2**k for k in range(args.levels)]
-    gaps = [curvature(s.omega, y, [1.0, 0.0], [0.0, 1.0], h=h_fd).gap for h_fd in fd_steps]
+    # the ladder as the rows of one stack, one step per row
+    rows = len(fd_steps)
+    ys = TotalPoint(np.tile(y.q, (rows, 1)), s.group.element(np.tile(y.fiber.matrix, (rows, 1, 1))))
+    gaps = curvature(s.omega, ys, np.tile([1.0, 0.0], (rows, 1)), np.tile([0.0, 1.0], (rows, 1)),
+                     h=np.array(fd_steps)).gap
     for h_fd, gap in zip(fd_steps, gaps):
         print(f"{h_fd:.6e} {gap:.6e}")
     print(f"# observed orders: {['%.2f' % o for o in observed_orders(gaps)]}")

@@ -27,10 +27,10 @@ _EPS_CBRT = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 def fd_step(x, h=None):
     """Default central-difference step at x, or one per row of an (R, N) stack
-    of points, each from that row's norm alone."""
-    if h is not None:
-        return float(h)
-    return _EPS_CBRT * np.maximum(1.0, _norm(np.asarray(x, dtype=float)))
+    of points, each from that row's norm alone; an explicit ``h``, one number
+    or one per row, replaces it but in NaN rows."""
+    default = _EPS_CBRT * np.maximum(1.0, _norm(np.asarray(x, dtype=float)))
+    return default if h is None else np.where(np.isnan(h), default, h)
 
 
 def central_difference(f, eps):
@@ -387,7 +387,8 @@ def finite_diff_jacobian(f, x, h=None, chart: Optional[ChartDomain] = None):
 def directional_derivative(f, x, v, h=None):
     """Central difference of f along direction v (not normalized); points x
     and directions v of shape (R, N) give one row each, stepped by that row's
-    own x and v.  A zero direction differences f(x) with itself, to exactly 0."""
+    own x, v and `fd_step` h.  A zero direction differences f(x) with itself,
+    to exactly 0."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     step = _times(fd_step(x, h) / np.maximum(1.0, _norm(v)), 1)
@@ -399,7 +400,7 @@ def numerical_bracket(v1, v2, z, h=None):
 
     [v1, v2] = (Dv2) v1 - (Dv1) v2, each directional derivative evaluated with
     a second-order stencil.  Points z of shape (R, N), for fields that map such
-    stacks row by row, give one bracket per row.
+    stacks row by row, give one bracket per row, each at its `fd_step` h.
     """
     z = np.asarray(z, dtype=float)
     a = np.asarray(v1(z), dtype=float)

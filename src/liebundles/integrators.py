@@ -13,12 +13,14 @@ steps at once, and the step loop then does only fiber work: per step 4 exps,
 `integrate_linear` asks its K(t) the same way.
 `integrate_on_group` is the one-element form.
 
-Transport checks are plans: generators that yield one list of `Transport`
-requests (k fibers of one shape carried along a curve at a step by the field
-``builder(x, u)``), once, and are sent each request's k endpoints.  `planned`
-drives a plan, `together` joins several into one round, and `transport` runs
-a round as one `integrate_stack` per interval and step, in which requests
-with one builder share one evaluation on their concatenated curve rows.
+Checks are plans: generators that yield one list of requests, once, and are
+sent one answer each.  A `Transport` request carries k fibers of one shape
+along a curve at a step by the field ``builder(x, u)`` and is answered with
+their k endpoints.  `planned` drives a plan and `together` joins several
+into one round, whose transports `transport` runs as one `integrate_stack`
+per interval and step (requests with one builder share one evaluation on
+their concatenated curve rows) and whose other requests go, kind by kind,
+to one call of the kind's ``evaluate`` (as `principal.Curvature`).
 """
 
 from __future__ import annotations
@@ -226,31 +228,45 @@ def transport(requests):
     return ends
 
 
+def _grouped(requests, key, answer):
+    """The answers to ``requests`` in their order, ``answer(k, group)`` giving
+    those of each group of requests with one ``key(request)`` k."""
+    groups, answers = {}, [None] * len(requests)
+    for i, req in enumerate(requests):
+        groups.setdefault(key(req), []).append(i)
+    for k, idx in groups.items():
+        for i, got in zip(idx, answer(k, [requests[i] for i in idx])):
+            answers[i] = got
+    return answers
+
+
 def _start(plan):
     """The request list that ``plan`` yields first."""
     try:
         return next(plan)
     except StopIteration:
-        raise UsageError("a transport plan yields its requests once") from None
+        raise UsageError("a plan yields its requests once") from None
 
 
-def _finish(plan, ends):
-    """The value of ``plan`` once sent the endpoints of its one round of requests."""
+def _finish(plan, answers):
+    """The value of ``plan`` once sent the answers to its one round of requests."""
     try:
-        plan.send(ends)
+        plan.send(answers)
     except StopIteration as stop:
         return stop.value
-    raise UsageError("a transport plan yields its requests once")
+    raise UsageError("a plan yields its requests once")
 
 
 def planned(plan):
     """The generator function ``plan`` as the function that drives its plan,
-    its one round run by `transport`; ``.plan`` keeps the generator function."""
+    its one round answered by request kind; ``.plan`` keeps the generator
+    function."""
 
     @functools.wraps(plan)
     def run(*args, **kwargs):
         gen = plan(*args, **kwargs)
-        return _finish(gen, transport(_start(gen)))
+        return _finish(gen, _grouped(_start(gen), type, lambda kind, requests: (
+            transport if kind is Transport else kind.evaluate)(requests)))
 
     run.plan = plan
     return run

@@ -20,8 +20,10 @@ coordinates.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .calculus import (AlgebraOneForm, BaseCurve, FiberMap, Normal, Polynomial,
 from .connections import LieGroupBundleConnection
 from .errors import ConstructionError, UsageError
 from .groups import AlgebraElement, GroupElement, _dexp_operator, _frobenius, _norm
-from .integrators import Transport, integrate_stack, planned
+from .integrators import Transport, _grouped, integrate_stack, planned
 
 __all__ = [
     "WeightRamp",
@@ -48,6 +50,7 @@ __all__ = [
     "connection_difference",
     "CurvatureValue",
     "curvature",
+    "Curvature",
     "reduced_curvature_residual",
     "equivariant_product_connection_check",
 ]
@@ -251,33 +254,40 @@ def _values(matrices, u, delta):
     return (matrices @ np.concatenate([u, delta], axis=-1)[..., None])[..., 0]
 
 
-def _form_law_residuals(form, rng, samples, nu=None):
-    """Worst residuals of the two laws of an algebra-valued form on random
-    samples, drawn one at a time and evaluated as one stack.  With a group
-    connection nu: complementarity |form(generator of xi) - xi| and
-    equivariance form(y.g, dPhi) = Ad_{g^-1}(form(y) + nu form).  Without:
-    horizontality |form(generator of xi)| and plain adjoint equivariance."""
+def _form_laws(form, rng, samples, nu=None):
+    """The worst residuals of the two laws of an algebra-valued form, as two
+    functions that each evaluate one law on one stack of random samples,
+    drawn one at a time.  With a group connection nu: complementarity
+    |form(generator of xi) - xi| and equivariance form(y.g, dPhi) =
+    Ad_{g^-1}(form(y) + nu form).  Without: horizontality |form(generator of
+    xi)| and plain adjoint equivariance."""
     action = form.action
     desc = action.space.fiber
     c = desc.coords_field
     y, xi, fg, u, dy, dg = action.space.random_points(
         rng, samples, c, c, Normal((action.space.quotient.dim,)), c, c)
-    g = desc.exp(desc.algebra(fg))
-    vert = form.value(y, action.generator(y, desc.algebra(xi))).coords
-    vert = vert - xi if nu is not None else vert
-    t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))
-    lhs = form.value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
-    correction = dg - nu.lift_map(y.q, u)(g.matrix) if nu is not None else 0.0
-    rhs = form.value(y, t_y).coords + correction
-    rhs = (desc.Ad_matrix(g.inverse()) @ rhs[..., None])[..., 0]
-    return float(np.max(_norm(vert))), float(np.max(_norm(lhs - rhs)))
+
+    def vertical():
+        vert = form.value(y, action.generator(y, desc.algebra(xi))).coords
+        return float(np.max(_norm(vert - xi if nu is not None else vert)))
+
+    def equivariance():
+        g = desc.exp(desc.algebra(fg))
+        t_y, t_g = Tangent(u, desc.algebra(dy)), Tangent(u, desc.algebra(dg))
+        lhs = form.value(action.act(y, g), action.differential(y, g, t_y, t_g)).coords
+        correction = dg - nu.lift_map(y.q, u)(g.matrix) if nu is not None else 0.0
+        rhs = form.value(y, t_y).coords + correction
+        rhs = (desc.Ad_matrix(g.inverse()) @ rhs[..., None])[..., 0]
+        return float(np.max(_norm(lhs - rhs)))
+
+    return vertical, equivariance
 
 
 def validate_principal_connection(omega, rng, samples=200):
     """Worst residuals of complementarity and of adjoint equivariance with the
     omega.nu correction on random samples."""
-    comp, equi = _form_law_residuals(omega, rng, samples, omega.nu)
-    return {"complementarity": comp, "ad_equivariance": equi}
+    comp, equi = _form_laws(omega, rng, samples, omega.nu)
+    return {"complementarity": comp(), "ad_equivariance": equi()}
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +388,8 @@ class TensorialAdjointForm:
     def validate(self, rng, samples=100):
         """Worst residuals of horizontality and adjoint equivariance on random
         samples."""
-        horiz, equi = _form_law_residuals(self, rng, samples)
-        return {"horizontality": horiz, "ad_equivariance": equi}
+        horiz, equi = _form_laws(self, rng, samples)
+        return {"horizontality": horiz(), "ad_equivariance": equi()}
 
 
 def connection_difference(omega1, omega2) -> TensorialAdjointForm:
@@ -401,7 +411,7 @@ def connection_difference(omega1, omega2) -> TensorialAdjointForm:
 class CurvatureValue:
     value: AlgebraElement
     exterior_value: AlgebraElement
-    gap: float
+    gap: Union[float, np.ndarray]
 
 
 def curvature(omega, y: TotalPoint, u1, u2, h=None):
@@ -417,13 +427,11 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
     A stack of points (y.q of shape (B, n), y.fiber of (B, m, m)) with (B, n)
     directions gives (B, dim) values and exterior values and (B,) gaps, each
     row equal to that row alone: the finite differences step every row by its
-    own size.
+    own size.  ``h`` is one step for every row or one per row, a NaN row
+    taking the default step it takes alone.
     """
-    desc = omega.descriptor
-    n = omega.action.space.quotient.dim
-    h0 = y.fiber
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+    desc, n, h0 = omega.descriptor, omega.n, y.fiber
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
 
     def point(z):
         return TotalPoint(z[..., :n], desc.exp(desc.algebra(z[..., n:])) @ h0)
@@ -442,8 +450,7 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
     primary = -omega.value(y, bracket_tangent).coords
 
     # exterior path on constant field extensions (their bracket vanishes)
-    w1 = np.concatenate([u1, omega.horizontal_deltas(y, u1)], axis=-1)
-    w2 = np.concatenate([u2, omega.horizontal_deltas(y, u2)], axis=-1)
+    w1, w2 = (np.concatenate([u, omega.horizontal_deltas(y, u)], axis=-1) for u in (u1, u2))
 
     def omega_along(wvec):
         def f(z):
@@ -453,32 +460,53 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
 
         return f
 
-    d1 = directional_derivative(omega_along(w2), z0, w1, h)
-    d2 = directional_derivative(omega_along(w1), z0, w2, h)
-    exterior = d1 - d2
+    exterior = (directional_derivative(omega_along(w2), z0, w1, h)
+                - directional_derivative(omega_along(w1), z0, w2, h))
     return CurvatureValue(value=desc.algebra(primary), exterior_value=desc.algebra(exterior),
                           gap=_norm(primary - exterior))
 
 
+class Curvature(namedtuple("Curvature", "omega y u1 u2 h", defaults=(None,))):
+    """A request for `curvature(omega, y, u1, u2, h)`, answered with its
+    CurvatureValue: a round's requests on one form share one `curvature`
+    call on their concatenated rows, each request's rows at its own step."""
+
+    @staticmethod
+    def evaluate(requests):
+        return _grouped(requests, attrgetter("omega"), _curvature_rows)
+
+
+def _curvature_rows(omega, requests):
+    """Answers on omega from one call of `curvature`, looked up as this
+    module's global at call time, so that a tracer that rebinds it sees it."""
+    desc, leads = omega.descriptor, [np.shape(r.y.q)[:-1] for r in requests]
+    sizes = [int(np.prod(lead)) for lead in leads]
+
+    def rows(attr, k=1):  # each request's ``attr`` as rows of k axes, concatenated
+        return np.concatenate([np.reshape(a, (-1,) + np.shape(a)[-k:])
+                               for a in map(attrgetter(attr), requests)])
+
+    y = TotalPoint(rows("y.q"), desc.element(rows("y.fiber.matrix", 2), check=False))
+    h = np.repeat([np.nan if r.h is None else r.h for r in requests], sizes)
+    out = curvature(omega, y, rows("u1"), rows("u2"), h)
+    values, exteriors, gaps = (np.split(a, np.cumsum(sizes)[:-1])
+                               for a in (out.value.coords, out.exterior_value.coords, out.gap))
+    return [CurvatureValue(desc.algebra(v.reshape(lead + (-1,))),
+                           desc.algebra(e.reshape(lead + (-1,))), g.reshape(lead)[()])
+            for lead, v, e, g in zip(leads, values, exteriors, gaps)]
+
+
+@planned
 def reduced_curvature_residual(omega, y, g, u1, u2):
     """Representative independence of the reduced curvature, a section of the
     adjoint bundle: |Ad_{g^{-1}} Omega_y - Omega_{y.g}|, with g solved from
-    the two fibers as y.fiber^{-1} (y.g).fiber.  y and y.g are the two halves
-    of one curvature stack; a stack of points, with g and u1, u2 holding one
-    row each, gives one residual per row."""
-    desc, lead = omega.descriptor, np.shape(y.q)[:-1]
+    the two fibers as y.fiber^{-1} (y.g).fiber.  Omega_y and Omega_{y.g} are
+    two requests of one round; a stack of points, with g and u1, u2 holding
+    one row each, gives one residual per row."""
     yg = omega.action.act(y, g)
-
-    def both(a, b):
-        """a, then b, as the rows of one stack."""
-        return np.reshape([a, b], (-1,) + np.shape(a)[len(lead):])
-
-    pair = TotalPoint(both(y.q, yg.q), GroupElement(both(y.fiber.matrix, yg.fiber.matrix), desc,
-                                                    check=False))
-    values = curvature(omega, pair, both(u1, u1), both(u2, u2)).value.coords
-    val_y, val_yg = values.reshape((2,) + lead + (desc.dim,))
+    at_y, at_yg = yield [Curvature(omega, y, u1, u2), Curvature(omega, yg, u1, u2)]
     solved = y.fiber.inverse() @ yg.fiber
-    return _norm(desc.Ad(solved.inverse(), desc.algebra(val_y)).coords - val_yg)
+    return _norm(omega.descriptor.Ad(solved.inverse(), at_y.value).coords - at_yg.value.coords)
 
 
 def equivariant_product_connection_check(omega, y, g, t_y: Tangent, t_g: Tangent):

@@ -2,9 +2,10 @@
 
 Each check draws from its own substream, keyed by (seed, check id), so a
 record depends only on the config and the check: not on the table's order,
-on other checks or on filtering.  A transport check is a plan that yields
-all its requests once; `run_suite` runs every plan in one round, so the
-transports on one interval at one step share one integration (`integrators`).
+on other checks or on filtering.  A check that transports or evaluates
+curvature is a plan that yields all its requests once; `run_suite` runs every
+plan in one round, so transports on one interval at one step share one
+integration and curvatures on one form one `curvature` call (`integrators`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .gauge import (
 from .groups import _norm
 from .integrators import Transport, together
 from .principal import (
+    Curvature,
+    _form_laws,
     connection_difference,
-    curvature,
     equivariant_product_connection_check,
     horizontal_transform_check,
     jet_equivariance_check,
@@ -199,18 +201,14 @@ def _chk_horizontal_product_rule(s, rng, samples, step):
 
 
 def _chk_form_complementarity(s, rng, samples, step):
-    vals = []
-    for omega in s.forms.values():
-        rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
-        vals.append(rep["complementarity"])
+    # each form's law 0 alone, on the sample both of its laws share
+    vals = [_form_laws(omega, rng, min(samples, 300), omega.nu)[0]() for omega in s.forms.values()]
     return vals, 1e-8, "connection form reproduces generators", None
 
 
 def _chk_form_equivariance(s, rng, samples, step):
-    vals = []
-    for omega in s.forms.values():
-        rep = validate_principal_connection(omega, rng, samples=min(samples, 300))
-        vals.append(rep["ad_equivariance"])
+    # each form's law 1 alone, on the sample both of its laws share
+    vals = [_form_laws(omega, rng, min(samples, 300), omega.nu)[1]() for omega in s.forms.values()]
     return vals, 1e-8, "connection form is adjoint-equivariant with group correction", None
 
 
@@ -259,31 +257,28 @@ def _directions(s, k):
 
 def _chk_curvature_two_path(s, rng, samples, step):
     y, u1, u2 = s.action.space.random_points(rng, min(samples, 4), *_directions(s, 2))
-    vals = curvature(s.omega, y, u1, u2).gap
-    gaps = [curvature(s.omega, y, u1, u2, h=hh).gap for hh in (2e-2, 1e-2, 5e-3)]
-    return vals, 1e-4, "bracket and exterior-derivative curvature paths agree", _order(gaps)
+    vals, *gaps = yield [Curvature(s.omega, y, u1, u2, hh) for hh in (None, 2e-2, 1e-2, 5e-3)]
+    return vals.gap, 1e-4, "bracket and exterior-derivative curvature paths agree", \
+        _order([g.gap for g in gaps])
 
 
 def _chk_curvature_antisymmetry(s, rng, samples, step):
     y, u = s.action.space.random_points(rng, min(samples, 4), *_directions(s, 1))
-    vals = _norm(curvature(s.omega, y, u, u).value.coords)
-    return vals, 1e-10, "curvature is antisymmetric in its arguments", None
+    (same,) = yield [Curvature(s.omega, y, u, u)]
+    return _norm(same.value.coords), 1e-10, "curvature is antisymmetric in its arguments", None
 
 
 def _chk_curvature_tensoriality(s, rng, samples, step):
     y, u1, u2 = s.action.space.random_points(rng, min(samples, 3), *_directions(s, 2))
-    # the rows at (u1, u2) and at (2 u1, u2) as the two halves of one stack
-    twice = TotalPoint(np.concatenate([y.q, y.q]),
-                       s.group.element(np.concatenate([y.fiber.matrix] * 2), check=False))
-    a, b = np.split(curvature(s.omega, twice, np.concatenate([u1, 2.0 * u1]),
-                              np.concatenate([u2, u2])).value.coords, 2)
-    return _norm(2.0 * a - b), 1e-6, "curvature value is pointwise tensorial in the arguments", None
+    a, b = yield [Curvature(s.omega, y, u1, u2), Curvature(s.omega, y, 2.0 * u1, u2)]
+    return _norm(2.0 * a.value.coords - b.value.coords), 1e-6, \
+        "curvature value is pointwise tensorial in the arguments", None
 
 
 def _chk_reduced_curvature(s, rng, samples, step):
     y, g, u1, u2 = s.action.space.random_points(rng, min(samples, 4), *_coords(s, 1),
                                                 *_directions(s, 2))
-    vals = reduced_curvature_residual(s.omega, y, _exp(s, g), u1, u2)
+    vals = yield from reduced_curvature_residual.plan(s.omega, y, _exp(s, g), u1, u2)
     return vals, 1e-5, "reduced curvature is representative independent", None
 
 

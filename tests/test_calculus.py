@@ -17,6 +17,7 @@ from liebundles.calculus import (
     TwoIndexAlgebraForm,
     Uniform,
     central_difference,
+    directional_derivative,
     finite_diff_jacobian,
     numerical_bracket,
     sample_rows,
@@ -199,6 +200,33 @@ def test_numerical_bracket_against_analytic_oracle():
     z = np.array([0.25, -0.6])
     got = numerical_bracket(v1, v2, z)
     assert np.allclose(got, [-1.0, 0.0], atol=1e-9)
+
+
+def test_one_step_per_row_equals_lone_calls_at_each_step():
+    """`directional_derivative` and `numerical_bracket` with one step per row
+    give each row what a lone call at that row's scalar step gives; a NaN row
+    keeps the default step of its lone call."""
+    rng = np.random.default_rng(41)
+    z, v = rng.uniform(-2.0, 2.0, (2, 7, 3))
+    v[2] = 0.0  # a zero direction differences to exactly 0
+    steps = np.array([1e-2, 5e-3, np.nan, 2.5e-3, 1e-6, np.nan, 0.3])
+
+    def f(x):
+        return np.stack([np.sin(x[..., 0]) * x[..., 1], np.exp(x[..., 2]) + x[..., 0] ** 3], -1)
+
+    def v1(x):
+        return np.stack([x[..., 1] ** 2, np.cos(x[..., 0]), x[..., 0] * x[..., 2]], -1)
+
+    def v2(x):
+        return np.stack([np.sin(x[..., 2]), x[..., 0] * x[..., 1], np.exp(-x[..., 1])], -1)
+
+    derivative = directional_derivative(f, z, v, steps)
+    bracket = numerical_bracket(v1, v2, z, steps)
+    for r, h in enumerate(steps):
+        h = None if np.isnan(h) else float(h)
+        assert np.array_equal(derivative[r], directional_derivative(f, z[r], v[r], h)), r
+        assert np.array_equal(bracket[r], numerical_bracket(v1, v2, z[r], h)), r
+    assert not derivative[2].any()
 
 
 def test_polynomial_batch_matches_points_bitwise():

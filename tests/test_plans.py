@@ -1,6 +1,7 @@
-"""Merged transport plans: a suite runs every transport of one interval and
-step as one RKMK4 integration, and each record stays what its check gives
-when it runs alone."""
+"""Merged plans: a suite runs every transport of one interval and step as
+one RKMK4 integration and every curvature request on one form as one
+`curvature` call, and each record stays what its check gives when it runs
+alone."""
 
 import ast
 import inspect
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from liebundles import connections, integrators, principal, suites
+from liebundles.bundles import TotalPoint
 from liebundles.calculus import BaseCurve, FiberMap
-from liebundles.errors import InstabilityError, UsageError
+from liebundles.errors import ConstructionError, InstabilityError, UsageError
 from liebundles.scenarios import build_scenario, random_wiggle
 from liebundles.suites import available_checks, run_suite
 
@@ -113,6 +115,65 @@ def test_requests_merged_on_one_builder_equal_each_request_alone():
         assert all(np.array_equal(a, b) for a, b in zip(ends, alone))
 
 
+def _asks(requests):
+    """A plan that yields ``requests`` and returns their answers."""
+    return (yield requests)
+
+
+def _curvature_calls(patch):
+    """The forms of each `principal.curvature` call, in call order, while
+    ``patch`` is active."""
+    calls = []
+    real = principal.curvature
+
+    def counted(omega, *args, **kwargs):
+        calls.append(omega)
+        return real(omega, *args, **kwargs)
+
+    patch.setattr(principal, "curvature", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_a_suite_makes_one_curvature_call(monkeypatch, name, seed):
+    """The four curvature checks ask one round, which evaluates every request
+    on the suite's one form in one stacked `curvature` call."""
+    s = SCENARIOS[name]
+    calls = _curvature_calls(monkeypatch)
+    run_suite(s, seed=seed)
+    assert calls == [s.omega]
+
+
+def test_curvature_requests_merged_on_one_form_equal_each_request_alone():
+    """Requests on one form share one call whatever their steps: a lone point
+    and stacks at the default step and at explicit steps; a request on
+    another form gets its own call.  Each answer equals its lone call."""
+    s = SCENARIOS["principal-so3"]
+    first, second = list(s.forms.values())[:2]
+    rng = np.random.default_rng(13)
+
+    def request(omega, count, h=None):
+        lead = (count,) if count else ()
+        y = TotalPoint(s.chart.place(rng.uniform(0.05, 0.95, lead + (s.chart.dim,))),
+                       s.group.exp(s.group.algebra(rng.uniform(-1, 1, lead + (s.group.dim,)))))
+        u1, u2 = rng.standard_normal((2,) + lead + (s.chart.dim,))
+        return principal.Curvature(omega, y, u1, u2, h)
+
+    requests = [request(first, 3), request(second, 2), request(first, 0, 1e-2),
+                request(first, 4, 5e-3), request(second, 3, 2e-2), request(first, 2)]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _curvature_calls(patch)
+        merged = integrators.planned(_asks)(requests)
+    assert calls == [first, second]
+    for req, answer in zip(requests, merged):
+        alone = principal.curvature(*req)
+        for field in ("value", "exterior_value"):
+            assert np.array_equal(getattr(answer, field).coords, getattr(alone, field).coords)
+        assert np.array_equal(answer.gap, alone.gap)
+        assert type(answer.gap) is type(alone.gap)
+
+
 def _twice(s):
     """A plan that yields a second round after its first."""
     curve = s.curves["main"]
@@ -157,26 +218,77 @@ def _names(tree):
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
 
 
+def _plan_calls(module):
+    """{plan: the names it calls, itself or through the module functions it
+    reaches} for each `planned` function of ``module``."""
+    tree = ast.parse(inspect.getsource(module))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    plans = [name for name, node in defs.items()
+             if any(getattr(d, "id", None) == "planned" for d in node.decorator_list)]
+    out = {}
+    for name in plans:
+        seen, todo = set(), [name]
+        while todo:  # the plan and the module functions it reaches
+            fn = todo.pop()
+            seen.add(fn)
+            todo += [n for n in _names(defs[fn]) if n in defs and n not in seen]
+        out[name] = {n.func.id for d in seen for n in ast.walk(defs[d])
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    return out
+
+
 def test_suites_and_plans_leave_transport_to_the_round():
     """`suites.py` names no integrator or transport function, and no plan calls
     one, itself or through a helper of its module: every suite transport is a
     request of the one round."""
     assert not _names(ast.parse(inspect.getsource(suites))) & _DIRECT
     for module in (connections, principal):
-        tree = ast.parse(inspect.getsource(module))
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        plans = [name for name, node in defs.items()
-                 if any(getattr(d, "id", None) == "planned" for d in node.decorator_list)]
+        plans = _plan_calls(module)
         assert plans, module.__name__
-        for name in plans:
-            seen, todo = set(), [name]
-            while todo:  # the plan and the module functions it reaches
-                fn = todo.pop()
-                seen.add(fn)
-                todo += [n for n in _names(defs[fn]) if n in defs and n not in seen]
-            called = {n.func.id for d in seen for n in ast.walk(defs[d])
-                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        for name, called in plans.items():
             assert not called & _DIRECT, (module.__name__, name)
+
+
+def test_suites_and_plans_leave_curvature_to_the_round():
+    """No `_chk_*` function of `suites.py` calls `curvature`, which the module
+    does not even name, and no plan of `principal` calls it: every suite
+    curvature is a request of the one round."""
+    tree = ast.parse(inspect.getsource(suites))
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_chk_")]
+    assert checks
+    for node in checks:
+        called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                  for n in ast.walk(node) if isinstance(n, ast.Call)}
+        assert "curvature" not in called, node.name
+    assert "curvature" not in _names(tree)
+    plans = _plan_calls(principal)
+    assert "reduced_curvature_residual" in plans
+    for name, called in plans.items():
+        assert "curvature" not in called, name
+
+
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+def test_an_error_in_the_merged_curvature_call_names_its_check(monkeypatch, name):
+    """An error raised inside the one curvature call of a suite, here by the
+    two-path ladder's finest rung only, names the check that asked for it, as
+    that check run alone does."""
+    real = principal.curvature
+
+    def poisoned(omega, y, u1, u2, h=None):
+        if np.any(np.asarray(h) == 5e-3):
+            raise ConstructionError("degenerate connection: vertical operator singular")
+        return real(omega, y, u1, u2, h)
+
+    monkeypatch.setattr(principal, "curvature", poisoned)
+    s = SCENARIOS[name]
+    with pytest.raises(ConstructionError) as alone:
+        run_suite(s, only=["curvature-two-path"])
+    with pytest.raises(ConstructionError) as full:
+        run_suite(s)
+    assert str(alone.value) == ("curvature-two-path: degenerate connection: "
+                                "vertical operator singular")
+    assert str(full.value) == str(alone.value)
 
 
 # the lone samplers: a suite check draws its sample as stacks instead

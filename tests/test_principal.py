@@ -13,6 +13,7 @@ from liebundles.connections import (
 from liebundles.errors import ConstructionError, UsageError
 from liebundles.groups import GroupElement, so3_descriptor, translation_descriptor
 from liebundles.principal import (
+    _form_laws,
     GeneralizedPrincipalConnection,
     WeightRamp,
     build_canonical_connection,
@@ -84,6 +85,17 @@ def test_two_chart_glued_validates():
     nu_report = validate_group_connection(NU_GLUED, rng, samples=100)
     assert nu_report["cocycle"] <= 1e-9
     assert max(nu_report.values()) <= 1e-6
+
+
+@pytest.mark.parametrize("k, law", [(0, "complementarity"), (1, "ad_equivariance")])
+def test_one_form_law_alone_equals_its_entry_of_both(k, law):
+    """A law evaluated alone, as the form-law suite checks do, gives its entry
+    of `validate_principal_connection` on the sample both laws share, and the
+    generator moves alike."""
+    both_rng, one_rng = np.random.default_rng(5), np.random.default_rng(5)
+    both = validate_principal_connection(OMEGA_GLUED, both_rng, samples=30)
+    assert _form_laws(OMEGA_GLUED, one_rng, 30, NU_GLUED)[k]() == both[law]
+    assert one_rng.bit_generator.state == both_rng.bit_generator.state
 
 
 def test_glued_nu_is_the_weighted_twisted_cocycle():
