@@ -23,9 +23,9 @@ The `*.jsonl` files of the two trees are paired by their path below each
 root, so the `seed<k>/` directories of a multi-seed run_all_validations.py
 run are compared seed by seed.  A root that is not a directory is a usage
 error (exit 2), as is a report line that is not a JSON object or a check
-record without a numeric `tolerance` and `max_residual` (the message names
-the file and the line); two trees that hold no report at all exit 1: a
-comparison of nothing passes nothing.
+record without a numeric `tolerance` and `max_residual` or without a JSON
+boolean `passed` (the message names the file and the line); two trees that
+hold no report at all exit 1: a comparison of nothing passes nothing.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
@@ -67,6 +67,8 @@ def _report(path):
             bad += [key for key in ("tolerance", "max_residual") if not _is_number(d.get(key))]
             bad += [key for key in ("mean_residual", "order_estimate")
                     if d.get(key) is not None and not _is_number(d[key])]
+            if not isinstance(d.get("passed"), bool):
+                bad.append("passed")
             if bad:
                 raise UnreadableReport(f"{path} line {k}: check record without a readable "
                                        + ", ".join(bad))

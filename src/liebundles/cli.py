@@ -2,7 +2,8 @@
 
 Reports are JSON-lines: one record per check (sorted by check id), then a
 summary object, then optional environment metadata (suppressed by --no-meta
-so runs are byte-reproducible).
+so runs are byte-reproducible).  `suites.record` judges every record, the
+`transport` and `curvature` commands' own too, by the contract of its check.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .gauge import ConnectionJet, curvature_map
 from .groups import _norm
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
-from .reporting import (make_record, records_to_csv, render_jsonl, summary_dict, tolerance_for,
-                        write_report)
+from .reporting import records_to_csv, render_jsonl, summary_dict, write_report
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
-from .suites import available_checks, run_suite
+from .suites import check_tolerances, record, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -88,27 +88,20 @@ def _load_config(args):
 
 
 def _scenario(args):
-    """The scenario of the command line, with its tolerance keys checked
-    against the check ids its commands write."""
+    """The scenario of the command line, its tolerance keys checked."""
     scenario = build_scenario(_load_config(args))
-    known = set(available_checks(scenario.kind))
-    if scenario.kind != "gauge":  # the transport command's records, torsor kinds only
-        known |= {"transport-endpoint-membership", "transport-error-estimate"}
-    for check in scenario.config.get("tolerances", {}):
-        if check not in known:
-            raise UsageError(f"config field tolerances must be keyed by {scenario.kind} "
-                             f"check ids, got {check!r}")
+    check_tolerances(scenario)
     return scenario
 
 
 def _number(value, what):
-    """``float(value)``, as a usage error when it fails or when value is a
-    bool (JSON true/false)."""
+    """``float(value)`` of a JSON number; a usage error for anything else (a
+    bool, a string, null) and for an integer too large for a float."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise UsageError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -147,12 +140,6 @@ def _emit(records, scenario, args, extra_summary=None):
     return 0 if all(r.passed for r in records) else 1
 
 
-def _record(scenario, check, label, residuals, tolerance):
-    """`make_record` at the config's tolerance override for the check, if any."""
-    return make_record(check, label, scenario.name, residuals,
-                       tolerance_for(scenario.config, check, tolerance))
-
-
 def _cmd_validate(args):
     scenario = _scenario(args)
     only = None if args.checks is None else args.checks.split(",")
@@ -187,14 +174,12 @@ def _cmd_transport(args):
         compat = transport_compatibility_check(omega, curve, y0, partner, step=step)
 
     records = [
-        _record(scenario, "transport-endpoint-membership", "transport endpoint stays on the group",
-                [nu_result.membership_residual, total_result.membership_residual], 1e-9),
-        _record(scenario, "transport-error-estimate", "step-halving error estimate",
-                [nu_result.error_estimate, total_result.error_estimate], 1e-6),
-        _record(scenario, "transport-multiplicative",
-                "parallel transport is a fiberwise homomorphism", [mult_res], 1e-7),
-        _record(scenario, "transport-compatibility",
-                "total transport intertwines the fiber action", [compat], 1e-7),
+        record(scenario, "transport-endpoint-membership",
+               [nu_result.membership_residual, total_result.membership_residual]),
+        record(scenario, "transport-error-estimate",
+               [nu_result.error_estimate, total_result.error_estimate]),
+        record(scenario, "transport-multiplicative", [mult_res]),
+        record(scenario, "transport-compatibility", [compat]),
     ]
     extra = {
         "curve": args.curve,
@@ -227,19 +212,10 @@ def _cmd_curvature(args):
         y = TotalPoint(np.stack([point] * 2), scenario.group.element(fibers, check=False))
         # one stack: row 0 at (u1, u2), row 1 at (u1, u1)
         out = curvature_eval(scenario.omega, y, np.stack([u1, u1]), np.stack([u2, u1]))
-        records = [
-            _record(scenario, "curvature-two-path",
-                    "bracket and exterior-derivative curvature paths agree", [out.gap[0]], 1e-4),
-            _record(scenario, "curvature-antisymmetry",
-                    "curvature is antisymmetric in its arguments",
-                    [float(_norm(out.value.coords[1]))], 1e-10),
-        ]
-        extra.update({
-            "point": point.tolist(),
-            "bracket_value": out.value.coords[0].tolist(),
-            "exterior_value": out.exterior_value.coords[0].tolist(),
-            "gap": out.gap[0],
-        })
+        records = [record(scenario, "curvature-two-path", [out.gap[0]]),
+                   record(scenario, "curvature-antisymmetry", [float(_norm(out.value.coords[1]))])]
+        extra.update(point=point.tolist(), bracket_value=out.value.coords[0].tolist(),
+                     exterior_value=out.exterior_value.coords[0].tolist(), gap=out.gap[0])
     return _emit(records, scenario, args, extra_summary=extra)
 
 

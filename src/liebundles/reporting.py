@@ -11,8 +11,7 @@ from typing import List, Optional
 
 from .errors import UsageError
 
-__all__ = ["CheckRecord", "tolerance_for", "summary_dict", "render_jsonl", "write_report",
-           "records_to_csv"]
+__all__ = ["CheckRecord", "summary_dict", "render_jsonl", "write_report", "records_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,6 @@ class CheckRecord:
 
     def to_dict(self):
         return asdict(self)
-
-
-def tolerance_for(config, check, default):
-    """Tolerance of a check: the config's ``tolerances`` entry for it when
-    there is one, else the check's pinned default."""
-    return float(config.get("tolerances", {}).get(check, default))
 
 
 def make_record(check, label, scenario, residuals, tolerance, order=None, mode="max<=tol"):

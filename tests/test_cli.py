@@ -104,6 +104,18 @@ def test_config_tolerance_override_applies_to_transport_and_curvature(command, c
     assert record["tolerance"] == 1e-30 and not record["passed"]
 
 
+def test_affine_transport_takes_a_transport_multiplicative_override(tmp_path, capsys):
+    # no affine suite check writes transport-multiplicative, but the transport
+    # command does, so the key is accepted and moves that record's bound
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "affine-varying",
+                                "tolerances": {"transport-multiplicative": 1e-30}}))
+    code, out, err = run_cli(["transport", "--config", str(path), "--no-meta"], capsys)
+    assert (code, err) == (1, "")
+    record = [d for d in parse_jsonl(out) if d.get("check") == "transport-multiplicative"][0]
+    assert record["tolerance"] == 1e-30 and not record["passed"]
+
+
 def test_transport_loop_reports_holonomy(capsys):
     code, out, _ = run_cli(
         ["transport", "--scenario", "principal-so3", "--curve", "loop",
@@ -441,6 +453,13 @@ def test_report_shows_zero_order_estimate(tmp_path, capsys):
     {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "order_estimate": "a",
      "passed": True},
     {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "passed": "no"},
+    # a number in a string or a bool is not a JSON number, nor is an integer past float range
+    {"check": "x", "max_residual": "0.5", "tolerance": 1e-7, "passed": True},
+    {"check": "x", "max_residual": 1e-12, "tolerance": "1e-7", "passed": True},
+    {"check": "x", "max_residual": False, "tolerance": 1e-7, "passed": True},
+    {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "order_estimate": "4.0",
+     "passed": True},
+    {"check": "x", "max_residual": 10 ** 400, "tolerance": 1e-7, "passed": False},
 ])
 def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, capsys):
     path = tmp_path / "report.jsonl"
@@ -450,6 +469,16 @@ def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, 
     assert err.startswith("usage error: record 'x' field ")
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+def test_report_reads_a_nan_residual_and_an_integer_as_numbers(tmp_path, capsys):
+    records = [{"check": "a", "max_residual": float("nan"), "tolerance": 1e-7, "passed": False},
+               {"check": "b", "max_residual": 0, "tolerance": 1, "passed": True}]
+    path = tmp_path / "report.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert "  FAIL a: max=nan tol=1e-07\n" in out and "  PASS b: max=0.000e+00 tol=1e+00\n" in out
 
 
 @pytest.mark.parametrize("command, target", [

@@ -121,11 +121,113 @@ def test_suites_never_dispatch_on_a_name():
 def test_a_new_row_leaves_the_numbers_of_other_checks(monkeypatch):
     only = ["transport-multiplicative"]
     before = run_suite(PRINCIPAL, only=only)
-    dummy = ("aaa-dummy", lambda s, rng, samples, step: ([0.0], 1.0, "dummy", None),
-             ("principal",))
-    monkeypatch.setattr(suites, "_CHECKS", [dummy] + suites._CHECKS)
+    monkeypatch.setattr(suites, "_CHECKS", dict(suites._CHECKS))
+    suites._check("aaa-dummy", ("principal",), 1.0, "dummy")(
+        lambda s, rng, samples, step: ([0.0], None))
     assert available_checks("principal")[0] == "aaa-dummy"
     assert run_suite(PRINCIPAL, only=only) == before
+
+
+def test_each_contract_is_stated_once():
+    """A check's tolerance, label and mode sit in its `_check` row and nowhere
+    else: every `_chk_*` is decorated with its row, is named nowhere but at its
+    definition and returns (residuals, order) alone; cli.py holds no float
+    literal and no label of a row; and `suites.record` is the only caller of
+    `make_record` in the package."""
+    src = pathlib.Path(suites.__file__).parent
+    tree = ast.parse((src / "suites.py").read_text(encoding="utf-8"))
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_chk_")]
+    assert {node.name for node in checks} == {
+        row.fn.__name__ for row in suites._CHECKS.values() if row.fn is not None}
+    for node in checks:
+        (deco,) = node.decorator_list
+        assert isinstance(deco, ast.Call) and deco.func.id == "_check", node.name
+        for ret in (sub for sub in ast.walk(node) if isinstance(sub, ast.Return)):
+            where = f"suites.py:{ret.lineno}: {ast.unparse(ret)}"
+            assert isinstance(ret.value, ast.Tuple) and len(ret.value.elts) == 2, where
+            residuals, order = ret.value.elts
+            assert not isinstance(residuals, ast.Constant), where
+            assert (isinstance(order, ast.Constant) and order.value is None) or (
+                isinstance(order, ast.Call) and order.func.id == "_order"), where
+    named = [f"suites.py:{node.lineno}: {node.id}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id.startswith("_chk_")]
+    assert not named, "a check function named outside its definition:\n" + "\n".join(named)
+
+    labels = {row.contract[1] for row in suites._CHECKS.values()}
+    labels |= {row.abelian[1] for row in suites._CHECKS.values() if row.abelian}
+    cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(cli)
+             if isinstance(node, ast.Constant) and (isinstance(node.value, float)
+                                                    or node.value in labels)]
+    assert not found, "a contract stated in cli.py:\n" + "\n".join(found)
+
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(module):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for call in ast.walk(fn)
+                            if isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                            == "make_record"]
+    assert callers == ["suites.py:record"]
+
+
+@pytest.mark.parametrize("name, tolerances, contract", [
+    ("gauge-jet-so3", {}, (1e-3, "dropping the adjoint twist breaks equivariance", "min>tol")),
+    ("gauge-jet-abelian", {},
+     (1e-12, "dropping the adjoint twist is invisible for abelian fibers", "max<=tol")),
+    # the config's override moves the tolerance of the contract the fiber chose
+    ("gauge-jet-abelian", {"classification-negative-control": 0.25},
+     (0.25, "dropping the adjoint twist is invisible for abelian fibers", "max<=tol")),
+])
+def test_record_gives_the_twist_control_its_abelian_contract_on_abelian_fibers(
+        name, tolerances, contract):
+    scenario = build_scenario(dict(preset_config(name), tolerances=tolerances))
+    record = suites.record(scenario, "classification-negative-control", [0.5, 0.125], order=3)
+    assert (record.tolerance, record.label, record.mode) == contract
+    assert (record.check, record.scenario, record.samples) == (
+        "classification-negative-control", name, 2)
+    assert (record.max_residual, record.order_estimate) == (0.5, 3.0)
+    # a row without an abelian contract keeps its own on an abelian fiber
+    axioms = suites.record(scenario, "jet-group-axioms", [0.0])
+    assert (axioms.tolerance, axioms.label, axioms.mode) == (
+        1e-12, "semidirect jet group axioms and inverse formula", "max<=tol")
+
+
+@pytest.mark.parametrize("name, key", [
+    ("principal-so3", "transport-multiplicatve"),  # misspelled
+    ("gauge-jet-so3", "transport-error-estimate"),  # no gauge command writes it
+    ("affine-varying", "transport-unit-inverse"),  # a principal check
+])
+def test_run_suite_refuses_a_tolerance_key_no_command_writes(name, key):
+    scenario = build_scenario(dict(preset_config(name), tolerances={key: 1e-30}))
+    with pytest.raises(UsageError) as err:
+        run_suite(scenario, only=available_checks(scenario.kind)[:1])
+    assert str(err.value) == (f"config field tolerances must be keyed by {scenario.kind} "
+                              f"check ids, got {key!r}")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_tolerance_keys_are_the_records_the_commands_write(name, tmp_path):
+    """The keys `check_tolerances` accepts are the ids of the records that
+    `validate`, `transport` and `curvature` write on the preset's kind."""
+    from liebundles.cli import main
+
+    config = dict(preset_config(name), samples=1, step=0.05)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    written = set()
+    for command in ("validate", "transport", "curvature"):
+        out = tmp_path / f"{command}.jsonl"
+        if main([command, "--config", str(path), "--no-meta", "--out", str(out)]) == 2:
+            assert command == "transport" and config["kind"] == "gauge"
+            continue
+        written |= {json.loads(line).get("check") for line in out.read_text().splitlines()}
+    written.discard(None)
+    assert written == {check for check, _ in suites._checks_for(config["kind"])}
+    scenario = build_scenario(dict(config, tolerances={check: 1.0 for check in written}))
+    suites.check_tolerances(scenario)
 
 
 def test_run_suite_seeds_with_the_scenario_seed():

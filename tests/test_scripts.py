@@ -101,7 +101,10 @@ def test_compare_reports_flags_a_mismatch(tmp_path, other):
     (json.dumps({k: v for k, v in REPORT[1].items() if k != "tolerance"}), "readable tolerance"),
     (json.dumps(dict(REPORT[1], max_residual="small")), "readable max_residual"),
     (json.dumps(dict(REPORT[1], order_estimate=[4.0])), "readable order_estimate"),
-], ids=["not-json", "not-an-object", "no-tolerance", "text-residual", "list-order"])
+    (json.dumps(dict(REPORT[1], passed="no")), "readable passed"),
+    (json.dumps(dict(REPORT[1], passed=1)), "readable passed"),
+], ids=["not-json", "not-an-object", "no-tolerance", "text-residual", "list-order", "text-passed",
+        "number-passed"])
 def test_compare_reports_refuses_an_unreadable_report(tmp_path, line, why):
     """A report it cannot read is a usage error naming the file and line."""
     _write_reports(tmp_path / "a", {"principal-so3.jsonl": REPORT})
