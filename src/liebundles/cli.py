@@ -21,7 +21,7 @@ from .gauge import ConnectionJet, curvature_map
 from .groups import _norm
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
-from .reporting import records_to_csv, render_jsonl, summary_dict, write_report
+from .reporting import MODES, records_to_csv, render_jsonl, summary_dict, write_report
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
 from .suites import check_tolerances, record, run_suite
 
@@ -231,10 +231,13 @@ def _cmd_report(args):
     records = [d for d in lines if "check" in d]
     for r in records:
         what = f"record {r['check']!r} field"
-        for key in ("max_residual", "tolerance"):
-            r[key] = _number(r.get(key), f"{what} {key}")
+        for key in ("max_residual", "tolerance", "mean_residual"):
+            if key in r or key != "mean_residual":  # a record may leave out its mean
+                r[key] = _number(r.get(key), f"{what} {key}")
         if r.get("order_estimate") is not None:
             _number(r["order_estimate"], f"{what} order_estimate")
+        if "mode" in r and r["mode"] not in MODES:
+            raise UsageError(f"{what} mode must be one of {', '.join(MODES)}, got {r['mode']!r}")
         if not isinstance(r.get("passed"), bool):
             raise UsageError(f"{what} passed must be true or false, got {r.get('passed')!r}")
     summaries = [d["summary"] for d in lines if "summary" in d]

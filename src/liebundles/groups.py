@@ -42,29 +42,29 @@ __all__ = [
 ]
 
 
-def _vec(m):
-    return np.asarray(m, dtype=float).reshape(-1)
+def _commutators(basis):
+    """All commutators [E_i, E_j] of a (d, m, m) basis as one (d, d, m, m) stack."""
+    prod = basis[:, None] @ basis[None, :]
+    return prod - np.swapaxes(prod, 0, 1)
 
 
 def derive_structure_constants(basis):
     """Structure constants c[k,i,j] with [E_i, E_j] = sum_k c[k,i,j] E_k.
 
-    Solved by least squares against the flattened basis; raises if some
-    commutator leaves the span of the basis.
+    One least-squares solve against the flattened basis takes every
+    commutator as a right-hand side; raises, naming the first pair in (i, j)
+    order, if some commutator leaves the span of the basis.
     """
     basis = np.asarray(basis, dtype=float)
     d = basis.shape[0]
     flat = basis.reshape(d, -1).T  # (m*m, d)
-    c = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coef, res, *_ = np.linalg.lstsq(flat, _vec(comm), rcond=None)
-            if np.linalg.norm(flat @ coef - _vec(comm)) > 1e-10:
-                raise DescriptorError(
-                    f"commutator [E_{i}, E_{j}] is not in the span of the algebra basis"
-                )
-            c[:, i, j] = coef
+    comm = _commutators(basis).reshape(d * d, -1).T  # column i*d + j holds [E_i, E_j]
+    coef = np.linalg.lstsq(flat, comm, rcond=None)[0]
+    off = np.flatnonzero(np.linalg.norm(flat @ coef - comm, axis=0) > 1e-10)
+    if off.size:
+        i, j = divmod(int(off[0]), d)
+        raise DescriptorError(f"commutator [E_{i}, E_{j}] is not in the span of the algebra basis")
+    c = coef.reshape(d, d, d)
     c[np.abs(c) < 1e-12] = 0.0
     return 0.5 * (c - np.swapaxes(c, 1, 2))
 
@@ -275,15 +275,11 @@ class GroupDescriptor:
 
     def validate(self):
         """Worst residuals of the structure constants against the basis
-        commutators, of their antisymmetry and of the Jacobi identity."""
+        commutators (all pairs in one product), of their antisymmetry and of
+        the Jacobi identity."""
         c = self.structure_constants
-        d = self.dim
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
-                recon = np.tensordot(c[:, i, j], self.basis, axes=(0, 0))
-                worst = max(worst, float(np.max(np.abs(comm - recon))))
+        recon = np.tensordot(c, self.basis, axes=(0, 0))  # (d, d, m, m), [i, j]
+        worst = float(np.max(np.abs(_commutators(self.basis) - recon)))
         anti = float(np.max(np.abs(c + np.swapaxes(c, 1, 2))))
         jac = np.einsum("mil,ljk->mijk", c, c)
         jacobi = jac + np.einsum("mjl,lki->mijk", c, c) + np.einsum("mkl,lij->mijk", c, c)

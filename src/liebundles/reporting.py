@@ -6,12 +6,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
+
+import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["CheckRecord", "summary_dict", "render_jsonl", "write_report", "records_to_csv"]
+__all__ = ["CheckRecord", "MODES", "summary_dict", "render_jsonl", "write_report", "records_to_csv"]
+
+MODES = ("max<=tol", "min>tol")  # every residual within the tolerance, or (a control) above it
 
 
 @dataclass(frozen=True)
@@ -34,25 +38,27 @@ class CheckRecord:
     order_estimate: Optional[float] = None
 
     def to_dict(self):
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def make_record(check, label, scenario, residuals, tolerance, order=None, mode="max<=tol"):
-    """Record of a check over its residuals; an empty or non-finite residual
-    set fails in either mode and reports NaN as its max and mean."""
-    if mode not in ("max<=tol", "min>tol"):
+    """Record of a check over its residuals, read as one float array; an empty
+    or non-finite residual set fails in either mode and reports NaN as its
+    max and mean.  The mean is Python's left-to-right sum over the floats
+    divided by their count, not numpy's pairwise sum."""
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
-    residuals = [float(r) for r in residuals]
-    finite = bool(residuals) and all(math.isfinite(r) for r in residuals)
-    mx = max(residuals) if finite else math.nan
-    mean = sum(residuals) / len(residuals) if finite else math.nan
+    arr = np.asarray(residuals, dtype=float)
+    finite = arr.size > 0 and bool(np.isfinite(arr).all())
+    mx = float(arr.max()) if finite else math.nan
+    mean = sum(arr.tolist()) / arr.size if finite else math.nan
     if mode == "max<=tol":
         passed = finite and mx <= tolerance
     else:
-        passed = finite and min(residuals) > tolerance
+        passed = finite and float(arr.min()) > tolerance
     return CheckRecord(
         check=check, label=label, scenario=scenario,
-        samples=len(residuals),
+        samples=arr.size,
         max_residual=mx, mean_residual=mean, tolerance=float(tolerance),
         passed=bool(passed), mode=mode,
         order_estimate=None if order is None else float(order),

@@ -89,6 +89,41 @@ def per_row_ad_matrix(desc, coords):
     return (coords[..., None, :] @ rows).reshape(coords.shape[:-1] + (d, d))
 
 
+def per_pair_structure_constants(basis):
+    """`groups.derive_structure_constants` one basis pair at a time: one
+    least-squares solve and one span check per commutator [E_i, E_j], in
+    (i, j) order."""
+    from liebundles.errors import DescriptorError
+
+    basis = np.asarray(basis, dtype=float)
+    d = basis.shape[0]
+    flat = basis.reshape(d, -1).T
+    c = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            comm = (basis[i] @ basis[j] - basis[j] @ basis[i]).reshape(-1)
+            coef = np.linalg.lstsq(flat, comm, rcond=None)[0]
+            if np.linalg.norm(flat @ coef - comm) > 1e-10:
+                raise DescriptorError(
+                    f"commutator [E_{i}, E_{j}] is not in the span of the algebra basis")
+            c[:, i, j] = coef
+    c[np.abs(c) < 1e-12] = 0.0
+    return 0.5 * (c - np.swapaxes(c, 1, 2))
+
+
+def per_pair_commutator_residual(desc):
+    """The commutator residual of `GroupDescriptor.validate` one basis pair at
+    a time, each commutator against its own `tensordot` of the constants."""
+    c, basis = desc.structure_constants, desc.basis
+    worst = 0.0
+    for i in range(desc.dim):
+        for j in range(desc.dim):
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            recon = np.tensordot(c[:, i, j], basis, axes=(0, 0))
+            worst = max(worst, float(np.max(np.abs(comm - recon))))
+    return worst
+
+
 def _frob(m):
     return _row_norm(m.reshape(m.shape[:-2] + (-1,)))
 

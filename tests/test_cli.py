@@ -460,15 +460,37 @@ def test_report_shows_zero_order_estimate(tmp_path, capsys):
     {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "order_estimate": "4.0",
      "passed": True},
     {"check": "x", "max_residual": 10 ** 400, "tolerance": 1e-7, "passed": False},
+    # a mean and a mode may be left out, but when present they must read
+    {"check": "x", "max_residual": 1e-12, "mean_residual": "oops", "tolerance": 1e-7,
+     "mode": "max<=tol", "passed": True},
+    {"check": "x", "max_residual": 1e-12, "mean_residual": None, "tolerance": 1e-7,
+     "passed": True},
+    {"check": "x", "max_residual": 1e-12, "mean_residual": 1e-12, "tolerance": 1e-7,
+     "mode": "sideways", "passed": True},
+    {"check": "x", "max_residual": 1e-12, "tolerance": 1e-7, "mode": None, "passed": True},
 ])
 def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, capsys):
-    path = tmp_path / "report.jsonl"
+    path, csv_path = tmp_path / "report.jsonl", tmp_path / "report.csv"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    code, out, err = run_cli(["report", "--in", str(path), "--csv", str(csv_path)], capsys)
     assert code == 2
     assert err.startswith("usage error: record 'x' field ")
     assert len(err.strip().splitlines()) == 1
-    assert out == ""
+    assert out == "" and not csv_path.exists()
+
+
+def test_report_reads_a_nan_mean_and_either_mode(tmp_path, capsys):
+    records = [{"check": "a", "max_residual": 1e-12, "mean_residual": float("nan"),
+                "tolerance": 1e-7, "mode": "max<=tol", "passed": False},
+               {"check": "b", "max_residual": 0.5, "mean_residual": 0, "tolerance": 1e-3,
+                "mode": "min>tol", "passed": True}]
+    path, csv_path = tmp_path / "report.jsonl", tmp_path / "report.csv"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path), "--csv", str(csv_path)], capsys)
+    assert code == 1 and err == ""
+    assert "  FAIL a: " in out and "  PASS b: " in out
+    rows = csv_path.read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("a,,,1e-12,nan,") and rows[2].startswith("b,,,0.5,0.0,")
 
 
 def test_report_reads_a_nan_residual_and_an_integer_as_numbers(tmp_path, capsys):

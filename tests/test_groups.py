@@ -21,8 +21,9 @@ from liebundles.groups import (
 )
 from liebundles.scenarios import descriptor_from_json
 
-from _oracles import (_row_norm, hat_so3_exp, orthogonal_residual, per_row_ad_matrix,
-                      series_logm, so3_hat, taylor_expm, two_check_orthogonal_retract)
+from _oracles import (_row_norm, hat_so3_exp, orthogonal_residual, per_pair_commutator_residual,
+                      per_pair_structure_constants, per_row_ad_matrix, series_logm, so3_hat,
+                      taylor_expm, two_check_orthogonal_retract)
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -490,3 +491,76 @@ def test_group_kernel_reads_no_config():
     assert not found, found
     assert _CONFIG_READING.search("import json\n") and _CONFIG_READING.search("with open(p):")
     assert not _CONFIG_READING.search("reopen_count = 0")
+
+
+def _jet(base, n):
+    from liebundles.gauge import semidirect_jet_descriptor
+    return semidirect_jet_descriptor(base, n)
+
+
+# every basis a preset derives constants from, and the generic so3 document
+_PRESET_BASES = [pytest.param(lambda: SO3, id="so3"), pytest.param(lambda: T2, id="translation2"),
+                 pytest.param(lambda: _jet(SO3, 2), id="jet(so3,2)"),
+                 pytest.param(lambda: _jet(T2, 2), id="jet(translation2,2)"),
+                 pytest.param(lambda: descriptor_from_json(GENERIC_DOC), id="so3-generic")]
+# bases on which one solve over all commutators rounds a few entries otherwise
+_OTHER_BASES = [pytest.param(_mixed_so3, id="so3-mixed"),
+                pytest.param(lambda: _jet(SO3, 1), id="jet(so3,1)"),
+                pytest.param(lambda: _jet(_mixed_so3(), 1), id="jet(so3-mixed,1)")]
+
+
+@pytest.mark.parametrize("make", _PRESET_BASES)
+def test_structure_constants_equal_the_per_pair_solve_on_preset_bases(make):
+    basis = make().basis
+    assert np.array_equal(derive_structure_constants(basis), per_pair_structure_constants(basis))
+
+
+@pytest.mark.parametrize("make", _OTHER_BASES)
+def test_structure_constants_agree_with_the_per_pair_solve_at_roundoff(make):
+    basis = make().basis
+    got, want = derive_structure_constants(basis), per_pair_structure_constants(basis)
+    # a few ulps of the entry, at most 1.4e-15 on these bases; zeros stay zero
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("make", _PRESET_BASES + _OTHER_BASES)
+def test_validate_commutator_residual_equals_the_per_pair_residual(make):
+    desc = make()
+    assert desc.validate()["commutator"] == per_pair_commutator_residual(desc)
+
+
+def test_a_commutator_outside_the_span_is_named_by_its_first_pair():
+    # E_01 and E_10 of gl(2) bracket to diag(1, -1), outside their span
+    basis = np.zeros((2, 2, 2))
+    basis[0, 0, 1] = basis[1, 1, 0] = 1.0
+    for derive in (derive_structure_constants, per_pair_structure_constants):
+        with pytest.raises(DescriptorError, match=r"commutator \[E_0, E_1\] is not in the span"):
+            derive(basis)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_descriptor_algebra_makes_one_solve_and_one_product_at_any_size(monkeypatch):
+    """Call counts, not wall time: a per-pair loop would make d^2 calls."""
+    solves, products = [], []
+    for n in (1, 3):
+        lstsq = _count_calls(monkeypatch, np.linalg, "lstsq")
+        desc = _jet(SO3, n)
+        monkeypatch.undo()
+        tensordot = _count_calls(monkeypatch, np, "tensordot")
+        desc.validate()
+        monkeypatch.undo()
+        solves.append(len(lstsq))
+        products.append(len(tensordot))
+    assert solves == [1, 1]
+    assert products[0] == products[1]

@@ -1,15 +1,17 @@
 """Record pass rule: empty or non-finite residual sets never pass, and only
 `make_record` judges a residual against its tolerance."""
 
+import dataclasses
 import importlib
 import inspect
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import liebundles
-from liebundles.reporting import make_record
+from liebundles.reporting import MODES, make_record
 
 
 @pytest.mark.parametrize("residuals, tolerance, mode", [
@@ -18,11 +20,39 @@ from liebundles.reporting import make_record
     ([2.0, math.nan], 1e-3, "min>tol"),
     ([], 1e-8, "max<=tol"),
     ([], 1e-3, "min>tol"),
+    (np.array([1e-12, np.nan]), 1e-8, "max<=tol"),
+    (np.array([2.0, -np.inf]), 1e-3, "min>tol"),
+    (np.array([]), 1e-8, "max<=tol"),
+    (np.zeros(0), 1e-3, "min>tol"),
 ])
 def test_empty_or_non_finite_residuals_fail(residuals, tolerance, mode):
     record = make_record("check", "label", "scenario", residuals, tolerance, mode=mode)
     assert not record.passed
     assert record.samples == len(residuals)
+    assert math.isnan(record.max_residual) and math.isnan(record.mean_residual)
+
+
+def test_the_mean_is_the_left_to_right_sum():
+    residuals = [1.0] + [2.0**-53] * 9
+    record = make_record("check", "label", "scenario", np.array(residuals), 1.0)
+    assert record.mean_residual == 0.1
+    # numpy's pairwise sum keeps the small terms
+    assert np.mean(residuals) == np.sum(residuals) / 10 == 0.10000000000000009
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_numpy_scalars_and_ints_judge_as_their_floats(mode):
+    values = [0.25, 3.0, 1e-9, 7.0, 0.5]
+    mixed = [np.array(0.25), np.float64(3.0), np.array(1e-9), 7, np.float32(0.5)]
+    assert (make_record("c", "l", "s", mixed, 1e-3, order=2, mode=mode)
+            == make_record("c", "l", "s", values, 1e-3, order=2.0, mode=mode))
+
+
+def test_to_dict_keeps_the_fields_their_order_and_values():
+    record = make_record("c", "l", "s", [1e-12, 3e-12], 1e-8, order=1.5, mode="max<=tol")
+    got = record.to_dict()
+    assert list(got.items()) == list(dataclasses.asdict(record).items())
+    assert list(got) == [f.name for f in dataclasses.fields(record)]
 
 
 def _compare_reports():
