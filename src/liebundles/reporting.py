@@ -41,26 +41,30 @@ class CheckRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def judge(mode, tolerance, mx, low):
+    """Pass or fail of residuals with largest mx and least low (a report keeps no least and
+    passes its mean): both finite, and mx <= tolerance ("max<=tol") or low > tolerance."""
+    verdict = mx <= tolerance if mode == "max<=tol" else low > tolerance
+    return bool(verdict) and math.isfinite(mx) and math.isfinite(low)
+
+
 def make_record(check, label, scenario, residuals, tolerance, order=None, mode="max<=tol"):
     """Record of a check over its residuals, read as one float array; an empty
     or non-finite residual set fails in either mode and reports NaN as its
     max and mean.  The mean is Python's left-to-right sum over the floats
-    divided by their count, not numpy's pairwise sum."""
+    divided by their count, not numpy's pairwise sum; `judge` decides."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode}")
     arr = np.asarray(residuals, dtype=float)
     finite = arr.size > 0 and bool(np.isfinite(arr).all())
     mx = float(arr.max()) if finite else math.nan
     mean = sum(arr.tolist()) / arr.size if finite else math.nan
-    if mode == "max<=tol":
-        passed = finite and mx <= tolerance
-    else:
-        passed = finite and float(arr.min()) > tolerance
+    low = float(arr.min()) if finite and mode == "min>tol" else mean
     return CheckRecord(
         check=check, label=label, scenario=scenario,
         samples=arr.size,
         max_residual=mx, mean_residual=mean, tolerance=float(tolerance),
-        passed=bool(passed), mode=mode,
+        passed=judge(mode, tolerance, mx, low), mode=mode,
         order_estimate=None if order is None else float(order),
     )
 

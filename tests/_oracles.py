@@ -89,6 +89,12 @@ def per_row_ad_matrix(desc, coords):
     return (coords[..., None, :] @ rows).reshape(coords.shape[:-1] + (d, d))
 
 
+def bracket_oracle(desc, a, b):
+    """The coordinate bracket as one three-operand einsum over every
+    structure constant, zeros included: `bracket_coords` must equal it by ==."""
+    return np.einsum("kij,...i,...j->...k", desc.structure_constants, a, b)
+
+
 def per_pair_structure_constants(basis):
     """`groups.derive_structure_constants` one basis pair at a time: one
     least-squares solve and one span check per commutator [E_i, E_j], in

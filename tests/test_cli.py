@@ -1,5 +1,7 @@
 """CLI behavior tests: subcommands, exit codes, report handling, configs."""
 
+import argparse
+import functools
 import json
 import os
 import pathlib
@@ -10,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from liebundles import cli
 from liebundles.bundles import TotalPoint
 from liebundles.cli import main
 from liebundles.groups import _norm
@@ -482,7 +485,7 @@ def test_report_record_without_residual_fields_is_usage_error(record, tmp_path, 
 def test_report_reads_a_nan_mean_and_either_mode(tmp_path, capsys):
     records = [{"check": "a", "max_residual": 1e-12, "mean_residual": float("nan"),
                 "tolerance": 1e-7, "mode": "max<=tol", "passed": False},
-               {"check": "b", "max_residual": 0.5, "mean_residual": 0, "tolerance": 1e-3,
+               {"check": "b", "max_residual": 2.0, "mean_residual": 1, "tolerance": 1e-3,
                 "mode": "min>tol", "passed": True}]
     path, csv_path = tmp_path / "report.jsonl", tmp_path / "report.csv"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -490,7 +493,7 @@ def test_report_reads_a_nan_mean_and_either_mode(tmp_path, capsys):
     assert code == 1 and err == ""
     assert "  FAIL a: " in out and "  PASS b: " in out
     rows = csv_path.read_text(encoding="utf-8").splitlines()
-    assert rows[1].startswith("a,,,1e-12,nan,") and rows[2].startswith("b,,,0.5,0.0,")
+    assert rows[1].startswith("a,,,1e-12,nan,") and rows[2].startswith("b,,,2.0,1.0,")
 
 
 def test_report_reads_a_nan_residual_and_an_integer_as_numbers(tmp_path, capsys):
@@ -501,6 +504,80 @@ def test_report_reads_a_nan_residual_and_an_integer_as_numbers(tmp_path, capsys)
     code, out, err = run_cli(["report", "--in", str(path)], capsys)
     assert code == 1 and err == ""
     assert "  FAIL a: max=nan tol=1e-07\n" in out and "  PASS b: max=0.000e+00 tol=1e+00\n" in out
+
+
+@pytest.mark.parametrize("record", [
+    # a pass whose max is above its tolerance, or not finite
+    {"check": "x", "max_residual": 0.5, "mean_residual": 1e-12, "tolerance": 1e-7,
+     "mode": "max<=tol", "passed": True},
+    {"check": "x", "max_residual": 0.5, "tolerance": 1e-7, "passed": True},
+    {"check": "x", "max_residual": float("nan"), "tolerance": 1e-7, "passed": True},
+    {"check": "x", "max_residual": 1e-12, "mean_residual": float("inf"), "tolerance": 1e-7,
+     "passed": True},
+    # a fail whose finite max and mean are within its tolerance
+    {"check": "x", "max_residual": 1e-12, "mean_residual": 1e-13, "tolerance": 1e-7,
+     "mode": "max<=tol", "passed": False},
+    {"check": "x", "max_residual": 0, "tolerance": 1, "passed": False},
+    # a control's pass needs a finite max and mean above its tolerance
+    {"check": "x", "max_residual": 0.5, "mean_residual": 1e-9, "tolerance": 1e-3,
+     "mode": "min>tol", "passed": True},
+    {"check": "x", "max_residual": float("inf"), "mean_residual": 0.5, "tolerance": 1e-3,
+     "mode": "min>tol", "passed": True},
+    {"check": "x", "max_residual": 1e-9, "tolerance": 1e-3, "mode": "min>tol", "passed": True},
+])
+def test_report_refuses_a_passed_flag_its_residuals_contradict(record, tmp_path, capsys):
+    path, csv_path = tmp_path / "report.jsonl", tmp_path / "report.csv"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path), "--csv", str(csv_path)], capsys)
+    assert code == 2
+    verdict = json.dumps(not record["passed"])
+    mode = record.get("mode", "max<=tol")
+    assert err == (f"usage error: record 'x' says passed={json.dumps(record['passed'])}, "
+                   f"but its residuals judge {verdict} under {mode}\n")
+    assert out == "" and not csv_path.exists()
+
+
+def test_report_keeps_a_failed_control_whose_mean_is_above_its_tolerance(tmp_path, capsys):
+    """A report keeps no least residual, so a failed min>tol record may have a
+    mean above its tolerance (one residual at or below it fails the control)."""
+    record = {"check": "x", "max_residual": 0.5, "mean_residual": 0.25, "tolerance": 1e-3,
+              "mode": "min>tol", "passed": False}
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 1 and err == "" and "  FAIL x: " in out
+
+
+def test_report_rejudges_every_record_of_a_suite_as_its_writer_did(tmp_path, capsys):
+    for name in PRESET_NAMES:
+        path = tmp_path / f"{name}.jsonl"
+        code = main(["validate", "--scenario", name, "--no-meta", "--out", str(path)])
+        assert run_cli(["report", "--in", str(path)], capsys)[0] == code == 0, name
+
+
+def test_two_calls_build_one_parser_and_share_no_options(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, subset, _ = run_cli(["validate"] + GAUGE_ARGS + ["--checks", "jet-group-axioms"], capsys)
+    assert code == 0 and len([d for d in parse_jsonl(subset) if "check" in d]) == 1
+    code, full, _ = run_cli(["validate"] + GAUGE_ARGS, capsys)
+    assert code == 0 and len([d for d in parse_jsonl(full) if "check" in d]) > 1
+    assert built.count("liebundles") == 1
+    # a usage error of the handler, then one of the parser, leave the next run clean
+    assert run_cli(["validate"] + GAUGE_ARGS + ["--checks", "bogus"], capsys)[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"] + GAUGE_ARGS + ["--seed", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again, err = run_cli(["validate"] + GAUGE_ARGS, capsys)
+    assert (code, again, err) == (0, full, "")
+    assert built.count("liebundles") == 1
 
 
 @pytest.mark.parametrize("command, target", [

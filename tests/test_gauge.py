@@ -12,6 +12,7 @@ from liebundles.gauge import (
     GaugeJet,
     GaugeSecondJet,
     SecondJetTuple,
+    _ad_slots,
     apply_gauge_second_jet,
     classification_equivariance_residual,
     compose_second_jets,
@@ -29,7 +30,7 @@ from liebundles.groups import so3_descriptor, translation_descriptor
 from liebundles.scenarios import build_scenario
 from liebundles.suites import _draw_connection_jets, _draw_jets
 
-from _oracles import gauge_jet_from_element, section_product_jet
+from _oracles import _ad_slots_oracle, gauge_jet_from_element, section_product_jet
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -660,3 +661,22 @@ def test_jet_exp_closed_form_matches_expm(base, n):
     assert desc.log_hook is None
     xi = desc.algebra(coords[:20])
     assert np.max(np.abs(desc.log(desc.exp(xi)).coords - xi.coords)) <= 1e-12
+
+
+@pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation2"])
+@pytest.mark.parametrize("slots", [1, 2])
+def test_ad_twist_rows_equal_the_lone_oracle(desc, slots):
+    """The contiguous copy of Ad_g^T keeps the bits: each row of a stacked g
+    twists its own row of arr, or all of a lone arr, as the lone oracle does,
+    and so does a lone g."""
+    rng = np.random.default_rng(17)
+    g = desc.exp(desc.algebra(rng.uniform(-2.0, 2.0, (60, desc.dim))))
+    arr = rng.uniform(-1.0, 1.0, (60,) + (N,) * slots + (desc.dim,))
+    lone_arr = arr[0]
+    stacked, shared = _ad_slots(desc, g, arr, slots), _ad_slots(desc, g, lone_arr, slots)
+    for r in range(60):
+        g_r = desc.element(g.matrix[r], check=False)
+        assert np.array_equal(stacked[r], _ad_slots_oracle(desc, g_r, arr[r])), r
+        lone = _ad_slots_oracle(desc, g_r, lone_arr)
+        assert np.array_equal(shared[r], lone) and np.array_equal(
+            _ad_slots(desc, g_r, lone_arr, slots), lone), r

@@ -4,6 +4,7 @@ import ast
 import json
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from liebundles.groups import (
 )
 from liebundles.scenarios import descriptor_from_json
 
-from _oracles import (_row_norm, hat_so3_exp, orthogonal_residual, per_pair_commutator_residual,
-                      per_pair_structure_constants, per_row_ad_matrix, series_logm, so3_hat,
-                      taylor_expm, two_check_orthogonal_retract)
+from _oracles import (_row_norm, bracket_oracle, hat_so3_exp, orthogonal_residual,
+                      per_pair_commutator_residual, per_pair_structure_constants, per_row_ad_matrix,
+                      series_logm, so3_hat, taylor_expm, two_check_orthogonal_retract)
 
 SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
@@ -564,3 +565,65 @@ def test_descriptor_algebra_makes_one_solve_and_one_product_at_any_size(monkeypa
         products.append(len(tensordot))
     assert solves == [1, 1]
     assert products[0] == products[1]
+
+
+# lone, stacked (B, d), and the broadcast (S, n, 1, d) x (S, 1, n, d) of the curvature map
+_BRACKET_SHAPES = [((), ()), ((40,), (40,)), ((25, 3, 1), (25, 1, 3)), ((1,), (6,))]
+
+
+@pytest.mark.parametrize("make", _PRESET_BASES + _OTHER_BASES[:1])
+@pytest.mark.parametrize("lead_a, lead_b", _BRACKET_SHAPES)
+def test_bracket_equals_the_einsum_reference(make, lead_a, lead_b):
+    """The rounds of nonzero constants add their products in einsum's order:
+    every entry, and the sign of every zero, is einsum's."""
+    desc = make()
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1.0, 1.0, lead_a + (desc.dim,))
+    b = rng.uniform(-1.0, 1.0, lead_b + (desc.dim,))
+    a[..., 0] = 0.0  # products of an exact zero with either sign
+    got, want = desc.bracket_coords(a, b), bracket_oracle(desc, a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_an_abelian_bracket_computes_no_product():
+    out = T2.bracket_coords(np.ones((5, 1, 2)), np.ones((1, 4, 2)))
+    assert T2._bracket_rounds == () and out.shape == (5, 4, 2) and not out.any()
+    assert len(SO3._bracket_rounds) == 2  # each so3 entry sums two constants
+
+
+def test_a_gauge_suite_run_makes_no_einsum_call_from_the_bracket(monkeypatch):
+    from liebundles.scenarios import build_scenario, preset_config
+    from liebundles.suites import run_suite
+
+    scenario = build_scenario(preset_config("gauge-jet-so3"))
+    brackets = _count_calls(monkeypatch, GroupDescriptor, "bracket_coords")
+    callers, einsum = [], np.einsum
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    assert all(r.passed for r in run_suite(scenario))
+    assert len(brackets) > 0 and "bracket_coords" not in callers
+
+
+def _einsum_operands(tree):
+    """(line, operand count) of each np.einsum call in a module's syntax tree."""
+    return [(node.lineno, len(node.args) - 1) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"]
+
+
+def test_group_and_gauge_kernels_make_no_einsum_of_three_operands():
+    """A three-operand einsum runs numpy's generic product loop over every
+    constant, zeros included; the bracket sums its nonzero rounds instead."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    found = [f"{name}:{line}" for name in ("groups.py", "gauge.py")
+             for line, count in _einsum_operands(ast.parse((pkg / name).read_text("utf-8")))
+             if count >= 3]
+    assert not found, "np.einsum with three or more operands: " + ", ".join(found)
+    assert _einsum_operands(ast.parse('np.einsum("kij,i,j->k", c, a, b)')) == [(1, 3)]
+    assert _einsum_operands(ast.parse('np.einsum("mil,ljk->mijk", c, c)')) == [(1, 2)]
