@@ -59,7 +59,12 @@ __all__ = [
 def _ad_slots(desc: GroupDescriptor, g: GroupElement, arr: np.ndarray, slots=1) -> np.ndarray:
     """Apply Ad_g to the algebra index (last axis) of coords with ``slots``
     covector axes; a stacked g twists its own row of arr, or all of a lone arr.
-    A contiguous Ad_g^T gives the transposed view's bits in half the time."""
+    A contiguous Ad_g^T gives the transposed view's bits in half the time.  On
+    an abelian fiber Ad_g is the identity and arr comes back broadcast to the
+    product's shape (a -0.0 entry keeps its sign, which ``x @ I`` drops)."""
+    if not np.any(desc.structure_constants):
+        lead = np.shape(g.matrix)[:-2] + (1,) * (slots + 1)
+        return np.broadcast_to(arr, np.broadcast_shapes(lead, arr.shape))
     ad_t = np.ascontiguousarray(np.swapaxes(desc.Ad_matrix(g), -1, -2))
     return arr @ ad_t.reshape(ad_t.shape[:-2] + (1,) * (slots - 1) + ad_t.shape[-2:])
 
@@ -368,13 +373,16 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
             basis.append(blk)
     basis = np.stack(basis)
 
-    def retract(mat):
-        g_blk, res = base.retract_measured(mat[..., :m, :m])
+    def retract(mat, measure):
+        blk = mat[..., :m, :m]
+        g_blk, res = base.retract_measured(blk) if measure else (base.retract(blk), None)
         ad = base.Ad_matrix(g_blk)
-        res = res + _frobenius(mat[..., m : m + vdim, m : m + vdim] - np.kron(np.eye(n), ad))
-        res = res + (_frobenius(mat[..., :m, m:]) + _frobenius(mat[..., m:, :m]))
-        res = res + (abs(mat[..., -1, -1] - 1.0) + _norm(mat[..., -1, :-1]))
-        return _embed_jet(n, g_blk, ad, mat[..., m : m + vdim, -1]), res
+        out = _embed_jet(n, g_blk, ad, mat[..., m : m + vdim, -1])
+        if measure:
+            res = res + _frobenius(mat[..., m : m + vdim, m : m + vdim] - np.kron(np.eye(n), ad))
+            res = res + (_frobenius(mat[..., :m, m:]) + _frobenius(mat[..., m:, :m]))
+            res = res + (abs(mat[..., -1, -1] - 1.0) + _norm(mat[..., -1, :-1]))
+        return out, res
 
     def exp(coords):
         a, eta = coords[..., :d], coords[..., d:].reshape(coords.shape[:-1] + (n, d, 1))

@@ -4,7 +4,7 @@
 (B, m, m) stack of fibers by a 4th-order Runge--Kutta--Munthe-Kaas scheme:
 each step works in the algebra, maps back through the group exponential of
 its coordinates, and retracts onto the group so drift stays at roundoff over
-long horizons; the one retraction call per step also returns the membership
+long horizons; the one retraction call per step also measures the membership
 residual the blow-up guard reads.  Every row is its own trajectory and keeps
 its own guards.  The time-dependent part of the right-hand side is a base
 schedule: the field is asked once per run, for all 2N+1 stage times of its N
@@ -17,10 +17,13 @@ Checks are plans: generators that yield one list of requests, once, and are
 sent one answer each.  A `Transport` request carries k fibers of one shape
 along a curve at a step by the field ``builder(x, u)`` and is answered with
 their k endpoints.  `planned` drives a plan and `together` joins several
-into one round, whose transports `transport` runs as one `integrate_stack`
-per interval and step (requests with one builder share one evaluation on
-their concatenated curve rows) and whose other requests go, kind by kind,
-to one call of the kind's ``evaluate`` (as `principal.Curvature`).
+into one round.  `transport` runs a round's transports as one RKMK4 loop per
+fiber descriptor (`_run`), with one leg per interval and step: a leg asks
+its own field once (requests with one builder share one evaluation on their
+concatenated curve rows), steps with its own h, and its rows leave the stack
+after its last step; a lone leg, as in `integrate_stack`, steps with 0-d
+scalars and its own maps.  A round's other requests go, kind by kind, to
+one call of the kind's ``evaluate`` (as `principal.Curvature`).
 """
 
 from __future__ import annotations
@@ -68,14 +71,26 @@ def _dexpinv(desc: GroupDescriptor, u, v):
     return v - _HALF * uv + np.matvec(ad, uv) / _TWELVE
 
 
-def _finite(fibers, t):
+def _finite(fibers, where, k, frac):
     """``fibers`` once every row is finite (a finite sum clears them all), else an
-    InstabilityError naming the rows: a NaN passes no residual test, and the
-    right-hand side must not see one."""
+    InstabilityError naming the rows of the first leg that holds one, as
+    ``where`` places them: a NaN passes no residual test, and the right-hand
+    side must not see one."""
     if math.isfinite(np.add.reduce(fibers, axis=None)) or np.isfinite(fibers).all():
         return fibers
-    rows = np.flatnonzero(~np.isfinite(fibers).all(axis=(-2, -1))).tolist()
-    raise InstabilityError(f"integration produced non-finite fibers in rows {rows} at t={t:.4f}")
+    bad = np.atleast_1d(~np.isfinite(fibers).all(axis=(-2, -1)))
+    lo, hi, t = where(bad, k, frac)
+    raise InstabilityError(f"integration produced non-finite fibers in rows "
+                           f"{np.flatnonzero(bad[lo:hi]).tolist()} at t={t:.4f}")
+
+
+def _where(clocks, cut, mask, k, frac):
+    """(lo, hi, t): the rows lo:hi of the first leg with a set entry in a 1-D
+    row mask over the live stack, and that leg's time t0 + k h + frac h at
+    step k, the float a run of that leg alone reports."""
+    i = next(i for i, (lo, hi) in enumerate(zip(cut, cut[1:])) if np.any(mask[lo:hi]))
+    t0, h = clocks[i]
+    return cut[i], cut[i + 1], t0 + k * h + frac * h
 
 
 def _steps(interval, step):
@@ -100,38 +115,91 @@ def _stage_times(t0, t1, n_steps):
     return times, h
 
 
+# One (interval, step) group of a loop: its base schedule ``field``, its N
+# steps on [t0, t1] and its number of stack rows.
+_Leg = namedtuple("_Leg", "field t0 t1 steps rows")
+
+
+def _joined(parts, cut):
+    """One fiber map, or one schedule, of several: part i acts on the rows
+    cut[i]:cut[i + 1] of a stack (entry j of the joined schedule joins the
+    parts' entries j).  A lone part is itself."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def stacked(fibers, *maps):
+        return np.concatenate([f(fibers[lo:hi]) for f, lo, hi in zip(maps, cut, cut[1:])])
+
+    return FiberMap(stacked, *parts)
+
+
+def _scalars(hs, cut):
+    """(0.5 h, h, h / 6) of the live legs: 0-d arrays for a lone leg, else
+    columns holding each row's own; (0.5 * h) k is 0.5 * h * k and k + k is
+    2.0 k, bit for bit."""
+    if len(hs) == 1:
+        return np.array(0.5 * hs[0]), np.array(hs[0]), np.array(hs[0] / 6.0)
+    hs = np.repeat(hs, np.diff(cut[:len(hs) + 1]))[:, None]
+    return 0.5 * hs, hs, hs / 6.0
+
+
 # a diverging run overflows on its way to the non-finite fibers `_finite` reports
 @np.errstate(over="ignore", invalid="ignore")
-def _run(field, g, desc, t0, t1, n_steps):
-    times, h = _stage_times(t0, t1, n_steps)
-    schedule = field(times)
-    # bound once per run; (0.5 * h) k is 0.5 * h * k and k + k is 2.0 k, bit for bit
-    exp, retract = desc.exp_hook or desc.exp_coords, desc.retraction or desc.retract_measured
-    half, whole, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+def _run(desc, g, legs):
+    """The endpoints of one RKMK4 loop over the stack ``g``, whose rows are
+    those of ``legs`` in order, most steps first: each leg's field is asked
+    once, and each leg steps with its own h and stage times.  The live rows
+    are a prefix; a leg's rows leave the stack after its last step."""
+    clocks, schedules = [], []
+    for leg in legs:
+        times, h = _stage_times(leg.t0, leg.t1, leg.steps)
+        schedules.append(leg.field(times))
+        clocks.append((leg.t0, h))
+    cut = np.cumsum([0] + [leg.rows for leg in legs]).tolist()
+    where = functools.partial(_where, clocks, cut)
+    exp = desc.exp_hook or desc.exp_coords
     limit = np.array(_BLOWUP_FACTOR * max(desc.membership_tol, 1e-12))
     # on an abelian fiber both brackets vanish and the correction returns v
     dexpinv = _dexpinv if np.any(desc.structure_constants) else lambda desc, u, v: v
+    retract = desc.retract_measured
+    n, live, ends = legs[0].steps, len(legs), (np.empty_like(g) if len(legs) > 1 else None)
+    shortest = legs[-1].steps
+    half, whole, sixth = _scalars([h for _, h in clocks], cut)
+    schedule = _joined(schedules, cut)
     f_start = schedule[0]
-    for k in range(n_steps):
-        t = t0 + k * h
+    for k in range(n):
         # the stage-4 map is the next step's stage-1 map
         f_mid, f_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = f_start(g)
         u2 = half * k1
-        k2 = dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, t + 0.5 * h)))
+        k2 = dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, where, k, 0.5)))
         u3 = half * k2
-        k3 = dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, t + 0.5 * h)))
+        k3 = dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, where, k, 0.5)))
         u4 = whole * k3
-        k4 = dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, t + h)))
+        k4 = dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, where, k, 1.0)))
         omega = sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        g, res = retract(_finite(exp(omega) @ g, t + h))
+        g, res = retract(_finite(exp(omega) @ g, where, k, 1.0))
         if np.count_nonzero(res > limit):
+            res = np.atleast_1d(res)
+            lo, hi, t = where(res > limit, k, 1.0)
+            res = res[lo:hi]
             raise InstabilityError(
                 f"membership residual blew up to {np.max(res):.3e} in row "
-                f"{int(np.argmax(res))} at t={t + h:.4f}"
+                f"{int(np.argmax(res))} at t={t:.4f}"
             )
         f_start = f_end
-    return g
+        if k + 1 == shortest < n:  # the shortest live legs end here
+            while legs[live - 1].steps == shortest:
+                live -= 1
+            ends[cut[live]:len(g)] = g[cut[live]:]
+            g, shortest = g[:cut[live]], legs[live - 1].steps
+            half, whole, sixth = _scalars([h for _, h in clocks[:live]], cut)
+            schedule = _joined(schedules[:live], cut)
+            f_start = schedule[2 * k + 2]
+    if ends is None:
+        return g
+    ends[:len(g)] = g
+    return ends
 
 
 def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descriptor: GroupDescriptor,
@@ -156,8 +224,9 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     # the one membership check: every later fiber is exp of a finite velocity
     # times a member, retracted at each step, so its log needs no check
     GroupElement(g0, descriptor)
-    end = _run(field, g0, descriptor, t0, t1, n)
-    fine = _run(field, g0, descriptor, t0, t1, 2 * n) if with_error_estimate else None
+    rows = math.prod(g0.shape[:-2])
+    end = _run(descriptor, g0, [_Leg(field, t0, t1, n, rows)])
+    fine = _run(descriptor, g0, [_Leg(field, t0, t1, 2 * n, rows)]) if with_error_estimate else None
     return TransportResult(
         element=GroupElement(end, descriptor, check=False),
         error_estimate=None if fine is None else _frobenius(end - fine),
@@ -185,7 +254,7 @@ Transport = namedtuple("Transport", "builder curve fibers step")
 
 
 def _field(requests, stacks, groups):
-    """The base schedule of one run: each builder's map at its requests' curve
+    """The base schedule of one leg: each builder's map at its requests' curve
     rows (a lone request's own curve); several builders' maps act on their rows."""
     def points(idx, times, attr):
         values = [getattr(requests[i].curve.repeat(len(requests[i].fibers)), attr)(times)
@@ -198,31 +267,33 @@ def _field(requests, stacks, groups):
         return [builder(points(idx, times, "position"), points(idx, times, "velocity"))
                 for builder, idx in groups.items()]
 
-    if len(groups) == 1:
-        return lambda times: maps(times)[0]
     cut = np.cumsum([0] + [sum(len(stacks[i]) for i in idx) for idx in groups.values()]).tolist()
-
-    def stacked(fibers, *fiber_maps):
-        return np.concatenate([f(fibers[lo:hi]) for f, lo, hi in zip(fiber_maps, cut, cut[1:])])
-
-    return lambda times: FiberMap(stacked, *maps(times))
+    return lambda times: _joined(maps(times), cut)
 
 
 def transport(requests):
-    """The endpoints of each request: one matrix per fiber, shaped like it."""
-    runs, ends = {}, [None] * len(requests)
+    """The endpoints of each request: one matrix per fiber, shaped like it.
+    The requests on one fiber descriptor make one loop of `_run`, with one leg
+    per interval and step."""
+    loops, ends = {}, [None] * len(requests)
     for i, req in enumerate(requests):
-        key = (req.curve.a, req.curve.b, req.step, req.fibers[0].descriptor)
-        runs.setdefault(key, {}).setdefault(req.builder, []).append(i)
+        legs = loops.setdefault(req.fibers[0].descriptor, {})
+        legs.setdefault((req.curve.a, req.curve.b, req.step), {}).setdefault(
+            req.builder, []).append(i)
     # fiber j on curve c is row j C + c, as curve.repeat(k) lays them out
     stacks = [np.concatenate([np.reshape(f.matrix, (-1,) + f.matrix.shape[-2:]) for f in r.fibers])
               for r in requests]
-    for (a, b, step, desc), groups in runs.items():
-        order = [i for idx in groups.values() for i in idx]
-        end = integrate_stack(_field(requests, stacks, groups), desc,
-                              np.concatenate([stacks[i] for i in order]), (a, b), step)
-        for i, part in zip(order, np.split(end.element.matrix,
-                                           np.cumsum([len(stacks[i]) for i in order])[:-1])):
+    for desc, legs in loops.items():
+        # most steps first, ties in request order, so the live rows are a prefix
+        legs = sorted(((_steps((a, b), step), groups) for (a, b, step), groups in legs.items()),
+                      key=lambda leg: -leg[0][2])
+        order = [i for _, groups in legs for idx in groups.values() for i in idx]
+        g0 = np.concatenate([stacks[i] for i in order])
+        GroupElement(g0, desc)  # the one membership check, as in `integrate_stack`
+        end = _run(desc, g0, [_Leg(_field(requests, stacks, groups), *span,
+                                   sum(len(stacks[i]) for idx in groups.values() for i in idx))
+                              for span, groups in legs])
+        for i, part in zip(order, np.split(end, np.cumsum([len(stacks[i]) for i in order])[:-1])):
             fibers = requests[i].fibers
             ends[i] = list(part.reshape((len(fibers),) + fibers[0].matrix.shape))
     return ends

@@ -663,6 +663,26 @@ def test_jet_exp_closed_form_matches_expm(base, n):
     assert np.max(np.abs(desc.log(desc.exp(xi)).coords - xi.coords)) <= 1e-12
 
 
+@pytest.mark.parametrize("slots", [1, 2])
+def test_an_abelian_ad_twist_is_its_array_broadcast_to_the_product(slots):
+    """On an abelian fiber Ad_g is the identity: the twist multiplies by
+    nothing and gives the product's shape and values, for a lone g and a
+    stacked g on a lone arr and a stacked one; a -0.0 keeps its sign."""
+    rng = np.random.default_rng(19)
+    stacked_g = T2.exp(T2.algebra(rng.uniform(-2.0, 2.0, (7, T2.dim))))
+    lone_g = T2.element(stacked_g.matrix[3], check=False)
+    arr = rng.uniform(-1.0, 1.0, (7,) + (N,) * slots + (T2.dim,))
+    arr[0, ..., 0] = -0.0
+    for g in (lone_g, stacked_g):
+        ad_t = np.swapaxes(T2.Ad_matrix(g), -1, -2)
+        for a in (arr, arr[0]):
+            product = a @ ad_t.reshape(ad_t.shape[:-2] + (1,) * (slots - 1) + ad_t.shape[-2:])
+            got = _ad_slots(T2, g, a, slots)
+            assert got.shape == product.shape
+            assert np.array_equal(got, product)
+            assert np.array_equal(np.signbit(got), np.signbit(np.broadcast_to(a, got.shape)))
+
+
 @pytest.mark.parametrize("desc", [SO3, T2], ids=["so3", "translation2"])
 @pytest.mark.parametrize("slots", [1, 2])
 def test_ad_twist_rows_equal_the_lone_oracle(desc, slots):

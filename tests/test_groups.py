@@ -337,8 +337,10 @@ def test_retraction_equals_the_two_check_kernel_and_returns_the_residual():
     m = _drifted_rotations(rng, defects)
     assert np.count_nonzero(defects >= 1e-4) > 0
     for rows in (m, m[:5000], m[defects <= 1e-8], m[defects > 1e-8]):
-        got, residual = _orthogonal_retract(rows)
+        got, residual = _orthogonal_retract(rows, True)
         assert np.array_equal(got, two_check_orthogonal_retract(rows))
+        unmeasured, none = _orthogonal_retract(rows, False)
+        assert np.array_equal(unmeasured, got) and none is None
         assert np.array_equal(residual, orthogonal_residual(rows))
         assert np.array_equal(residual, SO3.membership_residual(rows))
     lone, lone_res = SO3.retract_measured(m[7])
@@ -367,6 +369,51 @@ def _membership_descriptors():
 
 def _mixed_so3():
     return descriptor_from_json(MIXED_DOC)
+
+
+TRANSLATION_DOC = {"name": "translation2-doc", "matrix_dim": 3, "basis": T2.basis.tolist(),
+                   "family": "translation"}
+
+
+def _retraction_descriptors():
+    from liebundles.gauge import semidirect_jet_descriptor
+    return [SO3, T2, semidirect_jet_descriptor(SO3, 2), semidirect_jet_descriptor(T2, 2)] + [
+        descriptor_from_json(doc) for doc in (SO3_DOC, TRANSLATION_DOC, GENERIC_DOC)]
+
+
+@pytest.mark.parametrize("desc", _retraction_descriptors(), ids=lambda d: d.name)
+def test_retract_is_the_measured_retraction_without_its_residual(desc):
+    """`retract` returns the matrices of `retract_measured` bit for bit, a
+    stack and a lone matrix alike, and asks its hook for no residual."""
+    rng = np.random.default_rng(12)
+    m = desc.exp_coords(rng.uniform(-1.0, 1.0, (6, desc.dim)))
+    m = m + rng.uniform(-1e-3, 1e-3, m.shape)
+    for mats in (m, m[2]):
+        assert np.array_equal(desc.retract(mats), desc.retract_measured(mats)[0])
+        if desc.retraction is not None:
+            assert desc.retraction(mats, False)[1] is None
+
+
+@pytest.mark.parametrize("desc", _retraction_descriptors(), ids=lambda d: d.name)
+def test_exp_measures_no_membership(desc, monkeypatch):
+    """An exp draw retracts without measuring: no determinant on so3, and no
+    call of `membership_residual` or `retract_measured` on any descriptor."""
+    calls = []
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    for name in ("membership_residual", "retract_measured"):
+        monkeypatch.setattr(GroupDescriptor, name, counted(name, getattr(GroupDescriptor, name)))
+    rng = np.random.default_rng(13)
+    stacked = desc.exp(desc.algebra(rng.uniform(-1.0, 1.0, (5, desc.dim))))
+    lone = desc.random_element(rng)
+    assert calls == []
+    assert stacked.matrix.shape == (5,) + lone.matrix.shape
 
 
 @pytest.mark.parametrize("doc, retraction, radius", [

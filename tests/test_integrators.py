@@ -1,14 +1,16 @@
 """Group integrator tests: order, drift control, closed-form comparisons."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from liebundles.calculus import FiberMap
+from liebundles.calculus import BaseCurve, FiberMap
 from liebundles.errors import DescriptorError, InstabilityError, StiffnessError, UsageError
 from liebundles.groups import GroupDescriptor, so3_descriptor, translation_descriptor
-from liebundles.integrators import integrate_linear, integrate_on_group, integrate_stack
+from liebundles.integrators import (Transport, integrate_linear, integrate_on_group,
+                                    integrate_stack, transport)
 
 from _oracles import observed_order, taylor_expm
 
@@ -252,7 +254,9 @@ def test_stack_shape_is_checked():
 def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, monkeypatch):
     """The per-step budget: the field is asked once per run, and each of the
     N steps makes 4 exp-hook calls, 1 retraction, 4 stage-map applications
-    and, on a non-abelian fiber only, 3 ad_matrix calls (one per dexp^-1)."""
+    and, on a non-abelian fiber only, 3 ad_matrix calls (one per dexp^-1).
+    In a round of two legs the loop runs N_max steps: each leg's field is
+    asked once and its maps applied 4 times per step of its own."""
     calls = {"field": 0, "exp": 0, "retraction": 0, "stage": 0, "ad_matrix": 0}
 
     def counted(name, fn):
@@ -266,18 +270,65 @@ def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, 
     monkeypatch.setattr(GroupDescriptor, "ad_matrix",
                         counted("ad_matrix", GroupDescriptor.ad_matrix))
 
-    def asked(times):
-        calls["field"] += 1
-        maps = field(times)
-        return [counted("stage", maps[j]) for j in range(len(times))]
+    def asked(field, name="stage"):
+        def ask(times):
+            calls["field"] += 1
+            maps = field(times)
+            return [counted(name, maps[j]) for j in range(len(times))]
+        return ask
 
     rng = np.random.default_rng(45)
     stack = np.stack([desc.random_element(rng).matrix for _ in range(3)])
     n = 37
-    result = integrate_stack(asked, counting, stack, (0.0, 1.0), step=1.0 / n)
+    result = integrate_stack(asked(field), counting, stack, (0.0, 1.0), step=1.0 / n)
     assert result.steps == n
     # the checked initial fibers and the end residual are measured once each
+    non_abelian = np.any(desc.structure_constants)
     assert calls == {"field": 1, "exp": 4 * n, "retraction": n + 2, "stage": 4 * n,
-                     "ad_matrix": 3 * n if np.any(desc.structure_constants) else 0}
+                     "ad_matrix": 3 * n if non_abelian else 0}
     plain = integrate_stack(field, desc, stack, (0.0, 1.0), step=1.0 / n)
     assert np.array_equal(result.element.matrix, plain.element.matrix)
+
+    # a round: 37 steps on [0, 1] for two fibers, 6 on [0, 0.3] for one, each
+    # leg's field at the curve's x = t / b; the round measures the initial
+    # fibers once and no end residual
+    calls.update(dict.fromkeys(calls, 0), short=0)
+    requests = [Transport(lambda x, u: asked(field)(x[:, 0]), BaseCurve.line([0.0], [1.0]),
+                          [counting.element(stack[:2], check=False)], 1.0 / n),
+                Transport(lambda x, u: asked(field, "short")(x[:, 0]),
+                          BaseCurve.line([0.0], [1.0], (0.0, 0.3)),
+                          [counting.element(stack[2], check=False)], 0.05)]
+    ends = transport(requests)
+    assert calls == {"field": 2, "exp": 4 * n, "retraction": n + 1, "stage": 4 * n,
+                     "short": 4 * 6, "ad_matrix": 3 * n if non_abelian else 0}
+    for request, got in zip(requests, ends):
+        (alone,) = transport([request])
+        assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+
+def test_a_round_names_a_non_finite_row_as_its_leg_alone_does():
+    """A row of the shorter leg, which sits behind the longer leg's rows in
+    the loop's stack, turns non-finite: the round names its row within its
+    leg and the leg's own t, as a run of that request alone does."""
+    rng = np.random.default_rng(46)
+
+    def builder(poison_after):
+        def lift(x, u):
+            a = so3_field(x[:, 0]).parts[0]
+            return FiberMap(lambda g, a, poisoned: np.where(
+                (np.arange(len(g)) == 1)[:, None] & poisoned, np.nan, np.matvec(g, a) - a),
+                a, x[:, 0] > poison_after)
+        return lift
+
+    def fibers(count):
+        return [SO3.exp(SO3.algebra(rng.uniform(-1.0, 1.0, (count, 3))))]
+
+    long = Transport(builder(np.inf), BaseCurve.line([0.0], [1.0]), fibers(2), 1.0 / 40)
+    short = Transport(builder(0.6), BaseCurve.line([0.0], [1.0], (0.0, 0.5)), fibers(3), 0.05)
+    with pytest.raises(InstabilityError) as alone:
+        transport([short])
+    with pytest.raises(InstabilityError) as merged:
+        transport([long, short])
+    assert re.fullmatch(r"integration produced non-finite fibers in rows \[1\] at t=0\.3\d+",
+                        str(alone.value))
+    assert str(merged.value) == str(alone.value)

@@ -1,7 +1,7 @@
-"""Merged plans: a suite runs every transport of one interval and step as
-one RKMK4 integration and every curvature request on one form as one
-`curvature` call, and each record stays what its check gives when it runs
-alone."""
+"""Merged plans: a suite runs every transport on one fiber descriptor as one
+RKMK4 loop, with one leg per interval and step, and every curvature request
+on one form as one `curvature` call, and each record stays what its check
+gives when it runs alone."""
 
 import ast
 import inspect
@@ -32,33 +32,38 @@ def test_each_check_alone_equals_its_record_in_the_full_run(name, seed):
         assert run_suite(s, seed=seed, only=[check]) == [full[check]], check
 
 
-# (rows, steps) of each RKMK4 run of one suite, in call order: on principal-so3
-# the 81 family rows at the config step (63 nu rows of four checks, 12
-# horizontal and 6 nu rows of the compatibility check), the two one-step
-# covariant-product-rule segments (+ds first) and the 42 rows of the two
-# order-estimate families at twice the step; on the affine presets the
-# oracle's group transport comes first
-RUNS = {
-    "principal-so3": [(81, 80), (3, 1), (3, 1), (42, 40)],
+# (rows, steps) of each leg of the one RKMK4 loop of a suite, most steps
+# first: on principal-so3 the 81 family rows at the config step (63 nu rows
+# of four checks, 12 horizontal and 6 nu rows of the compatibility check),
+# the 42 rows of the two order-estimate families at twice the step and the
+# two one-step covariant-product-rule segments (+ds first); on the affine
+# presets the oracle's group transport, then the compatibility family at the
+# step and at twice it
+LEGS = {
+    "principal-so3": [(81, 80), (42, 40), (3, 1), (3, 1)],
     "affine-varying": [(5, 200), (18, 80), (18, 40)],
     "affine-constant": [(5, 200), (18, 80), (18, 40)],
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(LEGS))
 @pytest.mark.parametrize("seed", [0, 7919])
-def test_a_suite_makes_one_run_per_interval_and_step(monkeypatch, name, seed):
-    runs = []
-    real = integrators._run
+def test_a_suite_makes_one_loop_per_descriptor(monkeypatch, name, seed):
+    """One loop of the longest leg's steps: 80 iterations on principal-so3
+    (its four legs alone took 122) and 200 on an affine preset (320); every
+    iteration checks four fiber stacks for finiteness."""
+    loops, finite = [], []
+    real, real_finite = integrators._run, integrators._finite
 
-    def counted(field, g, desc, t0, t1, n_steps):
-        runs.append((len(g), n_steps))
-        return real(field, g, desc, t0, t1, n_steps)
+    def counted(desc, g, legs):
+        loops.append([(leg.rows, leg.steps) for leg in legs])
+        return real(desc, g, legs)
 
     monkeypatch.setattr(integrators, "_run", counted)
+    monkeypatch.setattr(integrators, "_finite", lambda *args: finite.append(1) or real_finite(*args))
     run_suite(SCENARIOS[name], seed=seed)
-    assert runs == RUNS[name]
-    assert name != "principal-so3" or len(runs) <= 4
+    assert loops == [LEGS[name]]
+    assert len(finite) == 4 * {"principal-so3": 80}.get(name, 200)
 
 
 @pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
@@ -103,12 +108,47 @@ def test_requests_merged_on_one_builder_equal_each_request_alone():
     requests = [integrators.Transport(s.nu.lift_map, lone_a, [fiber(), fiber()], 0.01),
                 integrators.Transport(s.nu.lift_map, family, [fiber(3)], 0.01),
                 integrators.Transport(s.nu.lift_map, lone_b, [fiber()], 0.01)]
-    runs = []
+    loops = []
     real = integrators._run
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(integrators, "_run", lambda *args: runs.append(len(args[1])) or real(*args))
+        patch.setattr(integrators, "_run", lambda desc, g, legs: loops.append(
+            [(leg.rows, leg.steps) for leg in legs]) or real(desc, g, legs))
         merged = integrators.transport(requests)
-    assert runs == [6]
+    assert loops == [[(6, 40)]]
+    for request, ends in zip(requests, merged):
+        (alone,) = integrators.transport([request])
+        assert [e.shape for e in ends] == [f.matrix.shape for f in request.fibers]
+        assert all(np.array_equal(a, b) for a, b in zip(ends, alone))
+
+
+def test_a_round_of_mixed_legs_equals_each_request_alone():
+    """Lone curves, a family and a one-step segment on four intervals and
+    steps, with two builders, make one loop whose legs end at different
+    steps; each request's endpoints equal those of its run alone."""
+    s = SCENARIOS["principal-so3"]
+    rng = np.random.default_rng(17)
+    lone_a, lone_b = (BaseCurve.wiggle(*random_wiggle(s.chart, rng), (0.0, 0.4)) for _ in "ab")
+    family = BaseCurve.wiggle(*(np.array(p) for p in zip(
+        *(random_wiggle(s.chart, rng) for _ in range(3)))), (0.1, 0.3))
+    segment = BaseCurve.wiggle(*random_wiggle(s.chart, rng), (0.2, 0.21))
+
+    def fiber(*lead):
+        return s.group.exp(s.group.algebra(rng.uniform(-1, 1, lead + (s.group.dim,))))
+
+    horizontal = s.transport_form.horizontal_map
+    requests = [integrators.Transport(s.nu.lift_map, segment, [fiber(), fiber()], 0.05),
+                integrators.Transport(s.nu.lift_map, lone_a, [fiber()], 0.01),
+                integrators.Transport(horizontal, family, [fiber(3), fiber(3)], 0.02),
+                integrators.Transport(s.nu.lift_map, family, [fiber(3)], 0.02),
+                integrators.Transport(horizontal, lone_b, [fiber(2)], 0.02),
+                integrators.Transport(s.nu.lift_map, lone_a, [fiber()], 0.01)]
+    loops = []
+    real = integrators._run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrators, "_run", lambda desc, g, legs: loops.append(
+            [(leg.rows, leg.steps) for leg in legs]) or real(desc, g, legs))
+        merged = integrators.transport(requests)
+    assert loops == [[(2, 40), (2, 20), (9, 10), (2, 1)]]
     for request, ends in zip(requests, merged):
         (alone,) = integrators.transport([request])
         assert [e.shape for e in ends] == [f.matrix.shape for f in request.fibers]

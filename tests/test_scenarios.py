@@ -426,19 +426,19 @@ def test_affine_transport_check_fails_on_a_form_off_the_tables(scenario):
 def test_affine_transport_check_runs_one_group_transport(monkeypatch):
     """The reference is the linear flow, not a second group transport at a
     finer step: the check makes one RKMK4 run, on the main curve at the
-    config step."""
-    runs = []
+    config step: one loop of one leg."""
+    loops = []
     real = integrators._run
 
-    def counted(field, g, desc, *steps):
-        runs.append(steps)
-        return real(field, g, desc, *steps)
+    def counted(desc, g, legs):
+        loops.append([(leg.t0, leg.t1, leg.steps) for leg in legs])
+        return real(desc, g, legs)
 
     monkeypatch.setattr(integrators, "_run", counted)
     (record,) = run_suite(AFFINE_VAR, only=["affine-transport-self-consistency"])
     assert record.passed
     curve = AFFINE_VAR.curves["main"]
-    assert runs == [integrators._steps((curve.a, curve.b), AFFINE_VAR.config["step"])]
+    assert loops == [[integrators._steps((curve.a, curve.b), AFFINE_VAR.config["step"])]]
 
 
 def test_affine_group_transport_is_linear_map():
