@@ -1,40 +1,39 @@
 #!/usr/bin/env python3
 """Compare two directories of JSON-lines reports written by run_all_validations.py.
 
-Names the report files that are byte-identical, prints the largest
-|delta max_residual| of each file that differs, and exits 1 if any check id
-differs between the two directories, if a check's records differ in their
-field names or in any field but the three RESIDUALS (`samples`, `passed`,
-`tolerance`, `mode`, `label` and `scenario` must all be equal), if any
-|delta max_residual| or |delta mean_residual| exceeds
-ROUNDOFF (1e-3) times that check's tolerance, or if an `order_estimate` (or
-any of these fields) is null or absent in one run and a number in the other,
-is NaN in exactly one run, or moves by more than ORDER_MOVE (1e-3): the two
-runs must agree beyond roundoff in every numeric field, and neither may
-judge a check by a different bound.  The `summary` lines, which hold the
-actual outputs of the `transport` and `curvature` commands, are compared
-field by field: keys and list lengths must match, a number may move by at
-most SUMMARY_MOVE (1e-9) times max(1, |x|), NaN must appear on both sides
-or neither, and every other value must be equal; any other difference
-prints `<file>: summary.<path> moved` and exits 1.  The "largest" line
-names the check of the largest move only when that move is above 0.
-
-The `*.jsonl` files of the two trees are paired by their path below each
-root, so the `seed<k>/` directories of a multi-seed run_all_validations.py
-run are compared seed by seed.  A root that is not a directory is a usage
-error (exit 2), as is a report line that is not a JSON object or a check
-record without a numeric `tolerance` and `max_residual` or without a JSON
-boolean `passed` (the message names the file and the line); two trees that
-hold no report at all exit 1: a comparison of nothing passes nothing.
+Pairs the `*.jsonl` files of the two trees by their path below each root, so
+the `seed<k>/` directories of a multi-seed run compare seed by seed, and reads
+every file, byte-identical ones too, through `liebundles.reporting.read_report`
+(its rules are in the README) before comparing any.  Names the byte-identical
+files, prints the largest |delta max_residual| of each file that differs
+(naming its check when that move is above 0), and exits 1 if a check id
+differs between the two trees, if a check's records differ in their field
+names or in any field but the three RESIDUALS (`samples`, `passed`,
+`tolerance`, `mode`, `label` and `scenario` must all be equal), if a
+|delta max_residual| or |delta mean_residual| exceeds ROUNDOFF (1e-3) times
+that check's tolerance or an `order_estimate` moves by more than ORDER_MOVE
+(1e-3), or if one of the three is null, absent or NaN in one run only: the
+runs must agree beyond roundoff in every numeric field, and neither may judge
+a check by another bound.  The `summary` lines, which hold the outputs of the
+`transport` and `curvature` commands, are compared field by field: keys and
+list lengths must match, a number may move by at most SUMMARY_MOVE (1e-9)
+times max(1, |x|), NaN must appear on both sides or neither, and every other
+value must be equal; any other difference prints `<file>: summary.<path>
+moved` and exits 1.  Two trees that hold no report exit 1: a comparison of
+nothing passes nothing.  A root that is not a directory, or a report that
+the reader refuses (the message names the file and the line), is a usage
+error (exit 2).
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
 """
 
-import json
 import math
 import pathlib
 import sys
+
+from liebundles.errors import UsageError
+from liebundles.reporting import json_float, read_report
 
 ROUNDOFF = 1e-3
 ORDER_MOVE = 1e-3
@@ -42,55 +41,20 @@ SUMMARY_MOVE = 1e-9
 RESIDUALS = ("max_residual", "mean_residual", "order_estimate")
 
 
-class UnreadableReport(Exception):
-    """A report line the comparison cannot read: a usage error (exit 2)."""
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _report(path):
-    """The check records of a report by id, and its summary (None if absent)."""
-    records, summary = {}, None
-    for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UnreadableReport(f"{path} line {k}: not JSON ({exc.msg})") from None
-        if not isinstance(d, dict):
-            raise UnreadableReport(f"{path} line {k}: not a JSON object")
-        if "check" in d:
-            bad = [] if isinstance(d["check"], str) else ["check"]
-            bad += [key for key in ("tolerance", "max_residual") if not _is_number(d.get(key))]
-            bad += [key for key in ("mean_residual", "order_estimate")
-                    if d.get(key) is not None and not _is_number(d[key])]
-            if not isinstance(d.get("passed"), bool):
-                bad.append("passed")
-            if bad:
-                raise UnreadableReport(f"{path} line {k}: check record without a readable "
-                                       + ", ".join(bad))
-            records[d["check"]] = d
-        elif "summary" in d and summary is None:
-            summary = d["summary"]
-    return records, summary
-
-
 def _summary_moves(a, b, path="summary"):
     """(path, a, b) for each place where two summaries differ beyond roundoff."""
+    x, y = json_float(a), json_float(b)
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in sorted(a):
             yield from _summary_moves(a[key], b[key], f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for k, (x, y) in enumerate(zip(a, b)):
-            yield from _summary_moves(x, y, f"{path}[{k}]")
-    elif _is_number(a) and _is_number(b):
-        if math.isnan(a) or math.isnan(b):
-            if math.isnan(a) != math.isnan(b):
+        for k, (u, v) in enumerate(zip(a, b)):
+            yield from _summary_moves(u, v, f"{path}[{k}]")
+    elif x is not None and y is not None:
+        if math.isnan(x) or math.isnan(y):
+            if math.isnan(x) != math.isnan(y):
                 yield path, a, b
-        elif a != b and not abs(a - b) <= SUMMARY_MOVE * max(1.0, abs(a)):
+        elif x != y and not abs(x - y) <= SUMMARY_MOVE * max(1.0, abs(x)):
             yield path, a, b
     elif a != b:
         yield path, a, b
@@ -105,21 +69,24 @@ def main(argv):
     if not names:
         print(f"no *.jsonl report in {dir_a} or {dir_b}")
         return 1
+    try:
+        reports = {path: read_report(path) for name in names
+                   for path in (dir_a / name, dir_b / name) if path.exists()}
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     mismatch = False
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
-        if not (path_a.exists() and path_b.exists()):
-            print(f"{name}: only in {dir_a if path_a.exists() else dir_b}")
+        if not (path_a in reports and path_b in reports):
+            print(f"{name}: only in {dir_a if path_a in reports else dir_b}")
             mismatch = True
             continue
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"{name}: byte-identical")
             continue
-        try:
-            (rec_a, summary_a), (rec_b, summary_b) = _report(path_a), _report(path_b)
-        except UnreadableReport as exc:
-            print(f"unreadable report: {exc}", file=sys.stderr)
-            return 2
+        rec_a, rec_b = ({r["check"]: r for r in reports[p][0]} for p in (path_a, path_b))
+        summary_a, summary_b = reports[path_a][1], reports[path_b][1]
         for where, x, y in _summary_moves(summary_a, summary_b):
             print(f"{name}: {where} moved: {x!r} vs {y!r}")
             mismatch = True

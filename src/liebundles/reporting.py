@@ -1,4 +1,5 @@
-"""Check records and machine-readable report emission (JSON-lines, CSV)."""
+"""Check records and JSON-lines reports: the writer (`make_record`,
+`render_jsonl`, CSV) and the one reader (`read_report`)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["CheckRecord", "MODES", "summary_dict", "render_jsonl", "write_report", "records_to_csv"]
+__all__ = ["CheckRecord", "MODES", "summary_dict", "render_jsonl", "write_report", "records_to_csv",
+           "json_float", "read_report"]
 
 MODES = ("max<=tol", "min>tol")  # every residual within the tolerance, or (a control) above it
 
@@ -104,7 +106,7 @@ def write_report(text, out_path=None):
 
 
 def records_to_csv(dicts):
-    """CSV of residuals from parsed JSON-lines record dicts."""
+    """CSV of residuals from the record dicts of `read_report`."""
     fields = ["check", "scenario", "samples", "max_residual", "mean_residual",
               "order_estimate", "tolerance", "mode", "passed"]
     buf = io.StringIO()
@@ -113,3 +115,74 @@ def records_to_csv(dicts):
     for rec in dicts:
         writer.writerow(rec)
     return buf.getvalue()
+
+
+def json_float(value):
+    """``float(value)`` of a JSON number (not a bool) within float range, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _number(r, key, what):
+    value = json_float(r.get(key))
+    if value is None:
+        raise ValueError(f"{what} {key} must be a number, got {r.get(key)!r}")
+    return value
+
+
+def _read_record(r, seen):
+    """Check a record in place, its residuals and tolerance made floats, and
+    re-judge it; a ValueError names the first field that does not read."""
+    if not isinstance(r["check"], str):
+        raise ValueError(f"record field check must be a string, got {r['check']!r}")
+    if r["check"] in seen:
+        raise ValueError(f"record {r['check']!r} repeats the check id of line {seen[r['check']]}")
+    what = f"record {r['check']!r} field"
+    for key in ("max_residual", "tolerance", "mean_residual"):
+        if key in r or key != "mean_residual":  # a record may leave out its mean
+            r[key] = _number(r, key, what)
+    if r.get("order_estimate") is not None:
+        _number(r, "order_estimate", what)
+    if "mode" in r and r["mode"] not in MODES:
+        raise ValueError(f"{what} mode must be one of {', '.join(MODES)}, got {r['mode']!r}")
+    samples = r.get("samples", 0)
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise ValueError(f"{what} samples must be a non-negative integer, got {samples!r}")
+    if not isinstance(r.get("passed"), bool):
+        raise ValueError(f"{what} passed must be true or false, got {r.get('passed')!r}")
+    mode, mean = r.get("mode", MODES[0]), r.get("mean_residual", r["max_residual"])
+    verdict = judge(mode, r["tolerance"], r["max_residual"], mean)
+    # a failed control with its mean above the tolerance may have had a low residual
+    if r["passed"] != verdict and (r["passed"] or mode == MODES[0]):
+        raise ValueError(f"record {r['check']!r} says passed={json.dumps(r['passed'])}, "
+                         f"but its residuals judge {json.dumps(verdict)} under {mode}")
+
+
+def read_report(path):
+    """The check records of a JSON-lines report in file order and its first
+    summary (or None); a line that does not read is a UsageError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read report {path}: {exc}") from exc
+    records, summary, seen = [], None, {}
+    for k, line in enumerate(lines, 1):
+        try:
+            entry = json.loads(line) if line.strip() else {}
+            if not isinstance(entry, dict):
+                raise ValueError("not a JSON object")
+            if "check" in entry:
+                _read_record(entry, seen)
+                seen[entry["check"]] = k
+                records.append(entry)
+        except ValueError as exc:
+            detail = f"not JSON ({exc.msg})" if isinstance(exc, json.JSONDecodeError) else exc
+            raise UsageError(f"cannot read report {path} line {k}: {detail}") from None
+        if "summary" in entry and summary is None:
+            summary = entry["summary"]
+    return records, summary
