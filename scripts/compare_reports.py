@@ -22,7 +22,8 @@ value must be equal; any other difference prints `<file>: summary.<path>
 moved` and exits 1.  Two trees that hold no report exit 1: a comparison of
 nothing passes nothing.  A root that is not a directory, or a report that
 the reader refuses (the message names the file and the line), is a usage
-error (exit 2).
+error (exit 2).  The last line of a comparison, `identical: k of n files`,
+counts the byte-identical files among the n paired paths.
 
 Usage:
     python scripts/compare_reports.py DIR_A DIR_B
@@ -75,7 +76,7 @@ def main(argv):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    mismatch = False
+    mismatch, identical = False, 0
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a in reports and path_b in reports):
@@ -84,6 +85,7 @@ def main(argv):
             continue
         if path_a.read_bytes() == path_b.read_bytes():
             print(f"{name}: byte-identical")
+            identical += 1
             continue
         rec_a, rec_b = ({r["check"]: r for r in reports[p][0]} for p in (path_a, path_b))
         summary_a, summary_b = reports[path_a][1], reports[path_b][1]
@@ -116,6 +118,7 @@ def main(argv):
                 worst, worst_check = delta, check
         named = f" ({worst_check})" if worst_check is not None else ""
         print(f"{name}: differs; largest |delta max_residual| {worst:.3e}{named}")
+    print(f"identical: {identical} of {len(names)} files")
     return 1 if mismatch else 0
 
 

@@ -217,8 +217,9 @@ def _cmd_report(args):
     print(f"records: {len(records)}")
     for r in records:
         order = "" if r.get("order_estimate") is None else f" order={r['order_estimate']:.2f}"
+        tol = np.format_float_scientific(r["tolerance"], trim="-", exp_digits=2)
         print(f"  {'PASS' if r['passed'] else 'FAIL'} {r['check']}: max={r['max_residual']:.3e} "
-              f"tol={r['tolerance']:.0e}{order}")
+              f"tol={tol}{order}")
     if summary is not None:
         print(f"summary: {json.dumps(summary, sort_keys=True)}")
     if not records:

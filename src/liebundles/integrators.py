@@ -18,12 +18,15 @@ sent one answer each.  A `Transport` request carries k fibers of one shape
 along a curve at a step by the field ``builder(x, u)`` and is answered with
 their k endpoints.  `planned` drives a plan and `together` joins several
 into one round.  `transport` runs a round's transports as one RKMK4 loop per
-fiber descriptor (`_run`), with one leg per interval and step: a leg asks
-its own field once (requests with one builder share one evaluation on their
-concatenated curve rows), steps with its own h, and its rows leave the stack
-after its last step; a lone leg, as in `integrate_stack`, steps with 0-d
-scalars and its own maps.  A round's other requests go, kind by kind, to
-one call of the kind's ``evaluate`` (as `principal.Curvature`).
+fiber descriptor (`_run`), with one leg per interval and step, each with its
+own h.  Its rows are builder-major (a builder's rows over every leg sit
+together, most steps first), so each stage calls each builder once, and it
+runs in epochs that end where a leg ends: an epoch asks each builder once,
+each leg's rows at their own stage times, and a leg's rows leave after its
+last step.  A lone leg with one builder, as in `integrate_stack`, is one
+epoch with 0-d scalars and the builder's own maps.  A round's other requests
+go, kind by kind, to one call of the kind's ``evaluate`` (as
+`principal.Curvature`).
 """
 
 from __future__ import annotations
@@ -79,18 +82,26 @@ def _finite(fibers, where, k, frac):
     if math.isfinite(np.add.reduce(fibers, axis=None)) or np.isfinite(fibers).all():
         return fibers
     bad = np.atleast_1d(~np.isfinite(fibers).all(axis=(-2, -1)))
-    lo, hi, t = where(bad, k, frac)
+    bad, t = where(bad, bad, k, frac)
     raise InstabilityError(f"integration produced non-finite fibers in rows "
-                           f"{np.flatnonzero(bad[lo:hi]).tolist()} at t={t:.4f}")
+                           f"{np.flatnonzero(bad).tolist()} at t={t:.4f}")
 
 
-def _where(clocks, cut, mask, k, frac):
-    """(lo, hi, t): the rows lo:hi of the first leg with a set entry in a 1-D
-    row mask over the live stack, and that leg's time t0 + k h + frac h at
-    step k, the float a run of that leg alone reports."""
-    i = next(i for i, (lo, hi) in enumerate(zip(cut, cut[1:])) if np.any(mask[lo:hi]))
-    t0, h = clocks[i]
-    return cut[i], cut[i + 1], t0 + k * h + frac * h
+def _order(parts):
+    """The leg-major row of each stack row, the rows of ``parts`` in turn."""
+    return np.concatenate([np.arange(p.lo, p.lo + p.rows) for p in parts])
+
+
+def _where(legs, hs, parts, values, bad, k, frac):
+    """(values, t): the entries of ``values`` on the first leg with a ``bad``
+    row, in that leg's own row order, and the leg's time t0 + k h + frac h at
+    step k, the float a run of that leg alone reports.  ``values`` and
+    ``bad`` run over the live stack, whose rows are those of ``parts``."""
+    cut, rows = np.cumsum([0] + [leg.rows for leg in legs]).tolist(), _order(parts)
+    full, hit = np.zeros(cut[-1], values.dtype), np.zeros(cut[-1], bool)
+    full[rows], hit[rows] = values, bad
+    i = next(i for i, (lo, hi) in enumerate(zip(cut, cut[1:])) if hit[lo:hi].any())
+    return full[cut[i]:cut[i + 1]], legs[i].t0 + k * hs[i] + frac * hs[i]
 
 
 def _steps(interval, step):
@@ -115,9 +126,13 @@ def _stage_times(t0, t1, n_steps):
     return times, h
 
 
-# One (interval, step) group of a loop: its base schedule ``field``, its N
-# steps on [t0, t1] and its number of stack rows.
-_Leg = namedtuple("_Leg", "field t0 t1 steps rows")
+# One (interval, step) group of a loop: its ``parts``, one (builder, rows,
+# kinds) each, those on one builder adjacent, whose base schedule at stage
+# times ``times`` is ``builder(*(kind(times) for kind in kinds))``; its N
+# steps on [t0, t1]; its number of stack rows.
+_Leg = namedtuple("_Leg", "parts t0 t1 steps rows")
+# A part of a loop: its leg, its first leg-major row, its rows, its kinds.
+_Part = namedtuple("_Part", "leg lo rows kinds")
 
 
 def _joined(parts, cut):
@@ -133,13 +148,25 @@ def _joined(parts, cut):
     return FiberMap(stacked, *parts)
 
 
-def _scalars(hs, cut):
-    """(0.5 h, h, h / 6) of the live legs: 0-d arrays for a lone leg, else
-    columns holding each row's own; (0.5 * h) k is 0.5 * h * k and k + k is
-    2.0 k, bit for bit."""
-    if len(hs) == 1:
+def _points(parts, times, lo, hi):
+    """The points at which a builder is asked for the rows of its ``parts``,
+    each at the stage times lo:hi of its own leg: a lone part's own, else the
+    (T, rows, n) blocks of each kind of point joined along the rows."""
+    got = [[kind(times[p.leg][lo:hi]) for kind in p.kinds] for p in parts]
+    if len(got) == 1:
+        return got[0]
+    return [np.concatenate([np.broadcast_to(v.reshape(len(v), -1, v.shape[-1]),
+                                            (len(v), p.rows, v.shape[-1]))
+                            for v, p in zip(kind, parts)], axis=1) for kind in zip(*got)]
+
+
+def _scalars(hs, rows):
+    """(0.5 h, h, h / 6) of the live rows, ``rows[i]`` of them stepping with
+    ``hs[i]``: 0-d arrays when one h serves all, else columns holding each
+    row's own; (0.5 * h) k is 0.5 * h * k and k + k is 2.0 k, bit for bit."""
+    if len(set(hs)) == 1:
         return np.array(0.5 * hs[0]), np.array(hs[0]), np.array(hs[0] / 6.0)
-    hs = np.repeat(hs, np.diff(cut[:len(hs) + 1]))[:, None]
+    hs = np.repeat(hs, rows)[:, None]
     return 0.5 * hs, hs, hs / 6.0
 
 
@@ -147,59 +174,62 @@ def _scalars(hs, cut):
 @np.errstate(over="ignore", invalid="ignore")
 def _run(desc, g, legs):
     """The endpoints of one RKMK4 loop over the stack ``g``, whose rows are
-    those of ``legs`` in order, most steps first: each leg's field is asked
-    once, and each leg steps with its own h and stage times.  The live rows
-    are a prefix; a leg's rows leave the stack after its last step."""
-    clocks, schedules = [], []
-    for leg in legs:
-        times, h = _stage_times(leg.t0, leg.t1, leg.steps)
-        schedules.append(leg.field(times))
-        clocks.append((leg.t0, h))
-    cut = np.cumsum([0] + [leg.rows for leg in legs]).tolist()
-    where = functools.partial(_where, clocks, cut)
+    those of ``legs`` in order, most steps first; each leg steps with its own
+    h and stage times.  The live rows are laid out builder-major (one
+    permutation in, one out): a builder's rows over every leg sit together,
+    most steps first, and each stage calls each builder once.  The loop runs
+    in epochs that end where a leg ends; an epoch asks each builder once, and
+    at its end the legs that end there leave the stack in one take."""
+    times, hs = zip(*(_stage_times(leg.t0, leg.t1, leg.steps) for leg in legs))
+    lo, blocks = 0, {}
+    for i, leg in enumerate(legs):
+        for builder, rows, kinds in leg.parts:
+            blocks.setdefault(builder, []).append(_Part(i, lo, rows, kinds))
+            lo += rows
+    parts = [p for block in blocks.values() for p in block]
+    out = np.empty_like(g) if len(legs) > 1 else None  # a lone leg is builder-major
+    g = g if out is None else g[_order(parts)]
     exp = desc.exp_hook or desc.exp_coords
     limit = np.array(_BLOWUP_FACTOR * max(desc.membership_tol, 1e-12))
     # on an abelian fiber both brackets vanish and the correction returns v
     dexpinv = _dexpinv if np.any(desc.structure_constants) else lambda desc, u, v: v
     retract = desc.retract_measured
-    n, live, ends = legs[0].steps, len(legs), (np.empty_like(g) if len(legs) > 1 else None)
-    shortest = legs[-1].steps
-    half, whole, sixth = _scalars([h for _, h in clocks], cut)
-    schedule = _joined(schedules, cut)
-    f_start = schedule[0]
-    for k in range(n):
-        # the stage-4 map is the next step's stage-1 map
-        f_mid, f_end = schedule[2 * k + 1], schedule[2 * k + 2]
-        k1 = f_start(g)
-        u2 = half * k1
-        k2 = dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, where, k, 0.5)))
-        u3 = half * k2
-        k3 = dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, where, k, 0.5)))
-        u4 = whole * k3
-        k4 = dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, where, k, 1.0)))
-        omega = sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        g, res = retract(_finite(exp(omega) @ g, where, k, 1.0))
-        if np.count_nonzero(res > limit):
-            res = np.atleast_1d(res)
-            lo, hi, t = where(res > limit, k, 1.0)
-            res = res[lo:hi]
-            raise InstabilityError(
-                f"membership residual blew up to {np.max(res):.3e} in row "
-                f"{int(np.argmax(res))} at t={t:.4f}"
-            )
-        f_start = f_end
-        if k + 1 == shortest < n:  # the shortest live legs end here
-            while legs[live - 1].steps == shortest:
-                live -= 1
-            ends[cut[live]:len(g)] = g[cut[live]:]
-            g, shortest = g[:cut[live]], legs[live - 1].steps
-            half, whole, sixth = _scalars([h for _, h in clocks[:live]], cut)
-            schedule = _joined(schedules[:live], cut)
-            f_start = schedule[2 * k + 2]
-    if ends is None:
-        return g
-    ends[:len(g)] = g
-    return ends
+    start = 0
+    for stop in sorted({leg.steps for leg in legs}):
+        parts = [p for block in blocks.values() for p in block]
+        cut = np.cumsum([0] + [sum(p.rows for p in block) for block in blocks.values()]).tolist()
+        schedule = _joined([builder(*_points(block, times, 2 * start, 2 * stop + 1))
+                            for builder, block in blocks.items()], cut)
+        half, whole, sixth = _scalars([hs[p.leg] for p in parts], [p.rows for p in parts])
+        where = functools.partial(_where, legs, hs, parts)
+        f_start = schedule[0]
+        for k in range(start, stop):
+            # the stage-4 map is the next step's stage-1 map
+            f_mid, f_end = schedule[2 * (k - start) + 1], schedule[2 * (k - start) + 2]
+            k1 = f_start(g)
+            u2 = half * k1
+            k2 = dexpinv(desc, u2, f_mid(_finite(exp(u2) @ g, where, k, 0.5)))
+            u3 = half * k2
+            k3 = dexpinv(desc, u3, f_mid(_finite(exp(u3) @ g, where, k, 0.5)))
+            u4 = whole * k3
+            k4 = dexpinv(desc, u4, f_end(_finite(exp(u4) @ g, where, k, 1.0)))
+            omega = sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            g, res = retract(_finite(exp(omega) @ g, where, k, 1.0))
+            if np.count_nonzero(res > limit):
+                res, t = where(np.atleast_1d(res), np.atleast_1d(res > limit), k, 1.0)
+                raise InstabilityError(
+                    f"membership residual blew up to {np.max(res):.3e} in row "
+                    f"{int(np.argmax(res))} at t={t:.4f}"
+                )
+            f_start = f_end
+        if out is not None:  # the legs that end here leave; their ends go back
+            keep = np.repeat([legs[p.leg].steps > stop for p in parts], [p.rows for p in parts])
+            out[_order(parts)[~keep]] = g[~keep]
+            g = g[keep]
+            blocks = {builder: kept for builder, block in blocks.items()
+                      if (kept := [p for p in block if legs[p.leg].steps > stop])}
+        start = stop
+    return g if out is None else out
 
 
 def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descriptor: GroupDescriptor,
@@ -225,8 +255,9 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     # times a member, retracted at each step, so its log needs no check
     GroupElement(g0, descriptor)
     rows = math.prod(g0.shape[:-2])
-    end = _run(descriptor, g0, [_Leg(field, t0, t1, n, rows)])
-    fine = _run(descriptor, g0, [_Leg(field, t0, t1, 2 * n, rows)]) if with_error_estimate else None
+    parts = [(field, rows, (lambda times: times,))]  # a field asked by its stage times
+    end = _run(descriptor, g0, [_Leg(parts, t0, t1, n, rows)])
+    fine = _run(descriptor, g0, [_Leg(parts, t0, t1, 2 * n, rows)]) if with_error_estimate else None
     return TransportResult(
         element=GroupElement(end, descriptor, check=False),
         error_estimate=None if fine is None else _frobenius(end - fine),
@@ -253,28 +284,10 @@ def integrate_on_group(rhs: Callable[[float, GroupElement], AlgebraElement], g0:
 Transport = namedtuple("Transport", "builder curve fibers step")
 
 
-def _field(requests, stacks, groups):
-    """The base schedule of one leg: each builder's map at its requests' curve
-    rows (a lone request's own curve); several builders' maps act on their rows."""
-    def points(idx, times, attr):
-        values = [getattr(requests[i].curve.repeat(len(requests[i].fibers)), attr)(times)
-                  for i in idx]
-        return values[0] if len(idx) == 1 else np.concatenate([np.broadcast_to(
-            v.reshape(len(v), -1, v.shape[-1]), (len(v), len(stacks[i]), v.shape[-1]))
-            for v, i in zip(values, idx)], axis=1)
-
-    def maps(times):
-        return [builder(points(idx, times, "position"), points(idx, times, "velocity"))
-                for builder, idx in groups.items()]
-
-    cut = np.cumsum([0] + [sum(len(stacks[i]) for i in idx) for idx in groups.values()]).tolist()
-    return lambda times: _joined(maps(times), cut)
-
-
 def transport(requests):
     """The endpoints of each request: one matrix per fiber, shaped like it.
     The requests on one fiber descriptor make one loop of `_run`, with one leg
-    per interval and step."""
+    per interval and step; a leg's rows are its requests', builder by builder."""
     loops, ends = {}, [None] * len(requests)
     for i, req in enumerate(requests):
         legs = loops.setdefault(req.fibers[0].descriptor, {})
@@ -283,16 +296,18 @@ def transport(requests):
     # fiber j on curve c is row j C + c, as curve.repeat(k) lays them out
     stacks = [np.concatenate([np.reshape(f.matrix, (-1,) + f.matrix.shape[-2:]) for f in r.fibers])
               for r in requests]
+    curves = [r.curve.repeat(len(r.fibers)) for r in requests]
+    parts = [(r.builder, len(stack), (c.position, c.velocity))
+             for r, stack, c in zip(requests, stacks, curves)]
     for desc, legs in loops.items():
-        # most steps first, ties in request order, so the live rows are a prefix
-        legs = sorted(((_steps((a, b), step), groups) for (a, b, step), groups in legs.items()),
-                      key=lambda leg: -leg[0][2])
-        order = [i for _, groups in legs for idx in groups.values() for i in idx]
+        # most steps first, ties in request order
+        legs = sorted(((_steps((a, b), step), [i for idx in groups.values() for i in idx])
+                       for (a, b, step), groups in legs.items()), key=lambda leg: -leg[0][2])
+        order = [i for _, idx in legs for i in idx]
         g0 = np.concatenate([stacks[i] for i in order])
         GroupElement(g0, desc)  # the one membership check, as in `integrate_stack`
-        end = _run(desc, g0, [_Leg(_field(requests, stacks, groups), *span,
-                                   sum(len(stacks[i]) for idx in groups.values() for i in idx))
-                              for span, groups in legs])
+        end = _run(desc, g0, [_Leg([parts[i] for i in idx], *span, sum(len(stacks[i]) for i in idx))
+                              for span, idx in legs])
         for i, part in zip(order, np.split(end, np.cumsum([len(stacks[i]) for i in order])[:-1])):
             fibers = requests[i].fibers
             ends[i] = list(part.reshape((len(fibers),) + fibers[0].matrix.shape))

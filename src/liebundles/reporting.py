@@ -162,6 +162,14 @@ def _read_record(r, seen):
                          f"but its residuals judge {json.dumps(verdict)} under {mode}")
 
 
+def _object(pairs):
+    """A JSON object of unique keys: plain `json.loads` keeps the last of two."""
+    obj, keys = dict(pairs), [key for key, _ in pairs]
+    if len(obj) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_report(path):
     """The check records of a JSON-lines report in file order and its first
     summary (or None); a line that does not read is a UsageError naming it."""
@@ -173,7 +181,7 @@ def read_report(path):
     records, summary, seen = [], None, {}
     for k, line in enumerate(lines, 1):
         try:
-            entry = json.loads(line) if line.strip() else {}
+            entry = json.loads(line, object_pairs_hook=_object) if line.strip() else {}
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
             if "check" in entry:

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liebundles import cli
+from liebundles import cli, suites
 from liebundles.bundles import TotalPoint
 from liebundles.cli import main
 from liebundles.groups import _norm
@@ -471,6 +471,32 @@ def test_report_reads_a_nan_residual_and_an_integer_as_numbers(tmp_path, capsys)
     code, out, err = run_cli(["report", "--in", str(path)], capsys)
     assert code == 1 and err == ""
     assert "  FAIL a: max=nan tol=1e-07\n" in out and "  PASS b: max=0.000e+00 tol=1e+00\n" in out
+
+
+def test_report_prints_a_tolerance_that_reads_back(tmp_path, capsys):
+    """An overridden tolerance of 1.5e-7 prints as 1.5e-07, not 2e-07 or 1e-07."""
+    path, report = tmp_path / "config.json", tmp_path / "report.jsonl"
+    path.write_text(json.dumps({"scenario": "principal-so3",
+                                "tolerances": {"transport-unit-inverse": 1.5e-7}}))
+    assert main(["validate", "--config", str(path), "--no-meta", "--out", str(report),
+                 "--checks", "transport-unit-inverse"]) == 0
+    code, out, _ = run_cli(["report", "--in", str(report)], capsys)
+    assert code == 0 and "  PASS transport-unit-inverse: max=" in out
+    assert out.split("tol=")[1].split()[0] == "1.5e-07"
+
+
+def test_report_prints_every_preset_tolerance_with_one_digit(tmp_path, capsys):
+    """Every tolerance of the check table prints as {tol:.0e} would print it."""
+    tolerances = sorted({row.contract[0] for row in suites._CHECKS.values()}
+                        | {row.abelian[0] for row in suites._CHECKS.values() if row.abelian})
+    path = tmp_path / "report.jsonl"
+    path.write_text("".join(json.dumps({"check": f"c{k}", "max_residual": 0.0, "tolerance": tol,
+                                        "passed": True}) + "\n"
+                            for k, tol in enumerate(tolerances)), encoding="utf-8")
+    code, out, _ = run_cli(["report", "--in", str(path)], capsys)
+    assert code == 0
+    for k, tol in enumerate(tolerances):
+        assert f"  PASS c{k}: max=0.000e+00 tol={tol:.0e}\n" in out
 
 
 def test_report_keeps_a_failed_control_whose_mean_is_above_its_tolerance(tmp_path, capsys):

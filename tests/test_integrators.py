@@ -255,8 +255,9 @@ def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, 
     """The per-step budget: the field is asked once per run, and each of the
     N steps makes 4 exp-hook calls, 1 retraction, 4 stage-map applications
     and, on a non-abelian fiber only, 3 ad_matrix calls (one per dexp^-1).
-    In a round of two legs the loop runs N_max steps: each leg's field is
-    asked once and its maps applied 4 times per step of its own."""
+    In a round of two legs the loop runs N_max steps in two epochs, one per
+    leg end: each builder is asked once per epoch in which it has live rows,
+    and its maps applied 4 times per step of its own."""
     calls = {"field": 0, "exp": 0, "retraction": 0, "stage": 0, "ad_matrix": 0}
 
     def counted(name, fn):
@@ -290,8 +291,9 @@ def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, 
     assert np.array_equal(result.element.matrix, plain.element.matrix)
 
     # a round: 37 steps on [0, 1] for two fibers, 6 on [0, 0.3] for one, each
-    # leg's field at the curve's x = t / b; the round measures the initial
-    # fibers once and no end residual
+    # leg's field at the curve's x = t / b; the long leg's builder is asked in
+    # both epochs, the short one's in the first; the round measures the
+    # initial fibers once and no end residual
     calls.update(dict.fromkeys(calls, 0), short=0)
     requests = [Transport(lambda x, u: asked(field)(x[:, 0]), BaseCurve.line([0.0], [1.0]),
                           [counting.element(stack[:2], check=False)], 1.0 / n),
@@ -299,7 +301,7 @@ def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, 
                           BaseCurve.line([0.0], [1.0], (0.0, 0.3)),
                           [counting.element(stack[2], check=False)], 0.05)]
     ends = transport(requests)
-    assert calls == {"field": 2, "exp": 4 * n, "retraction": n + 1, "stage": 4 * n,
+    assert calls == {"field": 3, "exp": 4 * n, "retraction": n + 1, "stage": 4 * n,
                      "short": 4 * 6, "ad_matrix": 3 * n if non_abelian else 0}
     for request, got in zip(requests, ends):
         (alone,) = transport([request])

@@ -12,6 +12,7 @@ import pytest
 from liebundles import connections, integrators, principal, suites
 from liebundles.bundles import TotalPoint
 from liebundles.calculus import BaseCurve, FiberMap
+from liebundles.principal import GeneralizedPrincipalConnection
 from liebundles.errors import ConstructionError, InstabilityError, UsageError
 from liebundles.scenarios import build_scenario, random_wiggle
 from liebundles.suites import available_checks, run_suite
@@ -66,12 +67,34 @@ def test_a_suite_makes_one_loop_per_descriptor(monkeypatch, name, seed):
     assert len(finite) == 4 * {"principal-so3": 80}.get(name, 200)
 
 
-@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
-def test_an_error_in_a_merged_run_names_its_check_and_rows(monkeypatch, name):
-    """A compatibility row that turns non-finite half way through its family
-    run raises from the full suite with the check id and the row numbers that
-    the check gives alone, not its rows in the merged stack."""
-    s = SCENARIOS[name]
+def _solves(patch):
+    """The list that gains one entry per `GeneralizedPrincipalConnection._solve`
+    call while ``patch`` is active: one per application of a horizontal map."""
+    calls, real = [], GeneralizedPrincipalConnection._solve
+    patch.setattr(GeneralizedPrincipalConnection, "_solve",
+                  lambda self, *args: calls.append(1) or real(self, *args))
+    return calls
+
+
+# `_solve` calls of one suite: each stage applies a builder's map once for
+# all its live rows, over every leg (per leg, 492 and 1,288)
+SOLVES = {"principal-so3": 332, "affine-varying": 808}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_each_stage_calls_each_builder_once(monkeypatch, name, seed):
+    """The horizontal map of a suite runs once per stage while any of its
+    legs is live, 4 times per step of its longest leg: 320 of principal-so3's
+    332 calls and 800 of affine-varying's 808; the rest are direct lifts."""
+    calls = _solves(monkeypatch)
+    run_suite(SCENARIOS[name], seed=seed)
+    assert len(calls) == SOLVES[name]
+
+
+def _poison_horizontal_row(monkeypatch, s):
+    """Row 4 of every family call of the horizontal map turns non-finite in
+    the second half of the call's stages."""
     form = s.transport_form
     real = form.horizontal_map
 
@@ -84,12 +107,44 @@ def test_an_error_in_a_merged_run_names_its_check_and_rows(monkeypatch, name):
         return FiberMap(lambda fibers, inner, sc: inner(fibers) * sc, fiber_map, scale)
 
     monkeypatch.setattr(form, "horizontal_map", poisoned)
+    return "[4] at t="
+
+
+def _poison_coarse_curve(monkeypatch, s):
+    """Curve 4 of the compatibility family at twice the step, and only there,
+    moves at an infinite velocity after the middle of its interval: its rows
+    of both builders, y.g, y and g, turn non-finite.  Those rows sit behind
+    the rows of the leg at the step inside each builder's block."""
+    real = principal.transport_compatibility_check.plan
+
+    def plan(omega, curve, y, g, step):
+        def velocity(t):
+            v = np.array(curve.velocity(t))
+            v[np.asarray(t) > 0.5 * (curve.a + curve.b), 4] = np.inf
+            return v
+
+        coarse = BaseCurve(curve.a, curve.b, curve.position, velocity, label=curve.label)
+        return real(omega, coarse if step == 2 * s.config["step"] else curve, y, g, step)
+
+    monkeypatch.setattr(principal.transport_compatibility_check, "plan", plan)
+    return "[4, 10, 16] at t=0.2050"  # a stage time of the leg at twice the step
+
+
+@pytest.mark.parametrize("poison", [_poison_horizontal_row, _poison_coarse_curve])
+@pytest.mark.parametrize("name", ["principal-so3", "affine-varying"])
+def test_an_error_in_a_merged_run_names_its_check_and_rows(monkeypatch, name, poison):
+    """A compatibility row that turns non-finite part way through its family
+    run raises from the full suite with the check id and the row numbers that
+    the check gives alone, not its rows in the merged stack: rows of the leg
+    at the step, or only rows of the leg at twice the step."""
+    s = SCENARIOS[name]
+    rows = poison(monkeypatch, s)
     with pytest.raises(InstabilityError) as alone:
         run_suite(s, only=["transport-compatibility"])
     with pytest.raises(InstabilityError) as full:
         run_suite(s)
     assert str(alone.value).startswith("transport-compatibility: integration produced "
-                                       "non-finite fibers in rows [4] at t=")
+                                       f"non-finite fibers in rows {rows}")
     assert str(full.value) == str(alone.value)
 
 
@@ -147,8 +202,12 @@ def test_a_round_of_mixed_legs_equals_each_request_alone():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrators, "_run", lambda desc, g, legs: loops.append(
             [(leg.rows, leg.steps) for leg in legs]) or real(desc, g, legs))
+        solves = _solves(patch)
         merged = integrators.transport(requests)
     assert loops == [[(2, 40), (2, 20), (9, 10), (2, 1)]]
+    # the horizontal map runs once per stage of its 20- and 10-step legs'
+    # 20 steps: 80 calls (120 with one call per leg)
+    assert len(solves) == 4 * 20
     for request, ends in zip(requests, merged):
         (alone,) = integrators.transport([request])
         assert [e.shape for e in ends] == [f.matrix.shape for f in request.fibers]

@@ -119,6 +119,9 @@ MALFORMED_REPORTS = {
     "not-json": ([json.dumps(OTHER), "{not json"],
                  "not JSON (Expecting property name enclosed in double quotes)"),
     "not-an-object": ([json.dumps(OTHER), "[1, 2]"], "not a JSON object"),
+    # plain JSON keeps the last of two equal keys, and this record would read as a pass
+    "repeated-key": ([json.dumps(OTHER), '{"check": "x", "max_residual": 1e-12, "tolerance": '
+                      '1e-07, "passed": false, "passed": true}'], "repeated key 'passed'"),
     "number-check": _bad("record field check must be a string, got 5", check=5),
     "repeated-check": _bad("record 'x' repeats the check id of line 1", GOOD, "",
                            max_residual=2e-12),

@@ -70,6 +70,7 @@ def test_compare_reports_passes_byte_identical_directories(tmp_path):
     code, out = _compare(tmp_path, REPORT, REPORT)
     assert code == 0, out
     assert "principal-so3.jsonl: byte-identical" in out
+    assert out.splitlines()[-1] == "identical: 1 of 1 files"
 
 
 def test_compare_reports_passes_a_roundoff_move(tmp_path):
@@ -78,6 +79,7 @@ def test_compare_reports_passes_a_roundoff_move(tmp_path):
     code, out = _compare(tmp_path, REPORT, moved)
     assert code == 0, out
     assert "differs; largest" in out
+    assert out.splitlines()[-1] == "identical: 0 of 1 files"
 
 
 @pytest.mark.parametrize("other", [
@@ -140,6 +142,7 @@ def test_compare_reports_pairs_the_reports_of_every_seed(tmp_path):
     assert code == 0, out
     for rel in SEED_LAYOUT:
         assert f"{rel}: byte-identical" in out
+    assert out.splitlines()[-1] == "identical: 4 of 4 files"
 
 
 def test_compare_reports_flags_a_move_in_one_seed(tmp_path):
@@ -150,6 +153,7 @@ def test_compare_reports_flags_a_move_in_one_seed(tmp_path):
     assert code == 1, out
     assert "seed7919/principal-so3.jsonl: form-complementarity max_residual moved" in out
     assert "seed0/principal-so3.jsonl: byte-identical" in out
+    assert out.splitlines()[-1] == "identical: 3 of 4 files"
 
 
 @pytest.mark.parametrize("b, expected", [("empty", 1), ("missing", 2)])
