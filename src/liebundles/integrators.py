@@ -19,12 +19,14 @@ along a curve at a step by the field ``builder(x, u)`` and is answered with
 their k endpoints.  `planned` drives a plan and `together` joins several
 into one round.  `transport` runs a round's transports as one RKMK4 loop per
 fiber descriptor (`_run`), with one leg per interval and step, each with its
-own h.  Its rows are builder-major (a builder's rows over every leg sit
-together, most steps first), so each stage calls each builder once, and it
-runs in epochs that end where a leg ends: an epoch asks each builder once,
-each leg's rows at their own stage times, and a leg's rows leave after its
-last step.  A lone leg with one builder, as in `integrate_stack`, is one
-epoch with 0-d scalars and the builder's own maps.  A round's other requests
+own h; `integrate_stack` is a loop of one leg.  The loop gathers its rows
+once into builder-major order (a builder's rows over every leg sit together,
+most steps first), so each stage calls each builder once, and it runs in
+epochs that end where a leg ends: an epoch asks each builder once, each
+leg's rows at their own stage times, and a leg's rows leave after its last
+step, scattered back through one leg-major rank.  Two per-stage shortcuts
+spare numpy dispatch at every stage: a lone builder's maps run as they are,
+and rows that share one h step with 0-d scalars.  A round's other requests
 go, kind by kind, to one call of the kind's ``evaluate`` (as
 `principal.Curvature`).
 """
@@ -81,27 +83,20 @@ def _finite(fibers, where, k, frac):
     side must not see one."""
     if math.isfinite(np.add.reduce(fibers, axis=None)) or np.isfinite(fibers).all():
         return fibers
-    bad = np.atleast_1d(~np.isfinite(fibers).all(axis=(-2, -1)))
+    bad = ~np.isfinite(fibers).all(axis=(-2, -1))
     bad, t = where(bad, bad, k, frac)
     raise InstabilityError(f"integration produced non-finite fibers in rows "
                            f"{np.flatnonzero(bad).tolist()} at t={t:.4f}")
 
 
-def _order(parts):
-    """The leg-major row of each stack row, the rows of ``parts`` in turn."""
-    return np.concatenate([np.arange(p.lo, p.lo + p.rows) for p in parts])
-
-
-def _where(legs, hs, parts, values, bad, k, frac):
+def _where(legs, hs, rank, values, bad, k, frac):
     """(values, t): the entries of ``values`` on the first leg with a ``bad``
     row, in that leg's own row order, and the leg's time t0 + k h + frac h at
-    step k, the float a run of that leg alone reports.  ``values`` and
-    ``bad`` run over the live stack, whose rows are those of ``parts``."""
-    cut, rows = np.cumsum([0] + [leg.rows for leg in legs]).tolist(), _order(parts)
-    full, hit = np.zeros(cut[-1], values.dtype), np.zeros(cut[-1], bool)
-    full[rows], hit[rows] = values, bad
-    i = next(i for i, (lo, hi) in enumerate(zip(cut, cut[1:])) if hit[lo:hi].any())
-    return full[cut[i]:cut[i + 1]], legs[i].t0 + k * hs[i] + frac * hs[i]
+    step k, the float a run of that leg alone reports.  ``values`` and ``bad``
+    run over the live rows (the first legs'), row j being leg-major rank[j]."""
+    cut = np.cumsum([0] + [leg.rows for leg in legs])
+    i = np.searchsorted(cut, rank[bad].min(), "right") - 1
+    return values[np.argsort(rank)][cut[i]:cut[i + 1]], legs[i].t0 + k * hs[i] + frac * hs[i]
 
 
 def _steps(interval, step):
@@ -160,35 +155,33 @@ def _points(parts, times, lo, hi):
                             for v, p in zip(kind, parts)], axis=1) for kind in zip(*got)]
 
 
-def _scalars(hs, rows):
-    """(0.5 h, h, h / 6) of the live rows, ``rows[i]`` of them stepping with
-    ``hs[i]``: 0-d arrays when one h serves all, else columns holding each
-    row's own; (0.5 * h) k is 0.5 * h * k and k + k is 2.0 k, bit for bit."""
-    if len(set(hs)) == 1:
+def _scalars(hs):
+    """(0.5 h, h, h / 6) of the live rows, row j stepping with hs[j]: 0-d
+    arrays when one h serves all, else columns holding each row's own;
+    (0.5 * h) k is 0.5 * h * k and k + k is 2.0 k, bit for bit."""
+    if (hs == hs[0]).all():
         return np.array(0.5 * hs[0]), np.array(hs[0]), np.array(hs[0] / 6.0)
-    hs = np.repeat(hs, rows)[:, None]
+    hs = hs[:, None]
     return 0.5 * hs, hs, hs / 6.0
 
 
 # a diverging run overflows on its way to the non-finite fibers `_finite` reports
 @np.errstate(over="ignore", invalid="ignore")
 def _run(desc, g, legs):
-    """The endpoints of one RKMK4 loop over the stack ``g``, whose rows are
-    those of ``legs`` in order, most steps first; each leg steps with its own
-    h and stage times.  The live rows are laid out builder-major (one
-    permutation in, one out): a builder's rows over every leg sit together,
-    most steps first, and each stage calls each builder once.  The loop runs
-    in epochs that end where a leg ends; an epoch asks each builder once, and
-    at its end the legs that end there leave the stack in one take."""
+    """The endpoints of one RKMK4 loop over the (B, m, m) stack ``g``, whose
+    rows are those of ``legs`` in order, most steps first; each leg steps
+    with its own h and stage times.  The stack is gathered once into
+    builder-major order, ``rank`` holding each live row's leg-major row.  The
+    loop runs in epochs that end where a leg ends; an epoch asks each builder
+    once, and at its end the legs that end there leave in one take."""
     times, hs = zip(*(_stage_times(leg.t0, leg.t1, leg.steps) for leg in legs))
     lo, blocks = 0, {}
     for i, leg in enumerate(legs):
         for builder, rows, kinds in leg.parts:
             blocks.setdefault(builder, []).append(_Part(i, lo, rows, kinds))
             lo += rows
-    parts = [p for block in blocks.values() for p in block]
-    out = np.empty_like(g) if len(legs) > 1 else None  # a lone leg is builder-major
-    g = g if out is None else g[_order(parts)]
+    rank = np.concatenate([np.arange(p.lo, p.lo + p.rows) for b in blocks.values() for p in b])
+    out, g = np.empty_like(g), g[rank]
     exp = desc.exp_hook or desc.exp_coords
     limit = np.array(_BLOWUP_FACTOR * max(desc.membership_tol, 1e-12))
     # on an abelian fiber both brackets vanish and the correction returns v
@@ -196,12 +189,11 @@ def _run(desc, g, legs):
     retract = desc.retract_measured
     start = 0
     for stop in sorted({leg.steps for leg in legs}):
-        parts = [p for block in blocks.values() for p in block]
         cut = np.cumsum([0] + [sum(p.rows for p in block) for block in blocks.values()]).tolist()
         schedule = _joined([builder(*_points(block, times, 2 * start, 2 * stop + 1))
                             for builder, block in blocks.items()], cut)
-        half, whole, sixth = _scalars([hs[p.leg] for p in parts], [p.rows for p in parts])
-        where = functools.partial(_where, legs, hs, parts)
+        half, whole, sixth = _scalars(np.repeat(hs, [leg.rows for leg in legs])[rank])
+        where = functools.partial(_where, legs, hs, rank)
         f_start = schedule[0]
         for k in range(start, stop):
             # the stage-4 map is the next step's stage-1 map
@@ -216,20 +208,18 @@ def _run(desc, g, legs):
             omega = sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
             g, res = retract(_finite(exp(omega) @ g, where, k, 1.0))
             if np.count_nonzero(res > limit):
-                res, t = where(np.atleast_1d(res), np.atleast_1d(res > limit), k, 1.0)
-                raise InstabilityError(
-                    f"membership residual blew up to {np.max(res):.3e} in row "
-                    f"{int(np.argmax(res))} at t={t:.4f}"
-                )
+                res, t = where(res, res > limit, k, 1.0)
+                raise InstabilityError(f"membership residual blew up to {np.max(res):.3e} in "
+                                       f"row {int(np.argmax(res))} at t={t:.4f}")
             f_start = f_end
-        if out is not None:  # the legs that end here leave; their ends go back
-            keep = np.repeat([legs[p.leg].steps > stop for p in parts], [p.rows for p in parts])
-            out[_order(parts)[~keep]] = g[~keep]
-            g = g[keep]
-            blocks = {builder: kept for builder, block in blocks.items()
-                      if (kept := [p for p in block if legs[p.leg].steps > stop])}
+        # the legs that end here, the last live ones, leave; their ends go back
+        keep = rank < sum(leg.rows for leg in legs if leg.steps > stop)
+        out[rank[~keep]] = g[~keep]
+        g, rank = g[keep], rank[keep]
+        blocks = {builder: kept for builder, block in blocks.items()
+                  if (kept := [p for p in block if legs[p.leg].steps > stop])}
         start = stop
-    return g if out is None else out
+    return out
 
 
 def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descriptor: GroupDescriptor,
@@ -244,7 +234,8 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     `GroupElement`, naming the rows.  Returns one TransportResult: the
     endpoints retracted onto the group, with each row's step-halving error
     estimate (Frobenius distance to the half-step solution) when requested.
-    A single (m, m) matrix is a stack without the leading axis.
+    A single (m, m) matrix runs as a stack of one row, which the field's maps
+    see as (1, m, m), and comes back as one matrix with one float each.
     """
     t0, t1, n = _steps(interval, step)
     g0 = np.asarray(g0, dtype=float)
@@ -254,10 +245,14 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     # the one membership check: every later fiber is exp of a finite velocity
     # times a member, retracted at each step, so its log needs no check
     GroupElement(g0, descriptor)
-    rows = math.prod(g0.shape[:-2])
-    parts = [(field, rows, (lambda times: times,))]  # a field asked by its stage times
-    end = _run(descriptor, g0, [_Leg(parts, t0, t1, n, rows)])
-    fine = _run(descriptor, g0, [_Leg(parts, t0, t1, 2 * n, rows)]) if with_error_estimate else None
+    stack = g0.reshape(-1, m, m)  # a lone matrix runs as one row
+    parts = [(field, len(stack), (lambda times: times,))]  # a field asked by its stage times
+
+    def run(steps):
+        return _run(descriptor, stack, [_Leg(parts, t0, t1, steps, len(stack))]).reshape(g0.shape)
+
+    end = run(n)
+    fine = run(2 * n) if with_error_estimate else None
     return TransportResult(
         element=GroupElement(end, descriptor, check=False),
         error_estimate=None if fine is None else _frobenius(end - fine),
@@ -272,8 +267,8 @@ def integrate_on_group(rhs: Callable[[float, GroupElement], AlgebraElement], g0:
     one element by `integrate_stack`."""
     desc = g0.descriptor
 
-    def velocity(t, g):
-        val = rhs(t, GroupElement(g, desc, check=False))
+    def velocity(t, g):  # rhs sees the one element, not its one-row stack
+        val = rhs(t, GroupElement(g.reshape(g0.matrix.shape), desc, check=False))
         return val.coords if isinstance(val, AlgebraElement) else np.asarray(val, float)
 
     # rhs is a function of (t, g), so its schedule is one rhs per stage time

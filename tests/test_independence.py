@@ -2,7 +2,7 @@
 computed sides fails when a fault reaches one side only, and a fault that
 both sides share is a known blind spot ("common-mode").  Each row of the
 table patches one named function for one run of its check alone
-(``run_suite(only=[check])``) on principal-so3 at seed 0.
+(``run_suite(only=[check])``) on its preset at seed 0.
 
 A fault is placed by request, never by row of the round's stack: the round
 lays its rows out builder by builder, so a stack row belongs to no fixed
@@ -15,12 +15,16 @@ import functools
 import numpy as np
 import pytest
 
+from liebundles import calculus, principal, suites
 from liebundles.calculus import FiberMap
+from liebundles.gauge import GaugeJet
 from liebundles.groups import GroupElement
 from liebundles.scenarios import build_scenario
 from liebundles.suites import run_suite
 
-S = build_scenario("principal-so3")
+SCENARIOS = {name: build_scenario(name)
+             for name in ("principal-so3", "affine-varying", "gauge-jet-so3")}
+S, AFFINE = SCENARIOS["principal-so3"], SCENARIOS["affine-varying"]
 SEED = 0
 
 
@@ -35,35 +39,80 @@ def _scaled(lift_map):
     return lambda x, u: FiberMap(lambda fibers, inner: 1.01 * inner(fibers), lift_map(x, u))
 
 
-# (check, patched object, its attribute, fault, expected); the max residual
-# each row read at seed 0 follows it
+def _times(f):
+    """``f`` with its value × 1.01."""
+    return lambda *args, **kwargs: 1.01 * f(*args, **kwargs)
+
+
+def _over(f):
+    """``f`` with its value ÷ 1.01."""
+    return lambda *args, **kwargs: f(*args, **kwargs) / 1.01
+
+
+def _times_each(f):
+    """``f`` with each value of the tuple it returns × 1.01."""
+    return lambda *args: tuple(1.01 * v for v in f(*args))
+
+
+# (preset, check, patched object, its attribute, fault, expected); the max
+# residual each row read at seed 0 follows it
 TABLE = {
     # only the gh fibers of (g, h, gh) start off: 1.41e-3 against 1e-7
-    "multiplicative-gh-tilted": ("transport-multiplicative", GroupElement, "__matmul__", _tilted,
-                                 "fails"),
+    "multiplicative-gh-tilted": ("principal-so3", "transport-multiplicative", GroupElement,
+                                 "__matmul__", _tilted, "fails"),
     # the scaled lift is again multiplicative: 1.61e-11
-    "multiplicative-lift-scaled": ("transport-multiplicative", S.nu, "lift_map", _scaled,
-                                   "common-mode"),
+    "multiplicative-lift-scaled": ("principal-so3", "transport-multiplicative", S.nu,
+                                   "lift_map", _scaled, "common-mode"),
     # only the g rows, which the glued nu carries, move: 4.04e-3 against 1e-7
-    "compatibility-glued-lift-scaled": ("transport-compatibility", S.transport_form.nu,
-                                        "lift_map", _scaled, "fails"),
+    "compatibility-glued-lift-scaled": ("principal-so3", "transport-compatibility",
+                                        S.transport_form.nu, "lift_map", _scaled, "fails"),
+    # the exterior path alone: 2.21e-2 against 1e-4
+    "two-path-exterior-off": ("principal-so3", "curvature-two-path", principal,
+                              "directional_derivative", _over, "fails"),
+    # the bracket path alone: 2.21e-2 against 1e-4
+    "two-path-bracket-off": ("principal-so3", "curvature-two-path", principal,
+                             "numerical_bracket", _over, "fails"),
+    # the stencil both paths share: 3.61e-11 (3.65e-11 clean)
+    "two-path-stencil-off": ("principal-so3", "curvature-two-path", calculus,
+                             "central_difference", _over, "common-mode"),
+    # 8.15e-11 (8.23e-11 clean); the exterior-only fault leaves it at 8.23e-11
+    "reduced-independence-stencil-off": ("principal-so3", "reduced-curvature-independence",
+                                         calculus, "central_difference", _over, "common-mode"),
+    # 3.43e-11 (3.46e-11 clean)
+    "tensoriality-stencil-off": ("principal-so3", "curvature-tensoriality", calculus,
+                                 "central_difference", _over, "common-mode"),
+    # the oracle's form-free flow alone: 7.45e-3 against 1e-7 (1.15e-12 clean)
+    "affine-oracle-flow-off": ("affine-varying", "affine-transport-self-consistency", suites,
+                               "affine_transport_flow", _times, "fails"),
+    # the transported side alone: 5.78e-3 against 1e-7
+    "affine-horizontal-map-scaled": ("affine-varying", "affine-transport-self-consistency",
+                                     AFFINE.omega, "horizontal_map", _scaled, "fails"),
+    # the curve both sides ride: 1.17e-12
+    "affine-curve-velocity-off": ("affine-varying", "affine-transport-self-consistency",
+                                  AFFINE.curves["main"], "velocity", _times, "common-mode"),
+    # the finite-difference side alone: 1.49e-2 against 1e-6 (1.04e-10 clean)
+    "jet-adjoint-fd-off": ("gauge-jet-so3", "jet-adjoint-fd-cross-check", suites,
+                           "product_velocity", _times, "fails"),
+    # the closed-form side alone: 1.49e-2 against 1e-6
+    "jet-adjoint-closed-form-off": ("gauge-jet-so3", "jet-adjoint-fd-cross-check", GaugeJet,
+                                    "adjoint", _times_each, "fails"),
 }
 
 
 @functools.cache
-def _clean(check):
-    (record,) = run_suite(S, seed=SEED, only=[check])
+def _clean(preset, check):
+    (record,) = run_suite(SCENARIOS[preset], seed=SEED, only=[check])
     assert record.passed, check
     return record.max_residual
 
 
-@pytest.mark.parametrize("check, target, attr, fault, expected", TABLE.values(), ids=TABLE)
-def test_a_two_sided_check_fails_a_one_sided_fault_only(monkeypatch, check, target, attr, fault,
-                                                        expected):
+@pytest.mark.parametrize("preset, check, target, attr, fault, expected", TABLE.values(), ids=TABLE)
+def test_a_two_sided_check_fails_a_one_sided_fault_only(monkeypatch, preset, check, target, attr,
+                                                        fault, expected):
     """A "fails" row fails its check; a "common-mode" row passes it.  Either
     fault reaches the check: its max residual moves off the clean run's."""
-    clean = _clean(check)
+    clean = _clean(preset, check)
     monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
-    (record,) = run_suite(S, seed=SEED, only=[check])
+    (record,) = run_suite(SCENARIOS[preset], seed=SEED, only=[check])
     assert record.max_residual != clean, "the fault did not reach the check"
     assert record.passed == (expected == "common-mode"), record.max_residual

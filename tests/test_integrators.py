@@ -149,8 +149,9 @@ def test_stack_matches_separate_runs(desc, field):
     for b, g in enumerate(fibers):
         alone = integrate_stack(field, desc, g.matrix, (0.0, 1.0), step=0.01,
                                 with_error_estimate=True)
-        assert np.max(np.abs(together.element.matrix[b] - alone.element.matrix)) <= 1e-14
-        assert abs(together.error_estimate[b] - alone.error_estimate) <= 1e-14
+        assert np.array_equal(together.element.matrix[b], alone.element.matrix)
+        assert together.error_estimate[b] == alone.error_estimate
+        assert together.membership_residual[b] == alone.membership_residual
         assert isinstance(alone.error_estimate, float)
         assert isinstance(alone.membership_residual, float)
         assert together.steps == alone.steps == 100
