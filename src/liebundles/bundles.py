@@ -86,14 +86,12 @@ class Tangent:
 
 
 class FiberedAction:
-    """Vertical right action of the group bundle on the total space: right
-    multiplication in the fiber (torsor model)."""
+    """Right multiplication in the fiber (torsor model): the vertical action of
+    the group bundle chart x G on the total space chart x G."""
 
-    def __init__(self, space: TotalSpace, bundle: LieGroupBundle):
-        if space.fiber is not bundle.fiber:
-            raise UsageError("torsor action requires matching fiber descriptors")
-        self.space = space
-        self.bundle = bundle
+    def __init__(self, chart: ChartDomain, group: GroupDescriptor):
+        self.space = TotalSpace(chart, group)
+        self.bundle = LieGroupBundle(chart, group)
 
     # -- the action ------------------------------------------------------
 

@@ -392,14 +392,13 @@ def semidirect_jet_descriptor(base: GroupDescriptor, n: int) -> GroupDescriptor:
 
     desc = GroupDescriptor(
         name=f"jet({base.name},n={n})",
-        matrix_dim=total,
         basis=basis,
         structure_constants=derive_structure_constants(basis),
         membership_tol=max(base.membership_tol, 1e-8),
         injectivity_radius=base.injectivity_radius,
         retraction=retract,
         exp_hook=exp,
-        extra={"base": base, "n": n, "m": m, "vdim": vdim},
+        extra={"base": base, "n": n},
     )
     return desc
 

@@ -75,12 +75,11 @@ def derive_structure_constants(basis):
 class GroupDescriptor:
     """An embedded matrix Lie group together with its numerical controls.
 
-    ``basis`` has shape (dim, m, m); ``structure_constants`` has shape
-    (dim, dim, dim) indexed as c[k, i, j].
+    ``basis`` has shape (dim, m, m), both sizes read from it; ``structure_constants``
+    has shape (dim, dim, dim) indexed as c[k, i, j].
     """
 
     name: str
-    matrix_dim: int
     basis: np.ndarray
     structure_constants: np.ndarray
     membership_tol: float = 1e-8
@@ -97,6 +96,8 @@ class GroupDescriptor:
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
+        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+            raise UsageError(f"basis has shape {basis.shape}, expected (dim, m, m)")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(
             self, "structure_constants", np.asarray(self.structure_constants, dtype=float)
@@ -119,6 +120,10 @@ class GroupDescriptor:
     @property
     def dim(self):
         return self.basis.shape[0]
+
+    @property
+    def matrix_dim(self):
+        return self.basis.shape[-1]
 
     def identity(self):
         return GroupElement(np.eye(self.matrix_dim), self, check=False)
@@ -527,7 +532,6 @@ def so3_descriptor():
     flat = basis.reshape(3, 9)
     return GroupDescriptor(
         name="so3",
-        matrix_dim=3,
         basis=basis,
         structure_constants=derive_structure_constants(basis),
         injectivity_radius=np.pi - 0.1,
@@ -564,7 +568,6 @@ def translation_descriptor(m):
         basis[i, i, m] = 1.0
     return GroupDescriptor(
         name=f"translation{m}",
-        matrix_dim=m + 1,
         basis=basis,
         structure_constants=np.zeros((m, m, m)),
         injectivity_radius=np.inf,

@@ -89,12 +89,12 @@ def _finite(fibers, where, k, frac):
                            f"{np.flatnonzero(bad).tolist()} at t={t:.4f}")
 
 
-def _where(legs, hs, rank, values, bad, k, frac):
+def _where(legs, cut, hs, rank, values, bad, k, frac):
     """(values, t): the entries of ``values`` on the first leg with a ``bad``
     row, in that leg's own row order, and the leg's time t0 + k h + frac h at
     step k, the float a run of that leg alone reports.  ``values`` and ``bad``
-    run over the live rows (the first legs'), row j being leg-major rank[j]."""
-    cut = np.cumsum([0] + [leg.rows for leg in legs])
+    run over the live rows (the first legs'), row j being leg-major rank[j];
+    leg i holds the leg-major rows cut[i]:cut[i + 1]."""
     i = np.searchsorted(cut, rank[bad].min(), "right") - 1
     return values[np.argsort(rank)][cut[i]:cut[i + 1]], legs[i].t0 + k * hs[i] + frac * hs[i]
 
@@ -124,8 +124,8 @@ def _stage_times(t0, t1, n_steps):
 # One (interval, step) group of a loop: its ``parts``, one (builder, rows,
 # kinds) each, those on one builder adjacent, whose base schedule at stage
 # times ``times`` is ``builder(*(kind(times) for kind in kinds))``; its N
-# steps on [t0, t1]; its number of stack rows.
-_Leg = namedtuple("_Leg", "parts t0 t1 steps rows")
+# steps on [t0, t1].  Its stack rows are those of its parts.
+_Leg = namedtuple("_Leg", "parts t0 t1 steps")
 # A part of a loop: its leg, its first leg-major row, its rows, its kinds.
 _Part = namedtuple("_Part", "leg lo rows kinds")
 
@@ -175,11 +175,12 @@ def _run(desc, g, legs):
     loop runs in epochs that end where a leg ends; an epoch asks each builder
     once, and at its end the legs that end there leave in one take."""
     times, hs = zip(*(_stage_times(leg.t0, leg.t1, leg.steps) for leg in legs))
-    lo, blocks = 0, {}
+    lo, blocks, bounds = 0, {}, [0]
     for i, leg in enumerate(legs):
         for builder, rows, kinds in leg.parts:
             blocks.setdefault(builder, []).append(_Part(i, lo, rows, kinds))
             lo += rows
+        bounds.append(lo)  # leg i holds the leg-major rows bounds[i]:bounds[i + 1]
     rank = np.concatenate([np.arange(p.lo, p.lo + p.rows) for b in blocks.values() for p in b])
     out, g = np.empty_like(g), g[rank]
     exp = desc.exp_hook or desc.exp_coords
@@ -192,8 +193,8 @@ def _run(desc, g, legs):
         cut = np.cumsum([0] + [sum(p.rows for p in block) for block in blocks.values()]).tolist()
         schedule = _joined([builder(*_points(block, times, 2 * start, 2 * stop + 1))
                             for builder, block in blocks.items()], cut)
-        half, whole, sixth = _scalars(np.repeat(hs, [leg.rows for leg in legs])[rank])
-        where = functools.partial(_where, legs, hs, rank)
+        half, whole, sixth = _scalars(np.repeat(hs, np.diff(bounds))[rank])
+        where = functools.partial(_where, legs, bounds, hs, rank)
         f_start = schedule[0]
         for k in range(start, stop):
             # the stage-4 map is the next step's stage-1 map
@@ -213,7 +214,7 @@ def _run(desc, g, legs):
                                        f"row {int(np.argmax(res))} at t={t:.4f}")
             f_start = f_end
         # the legs that end here, the last live ones, leave; their ends go back
-        keep = rank < sum(leg.rows for leg in legs if leg.steps > stop)
+        keep = rank < bounds[sum(leg.steps > stop for leg in legs)]
         out[rank[~keep]] = g[~keep]
         g, rank = g[keep], rank[keep]
         blocks = {builder: kept for builder, block in blocks.items()
@@ -249,7 +250,7 @@ def integrate_stack(field: Callable[[np.ndarray], Sequence[Callable]], descripto
     parts = [(field, len(stack), (lambda times: times,))]  # a field asked by its stage times
 
     def run(steps):
-        return _run(descriptor, stack, [_Leg(parts, t0, t1, steps, len(stack))]).reshape(g0.shape)
+        return _run(descriptor, stack, [_Leg(parts, t0, t1, steps)]).reshape(g0.shape)
 
     end = run(n)
     fine = run(2 * n) if with_error_estimate else None
@@ -301,8 +302,7 @@ def transport(requests):
         order = [i for _, idx in legs for i in idx]
         g0 = np.concatenate([stacks[i] for i in order])
         GroupElement(g0, desc)  # the one membership check, as in `integrate_stack`
-        end = _run(desc, g0, [_Leg([parts[i] for i in idx], *span, sum(len(stacks[i]) for i in idx))
-                              for span, idx in legs])
+        end = _run(desc, g0, [_Leg([parts[i] for i in idx], *span) for span, idx in legs])
         for i, part in zip(order, np.split(end, np.cumsum([len(stacks[i]) for i in order])[:-1])):
             fibers = requests[i].fibers
             ends[i] = list(part.reshape((len(fibers),) + fibers[0].matrix.shape))
@@ -375,6 +375,7 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     """
     t0, t1, n = _steps(interval, step)
     times, h = _stage_times(t0, t1, n)
+    half, whole, sixth = _scalars(np.array([h]))
     schedule = matrix_fn(times)
     v = np.asarray(v0, dtype=float).copy()
     k_start = schedule[0]
@@ -382,10 +383,10 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
         t = t0 + k * h
         k_mid, k_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = k_start @ v
-        k2 = k_mid @ (v + 0.5 * h * k1)
-        k3 = k_mid @ (v + 0.5 * h * k2)
-        k4 = k_end @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = k_mid @ (v + half * k1)
+        k3 = k_mid @ (v + half * k2)
+        k4 = k_end @ (v + whole * k3)
+        v = v + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         k_start = k_end
         if math.isfinite(np.add.reduce(v, axis=None)) or np.isfinite(v).all():  # as `_finite`
             continue

@@ -23,7 +23,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -411,7 +411,10 @@ def connection_difference(omega1, omega2) -> TensorialAdjointForm:
 class CurvatureValue:
     value: AlgebraElement
     exterior_value: AlgebraElement
-    gap: Union[float, np.ndarray]
+
+    @property
+    def gap(self):  # a float, or one per row of a stack
+        return _norm(self.value.coords - self.exterior_value.coords)
 
 
 def curvature(omega, y: TotalPoint, u1, u2, h=None):
@@ -462,8 +465,7 @@ def curvature(omega, y: TotalPoint, u1, u2, h=None):
 
     exterior = (directional_derivative(omega_along(w2), z0, w1, h)
                 - directional_derivative(omega_along(w1), z0, w2, h))
-    return CurvatureValue(value=desc.algebra(primary), exterior_value=desc.algebra(exterior),
-                          gap=_norm(primary - exterior))
+    return CurvatureValue(value=desc.algebra(primary), exterior_value=desc.algebra(exterior))
 
 
 class Curvature(namedtuple("Curvature", "omega y u1 u2 h", defaults=(None,))):
@@ -489,11 +491,9 @@ def _curvature_rows(omega, requests):
     y = TotalPoint(rows("y.q"), desc.element(rows("y.fiber.matrix", 2), check=False))
     h = np.repeat([np.nan if r.h is None else r.h for r in requests], sizes)
     out = curvature(omega, y, rows("u1"), rows("u2"), h)
-    values, exteriors, gaps = (np.split(a, np.cumsum(sizes)[:-1])
-                               for a in (out.value.coords, out.exterior_value.coords, out.gap))
-    return [CurvatureValue(desc.algebra(v.reshape(lead + (-1,))),
-                           desc.algebra(e.reshape(lead + (-1,))), g.reshape(lead)[()])
-            for lead, v, e, g in zip(leads, values, exteriors, gaps)]
+    parts = [np.split(a.coords, np.cumsum(sizes)[:-1]) for a in (out.value, out.exterior_value)]
+    return [CurvatureValue(*(desc.algebra(p.reshape(lead + (-1,))) for p in pair))
+            for lead, pair in zip(leads, zip(*parts))]
 
 
 @planned

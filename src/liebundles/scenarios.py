@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .bundles import FiberedAction, LieGroupBundle, TotalPoint, TotalSpace
+from .bundles import FiberedAction, TotalPoint
 from .calculus import (AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Normal, Polynomial,
                        Uniform, sample_rows)
 from .connections import LieGroupBundleConnection
@@ -124,8 +124,13 @@ def _poly_table(spec, field, dim):
     return spec
 
 
-_RETRACTIONS = {"orthogonal": _orthogonal_retract, "translation": _translation_retract,
-                "generic": None}
+# each family's retraction, the parts of a basis it needs zero, and that need in words
+_FAMILIES = {
+    "orthogonal": (_orthogonal_retract, lambda b: [b + b.mT], "antisymmetric basis elements"),
+    "translation": (_translation_retract, lambda b: [b[:, :, :-1], b[:, -1]],
+                    "basis elements zero outside the last column above the corner"),
+    "generic": (None, lambda b: [], ""),
+}
 
 
 def descriptor_from_json(doc):
@@ -135,14 +140,17 @@ def descriptor_from_json(doc):
     _object(doc, "group")
     name = doc.get("name")
     _require(isinstance(name, str), "group.name", "a string", name)
-    mdim = int(_count(doc.get("matrix_dim"), "group.matrix_dim"))
     raw = doc.get("basis")
-    _require(isinstance(raw, list) and len(raw) > 0, "group.basis",
-             f"a non-empty list of {mdim}x{mdim} matrices", raw)
-    basis = np.stack([_numbers(b, "group.basis", (mdim, mdim), nested=True) for b in raw])
+    _require(isinstance(raw, list) and len(raw) > 0, "group.basis", "a non-empty list", raw)
+    m = round((size := _numbers(raw[0], "group.basis").size) ** 0.5)  # the basis fixes m
+    _require(m * m == size > 0, "group.basis", "square matrices, m² numbers each", raw[0])
+    basis = np.stack([_numbers(b, "group.basis", (m, m), nested=True) for b in raw])
     family = doc.get("family", "generic")
-    _require(isinstance(family, str) and family in _RETRACTIONS, "group.family",
+    _require(isinstance(family, str) and family in _FAMILIES, "group.family",
              "orthogonal, translation or generic", family)
+    retraction, zero, needs = _FAMILIES[family]
+    _require(all(np.abs(p).max(initial=0.0) <= 1e-12 for p in zero(basis)), "group.family",
+             f"a family the basis fits ({family} needs {needs})", family)
     c = doc.get("structure_constants")
     c = derive_structure_constants(basis) if c is None else _numbers(
         c, "group.structure_constants", (len(basis),) * 3, nested=True)
@@ -152,9 +160,8 @@ def descriptor_from_json(doc):
         radius = np.pi - 0.1 if family == "orthogonal" else np.inf
     elif radius != np.inf:  # the one non-finite radius allowed
         radius = _positive(radius, "group.injectivity_radius")
-    desc = GroupDescriptor(name=name, matrix_dim=mdim, basis=basis, structure_constants=c,
-                           membership_tol=tol, injectivity_radius=radius,
-                           retraction=_RETRACTIONS[family])
+    desc = GroupDescriptor(name=name, basis=basis, structure_constants=c, membership_tol=tol,
+                           injectivity_radius=radius, retraction=retraction)
     report = desc.validate()
     if not all(v <= 1e-12 for v in report.values()):  # NaN fails too
         raise DescriptorError(f"{name}: structure constant check failed ("
@@ -295,7 +302,7 @@ class TorsorScenario:
 def _build_principal(config) -> TorsorScenario:
     group = _group_from_config(config["group"])
     chart = _chart_from_config(config["chart"])
-    action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
+    action = FiberedAction(chart, group)
     base_form = _one_form_from_config(group, config["base_form"], chart.dim, "base_form")
     nu_form = _one_form_from_config(group, config["nu_form"], chart.dim, "nu_form")
     nu = LieGroupBundleConnection.from_base_form(action.bundle, nu_form)
@@ -408,7 +415,7 @@ def _build_affine(config) -> TorsorScenario:
              "abelian (zero structure constants)", config["group"])
     chart = _chart_from_config(config["chart"])
     n, m = chart.dim, group.dim
-    action = FiberedAction(TotalSpace(chart, group), LieGroupBundle(chart, group))
+    action = FiberedAction(chart, group)
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m), "nu_coeff")
     gamma = _table_fn(config["gamma"], n, (n, m), "gamma")
 

@@ -633,7 +633,8 @@ def gauge_jet_from_element(desc_jet, e):
     from liebundles.gauge import GaugeJet
     from liebundles.groups import GroupElement
 
-    base, m, n, vdim = (desc_jet.extra[key] for key in ("base", "m", "n", "vdim"))
+    base, n = desc_jet.extra["base"], desc_jet.extra["n"]
+    m, vdim = base.matrix_dim, n * base.dim
     g = GroupElement(e.matrix[:m, :m], base, check=False)
     return GaugeJet(g, e.matrix[m : m + vdim, -1].reshape(n, base.dim).copy())
 

@@ -7,10 +7,8 @@ import pytest
 from liebundles import bundles
 from liebundles.bundles import (
     FiberedAction,
-    LieGroupBundle,
     Tangent,
     TotalPoint,
-    TotalSpace,
     paired_generator_residual,
     product_velocity,
     vertical_isomorphism_check,
@@ -24,14 +22,8 @@ T2 = translation_descriptor(2)
 CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
-def make_action(desc):
-    space = TotalSpace(CHART, desc)
-    bundle = LieGroupBundle(CHART, desc)
-    return FiberedAction(space, bundle)
-
-
-SO3_ACTION = make_action(SO3)
-T2_ACTION = make_action(T2)
+SO3_ACTION = FiberedAction(CHART, SO3)
+T2_ACTION = FiberedAction(CHART, T2)
 
 
 class FrozenAction(FiberedAction):
@@ -51,7 +43,7 @@ def test_action_axioms_on_samples():
 
 
 def test_degenerate_action_detected():
-    frozen = FrozenAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
+    frozen = FrozenAction(CHART, SO3)
     rng = np.random.default_rng(2)
     # the axioms hold trivially; freeness fails and reads as residual 1
     assert frozen.validate(rng, samples=20) == 1.0
@@ -124,7 +116,7 @@ def test_vertical_isomorphism_identity_on_affine():
 
 
 def test_vertical_isomorphism_degenerate_has_rank_zero():
-    frozen = FrozenAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
+    frozen = FrozenAction(CHART, SO3)
     rng = np.random.default_rng(8)
     y = frozen.space.random_point(rng)
     assert vertical_isomorphism_check(frozen, y) == np.inf
@@ -176,7 +168,7 @@ def test_generators_vertical_components_small():
 def test_product_velocity_matches_differential(desc):
     """The finite-difference pushforward and the closed-form differential
     agree on random generator pairs, also on a descriptor with no hooks."""
-    action = make_action(desc)
+    action = FiberedAction(CHART, desc)
     rng = np.random.default_rng(18)
     worst = 0.0
     for _ in range(10):

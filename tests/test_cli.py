@@ -568,29 +568,35 @@ SO3_BASIS = [[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
              [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
 
 
+# the stretch generators diag(1, -1, 0), diag(0, 1, -1) and the translation2
+# generators, row-major: neither basis is antisymmetric
+STRETCH_BASIS = [[1, 0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, -1]]
+T2_BASIS = [[0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0]]
+
+
 @pytest.mark.parametrize("group, field", [
-    ({"name": "g", "matrix_dim": 2, "basis": [[1, 2, 3]]}, "basis"),
-    ({"name": "g", "matrix_dim": "two", "basis": SO3_BASIS}, "matrix_dim"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "structure_constants": [[1, 2]]},
+    ({"name": "g", "basis": [[1, 2, 3]]}, "basis"),
+    ({"name": "g", "basis": SO3_BASIS, "structure_constants": [[1, 2]]},
      "structure_constants"),
-    ({"name": "g", "matrix_dim": 3.7, "basis": SO3_BASIS}, "matrix_dim"),
-    ({"name": "g", "matrix_dim": 3, "basis": []}, "basis"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": float("nan")},
+    ({"name": "g", "basis": []}, "basis"),
+    ({"name": "g", "basis": SO3_BASIS, "membership_tol": float("nan")},
      "membership_tol"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": -1.0}, "membership_tol"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": float("nan")},
+    ({"name": "g", "basis": SO3_BASIS, "membership_tol": -1.0}, "membership_tol"),
+    ({"name": "g", "basis": SO3_BASIS, "injectivity_radius": float("nan")},
      "injectivity_radius"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": -1.0},
+    ({"name": "g", "basis": SO3_BASIS, "injectivity_radius": -1.0},
      "injectivity_radius"),
     # a JSON boolean is no number, a name is a string, and a family is one of three
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "membership_tol": True},
+    ({"name": "g", "basis": SO3_BASIS, "membership_tol": True},
      "membership_tol"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "injectivity_radius": True},
+    ({"name": "g", "basis": SO3_BASIS, "injectivity_radius": True},
      "injectivity_radius"),
-    ({"name": 5, "matrix_dim": 3, "basis": SO3_BASIS}, "name"),
-    ({"name": "g", "matrix_dim": 3.0, "basis": SO3_BASIS}, "matrix_dim"),
-    ({"name": "g", "matrix_dim": 3, "basis": SO3_BASIS, "family": "nope"}, "family"),
-    ({"name": "g", "matrix_dim": 3}, "basis"),
+    ({"name": 5, "basis": SO3_BASIS}, "name"),
+    ({"name": "g", "basis": SO3_BASIS, "family": "nope"}, "family"),
+    # ... that its basis fits: orthogonal needs antisymmetric elements
+    ({"name": "stretch", "basis": STRETCH_BASIS, "family": "orthogonal"}, "family"),
+    ({"name": "t2-orth", "basis": T2_BASIS, "family": "orthogonal"}, "family"),
+    ({"name": "g"}, "basis"),
     ("sl2", None),
     ("translation:2:3", None),
     ("translation:\u00b2", None),
@@ -610,10 +616,10 @@ def test_malformed_group_descriptor_is_usage_error(group, field, tmp_path, capsy
 
 @pytest.mark.parametrize("scenario, group, label, residual", [
     # an abelian fiber under another name: the twist is invisible
-    ("gauge-jet-abelian", {"name": "diag2", "matrix_dim": 2, "basis": [[1, 0, 0, 0], [0, 0, 0, 1]]},
+    ("gauge-jet-abelian", {"name": "diag2", "basis": [[1, 0, 0, 0], [0, 0, 0, 1]]},
      "dropping the adjoint twist is invisible for abelian fibers", lambda r: r <= 1e-12),
     # so3 under an abelian-sounding name: the twist must show
-    ("gauge-jet-so3", {"name": "translation-like", "matrix_dim": 3, "basis": SO3_BASIS,
+    ("gauge-jet-so3", {"name": "translation-like", "basis": SO3_BASIS,
                        "family": "orthogonal"},
      "dropping the adjoint twist breaks equivariance", lambda r: r > 1e-3),
 ])

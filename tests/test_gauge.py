@@ -205,11 +205,11 @@ def test_generic_jet_lift_reproduces_closed_form_on_block_torsor():
     # stacked tangent pair, must equal the closed-form product jet, after
     # moving between the flat slots and the group-trivialized derivative
     # encoding K_mu = (eta_mu, phi_mu. - [eta_mu, xi])
-    from liebundles.bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
+    from liebundles.bundles import FiberedAction, Tangent, TotalPoint
     from liebundles.calculus import ChartDomain
 
     chart = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    action = FiberedAction(TotalSpace(chart, JET_DESC), LieGroupBundle(chart, JET_DESC))
+    action = FiberedAction(chart, JET_DESC)
     rng = np.random.default_rng(30)
 
     def flat_to_triv(t: SecondJetTuple):

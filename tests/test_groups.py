@@ -30,7 +30,8 @@ SO3 = so3_descriptor()
 T2 = translation_descriptor(2)
 
 # SO(3) as a descriptor document: the standard antisymmetric basis, row-major,
-# with [E_1, E_2] = E_3 and its cyclic shifts
+# with [E_1, E_2] = E_3 and its cyclic shifts; it still carries the
+# `matrix_dim` that documents may hold and that the basis fixes
 SO3_DOC = {
     "name": "so3",
     "matrix_dim": 3,
@@ -235,11 +236,40 @@ def test_descriptor_json_missing_field_raises():
         descriptor_from_json({"name": "broken"})
 
 
+def test_the_basis_fixes_the_matrix_size():
+    """The matrix size is read from the basis, never given beside it, and a
+    basis of non-square matrices builds no descriptor."""
+    assert (SO3.matrix_dim, T2.matrix_dim, _mixed_so3().matrix_dim) == (3, 3, 3)
+    with pytest.raises(TypeError):
+        GroupDescriptor(name="g", matrix_dim=2, basis=SO3.basis,
+                        structure_constants=SO3.structure_constants)
+    with pytest.raises(UsageError, match=r"basis has shape \(1, 2, 3\)"):
+        GroupDescriptor(name="g", basis=np.zeros((1, 2, 3)), structure_constants=np.zeros((1,) * 3))
+
+
+# the stretch generators diag(1, -1, 0) and diag(0, 1, -1), row-major
+STRETCH_BASIS = [[1, 0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, -1]]
+
+
+@pytest.mark.parametrize("basis, family", [
+    (STRETCH_BASIS, "orthogonal"),
+    (T2.basis.tolist(), "orthogonal"),
+    (SO3_DOC["basis"], "translation"),
+    (STRETCH_BASIS, "translation"),
+])
+def test_a_family_its_basis_cannot_satisfy_is_refused_at_load(basis, family):
+    """orthogonal needs antisymmetric elements and translation elements zero
+    outside the last column above the corner; generic takes either basis."""
+    with pytest.raises(UsageError, match=f"config field group.family must be a family the "
+                       f"basis fits \\({family} needs "):
+        descriptor_from_json({"name": "g", "basis": basis, "family": family})
+    assert descriptor_from_json({"name": "g", "basis": basis}).retraction is None
+
+
 def test_descriptor_rejects_non_closed_basis():
     # raising and lowering matrices bracket to a diagonal outside their span
     bad = {
         "name": "not-closed",
-        "matrix_dim": 2,
         "basis": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
         "family": "generic",
     }
@@ -358,7 +388,7 @@ def test_translation_retraction_returns_the_residual():
 
 GENERIC_DOC = {**{k: v for k, v in SO3_DOC.items() if k != "family"}, "name": "so3-generic"}
 # so3 on a basis of mixed generators: every ad entry sums three constants
-MIXED_DOC = {"name": "so3-mixed", "matrix_dim": 3, "basis": np.tensordot(
+MIXED_DOC = {"name": "so3-mixed", "basis": np.tensordot(
     [[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]], SO3.basis, axes=(1, 0)).tolist()}
 
 
@@ -371,7 +401,7 @@ def _mixed_so3():
     return descriptor_from_json(MIXED_DOC)
 
 
-TRANSLATION_DOC = {"name": "translation2-doc", "matrix_dim": 3, "basis": T2.basis.tolist(),
+TRANSLATION_DOC = {"name": "translation2-doc", "basis": T2.basis.tolist(),
                    "family": "translation"}
 
 
@@ -423,11 +453,11 @@ def test_exp_measures_no_membership(desc, monkeypatch):
 ], ids=lambda v: v["name"] if isinstance(v, dict) else "")
 def test_descriptor_document_builds_the_descriptor_of_its_fields(doc, retraction, radius):
     """A document gives the descriptor built directly from its fields."""
-    mdim = doc["matrix_dim"]
+    mdim = round(np.sqrt(np.size(doc["basis"][0])))
     basis = np.reshape(doc["basis"], (-1, mdim, mdim))
     c = doc.get("structure_constants")
     want = GroupDescriptor(
-        name=doc["name"], matrix_dim=mdim, basis=basis,
+        name=doc["name"], basis=basis,
         structure_constants=derive_structure_constants(basis) if c is None else c,
         membership_tol=doc.get("membership_tol", 1e-8), injectivity_radius=radius,
         retraction=retraction)

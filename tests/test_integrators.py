@@ -8,7 +8,8 @@ import pytest
 
 from liebundles.calculus import BaseCurve, FiberMap
 from liebundles.errors import DescriptorError, InstabilityError, StiffnessError, UsageError
-from liebundles.groups import GroupDescriptor, so3_descriptor, translation_descriptor
+from liebundles.groups import (GroupDescriptor, _orthogonal_retract, so3_descriptor,
+                              translation_descriptor)
 from liebundles.integrators import (Transport, integrate_linear, integrate_on_group,
                                     integrate_stack, transport)
 
@@ -334,4 +335,47 @@ def test_a_round_names_a_non_finite_row_as_its_leg_alone_does():
         transport([long, short])
     assert re.fullmatch(r"integration produced non-finite fibers in rows \[1\] at t=0\.3\d+",
                         str(alone.value))
+    assert str(merged.value) == str(alone.value)
+
+
+# the stretch generator diag(1, -1, 0) under the orthogonal retraction: its
+# exp leaves SO(3) at once, so the retraction measures a residual that grows
+# with the step
+STRETCH = GroupDescriptor(name="stretch", basis=np.diag([1.0, -1.0, 0.0])[None],
+                          structure_constants=np.zeros((1, 1, 1)),
+                          retraction=_orthogonal_retract)
+
+
+def stretching(rows):
+    """A builder whose fibers in ``rows`` stretch at unit speed; the others
+    rest.  Its one part, the points' first coordinate, only carries the
+    stage axis that the loop slices."""
+    def lift(x, u):
+        return FiberMap(lambda g, _: np.isin(np.arange(len(g)), rows)[:, None] * 1.0, x[:, 0])
+    return lift
+
+
+def test_membership_blowup_names_its_row_and_time():
+    """The residual the retraction measures exceeds 1e6 membership_tol at
+    the first step: the guard names the row and its t."""
+    with pytest.raises(InstabilityError) as raised:
+        integrate_stack(lambda times: [lambda g: np.ones((len(g), 1))] * len(times),
+                        STRETCH, np.eye(3), (0.0, 1.0), step=0.05)
+    assert str(raised.value) == "membership residual blew up to 1.418e-01 in row 0 at t=0.0500"
+
+
+def test_a_round_names_a_membership_blowup_as_its_leg_alone_does():
+    """Row 1 of the shorter leg, which sits behind the longer leg's resting
+    rows in the loop's stack, leaves the group: the round names its row
+    within its leg and the leg's own t, as a run of that request alone does."""
+    def fibers(count):
+        return [STRETCH.element(np.stack([np.eye(3)] * count))]
+
+    long = Transport(stretching([]), BaseCurve.line([0.0], [1.0]), fibers(2), 1.0 / 40)
+    short = Transport(stretching([1]), BaseCurve.line([0.0], [1.0], (0.2, 0.5)), fibers(3), 0.05)
+    with pytest.raises(InstabilityError) as alone:
+        transport([short])
+    with pytest.raises(InstabilityError) as merged:
+        transport([long, short])
+    assert str(alone.value) == "membership residual blew up to 1.418e-01 in row 1 at t=0.2500"
     assert str(merged.value) == str(alone.value)

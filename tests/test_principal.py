@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liebundles.bundles import FiberedAction, LieGroupBundle, Tangent, TotalPoint, TotalSpace
+from liebundles.bundles import FiberedAction, Tangent, TotalPoint
 from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial
 from liebundles.connections import (
     LieGroupBundleConnection,
@@ -45,11 +45,11 @@ CHART = ChartDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 
 def so3_action():
-    return FiberedAction(TotalSpace(CHART, SO3), LieGroupBundle(CHART, SO3))
+    return FiberedAction(CHART, SO3)
 
 
 def abelian_action():
-    return FiberedAction(TotalSpace(CHART, T1), LieGroupBundle(CHART, T1))
+    return FiberedAction(CHART, T1)
 
 
 ACTION = so3_action()

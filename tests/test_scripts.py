@@ -194,3 +194,43 @@ def test_run_all_validations_writes_one_directory_per_seed(tmp_path):
     for name in names:
         assert ((tmp_path / "many" / "seed7919" / name).read_bytes()
                 == (tmp_path / "alone" / name).read_bytes()), name
+
+
+def _bench_pairs():
+    """scripts/bench_pairs.py as a module."""
+    import importlib.util
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent, change, better, wins, holds", [
+    # ten pairs, the change lower in nine, its median 0.095 below a parent IQR of 0.035
+    ([1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.04, 0.96],
+     [0.9, 0.92, 0.88, 0.91, 0.89, 0.93, 0.87, 0.9, 0.94, 0.97], "lower", 9, True),
+    # the same gain in eight of ten pairs is not enough
+    ([1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.04, 0.96],
+     [0.9, 0.92, 0.88, 0.91, 0.89, 0.93, 0.87, 0.9, 1.05, 0.97], "lower", 8, False),
+    # ten wins of ten, but by less than the parent's interquartile range
+    ([1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95],
+     [0.99, 1.09, 0.89, 1.04, 0.94, 0.99, 1.09, 0.89, 1.04, 0.94], "lower", 10, False),
+    # higher is better: equal runs win nothing
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "higher", 0, False),
+    ([0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0], "higher", 4, True),
+])
+def test_bench_pairs_summary_applies_the_nine_of_ten_rule(parent, change, better, wins, holds):
+    summary = _bench_pairs().summarize(parent, change, better)
+    assert (summary["wins"], summary["pairs"], summary["holds"]) == (wins, len(parent), holds)
+
+
+def test_bench_pairs_summary_gives_medians_and_quartiles():
+    bench = _bench_pairs()
+    summary = bench.summarize([4.0, 1.0, 3.0, 2.0, 5.0], [2.0, 2.0, 2.0, 2.0, 2.0], "lower")
+    assert summary["parent"] == (2.0, 3.0, 4.0)
+    assert summary["change"] == (2.0, 2.0, 2.0)
+    assert bench.quartiles([0.25]) == (0.25, 0.25, 0.25)
+    line = bench.render("run_s", "s", "lower", summary)
+    assert line == ("run_s [s, lower is better]: parent median 3 (quartiles 2, 4); change "
+                    "median 2 (quartiles 2, 2); change better in 3 of 5 pairs; 9-of-10 rule fails")
