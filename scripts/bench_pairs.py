@@ -2,21 +2,21 @@
 """Run the benchmark in two checkouts in alternating order and judge a change.
 
 Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` N times in
-each of the checkouts PARENT and CHANGE, one pair at a time: odd pairs run the
-parent first, even pairs the change first, since on a shared host the run that
-goes second in a pair is often slower and only alternating order separates an
+each of the checkouts PARENT and CHANGE, T being the `run_seconds` of
+`BENCHMARK.json` (at the root of this checkout), so both sides run as long as
+the benchmark does.  The runs go one pair at a time: odd pairs run the parent
+first, even pairs the change first, since on a shared host the run that goes
+second in a pair is often slower and only alternating order separates an
 effect of a few percent from that bias.  For each end-to-end metric that
-`BENCHMARK.json` (at the root of this checkout) lists, it prints each side's
-median and quartiles, in how many pairs the change did better, and whether
-the 9-of-10 rule holds: the change better in at least nine of every ten pairs
-and its median better than the parent's by more than the parent's
-interquartile range.  A run that exits non-zero or prints no result stops the
-script with exit 1.  The benchmark is run as a program; nothing under
-`perfbench/` is imported.
+`BENCHMARK.json` lists, it prints each side's median and quartiles, in how
+many pairs the change did better, and whether the 9-of-10 rule holds: the
+change better in at least nine of every ten pairs and its median better than
+the parent's by more than the parent's interquartile range.  A run that exits
+non-zero or prints no result stops the script with exit 1.  The benchmark is
+run as a program; nothing under `perfbench/` is imported.
 
 Usage:
     python scripts/bench_pairs.py PARENT CHANGE --workload W [--seed 0] [--pairs 10]
-                                  [--seconds 10]
 """
 
 import argparse
@@ -61,10 +61,10 @@ def render(name, unit, better, summary):
             f"{summary['pairs']} pairs; 9-of-10 rule {'holds' if summary['holds'] else 'fails'}")
 
 
-def run_once(checkout, args):
-    """The metric values of one benchmark run in ``checkout``."""
+def run_once(checkout, args, seconds):
+    """The metric values of one benchmark run of ``seconds`` in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -82,24 +82,24 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} holds no perfbench/run.py")
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds, specs = bench["run_seconds"], bench["end_to_end"]
 
     runs = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args))
+            runs[side].append(run_once(getattr(args, side), args, seconds))
         print(f"pair {k}: " + "; ".join(
             f"{side} run_s {runs[side][-1]['run_s']:.6g}" for side in order), flush=True)
     print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs")
+          f"{seconds:g} s runs")
     for spec in specs:
         name = spec["name"]
         summary = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],

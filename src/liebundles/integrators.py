@@ -375,7 +375,6 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     """
     t0, t1, n = _steps(interval, step)
     times, h = _stage_times(t0, t1, n)
-    half, whole, sixth = _scalars(np.array([h]))
     schedule = matrix_fn(times)
     v = np.asarray(v0, dtype=float).copy()
     k_start = schedule[0]
@@ -383,10 +382,10 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
         t = t0 + k * h
         k_mid, k_end = schedule[2 * k + 1], schedule[2 * k + 2]
         k1 = k_start @ v
-        k2 = k_mid @ (v + half * k1)
-        k3 = k_mid @ (v + half * k2)
-        k4 = k_end @ (v + whole * k3)
-        v = v + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        k2 = k_mid @ (v + 0.5 * h * k1)
+        k3 = k_mid @ (v + 0.5 * h * k2)
+        k4 = k_end @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         k_start = k_end
         if math.isfinite(np.add.reduce(v, axis=None)) or np.isfinite(v).all():  # as `_finite`
             continue

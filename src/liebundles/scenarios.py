@@ -124,13 +124,8 @@ def _poly_table(spec, field, dim):
     return spec
 
 
-# each family's retraction, the parts of a basis it needs zero, and that need in words
-_FAMILIES = {
-    "orthogonal": (_orthogonal_retract, lambda b: [b + b.mT], "antisymmetric basis elements"),
-    "translation": (_translation_retract, lambda b: [b[:, :, :-1], b[:, -1]],
-                    "basis elements zero outside the last column above the corner"),
-    "generic": (None, lambda b: [], ""),
-}
+_RETRACTIONS = {"orthogonal": _orthogonal_retract, "translation": _translation_retract,
+                "generic": None}
 
 
 def descriptor_from_json(doc):
@@ -146,15 +141,19 @@ def descriptor_from_json(doc):
     _require(m * m == size > 0, "group.basis", "square matrices, m² numbers each", raw[0])
     basis = np.stack([_numbers(b, "group.basis", (m, m), nested=True) for b in raw])
     family = doc.get("family", "generic")
-    _require(isinstance(family, str) and family in _FAMILIES, "group.family",
+    _require(isinstance(family, str) and family in _RETRACTIONS, "group.family",
              "orthogonal, translation or generic", family)
-    retraction, zero, needs = _FAMILIES[family]
-    _require(all(np.abs(p).max(initial=0.0) <= 1e-12 for p in zero(basis)), "group.family",
-             f"a family the basis fits ({family} needs {needs})", family)
+    retraction = _RETRACTIONS[family]
+    tol = _positive(doc.get("membership_tol", 1e-8), "group.membership_tol")
+    if retraction is not None:  # the family's own measure judges exp of each basis element
+        import scipy.linalg
+        off = retraction(scipy.linalg.expm(basis), True)[1].max()
+        _require(off <= tol, "group.family",  # NaN fails too
+                 f"a family the basis fits (exp of a basis element is {off:.3e} off the group)",
+                 family)
     c = doc.get("structure_constants")
     c = derive_structure_constants(basis) if c is None else _numbers(
         c, "group.structure_constants", (len(basis),) * 3, nested=True)
-    tol = _positive(doc.get("membership_tol", 1e-8), "group.membership_tol")
     radius = doc.get("injectivity_radius")
     if radius is None:
         radius = np.pi - 0.1 if family == "orthogonal" else np.inf

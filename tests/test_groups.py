@@ -259,9 +259,10 @@ STRETCH_BASIS = [[1, 0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, -1]]
 ])
 def test_a_family_its_basis_cannot_satisfy_is_refused_at_load(basis, family):
     """orthogonal needs antisymmetric elements and translation elements zero
-    outside the last column above the corner; generic takes either basis."""
-    with pytest.raises(UsageError, match=f"config field group.family must be a family the "
-                       f"basis fits \\({family} needs "):
+    outside the last column above the corner, which the family's membership
+    measure of exp of each basis element reads; generic takes either basis."""
+    with pytest.raises(UsageError, match="config field group.family must be a family the "
+                       r"basis fits \(exp of a basis element is \S+ off the group\)"):
         descriptor_from_json({"name": "g", "basis": basis, "family": family})
     assert descriptor_from_json({"name": "g", "basis": basis}).retraction is None
 
