@@ -37,7 +37,6 @@ from .groups import (
 from .integrators import TransportResult, integrate_on_group, integrate_stack
 from .principal import (
     GeneralizedPrincipalConnection,
-    TensorialAdjointForm,
     build_canonical_connection,
     build_two_chart_connection,
     connection_difference,
@@ -45,6 +44,7 @@ from .principal import (
     reduced_curvature_residual,
     transport_total,
     validate_principal_connection,
+    validate_tensorial_form,
 )
 from .scenarios import PRESET_NAMES, build_scenario, descriptor_from_json, preset_config
 from .suites import run_suite

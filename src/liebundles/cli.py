@@ -187,6 +187,10 @@ def _cmd_curvature(args):
     rng = np.random.default_rng([scenario.config["seed"], 2000])
     extra = {}
     if scenario.kind == "gauge":
+        given = [f"--{k}" for k in ("point", "u1", "u2") if getattr(args, k) is not None]
+        if given:
+            raise UsageError("curvature on a gauge preset draws its own jets; "
+                             f"it takes no {', '.join(given)}")
         records = run_suite(scenario, only=["curvature-map-invariance"])
         sample_jet = ConnectionJet.random(scenario.group, scenario.n, rng)
         extra["curvature_sample"] = curvature_map(sample_jet).tolist()

@@ -62,7 +62,7 @@ def _ad_slots(desc: GroupDescriptor, g: GroupElement, arr: np.ndarray, slots=1) 
     A contiguous Ad_g^T gives the transposed view's bits in half the time.  On
     an abelian fiber Ad_g is the identity and arr comes back broadcast to the
     product's shape (a -0.0 entry keeps its sign, which ``x @ I`` drops)."""
-    if not np.any(desc.structure_constants):
+    if desc.abelian:
         lead = np.shape(g.matrix)[:-2] + (1,) * (slots + 1)
         return np.broadcast_to(arr, np.broadcast_shapes(lead, arr.shape))
     ad_t = np.ascontiguousarray(np.swapaxes(desc.Ad_matrix(g), -1, -2))
@@ -234,9 +234,9 @@ def classification_equivariance_residual(omega_hat: EquivariantJetConnection, k,
     return lhs.distance(rhs)
 
 
-def extract_classifying_sections(omega_hat, x, n, desc):
+def extract_classifying_sections(omega_hat, x):
     """Read off the classifying sections from the value at the unit jet."""
-    at_unit = omega_hat(x, GaugeJet.identity(desc, n))
+    at_unit = omega_hat(x, GaugeJet.identity(omega_hat.descriptor, omega_hat.n))
     return at_unit.eta.copy(), at_unit.phi.copy()
 
 

@@ -76,7 +76,8 @@ class GroupDescriptor:
     """An embedded matrix Lie group together with its numerical controls.
 
     ``basis`` has shape (dim, m, m), both sizes read from it; ``structure_constants``
-    has shape (dim, dim, dim) indexed as c[k, i, j].
+    has shape (dim, dim, dim) indexed as c[k, i, j].  ``abelian``, set once from
+    them, says whether they all vanish: the one test of a flat bracket.
     """
 
     name: str
@@ -107,6 +108,7 @@ class GroupDescriptor:
         object.__setattr__(self, "_basis_pinv", np.linalg.pinv(flat))
         # row i holds c[:, i, :]: coordinates times it give the ad matrix
         c = self.structure_constants
+        object.__setattr__(self, "abelian", not np.any(c))
         object.__setattr__(self, "_ad_rows", np.ascontiguousarray(
             np.swapaxes(c, 0, 1).reshape(c.shape[1], -1)))
         k, i, j = np.nonzero(c)  # in (k, i, j) order; round r holds the r-th nonzero of each k

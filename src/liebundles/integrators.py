@@ -186,7 +186,7 @@ def _run(desc, g, legs):
     exp = desc.exp_hook or desc.exp_coords
     limit = np.array(_BLOWUP_FACTOR * max(desc.membership_tol, 1e-12))
     # on an abelian fiber both brackets vanish and the correction returns v
-    dexpinv = _dexpinv if np.any(desc.structure_constants) else lambda desc, u, v: v
+    dexpinv = (lambda desc, u, v: v) if desc.abelian else _dexpinv
     retract = desc.retract_measured
     start = 0
     for stop in sorted({leg.steps for leg in legs}):

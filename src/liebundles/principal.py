@@ -42,11 +42,11 @@ __all__ = [
     "build_canonical_connection",
     "build_two_chart_connection",
     "validate_principal_connection",
+    "validate_tensorial_form",
     "transport_total",
     "transport_compatibility_check",
     "jet_equivariance_check",
     "horizontal_transform_check",
-    "TensorialAdjointForm",
     "connection_difference",
     "CurvatureValue",
     "curvature",
@@ -114,10 +114,12 @@ class GeneralizedPrincipalConnection:
     the (dim, n + dim) matrix of the form at (q, h): its first n columns act
     on the base velocity u, its last dim columns on the fiber velocity delta.
     At a batch of points (q of shape (..., n)) it maps (..., m, m) fibers to
-    an (..., dim, n + dim) stack.
+    an (..., dim, n + dim) stack.  A form over no nu (nu None) is tensorial,
+    horizontal and adjoint-equivariant, as the difference of two connections
+    over one nu is.
     """
 
-    def __init__(self, action: FiberedAction, nu: LieGroupBundleConnection, form):
+    def __init__(self, action: FiberedAction, nu: Optional[LieGroupBundleConnection], form):
         self.action = action
         self.nu = nu
         self.matrix_map = form
@@ -254,14 +256,14 @@ def _values(matrices, u, delta):
     return (matrices @ np.concatenate([u, delta], axis=-1)[..., None])[..., 0]
 
 
-def _form_laws(form, rng, samples, nu=None):
+def _form_laws(form, rng, samples):
     """The worst residuals of the two laws of an algebra-valued form, as two
     functions that each evaluate one law on one stack of random samples,
-    drawn one at a time.  With a group connection nu: complementarity
+    drawn one at a time.  Over a group connection form.nu: complementarity
     |form(generator of xi) - xi| and equivariance form(y.g, dPhi) =
-    Ad_{g^-1}(form(y) + nu form).  Without: horizontality |form(generator of
-    xi)| and plain adjoint equivariance."""
-    action = form.action
+    Ad_{g^-1}(form(y) + nu form).  Over none: horizontality |form(generator
+    of xi)| and plain adjoint equivariance."""
+    action, nu = form.action, form.nu
     desc = action.space.fiber
     c = desc.coords_field
     y, xi, fg, u, dy, dg = action.space.random_points(
@@ -286,8 +288,15 @@ def _form_laws(form, rng, samples, nu=None):
 def validate_principal_connection(omega, rng, samples=200):
     """Worst residuals of complementarity and of adjoint equivariance with the
     omega.nu correction on random samples."""
-    comp, equi = _form_laws(omega, rng, samples, omega.nu)
+    comp, equi = _form_laws(omega, rng, samples)
     return {"complementarity": comp(), "ad_equivariance": equi()}
+
+
+def validate_tensorial_form(form, rng, samples=100):
+    """Worst residuals of horizontality and of plain adjoint equivariance of a
+    form over no nu on random samples."""
+    horiz, equi = _form_laws(form, rng, samples)
+    return {"horizontality": horiz(), "ad_equivariance": equi()}
 
 
 # ---------------------------------------------------------------------------
@@ -369,37 +378,18 @@ def horizontal_transform_check(omega, y, g, u, delta_g: AlgebraElement):
 
 
 # ---------------------------------------------------------------------------
-# tensorial forms and the affine family
+# the affine family
 # ---------------------------------------------------------------------------
 
 
-class TensorialAdjointForm:
-    """Horizontal, adjoint-equivariant algebra-valued 1-form on the total space,
-    given by its (dim, n + dim) matrix function of the point y."""
-
-    def __init__(self, action: FiberedAction, matrix):
-        self.action = action
-        self.descriptor = action.space.fiber
-        self.matrix = matrix
-
-    def value(self, y: TotalPoint, t: Tangent) -> AlgebraElement:
-        return self.descriptor.algebra(_values(self.matrix(y), t.u, t.delta.coords))
-
-    def validate(self, rng, samples=100):
-        """Worst residuals of horizontality and adjoint equivariance on random
-        samples."""
-        horiz, equi = _form_laws(self, rng, samples)
-        return {"horizontality": horiz(), "ad_equivariance": equi()}
-
-
-def connection_difference(omega1, omega2) -> TensorialAdjointForm:
-    """Pointwise difference of two connections associated to the same nu.
-
-    The difference is horizontal and adjoint-equivariant; its `validate`
-    measures both."""
+def connection_difference(omega1, omega2) -> GeneralizedPrincipalConnection:
+    """Difference of two connections over the same nu, fiber by fiber: a form
+    over no nu, horizontal and adjoint-equivariant, which
+    `validate_tensorial_form` measures."""
     if omega1.action is not omega2.action:
         raise UsageError("connection difference requires a common total space action")
-    return TensorialAdjointForm(omega1.action, lambda y: omega1.matrix(y) - omega2.matrix(y))
+    return GeneralizedPrincipalConnection(omega1.action, None, lambda q: FiberMap(
+        lambda fibers, m1, m2: m1(fibers) - m2(fibers), omega1.matrix_map(q), omega2.matrix_map(q)))
 
 
 # ---------------------------------------------------------------------------

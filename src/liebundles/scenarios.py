@@ -410,8 +410,7 @@ def _table_fn(spec, n, shape, field):
 
 def _build_affine(config) -> TorsorScenario:
     group = _group_from_config(config["group"])
-    _require(not np.any(group.structure_constants), "group",
-             "abelian (zero structure constants)", config["group"])
+    _require(group.abelian, "group", "abelian (zero structure constants)", config["group"])
     chart = _chart_from_config(config["chart"])
     n, m = chart.dim, group.dim
     action = FiberedAction(chart, group)

@@ -61,6 +61,7 @@ from .principal import (
     reduced_curvature_residual,
     transport_compatibility_check,
     validate_principal_connection,
+    validate_tensorial_form,
 )
 from .reporting import make_record
 from .scenarios import (
@@ -243,7 +244,7 @@ def _chk_horizontal_product_rule(s, rng, samples, step):
 @_check("form-complementarity", _PA, 1e-8, "connection form reproduces generators")
 def _chk_form_complementarity(s, rng, samples, step):
     # each form's law 0 alone, on the sample both of its laws share
-    vals = [_form_laws(omega, rng, min(samples, 300), omega.nu)[0]() for omega in s.forms.values()]
+    vals = [_form_laws(omega, rng, min(samples, 300))[0]() for omega in s.forms.values()]
     return vals, None
 
 
@@ -251,7 +252,7 @@ def _chk_form_complementarity(s, rng, samples, step):
         "connection form is adjoint-equivariant with group correction")
 def _chk_form_equivariance(s, rng, samples, step):
     # each form's law 1 alone, on the sample both of its laws share
-    vals = [_form_laws(omega, rng, min(samples, 300), omega.nu)[1]() for omega in s.forms.values()]
+    vals = [_form_laws(omega, rng, min(samples, 300))[1]() for omega in s.forms.values()]
     return vals, None
 
 
@@ -292,7 +293,7 @@ def _chk_product_connection(s, rng, samples, step):
 @_check("connection-difference-tensorial", _PA, 1e-7,
         "difference of two connections is tensorial of adjoint type")
 def _chk_connection_difference(s, rng, samples, step):
-    rep = connection_difference(*s.difference_pair).validate(rng, samples=min(samples, 100))
+    rep = validate_tensorial_form(connection_difference(*s.difference_pair), rng, min(samples, 100))
     return [rep["horizontality"], rep["ad_equivariance"]], None
 
 
@@ -470,7 +471,7 @@ def _chk_classification_equivariance(s, rng, samples, step):
         "classifying sections reconstruct the connection")
 def _chk_classification_reconstruction(s, rng, samples, step):
     x = np.zeros(s.n)
-    f_got, g_got = extract_classifying_sections(s.omega_hat, x, s.n, s.group)
+    f_got, g_got = extract_classifying_sections(s.omega_hat, x)
     rebuilt = EquivariantJetConnection(s.group, s.n, f=lambda _: f_got, g2=lambda _: g_got)
     (w,) = _draw_jets(s, rng, min(samples, 100), 1)
     return rebuilt(x, w).distance(s.omega_hat(x, w)), None
@@ -532,10 +533,10 @@ def check_tolerances(scenario):
 
 def record(scenario, check, residuals, order=None):
     """The record of ``check`` on ``scenario``, judged by the check's row: its
-    abelian contract on a fiber whose structure constants vanish, else its
-    contract, at the config's ``tolerances`` entry for the check if it has one."""
+    abelian contract on an abelian fiber, else its contract, at the config's
+    ``tolerances`` entry for the check if it has one."""
     row = _CHECKS[check]
-    abelian = row.abelian is not None and not np.any(scenario.group.structure_constants)
+    abelian = row.abelian is not None and scenario.group.abelian
     tolerance, label, mode = row.abelian if abelian else row.contract
     tolerance = float(scenario.config.get("tolerances", {}).get(check, tolerance))
     return make_record(check, label, scenario.name, residuals, tolerance, order=order, mode=mode)

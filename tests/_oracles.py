@@ -299,14 +299,15 @@ def horizontal_lift_oracle(value, d, u):
 # ---------------------------------------------------------------------------
 
 
-def form_law_residuals_oracle(action, value, rng, samples, nu=None):
+def form_law_residuals_oracle(form, rng, samples):
     """Worst residuals of the two laws of an algebra-valued form on random
-    samples.  With a group connection nu: complementarity |value(generator of
-    xi) - xi| and equivariance value(y.g, dPhi) = Ad_{g^-1}(value(y) + nu form).
-    Without: horizontality |value(generator of xi)| and plain adjoint
-    equivariance."""
+    samples.  Over a group connection nu = form.nu: complementarity
+    |value(generator of xi) - xi| and equivariance value(y.g, dPhi) =
+    Ad_{g^-1}(value(y) + nu form).  Over none: horizontality |value(generator
+    of xi)| and plain adjoint equivariance."""
     from liebundles.bundles import Tangent
 
+    action, value, nu = form.action, form.value, form.nu
     desc = action.space.fiber
     vert_worst = equi_worst = 0.0
     for _ in range(samples):
@@ -329,13 +330,13 @@ def form_law_residuals_oracle(action, value, rng, samples, nu=None):
 
 def principal_connection_oracle(omega, rng, samples):
     """`validate_principal_connection`, one sample at a time."""
-    comp, equi = form_law_residuals_oracle(omega.action, omega.value, rng, samples, omega.nu)
+    comp, equi = form_law_residuals_oracle(omega, rng, samples)
     return {"complementarity": comp, "ad_equivariance": equi}
 
 
 def tensorial_form_oracle(form, rng, samples):
-    """`TensorialAdjointForm.validate`, one sample at a time."""
-    horiz, equi = form_law_residuals_oracle(form.action, form.value, rng, samples)
+    """`validate_tensorial_form`, one sample at a time."""
+    horiz, equi = form_law_residuals_oracle(form, rng, samples)
     return {"horizontality": horiz, "ad_equivariance": equi}
 
 
@@ -686,7 +687,7 @@ def gauge_check_oracles():
 
     def reconstruction(s, rng, samples):
         x = np.zeros(s.n)
-        f_got, g_got = extract_classifying_sections(s.omega_hat, x, s.n, s.group)
+        f_got, g_got = extract_classifying_sections(s.omega_hat, x)
         rebuilt = EquivariantJetConnection(s.group, s.n, f=lambda _: f_got, g2=lambda _: g_got)
         vals = []
         for _ in range(min(samples, 100)):

@@ -257,7 +257,7 @@ def test_criterion_09_jet_group_algebra():
             GaugeJet.random(s.group, s.n, rng), GaugeJet.random(s.group, s.n, rng)))
 
     x = np.zeros(s.n)
-    f_got, g_got = extract_classifying_sections(s.omega_hat, x, s.n, s.group)
+    f_got, g_got = extract_classifying_sections(s.omega_hat, x)
     rebuilt = EquivariantJetConnection(s.group, s.n, f=lambda _: f_got, g2=lambda _: g_got)
     recon_worst = 0.0
     equi_worst = 0.0

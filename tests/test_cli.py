@@ -147,6 +147,20 @@ def test_transport_on_gauge_scenario_is_usage_error(capsys):
     assert "gauge" in err
 
 
+@pytest.mark.parametrize("flags", [["--point", "not json", "--u1", "[1,2,3,4]"],
+                                   ["--point", "[0.0, 0.0]"], ["--u1", "[1.0, 0.0]"],
+                                   ["--u2", "[0.0, 1.0]"]])
+def test_curvature_on_gauge_scenario_refuses_point_and_tangents(flags, capsys):
+    """A gauge preset's curvature draws its own jets: a base point or tangent
+    it would ignore is refused, not dropped."""
+    code, out, err = run_cli(["curvature", "--scenario", "gauge-jet-so3", "--no-meta"] + flags,
+                             capsys)
+    assert code == 2 and out == ""
+    given = ", ".join(f for f in flags if f.startswith("--"))
+    assert err == ("usage error: curvature on a gauge preset draws its own jets; "
+                   f"it takes no {given}\n")
+
+
 def test_transport_unknown_curve_is_usage_error(capsys):
     code, _, err = run_cli(
         ["transport", "--scenario", "principal-so3", "--curve", "nope", "--no-meta"],

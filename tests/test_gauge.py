@@ -285,7 +285,7 @@ def test_classification_extraction_reconstructs():
     f_arr = rng.uniform(-1, 1, (N, 3))
     g_arr = rng.uniform(-1, 1, (N, N, 3))
     omega_hat = EquivariantJetConnection(SO3, N, f=lambda x: f_arr, g2=lambda x: g_arr)
-    f_got, g_got = extract_classifying_sections(omega_hat, np.zeros(N), N, SO3)
+    f_got, g_got = extract_classifying_sections(omega_hat, np.zeros(N))
     assert np.max(np.abs(f_got - f_arr)) <= 1e-12
     assert np.max(np.abs(g_got - g_arr)) <= 1e-12
     rebuilt = EquivariantJetConnection(SO3, N, f=lambda x: f_got, g2=lambda x: g_got)

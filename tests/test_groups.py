@@ -559,6 +559,37 @@ def test_group_inverse_is_the_only_linalg_inv():
     assert _INV.search("x = np.linalg.inv(m)") and not _INV.search("desc.inverse(m)")
 
 
+_ABELIAN_TEST = re.compile(r"\b(?:any|all|count_nonzero|allclose|array_equal)\([^)]*"
+                           r"structure_constants|structure_constants\b[^\n]*\.(?:any|all)\(")
+
+
+def test_only_the_descriptor_decides_abelian_from_structure_constants():
+    """No module of the package but groups.py tests structure_constants to
+    decide whether a fiber is abelian: every other module reads
+    GroupDescriptor.abelian, set once when the descriptor is built."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(pkg.glob("*.py")) if path.name != "groups.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _ABELIAN_TEST.search(line)]
+    assert not found, "abelian decided outside GroupDescriptor:\n" + "\n".join(found)
+    for line in ("if not np.any(desc.structure_constants):",
+                 "flat = np.all(group.structure_constants == 0)",
+                 "if desc.structure_constants.any():",
+                 "ok = (desc.structure_constants == 0).all()"):
+        assert _ABELIAN_TEST.search(line), line
+    for line in ("if desc.abelian:", 'c = doc.get("structure_constants")',
+                 "structure_constants=derive_structure_constants(basis),"):
+        assert not _ABELIAN_TEST.search(line), line
+
+
+def test_abelian_is_whether_every_structure_constant_vanishes():
+    assert T2.abelian and not SO3.abelian
+    assert descriptor_from_json(dict(SO3_DOC, family="generic")).abelian is False
+    assert GroupDescriptor(name="g", basis=np.zeros((1, 2, 2)),
+                           structure_constants=np.zeros((1,) * 3)).abelian
+
+
 _CONFIG_READING = re.compile(r"^\s*(import json|from json )|\bopen\(", re.MULTILINE)
 
 

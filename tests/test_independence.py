@@ -15,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from liebundles import calculus, principal, suites
+from liebundles import calculus, connections, principal, scenarios, suites
 from liebundles.calculus import FiberMap
 from liebundles.gauge import GaugeJet
 from liebundles.groups import GroupElement
@@ -34,9 +34,10 @@ def _tilted(matmul):
     return lambda a, b: GroupElement(matmul(a, b).matrix @ tilt, a.descriptor, check=False)
 
 
-def _scaled(lift_map):
-    """A lift map whose every row is scaled by 1.01."""
-    return lambda x, u: FiberMap(lambda fibers, inner: 1.01 * inner(fibers), lift_map(x, u))
+def _scaled(fiber_map):
+    """A map to `FiberMap`s (a lift, horizontal or matrix map) whose every row
+    is scaled by 1.01."""
+    return lambda *args: FiberMap(lambda fibers, inner: 1.01 * inner(fibers), fiber_map(*args))
 
 
 def _times(f):
@@ -52,6 +53,36 @@ def _over(f):
 def _times_each(f):
     """``f`` with each value of the tuple it returns × 1.01."""
     return lambda *args: tuple(1.01 * v for v in f(*args))
+
+
+def _times_plan(f):
+    """The plan ``f`` with the value it returns × 1.01."""
+    def plan(*args):
+        return 1.01 * (yield from f(*args))
+    return plan
+
+
+def _stretched(f):
+    """``f`` evaluated at its second argument × 1.01."""
+    return lambda first, w: f(first, 1.01 * w)
+
+
+def _grown(v):
+    """The algebra element v × 1.01."""
+    return v.descriptor.algebra(1.01 * v.coords)
+
+
+def _algebra_times(f):
+    """``f`` with the algebra element it returns × 1.01."""
+    return lambda *args: _grown(f(*args))
+
+
+def _curvature_times(f):
+    """``curvature`` with both paths' values × 1.01."""
+    def scaled(*args):
+        out = f(*args)
+        return principal.CurvatureValue(_grown(out.value), _grown(out.exterior_value))
+    return scaled
 
 
 # (preset, check, patched object, its attribute, fault, expected); the max
@@ -72,15 +103,57 @@ TABLE = {
     # the bracket path alone: 2.21e-2 against 1e-4
     "two-path-bracket-off": ("principal-so3", "curvature-two-path", principal,
                              "numerical_bracket", _over, "fails"),
+    # the lifts both paths differentiate, off their horizontal: 2.31e-2 against 1e-4
+    "two-path-lift-scaled": ("principal-so3", "curvature-two-path",
+                             principal.GeneralizedPrincipalConnection, "horizontal_deltas", _times,
+                             "fails"),
+    # the fiber chart both paths run in: 4.31e-11
+    "two-path-chart-stretched": ("principal-so3", "curvature-two-path", principal,
+                                 "_dexp_operator", _stretched, "common-mode"),
+    # both paths' values alike: 3.69e-11
+    "two-path-curvature-scaled": ("principal-so3", "curvature-two-path", principal, "curvature",
+                                  _curvature_times, "common-mode"),
     # the stencil both paths share: 3.61e-11 (3.65e-11 clean)
     "two-path-stencil-off": ("principal-so3", "curvature-two-path", calculus,
                              "central_difference", _over, "common-mode"),
     # 8.15e-11 (8.23e-11 clean); the exterior-only fault leaves it at 8.23e-11
     "reduced-independence-stencil-off": ("principal-so3", "reduced-curvature-independence",
                                          calculus, "central_difference", _over, "common-mode"),
+    # the curvature at y and at y.g alike: 8.31e-11
+    "reduced-independence-curvature-scaled": ("principal-so3", "reduced-curvature-independence",
+                                              principal, "curvature", _curvature_times,
+                                              "common-mode"),
+    # 1.37e-10
+    "reduced-independence-lift-scaled": ("principal-so3", "reduced-curvature-independence",
+                                         principal.GeneralizedPrincipalConnection,
+                                         "horizontal_deltas", _times, "common-mode"),
     # 3.43e-11 (3.46e-11 clean)
     "tensoriality-stencil-off": ("principal-so3", "curvature-tensoriality", calculus,
                                  "central_difference", _over, "common-mode"),
+    # 2.93e-11
+    "tensoriality-lift-scaled": ("principal-so3", "curvature-tensoriality",
+                                 principal.GeneralizedPrincipalConnection, "horizontal_deltas",
+                                 _times, "common-mode"),
+    # 4.49e-11
+    "tensoriality-chart-stretched": ("principal-so3", "curvature-tensoriality", principal,
+                                     "_dexp_operator", _stretched, "common-mode"),
+    # 3.50e-11
+    "tensoriality-curvature-scaled": ("principal-so3", "curvature-tensoriality", principal,
+                                      "curvature", _curvature_times, "common-mode"),
+    # the transported side alone: 9.59e-3 against 1e-5 (5.29e-8 clean)
+    "product-rule-transport-scaled": ("principal-so3", "covariant-product-rule", connections,
+                                      "_covariant_group_derivative", _times_plan, "fails"),
+    # the classical side alone: 1.59e-2 against 1e-8
+    "classical-side-scaled": ("principal-so3", "classical-equivalence", scenarios,
+                              "classical_form_value", _algebra_times, "fails"),
+    # one form of the pair alone: 1.53e-2 against 1e-7
+    "difference-one-form-scaled": ("principal-so3", "connection-difference-tensorial",
+                                   S.difference_pair[1], "matrix_map", _scaled, "fails"),
+    # the shifted form reads the other's map, so it is the one scaled alone: 2.06e-2
+    # against 1e-7
+    "affine-difference-one-form-scaled": ("affine-varying", "connection-difference-tensorial",
+                                          AFFINE.difference_pair[1], "matrix_map", _scaled,
+                                          "fails"),
     # the oracle's form-free flow alone: 7.45e-3 against 1e-7 (1.15e-12 clean)
     "affine-oracle-flow-off": ("affine-varying", "affine-transport-self-consistency", suites,
                                "affine_transport_flow", _times, "fails"),

@@ -286,7 +286,7 @@ def test_a_step_costs_four_exps_one_retraction_and_four_stage_maps(desc, field, 
     result = integrate_stack(asked(field), counting, stack, (0.0, 1.0), step=1.0 / n)
     assert result.steps == n
     # the checked initial fibers and the end residual are measured once each
-    non_abelian = np.any(desc.structure_constants)
+    non_abelian = not desc.abelian
     assert calls == {"field": 1, "exp": 4 * n, "retraction": n + 2, "stage": 4 * n,
                      "ad_matrix": 3 * n if non_abelian else 0}
     plain = integrate_stack(field, desc, stack, (0.0, 1.0), step=1.0 / n)

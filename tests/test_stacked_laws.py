@@ -13,7 +13,8 @@ from liebundles.connections import validate_group_connection
 from liebundles.errors import UsageError
 from liebundles.calculus import Uniform, sample_rows
 from liebundles.groups import _dexp_operator
-from liebundles.principal import connection_difference, curvature, validate_principal_connection
+from liebundles.principal import (connection_difference, curvature, validate_principal_connection,
+                                  validate_tensorial_form)
 from liebundles.scenarios import (affine_equivalence_report, affine_reconstruction_residual,
                                   build_scenario, drop_ad_form, principal_equivalence_report)
 
@@ -49,7 +50,7 @@ def _subjects(s):
     out["transport_form"] = form_law(s.transport_form)
     out["transport_form.nu"] = cocycle_law(s.transport_form.nu)
     diff = connection_difference(*s.difference_pair)
-    out["difference"] = (lambda rng, k: diff.validate(rng, samples=k),
+    out["difference"] = (lambda rng, k: validate_tensorial_form(diff, rng, samples=k),
                          lambda rng, k: tensorial_form_oracle(diff, rng, k))
     out["action"] = (lambda rng, k: s.action.validate(rng, samples=k),
                      lambda rng, k: action_axioms_oracle(s.action, rng, k))
@@ -204,8 +205,8 @@ def test_every_sampled_validator_refuses_an_empty_sample():
     s = SCENARIOS["principal-so3"]
     validators = [
         lambda k: validate_principal_connection(s.omega, np.random.default_rng(0), samples=k),
-        lambda k: connection_difference(*s.difference_pair).validate(
-            np.random.default_rng(0), samples=k),
+        lambda k: validate_tensorial_form(connection_difference(*s.difference_pair),
+                                          np.random.default_rng(0), samples=k),
         lambda k: validate_group_connection(s.nu, np.random.default_rng(0), samples=k),
         lambda k: principal_equivalence_report(s, np.random.default_rng(0), samples=k),
         lambda k: s.action.validate(np.random.default_rng(0), samples=k),
