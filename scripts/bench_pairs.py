@@ -12,8 +12,12 @@ effect of a few percent from that bias.  For each end-to-end metric that
 many pairs the change did better, and whether the 9-of-10 rule holds: the
 change better in at least nine of every ten pairs and its median better than
 the parent's by more than the parent's interquartile range.  A run that exits
-non-zero or prints no result stops the script with exit 1.  The benchmark is
-run as a program; nothing under `perfbench/` is imported.
+non-zero or prints no result stops the script with exit 1.  Beside the
+metrics it prints each side's median raw pass wall time, read from the
+`pass_wall_s:` line a run prints (the median of its passes), and in how many
+pairs the change did better; the rule does not judge that line, since the
+scaled `run_s` is the metric.  The benchmark is run as a program; nothing
+under `perfbench/` is imported.
 
 Usage:
     python scripts/bench_pairs.py PARENT CHANGE --workload W [--seed 0] [--pairs 10]
@@ -51,18 +55,31 @@ def summarize(parent, change, better):
             "holds": 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1}
 
 
-def render(name, unit, better, summary):
-    """One line of the report for a metric's summary."""
+def render(name, unit, better, summary, judged=True):
+    """One line of the report for a metric's summary; an unjudged line
+    leaves out the rule's verdict."""
     def side(q):
         return f"median {q[1]:.6g} (quartiles {q[0]:.6g}, {q[2]:.6g})"
 
+    verdict = (f"9-of-10 rule {'holds' if summary['holds'] else 'fails'}" if judged
+               else "not judged by the rule")
     return (f"{name} [{unit}, {better} is better]: parent {side(summary['parent'])}; "
             f"change {side(summary['change'])}; change better in {summary['wins']} of "
-            f"{summary['pairs']} pairs; 9-of-10 rule {'holds' if summary['holds'] else 'fails'}")
+            f"{summary['pairs']} pairs; {verdict}")
+
+
+def pass_wall(stdout):
+    """The median raw wall time of a run's passes, from the ``pass_wall_s:``
+    line of its output, or None when it printed none."""
+    for line in stdout.splitlines():
+        if line.startswith("pass_wall_s: "):
+            return statistics.median(json.loads(line.split(": ", 1)[1]))
+    return None
 
 
 def run_once(checkout, args, seconds):
-    """The metric values of one benchmark run of ``seconds`` in ``checkout``."""
+    """The metric values of one benchmark run of ``seconds`` in ``checkout``,
+    with its median raw pass wall time under ``pass_wall_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -71,7 +88,11 @@ def run_once(checkout, args, seconds):
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"bench_pairs: run in {checkout} exited with {proc.returncode}: "
                          f"{proc.stderr.strip()[-500:]}")
-    return {k: m["value"] for k, m in json.loads(lines[-1])["metrics"].items()}
+    wall = pass_wall(proc.stdout)
+    if wall is None:
+        raise SystemExit(f"bench_pairs: run in {checkout} printed no pass_wall_s line")
+    return {**{k: m["value"] for k, m in json.loads(lines[-1])["metrics"].items()},
+            "pass_wall_s": wall}
 
 
 def main():
@@ -105,6 +126,9 @@ def main():
         summary = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                             spec["better"])
         print(render(name, spec["unit"], spec["better"], summary))
+    walls = summarize([r["pass_wall_s"] for r in runs["parent"]],
+                      [r["pass_wall_s"] for r in runs["change"]], "lower")
+    print(render("pass_wall_s", "s", "lower", walls, judged=False))
     return 0
 
 

@@ -10,7 +10,8 @@ its own guards.  The time-dependent part of the right-hand side is a base
 schedule: the field is asked once per run, for all 2N+1 stage times of its N
 steps at once, and the step loop then does only fiber work: per step 4 exps,
 3 dexp^-1 on a non-abelian fiber, 1 retraction, 4 stage maps, 4 finite sums.
-`integrate_linear` asks its K(t) the same way.
+`integrate_linear` asks its K(t) the same way, builds every step's RK4
+increment matrix in one batched pass and then does one product per step.
 `integrate_on_group` is the one-element form.
 
 Checks are plans: generators that yield one list of requests, once, and are
@@ -370,23 +371,26 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     ``v0`` may be a (d, B) array: K @ V acts column by column, so B columns
     share each K; a (C, d, B) family gives curve c its own K.  Like the field
     of `integrate_stack`, ``matrix_fn`` is called once, with all 2N+1 stage
-    times; entry j of its result is K there.  A blow-up names its columns,
-    or on a family its (curve, column) pairs, and t.
+    times; entry j of its result is K there.  On a linear system a step is
+    v + h/6 M v with M = K1 + 2 K2 + 2 K3 + K4, K2 = Km (I + h/2 K1),
+    K3 = Km (I + h/2 K2), K4 = Ke (I + h K3): every step's M is built in one
+    batched pass, and the loop does one product per step.  It adds the
+    increment, not (I + h/6 M) v, so a blow-up overflows at the step the
+    vector form does.  A blow-up names its columns, or on a family its
+    (curve, column) pairs, and t.
     """
     t0, t1, n = _steps(interval, step)
     times, h = _stage_times(t0, t1, n)
-    schedule = matrix_fn(times)
-    v = np.asarray(v0, dtype=float).copy()
-    k_start = schedule[0]
-    for k in range(n):
-        t = t0 + k * h
-        k_mid, k_end = schedule[2 * k + 1], schedule[2 * k + 2]
-        k1 = k_start @ v
-        k2 = k_mid @ (v + 0.5 * h * k1)
-        k3 = k_mid @ (v + 0.5 * h * k2)
-        k4 = k_end @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        k_start = k_end
+    schedule = np.asarray(matrix_fn(times), dtype=float)
+    k_start, k_mid, k_end = schedule[:-1:2], schedule[1::2], schedule[2::2]
+    eye = np.eye(schedule.shape[-1])
+    k2 = k_mid @ (eye + 0.5 * h * k_start)
+    k3 = k_mid @ (eye + 0.5 * h * k2)
+    k4 = k_end @ (eye + h * k3)
+    sixth = np.array(h / 6.0)  # a 0-d ufunc operand, as `_TWELVE`
+    v = np.asarray(v0, dtype=float)
+    for k, increment in enumerate(k_start + 2 * k2 + 2 * k3 + k4):
+        v = v + sixth * (increment @ v)
         if math.isfinite(np.add.reduce(v, axis=None)) or np.isfinite(v).all():  # as `_finite`
             continue
         if v.ndim > 2:  # a family: name each curve's columns, not the pooled ones
@@ -396,5 +400,5 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
             finite = np.isfinite(v).reshape(-1, v.shape[-1] if v.ndim > 1 else 1).all(axis=0)
             where = f"columns {np.flatnonzero(~finite).tolist()}"
         raise InstabilityError(f"linear integration produced non-finite values in {where} "
-                               f"at t={t + h:.4f}")
+                               f"at t={t0 + k * h + h:.4f}")
     return v

@@ -435,8 +435,10 @@ def _build_affine(config) -> TorsorScenario:
         action, nu, lambda q: FiberMap(local_form, nu_coeff(q), gamma(q)))
     # a second connection over nu: omega plus a constant horizontal shift
     shift = np.hstack([np.full((m, n), 0.35), np.zeros((m, m))])
+    # its own copy of the tables, so a fault in omega's map reaches one side only
     shifted = GeneralizedPrincipalConnection(action, nu, lambda q: FiberMap(
-        lambda fibers, form: form(fibers) + shift, omega.matrix_map(q)))
+        lambda fibers, coeff, offset: local_form(fibers, coeff, offset) + shift,
+        nu_coeff(q), gamma(q)))
     curves = _curves_from_config(config, chart)
     if "main" not in curves:  # the affine transport oracle rides it
         raise KeyError("main")

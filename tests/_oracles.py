@@ -574,30 +574,55 @@ def transport_total_oracle(omega, curve, y0, step, with_error_estimate):
                                with_error_estimate)
 
 
-def algebra_flow_oracle(nu, curve, columns, step):
-    """`connections._algebra_flow` by classical RK4 with K asked once per
-    stage time."""
-    from liebundles.connections import AlgebraConnection
-
-    conn = AlgebraConnection(nu)
-
-    def k_matrix(t):
-        return conn.generator(curve.position(t), curve.velocity(t))
-
-    t0, t1 = float(curve.a), float(curve.b)
+def _stage_k(k_matrix, interval, step):
+    """(h, steps): each step's K at its start, midpoint and end, asked one
+    stage time at a time, and the step h."""
+    t0, t1 = float(interval[0]), float(interval[1])
     n = max(1, int(np.ceil((t1 - t0) / step)))
     h = (t1 - t0) / n
-    v = np.asarray(columns, dtype=float).copy()
     k_start = k_matrix(t0)
+    steps = []
     for k in range(n):
-        t = t0 + k * h
-        k_mid, k_end = k_matrix(t + 0.5 * h), k_matrix(t0 + (k + 1) * h)
+        k_end = k_matrix(t0 + (k + 1) * h)
+        steps.append((k_start, k_matrix(t0 + k * h + 0.5 * h), k_end))
+        k_start = k_end
+    return h, steps
+
+
+def classical_rk4_oracle(k_matrix, columns, interval, step):
+    """Classical RK4 on v' = K(t) v in its vector form, four products with K
+    per step, K asked once per stage time by ``k_matrix(t)``."""
+    h, steps = _stage_k(k_matrix, interval, step)
+    v = np.asarray(columns, dtype=float).copy()
+    for k_start, k_mid, k_end in steps:
         k1 = k_start @ v
         k2 = k_mid @ (v + 0.5 * h * k1)
         k3 = k_mid @ (v + 0.5 * h * k2)
         k4 = k_end @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        k_start = k_end
+    return v
+
+
+def algebra_generator_oracle(nu, curve):
+    """K(t) of `connections._algebra_flow` at one time t."""
+    from liebundles.connections import AlgebraConnection
+
+    conn = AlgebraConnection(nu)
+    return lambda t: conn.generator(curve.position(t), curve.velocity(t))
+
+
+def algebra_flow_oracle(nu, curve, columns, step):
+    """`connections._algebra_flow` by classical RK4 with K asked once per
+    stage time, each step as its increment matrix M = K1 + 2 K2 + 2 K3 + K4
+    applied to v, one step at a time."""
+    h, steps = _stage_k(algebra_generator_oracle(nu, curve), (curve.a, curve.b), step)
+    v = np.asarray(columns, dtype=float)
+    for k_start, k_mid, k_end in steps:
+        eye = np.eye(k_start.shape[-1])
+        k2 = k_mid @ (eye + 0.5 * h * k_start)
+        k3 = k_mid @ (eye + 0.5 * h * k2)
+        k4 = k_end @ (eye + h * k3)
+        v = v + (h / 6.0) * ((k_start + 2 * k2 + 2 * k3 + k4) @ v)
     return v
 
 

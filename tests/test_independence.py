@@ -149,11 +149,24 @@ TABLE = {
     # one form of the pair alone: 1.53e-2 against 1e-7
     "difference-one-form-scaled": ("principal-so3", "connection-difference-tensorial",
                                    S.difference_pair[1], "matrix_map", _scaled, "fails"),
-    # the shifted form reads the other's map, so it is the one scaled alone: 2.06e-2
-    # against 1e-7
+    # the shifted form alone: 2.06e-2 against 1e-7
     "affine-difference-one-form-scaled": ("affine-varying", "connection-difference-tensorial",
                                           AFFINE.difference_pair[1], "matrix_map", _scaled,
                                           "fails"),
+    # the first form alone, the shifted one building its own values: 2.06e-2 against 1e-7
+    "affine-difference-first-form-scaled": ("affine-varying", "connection-difference-tensorial",
+                                            AFFINE.difference_pair[0], "matrix_map", _scaled,
+                                            "fails"),
+    # the linear flow alone, against the group transport's derivative: 1.17e-2 against 1e-5
+    # (3.34e-14 clean)
+    "algebra-consistency-flow-scaled": ("principal-so3", "algebra-transport-consistency",
+                                        connections, "integrate_linear", _times, "fails"),
+    # a scaled flow is again linear: 1.09e-15
+    "algebra-linearity-flow-scaled": ("principal-so3", "algebra-transport-linearity",
+                                      connections, "integrate_linear", _times, "common-mode"),
+    # a scaled flow still intertwines Ad: 2.14e-11
+    "algebra-adjoint-flow-scaled": ("principal-so3", "algebra-transport-adjoint", connections,
+                                    "integrate_linear", _times, "common-mode"),
     # the oracle's form-free flow alone: 7.45e-3 against 1e-7 (1.15e-12 clean)
     "affine-oracle-flow-off": ("affine-varying", "affine-transport-self-consistency", suites,
                                "affine_transport_flow", _times, "fails"),

@@ -6,6 +6,7 @@ tolerance, and every batched x-part must equal its lone evaluations."""
 import numpy as np
 import pytest
 
+from liebundles import scenarios
 from liebundles.bundles import TotalPoint
 from liebundles.calculus import BaseCurve, FiberMap, Polynomial
 from liebundles.connections import (
@@ -17,9 +18,15 @@ from liebundles.connections import (
 from liebundles.groups import so3_descriptor
 from liebundles.integrators import integrate_linear, integrate_stack
 from liebundles.principal import WeightRamp, transport_total
-from liebundles.scenarios import build_scenario
+from liebundles.scenarios import affine_transport_flow, build_scenario
 
-from _oracles import algebra_flow_oracle, transport_group_oracle, transport_total_oracle
+from _oracles import (
+    algebra_flow_oracle,
+    algebra_generator_oracle,
+    classical_rk4_oracle,
+    transport_group_oracle,
+    transport_total_oracle,
+)
 
 SCENARIOS = {name: build_scenario(name)
              for name in ("principal-so3", "affine-constant", "affine-varying")}
@@ -91,6 +98,45 @@ def test_scheduled_algebra_flow_equals_per_stage_oracle(name, label, kind):
     columns = rng.standard_normal((d, 2) if kind == "lone" else (6, d, 2))
     assert np.array_equal(_algebra_flow(nu, curve, columns, STEP),
                           algebra_flow_oracle(nu, curve, columns, STEP))
+
+
+def _near_vector_form(got, want):
+    """The increment form of a linear RK4 step is the vector form up to
+    roundoff: 1e-14 max(1, |v|), where the worst gap seen is 1.8e-16."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name, label, kind", FLOW_CASES)
+def test_algebra_flow_stays_within_roundoff_of_the_vector_form(name, label, kind):
+    s = SCENARIOS[name]
+    nu = _nus(s)[label]
+    curve, _ = _curves(s, np.random.default_rng(6))[kind]
+    d = s.group.dim
+    columns = np.random.default_rng(7).standard_normal((d, 2) if kind == "lone" else (6, d, 2))
+    _near_vector_form(_algebra_flow(nu, curve, columns, STEP),
+                      classical_rk4_oracle(algebra_generator_oracle(nu, curve), columns,
+                                           (curve.a, curve.b), STEP))
+
+
+@pytest.mark.parametrize("name", ["affine-constant", "affine-varying"])
+def test_affine_flow_stays_within_roundoff_of_the_vector_form(monkeypatch, name):
+    """`affine_transport_flow` at the step/4 of its suite check: its one
+    `integrate_linear` call against the vector form on the same K(t)."""
+    s = SCENARIOS[name]
+    calls = []
+
+    def recorded(matrix_fn, columns, interval, step):
+        got = integrate_linear(matrix_fn, columns, interval, step)
+        calls.append((matrix_fn, columns, interval, step, got))
+        return got
+
+    monkeypatch.setattr(scenarios, "integrate_linear", recorded)
+    v0 = np.random.default_rng(11).uniform(-0.5, 0.5, (5, s.group.dim))
+    affine_transport_flow(s, s.curves["main"], v0, s.config["step"] / 4.0)
+    ((matrix_fn, columns, interval, step, got),) = calls
+    _near_vector_form(got, classical_rk4_oracle(lambda t: matrix_fn(np.array([t]))[0],
+                                                columns, interval, step))
 
 
 def _curve_kinds():

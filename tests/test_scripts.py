@@ -234,3 +234,17 @@ def test_bench_pairs_summary_gives_medians_and_quartiles():
     line = bench.render("run_s", "s", "lower", summary)
     assert line == ("run_s [s, lower is better]: parent median 3 (quartiles 2, 4); change "
                     "median 2 (quartiles 2, 2); change better in 3 of 5 pairs; 9-of-10 rule fails")
+
+
+def test_bench_pairs_reads_the_median_raw_pass_wall_time():
+    bench = _bench_pairs()
+    out = ("workload validate-affine-varying seed 0 trace 0\n"
+           "pass_s: [0.08, 0.07, 0.09]\n"
+           "pass_wall_s: [0.05, 0.0433, 5e-05, 0.06]\n"
+           "run_s: 0.08 s\n"
+           '{"correct": true}\n')
+    assert bench.pass_wall(out) == (0.0433 + 0.05) / 2
+    assert bench.pass_wall("pass_s: [0.08]\n") is None
+    summary = bench.summarize([0.0515, 0.052], [0.0433, 0.0434], "lower")
+    assert bench.render("pass_wall_s", "s", "lower", summary, judged=False).endswith(
+        "change better in 2 of 2 pairs; not judged by the rule")
