@@ -50,13 +50,14 @@ class LieGroupBundleConnection:
     points with any leading axes: x and u of shape (R, n) give the map from
     an (R, m, m) stack, row r at (x[r], u[r]), to (R, dim).  ``base_form`` is
     the coefficient 1-form A of a connection built by `from_base_form`;
-    `AlgebraConnection.generator` reads its closed form from A.
+    `AlgebraConnection.generator` reads its closed form from A.  Without A, `over` reads
+    ``lift_matrix(q)``, the `FiberMap` to the (..., dim, n) matrix C_nu, column mu h along e_mu.
     """
 
-    def __init__(self, bundle: LieGroupBundle, lift_map, base_form=None):
+    def __init__(self, bundle: LieGroupBundle, lift_map, base_form=None, lift_matrix=None):
         self.bundle = bundle
         self._lift_map = lift_map
-        self.base_form = base_form
+        self.base_form, self.lift_matrix = base_form, lift_matrix
 
     @classmethod
     def from_base_form(cls, bundle: LieGroupBundle, form: AlgebraOneForm):

@@ -376,8 +376,9 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     K3 = Km (I + h/2 K2), K4 = Ke (I + h K3): every step's M is built in one
     batched pass, and the loop does one product per step.  It adds the
     increment, not (I + h/6 M) v, so a blow-up overflows at the step the
-    vector form does.  A blow-up names its columns, or on a family its
-    (curve, column) pairs, and t.
+    vector form does.  Finiteness is tested once, on the last state; a
+    blow-up reruns the steps and names the first step's non-finite columns,
+    or on a family its (curve, column) pairs, and t.
     """
     t0, t1, n = _steps(interval, step)
     times, h = _stage_times(t0, t1, n)
@@ -388,17 +389,23 @@ def integrate_linear(matrix_fn, v0, interval, step=1e-2):
     k3 = k_mid @ (eye + 0.5 * h * k2)
     k4 = k_end @ (eye + h * k3)
     sixth = np.array(h / 6.0)  # a 0-d ufunc operand, as `_TWELVE`
-    v = np.asarray(v0, dtype=float)
-    for k, increment in enumerate(k_start + 2 * k2 + 2 * k3 + k4):
-        v = v + sixth * (increment @ v)
-        if math.isfinite(np.add.reduce(v, axis=None)) or np.isfinite(v).all():  # as `_finite`
-            continue
-        if v.ndim > 2:  # a family: name each curve's columns, not the pooled ones
-            pairs = np.argwhere(~np.isfinite(v).all(axis=-2)).tolist()
-            where = f"(curve, column) pairs {[tuple(p) for p in pairs]}"
-        else:
-            finite = np.isfinite(v).reshape(-1, v.shape[-1] if v.ndim > 1 else 1).all(axis=0)
-            where = f"columns {np.flatnonzero(~finite).tolist()}"
-        raise InstabilityError(f"linear integration produced non-finite values in {where} "
-                               f"at t={t0 + k * h + h:.4f}")
-    return v
+    def states():
+        v = np.asarray(v0, dtype=float)
+        for increment in k_start + 2 * k2 + 2 * k3 + k4:
+            v = v + sixth * (increment @ v)
+            yield v
+
+    for v in states():
+        pass
+    if math.isfinite(np.add.reduce(v, axis=None)) or np.isfinite(v).all():  # as `_finite`
+        return v
+    # a non-finite entry stays non-finite: rerun the steps, same bits, to name the first
+    k, v = next((k, s) for k, s in enumerate(states()) if not np.isfinite(s).all())
+    if v.ndim > 2:  # a family: name each curve's columns, not the pooled ones
+        pairs = np.argwhere(~np.isfinite(v).all(axis=-2)).tolist()
+        where = f"(curve, column) pairs {[tuple(p) for p in pairs]}"
+    else:
+        finite = np.isfinite(v).reshape(-1, v.shape[-1] if v.ndim > 1 else 1).all(axis=0)
+        where = f"columns {np.flatnonzero(~finite).tolist()}"
+    raise InstabilityError(f"linear integration produced non-finite values in {where} "
+                           f"at t={t0 + k * h + h:.4f}")

@@ -7,8 +7,8 @@ is one matrix map.  The connections over nu form an affine space modelled on
 Ad-type algebra 1-forms, and `GeneralizedPrincipalConnection.over` builds the
 one of each pair (nu, beta): omega(x, h)(u, delta) =
 Ad_{h^-1}(delta - c_nu(x, h, u) - beta(x, u)), with c_nu the lift cocycle of
-nu.  The single-chart connection is (trivial nu, minus its base form), and
-the two-chart builder glues two presentations into one pair.
+nu.  The single-chart connection is (trivial nu, minus its base form), the
+two-chart builder glues two presentations into one pair, and the affine form is (nu, -Gamma).
 
 Curvature is evaluated two independent ways: minus omega of the bracket of
 horizontalized fields, and the exterior derivative of omega on constant
@@ -94,14 +94,6 @@ def form_matrix(u_block, fiber_block):
     return out
 
 
-def _local_matrix(descriptor, fibers, block, rate):
-    """Matrix of a form at fibers h: Ad_{h^{-1}} block + [R | 0], from its
-    block [B | I] and rate R."""
-    out = descriptor.Ad_matrix(descriptor.inverse(fibers)) @ block
-    out[..., : rate.shape[-1]] += rate
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the connection
 # ---------------------------------------------------------------------------
@@ -129,19 +121,31 @@ class GeneralizedPrincipalConnection:
     @classmethod
     def over(cls, action: FiberedAction, nu: LieGroupBundleConnection, beta: AlgebraOneForm):
         """The connection over nu shifted by the algebra 1-form beta:
-        omega(x, h)(u, delta) = Ad_{h^{-1}}(delta - c_nu(x, h, u) - beta(x, u)),
-        with c_nu = Ad_h A - A the lift cocycle of nu's base form A.  As a
-        matrix: Ad_{h^{-1}} [A - beta | I] + [-A | 0].  A nu without a base
-        form is a usage error."""
-        if nu.base_form is None:
-            raise UsageError("a connection over nu needs nu's base form")
+        omega(x, h)(u, delta) = Ad_{h^{-1}}(delta - c_nu(x, h, u) - beta(x, u)), c_nu the lift
+        cocycle of nu.  Its matrix is Ad_{h^{-1}} [A - beta | I] + [-A | 0] for nu's base form A
+        (c_nu = Ad_h A - A), else Ad_{h^{-1}} [-C_nu(h) - beta | I] for nu's lift matrix C_nu,
+        with no Ad product on an abelian fiber; a nu with neither is a usage error."""
+        if nu.base_form is None and nu.lift_matrix is None:
+            raise UsageError("a connection over nu needs nu's base form or lift matrix")
         desc = action.space.fiber
         eye = np.eye(desc.dim)
 
+        def closed(fibers, block, rate):  # Ad_{h^{-1}} block + [rate | 0]
+            out = desc.Ad_matrix(desc.inverse(fibers)) @ block
+            out[..., : rate.shape[-1]] += rate
+            return out
+
+        def lifted(lift, fibers, minus_beta, *parts):  # lift(fibers, *parts) is C_nu(h)
+            out = form_matrix(minus_beta - lift(fibers, *parts), eye)
+            return out if desc.abelian else desc.Ad_matrix(desc.inverse(fibers)) @ out
+
         def form(q) -> FiberMap:
-            a = np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)
             b = np.swapaxes(beta.coefficient_array(q), -1, -2)
-            return FiberMap(functools.partial(_local_matrix, desc), form_matrix(a - b, eye), -a)
+            if nu.base_form is None:  # the lift's parts ride this map: a stage slices one map
+                lift = nu.lift_matrix(q)
+                return FiberMap(functools.partial(lifted, lift.apply), -b, *lift.parts)
+            a = np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)
+            return FiberMap(closed, form_matrix(a - b, eye), -a)
 
         return cls(action, nu, form)
 

@@ -409,6 +409,7 @@ def _table_fn(spec, n, shape, field):
 
 
 def _build_affine(config) -> TorsorScenario:
+    """The affine torsor: nu lifts u at v by -N(u) v and omega is the pair (nu, -Gamma)."""
     group = _group_from_config(config["group"])
     _require(group.abelian, "group", "abelian (zero structure constants)", config["group"])
     chart = _chart_from_config(config["chart"])
@@ -421,24 +422,17 @@ def _build_affine(config) -> TorsorScenario:
     def lift(fibers, k):
         return -(k @ group.log_coords(fibers)[..., None])[..., 0]
 
+    def lift_columns(fibers, minus_coeff):  # one log for n columns; (-N) v is -(N v) to the bit
+        v = group.log_coords(fibers)[..., None, :, None]
+        return np.swapaxes((minus_coeff @ v)[..., 0], -1, -2)
+
     nu = LieGroupBundleConnection(action.bundle, lambda x, u: FiberMap(
-        lift, np.einsum("...n,...nij->...ij", u, nu_coeff(x))))
-
-    eye = np.eye(m)
-
-    def local_form(fibers, coeff, offset):
-        v = group.log_coords(fibers)
-        linear = (coeff @ v[..., None, :, None])[..., 0] + offset
-        return form_matrix(np.swapaxes(linear, -1, -2), eye)
-
-    omega = GeneralizedPrincipalConnection(
-        action, nu, lambda q: FiberMap(local_form, nu_coeff(q), gamma(q)))
-    # a second connection over nu: omega plus a constant horizontal shift
-    shift = np.hstack([np.full((m, n), 0.35), np.zeros((m, m))])
-    # its own copy of the tables, so a fault in omega's map reaches one side only
-    shifted = GeneralizedPrincipalConnection(action, nu, lambda q: FiberMap(
-        lambda fibers, coeff, offset: local_form(fibers, coeff, offset) + shift,
-        nu_coeff(q), gamma(q)))
+        lift, np.einsum("...n,...nij->...ij", u, nu_coeff(x))),
+        lift_matrix=lambda q: FiberMap(lift_columns, -nu_coeff(q)))
+    over = GeneralizedPrincipalConnection.over
+    omega = over(action, nu, AlgebraOneForm(group, lambda x: -gamma(x)))
+    # beta shifted, on its own tables: a fault in omega's map reaches one side only
+    shifted = over(action, nu, AlgebraOneForm(group, lambda x: -gamma(x) - 0.35))
     curves = _curves_from_config(config, chart)
     if "main" not in curves:  # the affine transport oracle rides it
         raise KeyError("main")

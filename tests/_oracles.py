@@ -282,6 +282,15 @@ def affine_form_oracle(nu_coeff, gamma, y, u, delta):
     return k @ v + np.asarray(u, float) @ gamma(y.q) + np.asarray(delta, float)
 
 
+def affine_form_matrix_oracle(scenario, q, fiber):
+    """The affine form's (m, n + m) matrix at one point, written out from the
+    scenario's tables: column mu of the base block is N_mu(q) v + Gamma_mu(q),
+    v the log of the fiber, and the fiber block is I."""
+    v = scenario.group.log_coords(fiber)
+    linear = (scenario.nu_coeff(q) @ v[None, :, None])[..., 0] + scenario.gamma(q)
+    return np.hstack([linear.T, np.eye(len(v))])
+
+
 def horizontal_lift_oracle(value, d, u):
     """Fiber velocity annihilated by a per-tangent form value(u, delta): one
     evaluation for the right-hand side and one per algebra basis vector."""

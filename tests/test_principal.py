@@ -1,8 +1,12 @@
 """Generalized connection tests: gluing, lifts, transports, curvature."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import liebundles
 from liebundles.bundles import FiberedAction, Tangent, TotalPoint
 from liebundles.calculus import AlgebraOneForm, BaseCurve, ChartDomain, FiberMap, Polynomial
 from liebundles.connections import (
@@ -432,10 +436,61 @@ def test_connection_over_nu_judged_against_another_nu_fails_equivariance():
 
 
 def test_connection_over_a_nu_without_base_form_is_a_usage_error():
-    assert AFFINE.nu.base_form is None
+    # the affine nu's lift map alone, with neither a base form nor a lift matrix
+    bare = LieGroupBundleConnection(AFFINE.action.bundle, AFFINE.nu.lift_map)
+    assert bare.base_form is None and bare.lift_matrix is None
     zero = AlgebraOneForm(AFFINE.group, lambda x: np.zeros((2, AFFINE.group.dim)))
-    with pytest.raises(UsageError, match="base form"):
-        GeneralizedPrincipalConnection.over(AFFINE.action, AFFINE.nu, zero)
+    with pytest.raises(UsageError, match="base form or lift matrix"):
+        GeneralizedPrincipalConnection.over(AFFINE.action, bare, zero)
+
+
+def test_over_a_lift_matrix_matches_over_the_base_form_on_a_non_abelian_fiber():
+    """principal-so3's nu given by its lift matrix C_nu = Ad_h A^T - A^T alone
+    takes the general path of `over`, [Ad_{h^-1}(-C_nu(h) - beta) | Ad_{h^-1}],
+    with its Ad product, which no preset reaches: it agrees with the closed
+    form over the base-form nu and passes the form laws."""
+    s, nu = PRINCIPAL, PRINCIPAL.nu
+
+    def columns(fibers, a_t):
+        return s.group.Ad_matrix(fibers) @ a_t - a_t
+
+    lifted_nu = LieGroupBundleConnection(s.action.bundle, nu.lift_map, lift_matrix=lambda q: FiberMap(
+        columns, np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)))
+    assert lifted_nu.base_form is None
+    rng = np.random.default_rng(46)
+    beta = _random_beta(s.group, rng)
+    closed, lifted = (GeneralizedPrincipalConnection.over(s.action, v, beta)
+                      for v in (nu, lifted_nu))
+    (y,) = s.action.space.random_points(rng, 200)
+    assert np.max(np.abs(lifted.matrix(y) - closed.matrix(y))) <= 1e-14
+    report = validate_principal_connection(lifted, rng, samples=200)
+    assert max(report.values()) <= 1e-12, report
+
+
+def _constructor_calls(tree):
+    """(top-level definition, line) of each call of the
+    GeneralizedPrincipalConnection constructor in a parsed module."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "GeneralizedPrincipalConnection" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_every_torsor_connection_of_the_package_comes_from_over():
+    """No module of the package but principal.py calls the
+    GeneralizedPrincipalConnection constructor: every torsor connection is a
+    pair (nu, beta) built by `over`.  `scenarios.drop_ad_form` may, since the
+    negative control of the classical equivalence is not a connection."""
+    pkg = pathlib.Path(liebundles.__file__).parent
+    calls = {path.name: list(_constructor_calls(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(pkg.glob("*.py")) if path.name != "principal.py"}
+    found = [f"{name}:{line} in {where}" for name, sites in calls.items()
+             for where, line in sites if (name, where) != ("scenarios.py", "drop_ad_form")]
+    assert not found, "a connection built outside principal.py:\n" + "\n".join(found)
+    assert [where for where, _ in calls["scenarios.py"]] == ["drop_ad_form"]
+    snippet = "def f(a, m):\n    return principal.GeneralizedPrincipalConnection(a, None, m)\n"
+    assert list(_constructor_calls(ast.parse(snippet))) == [("f", 2)]
 
 
 def _per_tangent_oracles():

@@ -28,7 +28,7 @@ from liebundles.scenarios import (
 from liebundles import integrators, suites
 from liebundles.suites import available_checks, run_suite
 
-from _oracles import affine_transport_oracle
+from _oracles import affine_form_matrix_oracle, affine_transport_oracle
 
 PRINCIPAL = build_scenario("principal-so3")
 AFFINE_CONST = build_scenario("affine-constant")
@@ -281,6 +281,30 @@ def test_affine_form_matches_coefficients_pointwise():
     k = np.tensordot(u, scenario.nu_coeff(x), axes=(0, 0))
     expected = k @ yv + u @ scenario.gamma(x) + dy.coords
     assert np.allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("scenario", [AFFINE_CONST, AFFINE_VAR], ids=lambda s: s.name)
+def test_affine_form_matrix_equals_the_per_point_oracle(scenario):
+    """omega = over(nu, -Gamma) on a stack of 500 points is, bit for bit, the
+    matrix written out from the tables point by point: -beta - C_nu(h) adds
+    K v, negated by nu's lift matrix and back by the form, to Gamma."""
+    rng = np.random.default_rng(46)
+    chart, m = scenario.chart, scenario.group.dim
+    q = rng.uniform(chart.lower, chart.upper, (500, chart.dim))
+    y = scenario.fiber_point(q, rng.uniform(-1.0, 1.0, (500, m)))
+    got = scenario.omega.matrix(y)
+    for k in range(500):
+        assert np.array_equal(got[k], affine_form_matrix_oracle(scenario, q[k],
+                                                                y.fiber.matrix[k])), k
+
+
+def test_affine_lift_matrix_columns_are_the_lifts_along_the_base_directions():
+    nu = AFFINE_VAR.nu
+    (y,) = AFFINE_VAR.action.space.random_points(np.random.default_rng(47), 50)
+    columns = nu.lift_matrix(y.q)(y.fiber.matrix)
+    for mu, e in enumerate(np.eye(2)):
+        lift = nu.lift_map(y.q, np.broadcast_to(e, y.q.shape))(y.fiber.matrix)
+        assert np.max(np.abs(columns[..., mu] - lift)) <= 1e-15
 
 
 def test_affine_equivalence_reports():
