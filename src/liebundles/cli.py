@@ -150,6 +150,9 @@ def _cmd_transport(args):
     group = scenario.group
     coords = (_json_vector(args.fiber, group.dim, "--fiber") if args.fiber
               else group.random_coords(rng))
+    if _norm(coords) > group.injectivity_radius:  # the summary logs the fibers it reports
+        raise UsageError(f"--fiber {coords.tolist()} lies outside the injectivity radius "
+                         f"{group.injectivity_radius:.3f} of {group.name}")
     g0 = group.exp(group.algebra(coords))
 
     with prefixed("nu transport"):

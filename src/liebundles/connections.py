@@ -46,18 +46,17 @@ class LieGroupBundleConnection:
 
     ``lift_map(x, u)`` computes the x-dependent part of h(x, g, u) once per
     (x, u) and returns the `FiberMap` from a (..., m, m) array of fiber
-    matrices to the (..., dim) coordinates of h.  It also takes a batch of
-    points with any leading axes: x and u of shape (R, n) give the map from
-    an (R, m, m) stack, row r at (x[r], u[r]), to (R, dim).  ``base_form`` is
-    the coefficient 1-form A of a connection built by `from_base_form`;
-    `AlgebraConnection.generator` reads its closed form from A.  Without A, `over` reads
-    ``lift_matrix(q)``, the `FiberMap` to the (..., dim, n) matrix C_nu, column mu h along e_mu.
+    matrices to the (..., dim) coordinates of h.  x, u and the fibers broadcast
+    over leading axes, each row equal to that row alone, bit for bit: x (R, 1, n)
+    and u (k, n) map (R, 1, m, m) fibers to (R, k, dim).  ``base_form`` is the
+    coefficient 1-form A of a connection built by `from_base_form`;
+    `AlgebraConnection.generator` and `over` read their closed forms from A.
     """
 
-    def __init__(self, bundle: LieGroupBundle, lift_map, base_form=None, lift_matrix=None):
+    def __init__(self, bundle: LieGroupBundle, lift_map, base_form=None):
         self.bundle = bundle
         self._lift_map = lift_map
-        self.base_form, self.lift_matrix = base_form, lift_matrix
+        self.base_form = base_form
 
     @classmethod
     def from_base_form(cls, bundle: LieGroupBundle, form: AlgebraOneForm):

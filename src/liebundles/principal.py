@@ -123,26 +123,25 @@ class GeneralizedPrincipalConnection:
         """The connection over nu shifted by the algebra 1-form beta:
         omega(x, h)(u, delta) = Ad_{h^{-1}}(delta - c_nu(x, h, u) - beta(x, u)), c_nu the lift
         cocycle of nu.  Its matrix is Ad_{h^{-1}} [A - beta | I] + [-A | 0] for nu's base form A
-        (c_nu = Ad_h A - A), else Ad_{h^{-1}} [-C_nu(h) - beta | I] for nu's lift matrix C_nu,
-        with no Ad product on an abelian fiber; a nu with neither is a usage error."""
-        if nu.base_form is None and nu.lift_matrix is None:
-            raise UsageError("a connection over nu needs nu's base form or lift matrix")
+        (c_nu = Ad_h A - A), else Ad_{h^{-1}} [-C_nu(h) - beta | I], with no Ad product on an
+        abelian fiber: column mu of C_nu(h) is nu's lift along e_mu, all n columns from one
+        call of nu's lift map at the points with a new axis for the directions."""
         desc = action.space.fiber
-        eye = np.eye(desc.dim)
+        eye, directions = np.eye(desc.dim), np.eye(action.space.quotient.dim)
 
         def closed(fibers, block, rate):  # Ad_{h^{-1}} block + [rate | 0]
             out = desc.Ad_matrix(desc.inverse(fibers)) @ block
             out[..., : rate.shape[-1]] += rate
             return out
 
-        def lifted(lift, fibers, minus_beta, *parts):  # lift(fibers, *parts) is C_nu(h)
-            out = form_matrix(minus_beta - lift(fibers, *parts), eye)
+        def lifted(lift, fibers, minus_beta, *parts):  # lift(fibers, *parts).mT is C_nu(h)
+            out = form_matrix(minus_beta - lift(fibers[..., None, :, :], *parts).mT, eye)
             return out if desc.abelian else desc.Ad_matrix(desc.inverse(fibers)) @ out
 
         def form(q) -> FiberMap:
             b = np.swapaxes(beta.coefficient_array(q), -1, -2)
             if nu.base_form is None:  # the lift's parts ride this map: a stage slices one map
-                lift = nu.lift_matrix(q)
+                lift = nu.lift_map(np.expand_dims(q, -2), directions)
                 return FiberMap(functools.partial(lifted, lift.apply), -b, *lift.parts)
             a = np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)
             return FiberMap(closed, form_matrix(a - b, eye), -a)
@@ -195,13 +194,13 @@ class GeneralizedPrincipalConnection:
 
 
 def build_canonical_connection(action: FiberedAction, base_form: Optional[AlgebraOneForm] = None):
-    """Single-chart connection: the pair (trivial nu, -A), whose form is
-    Ad_{h^{-1}}(A(u) + delta) for the base form A, or the pair (trivial nu,
-    its zero form), the fiber left-Maurer-Cartan form, without one."""
+    """Single-chart connection (nu is ``form.nu``): the pair (trivial nu, -A),
+    whose form is Ad_{h^{-1}}(A(u) + delta) for the base form A, or the pair
+    (trivial nu, its zero form), the fiber left-Maurer-Cartan form, without one."""
     nu = LieGroupBundleConnection.trivial(action.bundle)
     beta = nu.base_form if base_form is None else AlgebraOneForm(
         action.space.fiber, lambda x: -base_form.coefficient_array(x))
-    return GeneralizedPrincipalConnection.over(action, nu, beta), nu
+    return GeneralizedPrincipalConnection.over(action, nu, beta)
 
 
 def build_two_chart_connection(
@@ -213,7 +212,7 @@ def build_two_chart_connection(
     ramp: WeightRamp,
 ):
     """Two overlapping presentations glued with the cosine weights ramp and
-    w_b = 1 - ramp, as one pair (nu, beta).
+    w_b = 1 - ramp, as one pair (nu, beta); returns the form, whose nu is ``form.nu``.
 
     The first presentation is the reference one, the second the reference
     twisted by exp(p(x) Z_sigma)-conjugation and an exp(r(x) Z_tau) section
@@ -247,7 +246,7 @@ def build_two_chart_connection(
     nu = LieGroupBundleConnection.from_base_form(action.bundle,
                                                  AlgebraOneForm(desc, nu_coefficients))
     beta = AlgebraOneForm(desc, beta_coefficients)
-    return GeneralizedPrincipalConnection.over(action, nu, beta), nu
+    return GeneralizedPrincipalConnection.over(action, nu, beta)
 
 
 # ---------------------------------------------------------------------------

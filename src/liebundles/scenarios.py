@@ -305,8 +305,8 @@ def _build_principal(config) -> TorsorScenario:
     base_form = _one_form_from_config(group, config["base_form"], chart.dim, "base_form")
     nu_form = _one_form_from_config(group, config["nu_form"], chart.dim, "nu_form")
     nu = LieGroupBundleConnection.from_base_form(action.bundle, nu_form)
-    omega, _ = build_canonical_connection(action, base_form=base_form)
-    omega_canonical, _ = build_canonical_connection(action)
+    omega = build_canonical_connection(action, base_form=base_form)
+    omega_canonical = build_canonical_connection(action)
     glue = _object(config["two_chart"], "two_chart")
     lo, hi = _numbers(glue["ramp"], "two_chart.ramp", (2,))
     _require(lo < hi, "two_chart.ramp", "an increasing pair [lo, hi]", glue["ramp"])
@@ -314,7 +314,7 @@ def _build_principal(config) -> TorsorScenario:
     def poly(key):
         return Polynomial(_poly_table(glue[key], f"two_chart.{key}", chart.dim), chart.dim)
 
-    omega_glued, nu_glued = build_two_chart_connection(
+    omega_glued = build_two_chart_connection(
         action,
         sigma_gen=group.algebra(_numbers(glue["sigma_gen"], "two_chart.sigma_gen", (group.dim,))),
         p=poly("sigma_poly"),
@@ -327,7 +327,7 @@ def _build_principal(config) -> TorsorScenario:
         name=config["name"], config=config, kind="principal", group=group, chart=chart,
         action=action, nu=nu, omega=omega, transport_form=omega_glued,
         forms={"single": omega, "canonical": omega_canonical, "glued": omega_glued},
-        nus={"nu": nu, "nu_glued": nu_glued}, difference_pair=(omega, omega_canonical),
+        nus={"nu": nu, "nu_glued": omega_glued.nu}, difference_pair=(omega, omega_canonical),
         curves=_curves_from_config(config, chart), base_form=base_form,
     )
 
@@ -409,7 +409,8 @@ def _table_fn(spec, n, shape, field):
 
 
 def _build_affine(config) -> TorsorScenario:
-    """The affine torsor: nu lifts u at v by -N(u) v and omega is the pair (nu, -Gamma)."""
+    """The affine torsor: nu lifts u at v by (-N(u)) v, N(u) negated once per map, and omega is
+    the pair (nu, -Gamma), whose C_nu `over` reads from that map along the base directions."""
     group = _group_from_config(config["group"])
     _require(group.abelian, "group", "abelian (zero structure constants)", config["group"])
     chart = _chart_from_config(config["chart"])
@@ -418,17 +419,11 @@ def _build_affine(config) -> TorsorScenario:
     nu_coeff = _table_fn(config["nu_coeff"], n, (n, m, m), "nu_coeff")
     gamma = _table_fn(config["gamma"], n, (n, m), "gamma")
 
-    # the fibers are the integrator's retracted fibers or exp draws: raw logs
-    def lift(fibers, k):
-        return -(k @ group.log_coords(fibers)[..., None])[..., 0]
-
-    def lift_columns(fibers, minus_coeff):  # one log for n columns; (-N) v is -(N v) to the bit
-        v = group.log_coords(fibers)[..., None, :, None]
-        return np.swapaxes((minus_coeff @ v)[..., 0], -1, -2)
+    def lift(fibers, minus_k):  # raw logs of retracted or exp-drawn fibers; (-N) v is -(N v)
+        return (minus_k @ group.log_coords(fibers)[..., None])[..., 0]
 
     nu = LieGroupBundleConnection(action.bundle, lambda x, u: FiberMap(
-        lift, np.einsum("...n,...nij->...ij", u, nu_coeff(x))),
-        lift_matrix=lambda q: FiberMap(lift_columns, -nu_coeff(q)))
+        lift, -np.einsum("...n,...nij->...ij", u, nu_coeff(x))))
     over = GeneralizedPrincipalConnection.over
     omega = over(action, nu, AlgebraOneForm(group, lambda x: -gamma(x)))
     # beta shifted, on its own tables: a fault in omega's map reaches one side only

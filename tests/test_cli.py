@@ -221,6 +221,7 @@ def test_curvature_gauge_reports_invariance(capsys):
     ["curvature", "--scenario", "principal-so3", "--u1", "[1.0, 0.0, 0.0]"],
     ["curvature", "--scenario", "principal-so3", "--u2", "[]"],
     ["transport", "--scenario", "principal-so3", "--fiber", "[0.1, 0.2]"],
+    ["transport", "--scenario", "principal-so3", "--fiber", "[3.2,0,0]"],
     ["curvature", "--scenario", "principal-so3", "--point", "[5, 5]"],
 ])
 def test_malformed_input_is_usage_error(args, tmp_path, capsys):

@@ -157,13 +157,21 @@ TABLE = {
     "affine-difference-first-form-scaled": ("affine-varying", "connection-difference-tensorial",
                                             AFFINE.difference_pair[0], "matrix_map", _scaled,
                                             "fails"),
-    # nu's lift matrix, which both forms of the pair read, cancels: 4.97e-16 (5.66e-16 clean)
-    "affine-difference-lift-matrix-scaled": ("affine-varying", "connection-difference-tensorial",
-                                             AFFINE.nu, "lift_matrix", _scaled, "common-mode"),
-    # the form's side alone, the law's nu correction reading nu's lift map: 1.64e-2 against
-    # 1e-8 (4.97e-16 clean)
-    "affine-equivariance-lift-matrix-scaled": ("affine-varying", "form-ad-equivariance",
-                                               AFFINE.nu, "lift_matrix", _scaled, "fails"),
+    # nu's lift map, which the form and the law's nu correction both read: 7.02e-16
+    # (4.97e-16 clean)
+    "affine-equivariance-lift-scaled": ("affine-varying", "form-ad-equivariance", AFFINE.nu,
+                                        "lift_map", _scaled, "common-mode"),
+    # nu's lift map, which both forms of the pair read, cancels: 4.97e-16 (5.66e-16 clean)
+    "affine-difference-lift-scaled": ("affine-varying", "connection-difference-tensorial",
+                                      AFFINE.nu, "lift_map", _scaled, "common-mode"),
+    # the form's side alone, the reference shift reading nu's tables: 1.77e-2 against 1e-9
+    # (4.97e-16 clean)
+    "affine-shift-lift-scaled": ("affine-varying", "affine-shift-equivariance", AFFINE.nu,
+                                 "lift_map", _scaled, "fails"),
+    # the transported side alone, the form-free flow reading nu's tables: 1.90e-3 against
+    # 1e-7 (1.15e-12 clean)
+    "affine-transport-lift-scaled": ("affine-varying", "affine-transport-self-consistency",
+                                     AFFINE.nu, "lift_map", _scaled, "fails"),
     # the linear flow alone, against the group transport's derivative: 1.17e-2 against 1e-5
     # (3.34e-14 clean)
     "algebra-consistency-flow-scaled": ("principal-so3", "algebra-transport-consistency",

@@ -14,7 +14,7 @@ from liebundles.connections import (
     transport_group,
     validate_group_connection,
 )
-from liebundles.errors import ConstructionError, UsageError
+from liebundles.errors import ConstructionError
 from liebundles.groups import GroupElement, so3_descriptor, translation_descriptor
 from liebundles.principal import (
     _form_laws,
@@ -58,11 +58,11 @@ def abelian_action():
 
 
 ACTION = so3_action()
-OMEGA_CANON, NU_CANON = build_canonical_connection(ACTION)
+OMEGA_CANON = build_canonical_connection(ACTION)
 RAMP = WeightRamp(-0.2, 0.2, axis=0)
 
 SIGMA_GEN, SIGMA_POLY = SO3.algebra([0.0, 1.0, 0.0]), Polynomial({"1,0": 0.8, "0,1": 0.3}, 2)
-TWO_CHART = build_two_chart_connection(
+OMEGA_GLUED = build_two_chart_connection(
     ACTION,
     sigma_gen=SIGMA_GEN,
     p=SIGMA_POLY,
@@ -70,7 +70,7 @@ TWO_CHART = build_two_chart_connection(
     r=Polynomial({"0,1": 0.6, "1,1": 0.4}, 2),
     ramp=RAMP,
 )
-OMEGA_GLUED, NU_GLUED = TWO_CHART
+NU_GLUED = OMEGA_GLUED.nu
 
 LINE = BaseCurve.line([-0.5, -0.4], [0.5, 0.45], interval=(0.0, 0.4))
 
@@ -136,8 +136,8 @@ def test_glued_form_is_the_canonical_form_where_the_twisted_weight_is_zero():
 
 def test_two_chart_connection_of_zero_polynomials_is_the_canonical_form():
     gen = SO3.algebra([0.3, -0.5, 0.8])
-    omega, _ = build_two_chart_connection(ACTION, sigma_gen=gen, p=Polynomial({}, 2),
-                                          tau_gen=gen, r=Polynomial({}, 2), ramp=RAMP)
+    omega = build_two_chart_connection(ACTION, sigma_gen=gen, p=Polynomial({}, 2),
+                                       tau_gen=gen, r=Polynomial({}, 2), ramp=RAMP)
     rng = np.random.default_rng(23)
     q = rng.uniform(-0.9, 0.9, (6, 2))
     fibers = np.array([SO3.random_element(rng).matrix for _ in range(6)])
@@ -146,7 +146,7 @@ def test_two_chart_connection_of_zero_polynomials_is_the_canonical_form():
 
 def test_abelian_canonical_is_fiber_coordinate_differential():
     action = abelian_action()
-    omega, _ = build_canonical_connection(action)
+    omega = build_canonical_connection(action)
     rng = np.random.default_rng(2)
     y = action.space.random_point(rng)
     t = Tangent(np.array([0.3, -0.2]), T1.algebra([0.7]))
@@ -243,7 +243,7 @@ def test_connection_difference_is_tensorial():
     base = AlgebraOneForm(SO3, Polynomial.array(
         {(0, 0): {"0,0": 0.3, "0,1": 0.5}, (0, 2): {"0,0": 0.2},
          (1, 1): {"1,0": 0.4}, (1, 2): {"0,0": 0.1}}, 2, (2, 3)))
-    omega_shifted, _ = build_canonical_connection(ACTION, base_form=base)
+    omega_shifted = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(9)
     form = _difference_with_laws(omega_shifted, OMEGA_CANON, rng)
     report = validate_tensorial_form(form, np.random.default_rng(90), samples=100)
@@ -259,8 +259,8 @@ def test_abelian_difference_recovers_added_base_form():
     action = abelian_action()
     base = AlgebraOneForm(T1, Polynomial.array({(0, 0): {"0,0": 0.4}, (1, 0): {"0,0": -0.9}},
                                                2, (2, 1)))
-    omega_plus, _ = build_canonical_connection(action, base_form=base)
-    omega0, _ = build_canonical_connection(action)
+    omega_plus = build_canonical_connection(action, base_form=base)
+    omega0 = build_canonical_connection(action)
     rng = np.random.default_rng(10)
     form = _difference_with_laws(omega_plus, omega0, rng)
     y = action.space.random_point(rng)
@@ -274,7 +274,7 @@ def test_curvature_abelian_matches_analytic_exterior_derivative():
     # A = x2 dx1: dA = -1 dx1^dx2, curvature on lifted (e1, e2) equals
     # d1 A2 - d2 A1 = -1
     base = AlgebraOneForm(T1, lambda x: np.array([[x[1]], [0.0]]))
-    omega, _ = build_canonical_connection(action, base_form=base)
+    omega = build_canonical_connection(action, base_form=base)
     rng = np.random.default_rng(11)
     y = action.space.random_point(rng)
     out = curvature(omega, y, [1.0, 0.0], [0.0, 1.0])
@@ -286,7 +286,7 @@ def test_curvature_abelian_closed_form_is_flat():
     action = abelian_action()
     # A = d(f) with f = x1 x2: closed, so the curvature vanishes
     base = AlgebraOneForm(T1, lambda x: np.array([[x[1]], [x[0]]]))
-    omega, _ = build_canonical_connection(action, base_form=base)
+    omega = build_canonical_connection(action, base_form=base)
     rng = np.random.default_rng(12)
     y = action.space.random_point(rng)
     out = curvature(omega, y, [1.0, 0.0], [0.0, 1.0])
@@ -326,7 +326,7 @@ def test_reduced_curvature_representative_independence():
     base = AlgebraOneForm(SO3, Polynomial.array(
         {(0, 0): {"0,0": 0.3, "0,1": 0.8}, (0, 2): {"1,0": 0.5},
          (1, 0): {"0,0": 0.2}, (1, 1): {"1,0": 0.7}}, 2, (2, 3)))
-    omega, _ = build_canonical_connection(ACTION, base_form=base)
+    omega = build_canonical_connection(ACTION, base_form=base)
     rng = np.random.default_rng(15)
     worst = 0.0
     for _ in range(5):
@@ -435,32 +435,18 @@ def test_connection_over_nu_judged_against_another_nu_fails_equivariance():
     assert report["ad_equivariance"] > 1.0, report
 
 
-def test_connection_over_a_nu_without_base_form_is_a_usage_error():
-    # the affine nu's lift map alone, with neither a base form nor a lift matrix
-    bare = LieGroupBundleConnection(AFFINE.action.bundle, AFFINE.nu.lift_map)
-    assert bare.base_form is None and bare.lift_matrix is None
-    zero = AlgebraOneForm(AFFINE.group, lambda x: np.zeros((2, AFFINE.group.dim)))
-    with pytest.raises(UsageError, match="base form or lift matrix"):
-        GeneralizedPrincipalConnection.over(AFFINE.action, bare, zero)
-
-
-def test_over_a_lift_matrix_matches_over_the_base_form_on_a_non_abelian_fiber():
-    """principal-so3's nu given by its lift matrix C_nu = Ad_h A^T - A^T alone
-    takes the general path of `over`, [Ad_{h^-1}(-C_nu(h) - beta) | Ad_{h^-1}],
-    with its Ad product, which no preset reaches: it agrees with the closed
-    form over the base-form nu and passes the form laws."""
+def test_over_a_nu_without_base_form_matches_over_the_base_form_on_a_non_abelian_fiber():
+    """principal-so3's nu given by its lift map alone takes the general path
+    of `over`, [Ad_{h^-1}(-C_nu(h) - beta) | Ad_{h^-1}] with C_nu from the
+    lift map along the base directions, and its Ad product, which no preset
+    reaches: it agrees with the closed form over the base-form nu and passes
+    the form laws."""
     s, nu = PRINCIPAL, PRINCIPAL.nu
-
-    def columns(fibers, a_t):
-        return s.group.Ad_matrix(fibers) @ a_t - a_t
-
-    lifted_nu = LieGroupBundleConnection(s.action.bundle, nu.lift_map, lift_matrix=lambda q: FiberMap(
-        columns, np.swapaxes(nu.base_form.coefficient_array(q), -1, -2)))
-    assert lifted_nu.base_form is None
+    bare = LieGroupBundleConnection(s.action.bundle, nu.lift_map)
+    assert bare.base_form is None
     rng = np.random.default_rng(46)
     beta = _random_beta(s.group, rng)
-    closed, lifted = (GeneralizedPrincipalConnection.over(s.action, v, beta)
-                      for v in (nu, lifted_nu))
+    closed, lifted = (GeneralizedPrincipalConnection.over(s.action, v, beta) for v in (nu, bare))
     (y,) = s.action.space.random_points(rng, 200)
     assert np.max(np.abs(lifted.matrix(y) - closed.matrix(y))) <= 1e-14
     report = validate_principal_connection(lifted, rng, samples=200)
@@ -541,7 +527,7 @@ def test_form_matrix_matches_per_tangent_oracle(name):
 
 def test_zero_fiber_block_makes_lift_and_jet_raise():
     piece = lambda q: FiberMap(lambda fibers: np.hstack([np.ones((3, 2)), np.zeros((3, 3))]))
-    omega = GeneralizedPrincipalConnection(ACTION, NU_CANON, piece)
+    omega = GeneralizedPrincipalConnection(ACTION, OMEGA_CANON.nu, piece)
     y = ACTION.space.random_point(np.random.default_rng(20))
     with pytest.raises(ConstructionError):
         omega.horizontal_lift(y, [1.0, 0.0])

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebundles.bundles import Tangent, TotalPoint
-from liebundles.connections import transport_group, validate_group_connection
+from liebundles.calculus import Normal
+from liebundles.connections import (LieGroupBundleConnection, transport_group,
+                                    validate_group_connection)
 from liebundles.errors import UsageError
 from liebundles.groups import GroupDescriptor
-from liebundles.principal import transport_total, validate_principal_connection
+from liebundles.principal import (GeneralizedPrincipalConnection, transport_total,
+                                  validate_principal_connection)
 from liebundles.scenarios import (
     PRESET_NAMES,
     affine_equivalence_report,
@@ -287,7 +290,7 @@ def test_affine_form_matches_coefficients_pointwise():
 def test_affine_form_matrix_equals_the_per_point_oracle(scenario):
     """omega = over(nu, -Gamma) on a stack of 500 points is, bit for bit, the
     matrix written out from the tables point by point: -beta - C_nu(h) adds
-    K v, negated by nu's lift matrix and back by the form, to Gamma."""
+    K v, negated by nu's lift map and back by the form, to Gamma."""
     rng = np.random.default_rng(46)
     chart, m = scenario.chart, scenario.group.dim
     q = rng.uniform(chart.lower, chart.upper, (500, chart.dim))
@@ -298,13 +301,34 @@ def test_affine_form_matrix_equals_the_per_point_oracle(scenario):
                                                                 y.fiber.matrix[k])), k
 
 
-def test_affine_lift_matrix_columns_are_the_lifts_along_the_base_directions():
-    nu = AFFINE_VAR.nu
-    (y,) = AFFINE_VAR.action.space.random_points(np.random.default_rng(47), 50)
-    columns = nu.lift_matrix(y.q)(y.fiber.matrix)
-    for mu, e in enumerate(np.eye(2)):
-        lift = nu.lift_map(y.q, np.broadcast_to(e, y.q.shape))(y.fiber.matrix)
-        assert np.max(np.abs(columns[..., mu] - lift)) <= 1e-15
+def _torsor_nus():
+    """(scenario, nu) for each nu of each torsor preset, its ``nus`` values
+    and the nu of each of its forms, each nu once."""
+    seen = {}
+    for s in (PRINCIPAL, AFFINE_CONST, AFFINE_VAR):
+        for key, nu in [*s.nus.items(), *((f"{k}.nu", f.nu) for k, f in s.forms.items())]:
+            seen.setdefault(id(nu), pytest.param(s, nu, id=f"{s.name}:{key}"))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("scenario, nu", _torsor_nus())
+def test_lift_map_broadcasts_row_by_row_and_over_nu_at_zero_beta_lifts_by_nu(scenario, nu):
+    """(a) The lift map's contract: points with a new axis, directions and
+    fibers with a new axis give rows (r, k) equal to the lone calls, bit for
+    bit.  (b) The defining property of `over`, on either of its paths: the
+    connection over nu with beta = 0 has nu's lift as its horizontal lift."""
+    rng = np.random.default_rng(47)
+    n = scenario.chart.dim
+    y, u = scenario.action.space.random_points(rng, 200, Normal((n,)))
+    directions = np.vstack([np.eye(n), rng.standard_normal((1, n))])
+    rows = nu.lift_map(y.q[:, None], directions)(y.fiber.matrix[:, None])
+    for r in range(200):
+        for k, e in enumerate(directions):
+            assert np.array_equal(rows[r, k], nu.lift_map(y.q[r], e)(y.fiber.matrix[r])), (r, k)
+    zero = LieGroupBundleConnection.trivial(scenario.action.bundle).base_form
+    omega = GeneralizedPrincipalConnection.over(scenario.action, nu, zero)
+    lifts = nu.lift_map(y.q, u)(y.fiber.matrix)
+    assert np.max(np.abs(omega.horizontal_deltas(y, u) - lifts)) <= 1e-14
 
 
 def test_affine_equivalence_reports():
